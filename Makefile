@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fuzz largek-smoke bench bench-smoke bench-compare cover cover-gate service-smoke vuln ci
+.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fuzz largek-smoke bench bench-smoke bench-test bench-compare cover cover-gate service-smoke vuln ci
 
 all: ci
 
@@ -88,6 +88,13 @@ bench:
 bench-smoke:
 	$(GO) test -run=XXX -bench=. -benchtime=1x ./...
 
+# The repository benchmark (bench/, a module of its own that `./...` does
+# not reach) calls internal packages from its probes; its own tests build
+# them and smoke-run all seven workloads, so an internal API change that
+# breaks a probe fails here instead of in the benchmark driver later.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # Coverage summary: per-function tail plus the total line, for the CI log
 # and local spot checks.
 cover:
@@ -139,4 +146,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: build vet fmt-check lint docs-check examples-smoke race largek-smoke cover-gate service-smoke vuln
+ci: build vet fmt-check lint docs-check examples-smoke race largek-smoke bench-test cover-gate service-smoke vuln

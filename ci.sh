@@ -1,10 +1,10 @@
 #!/bin/sh
 # The standard gate: build + vet + gofmt cleanliness + staticcheck (when
 # installed) + docs gate (every package/command carries a godoc comment) +
-# race-enabled tests in shuffled order + the coverage floor + the
-# end-to-end service smoke, plus a govulncheck pass against the
-# known-vulnerability database when the tool is installed (CI installs it;
-# offline machines skip with a notice).
+# race-enabled tests in shuffled order + the bench module's own tests +
+# the coverage floor + the end-to-end service smoke, plus a govulncheck
+# pass against the known-vulnerability database when the tool is installed
+# (CI installs it; offline machines skip with a notice).
 # Equivalent to `make ci` for environments without make.
 set -eux
 go build ./...
@@ -30,6 +30,10 @@ go test -race -shuffle=on ./...
 # race run above already includes it; this re-run pins the gate by name so
 # a test rename cannot silently drop the coverage.
 go test -run=TestLargeKResolvableMux -count=1 ./internal/cluster/
+# The repository benchmark is its own module (mirrors `make bench-test`):
+# its tests build every probe against the internal packages and smoke-run
+# the seven workloads, so a probe-breaking API change fails here.
+(cd bench && go test ./...)
 if command -v govulncheck >/dev/null 2>&1; then
 	govulncheck ./...
 else

@@ -165,7 +165,11 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 // Spec.InputDir the coordinator scans the same part files the workers read
 // — the single-machine deployment this runtime targets.)
 func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
-	job, err := assemble(spec, reports, nil, nil)
+	p, err := spec.verifyPartitioner() // RunJob preset the splitters: no replay
+	if err != nil {
+		return nil, err
+	}
+	job, err := assemble(spec, p, reports, nil, nil)
 	if err != nil {
 		return nil, err
 	}

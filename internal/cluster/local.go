@@ -5,12 +5,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"codedterasort/internal/coded"
 	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/parallel"
+	"codedterasort/internal/partition"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/terasort"
 	"codedterasort/internal/trace"
@@ -205,6 +208,12 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 	if opts.OnStage != nil {
 		stageLog.Observe(opts.OnStage)
 	}
+	// The partitioner the output is verified against is resolved once per
+	// job: under sampled partitioning it replays the whole sampling round.
+	p, err := spec.verifyPartitioner()
+	if err != nil {
+		return nil, err
+	}
 	maxAttempts := spec.attempts()
 	consumed := map[int]bool{}
 	var recovered []Suspect
@@ -212,7 +221,7 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: job canceled: %w", err)
 		}
-		job, suspects, err := runAttempt(ctx, spec, opts, consumed, attempt, stageLog)
+		job, suspects, err := runAttempt(ctx, spec, p, opts, consumed, attempt, stageLog)
 		if err == nil {
 			job.Attempts = attempt
 			job.Recovered = recovered
@@ -255,10 +264,10 @@ func allFailed(suspects []Suspect) bool {
 	return true
 }
 
-// runAttempt executes one supervised attempt. On a detected fault it
-// returns the suspects alongside the error; an error with no suspects is a
-// genuine (unrecoverable) failure.
-func runAttempt(ctx context.Context, spec Spec, opts Options, consumed map[int]bool, attempt int, stageLog *trace.StageLog) (*JobReport, []Suspect, error) {
+// runAttempt executes one supervised attempt and verifies its output
+// against p. On a detected fault it returns the suspects alongside the
+// error; an error with no suspects is a genuine (unrecoverable) failure.
+func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Options, consumed map[int]bool, attempt int, stageLog *trace.StageLog) (*JobReport, []Suspect, error) {
 	faults, err := spec.engineFaults(consumed)
 	if err != nil {
 		return nil, nil, err
@@ -282,14 +291,9 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, consumed map[int]b
 	streaming := spec.MemBudget > 0 && !spec.KeepOutput
 	var checkers []*verify.PartitionChecker
 	if streaming {
-		// Under sampled partitioning the checkers verify against the
-		// splitters the round is expected to agree on — recomputed here
-		// from the input alone, so a run that drifts from the
-		// deterministic sample fails verification.
-		p, err := spec.verifyPartitioner()
-		if err != nil {
-			return nil, nil, err
-		}
+		// Under sampled partitioning p holds the splitters the round is
+		// expected to agree on — computed from the input alone, so a run
+		// that drifts from the deterministic sample fails verification.
 		checkers = make([]*verify.PartitionChecker, spec.K)
 		for r := 0; r < spec.K; r++ {
 			checkers[r] = verify.NewPartitionChecker(p, r)
@@ -385,9 +389,9 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, consumed map[int]b
 		for r, c := range checkers {
 			sums[r] = c.Summary()
 		}
-		job, err = assemble(spec, reports, nil, sums)
+		job, err = assemble(spec, p, reports, nil, sums)
 	} else {
-		job, err = assemble(spec, reports, outputs, nil)
+		job, err = assemble(spec, p, reports, outputs, nil)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -396,16 +400,12 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, consumed map[int]b
 }
 
 // checkSplitterAgreement verifies every worker of a sampled job reported
-// the same splitter bounds, and that they match the coordinator's own
+// the same splitter bounds, and that they match want, the coordinator's own
 // replay of the deterministic sampling round. A mismatch means the round's
 // determinism argument was violated (non-deterministic input read, a
 // worker partitioned by stale bounds after recovery) and the job's output,
 // though locally sorted, would not be globally partitioned as verified.
-func checkSplitterAgreement(spec Spec, reports []WorkerReport) error {
-	want, err := spec.ExpectedSplitters()
-	if err != nil {
-		return fmt.Errorf("cluster: replaying sample round: %w", err)
-	}
+func checkSplitterAgreement(want [][]byte, reports []WorkerReport) error {
 	for _, w := range reports {
 		if len(w.SplitterBounds) != len(want) {
 			return fmt.Errorf("cluster: worker %d reported %d splitters, expected %d",
@@ -432,20 +432,27 @@ func inputFiles(dir string, k int) []string {
 
 // describeInput summarizes the job's input for multiset verification:
 // generated data is described by regeneration, file-backed data by a
-// streaming scan of the part files — both in O(block) memory.
+// streaming scan of the part files — both on every core, in O(block) memory
+// per core.
 func describeInput(spec Spec) (verify.Input, error) {
 	if spec.InputDir == "" {
 		return verify.DescribeGenerated(kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows), nil
 	}
-	var in verify.Input
-	for _, path := range inputFiles(spec.InputDir, spec.K) {
-		if err := extsort.ScanFile(path, 1<<14, func(b kv.Records) error {
-			in.Rows += int64(b.Len())
-			in.Checksum += b.Checksum()
+	files := inputFiles(spec.InputDir, spec.K)
+	parts := make([]verify.Input, len(files))
+	if err := parallel.Do(runtime.GOMAXPROCS(0), len(files), func(i int) error {
+		return extsort.ScanFile(files[i], 1<<12, func(b kv.Records) error {
+			parts[i].Rows += int64(b.Len())
+			parts[i].Checksum += b.Checksum()
 			return nil
-		}); err != nil {
-			return verify.Input{}, err
-		}
+		})
+	}); err != nil {
+		return verify.Input{}, err
+	}
+	var in verify.Input
+	for _, part := range parts {
+		in.Rows += part.Rows
+		in.Checksum += part.Checksum
 	}
 	return in, nil
 }
@@ -534,11 +541,13 @@ func runWorker(ep transport.Endpoint, spec Spec, faults engine.Faults, sink func
 	return rep, out, nil
 }
 
-// assemble merges worker reports, verifies outputs, and builds the job
-// report. Exactly one of outputs (materialized partitions) or sums
+// assemble merges worker reports, verifies outputs against p, and builds
+// the job report. Exactly one of outputs (materialized partitions) or sums
 // (streaming-checker summaries) carries the verification evidence; nil for
-// both skips verification (the TCP coordinator's checksum-only path).
-func assemble(spec Spec, reports []WorkerReport, outputs []kv.Records, sums []verify.Summary) (*JobReport, error) {
+// both skips verification (the TCP coordinator's checksum-only path). It
+// runs after the last timed stage, when every rank has gone idle, so the
+// input description and the K partition checks each use every core.
+func assemble(spec Spec, p partition.Partitioner, reports []WorkerReport, outputs []kv.Records, sums []verify.Summary) (*JobReport, error) {
 	job := &JobReport{Spec: spec, Workers: reports}
 	for _, w := range reports {
 		job.Times = job.Times.Max(w.Times)
@@ -551,8 +560,10 @@ func assemble(spec Spec, reports []WorkerReport, outputs []kv.Records, sums []ve
 		job.MergeFullCompares += w.MergeFullCompares
 		job.SampleRoundBytes += w.SampleRoundBytes
 	}
-	if spec.sampled() {
-		if err := checkSplitterAgreement(spec, reports); err != nil {
+	// A sampled job is verified against Splitters; a uniform one has no
+	// bounds to agree on.
+	if sp, ok := p.(partition.Splitters); ok {
+		if err := checkSplitterAgreement(sp.Bounds(), reports); err != nil {
 			return nil, err
 		}
 	}
@@ -564,20 +575,11 @@ func assemble(spec Spec, reports []WorkerReport, outputs []kv.Records, sums []ve
 		return nil, fmt.Errorf("cluster: describing input: %w", err)
 	}
 	if sums == nil {
-		sums = make([]verify.Summary, len(outputs))
-		p, err := spec.verifyPartitioner()
-		if err != nil {
-			return nil, err
-		}
-		for k, out := range outputs {
-			c := verify.NewPartitionChecker(p, k)
-			if err := c.Feed(out); err != nil {
-				return nil, fmt.Errorf("cluster: output verification failed: %w", err)
-			}
-			sums[k] = c.Summary()
-		}
+		err = verify.SortedOutput(outputs, p, in)
+	} else {
+		err = verify.CheckSummaries(sums, in)
 	}
-	if err := verify.CheckSummaries(sums, in); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
 	}
 	job.Validated = true

@@ -3,7 +3,9 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/fnv"
 	"io"
+	"strings"
 	"testing"
 
 	"codedterasort/internal/kv"
@@ -67,6 +69,13 @@ func TestRunReaderCorruption(t *testing.T) {
 	corrupt("bad-magic-second-block", func(d []byte) []byte { d[block1+1] ^= 0x10; return d })
 	corrupt("flipped-payload-bit", func(d []byte) []byte { d[blockHeader+100] ^= 0x01; return d })
 	corrupt("flipped-checksum-bit", func(d []byte) []byte { d[block1-1] ^= 0x01; return d })
+	// The CRC-32C fills the low half of the 8-byte trailer; the zero
+	// extension above it is checked too.
+	corrupt("flipped-trailer-pad-bit", func(d []byte) []byte { d[block1-blockTrailer] ^= 0x01; return d })
+	corrupt("fnv-trailer-under-crc-magic", func(d []byte) []byte {
+		binary.BigEndian.PutUint64(d[block1-blockTrailer:], fnv64a(d[blockHeader:block1-blockTrailer]))
+		return d
+	})
 	corrupt("count-not-matching-payload", func(d []byte) []byte {
 		binary.BigEndian.PutUint32(d[4:8], 49) // fewer than framed: trailer misaligns
 		return d
@@ -76,6 +85,60 @@ func TestRunReaderCorruption(t *testing.T) {
 		return d
 	})
 	corrupt("trailing-garbage", func(d []byte) []byte { return append(d, 0xAB) })
+}
+
+// fnv64a is the retired CTS1/CTS2 trailer digest.
+func fnv64a(payload []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(payload)
+	return h.Sum64()
+}
+
+// TestRunReaderRejectsRetiredFrames: a well-formed frame of the retired
+// FNV-trailer format — in either layout, with its original trailer or a
+// CRC one — is refused by its magic with a version error, never reported
+// as a checksum mismatch (bit rot) and never read.
+func TestRunReaderRejectsRetiredFrames(t *testing.T) {
+	recs := kv.NewGenerator(29, kv.DistUniform).Generate(0, 40)
+	recs.Sort()
+	var v1 bytes.Buffer
+	if err := WriteBlock(&v1, recs); err != nil {
+		t.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := writeBlockV2(&v2, encodeBlockV2(nil, recs), recs.Len()); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		frame   []byte
+		magic   uint32
+		payload int // offset of the checksummed payload
+	}{
+		{"v1", v1.Bytes(), retiredMagic, blockHeader},
+		{"v2", v2.Bytes(), retiredMagicV2, blockHeader + 4},
+	} {
+		for _, trailer := range []string{"fnv", "crc"} {
+			t.Run(tc.name+"-"+trailer+"-trailer", func(t *testing.T) {
+				d := append([]byte(nil), tc.frame...)
+				if rows, err := readAll(d); err != nil || rows != 40 {
+					t.Fatalf("current-format frame: rows=%d err=%v", rows, err)
+				}
+				binary.BigEndian.PutUint32(d[0:4], tc.magic)
+				if trailer == "fnv" {
+					end := len(d) - blockTrailer
+					binary.BigEndian.PutUint64(d[end:], fnv64a(d[tc.payload:end]))
+				}
+				rows, err := readAll(d)
+				if err == nil || rows != 0 {
+					t.Fatalf("retired frame read: rows=%d err=%v", rows, err)
+				}
+				if msg := err.Error(); !strings.Contains(msg, "retired frame version") || strings.Contains(msg, "checksum") {
+					t.Fatalf("retired frame not reported as a version error: %v", err)
+				}
+			})
+		}
+	}
 }
 
 // TestRunReaderPartialReadBeforeError: damage in block 2 still delivers
@@ -101,7 +164,7 @@ func TestRunReaderEmptyInput(t *testing.T) {
 	}
 }
 
-// validV2Bytes returns a two-frame CTS2 spill file over sorted records,
+// validV2Bytes returns a two-frame v2 (CTS4) spill file over sorted records,
 // built directly from the v2 encoder so every byte offset is known.
 func validV2Bytes(t *testing.T, recs kv.Records) []byte {
 	t.Helper()
@@ -153,6 +216,19 @@ func TestRunReaderV2Corruption(t *testing.T) {
 		return d[:12+encLen+3]
 	})
 	corrupt("flipped-payload-bit", func(d []byte) []byte { d[12+5] ^= 0x01; return d })
+	corrupt("flipped-checksum-bit", func(d []byte) []byte {
+		d[12+binary.BigEndian.Uint32(d[8:12])+blockTrailer-1] ^= 0x01
+		return d
+	})
+	corrupt("flipped-trailer-pad-bit", func(d []byte) []byte {
+		d[12+binary.BigEndian.Uint32(d[8:12])] ^= 0x01
+		return d
+	})
+	corrupt("fnv-trailer-under-crc-magic", func(d []byte) []byte {
+		encLen := binary.BigEndian.Uint32(d[8:12])
+		binary.BigEndian.PutUint64(d[12+encLen:], fnv64a(d[12:12+encLen]))
+		return d
+	})
 	corrupt("absurd-enclen", func(d []byte) []byte {
 		binary.BigEndian.PutUint32(d[8:12], uint32(61*(kv.RecordSize+1)))
 		return d

@@ -380,3 +380,15 @@ func TestCompactBlockWriterFallsBackOnIncompressible(t *testing.T) {
 		t.Fatalf("disk bytes %d, want raw %d + framing %d", w.DiskBytes(), w.RawBytes(), framing)
 	}
 }
+
+var blockSumSink uint64
+
+// BenchmarkBlockSum is the frame trailer digest, paid once on every spilled
+// byte at write and once at read.
+func BenchmarkBlockSum(b *testing.B) {
+	payload := kv.NewGenerator(1, kv.DistUniform).Generate(0, 4096).Bytes()
+	b.SetBytes(int64(len(payload)))
+	for i := 0; i < b.N; i++ {
+		blockSumSink += blockSum(payload)
+	}
+}

@@ -32,6 +32,18 @@ func FuzzRunReader(f *testing.F) {
 	mutated := append([]byte(nil), valid...)
 	mutated[blockHeader+3] ^= 0x40
 	f.Add(mutated)
+	// The CRC trailer: a flipped CRC bit, a flipped bit of its zero
+	// extension, and a whole frame of the retired FNV-trailer format.
+	block1 := blockHeader + 13*kv.RecordSize + blockTrailer
+	for _, off := range []int{block1 - 1, block1 - blockTrailer} {
+		mutated = append([]byte(nil), valid...)
+		mutated[off] ^= 0x01
+		f.Add(mutated)
+	}
+	retired := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(retired[0:4], retiredMagic)
+	binary.BigEndian.PutUint64(retired[block1-blockTrailer:], fnv64a(retired[blockHeader:block1-blockTrailer]))
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzReadAll(t, data)
@@ -105,6 +117,13 @@ func FuzzRunReaderV2(f *testing.F) {
 	v1 := v1buf.Bytes()
 	binary.BigEndian.PutUint32(v1[0:4], blockMagicV2)
 	f.Add(v1)
+	// The CRC trailer's zero extension, and the retired v2 magic.
+	tampered = append([]byte(nil), valid...)
+	tampered[12+binary.BigEndian.Uint32(tampered[8:12])] ^= 0x80
+	f.Add(tampered)
+	retired := append([]byte(nil), valid...)
+	binary.BigEndian.PutUint32(retired[0:4], retiredMagicV2)
+	f.Add(retired)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzReadAll(t, data)

@@ -10,10 +10,10 @@
 // engines plug it in behind the MemBudget knob).
 //
 // Spill files (runs and spools alike) are a sequence of framed record
-// blocks in one of two self-identifying formats:
+// blocks in one of two self-identifying layouts:
 //
-//	v1 "CTS1": [uint32 magic][uint32 count][count*RecordSize bytes][uint64 fnv64a]
-//	v2 "CTS2": [uint32 magic][uint32 count][uint32 encLen][encLen bytes][uint64 fnv64a]
+//	v1 "CTS3": [uint32 magic][uint32 count][count*RecordSize bytes][uint64 crc32c]
+//	v2 "CTS4": [uint32 magic][uint32 count][uint32 encLen][encLen bytes][uint64 crc32c]
 //
 // A v2 payload prefix-truncates keys: each record is one lcp byte (the
 // shared key-prefix length with the preceding record in the block; the
@@ -22,19 +22,23 @@
 // each block both ways and emit whichever frame is smaller, so a file may
 // mix v1 and v2 frames and the reader dispatches on the per-frame magic.
 // The magic guards against reading a non-spill file; the explicit counts
-// reject torn frames; the trailing FNV-64a over the (encoded) payload
-// rejects bit rot and short writes. A reader therefore returns an error —
-// never a panic, never silently short data — on any truncation or
-// corruption; a checksum-preserving tamper that reorders decoded keys is
-// caught one layer up by the merge's sortedness guard, which runs on the
-// reconstructed keys.
+// reject torn frames; the trailing CRC-32C (Castagnoli, zero-extended to
+// the 8-byte trailer) over the (encoded) payload rejects bit rot and short
+// writes. A reader therefore returns an error — never a panic, never
+// silently short data — on any truncation or corruption; a
+// checksum-preserving tamper that reorders decoded keys is caught one layer
+// up by the merge's sortedness guard, which runs on the reconstructed keys.
+//
+// "CTS1" and "CTS2" were the same two layouts under an FNV-64a trailer.
+// There is one writer and one reader: a frame with a retired magic is
+// rejected as a format-version error, never read as bit rot.
 package extsort
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -43,10 +47,14 @@ import (
 )
 
 const (
-	// blockMagic opens every v1 spill-file block frame ("CTS1").
-	blockMagic = 0x43545331
-	// blockMagicV2 opens a prefix-truncated block frame ("CTS2").
-	blockMagicV2 = 0x43545332
+	// blockMagic opens every v1 spill-file block frame ("CTS3").
+	blockMagic = 0x43545333
+	// blockMagicV2 opens a prefix-truncated block frame ("CTS4").
+	blockMagicV2 = 0x43545334
+	// retiredMagic and retiredMagicV2 opened the same frames under the
+	// FNV-64a trailer ("CTS1", "CTS2"); the reader names them in its error.
+	retiredMagic   = 0x43545331
+	retiredMagicV2 = 0x43545332
 	// blockHeader is the shared frame prefix: magic + record count. A v2
 	// frame follows it with a uint32 encoded-payload length.
 	blockHeader = 8
@@ -59,13 +67,14 @@ const (
 	MaxBlockRows = 1 << 20
 )
 
-// blockSum digests a block payload. FNV-64a is order-dependent, unlike the
-// kv multiset checksum: a spill block is an ordered byte range, and two
-// swapped records inside it are corruption.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// blockSum digests a block payload with CRC-32C, which amd64 and arm64
+// compute in hardware. It is order-dependent, unlike the kv multiset
+// checksum: a spill block is an ordered byte range, and two swapped records
+// inside it are corruption.
 func blockSum(payload []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(payload)
-	return h.Sum64()
+	return uint64(crc32.Checksum(payload, castagnoli))
 }
 
 // WriteBlock appends one framed v1 block holding recs to w.
@@ -90,7 +99,7 @@ func WriteBlock(w io.Writer, recs kv.Records) error {
 	return nil
 }
 
-// encodeBlockV2 appends the CTS2 payload encoding of recs to dst: per
+// encodeBlockV2 appends the v2 (CTS4) payload encoding of recs to dst: per
 // record one lcp byte (shared key-prefix length with the previous record's
 // key; 0 for the first record, keeping blocks self-contained), the key
 // suffix, then the full value.
@@ -165,6 +174,8 @@ func (r *RunReader) Next() (kv.Records, error) {
 	case blockMagic:
 	case blockMagicV2:
 		return r.nextV2(n)
+	case retiredMagic, retiredMagicV2:
+		return kv.Records{}, fmt.Errorf("extsort: block magic %#x is a retired frame version (CTS1/CTS2, FNV-64a trailer); this build reads CTS3/CTS4 (CRC-32C) only", m)
 	default:
 		return kv.Records{}, fmt.Errorf("extsort: bad block magic %#x", m)
 	}

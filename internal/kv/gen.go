@@ -237,6 +237,12 @@ func (g *Generator) GenerateBlocks(first, count int64, blockRows int, fn func(Re
 	if blockRows <= 0 {
 		return fmt.Errorf("kv: GenerateBlocks blockRows=%d", blockRows)
 	}
+	if count <= 0 {
+		return nil
+	}
+	if int64(blockRows) > count {
+		blockRows = int(count) // a short range needs no full-size block
+	}
 	buf := make([]byte, 0, blockRows*RecordSize)
 	for off := int64(0); off < count; off += int64(blockRows) {
 		n := count - off

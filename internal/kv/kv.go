@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -203,36 +204,73 @@ func (r Records) MaxKey() []byte {
 }
 
 // Checksum returns an order-independent digest over the full records:
-// the sum (mod 2^64) of a 64-bit mix of every record. Two buffers that hold
-// the same multiset of records have the same checksum regardless of order,
-// which is exactly the invariant a distributed sort must preserve.
-func (r Records) Checksum() uint64 {
-	var sum uint64
-	for i := 0; i < r.Len(); i++ {
-		sum += mixRecord(r.Record(i))
-	}
-	return sum
-}
+// the sum (mod 2^64) of a 64-bit digest of every record. Two buffers that
+// hold the same multiset of records have the same checksum regardless of
+// order, which is exactly the invariant a distributed sort must preserve.
+func (r Records) Checksum() uint64 { return digest(r.buf) }
 
 // ChecksumRecord returns one record's contribution to the order-independent
 // Checksum digest, so streaming consumers can accumulate the multiset
 // checksum record by record without materializing a buffer.
-func ChecksumRecord(rec []byte) uint64 { return mixRecord(rec) }
-
-// mixRecord hashes one record with an FNV-1a-style pass followed by a
-// splitmix finalizer, strong enough that dropped/duplicated/corrupted
-// records change the order-independent sum with overwhelming probability.
-func mixRecord(rec []byte) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	for _, b := range rec {
-		h ^= uint64(b)
-		h *= prime
+func ChecksumRecord(rec []byte) uint64 {
+	if len(rec) != RecordSize {
+		panic(fmt.Sprintf("kv: ChecksumRecord record of %d bytes", len(rec)))
 	}
-	return mix64(h)
+	return digest(rec)
+}
+
+// Round multipliers and lane seeds of digest: the xxHash64 primes and its
+// seed-0 lane values. The multipliers are odd, so multiplying by one is a
+// bijection of uint64.
+const (
+	digestPrime1 = 0x9e3779b185ebca87
+	digestPrime2 = 0xc2b2ae3d27d4eb4f
+	digestSeed0  = 0x60ea27eeadc0b5d6
+	digestSeed1  = digestPrime2
+	digestSeed2  = 0x165667b19e3779f9
+	digestSeed3  = 0x61c8864e7a143579
+)
+
+// digestRound folds one 8-byte word into a lane (the xxHash64 round:
+// multiply, add, rotate, multiply). It is a bijection of the word for a
+// fixed lane and of the lane for a fixed word, and it does not commute, so a
+// lane is sensitive to the order of its words.
+func digestRound(lane, word uint64) uint64 {
+	return bits.RotateLeft64(lane+word*digestPrime2, 31) * digestPrime1
+}
+
+// digest sums the per-record digests of the whole records in buf. One
+// record is read as twelve little-endian 8-byte words plus a 4-byte tail —
+// word loads, not a byte loop — and the words are dealt round-robin to four
+// independently seeded lanes so the four multiply chains pipeline. The
+// lanes are joined at distinct rotations, the tail is folded in, and the
+// splitmix finaliser spreads the result before it enters the sum. Every
+// step is a bijection of each single input word with the others held fixed,
+// so any change confined to one word (a bit flip, a swap of two unequal
+// bytes) always changes the record digest; changes spanning words, and
+// dropped or duplicated records, change the sum with probability 1 - 2^-64.
+func digest(buf []byte) uint64 {
+	var sum uint64
+	for ; len(buf) >= RecordSize; buf = buf[RecordSize:] {
+		rec := buf[:RecordSize:RecordSize]
+		a, b, c, d := uint64(digestSeed0), uint64(digestSeed1), uint64(digestSeed2), uint64(digestSeed3)
+		a = digestRound(a, binary.LittleEndian.Uint64(rec[0:]))
+		b = digestRound(b, binary.LittleEndian.Uint64(rec[8:]))
+		c = digestRound(c, binary.LittleEndian.Uint64(rec[16:]))
+		d = digestRound(d, binary.LittleEndian.Uint64(rec[24:]))
+		a = digestRound(a, binary.LittleEndian.Uint64(rec[32:]))
+		b = digestRound(b, binary.LittleEndian.Uint64(rec[40:]))
+		c = digestRound(c, binary.LittleEndian.Uint64(rec[48:]))
+		d = digestRound(d, binary.LittleEndian.Uint64(rec[56:]))
+		a = digestRound(a, binary.LittleEndian.Uint64(rec[64:]))
+		b = digestRound(b, binary.LittleEndian.Uint64(rec[72:]))
+		c = digestRound(c, binary.LittleEndian.Uint64(rec[80:]))
+		d = digestRound(d, binary.LittleEndian.Uint64(rec[88:]))
+		h := bits.RotateLeft64(a, 1) + bits.RotateLeft64(b, 7) + bits.RotateLeft64(c, 12) + bits.RotateLeft64(d, 18)
+		h = digestRound(h, uint64(binary.LittleEndian.Uint32(rec[96:])))
+		sum += mix64(h)
+	}
+	return sum
 }
 
 func mix64(z uint64) uint64 {

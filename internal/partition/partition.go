@@ -56,8 +56,16 @@ func ParsePolicy(name string) (Policy, error) {
 }
 
 // Partitioner assigns records to one of K ordered key-range partitions.
-// Implementations must be pure and agree across nodes: every node hashes
-// with an identical partitioner built from coordinator-distributed state.
+// Implementations must be pure (and so safe for concurrent use) and agree
+// across nodes: every node hashes with an identical partitioner built from
+// coordinator-distributed state.
+//
+// Uniform and Splitters are monotone range partitioners: a <= b implies
+// Partition(a) <= Partition(b). Output verification requires that —
+// verify.PartitionChecker tests membership on the first and last key of an
+// ascending block and lets monotonicity cover the keys between. A
+// non-monotone implementation (mapreduce.HashPartitioner) is fine for the
+// engines but must not be handed to the verifier.
 type Partitioner interface {
 	// NumPartitions returns K.
 	NumPartitions() int

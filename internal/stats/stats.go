@@ -130,7 +130,7 @@ func ParseStage(name string) (Stage, error) {
 // SpillStats accounts external-sort spill volume — sorted runs and shuffle
 // spools alike — as the raw record bytes handed to spill writers versus the
 // framed bytes that actually landed on disk. The two differ when the
-// compact prefix-truncated block format (extsort's v2 "CTS2" frames) wins:
+// compact prefix-truncated block format (extsort's v2 "CTS4" frames) wins:
 // the gap is the spill-I/O saving. Workers accumulate it per job; the
 // cluster and the serving layer sum it into JobReport and /metrics.
 type SpillStats struct {

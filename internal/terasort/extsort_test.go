@@ -3,11 +3,8 @@ package terasort
 import (
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
-	"time"
 
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
@@ -225,8 +222,6 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("memory regression test is slow under -short")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(10))
-
 	const (
 		k      = 4
 		rows   = 320000  // 32 MB of records cluster-wide
@@ -234,37 +229,16 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 		total  = rows * kv.RecordSize
 	)
 
-	runtime.GC()
-	stop := make(chan struct{})
-	peakCh := make(chan uint64)
-	go func() {
-		var peak uint64
-		var m runtime.MemStats
-		for {
-			select {
-			case <-stop:
-				peakCh <- peak
-				return
-			default:
-				runtime.ReadMemStats(&m)
-				if m.HeapAlloc > peak {
-					peak = m.HeapAlloc
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-		}
-	}()
-
+	var livePeak liveHeapPeak
 	sums := make([]verify.Summary, k)
-	cfg := Config{K: k, Rows: rows, Seed: 53, MemBudget: budget, SpillDir: t.TempDir()}
+	cfg := Config{K: k, Rows: rows, Seed: 53, MemBudget: budget, SpillDir: t.TempDir(), Hooks: livePeak.hooks()}
 	p := partition.NewUniform(k)
 	checkers := make([]*verify.PartitionChecker, k)
 	results := runAllWith(t, cfg, func(rank int, c *Config) {
 		checkers[rank] = verify.NewPartitionChecker(p, rank)
 		c.OutputSink = checkers[rank].Feed
 	})
-	close(stop)
-	peak := <-peakCh
+	peak := livePeak.bytes
 
 	for rank := range results {
 		if results[rank].SpilledRuns == 0 {
@@ -280,8 +254,8 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 	t.Logf("peak heap %.1f MB for %.1f MB input at %d x %.1f MB budget",
 		float64(peak)/1e6, float64(total)/1e6, k, float64(budget)/1e6)
 	// The K workers share this process, so the cluster-wide bound is
-	// K x budget; the multiplier covers Go allocator slop, the sampler's
-	// lag and transient per-block garbage, while staying far below the
+	// K x budget; the multiplier covers Go allocator slop and the
+	// per-run-cursor block buffers, while staying far below the
 	// 32 MB an in-memory run necessarily materializes several times over.
 	// Baseline history: 3x through PR 7 (peak ~12.5 MB here); 3.5x since
 	// the compact v2 spill format, whose reader reconstructs prefix-

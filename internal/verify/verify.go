@@ -17,8 +17,10 @@ package verify
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 
 	"codedterasort/internal/kv"
+	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
 )
 
@@ -33,19 +35,28 @@ func Describe(r kv.Records) Input {
 	return Input{Rows: int64(r.Len()), Checksum: r.Checksum()}
 }
 
+// describeBlockRows is the block DescribeGenerated generates and digests at
+// a time: 400 KB, so a block is still in cache when its digest reads it.
+const describeBlockRows = 1 << 12
+
 // DescribeGenerated computes the Input summary for generated data without
-// holding it all in memory at once.
+// holding it all in memory at once: the row space is cut into one range per
+// core (the generator is addressable by row), and each range is generated
+// and digested block by block into one reused buffer.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
-	const chunk = 1 << 16
-	var in Input
-	for first := int64(0); first < rows; first += chunk {
-		n := rows - first
-		if n > chunk {
-			n = chunk
-		}
-		r := g.Generate(first, n)
-		in.Rows += int64(r.Len())
-		in.Checksum += r.Checksum()
+	shards := runtime.GOMAXPROCS(0)
+	cuts := kv.SplitRows(rows, shards)
+	sums := make([]uint64, shards)
+	// Neither GenerateBlocks (positive block size) nor the callback can fail.
+	_ = parallel.Do(shards, shards, func(s int) error {
+		return g.GenerateBlocks(cuts[s], cuts[s+1]-cuts[s], describeBlockRows, func(b kv.Records) error {
+			sums[s] += b.Checksum()
+			return nil
+		})
+	})
+	in := Input{Rows: rows}
+	for _, sum := range sums {
+		in.Checksum += sum
 	}
 	return in
 }
@@ -65,6 +76,10 @@ type Summary struct {
 // Feed it ascending blocks; it checks key order (within and across blocks)
 // and partition membership as they pass through, and accumulates the
 // Summary. A zero block count is a legal empty partition.
+//
+// The partitioner must be a monotone range partitioner (see
+// partition.Partitioner): membership is checked on the first and last key
+// of each block only, and the ascending order in between implies the rest.
 type PartitionChecker struct {
 	p   partition.Partitioner
 	k   int
@@ -76,26 +91,33 @@ func NewPartitionChecker(p partition.Partitioner, k int) *PartitionChecker {
 	return &PartitionChecker{p: p, k: k}
 }
 
-// Feed verifies the next block of the partition's output stream.
+// Feed verifies the next block of the partition's output stream. Per record
+// it costs one compare with the preceding key, in place, plus the digest.
 func (c *PartitionChecker) Feed(out kv.Records) error {
-	for i := 0; i < out.Len(); i++ {
-		key := out.Key(i)
-		if c.sum.Max != nil && bytes.Compare(key, c.sum.Max) < 0 {
+	n := out.Len()
+	if n == 0 {
+		return nil
+	}
+	if c.sum.Max != nil && bytes.Compare(out.Key(0), c.sum.Max) < 0 {
+		return fmt.Errorf("verify: partition %d output not sorted", c.k)
+	}
+	for i := 1; i < n; i++ {
+		if out.Less(i, i-1) {
 			return fmt.Errorf("verify: partition %d output not sorted", c.k)
 		}
-		if got := c.p.Partition(key); got != c.k {
-			return fmt.Errorf("verify: record %d of partition %d belongs to partition %d",
-				c.sum.Rows, c.k, got)
-		}
-		if c.sum.Min == nil {
-			c.sum.Min = append([]byte(nil), key...)
-			c.sum.Max = append([]byte(nil), key...)
-		} else {
-			c.sum.Max = append(c.sum.Max[:0], key...)
-		}
-		c.sum.Rows++
-		c.sum.Checksum += kv.ChecksumRecord(out.Record(i))
 	}
+	for _, i := range [2]int{0, n - 1} {
+		if got := c.p.Partition(out.Key(i)); got != c.k {
+			return fmt.Errorf("verify: record %d of partition %d belongs to partition %d",
+				c.sum.Rows+int64(i), c.k, got)
+		}
+	}
+	if c.sum.Min == nil {
+		c.sum.Min = append([]byte(nil), out.Key(0)...)
+	}
+	c.sum.Max = append(c.sum.Max[:0], out.Key(n-1)...)
+	c.sum.Rows += int64(n)
+	c.sum.Checksum += out.Checksum()
 	return nil
 }
 
@@ -132,18 +154,20 @@ func CheckSummaries(sums []Summary, in Input) error {
 // SortedOutput validates per-node outputs of a K-way distributed sort.
 // outputs[k] must be node k's reduced partition; p is the partitioner all
 // nodes hashed with. It is the materialized special case of the streaming
-// checker: each partition is fed as one block.
+// checker: each partition is fed as one block, the K partitions
+// concurrently.
 func SortedOutput(outputs []kv.Records, p partition.Partitioner, in Input) error {
 	if len(outputs) != p.NumPartitions() {
 		return fmt.Errorf("verify: %d outputs for %d partitions", len(outputs), p.NumPartitions())
 	}
 	sums := make([]Summary, len(outputs))
-	for k, out := range outputs {
+	if err := parallel.Do(runtime.GOMAXPROCS(0), len(outputs), func(k int) error {
 		c := NewPartitionChecker(p, k)
-		if err := c.Feed(out); err != nil {
-			return err
-		}
+		err := c.Feed(outputs[k])
 		sums[k] = c.Summary()
+		return err
+	}); err != nil {
+		return err
 	}
 	return CheckSummaries(sums, in)
 }

@@ -1,6 +1,9 @@
 package verify
 
 import (
+	"bytes"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -94,14 +97,20 @@ func TestAllEmptyOutput(t *testing.T) {
 	}
 }
 
+// TestDescribeGeneratedMatchesDescribe: the sharded, block-wise description
+// equals the serial one over the materialized input at any core count, for
+// row counts below, at and off the shard and block boundaries.
 func TestDescribeGeneratedMatchesDescribe(t *testing.T) {
-	g1 := kv.NewGenerator(9, kv.DistUniform)
-	g2 := kv.NewGenerator(9, kv.DistUniform)
-	whole := g1.Generate(0, 100000)
-	chunked := DescribeGenerated(g2, 100000)
-	direct := Describe(whole)
-	if chunked != direct {
-		t.Fatalf("chunked %+v != direct %+v", chunked, direct)
+	g := kv.NewGenerator(9, kv.DistUniform)
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		for _, rows := range []int64{0, 1, 7, describeBlockRows, 100003} {
+			sharded := DescribeGenerated(g, rows)
+			if serial := Describe(g.Generate(0, rows)); sharded != serial {
+				t.Errorf("GOMAXPROCS=%d rows=%d: sharded %+v != serial %+v", procs, rows, sharded, serial)
+			}
+		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
@@ -160,6 +169,87 @@ func TestStreamingCheckerDetectsForeignKey(t *testing.T) {
 	}
 }
 
+// TestCheckerDetectsForeignKeyAnywhere: membership is tested on a block's
+// first and last key only, so a foreign key at the head or tail of a block
+// must fail membership, and one in the interior must break the ascending
+// order that lets the ends speak for the rest.
+func TestCheckerDetectsForeignKeyAnywhere(t *testing.T) {
+	outs, p, _ := makeOutputs(t, 14, 2000, 4)
+	own := outs[1]
+	below, above := outs[0].Slice(0, 1), outs[2].Slice(0, 1)
+	splice := func(at int, foreign kv.Records) kv.Records {
+		return kv.Concat(own.Slice(0, at), foreign, own.Slice(at, own.Len()))
+	}
+	mid := own.Len() / 2
+	for _, tc := range []struct {
+		name  string
+		block kv.Records
+		want  string
+	}{
+		{"head-from-below", splice(0, below), "belongs to partition 0"},
+		{"tail-from-above", splice(own.Len(), above), "belongs to partition 2"},
+		{"head-from-above", splice(0, above), "not sorted"},
+		{"tail-from-below", splice(own.Len(), below), "not sorted"},
+		{"interior-from-below", splice(mid, below), "not sorted"},
+		{"interior-from-above", splice(mid, above), "not sorted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := NewPartitionChecker(p, 1).Feed(tc.block)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want %q", err, tc.want)
+			}
+			// The same damage straddling Feed calls, one record per block.
+			c := NewPartitionChecker(p, 1)
+			if err := tc.block.ForEachBlock(1, c.Feed); err == nil {
+				t.Fatal("accepted when fed record by record")
+			}
+		})
+	}
+}
+
+// TestCheckerDetectsDescendingPairAcrossFeeds: two blocks, each ascending
+// and each inside the partition, whose boundary pair descends.
+func TestCheckerDetectsDescendingPairAcrossFeeds(t *testing.T) {
+	outs, p, _ := makeOutputs(t, 15, 2000, 4)
+	out := outs[2]
+	for _, cut := range []int{1, out.Len() / 2, out.Len() - 1} {
+		c := NewPartitionChecker(p, 2)
+		if err := c.Feed(out.Slice(cut, out.Len())); err != nil {
+			t.Fatal(err)
+		}
+		err := c.Feed(out.Slice(cut-1, cut))
+		if err == nil || !strings.Contains(err.Error(), "not sorted") {
+			t.Fatalf("cut %d: err = %v", cut, err)
+		}
+	}
+}
+
+// TestCheckerSummaryIndependentOfBlocking: one block or a thousand, the
+// Summary is the same.
+func TestCheckerSummaryIndependentOfBlocking(t *testing.T) {
+	outs, p, _ := makeOutputs(t, 16, 4000, 4)
+	for k, out := range outs {
+		whole := NewPartitionChecker(p, k)
+		if err := whole.Feed(out); err != nil {
+			t.Fatal(err)
+		}
+		want := whole.Summary()
+		if want.Rows != int64(out.Len()) || want.Checksum != out.Checksum() ||
+			!bytes.Equal(want.Min, out.Key(0)) || !bytes.Equal(want.Max, out.Key(out.Len()-1)) {
+			t.Fatalf("partition %d: summary %+v does not describe the partition", k, want)
+		}
+		for _, blocks := range []int{2, 7, 1000} {
+			c := NewPartitionChecker(p, k)
+			if err := out.ForEachBlock((out.Len()+blocks-1)/blocks, c.Feed); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(c.Summary(), want) {
+				t.Fatalf("partition %d in %d blocks: %+v, want %+v", k, blocks, c.Summary(), want)
+			}
+		}
+	}
+}
+
 // TestCheckSummariesDetectsOverlap: per-partition streams can each be
 // sorted while the partitions overlap in key range; only the summary-level
 // check sees it.
@@ -191,5 +281,29 @@ func TestStreamingCheckerEmptyPartitions(t *testing.T) {
 	}
 	if err := CheckSummaries(sums, Input{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func BenchmarkDescribeGenerated(b *testing.B) {
+	const rows = 200000
+	g := kv.NewGenerator(1, kv.DistUniform)
+	b.SetBytes(rows * kv.RecordSize)
+	for i := 0; i < b.N; i++ {
+		if in := DescribeGenerated(g, rows); in.Rows != rows {
+			b.Fatalf("described %d rows", in.Rows)
+		}
+	}
+}
+
+func BenchmarkPartitionCheckerFeed(b *testing.B) {
+	p := partition.NewUniform(4)
+	out := partition.Split(p, kv.NewGenerator(1, kv.DistUniform).Generate(0, 200000))[0]
+	out.SortRadixMSD(1)
+	b.SetBytes(int64(out.Size()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := NewPartitionChecker(p, 0).Feed(out); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
