@@ -25,7 +25,6 @@ import (
 	"codedterasort/internal/placement"
 	"codedterasort/internal/simnet"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 )
@@ -373,7 +372,7 @@ func benchLive(b *testing.B, spec cluster.Spec) {
 
 // Raw stage-driver benchmark over memnet without the cluster harness.
 func BenchmarkRawTeraSortDriver(b *testing.B) {
-	cfg := terasort.Config{K: 4, Rows: 20000, Seed: 1}
+	cfg := codedpkg.Config{K: 4, R: 1, Rows: 20000, Seed: 1}
 	b.SetBytes(cfg.Rows * kv.RecordSize)
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(cfg.K)
@@ -383,7 +382,7 @@ func BenchmarkRawTeraSortDriver(b *testing.B) {
 			go func(rank int) {
 				defer wg.Done()
 				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-				if _, err := terasort.Run(ep, cfg, nil); err != nil {
+				if _, err := codedpkg.Run(ep, cfg, nil); err != nil {
 					b.Error(err)
 				}
 			}(r)
@@ -540,34 +539,23 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 		var wg sync.WaitGroup
 		loads := make([]int64, 2)
 		for mode := 0; mode < 2; mode++ {
-			coded := mode == 1
+			r := mode + 1 // uncoded (r = 1), then coded (r = 2)
 			var total int64
 			var mu sync.Mutex
 			for rank := 0; rank < 4; rank++ {
 				wg.Add(1)
-				go func(rank int, coded bool) {
+				go func(rank int) {
 					defer wg.Done()
 					ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-					if coded {
-						res, err := codedpkg.Run(ep, codedpkg.Config{K: 4, R: 2, Rows: 20000, Seed: 5, Filter: match}, nil)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						mu.Lock()
-						total += res.MulticastBytes
-						mu.Unlock()
-					} else {
-						res, err := terasort.Run(ep, terasort.Config{K: 4, Rows: 20000, Seed: 5, Filter: match}, nil)
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						mu.Lock()
-						total += res.ShuffleBytes
-						mu.Unlock()
+					res, err := codedpkg.Run(ep, codedpkg.Config{K: 4, R: r, Rows: 20000, Seed: 5, Filter: match}, nil)
+					if err != nil {
+						b.Error(err)
+						return
 					}
-				}(rank, coded)
+					mu.Lock()
+					total += res.SentBytes
+					mu.Unlock()
+				}(rank)
 			}
 			wg.Wait()
 			loads[mode] = total

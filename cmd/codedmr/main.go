@@ -59,7 +59,12 @@ func main() {
 		kern = mapreduce.Grep(*pattern)
 	}
 
-	job := buildJob(kern, &j)
+	dist, err := kv.ParseDistribution(j.Dist)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "codedmr:", err)
+		os.Exit(1)
+	}
+	job := buildJob(kern, &j, dist)
 	opts := mapreduce.LocalOptions{
 		RateMbps: j.Rate, PerMessage: j.PerMsg,
 		StragglerFactor: j.Stragglers, StragglerRank: j.StragglerRank,
@@ -82,7 +87,7 @@ func main() {
 	}
 
 	if *compare {
-		base := buildJob(kern, &j)
+		base := buildJob(kern, &j, dist)
 		base.R = 0
 		baseRep, err := mapreduce.RunLocal(base, opts)
 		if err != nil {
@@ -120,11 +125,9 @@ func main() {
 }
 
 // buildJob folds the parsed flags onto the kernel's job.
-func buildJob(kern mapreduce.Kernel, j *flags.Job) mapreduce.Job {
+func buildJob(kern mapreduce.Kernel, j *flags.Job, dist kv.Distribution) mapreduce.Job {
 	job := kern.Job(j.K, j.R, j.Rows, j.Seed)
-	if j.Skewed {
-		job.Dist = kv.DistSkewed
-	}
+	job.Dist = dist
 	if j.Tree {
 		job.Strategy = transport.BcastBinomialTree
 	}

@@ -24,7 +24,6 @@ type Job struct {
 	Strategy      string
 	Rows          int64
 	Seed          uint64
-	Skewed        bool
 	Dist          string
 	Partition     string
 	Samples       int
@@ -51,7 +50,6 @@ func (j *Job) RegisterCommon(fs *flag.FlagSet, defaultK int) {
 	fs.IntVar(&j.K, "k", defaultK, "number of worker nodes")
 	fs.Int64Var(&j.Rows, "rows", 100000, "input size in 100-byte records")
 	fs.Uint64Var(&j.Seed, "seed", 2017, "input generator seed")
-	fs.BoolVar(&j.Skewed, "skewed", false, "skewed input keys (legacy; -dist skewed)")
 	fs.StringVar(&j.Dist, "dist", "",
 		"input key distribution: uniform (default), skewed, zipf, sorted, nearsorted, dupheavy, varprefix")
 	fs.StringVar(&j.Partition, "partition", "",
@@ -107,7 +105,7 @@ func (j *Job) Spec(alg cluster.Algorithm) cluster.Spec {
 	spec := cluster.Spec{
 		Algorithm: alg,
 		K:         j.K, R: j.R, Placement: j.Strategy,
-		Rows: j.Rows, Seed: j.Seed, Skewed: j.Skewed,
+		Rows: j.Rows, Seed: j.Seed,
 		DistName: j.Dist, Partitioning: j.Partition, SampleSize: j.Samples,
 		TreeMulticast: j.Tree, RateMbps: j.Rate, PerMessage: j.PerMsg,
 		ChunkRows: j.Chunk, Window: j.Window,

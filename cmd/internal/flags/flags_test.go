@@ -18,7 +18,7 @@ func TestRegisterAndSpec(t *testing.T) {
 	j.RegisterCoded(fs, 3)
 	j.RegisterInDir(fs)
 	err := fs.Parse([]string{
-		"-k", "6", "-r", "2", "-rows", "1234", "-seed", "99", "-skewed",
+		"-k", "6", "-r", "2", "-rows", "1234", "-seed", "99", "-dist", "skewed",
 		"-tree", "-rate", "100", "-permsg", "5ms", "-chunk", "500",
 		"-window", "8", "-membudget", "65536", "-spilldir", "/tmp/x",
 		"-indir", "/tmp/in", "-procs", "4",
@@ -29,7 +29,7 @@ func TestRegisterAndSpec(t *testing.T) {
 
 	coded := j.Spec(cluster.AlgCoded)
 	if coded.K != 6 || coded.R != 2 || coded.Rows != 1234 || coded.Seed != 99 ||
-		!coded.Skewed || !coded.TreeMulticast || coded.RateMbps != 100 ||
+		coded.DistName != "skewed" || !coded.TreeMulticast || coded.RateMbps != 100 ||
 		coded.PerMessage != 5*time.Millisecond || coded.ChunkRows != 500 ||
 		coded.Window != 8 || coded.MemBudget != 65536 || coded.SpillDir != "/tmp/x" ||
 		coded.Parallelism != 4 {

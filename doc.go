@@ -9,7 +9,7 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory, the streaming-pipeline design notes, and the out-of-core
 // external sort: internal/extsort provides spill-to-disk run generation
-// and the loser-tree merge behind the MemBudget knob of both engines),
+// and the loser-tree merge behind the MemBudget knob),
 // with runnable binaries under cmd/ (shared job flags in
 // cmd/internal/flags) and worked examples under examples/.
 // Placement is a strategy seam (internal/placement.Strategy): the paper's
@@ -20,13 +20,16 @@
 // K (992 groups instead of 41,664 at K=64, r=2); the executor Pool
 // multiplexes logical ranks over its slots so K=64-128 jobs run on one
 // machine, byte-identical to the uncoded oracle (DESIGN.md section 15).
-// Both engines are thin stage-graph builders over internal/engine, the
-// shared execution runtime: a job is a declarative DAG of typed stages
+// There is one sort engine, internal/coded: CodedTeraSort at any
+// redundancy r, with conventional TeraSort as its r = 1 endpoint (groups
+// of two members: unicast shuffle, identity coding, no CodeGen). It is a
+// thin stage-graph builder over internal/engine, the execution runtime: a
+// job is a declarative DAG of typed stages
 // (Map, Pack/Encode, Shuffle, Unpack/Decode, Sort, Reduce) with explicit
 // data-plane edges, and one scheduler runs the monolithic, chunk-streaming
 // and out-of-core schedules as policy-selected modes with per-stage
-// instrumentation hooks — the engines contribute only placement, codecs
-// and shuffle topology (DESIGN.md section 10).
+// instrumentation hooks — the engine contributes only placement, codecs
+// and shuffle topology (DESIGN.md sections 3 and 10).
 // Workers are multicore: the Parallelism knob (Config/Spec field, -procs
 // on the CLIs) runs each worker's map scatter, radix sorts, spill-run
 // sorting and per-group packet encode/decode on deterministic parallel
@@ -45,7 +48,7 @@
 // coded-computing literature the paper cites.
 // The paper's "Beyond Sorting Algorithms" direction is first-class:
 // internal/mapreduce runs arbitrary Mapper/Reducer kernels over the same
-// engines — the replication factor alone selects uncoded or coded
+// engine — the replication factor alone selects uncoded or coded
 // execution — with four built-in kernels (word count, grep, inverted
 // index, log aggregation) exposed by cmd/codedmr, and a kernel-generic
 // equivalence harness (internal/mapreduce/mrtest) gating every registered

@@ -121,7 +121,7 @@ func TestSpecValidation(t *testing.T) {
 
 func TestSpecWireRoundTrip(t *testing.T) {
 	s := Spec{Algorithm: AlgCoded, K: 16, R: 5, Rows: 1 << 20, Seed: 9,
-		Skewed: true, TreeMulticast: true, RateMbps: 100, PerMessage: 50 * time.Millisecond,
+		TreeMulticast: true, RateMbps: 100, PerMessage: 50 * time.Millisecond,
 		StageDeadline: time.Second, Heartbeat: 100 * time.Millisecond, MaxAttempts: 2,
 		DistName: "zipf", Partitioning: "sample", SampleSize: 2048,
 		Splitters: partition.UniformBounds(16),

@@ -15,7 +15,6 @@ import (
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/trace"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
@@ -31,12 +30,12 @@ type WorkerReport struct {
 	// OutputRows and OutputChecksum summarize the sorted partition.
 	OutputRows     int64
 	OutputChecksum uint64
-	// SentPayloadBytes counts shuffle payload this worker pushed:
-	// unicast bytes for TeraSort, multicast packet bytes (counted once
-	// per packet, the paper's load metric) for CodedTeraSort.
+	// SentPayloadBytes counts shuffle payload this worker pushed, each
+	// packet counted once however many group members receive it — the
+	// paper's load metric.
 	SentPayloadBytes int64
-	// MulticastOps counts coded packets this worker multicast (0 for
-	// TeraSort).
+	// MulticastOps counts the packets (chunk packets when pipelining) this
+	// worker sent; at r = 1 each is a unicast.
 	MulticastOps int64
 	// ChunksSent and ChunksReceived count pipelined shuffle chunks this
 	// worker exchanged (0 when Spec.ChunkRows is unset).
@@ -457,88 +456,34 @@ func describeInput(spec Spec) (verify.Input, error) {
 	return in, nil
 }
 
-// runWorker executes the spec's algorithm on one endpoint. A non-nil sink
-// receives the sorted partition as ascending blocks instead of it being
-// returned; hooks observe each completed stage through the engine runtime;
-// faults is the attempt's injected failure set (the engines filter by
-// rank).
+// runWorker executes the spec on one endpoint. A non-nil sink receives the
+// sorted partition as ascending blocks instead of it being returned; hooks
+// observe each completed stage through the engine runtime; faults is the
+// attempt's injected failure set (the engine filters by rank).
 func runWorker(ep transport.Endpoint, spec Spec, faults engine.Faults, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, kv.Records, error) {
-	var rep WorkerReport
-	var out kv.Records
-	switch spec.Algorithm {
-	case AlgTeraSort:
-		cfg := terasort.Config{
-			K: spec.K, Placement: spec.PlacementKind(),
-			Rows: spec.Rows, Seed: spec.Seed, Dist: spec.Dist(),
-			Parallel:  spec.ParallelShuffle,
-			ChunkRows: spec.ChunkRows, Window: spec.Window,
-			MemBudget: spec.MemBudget, SpillDir: spec.SpillDir,
-			OutputSink:   sink,
-			Parallelism:  spec.Parallelism,
-			Hooks:        hooks,
-			Faults:       faults,
-			Partitioning: spec.Partitioning, SampleSize: spec.SampleSize,
-			Splitters: spec.Splitters,
-		}
-		if spec.InputDir != "" {
-			cfg.InputFiles = inputFiles(spec.InputDir, spec.K)
-		}
-		res, err := terasort.Run(ep, cfg, nil)
-		if err != nil {
-			return rep, out, err
-		}
-		rep.SplitterBounds = res.SplitterBounds
-		rep.SampleRoundBytes = res.SampleRoundBytes
-		rep.Times = res.Times
-		rep.SentPayloadBytes = res.ShuffleBytes
-		rep.ChunksSent = res.ChunksSent
-		rep.ChunksReceived = res.ChunksReceived
-		rep.OutputRows = res.OutputRows
-		rep.OutputChecksum = res.OutputChecksum
-		rep.SpilledRuns = res.SpilledRuns
-		rep.Spill = res.Spill
-		rep.MergeOVCDecided = res.MergeOVCDecided
-		rep.MergeFullCompares = res.MergeFullCompares
-		out = res.Output
-	case AlgCoded:
-		res, err := coded.Run(ep, coded.Config{
-			K: spec.K, R: spec.R, Placement: spec.PlacementKind(),
-			Rows: spec.Rows, Seed: spec.Seed,
-			Dist: spec.Dist(), Strategy: spec.Strategy(),
-			Parallel:  spec.ParallelShuffle,
-			ChunkRows: spec.ChunkRows, Window: spec.Window,
-			MemBudget: spec.MemBudget, SpillDir: spec.SpillDir,
-			OutputSink:   sink,
-			Parallelism:  spec.Parallelism,
-			Hooks:        hooks,
-			Faults:       faults,
-			Partitioning: spec.Partitioning, SampleSize: spec.SampleSize,
-			Splitters: spec.Splitters,
-		}, nil)
-		if err != nil {
-			return rep, out, err
-		}
-		rep.SplitterBounds = res.SplitterBounds
-		rep.SampleRoundBytes = res.SampleRoundBytes
-		rep.Times = res.Times
-		rep.SentPayloadBytes = res.MulticastBytes
-		rep.MulticastOps = res.MulticastOps
-		rep.ChunksSent = res.ChunksSent
-		rep.ChunksReceived = res.ChunksReceived
-		rep.OutputRows = res.OutputRows
-		rep.OutputChecksum = res.OutputChecksum
-		rep.SpilledRuns = res.SpilledRuns
-		rep.Spill = res.Spill
-		rep.MergeOVCDecided = res.MergeOVCDecided
-		rep.MergeFullCompares = res.MergeFullCompares
-		out = res.Output
-	default:
-		return rep, out, fmt.Errorf("cluster: unknown algorithm %q", spec.Algorithm)
+	res, err := coded.Run(ep, spec.engineConfig(faults, sink, hooks), nil)
+	if err != nil {
+		return WorkerReport{}, kv.Records{}, err
+	}
+	rep := WorkerReport{
+		SplitterBounds:    res.SplitterBounds,
+		SampleRoundBytes:  res.SampleRoundBytes,
+		Times:             res.Times,
+		SentPayloadBytes:  res.SentBytes,
+		MulticastOps:      res.SentOps,
+		ChunksSent:        res.ChunksSent,
+		ChunksReceived:    res.ChunksReceived,
+		OutputRows:        res.OutputRows,
+		OutputChecksum:    res.OutputChecksum,
+		SpilledRuns:       res.SpilledRuns,
+		Spill:             res.Spill,
+		MergeOVCDecided:   res.MergeOVCDecided,
+		MergeFullCompares: res.MergeFullCompares,
 	}
 	if spec.KeepOutput {
-		rep.Output = out
+		rep.Output = res.Output
 	}
-	return rep, out, nil
+	return rep, res.Output, nil
 }
 
 // assemble merges worker reports, verifies outputs against p, and builds

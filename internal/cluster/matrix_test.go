@@ -53,8 +53,8 @@ func TestEngineMatrix(t *testing.T) {
 func TestPipelinedEngineMatrix(t *testing.T) {
 	const rows, seed = 2000, 83
 	for _, k := range []int{4, 5} {
-		for _, skewed := range []bool{false, true} {
-			base := Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed, Skewed: skewed}
+		for _, dist := range []string{"", "skewed"} {
+			base := Spec{Algorithm: AlgTeraSort, K: k, Rows: rows, Seed: seed, DistName: dist}
 			ref, err := RunLocal(base)
 			if err != nil {
 				t.Fatal(err)
@@ -88,12 +88,12 @@ func TestPipelinedEngineMatrix(t *testing.T) {
 					}
 					tera := base
 					tera.ChunkRows, tera.Window = chunkRows, window
-					t.Run(fmt.Sprintf("tera/k=%d/skew=%v/chunk=%d/win=%d", k, skewed, chunkRows, window),
+					t.Run(fmt.Sprintf("tera/k=%d/dist=%q/chunk=%d/win=%d", k, dist, chunkRows, window),
 						func(t *testing.T) { check(t, tera) })
 					for _, r := range []int{1, 2, k - 1} {
 						spec := Spec{Algorithm: AlgCoded, K: k, R: r, Rows: rows, Seed: seed,
-							Skewed: skewed, ChunkRows: chunkRows, Window: window}
-						t.Run(fmt.Sprintf("coded/k=%d/r=%d/skew=%v/chunk=%d/win=%d", k, r, skewed, chunkRows, window),
+							DistName: dist, ChunkRows: chunkRows, Window: window}
+						t.Run(fmt.Sprintf("coded/k=%d/r=%d/dist=%q/chunk=%d/win=%d", k, r, dist, chunkRows, window),
 							func(t *testing.T) { check(t, spec) })
 					}
 				}
@@ -262,7 +262,7 @@ func TestLoadGainMatrix(t *testing.T) {
 // TestSkewedSpecEndToEnd: the skewed-distribution flag flows through the
 // spec into generation and verification.
 func TestSkewedSpecEndToEnd(t *testing.T) {
-	job, err := RunLocal(Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 79, Skewed: true})
+	job, err := RunLocal(Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 79, DistName: "skewed"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,16 +40,16 @@ func TestParallelismEquivalenceMatrix(t *testing.T) {
 		{"coded-r3", AlgCoded, 3},
 	}
 
-	for _, skewed := range []bool{false, true} {
+	for _, dist := range []string{"", "skewed"} {
 		for _, e := range engines {
 			for _, p := range pipelines {
 				base := Spec{
 					Algorithm: e.alg, K: k, R: e.r, Rows: rows, Seed: seed,
-					Skewed: skewed, ParallelShuffle: true,
+					DistName: dist, ParallelShuffle: true,
 					ChunkRows: p.chunkRows, Window: p.window, MemBudget: p.memBudget,
 					KeepOutput: true, Parallelism: 1,
 				}
-				name := fmt.Sprintf("%s/%s/skew=%v", e.name, p.name, skewed)
+				name := fmt.Sprintf("%s/%s/dist=%q", e.name, p.name, dist)
 				t.Run(name, func(t *testing.T) {
 					ref, err := RunLocal(base)
 					if err != nil {

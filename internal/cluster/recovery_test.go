@@ -53,8 +53,9 @@ func assertSameOutput(t *testing.T, want, got *JobReport) {
 	}
 }
 
-// stagesOf lists the timed stages of an engine x mode combination — the
-// kill matrix's axis.
+// stagesOf lists the timed stages of an algorithm x mode combination — the
+// kill matrix's axis. The streaming modes collapse Pack/Encode, Shuffle and
+// Unpack/Decode into the Shuffle stage.
 func stagesOf(alg Algorithm, mode string) []string {
 	switch {
 	case alg == AlgTeraSort && mode == "mono":
@@ -63,9 +64,7 @@ func stagesOf(alg Algorithm, mode string) []string {
 		return []string{"Map", "Shuffle", "Reduce"}
 	case mode == "mono":
 		return []string{"CodeGen", "Map", "Encode", "Shuffle", "Decode", "Reduce"}
-	case mode == "chunked":
-		return []string{"CodeGen", "Map", "Shuffle", "Decode", "Reduce"}
-	default: // coded extsort
+	default: // coded chunked and extsort
 		return []string{"CodeGen", "Map", "Shuffle", "Reduce"}
 	}
 }

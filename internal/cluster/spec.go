@@ -16,6 +16,7 @@ import (
 	"os"
 	"time"
 
+	"codedterasort/internal/coded"
 	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
@@ -53,12 +54,9 @@ type Spec struct {
 	// Seed feeds the row-addressable generator — the stand-in for the
 	// coordinator physically copying input files to worker disks.
 	Seed uint64 `json:"seed"`
-	// Skewed selects the skewed input distribution. Superseded by
-	// DistName when that is set; kept for wire compatibility.
-	Skewed bool `json:"skewed,omitempty"`
 	// DistName names the input key distribution ("uniform", "skewed",
-	// "zipf", "sorted", "nearsorted", "dupheavy", "varprefix"); "" falls
-	// back to the legacy Skewed flag.
+	// "zipf", "sorted", "nearsorted", "dupheavy", "varprefix"); "" is
+	// uniform.
 	DistName string `json:"dist,omitempty"`
 	// Partitioning selects the reducer-partitioning policy: "" or
 	// "uniform" for the paper's uniform key-domain split, "sample" for the
@@ -240,12 +238,10 @@ func (s Spec) Validate() error {
 	if kind != placement.KindClique && s.Algorithm != AlgCoded {
 		return fmt.Errorf("cluster: %s placement requires the coded algorithm", kind)
 	}
-	if s.Algorithm == AlgCoded && s.R >= 1 {
-		// Fail fast at submission: infeasible (K, r, strategy) combinations
-		// produce a clear error here rather than a worker-side panic.
-		if _, err := placement.New(kind, s.K, s.R); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
+	// Fail fast at submission: infeasible (K, r, strategy) combinations
+	// produce a clear error here rather than a worker-side panic.
+	if _, err := placement.New(kind, s.K, s.redundancy()); err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
 	if s.Rows < 0 {
 		return fmt.Errorf("cluster: negative rows")
@@ -315,18 +311,14 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Dist returns the input key distribution of the spec.
+// Dist returns the input key distribution of the spec; unknown names were
+// rejected by Validate, so parse failures degrade to uniform.
 func (s Spec) Dist() kv.Distribution {
-	if s.DistName != "" {
-		d, err := kv.ParseDistribution(s.DistName)
-		if err == nil {
-			return d
-		}
+	d, err := kv.ParseDistribution(s.DistName)
+	if err != nil {
+		return kv.DistUniform
 	}
-	if s.Skewed {
-		return kv.DistSkewed
-	}
-	return kv.DistUniform
+	return d
 }
 
 // sampled reports whether the spec uses sampled partitioning. Unknown
@@ -397,6 +389,37 @@ func (s Spec) verifyPartitioner() (partition.Partitioner, error) {
 		return nil, fmt.Errorf("cluster: expected %d splitter partitions for K=%d", sp.NumPartitions(), s.K)
 	}
 	return sp, nil
+}
+
+// redundancy returns the engine's redundancy parameter: TeraSort is the
+// sort engine at r = 1.
+func (s Spec) redundancy() int {
+	if s.Algorithm == AlgTeraSort {
+		return 1
+	}
+	return s.R
+}
+
+// engineConfig compiles the spec into the sort engine's configuration for
+// one worker of one attempt.
+func (s Spec) engineConfig(faults engine.Faults, sink func(kv.Records) error, hooks engine.Hooks) coded.Config {
+	cfg := coded.Config{
+		K: s.K, R: s.redundancy(), Placement: s.PlacementKind(),
+		Rows: s.Rows, Seed: s.Seed, Dist: s.Dist(), Strategy: s.Strategy(),
+		Parallel:  s.ParallelShuffle,
+		ChunkRows: s.ChunkRows, Window: s.Window,
+		MemBudget: s.MemBudget, SpillDir: s.SpillDir,
+		OutputSink:   sink,
+		Parallelism:  s.Parallelism,
+		Hooks:        hooks,
+		Faults:       faults,
+		Partitioning: s.Partitioning, SampleSize: s.SampleSize,
+		Splitters: s.Splitters,
+	}
+	if s.InputDir != "" {
+		cfg.InputFiles = inputFiles(s.InputDir, s.K)
+	}
+	return cfg
 }
 
 // PlacementKind returns the parsed placement strategy of the spec; unknown

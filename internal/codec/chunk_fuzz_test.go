@@ -73,7 +73,8 @@ func FuzzChunkStream(f *testing.F) {
 }
 
 // FuzzDecodePacketChunk: corrupted or adversarial chunked coded packets
-// must decode to an error or a record-aligned segment — never panic.
+// must decode to an error or a record-aligned segment — never panic — on
+// the cancelling three-member path and the zero-copy two-member path.
 func FuzzDecodePacketChunk(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
 	m := combin.NewSet(0, 1, 2)
@@ -89,13 +90,18 @@ func FuzzDecodePacketChunk(f *testing.F) {
 		bad[0] ^= 0xFF
 	}
 	f.Add(bad, 16, 0)
+	pair := CliqueGroup(combin.NewSet(0, 1))
+	goodPair, badPair := pairCorruptions()
+	f.Add(goodPair, 8, 0)
+	for _, p := range badPair {
+		f.Add(p, 8, 0)
+	}
 	f.Fuzz(func(t *testing.T, packet []byte, chunkRows, chunk int) {
-		seg, err := DecodePacketChunk(stores[1], m, 1, 0, chunkRows, chunk, packet)
-		if err != nil {
-			return
-		}
-		if seg.Size()%100 != 0 {
+		if seg, err := DecodePacketChunk(stores[1], m, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
+		}
+		if seg, err := DecodeGroupPacketChunk(IVMap{}, pair, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
+			t.Fatalf("two-member decode opened a misaligned segment of %d bytes", seg.Size())
 		}
 	})
 }

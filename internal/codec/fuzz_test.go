@@ -28,7 +28,9 @@ func FuzzUnpackIV(f *testing.F) {
 }
 
 // FuzzDecodePacket: a corrupted or adversarial coded packet must decode to
-// an error or a record-aligned segment — never panic.
+// an error or a record-aligned segment — never panic — both through the
+// cancelling decode of a three-member group and the zero-copy in-place open
+// of a two-member one.
 func FuzzDecodePacket(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
 	m := combin.NewSet(0, 1, 2)
@@ -44,13 +46,18 @@ func FuzzDecodePacket(f *testing.F) {
 		bad[0] ^= 0xFF
 	}
 	f.Add(bad)
+	pair := CliqueGroup(combin.NewSet(0, 1))
+	goodPair, badPair := pairCorruptions()
+	f.Add(goodPair)
+	for _, p := range badPair {
+		f.Add(p)
+	}
 	f.Fuzz(func(t *testing.T, packet []byte) {
-		seg, err := DecodePacket(stores[1], m, 1, 0, packet)
-		if err != nil {
-			return
-		}
-		if seg.Size()%100 != 0 {
+		if seg, err := DecodePacket(stores[1], m, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
+		}
+		if seg, err := DecodeGroupPacket(IVMap{}, pair, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
+			t.Fatalf("two-member decode opened a misaligned segment of %d bytes", seg.Size())
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"codedterasort/internal/combin"
@@ -79,74 +80,72 @@ func (g Group) check(k int) (int, error) {
 	return ik, nil
 }
 
-// EncodeGroupPacket builds the coded packet E_{M,k} that node k multicasts
-// to the other members of group g — Algorithm 1 generalized to an arbitrary
-// placement strategy:
-//
-//	E_{M,k} = XOR over members t != k of  segment_k( I^t_{Need[t]} )
-//
-// where I^t_{Need[t]} is the intermediate value member t recovers in this
-// group (node k stores Need[t], so it computed that IV in its Map stage),
-// split into |Members|-1 segments assigned to the senders in ascending rank
-// order. All segments are wrapped in length-headed frames padded to the
-// widest one.
-func EncodeGroupPacket(store IVStore, g Group, k int) ([]byte, error) {
-	ik, err := g.check(k)
-	if err != nil {
-		return nil, err
-	}
+// terms lists the segments XORed into the packet the member at position is
+// sends, leaving out the IV needed by the member at position skip: a
+// decoder cancelling side information skips its own IV, an encoder passes
+// -1. chunkRows > 0 narrows every segment to its chunk c. The terms come in
+// ascending member order, which is what makes the XOR agree on every node.
+func (g Group) terms(store IVStore, is, skip, chunkRows, c int) []kv.Records {
 	nseg := g.segments()
-	width := frameHeader
+	out := make([]kv.Records, 0, nseg)
 	for j, t := range g.Members {
-		if t == k {
+		if j == is || j == skip {
 			continue
 		}
-		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j))
-		if w := FrameSize(seg.Size()); w > width {
-			width = w
+		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(is, j))
+		if chunkRows > 0 {
+			seg = chunkOf(seg, chunkRows, c)
 		}
+		out = append(out, seg)
 	}
-	packet := getBuf(width)
-	for i := range packet {
-		packet[i] = 0
-	}
-	for j, t := range g.Members {
-		if t == k {
-			continue
-		}
-		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j))
-		xorFrameInto(packet, seg.Bytes())
-	}
-	return packet, nil
+	return out
 }
 
-// DecodeGroupPacket recovers node k's segment from the coded packet E_{M,u}
-// received from node u in group g — Algorithm 2 generalized:
-//
-//	segment_u( I^k_{Need[k]} ) = E_{M,u} XOR ( XOR over t in M\{u,k} of segment_u( I^t_{Need[t]} ) )
-//
-// The cancellation terms are IVs node k computed locally: k stores Need[t]
-// for every other member t.
-func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Records, error) {
-	if _, err := g.check(k); err != nil {
-		return kv.Records{}, err
+// packetWidth returns the wire size of the packet of the given terms: the
+// frame of the widest one.
+func packetWidth(terms []kv.Records) int {
+	width := frameHeader
+	for _, seg := range terms {
+		width = max(width, FrameSize(seg.Size()))
 	}
-	iu := g.Index(u)
-	if iu < 0 || k == u {
-		return kv.Records{}, fmt.Errorf("codec: decode with k=%d u=%d not distinct members of %v", k, u, g.Members)
+	return width
+}
+
+// encode builds the packet of the given terms in a pooled buffer: each term
+// is wrapped in a length-headed frame padded to the widest one. The first
+// term is copied in and the rest XORed onto it, so a packet with a single
+// term — every packet of a two-member group — is that segment's frame: one
+// copy, no XOR pass.
+func encode(terms []kv.Records) []byte {
+	packet := getBuf(packetWidth(terms))
+	first := terms[0].Bytes()
+	binary.BigEndian.PutUint32(packet, uint32(len(first)))
+	copy(packet[frameHeader:], first)
+	clear(packet[frameHeader+len(first):])
+	for _, seg := range terms[1:] {
+		xorFrameInto(packet, seg.Bytes())
 	}
-	nseg := g.segments()
-	// The cancellation accumulator is pooled: it dies before return (the
-	// recovered segment is copied out), so the pool absorbs the per-packet
-	// allocation of the decode hot path.
+	return packet
+}
+
+// decode cancels the side-information terms from packet and opens the frame
+// that remains. With nothing to cancel — a two-member group — the packet is
+// the needed segment's frame and is opened in place: the returned records
+// alias packet, which the caller owns. Otherwise the cancellation runs on a
+// pooled copy and the recovered segment is copied out, leaving packet
+// untouched.
+func decode(terms []kv.Records, packet []byte) (kv.Records, error) {
+	if len(terms) == 0 {
+		segBytes, err := openFrame(packet)
+		if err != nil {
+			return kv.Records{}, err
+		}
+		return kv.NewRecords(segBytes)
+	}
 	acc := getBuf(len(packet))
 	defer Recycle(acc)
 	copy(acc, packet)
-	for j, t := range g.Members {
-		if t == k || t == u {
-			continue
-		}
-		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(iu, j))
+	for _, seg := range terms {
 		if FrameSize(seg.Size()) > len(acc) {
 			return kv.Records{}, fmt.Errorf("codec: side-information segment (%d bytes) wider than packet (%d)",
 				seg.Size(), len(acc))
@@ -160,41 +159,69 @@ func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Reco
 	return kv.NewRecords(append([]byte(nil), segBytes...))
 }
 
-// GroupPacketWidth returns the wire size of the coded packet node k sends in
-// group g given the store, without building it. Used by the cost model and
-// the simulator.
-func GroupPacketWidth(store IVStore, g Group, k int) int {
-	ik := g.Index(k)
-	nseg := g.segments()
-	width := frameHeader
-	for j, t := range g.Members {
-		if t == k {
-			continue
-		}
-		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j))
-		if w := FrameSize(seg.Size()); w > width {
-			width = w
-		}
+// decoderPositions validates a decode call and returns the member positions
+// of the receiver k and the sender u.
+func (g Group) decoderPositions(k, u int) (ik, iu int, err error) {
+	if ik, err = g.check(k); err != nil {
+		return 0, 0, err
 	}
-	return width
+	iu = g.Index(u)
+	if iu < 0 || k == u {
+		return 0, 0, fmt.Errorf("codec: decode with k=%d u=%d not distinct members of %v", k, u, g.Members)
+	}
+	return ik, iu, nil
+}
+
+// EncodeGroupPacket builds the coded packet E_{M,k} that node k multicasts
+// to the other members of group g — Algorithm 1 generalized to an arbitrary
+// placement strategy:
+//
+//	E_{M,k} = XOR over members t != k of  segment_k( I^t_{Need[t]} )
+//
+// where I^t_{Need[t]} is the intermediate value member t recovers in this
+// group (node k stores Need[t], so it computed that IV in its Map stage),
+// split into |Members|-1 segments assigned to the senders in ascending rank
+// order. All segments are wrapped in length-headed frames padded to the
+// widest one. The packet comes from the codec buffer pool.
+func EncodeGroupPacket(store IVStore, g Group, k int) ([]byte, error) {
+	ik, err := g.check(k)
+	if err != nil {
+		return nil, err
+	}
+	return encode(g.terms(store, ik, -1, 0, 0)), nil
+}
+
+// DecodeGroupPacket recovers node k's segment from the coded packet E_{M,u}
+// received from node u in group g — Algorithm 2 generalized:
+//
+//	segment_u( I^k_{Need[k]} ) = E_{M,u} XOR ( XOR over t in M\{u,k} of segment_u( I^t_{Need[t]} ) )
+//
+// The cancellation terms are IVs node k computed locally: k stores Need[t]
+// for every other member t. In a two-member group there are none and the
+// result aliases packet (see decode).
+func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Records, error) {
+	ik, iu, err := g.decoderPositions(k, u)
+	if err != nil {
+		return kv.Records{}, err
+	}
+	return decode(g.terms(store, iu, ik, 0, 0), packet)
+}
+
+// GroupPacketWidth returns the wire size of the coded packet node k sends in
+// group g given the store, without building it.
+func GroupPacketWidth(store IVStore, g Group, k int) int {
+	return packetWidth(g.terms(store, g.Index(k), -1, 0, 0))
 }
 
 // GroupPacketChunkCount returns how many chunk packets node k multicasts in
 // group g when streaming with the given chunk size: enough to cover its
 // widest contributing segment, and at least one so every stream closes.
 func GroupPacketChunkCount(store IVStore, g Group, k int, chunkRows int) int {
-	ik := g.Index(k)
-	nseg := g.segments()
-	max := 0
-	for j, t := range g.Members {
-		if t == k {
-			continue
-		}
-		if n := Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j)).Len(); n > max {
-			max = n
-		}
+	widest := 0
+	for _, seg := range g.terms(store, g.Index(k), -1, 0, 0) {
+		widest = max(widest, seg.Len())
 	}
-	return NumChunks(max, chunkRows)
+	return NumChunks(widest, chunkRows)
 }
 
 // EncodeGroupPacketChunk builds chunk c of the coded packet E_{M,k} (the
@@ -210,64 +237,21 @@ func EncodeGroupPacketChunk(store IVStore, g Group, k int, chunkRows, c int) ([]
 	if chunkRows <= 0 || c < 0 {
 		return nil, fmt.Errorf("codec: chunk encode with chunkRows=%d chunk=%d", chunkRows, c)
 	}
-	nseg := g.segments()
-	width := frameHeader
-	for j, t := range g.Members {
-		if t == k {
-			continue
-		}
-		seg := chunkOf(Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j)), chunkRows, c)
-		if w := FrameSize(seg.Size()); w > width {
-			width = w
-		}
-	}
-	packet := getBuf(width)
-	for i := range packet {
-		packet[i] = 0
-	}
-	for j, t := range g.Members {
-		if t == k {
-			continue
-		}
-		seg := chunkOf(Segment(store.IV(t, g.Need[j]), nseg, senderPos(ik, j)), chunkRows, c)
-		xorFrameInto(packet, seg.Bytes())
-	}
-	return packet, nil
+	return encode(g.terms(store, ik, -1, chunkRows, c)), nil
 }
 
 // DecodeGroupPacketChunk recovers node k's chunk c from the chunked coded
 // packet received from node u in group g (the chunked, strategy-generic
 // Algorithm 2): it cancels chunk c of every side-information segment and
-// opens the remaining frame.
+// opens the remaining frame. In a two-member group the result aliases
+// packet (see decode).
 func DecodeGroupPacketChunk(store IVStore, g Group, k, u int, chunkRows, c int, packet []byte) (kv.Records, error) {
-	if _, err := g.check(k); err != nil {
+	ik, iu, err := g.decoderPositions(k, u)
+	if err != nil {
 		return kv.Records{}, err
-	}
-	iu := g.Index(u)
-	if iu < 0 || k == u {
-		return kv.Records{}, fmt.Errorf("codec: decode with k=%d u=%d not distinct members of %v", k, u, g.Members)
 	}
 	if chunkRows <= 0 || c < 0 {
 		return kv.Records{}, fmt.Errorf("codec: chunk decode with chunkRows=%d chunk=%d", chunkRows, c)
 	}
-	nseg := g.segments()
-	acc := getBuf(len(packet))
-	defer Recycle(acc)
-	copy(acc, packet)
-	for j, t := range g.Members {
-		if t == k || t == u {
-			continue
-		}
-		seg := chunkOf(Segment(store.IV(t, g.Need[j]), nseg, senderPos(iu, j)), chunkRows, c)
-		if FrameSize(seg.Size()) > len(acc) {
-			return kv.Records{}, fmt.Errorf("codec: side-information chunk (%d bytes) wider than packet (%d)",
-				seg.Size(), len(acc))
-		}
-		xorFrameInto(acc, seg.Bytes())
-	}
-	segBytes, err := openFrame(acc)
-	if err != nil {
-		return kv.Records{}, err
-	}
-	return kv.NewRecords(append([]byte(nil), segBytes...))
+	return decode(g.terms(store, iu, ik, chunkRows, c), packet)
 }

@@ -25,10 +25,10 @@ func getBuf(n int) []byte {
 	return (*p)[:n]
 }
 
-// Recycle returns a buffer obtained from FramePackedChunk, EncodePacket,
-// EncodePacketChunk or FrameChunk to the pool. Callers recycle only once
-// the buffer is dead (for sent frames: after Send/Bcast returns, per the
-// transport non-aliasing contract); retaining instead of recycling is
+// Recycle returns a buffer obtained from FrameSegmentChunk, the
+// EncodeGroupPacket family or FrameChunk to the pool. Callers recycle only
+// once the buffer is dead (for sent frames: after Send/Bcast returns, per
+// the transport non-aliasing contract); retaining instead of recycling is
 // always safe, just slower.
 func Recycle(buf []byte) {
 	if cap(buf) == 0 {
@@ -38,21 +38,22 @@ func Recycle(buf []byte) {
 	bufPool.Put(&b)
 }
 
-// FramePackedChunk builds the chunk frame of one packed-IV chunk in a
-// single pooled buffer: [chunk header][pack header][records]. It is the
-// fused, allocation-free form of FrameChunk(seq, last, PackIV(iv)) the
-// streaming TeraSort shuffle sends, copying the records exactly once.
-// Recycle the returned buffer after sending.
-func FramePackedChunk(seq uint32, last bool, iv kv.Records) []byte {
-	out := getBuf(chunkHeaderSize + packHeader + iv.Size())
+// FrameSegmentChunk builds the chunk frame of a single-segment packet chunk
+// in one pooled buffer: [chunk header][frame header][records]. It is the
+// fused form of FrameChunk(seq, last, packet) for a packet whose only term
+// is seg — what a two-member group streams — copying the records exactly
+// once; the out-of-core shuffle sends its spooled blocks with it. Recycle
+// the returned buffer after sending.
+func FrameSegmentChunk(seq uint32, last bool, seg kv.Records) []byte {
+	out := getBuf(chunkHeaderSize + FrameSize(seg.Size()))
 	binary.BigEndian.PutUint32(out, seq)
 	if last {
 		out[4] = chunkFlagLast
 	} else {
 		out[4] = 0
 	}
-	binary.BigEndian.PutUint32(out[5:], uint32(packHeader+iv.Size()))
-	binary.BigEndian.PutUint32(out[chunkHeaderSize:], uint32(iv.Len()))
-	copy(out[chunkHeaderSize+packHeader:], iv.Bytes())
+	binary.BigEndian.PutUint32(out[5:], uint32(FrameSize(seg.Size())))
+	binary.BigEndian.PutUint32(out[chunkHeaderSize:], uint32(seg.Size()))
+	copy(out[chunkHeaderSize+frameHeader:], seg.Bytes())
 	return out
 }

@@ -82,20 +82,20 @@ func TestUnpackIVZeroCopyRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-// TestFramePackedChunkMatchesComposition: the fused pooled framing must be
-// byte-identical to FrameChunk(seq, last, PackIV(iv)).
-func TestFramePackedChunkMatchesComposition(t *testing.T) {
+// TestFrameSegmentChunkMatchesComposition: the fused pooled framing must be
+// byte-identical to FrameChunk around the single-term packet of the segment.
+func TestFrameSegmentChunkMatchesComposition(t *testing.T) {
 	for _, rows := range []int64{0, 1, 57} {
 		iv := kv.NewGenerator(9, kv.DistUniform).Generate(0, rows)
 		for _, last := range []bool{false, true} {
-			want := FrameChunk(7, last, PackIV(iv))
-			got := FramePackedChunk(7, last, iv)
+			want := FrameChunk(7, last, encode([]kv.Records{iv}))
+			got := FrameSegmentChunk(7, last, iv)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rows=%d last=%v: fused frame differs", rows, last)
 			}
 			Recycle(got)
 			// A recycled buffer must come back fully rewritten.
-			again := FramePackedChunk(7, last, iv)
+			again := FrameSegmentChunk(7, last, iv)
 			if !bytes.Equal(again, want) {
 				t.Fatalf("rows=%d last=%v: pooled reuse corrupted the frame", rows, last)
 			}
@@ -127,20 +127,20 @@ func BenchmarkXORInto(b *testing.B) {
 	}
 }
 
-// BenchmarkFramePackedChunk compares the fused pooled chunk framing against
-// the two-allocation FrameChunk(PackIV) composition it replaces.
-func BenchmarkFramePackedChunk(b *testing.B) {
+// BenchmarkFrameSegmentChunk compares the fused pooled chunk framing against
+// the two-buffer FrameChunk(packet) composition it replaces.
+func BenchmarkFrameSegmentChunk(b *testing.B) {
 	iv := kv.NewGenerator(2, kv.DistUniform).Generate(0, 2000)
 	b.Run("fused", func(b *testing.B) {
 		b.SetBytes(int64(iv.Size()))
 		for i := 0; i < b.N; i++ {
-			Recycle(FramePackedChunk(0, true, iv))
+			Recycle(FrameSegmentChunk(0, true, iv))
 		}
 	})
 	b.Run("composed", func(b *testing.B) {
 		b.SetBytes(int64(iv.Size()))
 		for i := 0; i < b.N; i++ {
-			Recycle(FrameChunk(0, true, PackIV(iv)))
+			Recycle(FrameChunk(0, true, encode([]kv.Records{iv})))
 		}
 	})
 }

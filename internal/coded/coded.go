@@ -1,34 +1,43 @@
-// Package coded implements CodedTeraSort, the paper's primary contribution
-// (Section IV): distributed sorting with structured redundant file
-// placement that enables coded multicast shuffling. The six stages are
+// Package coded is the sort engine: the paper's CodedTeraSort (Section IV)
+// for any redundancy r, of which conventional TeraSort (Section III) is the
+// r = 1 endpoint. Every input file is placed on r nodes; each node maps its
+// files, the nodes of every multicast group exchange one coded packet each,
+// and each node decodes what it is missing and sorts its partition:
 //
-//  1. CodeGen — enumerate the placement strategy's file indices and
-//     multicast groups, and establish per-group communication state (the
-//     MPI_Comm_split equivalent; its cost grows with the group count — the
-//     scaling bottleneck Section V-C identifies, C(K,r+1) under the clique
-//     scheme and q^r - q^(r-1) under resolvable designs).
-//  2. Map — hash every locally stored file, keeping only the relevant
-//     intermediate values (I^k_S and {I^i_S : i not in S}, Fig 5).
-//  3. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
-//  4. Multicast Shuffling — serial multicast, one sender at a time, each
-//     packet broadcast to the r other members of its group (Fig 9b).
-//  5. Decode — cancel known segments from received packets to recover the
+//  1. CodeGen — establish per-group communication state (the MPI_Comm_split
+//     equivalent; its cost grows with the group count — the scaling
+//     bottleneck Section V-C identifies, C(K,r+1) under the clique scheme
+//     and q^r - q^(r-1) under resolvable designs).
+//  2. Place — materialize the files stored on this node (untimed, like the
+//     coordinator's disk placement it stands in for).
+//  3. Map — hash every stored file, keeping only the relevant intermediate
+//     values (I^k_S and {I^i_S : i not in S}, Fig 5).
+//  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
+//  5. Multicast Shuffling — serial multicast, one sender at a time, each
+//     packet broadcast to the other members of its group (Fig 9).
+//  6. Decode — cancel known segments from received packets to recover the
 //     needed intermediate values (Algorithm 2).
-//  6. Reduce — locally sort partition k (same as TeraSort).
+//  7. Reduce — locally sort partition k.
 //
-// The package is a thin stage-graph builder over the internal/engine
-// runtime: it contributes the redundant placement plan, the coded
-// Encode/Decode stages (Algorithms 1 and 2, monolithic and chunked), and
-// the multicast-group shuffle topology, while scheduling, mode selection,
-// spill-sorter lifecycle, transfer accounting and per-stage
-// instrumentation live in the runtime. The placement/coding scheme itself
-// is pluggable (Config.Placement): the worker is written against
-// placement.Strategy and runs the paper's clique scheme or a resolvable
-// design with the same stages.
+// What changes with the group size: a group of two members (clique r = 1,
+// resolvable r = 2) has nothing to code. Its "multicast" is one unicast, a
+// packet is the lone contributing segment's frame and decoding opens the
+// received frame in place (internal/codec), there is no communicator to
+// build so the CodeGen stage is omitted, and no intermediate value is XOR
+// side information, so the out-of-core mode spools the remote-bound ones to
+// disk instead of holding them. The engine tests only that property — never
+// an algorithm name or r itself.
+//
+// The package is a stage-graph builder over the internal/engine runtime:
+// scheduling, mode selection, spill-sorter lifecycle, transfer accounting
+// and per-stage instrumentation live there. The placement/coding scheme is
+// pluggable (Config.Placement) through placement.Strategy.
 package coded
 
 import (
 	"fmt"
+	"os"
+	"sync"
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/combin"
@@ -42,7 +51,7 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// Tag stage namespaces; disjoint from the terasort package's tags.
+// Tag stage namespaces of the engine's traffic.
 const (
 	tagCodeGen   uint8 = 0x20
 	tagMulticast uint8 = 0x21
@@ -55,10 +64,6 @@ const (
 	tagSampleBounds uint8 = 0x26
 )
 
-// DefaultWindow is the in-flight chunk window used when pipelining is
-// enabled without an explicit Window.
-const DefaultWindow = 4
-
 // groupTag builds the unique tag of group-scoped traffic: the group's
 // strategy-scoped ID (colex rank under the clique scheme, tuple index under
 // resolvable designs; strategy validation caps it well inside 48 bits) plus
@@ -67,13 +72,13 @@ func groupTag(stage uint8, groupID int64, root int) transport.Tag {
 	return transport.Tag(uint64(stage)<<56 | uint64(root)<<48 | uint64(groupID))
 }
 
-// Config describes one CodedTeraSort run. All workers must hold identical
-// configurations.
+// Config describes one sort run. All workers must hold identical
+// configurations (the coordinator distributes them in the cluster runtime).
 type Config struct {
 	// K is the number of worker nodes.
 	K int
 	// R is the redundancy parameter: every input file is mapped on R nodes
-	// (paper Section IV-A). 1 <= R <= K.
+	// (paper Section IV-A). 1 <= R <= K; R = 1 is conventional TeraSort.
 	R int
 	// Rows is the total input size in records.
 	Rows int64
@@ -87,12 +92,12 @@ type Config struct {
 	Part partition.Partitioner
 	// Partitioning selects the reducer-partitioning policy: "" or
 	// "uniform" keeps the paper's uniform key-domain split; "sample" runs
-	// the pre-Map sampling round — one replica of every input file
+	// the pre-Map sampling round — one holder of every input file
 	// contributes a deterministic stride sample of its keys, rank 0
 	// selects K-1 splitters from the pooled sample, and the bounds are
 	// broadcast so all ranks partition identically. The pooled sample is a
-	// pure function of the input, so coded and uncoded runs of the same
-	// input agree on the splitters byte for byte.
+	// pure function of the input, so runs of the same input agree on the
+	// splitters byte for byte at every R.
 	Partitioning string
 	// SampleSize is the pooled sample-size target of the sampling round;
 	// 0 selects partition.DefaultSampleSize.
@@ -112,61 +117,69 @@ type Config struct {
 	Placement placement.Kind
 	// Input, when non-nil, supplies the strategy's input files directly
 	// instead of generating them: file i (the strategy's file order; colex
-	// order of its node set under the clique scheme) is Input[i]. All
-	// workers must hold the same slice (in-process engines only). Rows and
-	// Seed are ignored for data placement when Input is set.
+	// order of its node set under the clique scheme, so file k of node k at
+	// R = 1) is Input[i]. All workers must hold the same slice (in-process
+	// engines only). Rows and Seed are ignored for data placement when
+	// Input is set.
 	Input []kv.Records
-	// Parallel lifts the serial sender schedule of Fig 9(b): every node
-	// multicasts its coded packets concurrently — the paper's
-	// "Asynchronous Execution" future direction.
+	// InputFiles, when non-nil, reads the input files from disk (raw
+	// teragen record format), file i from InputFiles[i]. With MemBudget set
+	// a file is consumed block by block. Valid only when every file has one
+	// holder (a worker reads its own file; nothing replicates it), i.e.
+	// R = 1. Mutually exclusive with Input; Rows and Seed are ignored for
+	// data placement when set.
+	InputFiles []string
+	// Parallel lifts the serial sender schedule of Fig 9: every node sends
+	// its packets concurrently — the paper's "Asynchronous Execution"
+	// future direction; with per-node egress shaping it shortens the
+	// shuffle wall time by up to K at unchanged total load.
 	Parallel bool
 	// Filter, when non-nil, keeps only records it accepts during the Map
-	// stage — the "Beyond Sorting" hook (paper Section VI): coded Grep
-	// selects in Map and multicasts only coded matches. The function must
-	// be pure and identical on all workers, because every replica of a
-	// file must produce identical intermediate values for the XOR
-	// cancellation to hold.
+	// stage — the "Beyond Sorting" hook (paper Section VI): Grep selects in
+	// Map and shuffles only (coded) matches. The function must be pure and
+	// identical on all workers, because every replica of a file must
+	// produce identical intermediate values for the XOR cancellation to
+	// hold.
 	Filter func(record []byte) bool
 	// Transform, when non-nil, rewrites each surviving input record into
 	// zero or more intermediate records during the Map stage (after
-	// Filter) — the general map hook behind internal/mapreduce: the coded
-	// shuffle moves whatever records the transform emits. Each emitted
-	// record must be kv.RecordSize bytes. Like Filter, the function must
-	// be pure and identical on all workers: every replica of a file must
-	// produce identical intermediate values for the XOR cancellation to
-	// hold.
+	// Filter) — the general map hook behind internal/mapreduce: the shuffle
+	// moves whatever records the transform emits. Each emitted record must
+	// be kv.RecordSize bytes. Pure and identical on all workers, like
+	// Filter.
 	Transform func(record []byte, emit func([]byte))
 	// ChunkRows, when positive, enables the streaming pipelined shuffle
-	// (Section VII's "Asynchronous Execution" direction): every coded
-	// packet is built and multicast as a stream of chunk packets, each the
-	// XOR of ChunkRows-record chunk slices of its contributing segments.
-	// Encode of chunk n+1 overlaps the flight of chunk n and members
-	// decode each chunk on arrival. Zero keeps the monolithic schedule
-	// bit-identical to the paper's. A runtime policy knob: it selects the
-	// engine.ModeChunked schedule.
+	// (Section VII's "Asynchronous Execution" direction): every packet is
+	// built and sent as a stream of chunk packets, each the XOR of
+	// ChunkRows-record chunk slices of its contributing segments. Encode of
+	// chunk n+1 overlaps the flight of chunk n and members decode each
+	// chunk on arrival. Zero keeps the monolithic schedule bit-identical to
+	// the paper's. A runtime policy knob: it selects the engine.ModeChunked
+	// schedule.
 	ChunkRows int
 	// Window bounds unacknowledged in-flight chunk packets per group
 	// stream when pipelining (credits return from every group member), so
-	// peak buffered memory is O(ChunkRows x Window x r) rather than
-	// O(segment bytes). Zero selects DefaultWindow. Ignored when ChunkRows
-	// is zero.
+	// peak buffered memory is O(ChunkRows x Window x group size) rather
+	// than O(segment bytes). Zero selects engine.DefaultWindow. Ignored
+	// when ChunkRows is zero.
 	Window int
 	// MemBudget, when positive, runs the worker's sorting path out-of-core:
 	// Map consumes each stored file block by block and routes records of
-	// this node's own partition ({I^rank_S : rank in S}, which no coded
-	// packet ever references) into a budget-bounded sorter that spills
+	// this node's own partition into a budget-bounded sorter that spills
 	// radix-sorted runs; the streaming shuffle spills every chunk-decoded
 	// record the same way; and Reduce becomes a streaming loser-tree merge
 	// over the runs. The remotely relevant intermediate values stay in
-	// memory — they are the XOR side information the coding itself
-	// requires — so the budget bounds the sort/reduce footprint, not the
-	// coding state. Output is byte-identical to the in-memory engine.
-	// MemBudget implies the pipelined streaming shuffle; a budget-derived
-	// ChunkRows is chosen when none is set. A runtime policy knob: it
-	// selects the engine.ModeSpill schedule.
+	// memory when they are the XOR side information the coding requires
+	// (groups of more than two members); when groups have two members they
+	// are send-once and go to per-group disk spools, so the budget then
+	// bounds all record data resident in memory. Output is byte-identical
+	// to the in-memory engine. MemBudget implies the pipelined streaming
+	// shuffle; a budget-derived ChunkRows is chosen when none is set. A
+	// runtime policy knob: it selects the engine.ModeSpill schedule.
 	MemBudget int64
 	// SpillDir is the parent directory for spill files when MemBudget is
-	// positive ("" = the system temp directory).
+	// positive ("" = the system temp directory). Each worker owns a fresh
+	// subdirectory, removed when Run returns.
 	SpillDir string
 	// OutputSink, when non-nil, receives the node's sorted partition as
 	// ascending record blocks during Reduce instead of it being
@@ -198,7 +211,7 @@ type Config struct {
 // policies.
 func (c Config) policies() engine.Policies {
 	return engine.Policies{
-		ChunkRows: c.ChunkRows, Window: c.Window, DefaultWindow: DefaultWindow,
+		ChunkRows: c.ChunkRows, Window: c.Window,
 		MemBudget: c.MemBudget, SpillDir: c.SpillDir,
 		Parallelism: c.Parallelism, Parallel: c.Parallel,
 		Faults:       c.Faults,
@@ -251,10 +264,13 @@ func (c Config) normalize() (Config, error) {
 	if c.Part != nil && c.Part.NumPartitions() != c.K {
 		return c, fmt.Errorf("coded: partitioner has %d partitions for K=%d", c.Part.NumPartitions(), c.K)
 	}
-	if c.Input != nil {
-		if want := strat.NumFiles(); len(c.Input) != want {
+	if c.Input != nil && c.InputFiles != nil {
+		return c, fmt.Errorf("coded: both Input and InputFiles set")
+	}
+	if c.Input != nil || c.InputFiles != nil {
+		if n := len(c.Input) + len(c.InputFiles); n != strat.NumFiles() {
 			return c, fmt.Errorf("coded: %d input files, want %d for the %s strategy (K=%d, r=%d)",
-				len(c.Input), want, strat.Kind(), c.K, c.R)
+				n, strat.NumFiles(), strat.Kind(), c.K, c.R)
 		}
 	}
 	pol, err := c.policies().Normalize("coded", c.K)
@@ -278,9 +294,9 @@ type Result struct {
 	// SpilledRuns counts the sorted runs this worker spilled to disk
 	// (zero when MemBudget is unset or everything fit in memory).
 	SpilledRuns int64
-	// Spill accounts this worker's spill volume as raw record bytes vs
-	// framed on-disk bytes (zero without MemBudget; the gap is the compact
-	// block format's saving).
+	// Spill accounts this worker's spill volume — runs plus shuffle
+	// spools — as raw record bytes vs framed on-disk bytes (zero without
+	// MemBudget; the gap is the compact block format's saving).
 	Spill stats.SpillStats
 	// MergeOVCDecided and MergeFullCompares are the final merge's
 	// loser-tree match counters: matches decided by cached offset-value
@@ -290,21 +306,22 @@ type Result struct {
 	// Times is the node's stage breakdown (CodeGen, Map, Encode under
 	// Pack, Shuffle, Decode under Unpack, Reduce).
 	Times stats.Breakdown
-	// MulticastBytes counts coded-packet payload bytes this node
-	// multicast, each packet counted once — the paper's communication-load
-	// metric, under which coding wins by a factor r. In pipelined mode
-	// this includes the per-chunk framing overhead (one chunk header and
-	// one inner frame header per chunk instead of one frame header per
-	// packet).
-	MulticastBytes int64
-	// MulticastOps counts coded packets this node multicast.
-	MulticastOps int64
+	// SentBytes counts the shuffle payload bytes this node sent, each
+	// packet counted once however many members receive it — the paper's
+	// communication-load metric, under which coding wins by a factor r. In
+	// pipelined mode this includes the per-chunk framing overhead (one
+	// chunk header and one inner frame header per chunk instead of one
+	// frame header per packet).
+	SentBytes int64
+	// SentOps counts the packets (chunk packets when pipelining) this node
+	// sent.
+	SentOps int64
 	// Groups is the number of multicast groups this node belongs to:
-	// C(K-1, r) under the clique scheme, q^(r-1) - q^(r-2) under a
-	// resolvable design.
+	// C(K-1, r) under the clique scheme (K-1 peers at r = 1),
+	// q^(r-1) - q^(r-2) under a resolvable design.
 	Groups int
 	// ChunksSent and ChunksReceived count pipelined chunk packets this
-	// node multicast and received (zero when ChunkRows is unset).
+	// node sent and received (zero when ChunkRows is unset).
 	ChunksSent     int64
 	ChunksReceived int64
 	// SplitterBounds are the boundary keys this worker partitioned with
@@ -317,36 +334,18 @@ type Result struct {
 	SampleRoundBytes int64
 }
 
-// Run executes the CodedTeraSort worker for ep.Rank() and blocks until this
-// node's part of the job completes. Every rank of the endpoint's world must
-// call Run concurrently with an identical configuration. The timeline may
-// be nil, in which case a wall-clock timeline is used internally.
+// Run executes the sort worker for ep.Rank() and blocks until this node's
+// part of the job completes. Every rank of the endpoint's world must call
+// Run concurrently with an identical configuration. The timeline may be
+// nil, in which case a wall-clock timeline is used internally.
 func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) {
-	cfg, err := cfg.normalize()
+	w, err := newWorker(ep, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if ep.Size() != cfg.K {
-		return Result{}, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), cfg.K)
-	}
-	if tl == nil {
-		tl = stats.NewTimeline(stats.NewWallClock())
-	}
-	w := &worker{cfg: cfg, rank: ep.Rank(), part: cfg.Part, store: codec.IVMap{}}
-	hooks := engine.TimelineHooks(tl).Then(cfg.Hooks)
-	ctx, err := engine.Run(ep, w.graph(), cfg.policies(), tl.Clock(), hooks)
-	if err != nil {
+	if err := w.run(ep, tl); err != nil {
 		return Result{}, err
 	}
-	if sp, ok := w.part.(partition.Splitters); ok {
-		w.result.SplitterBounds = sp.Bounds()
-	}
-	w.result.SampleRoundBytes = ctx.Counters.SampleBytes
-	w.result.MulticastBytes = ctx.Counters.SentBytes
-	w.result.MulticastOps = ctx.Counters.SentOps
-	w.result.ChunksSent = ctx.Counters.ChunksSent
-	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
-	w.result.Times = tl.Breakdown()
 	return w.result, nil
 }
 
@@ -355,60 +354,137 @@ type worker struct {
 	rank int
 	part partition.Partitioner // resolved by config or the sampling stage
 
-	strat    placement.Strategy
 	plan     placement.Plan
+	stored   []int // indices of the files placed on this node, ascending
 	myGroups []placement.Group
-	store    codec.IVMap // IVs kept after Map: {I^q_S : rank in S, q == rank or q not in S}
-	packets  [][]byte    // E_{M,rank} per myGroups index
-	// received[gi][u] is the packet E_{M,u} received from root u in group
-	// myGroups[gi].
-	received []map[int][]byte
-	// streamSegs[gi][u] is the chunk-decoded segment from root u in group
-	// myGroups[gi] (pipelined mode: chunks are decoded on arrival, so only
-	// recovered records are retained, never raw packets).
-	streamSegs []map[int]kv.Records
-	decoded    []kv.Records
-	result     Result
+	groupIdx map[int64]int // position in myGroups by strategy-scoped group ID
+	// coding is set when the strategy's groups have more than two members.
+	// Otherwise every remote-bound IV is sent once, whole, to one peer:
+	// there is no multicast communicator to build and no IV is XOR side
+	// information.
+	coding bool
+
+	// files are the stored input files, materialized by Place in the
+	// in-memory modes; Map releases each one after its scatter.
+	files map[int]kv.Records
+	store codec.IVMap // IVs kept after Map: {I^q_S : rank in S, q == rank or q not in S}
+	// spools[gi] holds the IV this node sends in group myGroups[gi] when the
+	// out-of-core Map spooled it to disk (no coding); spoolBlocks are
+	// the finished spools' block counts.
+	spools      []*extsort.Spool
+	spoolBlocks []int64
+	packets     [][]byte // E_{M,rank} per myGroups index
+	// received[gi][i] is the packet from member i of group myGroups[gi].
+	received [][][]byte
+	// decoded[gi][i] is the segment of this node's needed IV recovered from
+	// member i of group myGroups[gi]; read in (group, member) order it is
+	// the remote share of partition `rank`.
+	decoded [][]kv.Records
+	result  Result
 }
 
-// graph declares the CodedTeraSort stage DAG over the engine runtime: the
-// paper's six-stage monolithic schedule, the chunked streaming variant
-// that collapses Encode+Multicast+Decode into one overlapped stage, and
-// the out-of-core variant that spills through the runtime's sorter — one
-// declarative graph, scheduled by the runtime's policy-derived mode. The
-// engine-specific content is exactly the redundant placement plan, the
-// coded Encode/Decode stages, and the multicast-group topology.
+// newWorker validates the configuration against the endpoint's world and
+// resolves everything the stage graph's shape depends on: the placement
+// plan, this node's files and groups, and the group size.
+func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return nil, err
+	}
+	if ep.Size() != cfg.K {
+		return nil, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), cfg.K)
+	}
+	plan, err := cfg.strat.Plan(cfg.Rows)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.InputFiles != nil {
+		for i, f := range plan.Files {
+			if f.Size() != 1 {
+				return nil, fmt.Errorf("coded: InputFiles need single-holder files, file %d is placed on %d nodes", i, f.Size())
+			}
+		}
+	}
+	rank := ep.Rank()
+	w := &worker{cfg: cfg, rank: rank, part: cfg.Part, plan: plan,
+		stored: plan.FilesOn(rank), myGroups: cfg.strat.GroupsOf(rank), store: codec.IVMap{}}
+	w.groupIdx = make(map[int64]int, len(w.myGroups))
+	for i, g := range w.myGroups {
+		w.groupIdx[g.ID] = i
+	}
+	// Group size is uniform within a strategy, so every rank reads the same
+	// value and builds the same graph.
+	cfg.strat.EachGroup(func(g placement.Group) bool {
+		w.coding = len(g.Members) > 2
+		return false
+	})
+	w.result.Groups = len(w.myGroups)
+	return w, nil
+}
+
+// run drives the stage graph on the engine runtime and fills the result.
+func (w *worker) run(ep transport.Endpoint, tl *stats.Timeline) error {
+	if tl == nil {
+		tl = stats.NewTimeline(stats.NewWallClock())
+	}
+	hooks := engine.TimelineHooks(tl).Then(w.cfg.Hooks)
+	ctx, err := engine.Run(ep, w.graph(), w.cfg.policies(), tl.Clock(), hooks)
+	if err != nil {
+		return err
+	}
+	if sp, ok := w.part.(partition.Splitters); ok {
+		w.result.SplitterBounds = sp.Bounds()
+	}
+	w.result.SampleRoundBytes = ctx.Counters.SampleBytes
+	w.result.SentBytes = ctx.Counters.SentBytes
+	w.result.SentOps = ctx.Counters.SentOps
+	w.result.ChunksSent = ctx.Counters.ChunksSent
+	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
+	w.result.Times = tl.Breakdown()
+	return nil
+}
+
+// graph declares the stage DAG over the engine runtime: the paper's
+// monolithic schedule, the chunked streaming variant that collapses
+// Encode+Shuffle+Decode into one overlapped stage, and the out-of-core
+// variant that spills through the runtime's sorter — one declarative graph,
+// scheduled by the runtime's policy-derived mode.
 func (w *worker) graph() *engine.Graph {
 	g := engine.NewGraph("coded", func(s stats.Stage) transport.Tag {
 		return transport.MakeTag(tagBarrier, uint16(s), 0xFFFF)
 	})
-	g.Add(engine.Stage{Kind: engine.KindCodeGen, Modes: engine.AllModes,
-		Provides: []string{"plan", "groups"}, Run: w.codeGenStage})
-	mapNeeds := []string{"plan"}
+	if w.coding {
+		g.Add(engine.Stage{Kind: engine.KindCodeGen, Modes: engine.AllModes, Run: w.codeGenStage})
+	}
+	mapNeeds := []string{"files"}
+	var spillNeeds []string
 	if w.part == nil {
 		// Sampled partitioning without preset splitters: the splitter
-		// agreement rides the graph between CodeGen (it needs the
-		// placement plan to dedupe replicated files) and Map. It shares
-		// the CodeGen timeline column; CodeGen stays the stage fault
-		// injection charges for that column.
+		// agreement rides the graph as a timed pre-Map stage, so hooks,
+		// fault injection and recovery cover it like any other stage. It
+		// shares the CodeGen timeline column.
 		g.Add(engine.Stage{Kind: engine.KindSample, Modes: engine.AllModes,
-			Needs: []string{"plan"}, Provides: []string{"part"}, Run: w.sampleStage})
+			Provides: []string{"part"}, Run: w.sampleStage})
 		mapNeeds = append(mapNeeds, "part")
+		spillNeeds = []string{"part"}
 	}
+	// Place comes last before Map, the first stage whose body talks to no
+	// peer: placement is unbarriered, so a communicating stage after it
+	// would be charged the wait for the slowest rank's placement.
+	g.Add(engine.Stage{Kind: engine.KindPlace, Modes: engine.InMemory,
+		Provides: []string{"files"}, Run: w.placeStage})
 	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.InMemory,
 		Needs: mapNeeds, Provides: []string{"store"}, Run: w.mapStage})
 	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.In(engine.ModeSpill),
-		Needs: mapNeeds, Provides: []string{"store", "sorter"}, Run: w.mapSpillStage})
+		Needs: spillNeeds, Provides: []string{"store", "sorter"}, Run: w.mapSpillStage})
 	g.Add(engine.Stage{Kind: engine.KindPack, Modes: engine.In(engine.ModeMono),
-		Needs: []string{"groups", "store"}, Provides: []string{"packets"}, Run: w.encodeStage})
+		Needs: []string{"store"}, Provides: []string{"packets"}, Run: w.encodeStage})
 	g.Add(engine.Stage{Kind: engine.KindShuffle, Modes: engine.In(engine.ModeMono),
-		Needs: []string{"groups", "packets"}, Provides: []string{"received"}, Run: w.multicastStage})
+		Needs: []string{"packets"}, Provides: []string{"received"}, Run: w.multicastStage})
 	g.Add(engine.Stage{Kind: engine.KindShuffle, Modes: engine.Streaming,
-		Needs: []string{"groups", "store"}, Provides: []string{"segments"}, Run: w.streamMulticastStage})
+		Needs: []string{"store"}, Provides: []string{"decoded"}, Run: w.streamStage})
 	g.Add(engine.Stage{Kind: engine.KindUnpack, Modes: engine.In(engine.ModeMono),
 		Needs: []string{"received", "store"}, Provides: []string{"decoded"}, Run: w.decodeStage})
-	g.Add(engine.Stage{Kind: engine.KindUnpack, Modes: engine.In(engine.ModeChunked),
-		Needs: []string{"segments"}, Provides: []string{"decoded"}, Run: w.mergeStage})
 	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.InMemory,
 		Needs: []string{"store", "decoded"}, Run: w.reduceStage})
 	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.In(engine.ModeSpill),
@@ -416,24 +492,55 @@ func (w *worker) graph() *engine.Graph {
 	return g
 }
 
-// codeGenStage resolves the placement strategy's file indices and multicast
-// groups and performs a lightweight per-group handshake: within every
+// placeStage materializes the files stored on this node — supplied,
+// read from disk, or generated (the row-addressable generator stands in for
+// the coordinator's disk placement) — outside the timed pipeline.
+func (w *worker) placeStage(ctx *engine.Context) error {
+	w.files = make(map[int]kv.Records, len(w.stored))
+	gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
+	for _, fi := range w.stored {
+		switch {
+		case w.cfg.Input != nil:
+			w.files[fi] = w.cfg.Input[fi]
+		case w.cfg.InputFiles != nil:
+			buf, err := os.ReadFile(w.cfg.InputFiles[fi])
+			if err != nil {
+				return fmt.Errorf("coded: read input file: %w", err)
+			}
+			if w.files[fi], err = kv.NewRecords(buf); err != nil {
+				return err
+			}
+		default:
+			first, last := w.plan.FileRows(fi)
+			w.files[fi] = gen.GenerateParallel(first, last-first, ctx.Procs)
+		}
+	}
+	return nil
+}
+
+// scanFile feeds stored file fi to fn in ChunkRows-record blocks without
+// ever holding the file — the out-of-core counterpart of placeStage.
+func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
+	switch {
+	case w.cfg.Input != nil:
+		return w.cfg.Input[fi].ForEachBlock(w.cfg.ChunkRows, fn)
+	case w.cfg.InputFiles != nil:
+		return extsort.ScanFile(w.cfg.InputFiles[fi], w.cfg.ChunkRows, fn)
+	default:
+		first, last := w.plan.FileRows(fi)
+		return kv.NewGenerator(w.cfg.Seed, w.cfg.Dist).GenerateBlocks(first, last-first, w.cfg.ChunkRows, fn)
+	}
+}
+
+// codeGenStage performs a lightweight per-group handshake: within every
 // group, each member sends one setup message to its cyclic successor and
 // waits for one from its predecessor. The handshake gives group
 // construction a real per-group communication cost, the role MPI_Comm_split
 // plays in the paper, whose measured CodeGen time scales with the group
 // count.
 func (w *worker) codeGenStage(ctx *engine.Context) error {
-	w.strat = w.cfg.strat
-	var err error
-	w.plan, err = w.strat.Plan(w.cfg.Rows)
-	if err != nil {
-		return err
-	}
-	w.myGroups = w.strat.GroupsOf(w.rank)
-	w.result.Groups = len(w.myGroups)
-	// Handshake: send to all successors first (sends are asynchronous),
-	// then collect from predecessors, so the ring cannot deadlock.
+	// Send to all successors first (sends are asynchronous), then collect
+	// from predecessors, so the ring cannot deadlock.
 	for _, g := range w.myGroups {
 		idx := g.Index(w.rank)
 		succ := g.Members[(idx+1)%len(g.Members)]
@@ -448,28 +555,6 @@ func (w *worker) codeGenStage(ctx *engine.Context) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// mapStage hashes every locally stored file and keeps only the relevant
-// intermediate values (Fig 5). Generation and the per-file scatter run on
-// the worker's Parallelism goroutines.
-func (w *worker) mapStage(ctx *engine.Context) error {
-	var source func(int) kv.Records
-	if w.cfg.Input != nil {
-		source = func(i int) kv.Records { return w.cfg.Input[i] }
-	} else {
-		gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
-		source = func(i int) kv.Records {
-			first, last := w.plan.FileRows(i)
-			return gen.GenerateParallel(first, last-first, ctx.Procs)
-		}
-	}
-	if w.cfg.Filter != nil || w.cfg.Transform != nil {
-		inner := source
-		source = func(i int) kv.Records { return w.mapRecords(inner(i)) }
-	}
-	w.store = mapRelevant(w.plan, w.part, w.rank, source, ctx.Procs)
 	return nil
 }
 
@@ -498,31 +583,49 @@ func (w *worker) sampleStage(ctx *engine.Context) error {
 }
 
 // sampleKeys draws this rank's share of the deterministic global stride
-// sample. Every file is replicated on R nodes, so only its minimum-rank
-// holder contributes the file's sampled rows; the deduped shares then tile
-// the row space exactly once, making the pooled sample — and hence the
-// splitters — a pure function of the input and the sample size, identical
-// to what an uncoded run of the same input agrees on. Map-stage hooks
-// apply before key extraction so the splitters balance the records the
-// shuffle will actually carry.
+// sample: the key of every stride-th row of the whole input. Only a file's
+// minimum-rank holder contributes its sampled rows, so the shares tile the
+// row space exactly once and the pooled sample — and hence the splitters —
+// is a pure function of the input and the sample size, identical at every
+// redundancy and on every recovery attempt. Map-stage hooks apply before
+// key extraction so the splitters balance the records the shuffle will
+// actually carry.
 func (w *worker) sampleKeys() ([]byte, error) {
+	n := w.plan.NumFiles()
 	// File-order global offsets: generated files tile [0, Rows) via the
 	// plan; supplied input files tile by cumulative length.
-	offsets := make([]int64, w.plan.NumFiles()+1)
-	for i := 0; i < w.plan.NumFiles(); i++ {
+	offsets := make([]int64, n+1)
+	for i := 0; i < n; i++ {
 		if w.cfg.Input != nil {
 			offsets[i+1] = offsets[i] + int64(w.cfg.Input[i].Len())
 		} else {
 			offsets[i+1] = offsets[i] + w.plan.FileRowCount(i)
 		}
 	}
-	total := offsets[w.plan.NumFiles()]
-	stride := partition.SampleStride(total, w.cfg.SampleSize)
+	stride := partition.SampleStride(offsets[n], w.cfg.SampleSize)
 	gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
 	rec := make([]byte, kv.RecordSize)
 	sampled := kv.MakeRecords(0)
-	for _, fi := range w.plan.FilesOn(w.rank) {
-		if minMember(w.plan.Files[fi], w.plan.K) != w.rank {
+	for _, fi := range w.stored {
+		if w.plan.Files[fi].Min() != w.rank {
+			continue
+		}
+		if w.cfg.InputFiles != nil {
+			// Peer file sizes are not visible locally, so an on-disk file
+			// samples its own positions at the stride of n files of its
+			// size — identical to the global stride when the files split
+			// the input evenly, and a valid per-file sample otherwise.
+			path := w.cfg.InputFiles[fi]
+			st, err := os.Stat(path)
+			if err != nil {
+				return nil, fmt.Errorf("coded: sample input file: %w", err)
+			}
+			rows := st.Size() / int64(kv.RecordSize)
+			s, err := extsort.SampleFile(path, partition.SampleStride(rows*int64(n), w.cfg.SampleSize))
+			if err != nil {
+				return nil, err
+			}
+			sampled = sampled.AppendRecords(s)
 			continue
 		}
 		first, last := offsets[fi], offsets[fi+1]
@@ -540,61 +643,75 @@ func (w *worker) sampleKeys() ([]byte, error) {
 	return w.mapRecords(sampled).Keys(), nil
 }
 
-// minMember returns the smallest rank in the set (sets are never empty in
-// a placement plan).
-func minMember(s combin.Set, k int) int {
-	for q := 0; q < k; q++ {
-		if s.Contains(q) {
-			return q
-		}
-	}
-	return -1
-}
-
 // mapRecords applies the Map-stage record hooks in order: Filter selects,
 // Transform rewrites. Both nil returns r unchanged (aliased).
 func (w *worker) mapRecords(r kv.Records) kv.Records {
 	if keep := w.cfg.Filter; keep != nil {
-		r = filterRecords(r, keep)
+		out := kv.MakeRecords(r.Len())
+		for i := 0; i < r.Len(); i++ {
+			if keep(r.Record(i)) {
+				out = out.Append(r.Record(i))
+			}
+		}
+		r = out
 	}
 	return kv.TransformRecords(r, w.cfg.Transform)
 }
 
-// filterRecords returns the accepted subset of r.
-func filterRecords(r kv.Records, keep func([]byte) bool) kv.Records {
-	out := kv.MakeRecords(r.Len())
-	for i := 0; i < r.Len(); i++ {
-		if keep(r.Record(i)) {
-			out = out.Append(r.Record(i))
-		}
-	}
-	return out
+// mapStage hashes every stored file and keeps only the relevant
+// intermediate values (Fig 5), releasing each file after its scatter. The
+// scatter runs on the worker's Parallelism goroutines.
+func (w *worker) mapStage(ctx *engine.Context) error {
+	w.store = mapRelevant(w.plan, w.part, w.rank, func(fi int) kv.Records {
+		file := w.files[fi]
+		w.files[fi] = kv.Records{}
+		return w.mapRecords(file)
+	}, ctx.Procs)
+	return nil
 }
 
 // mapSpillStage is the out-of-core Map: every stored file is consumed
 // block by block (never materialized whole), and each block's partitions
-// route by destiny — records of this node's own partition go straight into
-// the runtime's budget-bounded sorter (no coded packet ever references
-// them, see Config.MemBudget), while the remotely relevant intermediate
+// route by destiny. Records of this node's own partition go straight into
+// the runtime's budget-bounded sorter. The remotely relevant intermediate
 // values accumulate in the in-memory store exactly as the monolithic Map
-// builds them, because they are the XOR side information of Algorithms 1
-// and 2.
+// builds them when they are the XOR side information of Algorithms 1 and
+// 2; without coding they are send-once, so each appends to its
+// group's disk spool, framed at ChunkRows (the granularity the shuffle will
+// stream it at), and peak memory is one input block plus the partial spool
+// blocks.
 func (w *worker) mapSpillStage(ctx *engine.Context) error {
 	sorter, err := ctx.Sorter()
 	if err != nil {
 		return err
 	}
-	scan := func(i int, fn func(kv.Records) error) error {
-		if w.cfg.Input != nil {
-			return w.cfg.Input[i].ForEachBlock(w.cfg.ChunkRows, fn)
+	// sends maps an IV this node sends to its group: the spool key.
+	var sends map[codec.IVKey]int
+	if !w.coding {
+		w.spools = make([]*extsort.Spool, len(w.myGroups))
+		w.spoolBlocks = make([]int64, len(w.myGroups))
+		sends = make(map[codec.IVKey]int, len(w.myGroups))
+		ctx.Defer(func() {
+			for _, sp := range w.spools {
+				if sp != nil {
+					sp.Close()
+				}
+			}
+		})
+		for gi, g := range w.myGroups {
+			if w.spools[gi], err = extsort.NewSpool(sorter.Dir(), w.cfg.ChunkRows); err != nil {
+				return err
+			}
+			for j, t := range g.Members {
+				if t != w.rank {
+					sends[codec.IVKey{Part: t, File: g.Need[j]}] = gi
+				}
+			}
 		}
-		gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
-		first, last := w.plan.FileRows(i)
-		return gen.GenerateBlocks(first, last-first, w.cfg.ChunkRows, fn)
 	}
-	for _, fi := range w.plan.FilesOn(w.rank) {
+	for _, fi := range w.stored {
 		fileSet := w.plan.Files[fi]
-		if err := scan(fi, func(block kv.Records) error {
+		if err := w.scanFile(fi, func(block kv.Records) error {
 			parts := partition.SplitParallel(w.part, w.mapRecords(block), ctx.Procs)
 			for q := 0; q < w.plan.K; q++ {
 				switch {
@@ -602,7 +719,17 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 					if err := sorter.Append(parts[q]); err != nil {
 						return err
 					}
-				case !fileSet.Contains(q):
+				case fileSet.Contains(q):
+					// Reducer q maps this file itself.
+				case !w.coding:
+					// An IV no group of this node carries is sent by
+					// another holder of the file.
+					if gi, ok := sends[codec.IVKey{Part: q, File: fileSet}]; ok {
+						if err := w.spools[gi].Append(parts[q]); err != nil {
+							return err
+						}
+					}
+				default:
 					w.store.Put(q, fileSet, w.store.IV(q, fileSet).AppendRecords(parts[q]))
 				}
 			}
@@ -610,6 +737,12 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 		}); err != nil {
 			return err
 		}
+	}
+	for gi, sp := range w.spools {
+		if w.spoolBlocks[gi], err = sp.Finish(); err != nil {
+			return err
+		}
+		w.result.Spill.Add(stats.SpillStats{RawBytes: sp.RawBytes(), DiskBytes: sp.DiskBytes()})
 	}
 	return nil
 }
@@ -637,22 +770,16 @@ func (w *worker) reduceSpillStage(ctx *engine.Context) error {
 	return nil
 }
 
-// MapFiles runs the CodedTeraSort Map stage for one node: it hashes every
-// file stored on rank and returns the relevant intermediate values —
-// I^rank_S (needed by this node's own reducer) and {I^q_S : q not in S}
-// (needed by remote reducers that did not map S). IVs for partitions
-// q in S\{rank} are dropped: those reducers computed them locally during
-// their own Map stage (paper Section IV-B, Fig 5).
+// MapFiles runs the Map stage for one node: it hashes every file stored on
+// rank and returns the relevant intermediate values — I^rank_S (needed by
+// this node's own reducer) and {I^q_S : q not in S} (needed by remote
+// reducers that did not map S). IVs for partitions q in S\{rank} are
+// dropped: those reducers computed them locally during their own Map stage
+// (paper Section IV-B, Fig 5).
 func MapFiles(plan placement.Plan, part partition.Partitioner, gen *kv.Generator, rank int) codec.IVMap {
 	return mapRelevant(plan, part, rank, func(i int) kv.Records {
 		return plan.Materialize(gen, i)
 	}, 1)
-}
-
-// MapFilesInput is MapFiles over directly supplied input files, indexed by
-// colex file rank.
-func MapFilesInput(plan placement.Plan, part partition.Partitioner, input []kv.Records, rank int) codec.IVMap {
-	return mapRelevant(plan, part, rank, func(i int) kv.Records { return input[i] }, 1)
 }
 
 func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file func(int) kv.Records, procs int) codec.IVMap {
@@ -671,9 +798,9 @@ func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file
 
 // encodeStage builds this node's coded packet for every group it belongs
 // to (Algorithm 1). Packet construction includes the serialization work the
-// paper assigns to the Encode stage. Groups are independent (the IV store
-// is read-only here) and packets are indexed by group position, so the
-// per-group encodes run on the worker's Parallelism goroutines.
+// paper assigns to the Pack/Encode stage. Groups are independent (the IV
+// store is read-only here) and packets are indexed by group position, so
+// the per-group encodes run on the worker's Parallelism goroutines.
 func (w *worker) encodeStage(ctx *engine.Context) error {
 	w.packets = make([][]byte, len(w.myGroups))
 	return parallel.Do(ctx.Procs, len(w.myGroups), func(i int) error {
@@ -687,27 +814,52 @@ func (w *worker) encodeStage(ctx *engine.Context) error {
 	})
 }
 
-// multicastStage runs the serial multicast schedule of Fig 9(b): one
-// sender at a time (rank order), each broadcasting its coded packets to
-// its groups one after another. Receives run concurrently so the single
-// active sender streams without blocking.
-func (w *worker) multicastStage(ctx *engine.Context) error {
-	w.received = make([]map[int][]byte, len(w.myGroups))
-	for i := range w.received {
-		w.received[i] = make(map[int][]byte, w.cfg.R)
+// inboundFrom lists, in root u's send order, the positions in myGroups of
+// the groups this node shares with u — the enumeration u walks when it
+// sends.
+func (w *worker) inboundFrom(u int) []int {
+	var out []int
+	for _, m := range w.cfg.strat.GroupsOf(u) {
+		if m.Contains(w.rank) {
+			out = append(out, w.groupIdx[m.ID])
+		}
 	}
-	groupIdx := w.groupIndex()
+	return out
+}
 
+// memberSlots returns one slot per member of every group of this node, the
+// shape of received and decoded.
+func memberSlots[T any](groups []placement.Group) [][]T {
+	out := make([][]T, len(groups))
+	for i, g := range groups {
+		out[i] = make([]T, len(g.Members))
+	}
+	return out
+}
+
+// multicastStage runs the serial schedule of Fig 9: one sender at a time
+// (rank order), each broadcasting its packets to its groups one after
+// another. Receives run concurrently, roots in ascending rank order, so the
+// single active sender streams without blocking.
+func (w *worker) multicastStage(ctx *engine.Context) error {
+	w.received = memberSlots[[]byte](w.myGroups)
 	recvErr := make(chan error, 1)
 	go func() {
-		recvErr <- w.forEachInboundGroup(groupIdx, func(gi int, g placement.Group, u int) error {
-			p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
-			if err != nil {
-				return fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
+		for u := 0; u < w.cfg.K; u++ {
+			if u == w.rank {
+				continue
 			}
-			w.received[gi][u] = p
-			return nil
-		})
+			for _, gi := range w.inboundFrom(u) {
+				g := w.myGroups[gi]
+				p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+				if err != nil {
+					recvErr <- fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
+					return
+				}
+				w.received[gi][g.Index(u)] = p
+			}
+		}
+		recvErr <- nil
 	}()
 
 	send := func() error {
@@ -726,218 +878,229 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 	return <-recvErr
 }
 
-// groupIndex indexes this node's groups by strategy-scoped ID for the
-// receive paths.
-func (w *worker) groupIndex() map[int64]int {
-	idx := make(map[int64]int, len(w.myGroups))
-	for i, g := range w.myGroups {
-		idx[g.ID] = i
-	}
-	return idx
-}
-
-// forEachInboundGroup visits, in the serial multicast schedule's order,
-// every (group, root) pair this node receives from: roots in ascending
-// rank order, each root's shared groups in the root's own GroupsOf order —
-// the enumeration the root walks when it sends.
-func (w *worker) forEachInboundGroup(groupIdx map[int64]int, fn func(gi int, g placement.Group, u int) error) error {
+// streamStage is the pipelined replacement for Encode+Multicast+Decode:
+// every packet travels as a stream of chunk packets, each the XOR of
+// aligned ChunkRows-record chunk slices of its contributing segments
+// (chunked Algorithms 1 and 2). The root encodes chunk n+1 while chunk n is
+// in flight, every member decodes each chunk on arrival — retaining only
+// recovered records, never whole packets — and per-chunk credits from all
+// group members bound the root's run-ahead to Window chunks. The receive
+// side runs one goroutine per root, each walking that root's groups in the
+// root's send order, so concurrent senders never queue behind one another.
+func (w *worker) streamStage(ctx *engine.Context) error {
+	w.decoded = memberSlots[kv.Records](w.myGroups)
+	recvErrs := make([]error, w.cfg.K)
+	var wg sync.WaitGroup
+	// Under the serial schedule the roots take the wire in rank order and
+	// the receivers take turns in the same order, at no cost: records then
+	// reach the spill sorter, whose equal keys keep arrival order, in an
+	// order independent of goroutine timing (a credit precedes the chunk's
+	// consumption, so the next root may start while the last chunk of the
+	// previous one is still being consumed).
+	var turn chan struct{}
 	for u := 0; u < w.cfg.K; u++ {
 		if u == w.rank {
 			continue
 		}
-		for _, m := range w.strat.GroupsOf(u) {
-			if !m.Contains(w.rank) {
-				continue
-			}
-			gi := groupIdx[m.ID]
-			if err := fn(gi, w.myGroups[gi], u); err != nil {
-				return err
-			}
+		prev, done := turn, make(chan struct{})
+		if !ctx.P.Parallel {
+			turn = done
 		}
-	}
-	return nil
-}
-
-// streamMulticastStage is the pipelined replacement for Encode+Multicast+
-// Decode: every coded packet travels as a stream of chunk packets, each the
-// XOR of aligned ChunkRows-record chunk slices of its contributing segments
-// (chunked Algorithms 1 and 2). The root encodes chunk n+1 while chunk n is
-// in flight, every member decodes each chunk on arrival — retaining only
-// recovered records, never whole packets — and per-chunk credits from all
-// group members bound the root's run-ahead to Window chunks. In the spill
-// mode decoded chunks go straight into the runtime's budget-bounded sorter
-// instead of accumulating per-group segments.
-func (w *worker) streamMulticastStage(ctx *engine.Context) error {
-	spilling := ctx.Mode == engine.ModeSpill
-	if !spilling {
-		w.streamSegs = make([]map[int]kv.Records, len(w.myGroups))
-		for i := range w.streamSegs {
-			w.streamSegs[i] = make(map[int]kv.Records, w.cfg.R)
-		}
-	}
-	groupIdx := w.groupIndex()
-
-	recvErr := make(chan error, 1)
-	go func() {
-		recvErr <- w.forEachInboundGroup(groupIdx, func(gi int, g placement.Group, u int) error {
-			consume := ctx.SpillAppend
-			seg := kv.MakeRecords(0)
-			if !spilling {
-				consume = func(recs kv.Records) error {
-					seg = seg.AppendRecords(recs)
-					return nil
+		wg.Add(1)
+		go func(u int) {
+			defer wg.Done()
+			defer close(done)
+			if prev != nil {
+				<-prev
+			}
+			for _, gi := range w.inboundFrom(u) {
+				if recvErrs[u] = w.receiveStream(ctx, gi, u); recvErrs[u] != nil {
+					return
 				}
 			}
-			rx := engine.ChunkRx{
-				Recv: func() ([]byte, error) {
-					p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
-					if err != nil {
-						return nil, fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
-					}
-					return p, nil
-				},
-				Ack: func() error {
-					return transport.StreamAck(ctx.Ep, u, groupTag(tagChunkAck, g.ID, u))
-				},
-				Decode: func(c int, payload []byte) (kv.Records, error) {
-					part, err := codec.DecodeGroupPacketChunk(w.store, g.Group, w.rank, u, w.cfg.ChunkRows, c, payload)
-					if err != nil {
-						return kv.Records{}, fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
-					}
-					return part, nil
-				},
-				Consume: consume,
-				WrapStreamErr: func(err error) error {
-					return fmt.Errorf("chunk stream in %v from %d: %w", g.Members, u, err)
-				},
-			}
-			if err := rx.Run(&ctx.Counters); err != nil {
-				return err
-			}
-			if !spilling {
-				w.streamSegs[gi][u] = seg
-			}
-			return nil
-		})
-	}()
+		}(u)
+	}
 
 	send := func() error {
-		for _, g := range w.myGroups {
-			others := make([]int, 0, len(g.Members)-1)
-			for _, m := range g.Members {
-				if m != w.rank {
-					others = append(others, m)
-				}
-			}
-			ackTag := groupTag(tagChunkAck, g.ID, w.rank)
-			gate := engine.CreditGate{Window: w.cfg.Window, Await: func() error {
-				for _, m := range others {
-					if _, err := ctx.Ep.Recv(m, ackTag); err != nil {
-						return err
-					}
-				}
-				return nil
-			}}
-			count := codec.GroupPacketChunkCount(w.store, g.Group, w.rank, w.cfg.ChunkRows)
-			for c := 0; c < count; c++ {
-				pkt, err := codec.EncodeGroupPacketChunk(w.store, g.Group, w.rank, w.cfg.ChunkRows, c)
-				if err != nil {
-					return fmt.Errorf("encode chunk %d in %v: %w", c, g.Members, err)
-				}
-				frame := codec.FrameChunk(uint32(c), c == count-1, pkt)
-				codec.Recycle(pkt)
-				if err := gate.Reserve(); err != nil {
-					return err
-				}
-				if _, err := ctx.Ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), frame); err != nil {
-					return fmt.Errorf("bcast send in %v: %w", g.Members, err)
-				}
-				gate.Sent()
-				ctx.Counters.SentBytes += int64(len(frame))
-				ctx.Counters.SentOps++
-				ctx.Counters.ChunksSent++
-				// Bcast does not alias the frame after it returns; back to
-				// the pool for the next chunk.
-				codec.Recycle(frame)
-			}
-			if err := gate.Drain(); err != nil {
+		for gi := range w.myGroups {
+			if err := w.sendStream(ctx, gi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if err := ctx.Schedule(transport.MakeTag(tagToken, 0, 0), send); err != nil {
+		// Don't wait for receivers whose roots may be gone; they unblock
+		// with ErrClosed at teardown.
 		return err
 	}
-	return <-recvErr
+	wg.Wait()
+	for _, err := range recvErrs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// mergeStage assembles the chunk-decoded segments into the intermediate
-// values the Reduce stage needs (the pipelined remainder of Algorithm 2:
-// decoding happened chunk by chunk during the shuffle, so only the ordered
-// merge across senders is left).
-func (w *worker) mergeStage(ctx *engine.Context) error {
-	w.decoded = make([]kv.Records, len(w.myGroups))
-	return parallel.Do(ctx.Procs, len(w.myGroups), func(gi int) error {
-		g := w.myGroups[gi]
-		segs := make([]kv.Records, 0, len(g.Members)-1)
-		for _, u := range g.Members {
-			if u == w.rank {
+// receiveStream consumes the chunk stream root u sends in group
+// myGroups[gi], decoding each chunk on arrival. Recovered records
+// accumulate into the group's decoded slot, or in the spill mode go
+// straight into the runtime's budget-bounded sorter.
+func (w *worker) receiveStream(ctx *engine.Context, gi, u int) error {
+	g := w.myGroups[gi]
+	seg := &w.decoded[gi][g.Index(u)]
+	consume := func(recs kv.Records) error {
+		*seg = seg.AppendRecords(recs)
+		return nil
+	}
+	if ctx.Mode == engine.ModeSpill {
+		consume = ctx.SpillAppend
+	}
+	rx := engine.ChunkRx{
+		Recv: func() ([]byte, error) {
+			p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+			if err != nil {
+				return nil, fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
+			}
+			return p, nil
+		},
+		Ack: func() error {
+			return transport.StreamAck(ctx.Ep, u, groupTag(tagChunkAck, g.ID, u))
+		},
+		Decode: func(c int, payload []byte) (kv.Records, error) {
+			part, err := codec.DecodeGroupPacketChunk(w.store, g.Group, w.rank, u, w.cfg.ChunkRows, c, payload)
+			if err != nil {
+				return kv.Records{}, fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
+			}
+			return part, nil
+		},
+		Consume: consume,
+		WrapStreamErr: func(err error) error {
+			return fmt.Errorf("chunk stream in %v from %d: %w", g.Members, u, err)
+		},
+	}
+	return rx.Run(&ctx.Counters)
+}
+
+// sendStream ships this node's chunk stream in group myGroups[gi] under
+// the credit window.
+func (w *worker) sendStream(ctx *engine.Context, gi int) error {
+	g := w.myGroups[gi]
+	count, frameOf, err := w.chunkSource(gi)
+	if err != nil {
+		return err
+	}
+	ackTag := groupTag(tagChunkAck, g.ID, w.rank)
+	gate := engine.CreditGate{Window: w.cfg.Window, Await: func() error {
+		for _, m := range g.Members {
+			if m == w.rank {
 				continue
 			}
-			seg, ok := w.streamSegs[gi][u]
-			if !ok {
-				return fmt.Errorf("missing streamed segment from %d in group %v", u, g.Members)
+			if _, err := ctx.Ep.Recv(m, ackTag); err != nil {
+				return err
 			}
-			segs = append(segs, seg)
 		}
-		w.decoded[gi] = codec.MergeSegments(segs)
 		return nil
-	})
+	}}
+	for c := 0; c < count; c++ {
+		frame, err := frameOf(c, c == count-1)
+		if err != nil {
+			return err
+		}
+		if err := gate.Reserve(); err != nil {
+			return err
+		}
+		if _, err := ctx.Ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), frame); err != nil {
+			return fmt.Errorf("bcast send in %v: %w", g.Members, err)
+		}
+		gate.Sent()
+		ctx.Counters.SentBytes += int64(len(frame))
+		ctx.Counters.SentOps++
+		ctx.Counters.ChunksSent++
+		// Bcast does not alias the frame after it returns; back to the
+		// pool for the next chunk.
+		codec.Recycle(frame)
+	}
+	return gate.Drain()
+}
+
+// chunkSource returns the chunk count of this node's stream in group
+// myGroups[gi] and a builder of its framed chunk packets, called in chunk
+// order: encoded from the IV store, or — when the out-of-core Map spooled
+// the group's IV — read back from the spool block by block, one chunk per
+// block, so the sender never holds the stream's records either.
+func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error), error) {
+	g := w.myGroups[gi]
+	if w.spools == nil {
+		count := codec.GroupPacketChunkCount(w.store, g.Group, w.rank, w.cfg.ChunkRows)
+		return count, func(c int, last bool) ([]byte, error) {
+			pkt, err := codec.EncodeGroupPacketChunk(w.store, g.Group, w.rank, w.cfg.ChunkRows, c)
+			if err != nil {
+				return nil, fmt.Errorf("encode chunk %d in %v: %w", c, g.Members, err)
+			}
+			frame := codec.FrameChunk(uint32(c), last, pkt)
+			codec.Recycle(pkt)
+			return frame, nil
+		}, nil
+	}
+	rd, err := w.spools[gi].Reader()
+	if err != nil {
+		return 0, nil, err
+	}
+	blocks := int(w.spoolBlocks[gi])
+	// An empty spool still closes its stream with one last-flagged chunk.
+	return max(blocks, 1), func(c int, last bool) ([]byte, error) {
+		var block kv.Records
+		if c < blocks {
+			if block, err = rd.Next(); err != nil {
+				return nil, fmt.Errorf("spool for group %v: %w", g.Members, err)
+			}
+		}
+		return codec.FrameSegmentChunk(uint32(c), last, block), nil
+	}, nil
 }
 
 // decodeStage recovers, for every group M containing this node, the
-// intermediate value this node needs (its Need file) from the received
-// coded packets (Algorithm 2), then merges the segments in ascending
-// sender order. Groups decode concurrently — each reads only its own
-// received packets and the read-only side-information store, and lands in
-// its own slot.
+// segments of the intermediate value this node needs (its Need file) from
+// the received coded packets (Algorithm 2). Groups decode concurrently —
+// each reads only its own received packets and the read-only
+// side-information store, and lands in its own slots.
 func (w *worker) decodeStage(ctx *engine.Context) error {
-	w.decoded = make([]kv.Records, len(w.myGroups))
+	w.decoded = memberSlots[kv.Records](w.myGroups)
 	return parallel.Do(ctx.Procs, len(w.myGroups), func(gi int) error {
 		g := w.myGroups[gi]
-		segs := make([]kv.Records, 0, len(g.Members)-1)
-		for _, u := range g.Members {
+		for i, u := range g.Members {
 			if u == w.rank {
 				continue
 			}
-			p, ok := w.received[gi][u]
-			if !ok {
-				return fmt.Errorf("missing packet from %d in group %v", u, g.Members)
-			}
-			seg, err := codec.DecodeGroupPacket(w.store, g.Group, w.rank, u, p)
+			seg, err := codec.DecodeGroupPacket(w.store, g.Group, w.rank, u, w.received[gi][i])
 			if err != nil {
 				return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
 			}
-			segs = append(segs, seg)
+			w.decoded[gi][i] = seg
 		}
-		w.decoded[gi] = codec.MergeSegments(segs)
 		return nil
 	})
 }
 
 // reduceStage concatenates the locally mapped share of partition `rank`
 // ({I^rank_S : rank in S}) with the decoded remote share
-// ({I^rank_S : rank not in S}) and sorts (Section IV-F).
+// ({I^rank_S : rank not in S}: per group, the segments in ascending sender
+// order — segments are contiguous and ascending, so reassembly is
+// concatenation) and sorts (Section IV-F).
 func (w *worker) reduceStage(ctx *engine.Context) error {
-	parts := make([]kv.Records, 0, len(w.decoded)+w.plan.NumFiles())
-	for _, fi := range w.plan.FilesOn(w.rank) {
+	var parts []kv.Records
+	for _, fi := range w.stored {
 		parts = append(parts, w.store.IV(w.rank, w.plan.Files[fi]))
 	}
-	parts = append(parts, w.decoded...)
+	for _, segs := range w.decoded {
+		parts = append(parts, segs...)
+	}
 	out := kv.Concat(parts...)
-	// In-place MSD radix: no scratch allocation, parallel over buckets,
-	// deterministic at any Parallelism setting.
+	// In-place MSD radix: no scratch allocation (the partition is the
+	// worker's largest live object here), buckets sorted on Procs
+	// goroutines, deterministic at any Parallelism setting.
 	out.SortRadixMSD(ctx.Procs)
 	w.result.OutputRows = int64(out.Len())
 	w.result.OutputChecksum = out.Checksum()

@@ -11,27 +11,60 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 	"codedterasort/internal/transport/netem"
 	"codedterasort/internal/verify"
 )
 
-// runAll executes a full CodedTeraSort over an in-memory mesh.
+// runAll executes a full sort over an in-memory mesh and returns all worker
+// results.
 func runAll(t *testing.T, cfg Config) []Result {
+	t.Helper()
+	return runAllWith(t, cfg, nil)
+}
+
+// runAllWith is runAll with a per-rank configuration hook (budget tests
+// install per-rank output sinks, which must not be shared).
+func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []Result {
+	t.Helper()
+	workers := runWorkers(t, cfg, perRank, nil)
+	results := make([]Result, len(workers))
+	for i, w := range workers {
+		results[i] = w.result
+	}
+	return results
+}
+
+// runWorkers runs every rank of a sort over an in-memory mesh and returns
+// the finished workers, whose retained state white-box tests inspect.
+// perRank (may be nil) adjusts each rank's config; timeline (may be nil)
+// supplies a worker's timeline once the worker exists.
+func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), timeline func(*worker) *stats.Timeline) []*worker {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
-	results := make([]Result, cfg.K)
+	workers := make([]*worker, cfg.K)
 	errs := make([]error, cfg.K)
 	var wg sync.WaitGroup
 	for r := 0; r < cfg.K; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
+			c := cfg
+			if perRank != nil {
+				perRank(rank, &c)
+			}
 			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
+			w, err := newWorker(ep, c)
+			if err == nil {
+				var tl *stats.Timeline
+				if timeline != nil {
+					tl = timeline(w)
+				}
+				err = w.run(ep, tl)
+			}
+			workers[rank], errs[rank] = w, err
 		}(r)
 	}
 	wg.Wait()
@@ -40,7 +73,7 @@ func runAll(t *testing.T, cfg Config) []Result {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	return results
+	return workers
 }
 
 func outputs(results []Result) []kv.Records {
@@ -52,52 +85,40 @@ func outputs(results []Result) []kv.Records {
 }
 
 func TestEndToEndSortsCorrectly(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 4200, Seed: 1}
-	results := runAll(t, cfg)
-	in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
-	if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
-		t.Fatal(err)
+	for _, r := range []int{1, 2} {
+		cfg := Config{K: 4, R: r, Rows: 4200, Seed: 1}
+		results := runAll(t, cfg)
+		in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
+		if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
 	}
 }
 
 func TestMatchesSequentialSort(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 1200, Seed: 7}
-	results := runAll(t, cfg)
-	all := kv.Concat(outputs(results)...)
-	want := kv.NewGenerator(7, kv.DistUniform).Generate(0, cfg.Rows)
-	want.Sort()
-	if !all.Equal(want) {
-		t.Fatalf("coded output != sequential sort")
+	for _, cfg := range []Config{
+		{K: 3, R: 1, Rows: 900, Seed: 7},
+		{K: 4, R: 2, Rows: 1200, Seed: 7},
+	} {
+		results := runAll(t, cfg)
+		all := kv.Concat(outputs(results)...)
+		want := kv.NewGenerator(7, kv.DistUniform).Generate(0, cfg.Rows)
+		want.Sort()
+		if !all.Equal(want) {
+			t.Fatalf("K=%d r=%d: distributed output != sequential sort", cfg.K, cfg.R)
+		}
 	}
 }
 
 func TestMatchesTeraSortOutput(t *testing.T) {
-	// CodedTeraSort and TeraSort must produce identical per-partition
-	// outputs for the same input and partitioner.
+	// CodedTeraSort and TeraSort (r = 1) must produce identical
+	// per-partition outputs for the same input and partitioner.
 	const k, rows, seed = 5, 2500, 42
 	codedRes := runAll(t, Config{K: k, R: 3, Rows: rows, Seed: seed})
-
-	mesh := memnet.NewMesh(k)
-	defer mesh.Close()
-	teraRes := make([]terasort.Result, k)
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			res, err := terasort.Run(ep, terasort.Config{K: k, Rows: rows, Seed: seed}, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			teraRes[rank] = res
-		}(r)
-	}
-	wg.Wait()
+	teraRes := runAll(t, Config{K: k, R: 1, Rows: rows, Seed: seed})
 	for rank := 0; rank < k; rank++ {
 		if !codedRes[rank].Output.Equal(teraRes[rank].Output) {
-			t.Fatalf("partition %d differs between algorithms", rank)
+			t.Fatalf("partition %d differs between redundancy levels", rank)
 		}
 	}
 }
@@ -115,8 +136,8 @@ func TestAllRedundancyLevels(t *testing.T) {
 		}
 		if r == k {
 			for _, res := range results {
-				if res.MulticastOps != 0 {
-					t.Fatalf("r=K should multicast nothing, got %d ops", res.MulticastOps)
+				if res.SentOps != 0 {
+					t.Fatalf("r=K should multicast nothing, got %d ops", res.SentOps)
 				}
 			}
 		}
@@ -134,29 +155,48 @@ func TestBothMulticastStrategies(t *testing.T) {
 	}
 }
 
-func TestEmptyAndTinyInputs(t *testing.T) {
-	for _, rows := range []int64{0, 1, 5} {
-		cfg := Config{K: 4, R: 2, Rows: rows, Seed: 3}
+func TestVariousClusterSizes(t *testing.T) {
+	for _, k := range []int{1, 2, 5, 8, 16} {
+		cfg := Config{K: k, R: 1, Rows: int64(200 * k), Seed: uint64(k)}
 		results := runAll(t, cfg)
-		in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), rows)
-		if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
-			t.Fatalf("rows=%d: %v", rows, err)
+		in := verify.DescribeGenerated(kv.NewGenerator(uint64(k), kv.DistUniform), cfg.Rows)
+		if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+			t.Fatalf("K=%d: %v", k, err)
+		}
+	}
+}
+
+func TestEmptyAndTinyInputs(t *testing.T) {
+	// Includes fewer rows than nodes (K=8, 3 rows).
+	for _, cfg := range []Config{
+		{K: 3, R: 1}, {K: 8, R: 1, Rows: 3},
+		{K: 4, R: 2}, {K: 4, R: 2, Rows: 1}, {K: 4, R: 2, Rows: 5},
+	} {
+		cfg.Seed = 3
+		results := runAll(t, cfg)
+		in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), cfg.Rows)
+		if err := verify.SortedOutput(outputs(results), partition.NewUniform(cfg.K), in); err != nil {
+			t.Fatalf("K=%d r=%d rows=%d: %v", cfg.K, cfg.R, cfg.Rows, err)
 		}
 	}
 }
 
 func TestSkewedInputWithSampledPartitioner(t *testing.T) {
-	const k, r, rows = 4, 2, 4000
+	// Production TeraSort practice: sample, then range-partition. The run
+	// must stay correct under heavy key skew.
+	const k, rows = 4, 4000
 	sample := kv.NewGenerator(9, kv.DistSkewed).Generate(0, 400)
 	part, err := partition.FromSample(sample, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: k, R: r, Rows: rows, Seed: 9, Dist: kv.DistSkewed, Part: part}
-	results := runAll(t, cfg)
-	in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
-	if err := verify.SortedOutput(outputs(results), part, in); err != nil {
-		t.Fatal(err)
+	for _, r := range []int{1, 2} {
+		cfg := Config{K: k, R: r, Rows: rows, Seed: 9, Dist: kv.DistSkewed, Part: part}
+		results := runAll(t, cfg)
+		in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
+		if err := verify.SortedOutput(outputs(results), part, in); err != nil {
+			t.Fatalf("r=%d: %v", r, err)
+		}
 	}
 }
 
@@ -169,8 +209,8 @@ func TestGroupCount(t *testing.T) {
 		if res.Groups != want {
 			t.Fatalf("rank %d in %d groups, want %d", rank, res.Groups, want)
 		}
-		if res.MulticastOps != int64(want) {
-			t.Fatalf("rank %d multicast %d packets, want %d", rank, res.MulticastOps, want)
+		if res.SentOps != int64(want) {
+			t.Fatalf("rank %d multicast %d packets, want %d", rank, res.SentOps, want)
 		}
 	}
 }
@@ -186,7 +226,7 @@ func TestMulticastLoadBeatsUncodedByR(t *testing.T) {
 		results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
 		var coded int64
 		for _, res := range results {
-			coded += res.MulticastBytes
+			coded += res.SentBytes
 		}
 		wantLoad := float64(dataBytes) * (1 - float64(r)/float64(k)) / float64(r)
 		if f := float64(coded); f < wantLoad*0.95 || f > wantLoad*1.15 {
@@ -262,14 +302,17 @@ func TestMapKeepsCompleteCoverage(t *testing.T) {
 }
 
 func TestStageTimesPopulated(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 2000, Seed: 2}
-	results := runAll(t, cfg)
-	for rank, res := range results {
-		if res.Times[stats.StageCodeGen] <= 0 {
-			t.Fatalf("rank %d CodeGen time missing", rank)
-		}
-		if res.Times[stats.StageReduce] <= 0 {
-			t.Fatalf("rank %d Reduce time missing", rank)
+	// Two-member groups (r = 1) build no communicator and report no CodeGen
+	// time; larger groups do.
+	for _, r := range []int{1, 2} {
+		results := runAll(t, Config{K: 4, R: r, Rows: 2000, Seed: 2})
+		for rank, res := range results {
+			if gotCodeGen := res.Times[stats.StageCodeGen] > 0; gotCodeGen != (r > 1) {
+				t.Fatalf("r=%d rank %d: CodeGen time %v", r, rank, res.Times[stats.StageCodeGen])
+			}
+			if res.Times[stats.StageReduce] <= 0 || res.Times.Total() <= 0 {
+				t.Fatalf("r=%d rank %d: Reduce time missing", r, rank)
+			}
 		}
 	}
 }
@@ -285,6 +328,9 @@ func TestConfigValidation(t *testing.T) {
 		{K: 2, R: 1, Rows: -1},
 		{K: 3, R: 1, Rows: 10}, // world-size mismatch
 		{K: 2, R: 1, Part: partition.NewUniform(7)},
+		{K: 2, R: 1, InputFiles: []string{"a"}},                                   // wrong file count
+		{K: 2, R: 1, Input: []kv.Records{{}, {}}, InputFiles: []string{"a", "b"}}, // both sources
+		{K: 2, R: 2, InputFiles: []string{"a"}},                                   // replicated files
 	}
 	for i, cfg := range bad {
 		if _, err := Run(ep, cfg, nil); err == nil {
@@ -294,34 +340,38 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTransportFailureSurfaces(t *testing.T) {
-	const k = 4
-	mesh := memnet.NewMesh(k)
-	defer mesh.Close()
-	cfg := Config{K: k, R: 2, Rows: 400, Seed: 3}
-	rank0Err := make(chan error, 1)
-	var wg sync.WaitGroup
-	go func() {
-		conn := netem.Fail(mesh.Endpoint(0), 2, transport.ErrClosed)
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
-		_, err := Run(ep, cfg, nil)
-		rank0Err <- err
-	}()
-	for r := 1; r < k; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			_, _ = Run(ep, cfg, nil)
-		}(r)
-	}
-	err0 := <-rank0Err
-	mesh.Close()
-	wg.Wait()
-	if err0 == nil {
-		t.Fatalf("rank 0 should have failed")
-	}
-	if !strings.Contains(err0.Error(), "rank 0") {
-		t.Fatalf("error lacks context: %v", err0)
+	// A send failure mid-shuffle must produce an error mentioning the
+	// stage, not a hang or silent corruption.
+	for _, tc := range []struct{ k, r, failAfter int }{{3, 1, 3}, {4, 2, 2}} {
+		mesh := memnet.NewMesh(tc.k)
+		cfg := Config{K: tc.k, R: tc.r, Rows: 400, Seed: 3}
+		rank0Err := make(chan error, 1)
+		var wg sync.WaitGroup
+		go func() {
+			conn := netem.Fail(mesh.Endpoint(0), tc.failAfter, transport.ErrClosed)
+			ep := transport.WithCollectives(conn, transport.BcastSequential)
+			_, err := Run(ep, cfg, nil)
+			rank0Err <- err
+		}()
+		for r := 1; r < tc.k; r++ {
+			wg.Add(1)
+			go func(rank int) {
+				defer wg.Done()
+				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+				// Errors here are expected: the cluster is going down.
+				_, _ = Run(ep, cfg, nil)
+			}(r)
+		}
+		err0 := <-rank0Err
+		// Tear the mesh down to release peers blocked on the dead rank.
+		mesh.Close()
+		wg.Wait()
+		if err0 == nil {
+			t.Fatalf("r=%d: rank 0 should have failed", tc.r)
+		}
+		if !strings.Contains(err0.Error(), "rank 0") {
+			t.Fatalf("r=%d: error lacks context: %v", tc.r, err0)
+		}
 	}
 }
 
@@ -338,8 +388,7 @@ func TestLargerClusterSmoke(t *testing.T) {
 	}
 }
 
-func BenchmarkCodedTeraSortK4R2(b *testing.B) {
-	cfg := Config{K: 4, R: 2, Rows: 20000, Seed: 1}
+func benchmarkSort(b *testing.B, cfg Config) {
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(cfg.K)
 		var wg sync.WaitGroup
@@ -356,4 +405,12 @@ func BenchmarkCodedTeraSortK4R2(b *testing.B) {
 		wg.Wait()
 		mesh.Close()
 	}
+}
+
+func BenchmarkTeraSortK4(b *testing.B) {
+	benchmarkSort(b, Config{K: 4, R: 1, Rows: 20000, Seed: 1})
+}
+
+func BenchmarkCodedTeraSortK4R2(b *testing.B) {
+	benchmarkSort(b, Config{K: 4, R: 2, Rows: 20000, Seed: 1})
 }

@@ -2,82 +2,60 @@ package coded
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 
 	"codedterasort/internal/combin"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/memnet"
 )
-
-// runConfig executes a full CodedTeraSort over memnet for an arbitrary
-// config (shared by the extension tests).
-func runConfig(t *testing.T, cfg Config) []Result {
-	t.Helper()
-	mesh := memnet.NewMesh(cfg.K)
-	defer mesh.Close()
-	results := make([]Result, cfg.K)
-	errs := make([]error, cfg.K)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.K; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return results
-}
 
 func TestInjectedInputMatchesGenerated(t *testing.T) {
 	// Supplying the generator's own files via Input must give outputs
 	// identical to generated mode.
-	const k, r, rows, seed = 4, 2, 1200, 31
-	plan, err := placement.Redundant(k, r, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := kv.NewGenerator(seed, kv.DistUniform)
-	input := make([]kv.Records, plan.NumFiles())
-	for i := range input {
-		input[i] = plan.Materialize(gen, i)
-	}
-	genResults := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed})
-	injResults := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed, Input: input})
-	for rank := range genResults {
-		if !genResults[rank].Output.Equal(injResults[rank].Output) {
-			t.Fatalf("rank %d output differs between generated and injected input", rank)
+	const k, rows, seed = 4, 1200, 31
+	for _, r := range []int{1, 2} {
+		plan, err := placement.Redundant(k, r, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := kv.NewGenerator(seed, kv.DistUniform)
+		input := make([]kv.Records, plan.NumFiles())
+		for i := range input {
+			input[i] = plan.Materialize(gen, i)
+		}
+		genResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		injResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, Input: input})
+		for rank := range genResults {
+			if !genResults[rank].Output.Equal(injResults[rank].Output) {
+				t.Fatalf("r=%d rank %d output differs between generated and injected input", r, rank)
+			}
 		}
 	}
 }
 
 func TestInjectedInputValidation(t *testing.T) {
-	mesh := memnet.NewMesh(2)
-	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	if _, err := Run(ep, Config{K: 2, R: 2, Input: []kv.Records{{}, {}}}, nil); err == nil {
-		t.Fatalf("wrong input file count accepted (want C(2,2)=1, gave 2)")
+	for _, cfg := range []Config{
+		{K: 2, R: 1, Input: []kv.Records{{}}},     // want K=2 files, gave 1
+		{K: 2, R: 2, Input: []kv.Records{{}, {}}}, // want C(2,2)=1, gave 2
+	} {
+		if _, err := cfg.normalize(); err == nil {
+			t.Fatalf("r=%d: wrong input file count accepted", cfg.R)
+		}
 	}
 }
 
-func TestParallelMulticastMatchesSerial(t *testing.T) {
-	base := Config{K: 5, R: 2, Rows: 2500, Seed: 32}
-	serial := runConfig(t, base)
-	par := base
-	par.Parallel = true
-	parallel := runConfig(t, par)
-	for rank := range serial {
-		if !serial[rank].Output.Equal(parallel[rank].Output) {
-			t.Fatalf("rank %d differs between schedules", rank)
+func TestParallelShuffleMatchesSerial(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		base := Config{K: 5, R: r, Rows: 2500, Seed: 32}
+		serial := runAll(t, base)
+		par := base
+		par.Parallel = true
+		parallel := runAll(t, par)
+		for rank := range serial {
+			if !serial[rank].Output.Equal(parallel[rank].Output) {
+				t.Fatalf("r=%d rank %d differs between schedules", r, rank)
+			}
 		}
 	}
 }
@@ -85,8 +63,8 @@ func TestParallelMulticastMatchesSerial(t *testing.T) {
 func TestParallelWithTreeMulticast(t *testing.T) {
 	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 33,
 		Strategy: transport.BcastBinomialTree, Parallel: true}
-	results := runConfig(t, cfg)
-	all := kv.Concat(resultOutputs(results)...)
+	results := runAll(t, cfg)
+	all := kv.Concat(outputs(results)...)
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
 	want.Sort()
 	if !all.Equal(want) {
@@ -94,15 +72,13 @@ func TestParallelWithTreeMulticast(t *testing.T) {
 	}
 }
 
-func TestFilterCodedGrep(t *testing.T) {
+func TestFilterGrep(t *testing.T) {
 	// The "Beyond Sorting" hook: only matching records survive, and the
-	// distributed result equals a sequential filter+sort.
-	const k, r, rows, seed = 4, 2, 4000, 34
+	// distributed result equals a sequential filter+sort — uncoded grep at
+	// r = 1, coded grep above.
+	const k, rows, seed = 4, 4000, 34
 	pattern := []byte("AB")
 	match := func(rec []byte) bool { return bytes.Contains(rec[kv.KeySize:], pattern) }
-	results := runConfig(t, Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match})
-	got := kv.Concat(resultOutputs(results)...)
-
 	data := kv.NewGenerator(seed, kv.DistUniform).Generate(0, rows)
 	want := kv.MakeRecords(0)
 	for i := 0; i < data.Len(); i++ {
@@ -111,16 +87,36 @@ func TestFilterCodedGrep(t *testing.T) {
 		}
 	}
 	want.Sort()
-	if !got.Equal(want) {
-		t.Fatalf("coded grep: %d records, want %d", got.Len(), want.Len())
-	}
 	if want.Len() == 0 {
 		t.Fatalf("degenerate test: no matches")
+	}
+	for _, r := range []int{1, 2} {
+		results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match})
+		if got := kv.Concat(outputs(results)...); !got.Equal(want) {
+			t.Fatalf("r=%d grep: %d records, want %d", r, got.Len(), want.Len())
+		}
+	}
+}
+
+func TestFilterShrinksShuffle(t *testing.T) {
+	const k, rows, seed = 4, 4000, 43
+	for _, r := range []int{1, 2} {
+		full := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		filtered := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed,
+			Filter: func(rec []byte) bool { return rec[0] < 0x20 }}) // ~1/8 of records
+		var fullBytes, filteredBytes int64
+		for i := range full {
+			fullBytes += full[i].SentBytes
+			filteredBytes += filtered[i].SentBytes
+		}
+		if filteredBytes*4 >= fullBytes {
+			t.Fatalf("r=%d: filtered shuffle %d not much smaller than full %d", r, filteredBytes, fullBytes)
+		}
 	}
 }
 
 func TestFilterRejectAll(t *testing.T) {
-	results := runConfig(t, Config{K: 4, R: 2, Rows: 400, Seed: 35,
+	results := runAll(t, Config{K: 4, R: 2, Rows: 400, Seed: 35,
 		Filter: func([]byte) bool { return false }})
 	for rank, res := range results {
 		if res.Output.Len() != 0 {
@@ -146,12 +142,4 @@ func TestGroupTagUniqueness(t *testing.T) {
 			}
 		}
 	}
-}
-
-func resultOutputs(results []Result) []kv.Records {
-	out := make([]kv.Records, len(results))
-	for i, r := range results {
-		out[i] = r.Output
-	}
-	return out
 }

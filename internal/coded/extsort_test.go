@@ -8,39 +8,8 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/memnet"
 	"codedterasort/internal/verify"
 )
-
-// runAllWith executes CodedTeraSort with a per-rank configuration hook
-// (budget tests install per-rank output sinks, which must not be shared).
-func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []Result {
-	t.Helper()
-	mesh := memnet.NewMesh(cfg.K)
-	defer mesh.Close()
-	results := make([]Result, cfg.K)
-	errs := make([]error, cfg.K)
-	var wg sync.WaitGroup
-	for r := 0; r < cfg.K; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c := cfg
-			if perRank != nil {
-				perRank(rank, &c)
-			}
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			results[rank], errs[rank] = Run(ep, c, nil)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	return results
-}
 
 // TestBudgetMatchesInMemory: for a sweep of (r, budget, schedule) cells,
 // the out-of-core coded engine must produce byte-identical per-rank output
@@ -50,7 +19,7 @@ func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []R
 func TestBudgetMatchesInMemory(t *testing.T) {
 	const k, rows, seed = 5, 5000, 59
 	for _, r := range []int{1, 2, 4, 5} {
-		ref := runAllWith(t, Config{K: k, R: r, Rows: rows, Seed: seed}, nil)
+		ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
 		for _, tc := range []struct {
 			name      string
 			budget    int64
@@ -59,12 +28,13 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 		}{
 			{"tiny", 16 * 1024, false, true},
 			{"tiny-parallel", 16 * 1024, true, true},
+			{"medium", 64 * 1024, false, true},
 			{"huge", 64 << 20, false, false},
 		} {
 			t.Run(tc.name+"/r="+string(rune('0'+r)), func(t *testing.T) {
 				cfg := Config{K: k, R: r, Rows: rows, Seed: seed,
 					MemBudget: tc.budget, SpillDir: t.TempDir(), Parallel: tc.parallel}
-				results := runAllWith(t, cfg, nil)
+				results := runAll(t, cfg)
 				var spilled int64
 				for rank := range results {
 					if !results[rank].Output.Equal(ref[rank].Output) {
@@ -74,6 +44,9 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 						results[rank].OutputChecksum != ref[rank].Output.Checksum() {
 						t.Fatalf("rank %d: output summary mismatch", rank)
 					}
+					if results[rank].Groups > 0 && results[rank].ChunksSent == 0 {
+						t.Fatalf("rank %d: budget run reported no chunks", rank)
+					}
 					spilled += results[rank].SpilledRuns
 				}
 				if tc.wantSpill && spilled == 0 {
@@ -82,38 +55,50 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 				if !tc.wantSpill && spilled != 0 {
 					t.Fatalf("huge budget spilled %d runs", spilled)
 				}
+				in := verify.DescribeGenerated(kv.NewGenerator(seed, kv.DistUniform), rows)
+				if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+					t.Fatal(err)
+				}
 			})
 		}
 	}
 }
 
-// TestBudgetStreamsToSink: sink-streamed coded output reassembles to the
-// in-memory partitions and passes full verification, with Output empty.
+// TestBudgetStreamsToSink: with an OutputSink the partition never
+// materializes in the Result — the streamed blocks reassemble to exactly
+// the in-memory output and pass full verification, and the Result summary
+// matches.
 func TestBudgetStreamsToSink(t *testing.T) {
-	const k, r, rows, seed = 4, 2, 4000, 61
-	ref := runAllWith(t, Config{K: k, R: r, Rows: rows, Seed: seed}, nil)
-	var mu sync.Mutex
-	streamed := make([]kv.Records, k)
-	cfg := Config{K: k, R: r, Rows: rows, Seed: seed, MemBudget: 24 * 1024, SpillDir: t.TempDir()}
-	results := runAllWith(t, cfg, func(rank int, c *Config) {
-		c.OutputSink = func(block kv.Records) error {
-			mu.Lock()
-			defer mu.Unlock()
-			streamed[rank] = streamed[rank].AppendRecords(block)
-			return nil
+	const k, rows, seed = 4, 4000, 61
+	for _, r := range []int{1, 2} {
+		ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		var mu sync.Mutex
+		streamed := make([]kv.Records, k)
+		cfg := Config{K: k, R: r, Rows: rows, Seed: seed, MemBudget: 24 * 1024, SpillDir: t.TempDir()}
+		results := runAllWith(t, cfg, func(rank int, c *Config) {
+			c.OutputSink = func(block kv.Records) error {
+				mu.Lock()
+				defer mu.Unlock()
+				streamed[rank] = streamed[rank].AppendRecords(block)
+				return nil
+			}
+		})
+		for rank := range results {
+			if results[rank].Output.Len() != 0 {
+				t.Fatalf("r=%d rank %d: Output materialized despite sink", r, rank)
+			}
+			if !streamed[rank].Equal(ref[rank].Output) {
+				t.Fatalf("r=%d rank %d: streamed output differs from in-memory output", r, rank)
+			}
+			if results[rank].OutputRows != int64(ref[rank].Output.Len()) ||
+				results[rank].OutputChecksum != ref[rank].Output.Checksum() {
+				t.Fatalf("r=%d rank %d: summary differs", r, rank)
+			}
 		}
-	})
-	for rank := range results {
-		if results[rank].Output.Len() != 0 {
-			t.Fatalf("rank %d: Output materialized despite sink", rank)
+		in := verify.DescribeGenerated(kv.NewGenerator(seed, kv.DistUniform), rows)
+		if err := verify.SortedOutput(streamed, partition.NewUniform(k), in); err != nil {
+			t.Fatal(err)
 		}
-		if !streamed[rank].Equal(ref[rank].Output) {
-			t.Fatalf("rank %d: streamed output differs from in-memory output", rank)
-		}
-	}
-	in := verify.DescribeGenerated(kv.NewGenerator(seed, kv.DistUniform), rows)
-	if err := verify.SortedOutput(streamed, partition.NewUniform(k), in); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -124,10 +109,10 @@ func TestBudgetWithFilterAndTree(t *testing.T) {
 	match := func(rec []byte) bool { return rec[kv.KeySize+8]%2 == 0 }
 	base := Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match,
 		Strategy: transport.BcastBinomialTree}
-	ref := runAllWith(t, base, nil)
+	ref := runAll(t, base)
 	cfg := base
 	cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()
-	results := runAllWith(t, cfg, nil)
+	results := runAll(t, cfg)
 	for rank := range results {
 		if !results[rank].Output.Equal(ref[rank].Output) {
 			t.Fatalf("rank %d: filtered budget output differs", rank)
@@ -147,7 +132,9 @@ func TestBudgetConfigValidation(t *testing.T) {
 	if cfg.ChunkRows <= 0 || cfg.Window <= 0 {
 		t.Fatalf("budget did not imply streaming: chunkRows=%d window=%d", cfg.ChunkRows, cfg.Window)
 	}
-	if _, err := (Config{K: 3, R: 2, Rows: 10, MemBudget: 1 << 30, ChunkRows: extsort.MaxBlockRows + 1}).normalize(); err == nil {
-		t.Fatal("ChunkRows above the spill block cap accepted in budget mode")
+	for _, r := range []int{1, 2} {
+		if _, err := (Config{K: 3, R: r, Rows: 10, MemBudget: 1 << 30, ChunkRows: extsort.MaxBlockRows + 1}).normalize(); err == nil {
+			t.Fatalf("r=%d: ChunkRows above the spill block cap accepted in budget mode", r)
+		}
 	}
 }

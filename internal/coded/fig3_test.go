@@ -1,4 +1,4 @@
-package terasort
+package coded
 
 import (
 	"sync"
@@ -54,7 +54,7 @@ func TestFig3Walkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: 4, Part: part, Input: input}
+	cfg := Config{K: 4, R: 1, Part: part, Input: input}
 
 	mesh := memnet.NewMesh(4)
 	defer mesh.Close()
@@ -95,15 +95,5 @@ func TestFig3Walkthrough(t *testing.T) {
 				t.Fatalf("node %d position %d: value %d, want %d", rank+1, i, got, v)
 			}
 		}
-	}
-}
-
-// TestInjectedInputValidation covers the Input-mode error paths.
-func TestInjectedInputValidation(t *testing.T) {
-	mesh := memnet.NewMesh(2)
-	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	if _, err := Run(ep, Config{K: 2, Input: []kv.Records{{}}}, nil); err == nil {
-		t.Fatalf("wrong file count accepted")
 	}
 }

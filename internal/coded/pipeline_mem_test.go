@@ -1,4 +1,4 @@
-package terasort
+package coded
 
 import (
 	"runtime"
@@ -52,7 +52,7 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 
 	measure := func(chunkRows int) uint64 {
 		var peak liveHeapPeak
-		runAll(t, Config{K: k, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4, Hooks: peak.hooks()})
+		runAll(t, Config{K: k, R: 1, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4, Hooks: peak.hooks()})
 		return peak.bytes
 	}
 

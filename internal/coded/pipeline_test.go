@@ -3,6 +3,7 @@ package coded
 import (
 	"testing"
 
+	"codedterasort/internal/engine"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/transport"
@@ -51,28 +52,52 @@ func TestPipelinedValidatesAgainstReference(t *testing.T) {
 
 // TestPipelinedChunkAccounting: every group stream carries at least one
 // chunk (empty streams close with a last-flagged chunk), the cluster-wide
-// sent count matches r x received (each multicast chunk is received by r
-// members), and MulticastOps tracks chunk packets.
+// received count is r x sent (each chunk packet reaches the r other members
+// of its clique group — one peer at r = 1), and SentOps tracks chunk
+// packets.
 func TestPipelinedChunkAccounting(t *testing.T) {
-	cfg := Config{K: 5, R: 2, Rows: 2000, Seed: 13, ChunkRows: 40}
-	results := runAll(t, cfg)
-	var sent, recv int64
-	for rank, res := range results {
-		if res.ChunksSent < int64(res.Groups) {
-			t.Fatalf("rank %d sent %d chunks over %d groups", rank, res.ChunksSent, res.Groups)
+	for _, cfg := range []Config{
+		{K: 3, R: 1, Rows: 1200, Seed: 5, ChunkRows: 50},
+		{K: 5, R: 2, Rows: 2000, Seed: 13, ChunkRows: 40},
+	} {
+		results := runAll(t, cfg)
+		var sent, recv int64
+		for rank, res := range results {
+			if res.ChunksSent < int64(res.Groups) {
+				t.Fatalf("r=%d rank %d sent %d chunks over %d groups", cfg.R, rank, res.ChunksSent, res.Groups)
+			}
+			if res.SentOps != res.ChunksSent {
+				t.Fatalf("r=%d rank %d: %d send ops != %d chunks", cfg.R, rank, res.SentOps, res.ChunksSent)
+			}
+			sent += res.ChunksSent
+			recv += res.ChunksReceived
 		}
-		if res.MulticastOps != res.ChunksSent {
-			t.Fatalf("rank %d: %d multicast ops != %d chunks", rank, res.MulticastOps, res.ChunksSent)
+		if recv != sent*int64(cfg.R) {
+			t.Fatalf("r=%d: chunks received %d != r x sent = %d", cfg.R, recv, sent*int64(cfg.R))
 		}
-		sent += res.ChunksSent
-		recv += res.ChunksReceived
-	}
-	if recv != sent*int64(cfg.R) {
-		t.Fatalf("chunks received %d != r x sent = %d", recv, sent*int64(cfg.R))
 	}
 }
 
-// TestPipelinedConfigValidation mirrors the terasort knob validation.
+// TestPipelinedEmptyStreams: zero-row inputs still close every stream via
+// the mandatory last-flagged empty chunk — one per group sent, one per
+// other member of each group received.
+func TestPipelinedEmptyStreams(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		results := runAll(t, Config{K: 3, R: r, Rows: 0, Seed: 1, ChunkRows: 10})
+		for rank, res := range results {
+			if res.Output.Len() != 0 {
+				t.Fatalf("r=%d rank %d produced %d records from empty input", r, rank, res.Output.Len())
+			}
+			if want := int64(res.Groups); res.ChunksSent != want || res.ChunksReceived != want*int64(r) {
+				t.Fatalf("r=%d rank %d: %d sent / %d received, want %d/%d empty closers",
+					r, rank, res.ChunksSent, res.ChunksReceived, want, want*int64(r))
+			}
+		}
+	}
+}
+
+// TestPipelinedConfigValidation: negative knobs are rejected, and the
+// default window is applied only when pipelining is on.
 func TestPipelinedConfigValidation(t *testing.T) {
 	if _, err := (Config{K: 3, R: 2, Rows: 10, ChunkRows: -1}).normalize(); err == nil {
 		t.Fatalf("negative ChunkRows accepted")
@@ -84,7 +109,14 @@ func TestPipelinedConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Window != DefaultWindow {
-		t.Fatalf("window defaulted to %d, want %d", c.Window, DefaultWindow)
+	if c.Window != engine.DefaultWindow {
+		t.Fatalf("window defaulted to %d, want %d", c.Window, engine.DefaultWindow)
+	}
+	c, err = (Config{K: 2, R: 1, Rows: 10}).normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Window != 0 {
+		t.Fatalf("window %d set without pipelining", c.Window)
 	}
 }

@@ -1,9 +1,9 @@
-// Package engine is the stage-graph execution runtime shared by both
-// sorting engines. The paper presents TeraSort and CodedTeraSort as one
-// dataflow parameterized by the redundancy r — the stages Map, Pack/Encode,
-// Shuffle, Unpack/Decode and Reduce differ only in their codec and shuffle
-// topology — so the runtime factors everything else out of the engine
-// packages:
+// Package engine is the stage-graph execution runtime under the sort
+// engine (internal/coded). The paper presents TeraSort and CodedTeraSort as
+// one dataflow parameterized by the redundancy r — the stages Map,
+// Pack/Encode, Shuffle, Unpack/Decode and Reduce — and the runtime factors
+// everything that is not placement, codec or shuffle topology out of the
+// engine package:
 //
 //   - A job is a declarative Graph of typed stages (Kind) with explicit
 //     data-plane edges (Stage.Needs/Provides) and mode annotations saying
@@ -18,12 +18,12 @@
 //     budget-bounded spill sorter lifecycle, transfer accounting, the
 //     serial-vs-parallel sender schedule, and LIFO cleanups.
 //   - The chunk-stream protocol of the pipelined modes is provided once
-//     (ChunkRx for the receive side, CreditGate for multi-receiver credit
-//     windows) so the engines contribute only their codec callbacks.
+//     (ChunkRx for the receive side, CreditGate for the send-side credit
+//     window) so the engine contributes only its codec callbacks.
 //
-// The engine packages are reduced to thin graph builders: placement plans,
-// codec stages, and shuffle topology (serial unicast vs. multicast groups)
-// are the only engine-specific code left.
+// The engine package is thereby a thin graph builder: the placement plan,
+// the codec stages and the group shuffle topology are all that is left in
+// it.
 package engine
 
 import (
@@ -33,9 +33,8 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// Kind types a stage. Both engines draw from the same vocabulary — the
-// paper's tables align Pack with Encode and Unpack with Decode, so a Kind
-// maps onto the shared stats.Stage axis for timing.
+// Kind types a stage. The paper's tables align Pack with Encode and Unpack
+// with Decode, so a Kind maps onto the shared stats.Stage axis for timing.
 type Kind int
 
 const (
@@ -43,7 +42,8 @@ const (
 	// distribution stands outside the measured pipeline); it is neither
 	// charged to the timeline nor followed by a barrier.
 	KindPlace Kind = iota
-	// KindCodeGen enumerates multicast groups (CodedTeraSort only).
+	// KindCodeGen establishes multicast-group communication state (graphs
+	// whose groups have more than two members).
 	KindCodeGen
 	// KindMap hashes input records into reducer partitions.
 	KindMap
@@ -143,8 +143,7 @@ type Graph struct {
 
 // NewGraph returns an empty graph. name prefixes run-time errors (it is the
 // engine's package name); barrierTag supplies the engine's tag for the
-// barrier following each timed stage, keeping the two engines' control
-// traffic in their existing disjoint tag ranges.
+// barrier following each timed stage.
 func NewGraph(name string, barrierTag func(stats.Stage) transport.Tag) *Graph {
 	return &Graph{name: name, barrierTag: barrierTag}
 }

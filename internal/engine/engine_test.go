@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"codedterasort/internal/codec"
+	"codedterasort/internal/combin"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
@@ -76,7 +77,7 @@ func TestPoliciesNormalize(t *testing.T) {
 			t.Errorf("%+v: error %q lacks name prefix", bad, err)
 		}
 	}
-	p, err := (Policies{MemBudget: 1 << 20, DefaultWindow: 4}).Normalize("enginetest", 4)
+	p, err := (Policies{MemBudget: 1 << 20}).Normalize("enginetest", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestPoliciesNormalize(t *testing.T) {
 	if p.Window != 4 {
 		t.Fatalf("default window not applied: %+v", p)
 	}
-	p, err = (Policies{ChunkRows: 50, Window: 9, DefaultWindow: 4}).Normalize("enginetest", 4)
+	p, err = (Policies{ChunkRows: 50, Window: 9}).Normalize("enginetest", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,9 +284,9 @@ func TestContextDeferLIFO(t *testing.T) {
 func TestChunkRx(t *testing.T) {
 	recs := kv.NewGenerator(7, kv.DistUniform).Generate(0, 10)
 	frames := [][]byte{
-		append([]byte(nil), codec.FramePackedChunk(0, false, recs.Slice(0, 4))...),
-		append([]byte(nil), codec.FramePackedChunk(1, false, recs.Slice(4, 7))...),
-		append([]byte(nil), codec.FramePackedChunk(2, true, recs.Slice(7, 10))...),
+		append([]byte(nil), codec.FrameSegmentChunk(0, false, recs.Slice(0, 4))...),
+		append([]byte(nil), codec.FrameSegmentChunk(1, false, recs.Slice(4, 7))...),
+		append([]byte(nil), codec.FrameSegmentChunk(2, true, recs.Slice(7, 10))...),
 	}
 	next := 0
 	acks := 0
@@ -300,8 +301,10 @@ func TestChunkRx(t *testing.T) {
 			return f, nil
 		},
 		Ack: func() error { acks++; return nil },
-		Decode: func(_ int, payload []byte) (kv.Records, error) {
-			return codec.UnpackIVZeroCopy(payload)
+		Decode: func(c int, payload []byte) (kv.Records, error) {
+			// A two-member group has nothing to cancel: the store is unread.
+			pair := codec.CliqueGroup(combin.NewSet(0, 1))
+			return codec.DecodeGroupPacketChunk(codec.IVMap{}, pair, 0, 1, 4, c, payload)
 		},
 		Consume: func(r kv.Records) error { out = out.AppendRecords(r); return nil },
 	}
@@ -320,7 +323,7 @@ func TestChunkRx(t *testing.T) {
 // TestChunkRxWrapsStreamErrors: framing violations surface through the
 // caller's wrapper; decode errors pass through as-is.
 func TestChunkRxWrapsStreamErrors(t *testing.T) {
-	bad := append([]byte(nil), codec.FramePackedChunk(5, true, kv.Records{})...) // wrong seq
+	bad := append([]byte(nil), codec.FrameSegmentChunk(5, true, kv.Records{})...) // wrong seq
 	rx := ChunkRx{
 		Recv:          func() ([]byte, error) { return bad, nil },
 		Ack:           func() error { return nil },

@@ -64,9 +64,12 @@ var (
 	Streaming = In(ModeChunked, ModeSpill)
 )
 
-// Policies are the scheduler knobs shared by both engines — the
-// cross-cutting execution behaviors that used to be per-engine plumbing.
-// The zero value selects the monolithic in-memory schedule.
+// DefaultWindow is the in-flight chunk window used when pipelining is
+// enabled without an explicit Window.
+const DefaultWindow = 4
+
+// Policies are the scheduler knobs — the cross-cutting execution
+// behaviors. The zero value selects the monolithic in-memory schedule.
 type Policies struct {
 	// ChunkRows, when positive, streams intermediate data in
 	// ChunkRows-record chunks with Pack/Encode, Shuffle and Unpack/Decode
@@ -75,9 +78,6 @@ type Policies struct {
 	// Window bounds unacknowledged in-flight chunks per stream when
 	// pipelining. Zero selects DefaultWindow.
 	Window int
-	// DefaultWindow is the engine's default chunk window, applied when
-	// pipelining is enabled without an explicit Window.
-	DefaultWindow int
 	// MemBudget, when positive, runs the worker out-of-core (ModeSpill):
 	// the Context's spill sorter absorbs the node's partition under the
 	// budget and Reduce becomes a streaming merge. Implies chunk streaming;
@@ -168,7 +168,7 @@ func (p Policies) Normalize(name string, streams int) (Policies, error) {
 		}
 	}
 	if p.ChunkRows > 0 && p.Window == 0 {
-		p.Window = p.DefaultWindow
+		p.Window = DefaultWindow
 	}
 	return p, nil
 }

@@ -13,8 +13,8 @@ import (
 // validation, so a decode error on the receive side never wedges the
 // sender behind a window that will not reopen.
 type ChunkRx struct {
-	// Recv returns the next framed chunk (a point-to-point Recv for the
-	// unicast topology, a group Bcast for the multicast one).
+	// Recv returns the next framed chunk (the receiving side of the group
+	// Bcast that carries the stream).
 	Recv func() ([]byte, error)
 	// Ack returns one credit to the stream's sender.
 	Ack func() error
@@ -59,11 +59,10 @@ func (rx ChunkRx) Run(counters *Counters) error {
 	return nil
 }
 
-// CreditGate bounds a stream's unacknowledged in-flight chunks when the
-// credits for one chunk return from several receivers — the multicast
-// counterpart of transport.StreamSender's unicast window. Await collects
-// one chunk's worth of credits (one per group member); Window <= 0
-// disables flow control.
+// CreditGate bounds a stream's unacknowledged in-flight chunks. Await
+// collects one chunk's worth of credits — one per other member of the
+// stream's group, so a single credit when the stream is a unicast;
+// Window <= 0 disables flow control.
 type CreditGate struct {
 	// Window is the in-flight chunk bound.
 	Window int

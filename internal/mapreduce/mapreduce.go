@@ -5,14 +5,13 @@
 // functions with tunable replication r.
 //
 // A Job pairs a user Mapper and Reducer with the shared runtime knobs and
-// compiles onto the stage-graph runtime in either of two forms:
+// compiles onto the sort engine (internal/coded) at its replication R:
 //
-//   - uncoded (R <= 1): the terasort graph — one input split per node,
-//     serial-unicast shuffle;
-//   - coded (R >= 2): the coded graph — every split mapped on R nodes,
-//     coded multicast shuffle moving ~1/R of the uncoded load.
+//   - uncoded (R <= 1): one input split per node, serial-unicast shuffle;
+//   - coded (R >= 2): every split mapped on R nodes, coded multicast
+//     shuffle moving ~1/R of the uncoded load.
 //
-// Either way the job inherits the engines' machinery for free: the chunked
+// Either way the job inherits the engine's machinery for free: the chunked
 // streaming shuffle (ChunkRows/Window), out-of-core spilling (MemBudget),
 // the multicore worker kernels (Parallelism), per-stage hooks, and the
 // fault-injection/recovery model. The map function runs inside the engines'
@@ -39,7 +38,6 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/terasort"
 	"codedterasort/internal/transport"
 )
 
@@ -97,9 +95,9 @@ type Job struct {
 	Reducer Reducer
 	// K is the number of worker nodes.
 	K int
-	// R is the map replication factor: R >= 2 compiles the job onto the
-	// coded engine (every input split mapped on R nodes, coded multicast
-	// shuffle); R <= 1 compiles onto the uncoded engine.
+	// R is the map replication factor: at R >= 2 every input split is
+	// mapped on R nodes and the shuffle is coded multicast; R <= 1 is the
+	// uncoded job.
 	R int
 	// Input, when non-empty, is the job's input dataset. The framework
 	// splits it by rows into the engine's input files: K contiguous splits
@@ -155,8 +153,8 @@ type Job struct {
 	Faults engine.Faults
 }
 
-// coded reports whether the job compiles onto the coded engine.
-func (j Job) coded() bool { return j.R >= 2 }
+// redundancy returns the engine's redundancy parameter (R = 0 means 1).
+func (j Job) redundancy() int { return max(j.R, 1) }
 
 // normalize validates the job and fills defaults.
 func (j Job) normalize() (Job, error) {
@@ -217,11 +215,7 @@ func (j Job) engineInput() ([]kv.Records, error) {
 	if j.Input.Len() == 0 {
 		return nil, nil
 	}
-	r := j.R
-	if !j.coded() {
-		r = 1
-	}
-	plan, err := placement.Redundant(j.K, r, j.Rows)
+	plan, err := placement.Redundant(j.K, j.redundancy(), j.Rows)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +242,8 @@ type Result struct {
 	// uncoded, multicast packet bytes (each packet counted once, the
 	// paper's load metric) coded.
 	ShuffleBytes int64
-	// MulticastOps counts coded packets multicast (0 uncoded).
+	// MulticastOps counts the packets (chunk packets when pipelining) this
+	// rank sent; uncoded each is a unicast.
 	MulticastOps int64
 	// ChunksSent and ChunksReceived count pipelined shuffle chunks (0 when
 	// ChunkRows is unset).
@@ -274,33 +269,9 @@ func Run(ep transport.Endpoint, job Job, tl *stats.Timeline) (Result, error) {
 		return Result{}, err
 	}
 	g := newGrouper(job.Reducer)
-	if job.coded() {
-		res, err := coded.Run(ep, coded.Config{
-			K: job.K, R: job.R, Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
-			Part: job.Part, Strategy: job.Strategy, Input: input,
-			Partitioning: job.Partitioning, SampleSize: job.SampleSize,
-			Parallel: job.Parallel, Transform: job.transform(),
-			ChunkRows: job.ChunkRows, Window: job.Window,
-			MemBudget: job.MemBudget, SpillDir: job.SpillDir,
-			OutputSink:  g.Feed,
-			Parallelism: job.Parallelism,
-			Hooks:       job.Hooks, Faults: job.Faults,
-		}, tl)
-		if err != nil {
-			return Result{}, err
-		}
-		return g.finish(Result{
-			ShuffleBytes:   res.MulticastBytes,
-			MulticastOps:   res.MulticastOps,
-			ChunksSent:     res.ChunksSent,
-			ChunksReceived: res.ChunksReceived,
-			SpilledRuns:    res.SpilledRuns,
-			Times:          res.Times,
-		}), nil
-	}
-	res, err := terasort.Run(ep, terasort.Config{
-		K: job.K, Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
-		Part: job.Part, Input: input,
+	res, err := coded.Run(ep, coded.Config{
+		K: job.K, R: job.redundancy(), Rows: job.Rows, Seed: job.Seed, Dist: job.Dist,
+		Part: job.Part, Strategy: job.Strategy, Input: input,
 		Partitioning: job.Partitioning, SampleSize: job.SampleSize,
 		Parallel: job.Parallel, Transform: job.transform(),
 		ChunkRows: job.ChunkRows, Window: job.Window,
@@ -313,7 +284,8 @@ func Run(ep transport.Endpoint, job Job, tl *stats.Timeline) (Result, error) {
 		return Result{}, err
 	}
 	return g.finish(Result{
-		ShuffleBytes:   res.ShuffleBytes,
+		ShuffleBytes:   res.SentBytes,
+		MulticastOps:   res.SentOps,
 		ChunksSent:     res.ChunksSent,
 		ChunksReceived: res.ChunksReceived,
 		SpilledRuns:    res.SpilledRuns,

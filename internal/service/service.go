@@ -295,6 +295,9 @@ func (s *Server) runJob(j *job, lease *cluster.Lease) {
 		outcome, state = tenant.Failed, StateFailed
 	}
 
+	// Tenant accounting first: a waiter released by j.done below must find
+	// the job already counted.
+	s.tenants.Get(j.tenant).JobFinished(outcome)
 	s.mu.Lock()
 	j.state = state
 	j.finished = s.cfg.Now()
@@ -315,10 +318,7 @@ func (s *Server) runJob(j *job, lease *cluster.Lease) {
 		s.totals.recoveredFaults += int64(len(rep.Recovered))
 	}
 	close(j.done)
-	s.mu.Unlock()
-	s.tenants.Get(j.tenant).JobFinished(outcome)
 	// A finished job may free a tenant's running cap: wake the dispatcher.
-	s.mu.Lock()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }

@@ -10,6 +10,11 @@ package transport
 // O(chunk size x window) per stream. Every chunk is one transport message,
 // so the Meter accounts the stream chunk by chunk (per-chunk message counts
 // and bytes) with no extra hooks.
+//
+// The sort engine windows its streams with engine.CreditGate, whose
+// one-member await covers unicast; StreamSender stays only because the
+// repository benchmark's transport probe (bench/probe_transport.go)
+// measures the meshes through it.
 type StreamSender struct {
 	c        Conn
 	to       int
