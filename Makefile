@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fuzz largek-smoke bench bench-smoke bench-test bench-compare cover cover-gate loc service-smoke vuln ci
+.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fuzz largek-smoke bench bench-smoke bench-test bench-compare profile cover cover-gate loc service-smoke vuln ci
 
 all: ci
 
@@ -58,9 +58,12 @@ race:
 
 # Short fuzz smoke over the wire- and disk-facing surfaces (chunk framing,
 # packed IVs, coded packets, spill-file blocks) plus the resolvable-design
-# generator, whose invariants every large-K shuffle depends on. One shell
-# with set -e so the first failing fuzz target fails the whole recipe fast
-# — no later invocation can mask it. CI-friendly: seconds, not hours.
+# generator, whose invariants every large-K shuffle depends on, and the
+# input generator, whose bytes every replica and golden digest depends on
+# (FuzzGenerateBlocks: any blocking of any row range == the per-byte
+# reference). One shell with set -e so the first failing fuzz target fails
+# the whole recipe fast — no later invocation can mask it. CI-friendly:
+# seconds, not hours.
 fuzz:
 	set -e; \
 	for target in FuzzOpenChunk FuzzChunkStream FuzzUnpackIV; do \
@@ -71,6 +74,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzMapReduceKernels -fuzztime=5s ./internal/mapreduce/
 	$(GO) test -run=Fuzz -fuzz=FuzzDesign -fuzztime=5s ./internal/placement/resolvable/
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitters -fuzztime=5s ./internal/partition/
+	$(GO) test -run=Fuzz -fuzz=FuzzGenerateBlocks -fuzztime=5s ./internal/kv/
 
 # Large-K smoke: the K=64 resolvable sort over multiplexed logical ranks,
 # checksum-tied to the uncoded oracle. Also runs (race-enabled) inside the
@@ -87,6 +91,18 @@ bench:
 # cannot bit-rot; wired into CI. Timing output is meaningless at 1x.
 bench-smoke:
 	$(GO) test -run=XXX -bench=. -benchtime=1x ./...
+
+# Where a whole job's CPU goes: one job shape of the repository benchmark
+# (BenchmarkJob/<JOB>: uncoded_mem, coded_mem or uncoded_spill) under the
+# CPU profiler, then the top frames. The profile and test binary go to
+# PROFILE_DIR, outside the tree.
+JOB         ?= uncoded_mem
+PROFILE_DIR ?= $${TMPDIR:-/tmp}/codedterasort-profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	$(GO) test -run='^$$' -bench='^BenchmarkJob$$/^$(JOB)$$' -benchtime=20x \
+		-cpuprofile=$(PROFILE_DIR)/$(JOB).prof -o $(PROFILE_DIR)/bench.test .
+	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/$(JOB).prof
 
 # The repository benchmark (bench/, a module of its own that `./...` does
 # not reach) calls internal packages from its probes; its own tests build

@@ -9,6 +9,7 @@
 package codedterasort_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -367,6 +368,38 @@ func benchLive(b *testing.B, spec cluster.Spec) {
 		if _, err := cluster.RunLocal(spec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkJob runs whole jobs in the three compute-bound shapes of the
+// repository benchmark (bench/workloads.go: K=4, 1M rows, one goroutine per
+// rank) through cluster.RunLocalOpts — placement, the sort and output
+// verification, the span its job_s times. `make profile JOB=<shape>`
+// profiles one of them to show where a job's CPU goes.
+func BenchmarkJob(b *testing.B) {
+	const ranks, rows = 4, 1_000_000
+	mem := cluster.Spec{Algorithm: cluster.AlgTeraSort, K: ranks, Rows: rows, Seed: 11, Parallelism: 1}
+	coded := mem
+	coded.Algorithm, coded.R = cluster.AlgCoded, 2
+	spill := mem
+	spill.ParallelShuffle = true
+	spill.MemBudget = rows * kv.RecordSize / ranks / 8
+	for _, shape := range []struct {
+		name string
+		spec cluster.Spec
+	}{{"uncoded_mem", mem}, {"coded_mem", coded}, {"uncoded_spill", spill}} {
+		b.Run(shape.name, func(b *testing.B) {
+			spec := shape.spec
+			if spec.MemBudget > 0 {
+				spec.SpillDir = b.TempDir()
+			}
+			b.SetBytes(rows * kv.RecordSize)
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.RunLocalOpts(context.Background(), spec, cluster.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

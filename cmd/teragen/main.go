@@ -64,9 +64,10 @@ func run(rows int64, seed uint64, skewed bool, out string, text bool) error {
 	defer bw.Flush()
 
 	if text {
+		var rec [kv.RecordSize]byte
 		for i := int64(0); i < rows; i++ {
-			r := gen.Generate(i, 1)
-			fmt.Fprintf(bw, "row %8d  key=%x  value=%s...\n", i, r.Key(0), r.Value(0)[:24])
+			gen.Record(rec[:], i)
+			fmt.Fprintf(bw, "row %8d  key=%x  value=%s...\n", i, rec[:kv.KeySize], rec[kv.KeySize:][:24])
 		}
 		return nil
 	}

@@ -68,6 +68,16 @@
 // attempt partitions identically (internal/partition; -dist selects the
 // skewed-workload generators zipf/sorted/nearsorted/dupheavy/varprefix
 // that defeat the uniform split; DESIGN.md section 16).
+// Input is generated, not read: kv.Generator is addressable by row —
+// record i is a pure function of (seed, distribution, i) — so the r holders
+// of a file, the verifier and a recovered attempt each materialise the
+// same bytes with no data movement. One block kernel produces every row:
+// the 82-letter value filler, a serial 64-bit LCG by definition, runs as
+// eight jump-ahead lanes (v_(n+j) = a^j v_n + c(a^j-1)/(a-1) mod 2^64)
+// with a letter table and word stores, byte-identical to the serial chain.
+// The bytes are frozen — replicas are XORed against each other in
+// decoding, and every golden digest in the tree is a digest of generated
+// input (DESIGN.md section 2).
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; the tests in internal/simnet pin the reproduced
 // values against the paper's tables; cmd/benchjson tracks the pipeline

@@ -361,10 +361,10 @@ func (s Spec) ExpectedSplitters() ([][]byte, error) {
 	} else {
 		gen := kv.NewGenerator(s.Seed, s.Dist())
 		stride := partition.SampleStride(s.Rows, s.SampleSize)
-		rec := make([]byte, kv.RecordSize)
+		var key [kv.KeySize]byte
 		for g := int64(0); g < s.Rows; g += stride {
-			gen.Record(rec, g)
-			keys = append(keys, rec[:kv.KeySize]...)
+			gen.Key(key[:], g)
+			keys = append(keys, key[:]...)
 		}
 	}
 	return partition.SelectSplitters(keys, s.K)

@@ -604,8 +604,12 @@ func (w *worker) sampleKeys() ([]byte, error) {
 	}
 	stride := partition.SampleStride(offsets[n], w.cfg.SampleSize)
 	gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
+	// A Map-stage hook may read or rewrite the value, so it needs whole
+	// sampled records; without one a generated sample is keys alone.
+	hooked := w.cfg.Filter != nil || w.cfg.Transform != nil
 	rec := make([]byte, kv.RecordSize)
 	sampled := kv.MakeRecords(0)
+	var keys []byte
 	for _, fi := range w.stored {
 		if w.plan.Files[fi].Min() != w.rank {
 			continue
@@ -630,17 +634,23 @@ func (w *worker) sampleKeys() ([]byte, error) {
 		}
 		first, last := offsets[fi], offsets[fi+1]
 		for g := partition.FirstSampleRow(first, stride); g < last; g += stride {
-			if w.cfg.Input != nil {
+			// Generated files tile [0, Rows) in file order, so the plan
+			// row of a sampled offset is the offset itself.
+			switch {
+			case w.cfg.Input != nil:
 				sampled = sampled.Append(w.cfg.Input[fi].Record(int(g - first)))
-			} else {
-				// Generated files tile [0, Rows) in file order, so the
-				// plan row of a sampled offset is the offset itself.
+			case hooked:
 				gen.Record(rec, g)
 				sampled = sampled.Append(rec)
+			default:
+				gen.Key(rec[:kv.KeySize], g)
+				keys = append(keys, rec[:kv.KeySize]...)
 			}
 		}
 	}
-	return w.mapRecords(sampled).Keys(), nil
+	// One run samples either records or bare keys, never both, so the
+	// order of the two parts is immaterial.
+	return append(keys, w.mapRecords(sampled).Keys()...), nil
 }
 
 // mapRecords applies the Map-stage record hooks in order: Filter selects,

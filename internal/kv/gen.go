@@ -129,24 +129,77 @@ func NewGenerator(seed uint64, dist Distribution) *Generator {
 	return &Generator{seed: seed, dist: dist}
 }
 
-// Record writes record number row into dst, which must be RecordSize bytes.
-func (g *Generator) Record(dst []byte, row int64) {
-	if len(dst) != RecordSize {
-		panic(fmt.Sprintf("kv: Generator.Record dst of %d bytes", len(dst)))
+// The value filler is 82 steps of the 64-bit LCG v -> v*lcgA + lcgC, one
+// printable letter from the top seven bits of each state. Stepping it as
+// written is a chain of 82 dependent multiplies; the kernel instead runs
+// fillLanes independent chains, lane j starting at state j+1 and striding
+// by fillLanes, using the jump-ahead form of an affine map:
+//
+//	v_(n+j) = lcgA^j * v_n + lcgC*(lcgA^j-1)/(lcgA-1)   (mod 2^64)
+//
+// so the states, and hence the bytes, are those of the serial chain.
+const (
+	lcgA = 6364136223846793005
+	lcgC = 1442695040888963407
+	// fillLanes is both the lane count and the letters stored per word.
+	fillLanes = 8
+	// fillerOff is where the filler starts: after the key and the row id.
+	fillerOff = KeySize + 8
+	// fillerWords full words of letters, then fillerTail single letters.
+	fillerWords = (RecordSize - fillerOff) / fillLanes
+	fillerTail  = (RecordSize - fillerOff) % fillLanes
+)
+
+// fill writes its tail from lanes 0 and 1 by name; a record layout with a
+// different tail must not compile.
+const _ = uint(fillerTail-2) + uint(2-fillerTail)
+
+var (
+	// lcgJumpA[j], lcgJumpC[j] advance the filler LCG by j+1 steps at once.
+	lcgJumpA, lcgJumpC [fillLanes]uint64
+	// fillerLetter maps the top seven bits of a state to its letter,
+	// 'A' + bits%26.
+	fillerLetter [128]byte
+)
+
+func init() {
+	a, c := uint64(1), uint64(0)
+	for j := range lcgJumpA {
+		a, c = a*lcgA, c*lcgA+lcgC
+		lcgJumpA[j], lcgJumpC[j] = a, c
 	}
-	// Two independent splitmix streams per row: one for the key material,
-	// one for the value filler.
-	s := mix64(g.seed ^ mix64(uint64(row)+0x9e3779b97f4a7c15))
-	var keyMat [16]byte
-	binary.BigEndian.PutUint64(keyMat[0:8], mix64(s+1))
-	binary.BigEndian.PutUint64(keyMat[8:16], mix64(s+2))
-	copy(dst[:KeySize], keyMat[:KeySize])
+	for i := range fillerLetter {
+		fillerLetter[i] = 'A' + byte(i%26)
+	}
+}
+
+// rowState returns the splitmix state every field of a row derives from:
+// state+1 and +2 feed the key, +3 the value filler, +4 the distribution's
+// own draw.
+func (g *Generator) rowState(row int64) uint64 {
+	return mix64(g.seed ^ mix64(uint64(row)+0x9e3779b97f4a7c15))
+}
+
+// key returns the key of the row with state s as its first eight bytes
+// (big-endian in hi) and its last two (big-endian in lo).
+func (g *Generator) key(s uint64, row int64) (hi uint64, lo uint16) {
+	hi, lo = mix64(s+1), uint16(mix64(s+2)>>48)
+	if g.dist != DistUniform {
+		hi, lo = g.shapeKey(s, row, hi, lo)
+	}
+	return hi, lo
+}
+
+// shapeKey bends a uniform key to the generator's distribution. It is kept
+// out of key so the TeraGen default pays one predictable branch per row,
+// not the switch.
+func (g *Generator) shapeKey(s uint64, row int64, hi uint64, lo uint16) (uint64, uint16) {
 	switch g.dist {
 	case DistSkewed:
 		// Skew: fold the first byte towards zero. b -> b*b/255 keeps the
 		// full range but quadratically favors small values.
-		b := int(dst[0])
-		dst[0] = byte(b * b / 255)
+		b := hi >> 56
+		return b*b/255<<56 | hi<<8>>8, lo
 	case DistZipf:
 		// Inverse-CDF draw of the rank. u is uniform in (0, 1); the offset
 		// keeps it away from 0 so Pow stays finite. math.Pow is only
@@ -154,75 +207,122 @@ func (g *Generator) Record(dst []byte, row int64) {
 		// splitter agreement needs (every rank runs the same build).
 		u := (float64(mix64(s+4)>>11) + 0.5) / (1 << 53)
 		rank := math.Pow(u, -1/(zipfTheta-1))
-		r32 := uint32(math.MaxUint32)
+		r32 := uint64(math.MaxUint32)
 		if rank < float64(math.MaxUint32) {
-			r32 = uint32(rank)
+			r32 = uint64(uint32(rank))
 		}
-		binary.BigEndian.PutUint32(dst[0:4], r32)
+		return r32<<32 | hi&math.MaxUint32, lo
 	case DistSorted:
-		binary.BigEndian.PutUint64(dst[0:8], uint64(row))
+		return uint64(row), lo
 	case DistNearSorted:
 		jitter := int64(mix64(s+4)%(2*nearSortedJitter+1)) - nearSortedJitter
 		v := row + jitter
 		if v < 0 {
 			v = 0
 		}
-		binary.BigEndian.PutUint64(dst[0:8], uint64(v))
+		return uint64(v), lo
 	case DistDupHeavy:
 		// The whole key is a function of the duplicate id, so the input
 		// holds exactly dupHeavyDomain distinct keys.
 		h := mix64(mix64(s+4)%dupHeavyDomain + 0xd1b54a32d192ed03)
-		binary.BigEndian.PutUint64(dst[0:8], h)
-		binary.BigEndian.PutUint16(dst[8:10], uint16(h>>48))
+		return h, uint16(h >> 48)
 	case DistVarPrefix:
-		d := int(mix64(s+4) % (varPrefixMaxLen + 1))
-		for i := 0; i < d; i++ {
-			dst[i] = varPrefixByte
+		// The first d bytes become the prefix byte; d = 0 shifts the mask
+		// out entirely.
+		d := mix64(s+4) % (varPrefixMaxLen + 1)
+		mask := ^uint64(0) << (64 - 8*d)
+		return varPrefixByte*0x0101010101010101&mask | hi&^mask, lo
+	}
+	return hi, lo
+}
+
+// fill is the one row kernel: it writes rows first, first+1, ... over buf,
+// whose length must be a multiple of RecordSize. Every producer below is a
+// loop of fill calls, so they cannot disagree on a byte.
+func (g *Generator) fill(buf []byte, first int64) {
+	row := first
+	for ; len(buf) >= RecordSize; buf, row = buf[RecordSize:], row+1 {
+		dst := buf[:RecordSize:RecordSize]
+		s := g.rowState(row)
+		hi, lo := g.key(s, row)
+		binary.BigEndian.PutUint64(dst[0:8], hi)
+		binary.BigEndian.PutUint16(dst[8:10], lo)
+		// Value: row id in the first 8 bytes (mirrors TeraGen embedding
+		// the row number) then deterministic printable filler.
+		binary.BigEndian.PutUint64(dst[KeySize:fillerOff], uint64(row))
+
+		v := mix64(s + 3)
+		x0 := v*lcgJumpA[0] + lcgJumpC[0]
+		x1 := v*lcgJumpA[1] + lcgJumpC[1]
+		x2 := v*lcgJumpA[2] + lcgJumpC[2]
+		x3 := v*lcgJumpA[3] + lcgJumpC[3]
+		x4 := v*lcgJumpA[4] + lcgJumpC[4]
+		x5 := v*lcgJumpA[5] + lcgJumpC[5]
+		x6 := v*lcgJumpA[6] + lcgJumpC[6]
+		x7 := v*lcgJumpA[7] + lcgJumpC[7]
+		a, c := lcgJumpA[fillLanes-1], lcgJumpC[fillLanes-1]
+		out := dst[fillerOff:]
+		for w := 0; w < fillerWords; w++ {
+			letters := uint64(fillerLetter[x0>>57]) |
+				uint64(fillerLetter[x1>>57])<<8 |
+				uint64(fillerLetter[x2>>57])<<16 |
+				uint64(fillerLetter[x3>>57])<<24 |
+				uint64(fillerLetter[x4>>57])<<32 |
+				uint64(fillerLetter[x5>>57])<<40 |
+				uint64(fillerLetter[x6>>57])<<48 |
+				uint64(fillerLetter[x7>>57])<<56
+			binary.LittleEndian.PutUint64(out[w*fillLanes:], letters)
+			x0, x1, x2, x3 = x0*a+c, x1*a+c, x2*a+c, x3*a+c
+			x4, x5, x6, x7 = x4*a+c, x5*a+c, x6*a+c, x7*a+c
 		}
+		out[fillerWords*fillLanes] = fillerLetter[x0>>57]
+		out[fillerWords*fillLanes+1] = fillerLetter[x1>>57]
 	}
-	// Value: row id in the first 8 bytes (mirrors TeraGen embedding the row
-	// number) then deterministic printable filler.
-	binary.BigEndian.PutUint64(dst[KeySize:KeySize+8], uint64(row))
-	v := mix64(s + 3)
-	for i := KeySize + 8; i < RecordSize; i++ {
-		v = v*6364136223846793005 + 1442695040888963407
-		dst[i] = 'A' + byte((v>>57)%26)
+}
+
+// Record writes record number row into dst, which must be RecordSize bytes:
+// the one-row form of the block kernel.
+func (g *Generator) Record(dst []byte, row int64) {
+	if len(dst) != RecordSize {
+		panic(fmt.Sprintf("kv: Generator.Record dst of %d bytes", len(dst)))
 	}
+	g.fill(dst, row)
+}
+
+// Key writes the key of record number row into dst, which must be KeySize
+// bytes — the bytes Record would put there, without the value.
+func (g *Generator) Key(dst []byte, row int64) {
+	if len(dst) != KeySize {
+		panic(fmt.Sprintf("kv: Generator.Key dst of %d bytes", len(dst)))
+	}
+	hi, lo := g.key(g.rowState(row), row)
+	binary.BigEndian.PutUint64(dst[0:8], hi)
+	binary.BigEndian.PutUint16(dst[8:10], lo)
 }
 
 // Generate materializes rows [first, first+count) as a fresh buffer.
 func (g *Generator) Generate(first, count int64) Records {
 	buf := make([]byte, count*RecordSize)
-	for i := int64(0); i < count; i++ {
-		g.Record(buf[i*RecordSize:(i+1)*RecordSize], first+i)
-	}
+	g.fill(buf, first)
 	return Records{buf: buf}
 }
 
-// GenerateInto appends rows [first, first+count) to dst and returns it.
-func (g *Generator) GenerateInto(dst Records, first, count int64) Records {
-	start := len(dst.buf)
-	dst.buf = append(dst.buf, make([]byte, count*RecordSize)...)
-	for i := int64(0); i < count; i++ {
-		off := start + int(i)*RecordSize
-		g.Record(dst.buf[off:off+RecordSize], first+i)
-	}
-	return dst
-}
+// parallelGenMinRows is the size below which GenerateParallel stays on the
+// calling goroutine: under ~0.2 ms of generation the spawn and join cost of
+// the shards is no longer noise.
+const parallelGenMinRows = 1 << 12
 
 // GenerateParallel materializes rows [first, first+count) on up to procs
 // goroutines, each filling a disjoint contiguous range of one buffer.
 // Record i is a pure function of (seed, i), so the result is byte-identical
 // to Generate at any worker count.
 func (g *Generator) GenerateParallel(first, count int64, procs int) Records {
-	if procs <= 1 || count < parallelSortMinRows {
+	if procs <= 1 || count < parallelGenMinRows {
 		return g.Generate(first, count)
 	}
 	buf := make([]byte, count*RecordSize)
 	parallel.ForShards(procs, int(count), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			g.Record(buf[i*RecordSize:(i+1)*RecordSize], first+int64(i))
-		}
+		g.fill(buf[lo*RecordSize:hi*RecordSize], first+int64(lo))
 		return nil
 	})
 	return Records{buf: buf}
@@ -250,9 +350,7 @@ func (g *Generator) GenerateBlocks(first, count int64, blockRows int, fn func(Re
 			n = int64(blockRows)
 		}
 		buf = buf[:n*int64(RecordSize)]
-		for i := int64(0); i < n; i++ {
-			g.Record(buf[i*RecordSize:(i+1)*RecordSize], first+off+i)
-		}
+		g.fill(buf, first+off)
 		if err := fn(Records{buf: buf}); err != nil {
 			return err
 		}

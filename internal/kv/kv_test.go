@@ -214,19 +214,6 @@ func TestGeneratorAddressable(t *testing.T) {
 	}
 }
 
-func TestGenerateInto(t *testing.T) {
-	g := NewGenerator(5, DistUniform)
-	r := g.Generate(0, 10)
-	r2 := g.GenerateInto(MakeRecords(10), 0, 10)
-	if !r.Equal(r2) {
-		t.Fatalf("GenerateInto mismatch")
-	}
-	r3 := g.GenerateInto(g.Generate(0, 4), 4, 6)
-	if !r3.Equal(r.Slice(0, 10)) {
-		t.Fatalf("GenerateInto append mismatch")
-	}
-}
-
 func TestGeneratorKeyUniformity(t *testing.T) {
 	// First key byte should be roughly uniform: chi-square over 16 buckets.
 	r := NewGenerator(2024, DistUniform).Generate(0, 16000)
@@ -330,14 +317,6 @@ func TestSplitRowsPanicsOnZero(t *testing.T) {
 		}
 	}()
 	SplitRows(10, 0)
-}
-
-func BenchmarkGenerate(b *testing.B) {
-	g := NewGenerator(1, DistUniform)
-	b.SetBytes(RecordSize * 10000)
-	for i := 0; i < b.N; i++ {
-		_ = g.Generate(0, 10000)
-	}
 }
 
 func BenchmarkSort100k(b *testing.B) {

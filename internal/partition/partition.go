@@ -101,15 +101,16 @@ func (u Uniform) Partition(key []byte) int {
 }
 
 // bePrefix64 reads the first 8 bytes of key as a big-endian uint64,
-// zero-padding short keys (callers always pass kv.KeySize = 10 bytes).
+// zero-padding short keys. Callers pass kv.KeySize = 10 bytes, which take
+// the single-load path; Split's count and scatter passes each call this
+// once per record.
 func bePrefix64(key []byte) uint64 {
-	var p uint64
-	n := len(key)
-	if n > 8 {
-		n = 8
+	if len(key) >= 8 {
+		return binary.BigEndian.Uint64(key)
 	}
-	for i := 0; i < n; i++ {
-		p |= uint64(key[i]) << uint(56-8*i)
+	var p uint64
+	for i, b := range key {
+		p |= uint64(b) << uint(56-8*i)
 	}
 	return p
 }

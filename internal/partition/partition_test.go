@@ -92,6 +92,32 @@ func TestUniformBalance(t *testing.T) {
 	}
 }
 
+// TestBEPrefix64MatchesByteLoop holds both paths of bePrefix64 — the
+// single load for keys of 8 bytes or more, the zero-padded tail for shorter
+// ones — to the byte-by-byte form it replaced.
+func TestBEPrefix64MatchesByteLoop(t *testing.T) {
+	loop := func(key []byte) uint64 {
+		var p uint64
+		n := len(key)
+		if n > 8 {
+			n = 8
+		}
+		for i := 0; i < n; i++ {
+			p |= uint64(key[i]) << uint(56-8*i)
+		}
+		return p
+	}
+	src := []byte{0xf1, 0x02, 0xe3, 0x04, 0xd5, 0x06, 0xc7, 0x08, 0xb9, 0x0a, 0xab, 0x0c}
+	for n := 0; n <= len(src); n++ {
+		if got, want := bePrefix64(src[:n]), loop(src[:n]); got != want {
+			t.Errorf("%d-byte key: prefix %#x, byte loop %#x", n, got, want)
+		}
+	}
+	if err := quick.Check(func(key []byte) bool { return bePrefix64(key) == loop(key) }, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestNewUniformPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -33,10 +33,10 @@ func skewPoint(dist kv.Distribution, k int, rows int64, seed uint64, sampleSize 
 	gen := kv.NewGenerator(seed, dist)
 	stride := partition.SampleStride(rows, sampleSize)
 	var sample []byte
-	var rec [kv.RecordSize]byte
+	var key [kv.KeySize]byte
 	for row := int64(0); row < rows; row += stride {
-		gen.Record(rec[:], row)
-		sample = append(sample, rec[:kv.KeySize]...)
+		gen.Key(key[:], row)
+		sample = append(sample, key[:]...)
 	}
 	bounds, err := partition.SelectSplitters(sample, k)
 	if err != nil {
@@ -50,9 +50,9 @@ func skewPoint(dist kv.Distribution, k int, rows int64, seed uint64, sampleSize 
 	uniCounts := make([]int, k)
 	smpCounts := make([]int, k)
 	for row := int64(0); row < rows; row++ {
-		gen.Record(rec[:], row)
-		uniCounts[uniform.Partition(rec[:kv.KeySize])]++
-		smpCounts[sampled.Partition(rec[:kv.KeySize])]++
+		gen.Key(key[:], row)
+		uniCounts[uniform.Partition(key[:])]++
+		smpCounts[sampled.Partition(key[:])]++
 	}
 	return SkewPoint{
 		Dist: dist, Rows: rows, K: k,
