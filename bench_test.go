@@ -19,6 +19,7 @@ import (
 	"codedterasort/internal/codec"
 	codedpkg "codedterasort/internal/coded"
 	"codedterasort/internal/combin"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/model"
 	"codedterasort/internal/parallel"
@@ -405,7 +406,7 @@ func BenchmarkJob(b *testing.B) {
 
 // Raw stage-driver benchmark over memnet without the cluster harness.
 func BenchmarkRawTeraSortDriver(b *testing.B) {
-	cfg := codedpkg.Config{K: 4, R: 1, Rows: 20000, Seed: 1}
+	cfg := codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: 4, Rows: 20000, Seed: 1}}
 	b.SetBytes(cfg.Rows * kv.RecordSize)
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(cfg.K)
@@ -580,7 +581,7 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 				go func(rank int) {
 					defer wg.Done()
 					ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-					res, err := codedpkg.Run(ep, codedpkg.Config{K: 4, R: r, Rows: 20000, Seed: 5, Filter: match}, nil)
+					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Filter: match}, nil)
 					if err != nil {
 						b.Error(err)
 						return

@@ -621,11 +621,11 @@ func runMapReduce(rows int64) ([]mapreduceResult, error) {
 	}
 	var out []mapreduceResult
 	for _, kern := range mapreduce.Kernels() {
-		plainRep, err := mapreduce.RunLocal(kern.Job(k, 1, mrRows, 11), mapreduce.LocalOptions{})
+		plainRep, err := mapreduce.RunLocal(kern.Job(k, 1, mrRows, 11))
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce %s uncoded: %w", kern.Name, err)
 		}
-		codedRep, err := mapreduce.RunLocal(kern.Job(k, r, mrRows, 11), mapreduce.LocalOptions{})
+		codedRep, err := mapreduce.RunLocal(kern.Job(k, r, mrRows, 11))
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce %s coded: %w", kern.Name, err)
 		}

@@ -20,58 +20,76 @@ import (
 	"time"
 
 	"codedterasort/cmd/internal/flags"
-	"codedterasort/internal/kv"
+	"codedterasort/internal/job"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
 )
 
-func main() {
-	var j flags.Job
-	j.RegisterCommon(flag.CommandLine, 6)
-	j.RegisterCoded(flag.CommandLine, 3)
-	kernel := flag.String("kernel", "wordcount", "registered kernel to run (see -list)")
-	pattern := flag.String("pattern", "QQ", "pattern the grep kernel selects on")
-	compare := flag.Bool("compare", false, "also run the uncoded baseline and report the load gain")
-	list := flag.Bool("list", false, "list the registered kernels and exit")
-	show := flag.Int("show", 0, "print the first N reduced records of each rank")
+// options are codedmr's parsed flags.
+type options struct {
+	j       flags.Job
+	kernel  string
+	pattern string
+	compare bool
+	list    bool
+	show    int
+}
+
+// register binds codedmr's flag surface onto fs.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	o.j.RegisterCommon(fs, 6)
+	o.j.RegisterCoded(fs, 3)
+	fs.StringVar(&o.kernel, "kernel", "wordcount", "registered kernel to run (see -list)")
+	fs.StringVar(&o.pattern, "pattern", "QQ", "pattern the grep kernel selects on")
+	fs.BoolVar(&o.compare, "compare", false, "also run the uncoded baseline and report the load gain")
+	fs.BoolVar(&o.list, "list", false, "list the registered kernels and exit")
+	fs.IntVar(&o.show, "show", 0, "print the first N reduced records of each rank")
 	// The MR supervisor has no deadline-based straggler detection (that
 	// lives in the sorting cluster runtime), so only the injection and
 	// recovery-cap knobs of the fault surface apply here.
-	flag.Float64Var(&j.Stragglers, "stragglers", 0,
+	fs.Float64Var(&o.j.StragglerFactor, "stragglers", 0,
 		"inject one straggler: slow the straggler rank's egress by this factor (0 or 1 = healthy; effective with -rate or -permsg)")
-	flag.IntVar(&j.StragglerRank, "straggler-rank", 0, "which rank the -stragglers injection slows")
-	flag.IntVar(&j.MaxAttempts, "max-attempts", 0, "recovery attempt cap for supervised runs (0 = fit to injected faults)")
-	flag.Parse()
+	fs.IntVar(&o.j.StragglerRank, "straggler-rank", 0, "which rank the -stragglers injection slows")
+	fs.IntVar(&o.j.MaxAttempts, "max-attempts", 0, "recovery attempt cap for supervised runs (0 = fit to injected faults)")
+	return o
+}
 
-	if *list {
+// job builds the selected kernel's job: the kernel's functions and corpus
+// under the flags' spec. An empty alg leaves -r to pick coded (r >= 2) or
+// uncoded execution; job.AlgTeraSort is the -compare baseline.
+func (o *options) job(alg job.Algorithm) (mapreduce.Kernel, mapreduce.Job, error) {
+	kern, ok := mapreduce.Lookup(o.kernel)
+	if !ok {
+		return kern, mapreduce.Job{}, fmt.Errorf("unknown kernel %q (try -list)", o.kernel)
+	}
+	if kern.Name == "grep" {
+		kern = mapreduce.Grep(o.pattern)
+	}
+	spec := o.j.For(alg)
+	mr := kern.Job(spec.K, spec.R, spec.Rows, spec.Seed)
+	mr.Spec = spec
+	return kern, mr, nil
+}
+
+func main() {
+	o := register(flag.CommandLine)
+	flag.Parse()
+	j := &o.j
+
+	if o.list {
 		for _, k := range mapreduce.Kernels() {
 			fmt.Printf("%-14s %s\n", k.Name, k.Doc)
 		}
 		return
 	}
-	kern, ok := mapreduce.Lookup(*kernel)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "codedmr: unknown kernel %q (try -list)\n", *kernel)
-		os.Exit(1)
-	}
-	if kern.Name == "grep" {
-		kern = mapreduce.Grep(*pattern)
-	}
-
-	dist, err := kv.ParseDistribution(j.Dist)
+	kern, mr, err := o.job("")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codedmr:", err)
 		os.Exit(1)
 	}
-	job := buildJob(kern, &j, dist)
-	opts := mapreduce.LocalOptions{
-		RateMbps: j.Rate, PerMessage: j.PerMsg,
-		StragglerFactor: j.Stragglers, StragglerRank: j.StragglerRank,
-		MaxAttempts: j.MaxAttempts,
-	}
 	start := time.Now()
-	rep, err := mapreduce.RunLocal(job, opts)
+	rep, err := mapreduce.RunLocal(mr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codedmr:", err)
 		os.Exit(1)
@@ -86,10 +104,9 @@ func main() {
 		fmt.Printf("recovery: %d attempts, recovered from %v\n", rep.Attempts, rep.Recovered)
 	}
 
-	if *compare {
-		base := buildJob(kern, &j, dist)
-		base.R = 0
-		baseRep, err := mapreduce.RunLocal(base, opts)
+	if o.compare {
+		_, base, _ := o.job(job.AlgTeraSort)
+		baseRep, err := mapreduce.RunLocal(base)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "codedmr: baseline:", err)
 			os.Exit(1)
@@ -119,22 +136,9 @@ func main() {
 		fmt.Printf("external sort: %d runs spilled under a %.1f MB/worker budget\n",
 			rep.SpilledRuns, float64(j.MemBudget)/1e6)
 	}
-	if *show > 0 {
-		printSample(rep, *show)
+	if o.show > 0 {
+		printSample(rep, o.show)
 	}
-}
-
-// buildJob folds the parsed flags onto the kernel's job.
-func buildJob(kern mapreduce.Kernel, j *flags.Job, dist kv.Distribution) mapreduce.Job {
-	job := kern.Job(j.K, j.R, j.Rows, j.Seed)
-	job.Dist = dist
-	if j.Tree {
-		job.Strategy = transport.BcastBinomialTree
-	}
-	job.ChunkRows, job.Window = j.Chunk, j.Window
-	job.MemBudget, job.SpillDir = j.MemBudget, j.SpillDir
-	job.Parallelism = j.Procs
-	return job
 }
 
 // sameOutput reports whether two runs reduced to identical bytes per rank.

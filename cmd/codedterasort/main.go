@@ -17,7 +17,7 @@ import (
 
 	"codedterasort/cmd/internal/flags"
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/placement"
+	jobspec "codedterasort/internal/job"
 	"codedterasort/internal/stats"
 )
 
@@ -29,22 +29,24 @@ func main() {
 	compare := flag.Bool("compare", false, "also run the TeraSort baseline and report speedup")
 	flag.Parse()
 
-	spec := j.Spec(cluster.AlgCoded)
+	spec := j.For(cluster.AlgCoded)
 	start := time.Now()
 	job, err := cluster.RunLocal(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codedterasort:", err)
 		os.Exit(1)
 	}
+	resolved, _ := spec.Resolve(jobspec.Local{}) // RunLocal accepted the spec
+	strat := resolved.Strat
 	fmt.Printf("CodedTeraSort: K=%d, r=%d, %s placement, %d records (%.1f MB), validated=%v, wall time %.2fs\n",
-		j.K, j.R, spec.PlacementKind(), j.Rows, float64(j.Rows)*100/1e6, job.Validated, time.Since(start).Seconds())
+		j.K, j.R, strat.Kind(), j.Rows, float64(j.Rows)*100/1e6, job.Validated, time.Since(start).Seconds())
 	if job.Attempts > 1 {
 		fmt.Printf("recovery: %d attempts, recovered from %v\n", job.Attempts, job.Recovered)
 	}
 
 	rows := []stats.Row{}
 	if *compare {
-		baseJob, err := cluster.RunLocal(j.Spec(cluster.AlgTeraSort))
+		baseJob, err := cluster.RunLocal(j.For(cluster.AlgTeraSort))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "codedterasort: baseline:", err)
 			os.Exit(1)
@@ -63,12 +65,8 @@ func main() {
 	}
 	rows = append(rows, stats.Row{Label: fmt.Sprintf("CodedTeraSort: r=%d", j.R), Times: job.Times})
 	fmt.Print(stats.RenderTable("", rows))
-	groups := int64(0)
-	if strat, err := placement.New(spec.PlacementKind(), j.K, j.R); err == nil {
-		groups = strat.NumGroups()
-	}
 	fmt.Printf("multicast payload: %.2f MB over %d groups (%s placement)\n",
-		float64(job.ShuffleLoadBytes)/1e6, groups, spec.PlacementKind())
+		float64(job.ShuffleLoadBytes)/1e6, strat.NumGroups(), strat.Kind())
 	if job.ChunksShuffled > 0 {
 		fmt.Printf("pipelined shuffle: %d chunk packets\n", job.ChunksShuffled)
 	}

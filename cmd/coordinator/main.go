@@ -34,7 +34,7 @@ func main() {
 	j.RegisterFaults(flag.CommandLine)
 	flag.Parse()
 
-	spec := j.Spec(cluster.Algorithm(*alg))
+	spec := j.For(cluster.Algorithm(*alg))
 	coord, err := cluster.NewCoordinator(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coordinator:", err)

@@ -110,7 +110,7 @@ func cmdSubmit(args []string) error {
 	if *coded {
 		alg = cluster.AlgCoded
 	}
-	spec := job.Spec(alg)
+	spec := job.For(alg)
 	spec.Faults = faults.specs
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

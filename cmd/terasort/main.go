@@ -28,7 +28,7 @@ func main() {
 	j.RegisterFaults(flag.CommandLine)
 	flag.Parse()
 
-	spec := j.Spec(cluster.AlgTeraSort)
+	spec := j.For(cluster.AlgTeraSort)
 	start := time.Now()
 	job, err := cluster.RunLocal(spec)
 	if err != nil {
@@ -36,7 +36,7 @@ func main() {
 		os.Exit(1)
 	}
 	totalRows := j.Rows
-	if j.InDir != "" {
+	if j.InputDir != "" {
 		// File-backed input: the part files, not -rows, define the size.
 		totalRows = 0
 		for _, w := range job.Workers {

@@ -29,7 +29,7 @@ func main() {
 	j.RegisterProcs(flag.CommandLine, "override the spec's per-worker compute goroutines on this node (0 = use the coordinator-distributed setting)")
 	flag.Parse()
 
-	opts := cluster.WorkerOptions{MeshHost: *meshHost, Parallelism: j.Procs}
+	opts := cluster.WorkerOptions{MeshHost: *meshHost, Parallelism: j.Parallelism}
 	if *verbose {
 		opts.OnStage = func(stage stats.Stage, elapsed time.Duration) {
 			fmt.Printf("worker: stage %-13s done in %v\n", stage, elapsed)

@@ -10,8 +10,12 @@
 // inventory, the streaming-pipeline design notes, and the out-of-core
 // external sort: internal/extsort provides spill-to-disk run generation
 // and the loser-tree merge behind the MemBudget knob),
-// with runnable binaries under cmd/ (shared job flags in
-// cmd/internal/flags) and worked examples under examples/.
+// with runnable binaries under cmd/ and worked examples under examples/.
+// A job is described once: internal/job's Spec — (K, r, input, network)
+// plus every runtime knob — is the engine's configuration, the cluster
+// spec, the JSON on the wire, the sortd job body and the struct the shared
+// flags (cmd/internal/flags) bind onto, with one Validate and one Resolve
+// (DESIGN.md section 17).
 // Placement is a strategy seam (internal/placement.Strategy): the paper's
 // clique scheme — C(K, r) subfiles, C(K, r+1) multicast groups — is the
 // default, and -strategy resolvable swaps in a resolvable-design
@@ -27,11 +31,10 @@
 // job is a declarative DAG of typed stages
 // (Map, Pack/Encode, Shuffle, Unpack/Decode, Sort, Reduce) with explicit
 // data-plane edges, and one scheduler runs the monolithic, chunk-streaming
-// and out-of-core schedules as policy-selected modes with per-stage
+// and out-of-core schedules as modes read off the job spec, with per-stage
 // instrumentation hooks — the engine contributes only placement, codecs
 // and shuffle topology (DESIGN.md sections 3 and 10).
-// Workers are multicore: the Parallelism knob (Config/Spec field, -procs
-// on the CLIs) runs each worker's map scatter, radix sorts, spill-run
+// Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, radix sorts, spill-run
 // sorting and per-group packet encode/decode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any
 // goroutine count.

@@ -54,7 +54,7 @@ func main() {
 	}
 	var ops int64
 	for _, w := range job.Workers {
-		ops += w.MulticastOps
+		ops += w.SentOps
 	}
 	fmt.Printf("Live run (60k records): %d coded packets multicast, %.2f MB total\n",
 		ops, float64(job.ShuffleLoadBytes)/1e6)

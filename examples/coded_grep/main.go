@@ -36,7 +36,7 @@ func main() {
 	// supervised runner owns the workers and their errors — no goroutine
 	// plumbing in the application.
 	run := func(rr int) (int, int64) {
-		rep, err := mapreduce.RunLocal(kern.Job(k, rr, rows, seed), mapreduce.LocalOptions{})
+		rep, err := mapreduce.RunLocal(kern.Job(k, rr, rows, seed))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -63,6 +63,6 @@ func main() {
 	fmt.Println("\nPer-worker reports:")
 	for _, w := range job.Workers {
 		fmt.Printf("  rank %d: %8d records reduced, %6.2f MB payload sent, total %.2fs\n",
-			w.Rank, w.OutputRows, float64(w.SentPayloadBytes)/1e6, w.Times.Total().Seconds())
+			w.Rank, w.OutputRows, float64(w.SentBytes)/1e6, w.Times.Total().Seconds())
 	}
 }

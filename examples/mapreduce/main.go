@@ -29,11 +29,11 @@ const (
 // runBoth executes the kernel uncoded and coded, checks byte-identity of
 // the reduced outputs, and returns (reduced rows, uncoded load, coded load).
 func runBoth(kern mapreduce.Kernel) (int64, int64, int64) {
-	plain, err := mapreduce.RunLocal(kern.Job(k, 1, rows, seed), mapreduce.LocalOptions{})
+	plain, err := mapreduce.RunLocal(kern.Job(k, 1, rows, seed))
 	if err != nil {
 		log.Fatalf("%s uncoded: %v", kern.Name, err)
 	}
-	coded, err := mapreduce.RunLocal(kern.Job(k, r, rows, seed), mapreduce.LocalOptions{})
+	coded, err := mapreduce.RunLocal(kern.Job(k, r, rows, seed))
 	if err != nil {
 		log.Fatalf("%s coded: %v", kern.Name, err)
 	}

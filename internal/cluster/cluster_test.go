@@ -1,12 +1,14 @@
 package cluster
 
 import (
-	"fmt"
+	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"codedterasort/internal/partition"
+	"codedterasort/internal/coded"
+	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 )
 
@@ -86,59 +88,6 @@ func TestRunLocalRateLimited(t *testing.T) {
 	}
 	if job.Times[stats.StageShuffle] < time.Millisecond {
 		t.Fatalf("rate limit had no effect: shuffle %v", job.Times[stats.StageShuffle])
-	}
-}
-
-func TestSpecValidation(t *testing.T) {
-	bad := []Spec{
-		{Algorithm: "quicksort", K: 2},
-		{Algorithm: AlgTeraSort, K: 0},
-		{Algorithm: AlgCoded, K: 4, R: 0},
-		{Algorithm: AlgCoded, K: 4, R: 9},
-		{Algorithm: AlgTeraSort, K: 2, Rows: -1},
-		{Algorithm: AlgTeraSort, K: 2, StageDeadline: -time.Second},
-		{Algorithm: AlgTeraSort, K: 2, MaxAttempts: -1},
-		// Heartbeats must flow faster than the liveness deadline, or every
-		// healthy worker is condemned before its first ping.
-		{Algorithm: AlgTeraSort, K: 2, StageDeadline: time.Second, Heartbeat: time.Second},
-		{Algorithm: AlgTeraSort, K: 2, Faults: []FaultSpec{{Rank: 5, Stage: "Map", Kind: "kill"}}},
-		{Algorithm: AlgTeraSort, K: 2, Faults: []FaultSpec{{Rank: 0, Stage: "Nope", Kind: "kill"}}},
-		{Algorithm: AlgTeraSort, K: 2, Faults: []FaultSpec{{Rank: 0, Stage: "Map", Kind: "maim"}}},
-		{Algorithm: AlgTeraSort, K: 2, DistName: "pareto"},
-		{Algorithm: AlgTeraSort, K: 2, Partitioning: "quantile"},
-		{Algorithm: AlgTeraSort, K: 2, Partitioning: "sample", SampleSize: -1},
-		{Algorithm: AlgTeraSort, K: 2, SampleSize: 100},
-		{Algorithm: AlgTeraSort, K: 2, Splitters: partition.UniformBounds(2)},
-		{Algorithm: AlgTeraSort, K: 2, Partitioning: "sample", Splitters: partition.UniformBounds(4)},
-		{Algorithm: AlgTeraSort, K: 2, Partitioning: "sample", Splitters: [][]byte{{0x01}}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Fatalf("case %d accepted: %+v", i, s)
-		}
-	}
-}
-
-func TestSpecWireRoundTrip(t *testing.T) {
-	s := Spec{Algorithm: AlgCoded, K: 16, R: 5, Rows: 1 << 20, Seed: 9,
-		TreeMulticast: true, RateMbps: 100, PerMessage: 50 * time.Millisecond,
-		StageDeadline: time.Second, Heartbeat: 100 * time.Millisecond, MaxAttempts: 2,
-		DistName: "zipf", Partitioning: "sample", SampleSize: 2048,
-		Splitters: partition.UniformBounds(16),
-		Faults:    []FaultSpec{{Rank: 3, Stage: "Shuffle", Kind: "slow", Factor: 4, Delay: time.Second}}}
-	p, err := s.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSpec(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", s) {
-		t.Fatalf("roundtrip: %+v != %+v", got, s)
-	}
-	if _, err := UnmarshalSpec([]byte("{")); err == nil {
-		t.Fatalf("bad JSON accepted")
 	}
 }
 
@@ -287,5 +236,50 @@ func TestRunLocalStageLog(t *testing.T) {
 			t.Fatalf("node %d ran %v after %v", r.Node, r.Stage, prev)
 		}
 		lastPerNode[r.Node] = r.Stage
+	}
+}
+
+// TestReportWireForm pins the TCP report frame: WorkerReport's JSON is the
+// frame, and it carries the keys (and values) the hand-written reportMsg
+// marshaled at commit 726ecd0 — compared as documents, since a peer reads
+// keys, not their order. The kept output never rides the frame.
+func TestReportWireForm(t *testing.T) {
+	var times stats.Breakdown
+	for i := range times {
+		times[i] = time.Duration(i+1) * time.Millisecond
+	}
+	rep := WorkerReport{Rank: 3, WireBytes: 15, Output: kv.NewGenerator(1, kv.DistUniform).Generate(0, 2),
+		Summary: coded.Summary{Times: times, OutputRows: 11, OutputChecksum: 12, SentBytes: 13, SentOps: 14,
+			ChunksSent: 16, ChunksReceived: 17, SpilledRuns: 18, Spill: stats.SpillStats{RawBytes: 19, DiskBytes: 20},
+			MergeOVCDecided: 21, MergeFullCompares: 22, SplitterBounds: [][]byte{{1, 2}, {3}}, SampleRoundBytes: 23}}
+	for _, c := range []struct {
+		msg  reportMsg
+		want string
+	}{
+		{reportMsg{WorkerReport: rep}, `{"rank":3,"times":[1000000,2000000,3000000,4000000,5000000,6000000],"output_rows":11,"output_checksum":12,"sent_payload_bytes":13,"multicast_ops":14,"wire_bytes":15,"chunks_sent":16,"chunks_received":17,"spilled_runs":18,"spill":{"raw_bytes":19,"disk_bytes":20},"merge_ovc_decided":21,"merge_full_compares":22,"splitter_bounds":["AQI=","Aw=="],"sample_round_bytes":23}`},
+		{reportMsg{WorkerReport: WorkerReport{Rank: 2}, Err: "boom"}, `{"rank":2,"err":"boom","times":[0,0,0,0,0,0],"output_rows":0,"output_checksum":0,"sent_payload_bytes":0,"multicast_ops":0,"wire_bytes":0}`},
+	} {
+		p, err := json.Marshal(c.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want map[string]any
+		if err := json.Unmarshal(p, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(c.want), &want); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("report frame moved:\n got  %s\n want %s", p, c.want)
+		}
+		var back reportMsg
+		if err := json.Unmarshal([]byte(c.want), &back); err != nil {
+			t.Fatal(err)
+		}
+		c.msg.Output = kv.Records{}
+		if !reflect.DeepEqual(back, c.msg) {
+			t.Fatalf("parent's frame decodes to %+v, want %+v", back, c.msg)
+		}
 	}
 }

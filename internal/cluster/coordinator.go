@@ -57,7 +57,7 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	// running the agreement round — one fewer collective on the hot path,
 	// and the spec on the wire names the exact key-domain split the job ran
 	// with.
-	if spec.sampled() && spec.Splitters == nil {
+	if spec.Sampled() && spec.Splitters == nil {
 		bounds, err := spec.ExpectedSplitters()
 		if err != nil {
 			return nil, fmt.Errorf("cluster: computing splitters: %w", err)
@@ -165,7 +165,7 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 // Spec.InputDir the coordinator scans the same part files the workers read
 // — the single-machine deployment this runtime targets.)
 func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
-	p, err := spec.verifyPartitioner() // RunJob preset the splitters: no replay
+	p, err := verifyPartitioner(spec) // RunJob preset the splitters: no replay
 	if err != nil {
 		return nil, err
 	}
@@ -232,21 +232,5 @@ func collectWorker(rank int, conn net.Conn, spec Spec, mon *monitor) (rep Worker
 	if msg.Rank != rank {
 		return WorkerReport{}, true, fmt.Errorf("report rank %d on connection %d", msg.Rank, rank)
 	}
-	return WorkerReport{
-		Rank:              msg.Rank,
-		Times:             msg.Times,
-		OutputRows:        msg.OutputRows,
-		OutputChecksum:    msg.OutputChecksum,
-		SentPayloadBytes:  msg.SentPayloadBytes,
-		MulticastOps:      msg.MulticastOps,
-		WireBytes:         msg.WireBytes,
-		ChunksSent:        msg.ChunksSent,
-		ChunksReceived:    msg.ChunksReceived,
-		SpilledRuns:       msg.SpilledRuns,
-		Spill:             msg.Spill,
-		MergeOVCDecided:   msg.MergeOVCDecided,
-		MergeFullCompares: msg.MergeFullCmps,
-		SplitterBounds:    msg.SplitterBounds,
-		SampleRoundBytes:  msg.SampleRoundBytes,
-	}, true, nil
+	return msg.WorkerReport, true, nil
 }

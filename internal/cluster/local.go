@@ -11,6 +11,7 @@ import (
 	"codedterasort/internal/coded"
 	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
@@ -22,51 +23,19 @@ import (
 	"codedterasort/internal/verify"
 )
 
-// WorkerReport is one worker's result summary.
+// WorkerReport is one worker's result summary; its JSON form is the report
+// frame a TCP worker sends the coordinator.
 type WorkerReport struct {
-	Rank int
-	// Times is the worker's stage breakdown.
-	Times stats.Breakdown
-	// OutputRows and OutputChecksum summarize the sorted partition.
-	OutputRows     int64
-	OutputChecksum uint64
-	// SentPayloadBytes counts shuffle payload this worker pushed, each
-	// packet counted once however many group members receive it — the
-	// paper's load metric.
-	SentPayloadBytes int64
-	// MulticastOps counts the packets (chunk packets when pipelining) this
-	// worker sent; at r = 1 each is a unicast.
-	MulticastOps int64
-	// ChunksSent and ChunksReceived count pipelined shuffle chunks this
-	// worker exchanged (0 when Spec.ChunkRows is unset).
-	ChunksSent     int64
-	ChunksReceived int64
-	// SpilledRuns counts the sorted runs this worker spilled to disk
-	// (0 unless Spec.MemBudget forced it out of core).
-	SpilledRuns int64
-	// Spill accounts the worker's spill volume (runs + shuffle spools):
-	// raw record bytes vs framed on-disk bytes; the gap is the compact
-	// spill-block format's I/O saving.
-	Spill stats.SpillStats
-	// MergeOVCDecided and MergeFullCompares are the out-of-core merge's
-	// loser-tree match counters: matches decided by cached offset-value
-	// codes alone vs matches that fell through to key bytes.
-	MergeOVCDecided   int64
-	MergeFullCompares int64
+	Rank int `json:"rank"`
+	// Summary is the engine's account of the run: stage times, output
+	// digest, shuffle, chunk, spill and merge counters, splitter bounds.
+	coded.Summary
 	// WireBytes counts bytes that actually crossed the transport,
 	// including the per-receiver copies of application-layer multicast
 	// and control traffic (tokens, barriers, handshakes).
-	WireBytes int64
-	// SplitterBounds is the splitter set this worker partitioned by when
-	// the job ran under sampled partitioning (nil under uniform). Every
-	// worker must report the same bounds — the coordinator cross-checks.
-	SplitterBounds [][]byte
-	// SampleRoundBytes counts this worker's share of the sampling round's
-	// wire traffic (gathered sample keys, or the broadcast bounds at the
-	// root). 0 under uniform partitioning or preset splitters.
-	SampleRoundBytes int64
+	WireBytes int64 `json:"wire_bytes"`
 	// Output is the sorted partition itself when Spec.KeepOutput is set.
-	Output kv.Records
+	Output kv.Records `json:"-"`
 }
 
 // JobReport aggregates a completed job.
@@ -198,7 +167,8 @@ func (o Options) startTasks(tasks []func()) {
 // instead of recovering. Long-lived callers (the sortd service) use it to
 // drain without waiting out a slow job.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
-	if err := spec.Validate(); err != nil {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
 		return nil, err
 	}
 	// One stage log spans all attempts, so the recovery timeline (failed
@@ -209,23 +179,22 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 	}
 	// The partitioner the output is verified against is resolved once per
 	// job: under sampled partitioning it replays the whole sampling round.
-	p, err := spec.verifyPartitioner()
+	p, err := verifyPartitioner(spec)
 	if err != nil {
 		return nil, err
 	}
-	maxAttempts := spec.attempts()
 	consumed := map[int]bool{}
 	var recovered []Suspect
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: job canceled: %w", err)
 		}
-		job, suspects, err := runAttempt(ctx, spec, p, opts, consumed, attempt, stageLog)
+		rep, suspects, err := runAttempt(ctx, spec, p, opts, consumed, attempt, stageLog)
 		if err == nil {
-			job.Attempts = attempt
-			job.Recovered = recovered
-			job.Stages = stageLog.Records()
-			return job, nil
+			rep.Attempts = attempt
+			rep.Recovered = recovered
+			rep.Stages = stageLog.Records()
+			return rep, nil
 		}
 		if len(suspects) == 0 {
 			// A genuine failure, not a detected fault: no recovery.
@@ -239,7 +208,7 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 			return nil, err
 		}
 		recovered = append(recovered, suspects...)
-		if attempt >= maxAttempts {
+		if attempt >= resolved.MaxAttempts {
 			return nil, fmt.Errorf("cluster: job failed after %d attempt(s), unrecovered faults %v: %w",
 				attempt, suspects, err)
 		}
@@ -267,10 +236,10 @@ func allFailed(suspects []Suspect) bool {
 // against p. On a detected fault it returns the suspects alongside the
 // error; an error with no suspects is a genuine (unrecoverable) failure.
 func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Options, consumed map[int]bool, attempt int, stageLog *trace.StageLog) (*JobReport, []Suspect, error) {
-	faults, err := spec.engineFaults(consumed)
-	if err != nil {
-		return nil, nil, err
-	}
+	// Replacement workers took over the consumed ranks, so their injected
+	// faults do not strike this attempt.
+	attemptSpec := spec
+	attemptSpec.Faults = spec.FaultsWithout(consumed)
 	mesh := memnet.NewMesh(spec.K)
 	defer mesh.Close()
 
@@ -329,7 +298,7 @@ func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Op
 					mon.StageEnd(ev.Rank, ev.Stage)
 				}
 			}}
-			rep, out, err := runWorker(ep, spec, faults, sink, hooks)
+			rep, out, err := runWorker(ep, attemptSpec, sink, hooks)
 			if err != nil {
 				errs[rank] = err
 				// Any exited worker strands its peers at a barrier or a
@@ -383,6 +352,7 @@ func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Op
 		}
 	}
 	var job *JobReport
+	var err error
 	if streaming {
 		sums := make([]verify.Summary, spec.K)
 		for r, c := range checkers {
@@ -458,28 +428,13 @@ func describeInput(spec Spec) (verify.Input, error) {
 
 // runWorker executes the spec on one endpoint. A non-nil sink receives the
 // sorted partition as ascending blocks instead of it being returned; hooks
-// observe each completed stage through the engine runtime; faults is the
-// attempt's injected failure set (the engine filters by rank).
-func runWorker(ep transport.Endpoint, spec Spec, faults engine.Faults, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, kv.Records, error) {
-	res, err := coded.Run(ep, spec.engineConfig(faults, sink, hooks), nil)
+// observe each completed stage through the engine runtime.
+func runWorker(ep transport.Endpoint, spec Spec, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, kv.Records, error) {
+	res, err := coded.Run(ep, coded.Config{Spec: spec, OutputSink: sink, Hooks: hooks}, nil)
 	if err != nil {
 		return WorkerReport{}, kv.Records{}, err
 	}
-	rep := WorkerReport{
-		SplitterBounds:    res.SplitterBounds,
-		SampleRoundBytes:  res.SampleRoundBytes,
-		Times:             res.Times,
-		SentPayloadBytes:  res.SentBytes,
-		MulticastOps:      res.SentOps,
-		ChunksSent:        res.ChunksSent,
-		ChunksReceived:    res.ChunksReceived,
-		OutputRows:        res.OutputRows,
-		OutputChecksum:    res.OutputChecksum,
-		SpilledRuns:       res.SpilledRuns,
-		Spill:             res.Spill,
-		MergeOVCDecided:   res.MergeOVCDecided,
-		MergeFullCompares: res.MergeFullCompares,
-	}
+	rep := WorkerReport{Summary: res.Summary}
 	if spec.KeepOutput {
 		rep.Output = res.Output
 	}
@@ -496,7 +451,7 @@ func assemble(spec Spec, p partition.Partitioner, reports []WorkerReport, output
 	job := &JobReport{Spec: spec, Workers: reports}
 	for _, w := range reports {
 		job.Times = job.Times.Max(w.Times)
-		job.ShuffleLoadBytes += w.SentPayloadBytes
+		job.ShuffleLoadBytes += w.SentBytes
 		job.WireBytes += w.WireBytes
 		job.ChunksShuffled += w.ChunksSent
 		job.SpilledRuns += w.SpilledRuns

@@ -7,8 +7,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"codedterasort/internal/stats"
 )
 
 // Control-plane wire protocol between coordinator and workers: 4-byte
@@ -39,25 +37,8 @@ type assignMsg struct {
 
 // reportMsg returns a worker's results; Err is non-empty on failure.
 type reportMsg struct {
-	Rank             int              `json:"rank"`
-	Err              string           `json:"err,omitempty"`
-	Times            stats.Breakdown  `json:"times"`
-	OutputRows       int64            `json:"output_rows"`
-	OutputChecksum   uint64           `json:"output_checksum"`
-	SentPayloadBytes int64            `json:"sent_payload_bytes"`
-	MulticastOps     int64            `json:"multicast_ops"`
-	WireBytes        int64            `json:"wire_bytes"`
-	ChunksSent       int64            `json:"chunks_sent,omitempty"`
-	ChunksReceived   int64            `json:"chunks_received,omitempty"`
-	SpilledRuns      int64            `json:"spilled_runs,omitempty"`
-	Spill            stats.SpillStats `json:"spill,omitzero"`
-	MergeOVCDecided  int64            `json:"merge_ovc_decided,omitempty"`
-	MergeFullCmps    int64            `json:"merge_full_compares,omitempty"`
-	// SplitterBounds reports the splitters the worker partitioned by under
-	// sampled partitioning (the coordinator cross-checks agreement);
-	// SampleRoundBytes is its share of the sampling round's wire traffic.
-	SplitterBounds   [][]byte `json:"splitter_bounds,omitempty"`
-	SampleRoundBytes int64    `json:"sample_round_bytes,omitempty"`
+	WorkerReport
+	Err string `json:"err,omitempty"`
 }
 
 // progressMsg is one liveness/progress event of the monitored protocol:

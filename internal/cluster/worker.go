@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"codedterasort/internal/engine"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
@@ -82,7 +83,8 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	if spec.StageDeadline > 0 {
 		tx = &ctrlSender{conn: conn}
 	}
-	if err := spec.Validate(); err != nil {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
 		return reportFailure(conn, tx, assign.Rank, err)
 	}
 	if assign.Rank < 0 || assign.Rank >= len(assign.Addrs) || len(assign.Addrs) != spec.K {
@@ -112,7 +114,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		// Under sampled partitioning the coordinator distributes the spec
 		// with the splitters preset, so the checker's partitioner comes
 		// straight off the wire — no local replay of the sampling round.
-		p, err := spec.verifyPartitioner()
+		p, err := verifyPartitioner(spec)
 		if err != nil {
 			return reportFailure(conn, tx, assign.Rank, err)
 		}
@@ -143,7 +145,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		}})
 		stopBeat := make(chan struct{})
 		defer close(stopBeat)
-		go heartbeat(tx, assign.Rank, spec.heartbeat(), stopBeat)
+		go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
 		go func() {
 			// Abort listener: any inbound frame (or coordinator loss) ends
 			// the attempt. The mesh close is idempotent, so racing the
@@ -154,11 +156,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		}()
 	}
 
-	faults, err := spec.engineFaults(nil)
-	if err != nil {
-		return reportFailure(conn, tx, assign.Rank, err)
-	}
-	rep, _, err := runWorker(ep, spec, faults, sink, hooks)
+	rep, _, err := runWorker(ep, spec, sink, hooks)
 	if err != nil {
 		var killed *engine.KilledError
 		if monitored && errors.As(err, &killed) {
@@ -174,23 +172,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	}
 	rep.Rank = assign.Rank
 	rep.WireBytes = meter.Counters().SentBytes
-	msg := reportMsg{
-		Rank:             rep.Rank,
-		Times:            rep.Times,
-		OutputRows:       rep.OutputRows,
-		OutputChecksum:   rep.OutputChecksum,
-		SentPayloadBytes: rep.SentPayloadBytes,
-		MulticastOps:     rep.MulticastOps,
-		WireBytes:        rep.WireBytes,
-		ChunksSent:       rep.ChunksSent,
-		ChunksReceived:   rep.ChunksReceived,
-		SpilledRuns:      rep.SpilledRuns,
-		Spill:            rep.Spill,
-		MergeOVCDecided:  rep.MergeOVCDecided,
-		MergeFullCmps:    rep.MergeFullCompares,
-		SplitterBounds:   rep.SplitterBounds,
-		SampleRoundBytes: rep.SampleRoundBytes,
-	}
+	msg := reportMsg{WorkerReport: rep}
 	if monitored {
 		return tx.send(workerMsg{Report: &msg})
 	}
@@ -232,7 +214,7 @@ func heartbeat(tx *ctrlSender, rank int, interval time.Duration, stop <-chan str
 // reportFailure best-effort reports err to the coordinator (through the
 // monitored-protocol sender when active) and returns err.
 func reportFailure(conn net.Conn, tx *ctrlSender, rank int, err error) error {
-	msg := reportMsg{Rank: rank, Err: err.Error()}
+	msg := reportMsg{WorkerReport: WorkerReport{Rank: rank}, Err: err.Error()}
 	if tx != nil {
 		_ = tx.send(workerMsg{Report: &msg})
 	} else {

@@ -31,7 +31,7 @@
 // The package is a stage-graph builder over the internal/engine runtime:
 // scheduling, mode selection, spill-sorter lifecycle, transfer accounting
 // and per-stage instrumentation live there. The placement/coding scheme is
-// pluggable (Config.Placement) through placement.Strategy.
+// pluggable (job.Spec.Placement) through placement.Strategy.
 package coded
 
 import (
@@ -40,9 +40,9 @@ import (
 	"sync"
 
 	"codedterasort/internal/codec"
-	"codedterasort/internal/combin"
 	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
@@ -72,68 +72,16 @@ func groupTag(stage uint8, groupID int64, root int) transport.Tag {
 	return transport.Tag(uint64(stage)<<56 | uint64(root)<<48 | uint64(groupID))
 }
 
-// Config describes one sort run. All workers must hold identical
-// configurations (the coordinator distributes them in the cluster runtime).
+// Config is one sort run: the job description every worker must hold
+// identically (the coordinator distributes it in the cluster runtime) plus
+// what cannot cross a wire.
 type Config struct {
-	// K is the number of worker nodes.
-	K int
-	// R is the redundancy parameter: every input file is mapped on R nodes
-	// (paper Section IV-A). 1 <= R <= K; R = 1 is conventional TeraSort.
-	R int
-	// Rows is the total input size in records.
-	Rows int64
-	// Seed feeds the row-addressable input generator.
-	Seed uint64
-	// Dist selects the input key distribution.
-	Dist kv.Distribution
-	// Part maps keys to the K reducers. Nil selects the Partitioning
-	// policy's partitioner (uniform by default). Mutually exclusive with
-	// Partitioning "sample".
-	Part partition.Partitioner
-	// Partitioning selects the reducer-partitioning policy: "" or
-	// "uniform" keeps the paper's uniform key-domain split; "sample" runs
-	// the pre-Map sampling round — one holder of every input file
-	// contributes a deterministic stride sample of its keys, rank 0
-	// selects K-1 splitters from the pooled sample, and the bounds are
-	// broadcast so all ranks partition identically. The pooled sample is a
-	// pure function of the input, so runs of the same input agree on the
-	// splitters byte for byte at every R.
-	Partitioning string
-	// SampleSize is the pooled sample-size target of the sampling round;
-	// 0 selects partition.DefaultSampleSize.
-	SampleSize int
-	// Splitters, with Partitioning "sample", installs these K-1 agreed
-	// boundary keys directly and skips the sampling round — the path the
-	// TCP coordinator uses after serializing precomputed splitters into
-	// the job spec. Nil runs the round in the stage graph.
-	Splitters [][]byte
-	// Strategy selects the application-layer multicast algorithm
-	// (sequential per Fig 9b, or the binomial tree MPI_Bcast uses).
-	Strategy transport.BcastStrategy
-	// Placement selects the placement/coding strategy: the paper's clique
-	// scheme (C(K,R) subfiles, C(K,R+1) groups; the default) or a
-	// resolvable design (q^(R-1) subfiles, q^R - q^(R-1) groups of size R,
-	// q = K/R — orders of magnitude fewer groups at large K).
-	Placement placement.Kind
-	// Input, when non-nil, supplies the strategy's input files directly
-	// instead of generating them: file i (the strategy's file order; colex
-	// order of its node set under the clique scheme, so file k of node k at
-	// R = 1) is Input[i]. All workers must hold the same slice (in-process
-	// engines only). Rows and Seed are ignored for data placement when
-	// Input is set.
-	Input []kv.Records
-	// InputFiles, when non-nil, reads the input files from disk (raw
-	// teragen record format), file i from InputFiles[i]. With MemBudget set
-	// a file is consumed block by block. Valid only when every file has one
-	// holder (a worker reads its own file; nothing replicates it), i.e.
-	// R = 1. Mutually exclusive with Input; Rows and Seed are ignored for
-	// data placement when set.
-	InputFiles []string
-	// Parallel lifts the serial sender schedule of Fig 9: every node sends
-	// its packets concurrently — the paper's "Asynchronous Execution"
-	// future direction; with per-node egress shaping it shortens the
-	// shuffle wall time by up to K at unchanged total load.
-	Parallel bool
+	// Spec is the job description; see job.Spec for every knob. Run
+	// resolves it (job.Spec.Resolve), so an invalid one fails before any
+	// traffic flows.
+	job.Spec
+	// Local attaches an explicit partitioner or in-memory input files.
+	job.Local
 	// Filter, when non-nil, keeps only records it accepts during the Map
 	// stage — the "Beyond Sorting" hook (paper Section VI): Grep selects in
 	// Map and shuffles only (coded) matches. The function must be pure and
@@ -148,190 +96,78 @@ type Config struct {
 	// be kv.RecordSize bytes. Pure and identical on all workers, like
 	// Filter.
 	Transform func(record []byte, emit func([]byte))
-	// ChunkRows, when positive, enables the streaming pipelined shuffle
-	// (Section VII's "Asynchronous Execution" direction): every packet is
-	// built and sent as a stream of chunk packets, each the XOR of
-	// ChunkRows-record chunk slices of its contributing segments. Encode of
-	// chunk n+1 overlaps the flight of chunk n and members decode each
-	// chunk on arrival. Zero keeps the monolithic schedule bit-identical to
-	// the paper's. A runtime policy knob: it selects the engine.ModeChunked
-	// schedule.
-	ChunkRows int
-	// Window bounds unacknowledged in-flight chunk packets per group
-	// stream when pipelining (credits return from every group member), so
-	// peak buffered memory is O(ChunkRows x Window x group size) rather
-	// than O(segment bytes). Zero selects engine.DefaultWindow. Ignored
-	// when ChunkRows is zero.
-	Window int
-	// MemBudget, when positive, runs the worker's sorting path out-of-core:
-	// Map consumes each stored file block by block and routes records of
-	// this node's own partition into a budget-bounded sorter that spills
-	// radix-sorted runs; the streaming shuffle spills every chunk-decoded
-	// record the same way; and Reduce becomes a streaming loser-tree merge
-	// over the runs. The remotely relevant intermediate values stay in
-	// memory when they are the XOR side information the coding requires
-	// (groups of more than two members); when groups have two members they
-	// are send-once and go to per-group disk spools, so the budget then
-	// bounds all record data resident in memory. Output is byte-identical
-	// to the in-memory engine. MemBudget implies the pipelined streaming
-	// shuffle; a budget-derived ChunkRows is chosen when none is set. A
-	// runtime policy knob: it selects the engine.ModeSpill schedule.
-	MemBudget int64
-	// SpillDir is the parent directory for spill files when MemBudget is
-	// positive ("" = the system temp directory). Each worker owns a fresh
-	// subdirectory, removed when Run returns.
-	SpillDir string
 	// OutputSink, when non-nil, receives the node's sorted partition as
 	// ascending record blocks during Reduce instead of it being
 	// materialized in Result.Output. The block passed to the sink is
 	// reused; the sink must not retain it. With MemBudget unset the whole
 	// partition arrives as one block.
 	OutputSink func(kv.Records) error
-	// Parallelism bounds the worker-local goroutines of the compute hot
-	// paths: file generation, the Map scatter, per-group packet
-	// Encode/Decode, the Reduce sort and spill-run sorting. 0 selects
-	// runtime.GOMAXPROCS(0); 1 runs every path sequentially; higher values
-	// use that many workers. Every setting produces byte-identical output
-	// (the parallel kernels are deterministic), so it is a pure throughput
-	// knob, distributed by the coordinator like MemBudget.
-	Parallelism int
 	// Hooks observe each timed stage of the run — the instrumentation API
 	// the cluster runtime uses for its stage log. The timeline is always
 	// charged first, so hook observers see consistent timings.
 	Hooks engine.Hooks
-	// Faults injects node death and slowness at chosen stages (the cluster
-	// runtime's failure model; see engine.Fault). Empty injects nothing.
-	Faults engine.Faults
-
-	// strat is the validated placement strategy, resolved by normalize.
-	strat placement.Strategy
 }
 
-// policies maps the config's runtime knobs onto the engine's scheduler
-// policies.
-func (c Config) policies() engine.Policies {
-	return engine.Policies{
-		ChunkRows: c.ChunkRows, Window: c.Window,
-		MemBudget: c.MemBudget, SpillDir: c.SpillDir,
-		Parallelism: c.Parallelism, Parallel: c.Parallel,
-		Faults:       c.Faults,
-		Partitioning: c.Partitioning, SampleSize: c.SampleSize,
-	}
-}
-
-// normalize validates and fills defaults; the shared policy knobs are
-// validated and derived by the engine runtime.
-func (c Config) normalize() (Config, error) {
-	if c.K <= 0 || c.K > combin.MaxNodes {
-		return c, fmt.Errorf("coded: K=%d out of range", c.K)
-	}
-	if c.R < 1 || c.R > c.K {
-		return c, fmt.Errorf("coded: r=%d outside [1,%d]", c.R, c.K)
-	}
-	if c.Rows < 0 {
-		return c, fmt.Errorf("coded: negative row count")
-	}
-	strat, err := placement.New(c.Placement, c.K, c.R)
-	if err != nil {
-		return c, fmt.Errorf("coded: %w", err)
-	}
-	c.strat = strat
-	ppol, err := partition.ParsePolicy(c.Partitioning)
-	if err != nil {
-		return c, fmt.Errorf("coded: %w", err)
-	}
-	if ppol == partition.PolicySample {
-		if c.Part != nil {
-			return c, fmt.Errorf("coded: explicit Part with Partitioning=sample")
-		}
-		if c.Splitters != nil {
-			sp, err := partition.NewSplitters(c.Splitters)
-			if err != nil {
-				return c, fmt.Errorf("coded: preset splitters: %w", err)
-			}
-			c.Part = sp
-		}
-		// With no preset splitters Part stays nil here; the sampling stage
-		// resolves it at run time.
-	} else {
-		if c.Splitters != nil {
-			return c, fmt.Errorf("coded: Splitters without Partitioning=sample")
-		}
-		if c.Part == nil {
-			c.Part = partition.NewUniform(c.K)
-		}
-	}
-	if c.Part != nil && c.Part.NumPartitions() != c.K {
-		return c, fmt.Errorf("coded: partitioner has %d partitions for K=%d", c.Part.NumPartitions(), c.K)
-	}
-	if c.Input != nil && c.InputFiles != nil {
-		return c, fmt.Errorf("coded: both Input and InputFiles set")
-	}
-	if c.Input != nil || c.InputFiles != nil {
-		if n := len(c.Input) + len(c.InputFiles); n != strat.NumFiles() {
-			return c, fmt.Errorf("coded: %d input files, want %d for the %s strategy (K=%d, r=%d)",
-				n, strat.NumFiles(), strat.Kind(), c.K, c.R)
-		}
-	}
-	pol, err := c.policies().Normalize("coded", c.K)
-	if err != nil {
-		return c, err
-	}
-	c.ChunkRows, c.Window = pol.ChunkRows, pol.Window
-	return c, nil
-}
-
-// Result is one worker's output.
-type Result struct {
-	// Output is the node's fully sorted partition. It stays empty when
-	// Config.OutputSink is set (the partition streamed to the sink).
-	Output kv.Records
+// Summary is what a worker reports about its run, everything but the
+// records: the block coded.Result, cluster.WorkerReport and the TCP report
+// frame share, so a report crosses each layer by assignment. The JSON keys
+// are the report frame's.
+type Summary struct {
+	// Times is the node's stage breakdown (CodeGen, Map, Encode under
+	// Pack, Shuffle, Decode under Unpack, Reduce).
+	Times stats.Breakdown `json:"times"`
 	// OutputRows and OutputChecksum summarize the sorted partition in
 	// every mode, including sink-streamed budget runs where Output is
 	// empty. The checksum is the kv order-independent multiset digest.
-	OutputRows     int64
-	OutputChecksum uint64
-	// SpilledRuns counts the sorted runs this worker spilled to disk
-	// (zero when MemBudget is unset or everything fit in memory).
-	SpilledRuns int64
-	// Spill accounts this worker's spill volume — runs plus shuffle
-	// spools — as raw record bytes vs framed on-disk bytes (zero without
-	// MemBudget; the gap is the compact block format's saving).
-	Spill stats.SpillStats
-	// MergeOVCDecided and MergeFullCompares are the final merge's
-	// loser-tree match counters: matches decided by cached offset-value
-	// codes alone vs matches that compared key bytes.
-	MergeOVCDecided   int64
-	MergeFullCompares int64
-	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Decode under Unpack, Reduce).
-	Times stats.Breakdown
+	OutputRows     int64  `json:"output_rows"`
+	OutputChecksum uint64 `json:"output_checksum"`
 	// SentBytes counts the shuffle payload bytes this node sent, each
 	// packet counted once however many members receive it — the paper's
 	// communication-load metric, under which coding wins by a factor r. In
 	// pipelined mode this includes the per-chunk framing overhead (one
 	// chunk header and one inner frame header per chunk instead of one
 	// frame header per packet).
-	SentBytes int64
+	SentBytes int64 `json:"sent_payload_bytes"`
 	// SentOps counts the packets (chunk packets when pipelining) this node
-	// sent.
-	SentOps int64
+	// sent; at r = 1 each is a unicast.
+	SentOps int64 `json:"multicast_ops"`
+	// ChunksSent and ChunksReceived count pipelined chunk packets this
+	// node sent and received (zero when ChunkRows is unset).
+	ChunksSent     int64 `json:"chunks_sent,omitempty"`
+	ChunksReceived int64 `json:"chunks_received,omitempty"`
+	// SpilledRuns counts the sorted runs this worker spilled to disk
+	// (zero when MemBudget is unset or everything fit in memory).
+	SpilledRuns int64 `json:"spilled_runs,omitempty"`
+	// Spill accounts this worker's spill volume — runs plus shuffle
+	// spools — as raw record bytes vs framed on-disk bytes (zero without
+	// MemBudget; the gap is the compact block format's saving).
+	Spill stats.SpillStats `json:"spill,omitzero"`
+	// MergeOVCDecided and MergeFullCompares are the final merge's
+	// loser-tree match counters: matches decided by cached offset-value
+	// codes alone vs matches that compared key bytes.
+	MergeOVCDecided   int64 `json:"merge_ovc_decided,omitempty"`
+	MergeFullCompares int64 `json:"merge_full_compares,omitempty"`
+	// SplitterBounds are the boundary keys this worker partitioned with
+	// under sampled partitioning (agreed in the sampling round or preset
+	// via Spec.Splitters); nil under uniform partitioning. Every worker
+	// must report the same bounds — the coordinator cross-checks.
+	SplitterBounds [][]byte `json:"splitter_bounds,omitempty"`
+	// SampleRoundBytes counts the sampling-round payload this worker
+	// pushed: sample keys gathered plus, on the selecting rank, the
+	// broadcast bounds. Zero when no round ran.
+	SampleRoundBytes int64 `json:"sample_round_bytes,omitempty"`
+}
+
+// Result is one worker's output.
+type Result struct {
+	Summary
+	// Output is the node's fully sorted partition. It stays empty when
+	// Config.OutputSink is set (the partition streamed to the sink).
+	Output kv.Records
 	// Groups is the number of multicast groups this node belongs to:
 	// C(K-1, r) under the clique scheme (K-1 peers at r = 1),
 	// q^(r-1) - q^(r-2) under a resolvable design.
 	Groups int
-	// ChunksSent and ChunksReceived count pipelined chunk packets this
-	// node sent and received (zero when ChunkRows is unset).
-	ChunksSent     int64
-	ChunksReceived int64
-	// SplitterBounds are the boundary keys this worker partitioned with
-	// under sampled partitioning (agreed in the sampling round or preset
-	// via Config.Splitters); nil under uniform partitioning.
-	SplitterBounds [][]byte
-	// SampleRoundBytes counts the sampling-round payload this worker
-	// pushed: sample keys gathered plus, on the selecting rank, the
-	// broadcast bounds. Zero when no round ran.
-	SampleRoundBytes int64
 }
 
 // Run executes the sort worker for ep.Rank() and blocks until this node's
@@ -350,7 +186,8 @@ func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) 
 }
 
 type worker struct {
-	cfg  Config
+	cfg  Config        // the process-local hooks
+	spec *job.Resolved // cfg.Spec and cfg.Local, validated and defaulted
 	rank int
 	part partition.Partitioner // resolved by config or the sampling stage
 
@@ -383,38 +220,31 @@ type worker struct {
 	result  Result
 }
 
-// newWorker validates the configuration against the endpoint's world and
-// resolves everything the stage graph's shape depends on: the placement
-// plan, this node's files and groups, and the group size.
+// newWorker resolves the job against the endpoint's world and derives
+// everything the stage graph's shape depends on: the placement plan, this
+// node's files and groups, and the group size.
 func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
-	cfg, err := cfg.normalize()
+	spec, err := cfg.Resolve(cfg.Local)
 	if err != nil {
 		return nil, err
 	}
-	if ep.Size() != cfg.K {
-		return nil, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), cfg.K)
+	if ep.Size() != spec.K {
+		return nil, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), spec.K)
 	}
-	plan, err := cfg.strat.Plan(cfg.Rows)
+	plan, err := spec.Strat.Plan(spec.Rows)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.InputFiles != nil {
-		for i, f := range plan.Files {
-			if f.Size() != 1 {
-				return nil, fmt.Errorf("coded: InputFiles need single-holder files, file %d is placed on %d nodes", i, f.Size())
-			}
-		}
 	}
 	rank := ep.Rank()
-	w := &worker{cfg: cfg, rank: rank, part: cfg.Part, plan: plan,
-		stored: plan.FilesOn(rank), myGroups: cfg.strat.GroupsOf(rank), store: codec.IVMap{}}
+	w := &worker{cfg: cfg, spec: spec, rank: rank, part: spec.Part, plan: plan,
+		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank), store: codec.IVMap{}}
 	w.groupIdx = make(map[int64]int, len(w.myGroups))
 	for i, g := range w.myGroups {
 		w.groupIdx[g.ID] = i
 	}
 	// Group size is uniform within a strategy, so every rank reads the same
 	// value and builds the same graph.
-	cfg.strat.EachGroup(func(g placement.Group) bool {
+	spec.Strat.EachGroup(func(g placement.Group) bool {
 		w.coding = len(g.Members) > 2
 		return false
 	})
@@ -428,7 +258,7 @@ func (w *worker) run(ep transport.Endpoint, tl *stats.Timeline) error {
 		tl = stats.NewTimeline(stats.NewWallClock())
 	}
 	hooks := engine.TimelineHooks(tl).Then(w.cfg.Hooks)
-	ctx, err := engine.Run(ep, w.graph(), w.cfg.policies(), tl.Clock(), hooks)
+	ctx, err := engine.Run(ep, w.graph(), w.spec, tl.Clock(), hooks)
 	if err != nil {
 		return err
 	}
@@ -497,13 +327,13 @@ func (w *worker) graph() *engine.Graph {
 // the coordinator's disk placement) — outside the timed pipeline.
 func (w *worker) placeStage(ctx *engine.Context) error {
 	w.files = make(map[int]kv.Records, len(w.stored))
-	gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
+	gen := kv.NewGenerator(w.spec.Seed, w.spec.KeyDist)
 	for _, fi := range w.stored {
 		switch {
-		case w.cfg.Input != nil:
-			w.files[fi] = w.cfg.Input[fi]
-		case w.cfg.InputFiles != nil:
-			buf, err := os.ReadFile(w.cfg.InputFiles[fi])
+		case w.spec.Input != nil:
+			w.files[fi] = w.spec.Input[fi]
+		case w.spec.InputDir != "":
+			buf, err := os.ReadFile(extsort.PartFile(w.spec.InputDir, fi))
 			if err != nil {
 				return fmt.Errorf("coded: read input file: %w", err)
 			}
@@ -522,13 +352,13 @@ func (w *worker) placeStage(ctx *engine.Context) error {
 // ever holding the file — the out-of-core counterpart of placeStage.
 func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
 	switch {
-	case w.cfg.Input != nil:
-		return w.cfg.Input[fi].ForEachBlock(w.cfg.ChunkRows, fn)
-	case w.cfg.InputFiles != nil:
-		return extsort.ScanFile(w.cfg.InputFiles[fi], w.cfg.ChunkRows, fn)
+	case w.spec.Input != nil:
+		return w.spec.Input[fi].ForEachBlock(w.spec.ChunkRows, fn)
+	case w.spec.InputDir != "":
+		return extsort.ScanFile(extsort.PartFile(w.spec.InputDir, fi), w.spec.ChunkRows, fn)
 	default:
 		first, last := w.plan.FileRows(fi)
-		return kv.NewGenerator(w.cfg.Seed, w.cfg.Dist).GenerateBlocks(first, last-first, w.cfg.ChunkRows, fn)
+		return kv.NewGenerator(w.spec.Seed, w.spec.KeyDist).GenerateBlocks(first, last-first, w.spec.ChunkRows, fn)
 	}
 }
 
@@ -575,8 +405,8 @@ func (w *worker) sampleStage(ctx *engine.Context) error {
 	if err != nil {
 		return fmt.Errorf("coded: sampled splitters: %w", err)
 	}
-	if sp.NumPartitions() != w.cfg.K {
-		return fmt.Errorf("coded: sampling agreed on %d partitions for K=%d", sp.NumPartitions(), w.cfg.K)
+	if sp.NumPartitions() != w.spec.K {
+		return fmt.Errorf("coded: sampling agreed on %d partitions for K=%d", sp.NumPartitions(), w.spec.K)
 	}
 	w.part = sp
 	return nil
@@ -596,14 +426,14 @@ func (w *worker) sampleKeys() ([]byte, error) {
 	// plan; supplied input files tile by cumulative length.
 	offsets := make([]int64, n+1)
 	for i := 0; i < n; i++ {
-		if w.cfg.Input != nil {
-			offsets[i+1] = offsets[i] + int64(w.cfg.Input[i].Len())
+		if w.spec.Input != nil {
+			offsets[i+1] = offsets[i] + int64(w.spec.Input[i].Len())
 		} else {
 			offsets[i+1] = offsets[i] + w.plan.FileRowCount(i)
 		}
 	}
-	stride := partition.SampleStride(offsets[n], w.cfg.SampleSize)
-	gen := kv.NewGenerator(w.cfg.Seed, w.cfg.Dist)
+	stride := partition.SampleStride(offsets[n], w.spec.SampleSize)
+	gen := kv.NewGenerator(w.spec.Seed, w.spec.KeyDist)
 	// A Map-stage hook may read or rewrite the value, so it needs whole
 	// sampled records; without one a generated sample is keys alone.
 	hooked := w.cfg.Filter != nil || w.cfg.Transform != nil
@@ -614,18 +444,18 @@ func (w *worker) sampleKeys() ([]byte, error) {
 		if w.plan.Files[fi].Min() != w.rank {
 			continue
 		}
-		if w.cfg.InputFiles != nil {
+		if w.spec.InputDir != "" {
 			// Peer file sizes are not visible locally, so an on-disk file
 			// samples its own positions at the stride of n files of its
 			// size — identical to the global stride when the files split
 			// the input evenly, and a valid per-file sample otherwise.
-			path := w.cfg.InputFiles[fi]
+			path := extsort.PartFile(w.spec.InputDir, fi)
 			st, err := os.Stat(path)
 			if err != nil {
 				return nil, fmt.Errorf("coded: sample input file: %w", err)
 			}
 			rows := st.Size() / int64(kv.RecordSize)
-			s, err := extsort.SampleFile(path, partition.SampleStride(rows*int64(n), w.cfg.SampleSize))
+			s, err := extsort.SampleFile(path, partition.SampleStride(rows*int64(n), w.spec.SampleSize))
 			if err != nil {
 				return nil, err
 			}
@@ -637,8 +467,8 @@ func (w *worker) sampleKeys() ([]byte, error) {
 			// Generated files tile [0, Rows) in file order, so the plan
 			// row of a sampled offset is the offset itself.
 			switch {
-			case w.cfg.Input != nil:
-				sampled = sampled.Append(w.cfg.Input[fi].Record(int(g - first)))
+			case w.spec.Input != nil:
+				sampled = sampled.Append(w.spec.Input[fi].Record(int(g - first)))
 			case hooked:
 				gen.Record(rec, g)
 				sampled = sampled.Append(rec)
@@ -709,7 +539,7 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 			}
 		})
 		for gi, g := range w.myGroups {
-			if w.spools[gi], err = extsort.NewSpool(sorter.Dir(), w.cfg.ChunkRows); err != nil {
+			if w.spools[gi], err = extsort.NewSpool(sorter.Dir(), w.spec.ChunkRows); err != nil {
 				return err
 			}
 			for j, t := range g.Members {
@@ -766,7 +596,7 @@ func (w *worker) reduceSpillStage(ctx *engine.Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := extsort.DrainSorted(sorter, w.cfg.ChunkRows, w.cfg.OutputSink)
+	out, err := extsort.DrainSorted(sorter, w.spec.ChunkRows, w.cfg.OutputSink)
 	if err != nil {
 		return err
 	}
@@ -829,7 +659,7 @@ func (w *worker) encodeStage(ctx *engine.Context) error {
 // sends.
 func (w *worker) inboundFrom(u int) []int {
 	var out []int
-	for _, m := range w.cfg.strat.GroupsOf(u) {
+	for _, m := range w.spec.Strat.GroupsOf(u) {
 		if m.Contains(w.rank) {
 			out = append(out, w.groupIdx[m.ID])
 		}
@@ -855,7 +685,7 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 	w.received = memberSlots[[]byte](w.myGroups)
 	recvErr := make(chan error, 1)
 	go func() {
-		for u := 0; u < w.cfg.K; u++ {
+		for u := 0; u < w.spec.K; u++ {
 			if u == w.rank {
 				continue
 			}
@@ -899,7 +729,7 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 // root's send order, so concurrent senders never queue behind one another.
 func (w *worker) streamStage(ctx *engine.Context) error {
 	w.decoded = memberSlots[kv.Records](w.myGroups)
-	recvErrs := make([]error, w.cfg.K)
+	recvErrs := make([]error, w.spec.K)
 	var wg sync.WaitGroup
 	// Under the serial schedule the roots take the wire in rank order and
 	// the receivers take turns in the same order, at no cost: records then
@@ -908,12 +738,12 @@ func (w *worker) streamStage(ctx *engine.Context) error {
 	// consumption, so the next root may start while the last chunk of the
 	// previous one is still being consumed).
 	var turn chan struct{}
-	for u := 0; u < w.cfg.K; u++ {
+	for u := 0; u < w.spec.K; u++ {
 		if u == w.rank {
 			continue
 		}
 		prev, done := turn, make(chan struct{})
-		if !ctx.P.Parallel {
+		if !w.spec.ParallelShuffle {
 			turn = done
 		}
 		wg.Add(1)
@@ -979,7 +809,7 @@ func (w *worker) receiveStream(ctx *engine.Context, gi, u int) error {
 			return transport.StreamAck(ctx.Ep, u, groupTag(tagChunkAck, g.ID, u))
 		},
 		Decode: func(c int, payload []byte) (kv.Records, error) {
-			part, err := codec.DecodeGroupPacketChunk(w.store, g.Group, w.rank, u, w.cfg.ChunkRows, c, payload)
+			part, err := codec.DecodeGroupPacketChunk(w.store, g.Group, w.rank, u, w.spec.ChunkRows, c, payload)
 			if err != nil {
 				return kv.Records{}, fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
 			}
@@ -1002,7 +832,7 @@ func (w *worker) sendStream(ctx *engine.Context, gi int) error {
 		return err
 	}
 	ackTag := groupTag(tagChunkAck, g.ID, w.rank)
-	gate := engine.CreditGate{Window: w.cfg.Window, Await: func() error {
+	gate := engine.CreditGate{Window: w.spec.Window, Await: func() error {
 		for _, m := range g.Members {
 			if m == w.rank {
 				continue
@@ -1043,9 +873,9 @@ func (w *worker) sendStream(ctx *engine.Context, gi int) error {
 func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error), error) {
 	g := w.myGroups[gi]
 	if w.spools == nil {
-		count := codec.GroupPacketChunkCount(w.store, g.Group, w.rank, w.cfg.ChunkRows)
+		count := codec.GroupPacketChunkCount(w.store, g.Group, w.rank, w.spec.ChunkRows)
 		return count, func(c int, last bool) ([]byte, error) {
-			pkt, err := codec.EncodeGroupPacketChunk(w.store, g.Group, w.rank, w.cfg.ChunkRows, c)
+			pkt, err := codec.EncodeGroupPacketChunk(w.store, g.Group, w.rank, w.spec.ChunkRows, c)
 			if err != nil {
 				return nil, fmt.Errorf("encode chunk %d in %v: %w", c, g.Members, err)
 			}

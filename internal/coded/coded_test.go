@@ -7,6 +7,7 @@ import (
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/combin"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
@@ -16,6 +17,12 @@ import (
 	"codedterasort/internal/transport/netem"
 	"codedterasort/internal/verify"
 )
+
+// cfgOf is the coded sort of the given job: what most tests start from.
+func cfgOf(s job.Spec) Config {
+	s.Algorithm = job.AlgCoded
+	return Config{Spec: s}
+}
 
 // runAll executes a full sort over an in-memory mesh and returns all worker
 // results.
@@ -55,7 +62,7 @@ func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), tim
 			if perRank != nil {
 				perRank(rank, &c)
 			}
-			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
+			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy())
 			w, err := newWorker(ep, c)
 			if err == nil {
 				var tl *stats.Timeline
@@ -86,7 +93,7 @@ func outputs(results []Result) []kv.Records {
 
 func TestEndToEndSortsCorrectly(t *testing.T) {
 	for _, r := range []int{1, 2} {
-		cfg := Config{K: 4, R: r, Rows: 4200, Seed: 1}
+		cfg := cfgOf(job.Spec{K: 4, R: r, Rows: 4200, Seed: 1})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
@@ -96,10 +103,11 @@ func TestEndToEndSortsCorrectly(t *testing.T) {
 }
 
 func TestMatchesSequentialSort(t *testing.T) {
-	for _, cfg := range []Config{
+	for _, spec := range []job.Spec{
 		{K: 3, R: 1, Rows: 900, Seed: 7},
 		{K: 4, R: 2, Rows: 1200, Seed: 7},
 	} {
+		cfg := cfgOf(spec)
 		results := runAll(t, cfg)
 		all := kv.Concat(outputs(results)...)
 		want := kv.NewGenerator(7, kv.DistUniform).Generate(0, cfg.Rows)
@@ -114,8 +122,8 @@ func TestMatchesTeraSortOutput(t *testing.T) {
 	// CodedTeraSort and TeraSort (r = 1) must produce identical
 	// per-partition outputs for the same input and partitioner.
 	const k, rows, seed = 5, 2500, 42
-	codedRes := runAll(t, Config{K: k, R: 3, Rows: rows, Seed: seed})
-	teraRes := runAll(t, Config{K: k, R: 1, Rows: rows, Seed: seed})
+	codedRes := runAll(t, cfgOf(job.Spec{K: k, R: 3, Rows: rows, Seed: seed}))
+	teraRes := runAll(t, cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed}))
 	for rank := 0; rank < k; rank++ {
 		if !codedRes[rank].Output.Equal(teraRes[rank].Output) {
 			t.Fatalf("partition %d differs between redundancy levels", rank)
@@ -128,7 +136,7 @@ func TestAllRedundancyLevels(t *testing.T) {
 	// (everything local, nothing shuffled).
 	const k, rows = 5, 1500
 	for r := 1; r <= k; r++ {
-		cfg := Config{K: k, R: r, Rows: rows, Seed: uint64(r)}
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: uint64(r)})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(uint64(r), kv.DistUniform), rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
@@ -145,19 +153,19 @@ func TestAllRedundancyLevels(t *testing.T) {
 }
 
 func TestBothMulticastStrategies(t *testing.T) {
-	for _, s := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 99, Strategy: s}
+	for _, tree := range []bool{false, true} {
+		cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 99, TreeMulticast: tree})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(99, kv.DistUniform), cfg.Rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(6), in); err != nil {
-			t.Fatalf("strategy %v: %v", s, err)
+			t.Fatalf("tree=%v: %v", tree, err)
 		}
 	}
 }
 
 func TestVariousClusterSizes(t *testing.T) {
 	for _, k := range []int{1, 2, 5, 8, 16} {
-		cfg := Config{K: k, R: 1, Rows: int64(200 * k), Seed: uint64(k)}
+		cfg := cfgOf(job.Spec{K: k, R: 1, Rows: int64(200 * k), Seed: uint64(k)})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(uint64(k), kv.DistUniform), cfg.Rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
@@ -168,11 +176,12 @@ func TestVariousClusterSizes(t *testing.T) {
 
 func TestEmptyAndTinyInputs(t *testing.T) {
 	// Includes fewer rows than nodes (K=8, 3 rows).
-	for _, cfg := range []Config{
+	for _, spec := range []job.Spec{
 		{K: 3, R: 1}, {K: 8, R: 1, Rows: 3},
 		{K: 4, R: 2}, {K: 4, R: 2, Rows: 1}, {K: 4, R: 2, Rows: 5},
 	} {
-		cfg.Seed = 3
+		spec.Seed = 3
+		cfg := cfgOf(spec)
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), cfg.Rows)
 		if err := verify.SortedOutput(outputs(results), partition.NewUniform(cfg.K), in); err != nil {
@@ -191,7 +200,8 @@ func TestSkewedInputWithSampledPartitioner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []int{1, 2} {
-		cfg := Config{K: k, R: r, Rows: rows, Seed: 9, Dist: kv.DistSkewed, Part: part}
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: 9, DistName: "skewed"})
+		cfg.Part = part
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
 		if err := verify.SortedOutput(outputs(results), part, in); err != nil {
@@ -202,7 +212,7 @@ func TestSkewedInputWithSampledPartitioner(t *testing.T) {
 
 func TestGroupCount(t *testing.T) {
 	// Each node belongs to C(K-1, r) multicast groups.
-	cfg := Config{K: 6, R: 2, Rows: 600, Seed: 1}
+	cfg := cfgOf(job.Spec{K: 6, R: 2, Rows: 600, Seed: 1})
 	results := runAll(t, cfg)
 	want := int(combin.Binomial(5, 2))
 	for rank, res := range results {
@@ -223,7 +233,7 @@ func TestMulticastLoadBeatsUncodedByR(t *testing.T) {
 	dataBytes := int64(rows * kv.RecordSize)
 	teraBytes := dataBytes * int64(k-1) / int64(k)
 	for r := 2; r <= 4; r++ {
-		results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		results := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		var coded int64
 		for _, res := range results {
 			coded += res.SentBytes
@@ -305,7 +315,7 @@ func TestStageTimesPopulated(t *testing.T) {
 	// Two-member groups (r = 1) build no communicator and report no CodeGen
 	// time; larger groups do.
 	for _, r := range []int{1, 2} {
-		results := runAll(t, Config{K: 4, R: r, Rows: 2000, Seed: 2})
+		results := runAll(t, cfgOf(job.Spec{K: 4, R: r, Rows: 2000, Seed: 2}))
 		for rank, res := range results {
 			if gotCodeGen := res.Times[stats.StageCodeGen] > 0; gotCodeGen != (r > 1) {
 				t.Fatalf("r=%d rank %d: CodeGen time %v", r, rank, res.Times[stats.StageCodeGen])
@@ -317,22 +327,21 @@ func TestStageTimesPopulated(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
+// TestRunResolvesTheJob: Run refuses a spec job.Resolve refuses (the table
+// of those is internal/job's), an attachment that contradicts the spec, and
+// an endpoint of the wrong world size — before any traffic flows.
+func TestRunResolvesTheJob(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	bad := []Config{
-		{K: 0, R: 1},
-		{K: 2, R: 0},
-		{K: 2, R: 3},
-		{K: 2, R: 1, Rows: -1},
-		{K: 3, R: 1, Rows: 10}, // world-size mismatch
-		{K: 2, R: 1, Part: partition.NewUniform(7)},
-		{K: 2, R: 1, InputFiles: []string{"a"}},                                   // wrong file count
-		{K: 2, R: 1, Input: []kv.Records{{}, {}}, InputFiles: []string{"a", "b"}}, // both sources
-		{K: 2, R: 2, InputFiles: []string{"a"}},                                   // replicated files
-	}
-	for i, cfg := range bad {
+	wrongPart := cfgOf(job.Spec{K: 2, R: 1})
+	wrongPart.Part = partition.NewUniform(7)
+	for i, cfg := range []Config{
+		{Spec: job.Spec{K: 2, R: 1}}, // no algorithm
+		cfgOf(job.Spec{K: 2, R: 3}),
+		cfgOf(job.Spec{K: 3, R: 1, Rows: 10}), // world-size mismatch
+		wrongPart,
+	} {
 		if _, err := Run(ep, cfg, nil); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, cfg)
 		}
@@ -344,7 +353,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 	// stage, not a hang or silent corruption.
 	for _, tc := range []struct{ k, r, failAfter int }{{3, 1, 3}, {4, 2, 2}} {
 		mesh := memnet.NewMesh(tc.k)
-		cfg := Config{K: tc.k, R: tc.r, Rows: 400, Seed: 3}
+		cfg := cfgOf(job.Spec{K: tc.k, R: tc.r, Rows: 400, Seed: 3})
 		rank0Err := make(chan error, 1)
 		var wg sync.WaitGroup
 		go func() {
@@ -380,7 +389,7 @@ func TestLargerClusterSmoke(t *testing.T) {
 		t.Skip("short mode")
 	}
 	// K=8, r=3: 56 files, 70 groups — a mid-scale structural exercise.
-	cfg := Config{K: 8, R: 3, Rows: 8000, Seed: 17}
+	cfg := cfgOf(job.Spec{K: 8, R: 3, Rows: 8000, Seed: 17})
 	results := runAll(t, cfg)
 	in := verify.DescribeGenerated(kv.NewGenerator(17, kv.DistUniform), cfg.Rows)
 	if err := verify.SortedOutput(outputs(results), partition.NewUniform(8), in); err != nil {
@@ -396,7 +405,7 @@ func benchmarkSort(b *testing.B, cfg Config) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy)
+				ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy())
 				if _, err := Run(ep, cfg, nil); err != nil {
 					b.Error(err)
 				}
@@ -408,9 +417,9 @@ func benchmarkSort(b *testing.B, cfg Config) {
 }
 
 func BenchmarkTeraSortK4(b *testing.B) {
-	benchmarkSort(b, Config{K: 4, R: 1, Rows: 20000, Seed: 1})
+	benchmarkSort(b, cfgOf(job.Spec{K: 4, R: 1, Rows: 20000, Seed: 1}))
 }
 
 func BenchmarkCodedTeraSortK4R2(b *testing.B) {
-	benchmarkSort(b, Config{K: 4, R: 2, Rows: 20000, Seed: 1})
+	benchmarkSort(b, cfgOf(job.Spec{K: 4, R: 2, Rows: 20000, Seed: 1}))
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"codedterasort/internal/combin"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/transport"
@@ -24,8 +25,10 @@ func TestInjectedInputMatchesGenerated(t *testing.T) {
 		for i := range input {
 			input[i] = plan.Materialize(gen, i)
 		}
-		genResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
-		injResults := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, Input: input})
+		genResults := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
+		injected := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
+		injected.Input = input
+		injResults := runAll(t, injected)
 		for rank := range genResults {
 			if !genResults[rank].Output.Equal(injResults[rank].Output) {
 				t.Fatalf("r=%d rank %d output differs between generated and injected input", r, rank)
@@ -34,23 +37,12 @@ func TestInjectedInputMatchesGenerated(t *testing.T) {
 	}
 }
 
-func TestInjectedInputValidation(t *testing.T) {
-	for _, cfg := range []Config{
-		{K: 2, R: 1, Input: []kv.Records{{}}},     // want K=2 files, gave 1
-		{K: 2, R: 2, Input: []kv.Records{{}, {}}}, // want C(2,2)=1, gave 2
-	} {
-		if _, err := cfg.normalize(); err == nil {
-			t.Fatalf("r=%d: wrong input file count accepted", cfg.R)
-		}
-	}
-}
-
 func TestParallelShuffleMatchesSerial(t *testing.T) {
 	for _, r := range []int{1, 2} {
-		base := Config{K: 5, R: r, Rows: 2500, Seed: 32}
+		base := cfgOf(job.Spec{K: 5, R: r, Rows: 2500, Seed: 32})
 		serial := runAll(t, base)
 		par := base
-		par.Parallel = true
+		par.ParallelShuffle = true
 		parallel := runAll(t, par)
 		for rank := range serial {
 			if !serial[rank].Output.Equal(parallel[rank].Output) {
@@ -61,8 +53,7 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 }
 
 func TestParallelWithTreeMulticast(t *testing.T) {
-	cfg := Config{K: 6, R: 3, Rows: 3000, Seed: 33,
-		Strategy: transport.BcastBinomialTree, Parallel: true}
+	cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 33, TreeMulticast: true, ParallelShuffle: true})
 	results := runAll(t, cfg)
 	all := kv.Concat(outputs(results)...)
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
@@ -91,7 +82,9 @@ func TestFilterGrep(t *testing.T) {
 		t.Fatalf("degenerate test: no matches")
 	}
 	for _, r := range []int{1, 2} {
-		results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match})
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
+		cfg.Filter = match
+		results := runAll(t, cfg)
 		if got := kv.Concat(outputs(results)...); !got.Equal(want) {
 			t.Fatalf("r=%d grep: %d records, want %d", r, got.Len(), want.Len())
 		}
@@ -101,9 +94,10 @@ func TestFilterGrep(t *testing.T) {
 func TestFilterShrinksShuffle(t *testing.T) {
 	const k, rows, seed = 4, 4000, 43
 	for _, r := range []int{1, 2} {
-		full := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
-		filtered := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed,
-			Filter: func(rec []byte) bool { return rec[0] < 0x20 }}) // ~1/8 of records
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
+		full := runAll(t, cfg)
+		cfg.Filter = func(rec []byte) bool { return rec[0] < 0x20 } // ~1/8 of records
+		filtered := runAll(t, cfg)
 		var fullBytes, filteredBytes int64
 		for i := range full {
 			fullBytes += full[i].SentBytes
@@ -116,8 +110,9 @@ func TestFilterShrinksShuffle(t *testing.T) {
 }
 
 func TestFilterRejectAll(t *testing.T) {
-	results := runAll(t, Config{K: 4, R: 2, Rows: 400, Seed: 35,
-		Filter: func([]byte) bool { return false }})
+	cfg := cfgOf(job.Spec{K: 4, R: 2, Rows: 400, Seed: 35})
+	cfg.Filter = func([]byte) bool { return false }
+	results := runAll(t, cfg)
 	for rank, res := range results {
 		if res.Output.Len() != 0 {
 			t.Fatalf("rank %d produced %d records under reject-all filter", rank, res.Output.Len())

@@ -4,10 +4,9 @@ import (
 	"sync"
 	"testing"
 
-	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/transport"
 	"codedterasort/internal/verify"
 )
 
@@ -19,7 +18,7 @@ import (
 func TestBudgetMatchesInMemory(t *testing.T) {
 	const k, rows, seed = 5, 5000, 59
 	for _, r := range []int{1, 2, 4, 5} {
-		ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		ref := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		for _, tc := range []struct {
 			name      string
 			budget    int64
@@ -32,8 +31,8 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 			{"huge", 64 << 20, false, false},
 		} {
 			t.Run(tc.name+"/r="+string(rune('0'+r)), func(t *testing.T) {
-				cfg := Config{K: k, R: r, Rows: rows, Seed: seed,
-					MemBudget: tc.budget, SpillDir: t.TempDir(), Parallel: tc.parallel}
+				cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed,
+					MemBudget: tc.budget, SpillDir: t.TempDir(), ParallelShuffle: tc.parallel})
 				results := runAll(t, cfg)
 				var spilled int64
 				for rank := range results {
@@ -71,10 +70,10 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 func TestBudgetStreamsToSink(t *testing.T) {
 	const k, rows, seed = 4, 4000, 61
 	for _, r := range []int{1, 2} {
-		ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		ref := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		var mu sync.Mutex
 		streamed := make([]kv.Records, k)
-		cfg := Config{K: k, R: r, Rows: rows, Seed: seed, MemBudget: 24 * 1024, SpillDir: t.TempDir()}
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed, MemBudget: 24 * 1024, SpillDir: t.TempDir()})
 		results := runAllWith(t, cfg, func(rank int, c *Config) {
 			c.OutputSink = func(block kv.Records) error {
 				mu.Lock()
@@ -107,8 +106,8 @@ func TestBudgetStreamsToSink(t *testing.T) {
 func TestBudgetWithFilterAndTree(t *testing.T) {
 	const k, r, rows, seed = 4, 3, 3000, 67
 	match := func(rec []byte) bool { return rec[kv.KeySize+8]%2 == 0 }
-	base := Config{K: k, R: r, Rows: rows, Seed: seed, Filter: match,
-		Strategy: transport.BcastBinomialTree}
+	base := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed, TreeMulticast: true})
+	base.Filter = match
 	ref := runAll(t, base)
 	cfg := base
 	cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()
@@ -116,25 +115,6 @@ func TestBudgetWithFilterAndTree(t *testing.T) {
 	for rank := range results {
 		if !results[rank].Output.Equal(ref[rank].Output) {
 			t.Fatalf("rank %d: filtered budget output differs", rank)
-		}
-	}
-}
-
-// TestBudgetConfigValidation: bad budget configs are rejected.
-func TestBudgetConfigValidation(t *testing.T) {
-	if _, err := (Config{K: 3, R: 2, Rows: 10, MemBudget: -1}).normalize(); err == nil {
-		t.Fatal("negative MemBudget accepted")
-	}
-	cfg, err := (Config{K: 3, R: 2, Rows: 10, MemBudget: 1 << 20}).normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.ChunkRows <= 0 || cfg.Window <= 0 {
-		t.Fatalf("budget did not imply streaming: chunkRows=%d window=%d", cfg.ChunkRows, cfg.Window)
-	}
-	for _, r := range []int{1, 2} {
-		if _, err := (Config{K: 3, R: r, Rows: 10, MemBudget: 1 << 30, ChunkRows: extsort.MaxBlockRows + 1}).normalize(); err == nil {
-			t.Fatalf("r=%d: ChunkRows above the spill block cap accepted in budget mode", r)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/transport"
@@ -54,7 +55,8 @@ func TestFig3Walkthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{K: 4, R: 1, Part: part, Input: input}
+	cfg := cfgOf(job.Spec{K: 4, R: 1})
+	cfg.Part, cfg.Input = part, input
 
 	mesh := memnet.NewMesh(4)
 	defer mesh.Close()

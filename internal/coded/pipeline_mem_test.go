@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"codedterasort/internal/engine"
+	"codedterasort/internal/job"
 )
 
 // liveHeapPeak measures a cluster run's peak live heap deterministically:
@@ -52,7 +53,9 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 
 	measure := func(chunkRows int) uint64 {
 		var peak liveHeapPeak
-		runAll(t, Config{K: k, R: 1, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4, Hooks: peak.hooks()})
+		cfg := cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: 77, ChunkRows: chunkRows, Window: 4})
+		cfg.Hooks = peak.hooks()
+		runAll(t, cfg)
 		return peak.bytes
 	}
 

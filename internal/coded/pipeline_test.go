@@ -3,10 +3,9 @@ package coded
 import (
 	"testing"
 
-	"codedterasort/internal/engine"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/transport"
 	"codedterasort/internal/verify"
 )
 
@@ -17,19 +16,19 @@ import (
 func TestPipelinedMatchesMonolithic(t *testing.T) {
 	const k, rows, seed = 5, 2500, 31
 	for _, r := range []int{1, 2, 4} {
-		ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed})
+		ref := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		for _, chunkRows := range []int{1, 50, 100000} {
 			for _, window := range []int{1, 3} {
-				for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
+				for _, tree := range []bool{false, true} {
 					for _, parallel := range []bool{false, true} {
-						cfg := Config{K: k, R: r, Rows: rows, Seed: seed,
-							Strategy: strategy, Parallel: parallel,
-							ChunkRows: chunkRows, Window: window}
+						cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed,
+							TreeMulticast: tree, ParallelShuffle: parallel,
+							ChunkRows: chunkRows, Window: window})
 						results := runAll(t, cfg)
 						for rank := range results {
 							if !results[rank].Output.Equal(ref[rank].Output) {
-								t.Fatalf("r=%d chunkRows=%d window=%d strategy=%v parallel=%v rank %d: output differs",
-									r, chunkRows, window, strategy, parallel, rank)
+								t.Fatalf("r=%d chunkRows=%d window=%d tree=%v parallel=%v rank %d: output differs",
+									r, chunkRows, window, tree, parallel, rank)
 							}
 						}
 					}
@@ -42,7 +41,7 @@ func TestPipelinedMatchesMonolithic(t *testing.T) {
 // TestPipelinedValidatesAgainstReference: pipelined output also passes the
 // full ordering/partition/multiset verification against the input.
 func TestPipelinedValidatesAgainstReference(t *testing.T) {
-	cfg := Config{K: 4, R: 2, Rows: 3000, Seed: 9, ChunkRows: 64}
+	cfg := cfgOf(job.Spec{K: 4, R: 2, Rows: 3000, Seed: 9, ChunkRows: 64})
 	results := runAll(t, cfg)
 	in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistUniform), cfg.Rows)
 	if err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
@@ -56,10 +55,11 @@ func TestPipelinedValidatesAgainstReference(t *testing.T) {
 // of its clique group — one peer at r = 1), and SentOps tracks chunk
 // packets.
 func TestPipelinedChunkAccounting(t *testing.T) {
-	for _, cfg := range []Config{
+	for _, spec := range []job.Spec{
 		{K: 3, R: 1, Rows: 1200, Seed: 5, ChunkRows: 50},
 		{K: 5, R: 2, Rows: 2000, Seed: 13, ChunkRows: 40},
 	} {
+		cfg := cfgOf(spec)
 		results := runAll(t, cfg)
 		var sent, recv int64
 		for rank, res := range results {
@@ -83,7 +83,7 @@ func TestPipelinedChunkAccounting(t *testing.T) {
 // other member of each group received.
 func TestPipelinedEmptyStreams(t *testing.T) {
 	for _, r := range []int{1, 2} {
-		results := runAll(t, Config{K: 3, R: r, Rows: 0, Seed: 1, ChunkRows: 10})
+		results := runAll(t, cfgOf(job.Spec{K: 3, R: r, Rows: 0, Seed: 1, ChunkRows: 10}))
 		for rank, res := range results {
 			if res.Output.Len() != 0 {
 				t.Fatalf("r=%d rank %d produced %d records from empty input", r, rank, res.Output.Len())
@@ -93,30 +93,5 @@ func TestPipelinedEmptyStreams(t *testing.T) {
 					r, rank, res.ChunksSent, res.ChunksReceived, want, want*int64(r))
 			}
 		}
-	}
-}
-
-// TestPipelinedConfigValidation: negative knobs are rejected, and the
-// default window is applied only when pipelining is on.
-func TestPipelinedConfigValidation(t *testing.T) {
-	if _, err := (Config{K: 3, R: 2, Rows: 10, ChunkRows: -1}).normalize(); err == nil {
-		t.Fatalf("negative ChunkRows accepted")
-	}
-	if _, err := (Config{K: 3, R: 2, Rows: 10, Window: -1}).normalize(); err == nil {
-		t.Fatalf("negative Window accepted")
-	}
-	c, err := (Config{K: 3, R: 2, Rows: 10, ChunkRows: 5}).normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Window != engine.DefaultWindow {
-		t.Fatalf("window defaulted to %d, want %d", c.Window, engine.DefaultWindow)
-	}
-	c, err = (Config{K: 2, R: 1, Rows: 10}).normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Window != 0 {
-		t.Fatalf("window %d set without pipelining", c.Window)
 	}
 }

@@ -2,6 +2,8 @@ package coded
 
 import (
 	"testing"
+
+	"codedterasort/internal/job"
 )
 
 // TestParallelismMatchesSequential: the engine's Parallelism knob —
@@ -12,9 +14,9 @@ func TestParallelismMatchesSequential(t *testing.T) {
 	const k, rows, seed = 4, 2400, 23
 	for _, r := range []int{1, 2} {
 		for _, chunkRows := range []int{0, 80} {
-			ref := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, ChunkRows: chunkRows, Parallelism: 1})
+			ref := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed, ChunkRows: chunkRows, Parallelism: 1}))
 			for _, procs := range []int{0, 4} {
-				results := runAll(t, Config{K: k, R: r, Rows: rows, Seed: seed, ChunkRows: chunkRows, Parallelism: procs})
+				results := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed, ChunkRows: chunkRows, Parallelism: procs}))
 				for rank := range results {
 					if !results[rank].Output.Equal(ref[rank].Output) {
 						t.Fatalf("r=%d chunkRows=%d procs=%d rank %d: output differs from sequential", r, chunkRows, procs, rank)
@@ -22,12 +24,5 @@ func TestParallelismMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestParallelismValidation: negative Parallelism is a config error.
-func TestParallelismValidation(t *testing.T) {
-	if _, err := (Config{K: 2, R: 1, Rows: 10, Parallelism: -1}).normalize(); err == nil {
-		t.Fatalf("negative Parallelism accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/engine"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/stats"
@@ -72,12 +73,12 @@ func TestRedundancyOneIsTeraSort(t *testing.T) {
 	for _, cell := range terasortGolden {
 		k := cell.k
 		t.Run(fmt.Sprintf("k=%d/%s/%s", k, cell.mode, cell.input), func(t *testing.T) {
-			cfg := modeConfig(t, Config{K: k, R: 1, Rows: rows, Seed: seed}, cell.mode)
+			cfg := modeConfig(t, cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed}), cell.mode)
 			var part partition.Partitioner = partition.NewUniform(k)
 			if cell.input == "zipf" {
-				cfg.Dist, cfg.Partitioning = kv.DistZipf, "sample"
+				cfg.DistName, cfg.Partitioning = "zipf", "sample"
 			}
-			all := kv.NewGenerator(seed, cfg.Dist).Generate(0, rows)
+			all := kv.NewGenerator(seed, cfg.Dist()).Generate(0, rows)
 			if cell.input == "zipf" {
 				// Replay the sampling round: every stride-th row of the
 				// input, splitters from the pooled keys.
@@ -157,7 +158,7 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 	for _, mode := range []string{"mono", "chunked", "spill"} {
 		sequences := map[int][]stats.Stage{}
 		for _, r := range []int{1, 2} {
-			cfg := modeConfig(t, Config{K: 4, R: r, Rows: 2000, Seed: 3}, mode)
+			cfg := modeConfig(t, cfgOf(job.Spec{K: 4, R: r, Rows: 2000, Seed: 3}), mode)
 			var events []engine.StageEvent
 			workers := runWorkers(t, cfg, func(rank int, c *Config) {
 				if rank == 0 {

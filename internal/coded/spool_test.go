@@ -2,9 +2,10 @@ package coded
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
+	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/verify"
@@ -20,7 +21,8 @@ import (
 func TestBudgetWithFilterAndSkew(t *testing.T) {
 	const k, rows, seed = 5, 5000, 37
 	match := func(rec []byte) bool { return rec[kv.KeySize+8]%3 == 0 }
-	base := Config{K: k, R: 1, Rows: rows, Seed: seed, Dist: kv.DistSkewed, Filter: match}
+	base := cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed, DistName: "skewed"})
+	base.Filter = match
 	ref := runAll(t, base)
 	cfg := base
 	cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()
@@ -41,8 +43,10 @@ func TestBudgetWithSuppliedInput(t *testing.T) {
 	for i := range input {
 		input[i] = gen.Generate(int64(i*1000), 1000)
 	}
-	ref := runAll(t, Config{K: k, R: 1, Input: input})
-	cfg := Config{K: k, R: 1, Input: input, MemBudget: 16 * 1024, SpillDir: t.TempDir()}
+	cfg := cfgOf(job.Spec{K: k, R: 1})
+	cfg.Input = input
+	ref := runAll(t, cfg)
+	cfg.MemBudget, cfg.SpillDir = 16*1024, t.TempDir()
 	results := runAll(t, cfg)
 	for rank := range results {
 		if !results[rank].Output.Equal(ref[rank].Output) {
@@ -51,27 +55,24 @@ func TestBudgetWithSuppliedInput(t *testing.T) {
 	}
 }
 
-// TestInputFilesMatchGenerated: reading the input from raw on-disk record
-// files (the teragen format) produces the same result as generating the
-// same rows, in both the in-memory and the budget engine.
-func TestInputFilesMatchGenerated(t *testing.T) {
+// TestInputDirMatchesGenerated: reading the input from raw on-disk record
+// files (the teragen -disk layout) produces the same result as generating
+// the same rows, in both the in-memory and the budget engine.
+func TestInputDirMatchesGenerated(t *testing.T) {
 	const k, rows, seed = 4, 4000, 47
-	ref := runAll(t, Config{K: k, R: 1, Rows: rows, Seed: seed})
+	ref := runAll(t, cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed}))
 
 	dir := t.TempDir()
 	gen := kv.NewGenerator(seed, kv.DistUniform)
 	bounds := kv.SplitRows(rows, k)
-	files := make([]string, k)
 	for i := 0; i < k; i++ {
-		files[i] = filepath.Join(dir, "part")
-		files[i] += string(rune('0' + i))
 		recs := gen.Generate(bounds[i], bounds[i+1]-bounds[i])
-		if err := os.WriteFile(files[i], recs.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(extsort.PartFile(dir, i), recs.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, budget := range []int64{0, 24 * 1024} {
-		cfg := Config{K: k, R: 1, InputFiles: files, MemBudget: budget}
+		cfg := Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: k, InputDir: dir, MemBudget: budget}}
 		if budget > 0 {
 			cfg.SpillDir = t.TempDir()
 		}
@@ -103,7 +104,8 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 
 	var livePeak liveHeapPeak
 	sums := make([]verify.Summary, k)
-	cfg := Config{K: k, R: 1, Rows: rows, Seed: 53, MemBudget: budget, SpillDir: t.TempDir(), Hooks: livePeak.hooks()}
+	cfg := cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: 53, MemBudget: budget, SpillDir: t.TempDir()})
+	cfg.Hooks = livePeak.hooks()
 	p := partition.NewUniform(k)
 	checkers := make([]*verify.PartitionChecker, k)
 	results := runAllWith(t, cfg, func(rank int, c *Config) {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
@@ -42,17 +43,17 @@ func (c *Counters) ChunkReceived() { c.chunksReceived.Add(1) }
 func (c *Counters) ChunksReceived() int64 { return c.chunksReceived.Load() }
 
 // Context is the per-run state the scheduler hands to every stage: the
-// endpoint, the resolved policies, and the runtime services (spill sorter,
+// endpoint, the resolved job spec, and the runtime services (spill sorter,
 // transfer counters, sender scheduling, cleanups).
 type Context struct {
 	// Ep is this node's transport endpoint.
 	Ep transport.Endpoint
-	// Rank and K identify this node within the job.
-	Rank, K int
+	// Rank identifies this node among the job's Spec.K.
+	Rank int
 	// Mode is the active execution mode.
 	Mode Mode
-	// P holds the normalized policy knobs.
-	P Policies
+	// Spec is the resolved job description.
+	Spec *job.Resolved
 	// Procs is the resolved Parallelism for the compute hot paths.
 	Procs int
 	// Counters is the run's transfer accounting.
@@ -63,9 +64,9 @@ type Context struct {
 	cleanups []func()
 }
 
-func newContext(ep transport.Endpoint, p Policies, mode Mode) *Context {
-	return &Context{Ep: ep, Rank: ep.Rank(), K: ep.Size(), Mode: mode, P: p,
-		Procs: parallel.Resolve(p.Parallelism)}
+func newContext(ep transport.Endpoint, spec *job.Resolved, mode Mode) *Context {
+	return &Context{Ep: ep, Rank: ep.Rank(), Mode: mode, Spec: spec,
+		Procs: parallel.Resolve(spec.Parallelism)}
 }
 
 // Sorter returns the run's budget-bounded spill sorter, creating it on
@@ -77,7 +78,7 @@ func (ctx *Context) Sorter() (*extsort.Sorter, error) {
 	if ctx.sorter != nil {
 		return ctx.sorter, nil
 	}
-	s, err := extsort.NewSorter(ctx.P.SpillDir, ctx.P.MemBudget/2)
+	s, err := extsort.NewSorter(ctx.Spec.SpillDir, ctx.Spec.MemBudget/2)
 	if err != nil {
 		return nil, err
 	}
@@ -105,11 +106,11 @@ func (ctx *Context) SpillAppend(recs kv.Records) error {
 // shuffle spools.
 func (ctx *Context) Defer(fn func()) { ctx.cleanups = append(ctx.cleanups, fn) }
 
-// Schedule runs send under the job's sender schedule: immediately when the
-// Parallel policy lifts the serial order, else one rank at a time with the
+// Schedule runs send under the job's sender schedule: immediately when
+// ParallelShuffle lifts the serial order, else one rank at a time with the
 // token passed under tokenTag (the paper's Fig 9 serial schedule).
 func (ctx *Context) Schedule(tokenTag transport.Tag, send func() error) error {
-	if ctx.P.Parallel {
+	if ctx.Spec.ParallelShuffle {
 		return send()
 	}
 	return transport.SerialOrder(ctx.Ep, tokenTag, send)
@@ -133,7 +134,7 @@ func (ctx *Context) SampleSplitters(gatherTag, bcastTag transport.Tag, sampleKey
 		for _, p := range payloads {
 			pooled = append(pooled, p...)
 		}
-		bounds, err := partition.SelectSplitters(pooled, ctx.K)
+		bounds, err := partition.SelectSplitters(pooled, ctx.Spec.K)
 		if err != nil {
 			return nil, fmt.Errorf("engine: splitter selection: %w", err)
 		}
@@ -142,7 +143,7 @@ func (ctx *Context) SampleSplitters(gatherTag, bcastTag transport.Tag, sampleKey
 	} else {
 		ctx.Counters.SampleBytes += int64(len(sampleKeys))
 	}
-	group := make([]int, ctx.K)
+	group := make([]int, ctx.Spec.K)
 	for i := range group {
 		group[i] = i
 	}

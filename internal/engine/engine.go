@@ -8,8 +8,8 @@
 //   - A job is a declarative Graph of typed stages (Kind) with explicit
 //     data-plane edges (Stage.Needs/Provides) and mode annotations saying
 //     which execution modes a stage participates in.
-//   - The scheduler (Run) derives the active Mode from the Policies knobs
-//     (ChunkRows/Window/MemBudget/Parallelism), selects the stage schedule,
+//   - The scheduler (Run) derives the active Mode from the resolved job
+//     spec (job.Resolved: ChunkRows/MemBudget), selects the stage schedule,
 //     validates its edges, and drives the stages with the paper's
 //     synchronous-stage protocol: each timed stage is charged to the
 //     engine's timeline through per-stage Hooks and followed by a cluster
@@ -29,6 +29,7 @@ package engine
 import (
 	"fmt"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
 )
@@ -233,30 +234,32 @@ func (g *Graph) Validate() error {
 }
 
 // Run executes the graph for ep.Rank(): it derives the active mode from the
-// policies, schedules the stages, and drives each one under the paper's
-// synchronous-stage protocol — the stage body runs, its elapsed clock time
-// is reported through the hooks (which charge the engine's timeline), and a
-// cluster-wide barrier follows so stages execute synchronously across nodes
-// and per-stage times stay comparable (Section V-A). The returned Context
-// carries the run's transfer counters; its spill resources are already
-// released.
-func Run(ep transport.Endpoint, g *Graph, p Policies, clock stats.Clock, hooks Hooks) (*Context, error) {
-	// Normalize defensively: the engines pre-normalize (their Configs
-	// expose the derived ChunkRows/Window), and Normalize is idempotent on
-	// normalized policies — but a direct caller of the runtime must not be
-	// able to reach a streaming schedule with no chunk size.
-	p, err := p.Normalize(g.name, ep.Size())
-	if err != nil {
-		return nil, err
-	}
-	mode := p.Mode()
+// resolved job spec, schedules the stages, and drives each one under the
+// paper's synchronous-stage protocol — the stage body runs, its elapsed
+// clock time is reported through the hooks (which charge the engine's
+// timeline), and a cluster-wide barrier follows so stages execute
+// synchronously across nodes and per-stage times stay comparable (Section
+// V-A). The returned Context carries the run's transfer counters; its spill
+// resources are already released.
+func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock, hooks Hooks) (*Context, error) {
+	mode := ModeOf(spec)
 	sched, err := g.Schedule(mode)
 	if err != nil {
 		return nil, err
 	}
-	ctx := newContext(ep, p, mode)
+	ctx := newContext(ep, spec, mode)
 	defer ctx.cleanup()
-	faulted := map[stats.Stage]bool{}
+	// Injected faults strike the first stage charged to their timeline
+	// column (KindSort and KindReduce share one column); of two faults on
+	// one column the first listed wins.
+	faults := map[stats.Stage]job.FaultSpec{}
+	for _, f := range spec.Faults {
+		if st, err := stats.ParseStage(f.Stage); err == nil && f.Rank == ctx.Rank {
+			if _, dup := faults[st]; !dup {
+				faults[st] = f
+			}
+		}
+	}
 	for _, s := range sched {
 		st, timed := s.Kind.Stats()
 		if !timed {
@@ -267,25 +270,21 @@ func Run(ep transport.Endpoint, g *Graph, p Policies, clock stats.Clock, hooks H
 			}
 			continue
 		}
-		// Injected faults strike the first stage charged to their timeline
-		// column (KindSort and KindReduce share one column). A kill exits
-		// before the body, hooks and barrier — a dead node reports nothing,
-		// so detection is the supervisor's job, not the scheduler's.
-		fault := (*Fault)(nil)
-		if !faulted[st] {
-			fault = p.Faults.Find(ctx.Rank, st)
-			faulted[st] = true
-		}
-		if fault != nil && fault.Kind == FaultKill {
+		// A kill exits before the body, hooks and barrier — a dead node
+		// reports nothing, so detection is the supervisor's job, not the
+		// scheduler's.
+		fault, struck := faults[st]
+		delete(faults, st)
+		if struck && fault.Kind == job.FaultKill {
 			return ctx, &KilledError{Rank: ctx.Rank, Stage: st}
 		}
 		hooks.start(ctx.Rank, st)
 		t0 := clock.Now()
 		serr := s.Run(ctx)
-		if fault != nil && fault.Kind == FaultSlow && serr == nil {
+		if struck && serr == nil {
 			// The straggler stalls before reporting the stage, so the
 			// inflated Elapsed is what peers and the detection layer see.
-			fault.stall(clock.Now() - t0)
+			stall(fault, clock.Now()-t0)
 		}
 		hooks.end(StageEvent{Rank: ctx.Rank, Stage: st, Elapsed: clock.Now() - t0, Err: serr})
 		if serr != nil {

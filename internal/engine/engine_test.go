@@ -10,6 +10,7 @@ import (
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/combin"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
@@ -44,55 +45,35 @@ func TestKindStats(t *testing.T) {
 	}
 }
 
-// TestPoliciesMode: the scheduler derives the execution mode from the
-// policy knobs — MemBudget wins over ChunkRows, ChunkRows alone streams,
-// the zero value is monolithic.
-func TestPoliciesMode(t *testing.T) {
-	cases := []struct {
-		p    Policies
-		want Mode
-	}{
-		{Policies{}, ModeMono},
-		{Policies{ChunkRows: 100}, ModeChunked},
-		{Policies{MemBudget: 1 << 20}, ModeSpill},
-		{Policies{ChunkRows: 100, MemBudget: 1 << 20}, ModeSpill},
+// resolved returns the resolved spec of a TeraSort job with the given
+// knobs — what a scheduler test hands Run.
+func resolved(t testing.TB, s job.Spec) *job.Resolved {
+	t.Helper()
+	s.Algorithm = job.AlgTeraSort
+	r, err := s.Resolve(job.Local{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		if got := c.p.Mode(); got != c.want {
-			t.Errorf("%+v: mode %v, want %v", c.p, got, c.want)
-		}
-	}
+	return r
 }
 
-// TestPoliciesNormalize: negative knobs are rejected with the engine's
-// name prefix, a budget derives ChunkRows when none is set, and pipelining
-// fills the default window.
-func TestPoliciesNormalize(t *testing.T) {
-	for _, bad := range []Policies{
-		{ChunkRows: -1}, {Window: -1}, {MemBudget: -1}, {Parallelism: -1},
-	} {
-		if _, err := bad.Normalize("enginetest", 4); err == nil {
-			t.Errorf("%+v: negative knob accepted", bad)
-		} else if !strings.HasPrefix(err.Error(), "enginetest:") {
-			t.Errorf("%+v: error %q lacks name prefix", bad, err)
+// TestModeOf: the scheduler derives the execution mode from the job's
+// knobs — MemBudget wins over ChunkRows, ChunkRows alone streams, neither
+// is monolithic.
+func TestModeOf(t *testing.T) {
+	cases := []struct {
+		s    job.Spec
+		want Mode
+	}{
+		{job.Spec{K: 4}, ModeMono},
+		{job.Spec{K: 4, ChunkRows: 100}, ModeChunked},
+		{job.Spec{K: 4, MemBudget: 1 << 20}, ModeSpill},
+		{job.Spec{K: 4, ChunkRows: 100, MemBudget: 1 << 20}, ModeSpill},
+	}
+	for _, c := range cases {
+		if got := ModeOf(resolved(t, c.s)); got != c.want {
+			t.Errorf("%+v: mode %v, want %v", c.s, got, c.want)
 		}
-	}
-	p, err := (Policies{MemBudget: 1 << 20}).Normalize("enginetest", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ChunkRows <= 0 {
-		t.Fatalf("budget did not derive ChunkRows: %+v", p)
-	}
-	if p.Window != 4 {
-		t.Fatalf("default window not applied: %+v", p)
-	}
-	p, err = (Policies{ChunkRows: 50, Window: 9}).Normalize("enginetest", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.ChunkRows != 50 || p.Window != 9 {
-		t.Fatalf("explicit knobs perturbed: %+v", p)
 	}
 }
 
@@ -169,6 +150,7 @@ func TestRunDrivesStages(t *testing.T) {
 	tls := [2]*stats.Timeline{}
 	var events [2][]StageEvent
 	errs := [2]error{}
+	spec := resolved(t, job.Spec{K: 2})
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
 		tls[r] = stats.NewTimeline(stats.NewWallClock())
@@ -176,7 +158,7 @@ func TestRunDrivesStages(t *testing.T) {
 			events[r] = append(events[r], ev)
 		}})
 		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-		_, errs[r] = Run(ep, build(r, r == 0), Policies{}, tls[r].Clock(), hooks)
+		_, errs[r] = Run(ep, build(r, r == 0), spec, tls[r].Clock(), hooks)
 	}
 	var wg0, wg1 sync.WaitGroup
 	wg0.Add(1)
@@ -223,6 +205,7 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 	var mu sync.Mutex
 	mapDone := 0
 	errs := [k]error{}
+	spec := resolved(t, job.Spec{K: k})
 	var wg sync.WaitGroup
 	for r := 0; r < k; r++ {
 		wg.Add(1)
@@ -245,7 +228,7 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 			}})
 			tl := stats.NewTimeline(stats.NewWallClock())
 			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-			_, errs[r] = Run(ep, g, Policies{}, tl.Clock(), TimelineHooks(tl))
+			_, errs[r] = Run(ep, g, spec, tl.Clock(), TimelineHooks(tl))
 		}(r)
 	}
 	wg.Wait()
@@ -270,7 +253,7 @@ func TestContextDeferLIFO(t *testing.T) {
 	}})
 	tl := stats.NewTimeline(stats.NewWallClock())
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	if _, err := Run(ep, g, Policies{}, tl.Clock(), Hooks{}); err != nil {
+	if _, err := Run(ep, g, resolved(t, job.Spec{K: 1}), tl.Clock(), Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[b a]" {

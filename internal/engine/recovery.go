@@ -4,119 +4,16 @@ import (
 	"fmt"
 	"time"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 )
 
-// FaultKind classifies an injected fault.
-type FaultKind int
-
-const (
-	// FaultKill makes the rank die on entry to the stage: the stage body
-	// never runs, no stage event fires, and the rank leaves the run without
-	// passing the stage barrier — exactly what the cluster sees when a
-	// worker process is killed mid-job. The run returns a *KilledError.
-	FaultKill FaultKind = iota
-	// FaultSlow makes the rank a compute straggler at the stage: the body
-	// runs to completion, then the rank stalls for (Factor-1) times the
-	// body's elapsed time plus Delay before reporting the stage and
-	// entering its barrier. Peers observe a rank that finished late — the
-	// slow-node scenario the straggler-mitigation literature targets.
-	FaultSlow
-)
-
-// String names the kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultKill:
-		return "kill"
-	case FaultSlow:
-		return "slow"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// Fault is one injected failure: rank Rank misbehaves at the first stage
-// charged to timeline column Stage. Faults are the runtime's deterministic
-// stand-in for real node failure and slowness, so the detection and
-// recovery paths are testable without killing processes.
-type Fault struct {
-	// Rank is the node the fault strikes.
-	Rank int
-	// Stage is the timeline column of the faulty stage.
-	Stage stats.Stage
-	// Kind selects death or slowness.
-	Kind FaultKind
-	// Factor, for FaultSlow, multiplies the stage's elapsed time
-	// (4 models a node running the stage at quarter speed). Values at or
-	// below 1 add no proportional stall.
-	Factor float64
-	// Delay, for FaultSlow, is a fixed extra stall — the deterministic
-	// knob the recovery tests key detection deadlines against.
-	Delay time.Duration
-}
-
-// String renders the fault for error messages.
-func (f Fault) String() string {
-	if f.Kind == FaultSlow {
-		return fmt.Sprintf("slow(rank %d at %v, x%.3g+%v)", f.Rank, f.Stage, f.Factor, f.Delay)
-	}
-	return fmt.Sprintf("kill(rank %d at %v)", f.Rank, f.Stage)
-}
-
-// Faults is an injected fault set. The zero value injects nothing.
-type Faults []Fault
-
-// Find returns the first fault striking rank at stage st, or nil.
-func (fs Faults) Find(rank int, st stats.Stage) *Fault {
-	for i := range fs {
-		if fs[i].Rank == rank && fs[i].Stage == st {
-			return &fs[i]
-		}
-	}
-	return nil
-}
-
-// Without returns the set with every fault of the given rank removed — the
-// consumption rule of attempt-scoped recovery: a retry respawns the faulty
-// rank's worker on a healthy substitute, so its injected faults do not
-// strike again.
-func (fs Faults) Without(rank int) Faults {
-	out := make(Faults, 0, len(fs))
-	for _, f := range fs {
-		if f.Rank != rank {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Validate checks the set against the job's world size.
-func (fs Faults) Validate(name string, k int) error {
-	for _, f := range fs {
-		if f.Rank < 0 || f.Rank >= k {
-			return fmt.Errorf("%s: fault rank %d outside [0,%d)", name, f.Rank, k)
-		}
-		if f.Stage < 0 || f.Stage >= stats.NumStages {
-			return fmt.Errorf("%s: fault stage %v unknown", name, f.Stage)
-		}
-		switch f.Kind {
-		case FaultKill, FaultSlow:
-		default:
-			return fmt.Errorf("%s: unknown fault kind %v", name, f.Kind)
-		}
-		if f.Factor < 0 || f.Delay < 0 {
-			return fmt.Errorf("%s: negative fault stall (factor %g, delay %v)", name, f.Factor, f.Delay)
-		}
-	}
-	return nil
-}
-
 // KilledError reports a rank that died at a stage: the injected-death
-// counterpart of a worker process crash. The scheduler returns it without
-// firing stage hooks or the stage barrier — a dead node reports nothing —
-// so supervisors must treat it like a vanished process: cancel the attempt
-// (unblocking the peers stuck at the dead rank's barrier) and respawn.
+// counterpart of a worker process crash (job.FaultKill). The scheduler
+// returns it without firing stage hooks or the stage barrier — a dead node
+// reports nothing — so supervisors must treat it like a vanished process:
+// cancel the attempt (unblocking the peers stuck at the dead rank's
+// barrier) and respawn.
 type KilledError struct {
 	Rank  int
 	Stage stats.Stage
@@ -127,11 +24,12 @@ func (e *KilledError) Error() string {
 	return fmt.Sprintf("engine: rank %d killed at %v stage", e.Rank, e.Stage)
 }
 
-// stall blocks the faulty rank after a stage body: the proportional part
-// models a node computing at 1/Factor speed, the fixed part makes tests
-// deterministic. It runs in wall time — fault injection is a live-runtime
-// feature; the virtual-time simulator models stragglers analytically.
-func (f *Fault) stall(elapsed time.Duration) {
+// stall blocks a job.FaultSlow rank after a stage body: the proportional
+// part models a node computing at 1/Factor speed (values at or below 1 add
+// nothing), the fixed part makes tests deterministic. It runs in wall time
+// — fault injection is a live-runtime feature; the virtual-time simulator
+// models stragglers analytically.
+func stall(f job.FaultSpec, elapsed time.Duration) {
 	d := f.Delay
 	if f.Factor > 1 {
 		d += time.Duration(float64(elapsed) * (f.Factor - 1))

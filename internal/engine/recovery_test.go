@@ -6,54 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 )
-
-// TestFaultsFindWithout: Find matches on (rank, stage), Without consumes
-// every fault of a rank and leaves the rest.
-func TestFaultsFindWithout(t *testing.T) {
-	fs := Faults{
-		{Rank: 1, Stage: stats.StageMap, Kind: FaultKill},
-		{Rank: 1, Stage: stats.StageShuffle, Kind: FaultSlow, Factor: 4},
-		{Rank: 2, Stage: stats.StageShuffle, Kind: FaultSlow, Delay: time.Second},
-	}
-	if f := fs.Find(1, stats.StageMap); f == nil || f.Kind != FaultKill {
-		t.Fatalf("Find(1, Map) = %v", f)
-	}
-	if f := fs.Find(0, stats.StageMap); f != nil {
-		t.Fatalf("Find(0, Map) = %v, want nil", f)
-	}
-	rest := fs.Without(1)
-	if len(rest) != 1 || rest[0].Rank != 2 {
-		t.Fatalf("Without(1) = %v", rest)
-	}
-	if len(fs) != 3 {
-		t.Fatalf("Without mutated the receiver: %v", fs)
-	}
-}
-
-// TestFaultsValidate: out-of-range ranks, unknown stages and kinds, and
-// negative stalls are rejected with the engine's name prefix.
-func TestFaultsValidate(t *testing.T) {
-	for _, bad := range []Faults{
-		{{Rank: -1, Stage: stats.StageMap}},
-		{{Rank: 4, Stage: stats.StageMap}},
-		{{Rank: 0, Stage: stats.NumStages}},
-		{{Rank: 0, Stage: stats.StageMap, Kind: FaultKind(9)}},
-		{{Rank: 0, Stage: stats.StageMap, Kind: FaultSlow, Factor: -1}},
-		{{Rank: 0, Stage: stats.StageMap, Kind: FaultSlow, Delay: -time.Second}},
-	} {
-		if err := bad.Validate("enginetest", 4); err == nil {
-			t.Errorf("%v: accepted", bad)
-		}
-	}
-	ok := Faults{{Rank: 3, Stage: stats.StageReduce, Kind: FaultSlow, Factor: 4}}
-	if err := ok.Validate("enginetest", 4); err != nil {
-		t.Fatal(err)
-	}
-}
 
 // twoStageGraph is a minimal Map -> Reduce graph whose bodies record what
 // ran.
@@ -83,13 +40,13 @@ func TestKillFault(t *testing.T) {
 	var events [2][]StageEvent
 	errs := [2]error{}
 	var wg0, wg1 sync.WaitGroup
+	spec := resolved(t, job.Spec{K: 2, Faults: []job.FaultSpec{{Rank: 1, Stage: "Reduce", Kind: job.FaultKill}}})
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
 		tl := stats.NewTimeline(stats.NewWallClock())
 		hooks := Hooks{StageEnd: func(ev StageEvent) { events[r] = append(events[r], ev) }}
 		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-		p := Policies{Faults: Faults{{Rank: 1, Stage: stats.StageReduce, Kind: FaultKill}}}
-		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), p, tl.Clock(), hooks)
+		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), spec, tl.Clock(), hooks)
 	}
 	wg0.Add(1)
 	wg1.Add(1)
@@ -131,8 +88,11 @@ func TestSlowFault(t *testing.T) {
 	}}
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
 	const delay = 30 * time.Millisecond
-	p := Policies{Faults: Faults{{Rank: 0, Stage: stats.StageReduce, Kind: FaultSlow, Factor: 1, Delay: delay}}}
-	if _, err := Run(ep, twoStageGraph(&ran, &mu), p, tl.Clock(), hooks); err != nil {
+	spec := resolved(t, job.Spec{K: 1, Faults: []job.FaultSpec{
+		// The kill on the same column is listed second: the first wins.
+		{Rank: 0, Stage: "Reduce", Kind: job.FaultSlow, Factor: 1, Delay: delay},
+		{Rank: 0, Stage: "Sort", Kind: job.FaultKill}}})
+	if _, err := Run(ep, twoStageGraph(&ran, &mu), spec, tl.Clock(), hooks); err != nil {
 		t.Fatal(err)
 	}
 	if len(ran) != 2 {

@@ -6,48 +6,12 @@ import (
 	"sync"
 	"testing"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 )
-
-func TestPoliciesSampled(t *testing.T) {
-	if (Policies{}).Sampled() || (Policies{Partitioning: "uniform"}).Sampled() {
-		t.Fatal("uniform policies report sampled")
-	}
-	if !(Policies{Partitioning: "sample"}).Sampled() {
-		t.Fatal("sample policy not reported")
-	}
-}
-
-func TestPoliciesNormalizeSampling(t *testing.T) {
-	cases := []struct {
-		name string
-		p    Policies
-		want string
-	}{
-		{"bad policy", Policies{Partitioning: "quantile"}, "unknown partitioning policy"},
-		{"negative sample size", Policies{Partitioning: "sample", SampleSize: -1}, "negative SampleSize"},
-		{"sample size without policy", Policies{SampleSize: 100}, "SampleSize set without"},
-		{"ok", Policies{Partitioning: "sample", SampleSize: 100}, ""},
-		{"ok default size", Policies{Partitioning: "sample"}, ""},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := c.p.Normalize("enginetest", 4)
-			if c.want == "" {
-				if err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("error %v, want %q", err, c.want)
-			}
-		})
-	}
-}
 
 // TestSampleSplitters: over a 3-rank memnet mesh, each rank contributes
 // its own sample keys, and every rank returns boundaries identical to
@@ -76,12 +40,13 @@ func TestSampleSplitters(t *testing.T) {
 	counted := make([]int64, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
+	spec := resolved(t, job.Spec{K: k, Partitioning: "sample"})
 	for r := 0; r < k; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-			ctx := newContext(ep, Policies{Partitioning: "sample"}, ModeMono)
+			ctx := newContext(ep, spec, ModeMono)
 			got[r], errs[r] = ctx.SampleSplitters(gatherTag, bcastTag, samples[r])
 			counted[r] = ctx.Counters.SampleBytes
 		}(r)
@@ -112,7 +77,7 @@ func TestSampleSplittersCorruptSample(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	ctx := newContext(ep, Policies{Partitioning: "sample"}, ModeMono)
+	ctx := newContext(ep, resolved(t, job.Spec{K: 1, Partitioning: "sample"}), ModeMono)
 	_, err := ctx.SampleSplitters(transport.MakeTag(0x7E, 1, 0xFFFF),
 		transport.MakeTag(0x7E, 2, 0xFFFF), []byte{1, 2, 3})
 	if err == nil || !strings.Contains(err.Error(), "splitter selection") {
@@ -124,7 +89,7 @@ func TestContextSorterAndSpillAppend(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	ctx := newContext(ep, Policies{MemBudget: 1 << 20, SpillDir: t.TempDir()}, ModeSpill)
+	ctx := newContext(ep, resolved(t, job.Spec{K: 1, MemBudget: 1 << 20, SpillDir: t.TempDir()}), ModeSpill)
 	if err := ctx.SpillAppend(kv.MakeRecords(0)); err == nil {
 		t.Fatal("SpillAppend before the sorter exists must error")
 	}
@@ -145,7 +110,7 @@ func TestContextScheduleParallel(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	ctx := newContext(ep, Policies{Parallel: true}, ModeMono)
+	ctx := newContext(ep, resolved(t, job.Spec{K: 1, ParallelShuffle: true}), ModeMono)
 	ran := false
 	if err := ctx.Schedule(transport.MakeTag(0x7E, 3, 0xFFFF), func() error { ran = true; return nil }); err != nil {
 		t.Fatal(err)

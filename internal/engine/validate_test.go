@@ -139,25 +139,12 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// TestModeAndFaultStrings pins the mode and fault diagnostic renderings.
-func TestModeAndFaultStrings(t *testing.T) {
+// TestModeAndKilledStrings pins the mode and death diagnostic renderings.
+func TestModeAndKilledStrings(t *testing.T) {
 	for m, s := range map[Mode]string{ModeMono: "monolithic", ModeChunked: "chunked", ModeSpill: "spill", Mode(9): "Mode(9)"} {
 		if m.String() != s {
 			t.Errorf("Mode(%d).String() = %q, want %q", int(m), m.String(), s)
 		}
-	}
-	for k, s := range map[FaultKind]string{FaultKill: "kill", FaultSlow: "slow", FaultKind(7): "FaultKind(7)"} {
-		if k.String() != s {
-			t.Errorf("FaultKind(%d).String() = %q, want %q", int(k), k.String(), s)
-		}
-	}
-	kill := Fault{Rank: 2, Stage: stats.StageMap, Kind: FaultKill}
-	if !strings.Contains(kill.String(), "kill(rank 2") {
-		t.Errorf("kill fault renders %q", kill.String())
-	}
-	slow := Fault{Rank: 1, Stage: stats.StageShuffle, Kind: FaultSlow, Factor: 4}
-	if !strings.Contains(slow.String(), "slow(rank 1") {
-		t.Errorf("slow fault renders %q", slow.String())
 	}
 	dead := &KilledError{Rank: 3, Stage: stats.StageReduce}
 	if !strings.Contains(dead.Error(), "rank 3 killed at Reduce") {

@@ -439,7 +439,7 @@ func (s *Spool) Close() error {
 }
 
 // PartFile returns the path of part file i of the on-disk input layout
-// teragen -disk writes and the engines' InputFiles/InputDir paths read —
+// teragen -disk writes and the engine's InputDir path reads —
 // the single definition of the layout contract between writer and readers.
 func PartFile(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("part-%05d", i))

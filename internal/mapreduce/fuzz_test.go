@@ -35,7 +35,7 @@ func FuzzMapReduceKernels(f *testing.F) {
 		for _, chunk := range []int{0, 7} {
 			job := job
 			job.ChunkRows = chunk
-			rep, err := mapreduce.RunLocal(job, mapreduce.LocalOptions{})
+			rep, err := mapreduce.RunLocal(job)
 			if err != nil {
 				t.Fatalf("RunLocal(%s, K=%d, R=%d, chunk=%d): %v", kern.Name, k, r, chunk, err)
 			}

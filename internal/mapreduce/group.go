@@ -20,7 +20,6 @@ type grouper struct {
 	cur    kv.Records // records of the current (open) key group
 	key    [kv.KeySize]byte
 	open   bool
-	rows   int64 // intermediate records consumed
 	out    kv.Records
 }
 
@@ -42,7 +41,6 @@ func (g *grouper) Feed(block kv.Records) error {
 		}
 		g.cur = g.cur.Append(block.Record(i))
 	}
-	g.rows += int64(block.Len())
 	return nil
 }
 
@@ -74,6 +72,5 @@ func (g *grouper) finish(res Result) Result {
 	g.closeGroup()
 	res.Output = g.out
 	res.Rows = int64(g.out.Len())
-	res.IntermediateRows = g.rows
 	return res
 }

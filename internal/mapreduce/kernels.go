@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 )
@@ -35,9 +36,10 @@ type Kernel struct {
 
 // Job builds a runnable job for the kernel: K workers, replication r,
 // rows input records from the kernel's corpus under seed. Callers set the
-// runtime knobs (ChunkRows, MemBudget, Faults, ...) on the returned value.
+// runtime knobs (ChunkRows, MemBudget, Faults, ...) on the returned value —
+// or replace its whole Spec, as long as K, Rows and Seed stay these.
 func (k Kernel) Job(kk, r int, rows int64, seed uint64) Job {
-	j := Job{Mapper: k.Mapper, Reducer: k.Reducer, K: kk, R: r, Rows: rows, Seed: seed}
+	j := Job{Mapper: k.Mapper, Reducer: k.Reducer, Spec: job.Spec{K: kk, R: r, Rows: rows, Seed: seed}}
 	if k.Part != nil {
 		j.Part = k.Part(kk)
 	}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"codedterasort/internal/engine"
 	"codedterasort/internal/kv"
@@ -14,34 +13,6 @@ import (
 	"codedterasort/internal/transport/memnet"
 	"codedterasort/internal/transport/netem"
 )
-
-// LocalOptions tune RunLocal beyond the job spec: traffic shaping for
-// load/straggler experiments and the recovery attempt cap. The zero value
-// runs unshaped with recovery sized to the job's injected faults.
-type LocalOptions struct {
-	// RateMbps caps each node's egress (0 = unlimited).
-	RateMbps float64
-	// PerMessage adds a fixed per-message overhead.
-	PerMessage time.Duration
-	// StragglerFactor, when > 1, slows StragglerRank's egress by this
-	// factor (effective with RateMbps or PerMessage, like the sorting
-	// CLIs' -stragglers).
-	StragglerFactor float64
-	// StragglerRank is the rank StragglerFactor slows.
-	StragglerRank int
-	// MaxAttempts caps the job executions attempt-scoped recovery may use.
-	// 0 selects one attempt per injected fault plus the clean run — enough
-	// to recover every injected death.
-	MaxAttempts int
-}
-
-// attempts resolves the MaxAttempts default against the job's fault set.
-func (o LocalOptions) attempts(job Job) int {
-	if o.MaxAttempts > 0 {
-		return o.MaxAttempts
-	}
-	return len(job.Faults) + 1
-}
 
 // Report aggregates a completed local job.
 type Report struct {
@@ -69,23 +40,28 @@ type Report struct {
 func (r *Report) Output(rank int) kv.Records { return r.PerRank[rank].Output }
 
 // RunLocal executes the job with all K workers in this process over the
-// in-memory transport — the supervised deployment of the MapReduce
-// framework. Like the sorting cluster's RunLocal, it recovers from worker
-// deaths (injected through Job.Faults) by attempt-scoped re-execution: the
-// mesh is closed, which unblocks every peer stuck at the dead rank's
-// barrier, and the job re-runs with the dead rank's worker respawned (its
-// faults consumed) up to LocalOptions.MaxAttempts. Recovered jobs produce
-// reduced output byte-identical to a clean run.
-func RunLocal(job Job, opts LocalOptions) (*Report, error) {
-	job, err := job.normalize()
+// in-memory transport, traffic-shaped per the spec (RateMbps, PerMessage,
+// StragglerFactor) — the supervised deployment of the MapReduce framework.
+// Like the sorting cluster's RunLocal, it recovers from worker deaths
+// (injected through Spec.Faults) by attempt-scoped re-execution: the mesh
+// is closed, which unblocks every peer stuck at the dead rank's barrier,
+// and the job re-runs with the dead rank's worker respawned (its faults
+// consumed) up to Spec.MaxAttempts — 0 meaning one attempt per injected
+// fault plus the clean run, enough to recover every injected death.
+// Recovered jobs produce reduced output byte-identical to a clean run.
+func RunLocal(j Job) (*Report, error) {
+	j, _, err := j.normalize()
 	if err != nil {
 		return nil, err
 	}
-	maxAttempts := opts.attempts(job)
+	maxAttempts := j.MaxAttempts
+	if maxAttempts == 0 {
+		maxAttempts = len(j.Faults) + 1
+	}
 	consumed := map[int]bool{}
 	var recovered []int
 	for attempt := 1; ; attempt++ {
-		rep, killed, err := runAttempt(job, opts, consumed)
+		rep, killed, err := runAttempt(j, consumed)
 		if err == nil {
 			rep.Attempts = attempt
 			rep.Recovered = recovered
@@ -109,38 +85,32 @@ func RunLocal(job Job, opts LocalOptions) (*Report, error) {
 
 // runAttempt executes one supervised attempt. Detected deaths come back in
 // killed alongside the error; an error with no deaths is unrecoverable.
-func runAttempt(job Job, opts LocalOptions, consumed map[int]bool) (*Report, []int, error) {
-	faults := job.Faults
-	for r := range consumed {
-		faults = faults.Without(r)
-	}
-	mesh := memnet.NewMesh(job.K)
+func runAttempt(j Job, consumed map[int]bool) (*Report, []int, error) {
+	j.Faults = j.FaultsWithout(consumed)
+	mesh := memnet.NewMesh(j.K)
 	defer mesh.Close()
 	// Any worker error strands its peers at a barrier or a pending
 	// receive, so the first one cancels the attempt by closing the mesh —
 	// every stuck rank unblocks with ErrClosed.
 	var cancel sync.Once
-	results := make([]Result, job.K)
-	errs := make([]error, job.K)
+	results := make([]Result, j.K)
+	errs := make([]error, j.K)
 	var mu sync.Mutex
 	var killed []int
 	var wg sync.WaitGroup
-	for r := 0; r < job.K; r++ {
+	for r := 0; r < j.K; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
 			var conn transport.Conn = mesh.Endpoint(rank)
-			if opts.RateMbps > 0 || opts.PerMessage > 0 {
-				shape := netem.Options{RateMbps: opts.RateMbps, PerMessage: opts.PerMessage}
-				if opts.StragglerFactor > 1 && rank == opts.StragglerRank {
-					shape.SlowFactor = opts.StragglerFactor
+			if j.RateMbps > 0 || j.PerMessage > 0 {
+				shape := netem.Options{RateMbps: j.RateMbps, PerMessage: j.PerMessage}
+				if j.StragglerFactor > 1 && rank == j.StragglerRank {
+					shape.SlowFactor = j.StragglerFactor
 				}
 				conn = netem.Limit(conn, shape)
 			}
-			ep := transport.WithCollectives(conn, job.Strategy)
-			jr := job
-			jr.Faults = faults
-			res, err := Run(ep, jr, nil)
+			res, err := Run(transport.WithCollectives(conn, j.Strategy()), j, nil)
 			if err != nil {
 				errs[rank] = err
 				var dead *engine.KilledError
@@ -166,7 +136,7 @@ func runAttempt(job Job, opts LocalOptions, consumed map[int]bool) (*Report, []i
 	rep := &Report{PerRank: results}
 	for _, res := range results {
 		rep.Rows += res.Rows
-		rep.ShuffleLoadBytes += res.ShuffleBytes
+		rep.ShuffleLoadBytes += res.SentBytes
 		rep.ChunksShuffled += res.ChunksSent
 		rep.SpilledRuns += res.SpilledRuns
 		rep.Times = rep.Times.Max(res.Times)

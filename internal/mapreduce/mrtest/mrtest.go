@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"testing"
 
-	"codedterasort/internal/engine"
+	jobspec "codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/stats"
@@ -136,7 +136,7 @@ func CheckConfig(t *testing.T, kern mapreduce.Kernel, cfg Config) {
 					job := kern.Job(cfg.K, r, cfg.Rows, cfg.Seed)
 					m.set(t, &job)
 					job.Parallelism = procs
-					rep, err := mapreduce.RunLocal(job, mapreduce.LocalOptions{})
+					rep, err := mapreduce.RunLocal(job)
 					if err != nil {
 						t.Fatalf("RunLocal: %v", err)
 					}
@@ -158,8 +158,9 @@ func CheckRecovery(t *testing.T, kern mapreduce.Kernel, cfg Config) {
 		t.Run(fmt.Sprintf("recover/kill@%s", stage), func(t *testing.T) {
 			t.Parallel()
 			job := kern.Job(cfg.K, cfg.R, cfg.Rows, cfg.Seed)
-			job.Faults = engine.Faults{{Rank: 1, Stage: stage, Kind: engine.FaultKill}}
-			rep, err := mapreduce.RunLocal(job, mapreduce.LocalOptions{MaxAttempts: 2})
+			job.Faults = []jobspec.FaultSpec{{Rank: 1, Stage: stage.String(), Kind: jobspec.FaultKill}}
+			job.MaxAttempts = 2
+			rep, err := mapreduce.RunLocal(job)
 			if err != nil {
 				t.Fatalf("RunLocal with kill at %s: %v", stage, err)
 			}

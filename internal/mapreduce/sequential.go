@@ -13,16 +13,16 @@ import (
 // these bytes rank for rank — Sequential is the oracle the mrtest harness
 // compares every execution mode against.
 func Sequential(job Job) ([]kv.Records, error) {
-	job, err := job.normalize()
+	job, spec, err := job.normalize()
 	if err != nil {
 		return nil, err
 	}
 	input := job.Input
 	if input.Len() == 0 {
-		input = kv.NewGenerator(job.Seed, job.Dist).Generate(0, job.Rows)
+		input = kv.NewGenerator(job.Seed, spec.KeyDist).Generate(0, job.Rows)
 	}
 	mapped := kv.TransformRecords(input, job.transform())
-	if job.Part == nil && partition.Policy(job.Partitioning) == partition.PolicySample {
+	if job.Sampled() {
 		// The sampling round, sequentially: the same global stride sample
 		// of input rows the engines draw, mapped through the Mapper, keys
 		// pooled and quantiled — so the engines' agreed splitters are

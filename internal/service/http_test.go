@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"codedterasort/internal/cluster"
+	"codedterasort/internal/extsort"
 	"codedterasort/internal/service/tenant"
 )
 
@@ -93,6 +94,18 @@ func TestHTTPErrorMapping(t *testing.T) {
 	_, err := c.Submit(ctx, SubmitRequest{Tenant: "x", Spec: cluster.Spec{Algorithm: "nope", K: 2, Rows: 10}})
 	if err == nil || !strings.Contains(err.Error(), "HTTP 400") {
 		t.Fatalf("bad spec error: %v", err)
+	}
+	// 400 — not 202 and a job that can only fail inside a worker — for a
+	// spec the engine would refuse: spilling in chunks over the spill
+	// block cap. No job is created.
+	over := terasortSpec(500, 1)
+	over.MemBudget, over.ChunkRows = 1<<30, extsort.MaxBlockRows+1
+	_, err = c.Submit(ctx, SubmitRequest{Tenant: "x", Spec: over})
+	if err == nil || !strings.Contains(err.Error(), "HTTP 400") || !strings.Contains(err.Error(), "spill block cap") {
+		t.Fatalf("chunk rows over the spill block cap: %v", err)
+	}
+	if jobs, err := c.Jobs(ctx, "x"); err != nil || len(jobs) != 0 {
+		t.Fatalf("refused submissions left jobs behind: %v, %v", jobs, err)
 	}
 	// 429 once the tenant's burst is spent.
 	if _, err := c.Submit(ctx, SubmitRequest{Tenant: "metered", Spec: terasortSpec(500, 1)}); err != nil {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"codedterasort/internal/coded"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
@@ -94,7 +95,7 @@ func TestFig9aSerialScheduleObserved(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(recorders[rank], transport.BcastSequential)
-			cfg := coded.Config{K: k, R: 1, Rows: 2000, Seed: 3}
+			cfg := coded.Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: k, Rows: 2000, Seed: 3}}
 			if _, err := coded.Run(ep, cfg, nil); err != nil {
 				t.Error(err)
 			}
@@ -170,7 +171,7 @@ func TestFig9bSerialMulticastObserved(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(recorders[rank], transport.BcastSequential)
-			cfg := coded.Config{K: k, R: r, Rows: 2000, Seed: 4}
+			cfg := coded.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: k, R: r, Rows: 2000, Seed: 4}}
 			if _, err := coded.Run(ep, cfg, nil); err != nil {
 				t.Error(err)
 			}
