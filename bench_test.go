@@ -537,7 +537,8 @@ func BenchmarkPipelineCodedChunked(b *testing.B) {
 }
 
 // Reduce-stage sort algorithm: stdlib comparison sort (the paper uses
-// std::sort) vs LSD radix on the fixed-width TeraGen keys.
+// std::sort) vs the kernel Reduce runs — order 16-byte key references,
+// gather each record once.
 func BenchmarkAblationReduceComparisonSort(b *testing.B) {
 	base := kv.NewGenerator(1, kv.DistUniform).Generate(0, 200000)
 	b.SetBytes(int64(base.Size()))
@@ -550,15 +551,13 @@ func BenchmarkAblationReduceComparisonSort(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationReduceRadixSort(b *testing.B) {
+func BenchmarkAblationReduceSortOrder(b *testing.B) {
 	base := kv.NewGenerator(1, kv.DistUniform).Generate(0, 200000)
 	b.SetBytes(int64(base.Size()))
-	b.ResetTimer()
+	var order kv.Order
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		r := base.Clone()
-		b.StartTimer()
-		r.SortRadix()
+		order.Sort(1, base)
+		order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
 	}
 }
 

@@ -34,8 +34,8 @@
 // and out-of-core schedules as modes read off the job spec, with per-stage
 // instrumentation hooks — the engine contributes only placement, codecs
 // and shuffle topology (DESIGN.md sections 3 and 10).
-// Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, radix sorts, spill-run
-// sorting and per-group packet encode/decode on deterministic parallel
+// Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, the sort kernel (Reduce and
+// spill runs alike) and per-group packet encode/decode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any
 // goroutine count.
 // Execution is straggler-resilient: the cluster runtime supervises every

@@ -105,6 +105,32 @@ func TestRecoveryKillMatrix(t *testing.T) {
 	}
 }
 
+// TestRecoveryKeepsTieOrder: with keys that repeat (64 distinct keys over
+// 6 000 rows) the in-memory Reduce's order of equal keys is defined by input
+// position alone, so neither Parallelism nor a kill-recovery attempt can
+// move a byte of it.
+func TestRecoveryKeepsTieOrder(t *testing.T) {
+	for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
+		spec := recoverySpec(alg, 6000)
+		spec.DistName, spec.Parallelism = "dupheavy", 1
+		healthy, err := RunLocal(spec)
+		if err != nil {
+			t.Fatalf("%s healthy: %v", alg, err)
+		}
+		spec.Parallelism = 4
+		spec.Faults = []FaultSpec{{Rank: 1, Stage: "Reduce", Kind: "kill"}}
+		spec.StageDeadline, spec.MaxAttempts = 5*time.Second, 2
+		job, err := RunLocal(spec)
+		if err != nil {
+			t.Fatalf("%s recovery: %v", alg, err)
+		}
+		if job.Attempts != 2 {
+			t.Fatalf("%s: attempts=%d, want 2", alg, job.Attempts)
+		}
+		assertSameOutput(t, healthy, job)
+	}
+}
+
 // TestRecoveryStraggler injects the acceptance scenario's straggler — a
 // 4x slow-down at Shuffle with a stall far past the stage deadline — and
 // asserts the deadline detector flags it and recovery reproduces the

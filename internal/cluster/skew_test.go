@@ -63,7 +63,7 @@ func TestSkewEquivalenceMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		input := kv.NewGenerator(seed, dist).Generate(0, rows)
-		input.SortRadix()
+		input.Sort()
 		oracle := partition.Split(sp, input)
 		for rank := range oracle {
 			oracle[rank] = canonicalize(oracle[rank])

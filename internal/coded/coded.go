@@ -924,11 +924,12 @@ func (w *worker) decodeStage(ctx *engine.Context) error {
 	})
 }
 
-// reduceStage concatenates the locally mapped share of partition `rank`
-// ({I^rank_S : rank in S}) with the decoded remote share
+// reduceStage sorts partition `rank` (Section IV-F): the locally mapped
+// share ({I^rank_S : rank in S}) followed by the decoded remote share
 // ({I^rank_S : rank not in S}: per group, the segments in ascending sender
-// order — segments are contiguous and ascending, so reassembly is
-// concatenation) and sorts (Section IV-F).
+// order). The parts are ordered by reference where they lie and each record
+// is copied once, into the output; equal keys keep that part order, rows
+// ascending, at any Parallelism setting.
 func (w *worker) reduceStage(ctx *engine.Context) error {
 	var parts []kv.Records
 	for _, fi := range w.stored {
@@ -937,11 +938,9 @@ func (w *worker) reduceStage(ctx *engine.Context) error {
 	for _, segs := range w.decoded {
 		parts = append(parts, segs...)
 	}
-	out := kv.Concat(parts...)
-	// In-place MSD radix: no scratch allocation (the partition is the
-	// worker's largest live object here), buckets sorted on Procs
-	// goroutines, deterministic at any Parallelism setting.
-	out.SortRadixMSD(ctx.Procs)
+	var order kv.Order
+	order.Sort(ctx.Procs, parts...)
+	out := order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
 	w.result.OutputRows = int64(out.Len())
 	w.result.OutputChecksum = out.Checksum()
 	if sink := w.cfg.OutputSink; sink != nil {

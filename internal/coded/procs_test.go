@@ -1,9 +1,12 @@
 package coded
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"codedterasort/internal/job"
+	"codedterasort/internal/kv"
 )
 
 // TestParallelismMatchesSequential: the engine's Parallelism knob —
@@ -22,6 +25,46 @@ func TestParallelismMatchesSequential(t *testing.T) {
 						t.Fatalf("r=%d chunkRows=%d procs=%d rank %d: output differs from sequential", r, chunkRows, procs, rank)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestReduceTieOrder: on keys that repeat (DistDupHeavy: 64 distinct keys)
+// the in-memory Reduce has a defined order — full key, then the order
+// Reduce takes its parts in (stored files, then decoded segments by group
+// and sender), then row — which is what the standard library's stable sort
+// of those parts' concatenation produces, and which no Parallelism setting
+// can change.
+func TestReduceTieOrder(t *testing.T) {
+	for _, r := range []int{1, 2} {
+		spec := job.Spec{K: 4, R: r, Rows: 6000, Seed: 5, DistName: "dupheavy", Parallelism: 1}
+		workers := runWorkers(t, cfgOf(spec), nil, nil)
+		spec.Parallelism = 4
+		parallel := runAll(t, cfgOf(spec))
+		for rank, w := range workers {
+			var parts []kv.Records
+			for _, fi := range w.stored {
+				parts = append(parts, w.store.IV(w.rank, w.plan.Files[fi]))
+			}
+			for _, segs := range w.decoded {
+				parts = append(parts, segs...)
+			}
+			all := kv.Concat(parts...)
+			idx := make([]int, all.Len())
+			for i := range idx {
+				idx[i] = i
+			}
+			slices.SortStableFunc(idx, func(a, b int) int { return bytes.Compare(all.Key(a), all.Key(b)) })
+			want := kv.MakeRecords(all.Len())
+			for _, i := range idx {
+				want = want.Append(all.Record(i))
+			}
+			if !w.result.Output.Equal(want) {
+				t.Fatalf("r=%d rank %d: equal keys are not in (part, row) order", r, rank)
+			}
+			if !parallel[rank].Output.Equal(want) {
+				t.Fatalf("r=%d rank %d: Parallelism 4 output differs from Parallelism 1", r, rank)
 			}
 		}
 	}

@@ -8,11 +8,13 @@ import (
 	"codedterasort/internal/kv"
 )
 
-// Sorter accumulates records under a byte budget and spills radix-sorted
-// runs to disk whenever the in-memory buffer would exceed it. Merge sorts
-// whatever remains in memory as the final run and returns a streaming
-// loser-tree merge over all runs, so the fully sorted order is produced
-// without ever materializing it.
+// Sorter accumulates records under a byte budget and spills sorted runs to
+// disk whenever the in-memory buffer would exceed it: the buffer is ordered
+// by reference (kv.Order) and gathered block by block straight into the
+// run's frame buffer, so a run costs one copy per record and no
+// record-sized scratch. Merge sorts whatever remains in memory as the final
+// run and returns a streaming loser-tree merge over all runs, so the fully
+// sorted order is produced without ever materializing it.
 //
 // A Sorter is not safe for concurrent use; callers that append from
 // several goroutines (the shuffle receive path) serialize with their own
@@ -23,6 +25,8 @@ type Sorter struct {
 	blockRows int
 	procs     int // goroutines for run sorting; <=1 sequential
 	buf       kv.Records
+	order     kv.Order     // reference arrays, reused across runs
+	w         *BlockWriter // run writer, made by the first spill and reused
 	runs      []string
 	merging   bool
 	// Spill accounting: record bytes handed to run writers vs framed bytes
@@ -82,10 +86,10 @@ func NewSorter(parent string, budget int64) (*Sorter, error) {
 	return &Sorter{dir: dir, budget: budget, blockRows: defaultBlockRows(budget)}, nil
 }
 
-// SetParallelism sets the goroutine budget for sorting spill runs (and the
-// final in-memory tail): values above 1 sort each run with the MSB-bucketed
-// parallel radix sort, which is byte-identical to the sequential sort, so
-// runs — and therefore the merged order — do not depend on the setting.
+// SetParallelism sets the goroutine budget for ordering spill runs (and the
+// final in-memory tail). The order is unique — full key, then append
+// position — so runs, and therefore the merged order, do not depend on the
+// setting.
 func (s *Sorter) SetParallelism(procs int) { s.procs = procs }
 
 // Dir returns the sorter's spill directory, for callers (the engines) that
@@ -97,6 +101,9 @@ func (s *Sorter) BlockRows() int { return s.blockRows }
 
 // Runs returns the number of on-disk runs spilled so far.
 func (s *Sorter) Runs() int { return len(s.runs) }
+
+// Rows returns the number of records appended so far, spilled or buffered.
+func (s *Sorter) Rows() int64 { return s.spilledRaw/kv.RecordSize + int64(s.buf.Len()) }
 
 // SpilledRawBytes returns the record bytes written to spill runs so far,
 // before framing and prefix truncation.
@@ -129,14 +136,18 @@ func (s *Sorter) spill() error {
 	if s.buf.Len() == 0 {
 		return nil
 	}
-	s.buf.SortRadixParallel(s.procs)
+	s.order.Sort(s.procs, s.buf)
 	path := filepath.Join(s.dir, fmt.Sprintf("run-%05d.spill", len(s.runs)))
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("extsort: create run: %w", err)
 	}
-	w := NewCompactBlockWriter(f, s.blockRows)
-	err = w.Append(s.buf)
+	if s.w == nil {
+		s.w = NewCompactBlockWriter(nil, s.blockRows)
+	}
+	w := s.w
+	w.Reset(f)
+	err = w.AppendSorted(&s.order)
 	if err == nil {
 		err = w.Finish()
 	}
@@ -163,7 +174,9 @@ func (s *Sorter) Merge() (*Merger, error) {
 		return nil, fmt.Errorf("extsort: Merge called twice")
 	}
 	s.merging = true
-	s.buf.SortRadixParallel(s.procs)
+	s.order.Sort(s.procs, s.buf)
+	s.order.Permute()
+	s.order, s.w = kv.Order{}, nil // run generation is over; the merge gets the memory
 	return newMerger(s.runs, s.buf)
 }
 
@@ -200,6 +213,7 @@ type Output struct {
 // materialized into Output.Records. It is the shared Reduce tail of both
 // engines' out-of-core paths. The caller still closes the sorter.
 func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output, error) {
+	rows := s.Rows()
 	merger, err := s.Merge()
 	if err != nil {
 		return Output{}, err
@@ -209,6 +223,9 @@ func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output,
 		SpilledRuns:      int64(s.Runs()),
 		SpilledRawBytes:  s.SpilledRawBytes(),
 		SpilledDiskBytes: s.SpilledDiskBytes(),
+	}
+	if sink == nil {
+		out.Records = kv.MakeRecords(int(rows))
 	}
 	if err := merger.Drain(blockRows, func(block kv.Records) error {
 		out.Rows += int64(block.Len())

@@ -43,7 +43,7 @@ func TestSorterMatchesInMemorySort(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			input := kv.NewGenerator(42, kv.DistUniform).Generate(0, tc.rows)
 			want := input.Clone()
-			want.SortRadix()
+			want.Sort()
 
 			s, err := NewSorter(t.TempDir(), tc.budget)
 			if err != nil {
@@ -248,6 +248,57 @@ func TestScanFile(t *testing.T) {
 	}
 	if err := ScanFile(torn, 100, func(kv.Records) error { return nil }); err == nil {
 		t.Fatal("torn input file accepted")
+	}
+}
+
+// TestSampleFile: every stride-th record of a part file, by position; a
+// torn file and a non-positive stride are errors.
+func TestSampleFile(t *testing.T) {
+	input := kv.NewGenerator(9, kv.DistUniform).Generate(0, 777)
+	dir := t.TempDir()
+	if err := os.WriteFile(PartFile(dir, 3), input.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := SampleFile(filepath.Join(dir, "part-00003"), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != 8 {
+		t.Fatalf("sampled %d records, want 8", got.Len())
+	}
+	for i := 0; i < got.Len(); i++ {
+		if !bytes.Equal(got.Record(i), input.Record(100*i)) {
+			t.Fatalf("sample %d is not record %d", i, 100*i)
+		}
+	}
+	if _, err := SampleFile(PartFile(dir, 3), 0); err == nil {
+		t.Fatal("stride 0 accepted")
+	}
+	if err := os.WriteFile(PartFile(dir, 4), input.Bytes()[:kv.RecordSize*3+17], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SampleFile(PartFile(dir, 4), 2); err == nil {
+		t.Fatal("torn input file accepted")
+	}
+}
+
+// TestBudgetChunkRows: a full window on every stream stays a quarter of
+// the budget, within the [16, 8192] clamp.
+func TestBudgetChunkRows(t *testing.T) {
+	for _, tc := range []struct {
+		budget          int64
+		streams, window int
+		want            int
+	}{
+		{1 << 20, 3, 4, 218},
+		{1 << 20, 3, 0, 218}, // window 0: the engines' default of 4
+		{1 << 20, 0, 1, 2621},
+		{1000, 3, 4, 16},
+		{1 << 40, 3, 4, 8192},
+	} {
+		if got := BudgetChunkRows(tc.budget, tc.streams, tc.window); got != tc.want {
+			t.Errorf("BudgetChunkRows(%d, %d, %d) = %d, want %d", tc.budget, tc.streams, tc.window, got, tc.want)
+		}
 	}
 }
 

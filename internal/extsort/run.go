@@ -217,7 +217,9 @@ func (r *RunReader) nextV2(n int) (kv.Records, error) {
 	}
 	need := encLen + blockTrailer
 	if cap(r.buf) < need {
-		r.buf = make([]byte, need)
+		// Sized for the longest encoding of n records, so the blocks of a
+		// run — all n records, encoded lengths a few bytes apart — share it.
+		r.buf = make([]byte, n*(kv.RecordSize+1)+blockTrailer)
 	}
 	r.buf = r.buf[:need]
 	if _, err := io.ReadFull(r.r, r.buf); err != nil {
@@ -308,6 +310,31 @@ func NewCompactBlockWriter(w io.Writer, blockRows int) *BlockWriter {
 	b := NewBlockWriter(w, blockRows)
 	b.compact = true
 	return b
+}
+
+// Reset points the writer at w and zeroes its counters, keeping its
+// buffers: a Sorter frames every run through one writer.
+func (b *BlockWriter) Reset(w io.Writer) {
+	b.w.Reset(w)
+	b.buf = b.buf.Slice(0, 0)
+	b.rows, b.blocks, b.diskBytes = 0, 0, 0
+}
+
+// AppendSorted appends every record of o in sorted order, gathering each
+// block straight into the frame buffer.
+func (b *BlockWriter) AppendSorted(o *kv.Order) error {
+	for from := 0; from < o.Len(); {
+		to := min(from+b.blockRows-b.buf.Len(), o.Len())
+		b.buf = o.Gather(b.buf, from, to)
+		from = to
+		if b.buf.Len() == b.blockRows {
+			if err := b.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	b.rows += int64(o.Len())
+	return nil
 }
 
 // Append buffers recs, flushing every completed block.

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -275,4 +276,38 @@ func BenchmarkGenerateKey(b *testing.B) {
 			g.Key(key[:], row)
 		}
 	}
+}
+
+// TestGenerateParallelMatchesGenerate: parallel generation is a pure
+// sharding of the row-addressable generator.
+func TestGenerateParallelMatchesGenerate(t *testing.T) {
+	for _, count := range []int64{0, 1, 100, 5000} {
+		for _, dist := range []Distribution{DistUniform, DistSkewed} {
+			g := NewGenerator(99, dist)
+			want := g.Generate(1234, count)
+			for _, procs := range []int{1, 2, 4, 7} {
+				got := g.GenerateParallel(1234, count, procs)
+				if !got.Equal(want) {
+					t.Fatalf("count=%d dist=%v procs=%d: parallel generation differs", count, dist, procs)
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkGenerateParallel(b *testing.B) {
+	const rows = 200000
+	for _, procs := range []int{1, 4, runtime.NumCPU()} {
+		b.Run(benchProcsName(procs), func(b *testing.B) {
+			g := NewGenerator(1, DistUniform)
+			b.SetBytes(rows * RecordSize)
+			for i := 0; i < b.N; i++ {
+				_ = g.GenerateParallel(0, rows, procs)
+			}
+		})
+	}
+}
+
+func benchProcsName(procs int) string {
+	return fmt.Sprintf("p=%d", procs)
 }

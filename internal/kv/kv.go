@@ -1,7 +1,8 @@
 // Package kv implements the TeraSort data substrate: fixed-width key-value
 // records in the Hadoop TeraGen format the paper sorts (a 10-byte unsigned
 // integer key followed by a 90-byte arbitrary value, Section V-A), flat
-// record buffers, in-place sorting, and the generator that replaces TeraGen.
+// record buffers, the sort kernel (Order: key references are ordered, each
+// record is copied once), and the generator that replaces TeraGen.
 //
 // Records are stored back to back in a single []byte so that a file, an
 // intermediate value, a packed shuffle payload and a coded-packet segment
@@ -163,9 +164,9 @@ func (r Records) Swap(i, j int) {
 
 var _ sort.Interface = Records{}
 
-// Sort sorts the records in place by key (ascending, lexicographic), the
-// Reduce-stage operation of both TeraSort and CodedTeraSort. The paper's
-// implementation uses std::sort; this uses the stdlib introsort equivalent.
+// Sort sorts the records in place by key (ascending, lexicographic) with the
+// stdlib comparison sort, as the paper's implementation does (std::sort).
+// It is the oracle tests hold the engines to; the engines sort with Order.
 func (r Records) Sort() { sort.Sort(r) }
 
 // IsSorted reports whether the records are in non-decreasing key order.
@@ -293,36 +294,4 @@ func Concat(parts ...Records) Records {
 		out = append(out, p.buf...)
 	}
 	return Records{buf: out}
-}
-
-// Merge merges already-sorted buffers into one sorted buffer. It is the
-// k-way merge a Reduce stage could use instead of re-sorting; both paths
-// are provided so benchmarks can ablate them.
-func Merge(parts ...Records) Records {
-	switch len(parts) {
-	case 0:
-		return Records{}
-	case 1:
-		return parts[0].Clone()
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	out := MakeRecords(total)
-	idx := make([]int, len(parts))
-	for out.Len() < total {
-		best := -1
-		for p, i := range idx {
-			if i >= parts[p].Len() {
-				continue
-			}
-			if best == -1 || bytes.Compare(parts[p].Key(i), parts[best].Key(idx[best])) < 0 {
-				best = p
-			}
-		}
-		out = out.Append(parts[best].Record(idx[best]))
-		idx[best]++
-	}
-	return out
 }

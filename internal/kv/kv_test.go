@@ -158,41 +158,6 @@ func TestConcat(t *testing.T) {
 	}
 }
 
-func TestMergeOfSortedRuns(t *testing.T) {
-	a := genRecords(t, 1, 40)
-	b := genRecords(t, 2, 60)
-	c := genRecords(t, 3, 1)
-	a.Sort()
-	b.Sort()
-	c.Sort()
-	m := Merge(a, b, c)
-	if m.Len() != 101 {
-		t.Fatalf("Merge len = %d", m.Len())
-	}
-	if !m.IsSorted() {
-		t.Fatalf("Merge output not sorted")
-	}
-	if m.Checksum() != a.Checksum()+b.Checksum()+c.Checksum() {
-		t.Fatalf("Merge changed the multiset")
-	}
-}
-
-func TestMergeEdgeCases(t *testing.T) {
-	if Merge().Len() != 0 {
-		t.Fatalf("Merge() should be empty")
-	}
-	a := genRecords(t, 5, 5)
-	a.Sort()
-	m := Merge(a)
-	if !m.Equal(a) {
-		t.Fatalf("Merge(a) != a")
-	}
-	var empty Records
-	if got := Merge(empty, a, empty); !got.Equal(a) {
-		t.Fatalf("Merge with empties wrong")
-	}
-}
-
 func TestGeneratorDeterministic(t *testing.T) {
 	g1 := NewGenerator(99, DistUniform)
 	g2 := NewGenerator(99, DistUniform)

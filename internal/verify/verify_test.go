@@ -298,7 +298,7 @@ func BenchmarkDescribeGenerated(b *testing.B) {
 func BenchmarkPartitionCheckerFeed(b *testing.B) {
 	p := partition.NewUniform(4)
 	out := partition.Split(p, kv.NewGenerator(1, kv.DistUniform).Generate(0, 200000))[0]
-	out.SortRadixMSD(1)
+	out.Sort()
 	b.SetBytes(int64(out.Size()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
