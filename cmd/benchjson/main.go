@@ -634,7 +634,7 @@ func runMapReduce(rows int64) ([]mapreduceResult, error) {
 		}
 		out = append(out, mapreduceResult{
 			Kernel: kern.Name, K: k, R: r, Rows: mrRows,
-			ReducedRows:  codedRep.Rows,
+			ReducedRows:  mapreduce.ReducedRows(codedRep),
 			UncodedBytes: plainRep.ShuffleLoadBytes,
 			CodedBytes:   codedRep.ShuffleLoadBytes,
 			Gain:         float64(plainRep.ShuffleLoadBytes) / float64(codedRep.ShuffleLoadBytes),

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"codedterasort/cmd/internal/flags"
+	"codedterasort/internal/cluster"
 	"codedterasort/internal/job"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/stats"
@@ -45,13 +46,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.compare, "compare", false, "also run the uncoded baseline and report the load gain")
 	fs.BoolVar(&o.list, "list", false, "list the registered kernels and exit")
 	fs.IntVar(&o.show, "show", 0, "print the first N reduced records of each rank")
-	// The MR supervisor has no deadline-based straggler detection (that
-	// lives in the sorting cluster runtime), so only the injection and
-	// recovery-cap knobs of the fault surface apply here.
-	fs.Float64Var(&o.j.StragglerFactor, "stragglers", 0,
-		"inject one straggler: slow the straggler rank's egress by this factor (0 or 1 = healthy; effective with -rate or -permsg)")
-	fs.IntVar(&o.j.StragglerRank, "straggler-rank", 0, "which rank the -stragglers injection slows")
-	fs.IntVar(&o.j.MaxAttempts, "max-attempts", 0, "recovery attempt cap for supervised runs (0 = fit to injected faults)")
+	o.j.RegisterFaults(fs)
 	return o
 }
 
@@ -99,7 +94,7 @@ func main() {
 		engine = fmt.Sprintf("coded r=%d", j.R)
 	}
 	fmt.Printf("%s (%s): K=%d, %d input records -> %d reduced records, wall time %.2fs\n",
-		kern.Name, engine, j.K, j.Rows, rep.Rows, time.Since(start).Seconds())
+		kern.Name, engine, j.K, j.Rows, mapreduce.ReducedRows(rep), time.Since(start).Seconds())
 	if rep.Attempts > 1 {
 		fmt.Printf("recovery: %d attempts, recovered from %v\n", rep.Attempts, rep.Recovered)
 	}
@@ -142,12 +137,12 @@ func main() {
 }
 
 // sameOutput reports whether two runs reduced to identical bytes per rank.
-func sameOutput(a, b *mapreduce.Report) bool {
-	if len(a.PerRank) != len(b.PerRank) {
+func sameOutput(a, b *cluster.JobReport) bool {
+	if len(a.Workers) != len(b.Workers) {
 		return false
 	}
-	for rank := range a.PerRank {
-		if !bytes.Equal(a.Output(rank).Bytes(), b.Output(rank).Bytes()) {
+	for rank := range a.Workers {
+		if !bytes.Equal(a.Workers[rank].Output.Bytes(), b.Workers[rank].Output.Bytes()) {
 			return false
 		}
 	}
@@ -155,9 +150,9 @@ func sameOutput(a, b *mapreduce.Report) bool {
 }
 
 // printSample prints the head of each rank's reduced output.
-func printSample(rep *mapreduce.Report, n int) {
-	for rank := range rep.PerRank {
-		out := rep.Output(rank)
+func printSample(rep *cluster.JobReport, n int) {
+	for rank, w := range rep.Workers {
+		out := w.Output
 		fmt.Printf("rank %d (%d records):\n", rank, out.Len())
 		for i := 0; i < out.Len() && i < n; i++ {
 			fmt.Printf("  %-10s -> %s\n",

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"flag"
 	"testing"
+	"time"
 
+	"codedterasort/internal/cluster"
 	"codedterasort/internal/job"
 	"codedterasort/internal/mapreduce"
 )
@@ -27,10 +29,10 @@ func parse(t *testing.T, alg job.Algorithm, args ...string) mapreduce.Job {
 // rangeOrdered reports whether every key of rank i sorts at or below every
 // key of rank i+1 — what splitter partitioning promises and hash
 // partitioning does not.
-func rangeOrdered(rep *mapreduce.Report) bool {
+func rangeOrdered(rep *cluster.JobReport) bool {
 	var prev []byte
-	for rank := range rep.PerRank {
-		out := rep.Output(rank)
+	for _, w := range rep.Workers {
+		out := w.Output
 		for i := 0; i < out.Len(); i++ {
 			if prev != nil && bytes.Compare(out.Key(i), prev) < 0 {
 				return false
@@ -67,8 +69,8 @@ func TestPartitionFlagsReachTheEngine(t *testing.T) {
 	if !rangeOrdered(sampled) {
 		t.Fatal("-partition sample did not range-order the reducers")
 	}
-	if sampled.Rows != hashed.Rows {
-		t.Fatalf("%d reduced rows sampled, %d hashed", sampled.Rows, hashed.Rows)
+	if mapreduce.ReducedRows(sampled) != mapreduce.ReducedRows(hashed) {
+		t.Fatalf("%d reduced rows sampled, %d hashed", mapreduce.ReducedRows(sampled), mapreduce.ReducedRows(hashed))
 	}
 }
 
@@ -77,12 +79,13 @@ func TestPartitionFlagsReachTheEngine(t *testing.T) {
 func TestEveryJobFlagReachesTheJob(t *testing.T) {
 	mr := parse(t, "", "-k", "6", "-r", "3", "-strategy", "resolvable", "-dist", "zipf", "-tree",
 		"-rate", "50", "-permsg", "1ms", "-chunk", "64", "-window", "2", "-membudget", "65536",
-		"-spilldir", "/tmp/x", "-procs", "2", "-stragglers", "4", "-straggler-rank", "1", "-max-attempts", "2")
+		"-spilldir", "/tmp/x", "-procs", "2", "-stragglers", "4", "-straggler-rank", "1", "-max-attempts", "2",
+		"-deadline", "3s")
 	s := mr.Spec
 	if s.K != 6 || s.R != 3 || s.Placement != "resolvable" || s.DistName != "zipf" || !s.TreeMulticast ||
 		s.RateMbps != 50 || s.PerMessage.Milliseconds() != 1 || s.ChunkRows != 64 || s.Window != 2 ||
 		s.MemBudget != 65536 || s.SpillDir != "/tmp/x" || s.Parallelism != 2 ||
-		s.StragglerFactor != 4 || s.StragglerRank != 1 || s.MaxAttempts != 2 {
+		s.StragglerFactor != 4 || s.StragglerRank != 1 || s.MaxAttempts != 2 || s.StageDeadline != 3*time.Second {
 		t.Fatalf("job spec: %+v", s)
 	}
 	if mr.Mapper == nil || mr.Input.Len() != int(s.Rows) {

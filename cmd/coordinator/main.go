@@ -8,10 +8,10 @@
 //	coordinator -listen :7077 -alg codedterasort -k 4 -r 2 -rows 1000000
 //	(then start 4 `worker -coord host:7077` processes)
 //
-// With -deadline the monitored protocol is armed: workers stream per-stage
-// progress and heartbeats, and a worker that dies or falls a deadline
-// behind its fastest peer aborts the job fast with the suspect named
-// instead of hanging it. -stragglers (with -rate or -permsg) injects one
+// Workers stream per-stage progress, and a worker that dies aborts the job
+// fast with the suspect named instead of hanging it; -deadline adds
+// heartbeats and aborts on a worker that falls that far behind its
+// fastest peer. -stragglers (with -rate or -permsg) injects one
 // egress-slowed rank to observe the coded-vs-uncoded degradation live.
 package main
 

@@ -39,20 +39,22 @@
 // kernels (internal/parallel) that produce byte-identical output at any
 // goroutine count.
 // Execution is straggler-resilient: the cluster runtime supervises every
-// run — crash signals and peer-relative stage deadlines (heartbeat-fed
-// over TCP) declare dead or straggling ranks, the attempt is canceled so
-// no peer ever hangs at a faulty rank's barrier, and RunLocal re-executes
-// with the faulty worker respawned until the job completes byte-identical
-// to a healthy run (Spec.StageDeadline/MaxAttempts/Faults; -deadline and
-// -stragglers on the CLIs; DESIGN.md section 11). Coding's redundancy
-// doubles as fault tolerance: a straggler's penalty scales with shuffle
-// volume, which coding cuts by ~r, and a dead rank's input survives on
-// its r-1 placement replicas — the straggler-mitigation story of the
-// coded-computing literature the paper cites.
+// run — crash signals and peer-relative stage deadlines (fed by progress
+// frames over TCP, plus heartbeats once a deadline is armed) declare dead
+// or straggling ranks, the attempt is canceled so no peer ever hangs at a
+// faulty rank's barrier, and cluster.Supervise, the one in-process
+// supervisor of sort and MapReduce jobs alike, re-executes with the faulty
+// worker respawned until the job completes byte-identical to a healthy run
+// (Spec.StageDeadline/MaxAttempts/Faults; -deadline and -stragglers on the
+// CLIs; DESIGN.md section 11). Coding's redundancy doubles as fault
+// tolerance: a straggler's penalty scales with shuffle volume, which
+// coding cuts by ~r, and a dead rank's input survives on its r-1 placement
+// replicas — the straggler-mitigation story of the coded-computing
+// literature the paper cites.
 // The paper's "Beyond Sorting Algorithms" direction is first-class:
 // internal/mapreduce runs arbitrary Mapper/Reducer kernels over the same
-// engine — the replication factor alone selects uncoded or coded
-// execution — with four built-in kernels (word count, grep, inverted
+// engine and supervisor — the replication factor alone selects uncoded or
+// coded execution — with four built-in kernels (word count, grep, inverted
 // index, log aggregation) exposed by cmd/codedmr, and a kernel-generic
 // equivalence harness (internal/mapreduce/mrtest) gating every registered
 // kernel to byte-identical output across engines, execution modes,

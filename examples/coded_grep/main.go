@@ -40,7 +40,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return int(rep.Rows), rep.ShuffleLoadBytes
+		return int(mapreduce.ReducedRows(rep)), rep.ShuffleLoadBytes
 	}
 	plainMatches, plainLoad := run(1)
 	codedMatches, codedLoad := run(r)

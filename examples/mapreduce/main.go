@@ -38,11 +38,11 @@ func runBoth(kern mapreduce.Kernel) (int64, int64, int64) {
 		log.Fatalf("%s coded: %v", kern.Name, err)
 	}
 	for rank := 0; rank < k; rank++ {
-		if !bytes.Equal(plain.Output(rank).Bytes(), coded.Output(rank).Bytes()) {
+		if !bytes.Equal(plain.Workers[rank].Output.Bytes(), coded.Workers[rank].Output.Bytes()) {
 			log.Fatalf("%s: rank %d outputs differ between engines", kern.Name, rank)
 		}
 	}
-	return coded.Rows, plain.ShuffleLoadBytes, coded.ShuffleLoadBytes
+	return mapreduce.ReducedRows(coded), plain.ShuffleLoadBytes, coded.ShuffleLoadBytes
 }
 
 func main() {

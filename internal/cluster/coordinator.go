@@ -37,15 +37,15 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // and aggregates their reports. Output integrity is verified by multiset
 // checksum: the sum of per-partition checksums must equal the input's.
 //
-// With Spec.StageDeadline armed, RunJob supervises the run: workers stream
-// per-stage progress and liveness heartbeats, and a worker that dies (its
-// connection breaks), stops heartbeating, or falls a full StageDeadline
-// behind its fastest peer on a stage is declared faulty. The coordinator
+// RunJob supervises the run: workers stream per-stage progress, and a
+// worker that dies (its connection breaks) is declared faulty; with
+// Spec.StageDeadline armed, so is one that stops heartbeating or falls a
+// full StageDeadline behind its fastest peer on a stage. The coordinator
 // then broadcasts an abort — every surviving worker cancels its attempt
 // cleanly instead of blocking forever at the faulty rank's barrier — and
 // RunJob fails fast with the suspect named. Re-execution across processes
 // is the operator's (or a supervisor script's) job: restart the workers
-// and call RunJob again; the in-process RunLocal automates that loop.
+// and call RunJob again; the in-process Supervise automates that loop.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -90,37 +90,32 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 			return nil, fmt.Errorf("cluster: assigning rank %d: %w", rank, err)
 		}
 	}
-	// Collect reports concurrently; a worker failure fails the job. With
-	// the stage deadline armed, every connection carries monitored-protocol
-	// frames (progress, heartbeats, the final report) that feed the
-	// straggler detector; a detection aborts all workers and fails fast
-	// with the suspects named. A dead worker (broken connection or silent
-	// past the deadline) is always caught; a wedged-but-alive worker is
-	// caught once any peer finishes the stage it is stuck in (the
-	// peer-relative rule — see the monitor's detection notes for the
-	// residual all-ranks-blocked case).
+	// Collect reports concurrently; a worker failure fails the job. Every
+	// connection carries workerMsg frames (progress, heartbeats when the
+	// deadline is armed, the final report) that feed the detector; a
+	// detection aborts all workers and fails fast with the suspects named.
+	// A dead worker (broken connection, or silent past the deadline) is
+	// always caught; a wedged-but-alive worker is caught once any peer
+	// finishes the stage it is stuck in (the peer-relative rule — see the
+	// monitor's detection notes for the residual all-ranks-blocked case).
 	reports := make([]WorkerReport, spec.K)
 	errs := make([]error, spec.K)
-	var mon *monitor
 	var abortOnce sync.Once
-	abort := func(reason string) {
+	mon := newMonitor(spec.K, spec.StageDeadline, true, 1, func() {
 		abortOnce.Do(func() {
 			for _, conn := range conns {
-				_ = writeFrame(conn, abortMsg{Reason: reason})
+				_ = writeFrame(conn, abortMsg{Reason: "fault detected"})
 			}
 		})
-	}
-	if spec.StageDeadline > 0 {
-		mon = newMonitor(spec.K, spec.StageDeadline, true, 1, func() { abort("fault detected") })
-		mon.Watch()
-		defer mon.Stop()
-	}
+	})
+	mon.Watch()
+	defer mon.Stop()
 	var wg sync.WaitGroup
 	for rank, conn := range conns {
 		wg.Add(1)
-		go func(rank int, conn net.Conn) {
+		go func() {
 			defer wg.Done()
-			rep, reported, err := collectWorker(rank, conn, spec, mon)
+			rep, reported, err := collectWorker(rank, conn, mon)
 			if err != nil {
 				errs[rank] = err
 				// A broken connection is the crash signal of a dead worker
@@ -129,35 +124,27 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 				// mesh peer vanished) — so it must not be blamed; the true
 				// suspect surfaces through its own broken connection or
 				// the deadline.
-				if mon != nil && !reported {
+				if !reported {
 					mon.CrashedAtLast(rank)
 				}
 				return
 			}
 			reports[rank] = rep
-			if mon != nil {
-				// The worker's heartbeats stop with its report; exempt it
-				// from the liveness rule while slower peers finish.
-				mon.Done(rank)
-			}
-		}(rank, conn)
+			// The worker's heartbeats stop with its report; exempt it from
+			// the liveness rule while slower peers finish.
+			mon.Done(rank)
+		}()
 	}
 	wg.Wait()
-	if mon != nil {
-		if suspects := mon.Suspects(); len(suspects) > 0 {
-			return nil, fmt.Errorf("cluster: job aborted, detected %v", suspects)
-		}
+	if suspects := mon.Suspects(); len(suspects) > 0 {
+		return nil, fmt.Errorf("cluster: job aborted, detected %v", suspects)
 	}
 	for rank, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("cluster: worker %d: %w", rank, err)
 		}
 	}
-	job, err := assembleRemote(spec, reports)
-	if err != nil {
-		return nil, err
-	}
-	return job, nil
+	return assembleRemote(spec, reports)
 }
 
 // assembleRemote merges TCP worker reports and verifies multiset
@@ -169,8 +156,7 @@ func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	job, err := assemble(spec, p, reports, nil, nil)
-	if err != nil {
+	if err := checkSplitterAgreement(p, reports); err != nil {
 		return nil, err
 	}
 	in, err := describeInput(spec)
@@ -187,50 +173,41 @@ func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
 		return nil, fmt.Errorf("cluster: output mismatch: %d rows (want %d), checksum %#x (want %#x)",
 			rows, in.Rows, sum, in.Checksum)
 	}
+	job := rollup(spec, reports)
 	job.Validated = true
 	job.Attempts = 1
 	return job, nil
 }
 
-// collectWorker consumes one worker connection until its final report.
-// Legacy (unmonitored) jobs carry a single reportMsg; monitored jobs carry
-// a stream of workerMsg frames whose progress events feed the detector.
-// reported says whether the worker delivered a frame at the end (alive) as
-// opposed to its connection breaking (the crash signal).
-func collectWorker(rank int, conn net.Conn, spec Spec, mon *monitor) (rep WorkerReport, reported bool, err error) {
-	var msg reportMsg
-	if mon == nil {
-		if err := readFrame(conn, &msg); err != nil {
+// collectWorker consumes one worker connection's workerMsg frames until the
+// final report; progress events feed the detector. reported says whether
+// the worker delivered its report (alive) as opposed to its connection
+// breaking (the crash signal).
+func collectWorker(rank int, conn net.Conn, mon *monitor) (rep WorkerReport, reported bool, err error) {
+	for {
+		var frame workerMsg
+		if err := readFrame(conn, &frame); err != nil {
 			return WorkerReport{}, false, err
 		}
-	} else {
-	frames:
-		for {
-			var frame workerMsg
-			if err := readFrame(conn, &frame); err != nil {
-				return WorkerReport{}, false, err
+		switch {
+		case frame.Report != nil:
+			msg := frame.Report
+			if msg.Err != "" {
+				return WorkerReport{}, true, fmt.Errorf("worker failure: %s", msg.Err)
 			}
-			switch {
-			case frame.Report != nil:
-				msg = *frame.Report
-				break frames
-			case frame.Progress != nil:
-				mon.Alive(rank)
-				if frame.Progress.Stage != "" {
-					if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
-						mon.StageEnd(rank, st)
-					}
+			if msg.Rank != rank {
+				return WorkerReport{}, true, fmt.Errorf("report rank %d on connection %d", msg.Rank, rank)
+			}
+			return msg.WorkerReport, true, nil
+		case frame.Progress != nil:
+			mon.Alive(rank)
+			if frame.Progress.Stage != "" {
+				if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
+					mon.StageEnd(rank, st)
 				}
-			default:
-				return WorkerReport{}, false, fmt.Errorf("empty control frame")
 			}
+		default:
+			return WorkerReport{}, false, fmt.Errorf("empty control frame")
 		}
 	}
-	if msg.Err != "" {
-		return WorkerReport{}, true, fmt.Errorf("worker failure: %s", msg.Err)
-	}
-	if msg.Rank != rank {
-		return WorkerReport{}, true, fmt.Errorf("report rank %d on connection %d", msg.Rank, rank)
-	}
-	return msg.WorkerReport, true, nil
 }

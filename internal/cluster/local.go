@@ -34,7 +34,9 @@ type WorkerReport struct {
 	// including the per-receiver copies of application-layer multicast
 	// and control traffic (tokens, barriers, handshakes).
 	WireBytes int64 `json:"wire_bytes"`
-	// Output is the sorted partition itself when Spec.KeepOutput is set.
+	// Output is the rank's output, which never rides the wire: a sort
+	// job's sorted partition when Spec.KeepOutput is set, a MapReduce job's
+	// reduced output always (mapreduce.RunLocal).
 	Output kv.Records `json:"-"`
 }
 
@@ -65,8 +67,10 @@ type JobReport struct {
 	// SampleRoundBytes totals the sampling round's wire traffic across
 	// workers (0 under uniform partitioning or preset splitters).
 	SampleRoundBytes int64
-	// Validated is set when the job's output passed verification against
-	// the input multiset and ordering invariants.
+	// Validated is set when a sort job's output passed verification
+	// against the input multiset and ordering invariants. A MapReduce
+	// job's reduced output is not self-verified — mapreduce.Sequential is
+	// its oracle — so its report leaves Validated false.
 	Validated bool
 	// Stages is the cluster-wide stage timeline, recorded through the
 	// engine runtime's per-stage hooks: every worker's completed stages in
@@ -83,23 +87,13 @@ type JobReport struct {
 // Total returns the cluster-level total execution time.
 func (j JobReport) Total() float64 { return j.Times.Total().Seconds() }
 
-// RunLocal executes the job with all K workers in this process over the
-// in-memory transport, optionally traffic-shaped per the spec. Outputs are
-// verified against the input (order, partition membership, multiset
-// equality) before the report is returned. With MemBudget set (and
-// KeepOutput unset, which defeats the point of a budget) the sorted
-// partitions are never materialized: each worker streams its output blocks
-// into a verify.PartitionChecker, so verification itself runs in O(block)
-// memory.
-//
-// RunLocal is also the supervised deployment: it detects dead and
-// straggling workers (crash signals always; peer-relative stage deadlines
-// when Spec.StageDeadline is armed) and recovers by attempt-scoped
-// re-execution — the attempt is canceled, which unblocks every peer stuck
-// at the faulty rank's barrier, and the job re-runs with the faulty rank's
-// worker respawned, up to Spec.MaxAttempts. Recovered jobs produce output
-// byte-identical to a clean run; the attempt history is reported in
-// Attempts/Recovered and the attempt-tagged stage log.
+// RunLocal executes the sort job with all K workers in this process under
+// Supervise, then verifies the outputs against the input (order, partition
+// membership, multiset equality) before the report is returned. With
+// MemBudget set (and KeepOutput unset, which defeats the point of a budget)
+// the sorted partitions are never materialized: each worker streams its
+// output blocks into a verify.PartitionChecker, so verification itself runs
+// in O(block) memory.
 func RunLocal(spec Spec) (*JobReport, error) {
 	return RunLocalOpts(context.Background(), spec, Options{})
 }
@@ -160,13 +154,75 @@ func (o Options) startTasks(tasks []func()) {
 	}
 }
 
-// RunLocalOpts is RunLocal with cancellation and run options. Canceling
-// ctx checkpoint-cancels the job: the current attempt's mesh is closed,
-// which unblocks every rank at its next transport operation exactly like
-// fault recovery's attempt cancelation, and the job returns ctx's error
-// instead of recovering. Long-lived callers (the sortd service) use it to
-// drain without waiting out a slow job.
+// RunLocalOpts is RunLocal with cancellation and run options; see
+// Supervise for both.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	// The partitioner the output is verified against is resolved once per
+	// job: under sampled partitioning it replays the whole sampling round,
+	// so a run that drifts from the deterministic sample fails verification.
+	p, err := verifyPartitioner(spec)
+	if err != nil {
+		return nil, err
+	}
+	var sums []verify.Summary
+	if spec.MemBudget > 0 && !spec.KeepOutput {
+		sums = make([]verify.Summary, spec.K)
+	}
+	rep, err := Supervise(ctx, spec, opts, func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error) {
+		if sums == nil {
+			return runWorker(ep, spec, nil, hooks)
+		}
+		// Every rank of the attempt that succeeds overwrites its own slot,
+		// so only that attempt's checker summaries survive.
+		c := verify.NewPartitionChecker(p, ep.Rank())
+		w, err := runWorker(ep, spec, c.Feed, hooks)
+		sums[ep.Rank()] = c.Summary()
+		return w, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := verifyOutput(rep, p, sums); err != nil {
+		return nil, err
+	}
+	if !spec.KeepOutput {
+		for r := range rep.Workers {
+			rep.Workers[r].Output = kv.Records{}
+		}
+	}
+	return rep, nil
+}
+
+// RankFunc is one rank's body for one supervised attempt: it runs the job's
+// worker on ep under spec — the attempt's spec, the respawned ranks' faults
+// removed — with hooks observing every stage (they feed the stage log and
+// the deadline detector), and returns the rank's report. Supervise fills in
+// the report's Rank and WireBytes. An engine.KilledError return is the
+// rank's death; any other error is a failure.
+type RankFunc func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error)
+
+// Supervise runs a job's K ranks in this process over the in-memory
+// transport, traffic-shaped per the spec, with rank as every rank's body —
+// the one in-process supervisor, shared by the sort (RunLocalOpts) and the
+// MapReduce framework (mapreduce.RunLocal). It detects dead and straggling
+// ranks (crash signals always; peer-relative stage deadlines when
+// Spec.StageDeadline is armed) and recovers by attempt-scoped
+// re-execution: the attempt is canceled, which unblocks every peer stuck
+// at the faulty rank's barrier, and the job re-runs with the faulty rank's
+// worker respawned, up to Spec.MaxAttempts. The report rolls up the
+// successful attempt's worker reports and carries the attempt history in
+// Attempts, Recovered and the attempt-tagged stage log; verifying the
+// output is the caller's business.
+//
+// Canceling ctx checkpoint-cancels the job: the current attempt's mesh is
+// closed, which unblocks every rank at its next transport operation exactly
+// like fault recovery's attempt cancelation, and the job returns ctx's
+// error instead of recovering. Long-lived callers (the sortd service) use
+// it to drain without waiting out a slow job.
+func Supervise(ctx context.Context, spec Spec, opts Options, rank RankFunc) (*JobReport, error) {
 	resolved, err := spec.Resolve(job.Local{})
 	if err != nil {
 		return nil, err
@@ -177,20 +233,15 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 	if opts.OnStage != nil {
 		stageLog.Observe(opts.OnStage)
 	}
-	// The partitioner the output is verified against is resolved once per
-	// job: under sampled partitioning it replays the whole sampling round.
-	p, err := verifyPartitioner(spec)
-	if err != nil {
-		return nil, err
-	}
 	consumed := map[int]bool{}
 	var recovered []Suspect
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: job canceled: %w", err)
 		}
-		rep, suspects, err := runAttempt(ctx, spec, p, opts, consumed, attempt, stageLog)
+		reports, suspects, err := runAttempt(ctx, spec, opts, rank, consumed, attempt, stageLog)
 		if err == nil {
+			rep := rollup(spec, reports)
 			rep.Attempts = attempt
 			rep.Recovered = recovered
 			rep.Stages = stageLog.Records()
@@ -232,10 +283,10 @@ func allFailed(suspects []Suspect) bool {
 	return true
 }
 
-// runAttempt executes one supervised attempt and verifies its output
-// against p. On a detected fault it returns the suspects alongside the
+// runAttempt executes one supervised attempt and returns its per-rank
+// reports. On a detected fault it returns the suspects alongside the
 // error; an error with no suspects is a genuine (unrecoverable) failure.
-func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Options, consumed map[int]bool, attempt int, stageLog *trace.StageLog) (*JobReport, []Suspect, error) {
+func runAttempt(ctx context.Context, spec Spec, opts Options, rank RankFunc, consumed map[int]bool, attempt int, stageLog *trace.StageLog) ([]WorkerReport, []Suspect, error) {
 	// Replacement workers took over the consumed ranks, so their injected
 	// faults do not strike this attempt.
 	attemptSpec := spec
@@ -256,51 +307,32 @@ func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Op
 	mon.Watch()
 	defer mon.Stop()
 
-	streaming := spec.MemBudget > 0 && !spec.KeepOutput
-	var checkers []*verify.PartitionChecker
-	if streaming {
-		// Under sampled partitioning p holds the splitters the round is
-		// expected to agree on — computed from the input alone, so a run
-		// that drifts from the deterministic sample fails verification.
-		checkers = make([]*verify.PartitionChecker, spec.K)
-		for r := 0; r < spec.K; r++ {
-			checkers[r] = verify.NewPartitionChecker(p, r)
-		}
-	}
-
 	reports := make([]WorkerReport, spec.K)
 	errs := make([]error, spec.K)
-	outputs := make([]kv.Records, spec.K)
 	var wg sync.WaitGroup
 	tasks := make([]func(), spec.K)
-	for r := 0; r < spec.K; r++ {
+	for r := range tasks {
 		wg.Add(1)
-		rank := r
-		tasks[rank] = func() {
+		tasks[r] = func() {
 			defer wg.Done()
-			var conn transport.Conn = mesh.Endpoint(rank)
+			var conn transport.Conn = mesh.Endpoint(r)
 			if spec.RateMbps > 0 || spec.PerMessage > 0 {
-				opts := netem.Options{RateMbps: spec.RateMbps, PerMessage: spec.PerMessage}
-				if spec.StragglerFactor > 1 && rank == spec.StragglerRank {
-					opts.SlowFactor = spec.StragglerFactor
+				shape := netem.Options{RateMbps: spec.RateMbps, PerMessage: spec.PerMessage}
+				if spec.StragglerFactor > 1 && r == spec.StragglerRank {
+					shape.SlowFactor = spec.StragglerFactor
 				}
-				conn = netem.Limit(conn, opts)
+				conn = netem.Limit(conn, shape)
 			}
 			meter := transport.NewMeter(conn)
-			ep := transport.WithCollectives(meter, spec.Strategy())
-			var sink func(kv.Records) error
-			if streaming {
-				sink = checkers[rank].Feed
-			}
 			hooks := engine.Hooks{StageEnd: func(ev engine.StageEvent) {
 				stageLog.Record(ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
 				if ev.Err == nil {
 					mon.StageEnd(ev.Rank, ev.Stage)
 				}
 			}}
-			rep, out, err := runWorker(ep, attemptSpec, sink, hooks)
+			rep, err := rank(transport.WithCollectives(meter, spec.Strategy()), attemptSpec, hooks)
 			if err != nil {
-				errs[rank] = err
+				errs[r] = err
 				// Any exited worker strands its peers at a barrier or a
 				// pending receive, so every worker error cancels the
 				// attempt (the supervisor's crash signal; over TCP it is
@@ -312,14 +344,13 @@ func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Op
 				if errors.As(err, &killed) {
 					mon.Crashed(killed.Rank, killed.Stage)
 				} else {
-					mon.Errored(rank)
+					mon.Errored(r)
 				}
 				return
 			}
-			rep.Rank = rank
+			rep.Rank = r
 			rep.WireBytes = meter.Counters().SentBytes
-			reports[rank] = rep
-			outputs[rank] = out
+			reports[r] = rep
 		}
 	}
 	opts.startTasks(tasks)
@@ -351,30 +382,69 @@ func runAttempt(ctx context.Context, spec Spec, p partition.Partitioner, opts Op
 			return nil, nil, fmt.Errorf("cluster: worker %d: %w", r, err)
 		}
 	}
-	var job *JobReport
-	var err error
-	if streaming {
-		sums := make([]verify.Summary, spec.K)
-		for r, c := range checkers {
-			sums[r] = c.Summary()
-		}
-		job, err = assemble(spec, p, reports, nil, sums)
-	} else {
-		job, err = assemble(spec, p, reports, outputs, nil)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return job, nil, nil
+	return reports, nil, nil
 }
 
-// checkSplitterAgreement verifies every worker of a sampled job reported
-// the same splitter bounds, and that they match want, the coordinator's own
-// replay of the deterministic sampling round. A mismatch means the round's
-// determinism argument was violated (non-deterministic input read, a
-// worker partitioned by stale bounds after recovery) and the job's output,
-// though locally sorted, would not be globally partitioned as verified.
-func checkSplitterAgreement(want [][]byte, reports []WorkerReport) error {
+// rollup builds the job report from the per-rank reports: per-stage maxima
+// and job-wide counter totals.
+func rollup(spec Spec, reports []WorkerReport) *JobReport {
+	job := &JobReport{Spec: spec, Workers: reports}
+	for _, w := range reports {
+		job.Times = job.Times.Max(w.Times)
+		job.ShuffleLoadBytes += w.SentBytes
+		job.WireBytes += w.WireBytes
+		job.ChunksShuffled += w.ChunksSent
+		job.SpilledRuns += w.SpilledRuns
+		job.Spill.Add(w.Spill)
+		job.MergeOVCDecided += w.MergeOVCDecided
+		job.MergeFullCompares += w.MergeFullCompares
+		job.SampleRoundBytes += w.SampleRoundBytes
+	}
+	return job
+}
+
+// verifyOutput verifies a sort job's output against p and the input. The
+// evidence is the streaming checkers' summaries when sums is non-nil, the
+// workers' materialized outputs otherwise. It runs after the last timed
+// stage, when every rank has gone idle, so the input description and the K
+// partition checks each use every core.
+func verifyOutput(job *JobReport, p partition.Partitioner, sums []verify.Summary) error {
+	if err := checkSplitterAgreement(p, job.Workers); err != nil {
+		return err
+	}
+	in, err := describeInput(job.Spec)
+	if err != nil {
+		return fmt.Errorf("cluster: describing input: %w", err)
+	}
+	if sums == nil {
+		outputs := make([]kv.Records, len(job.Workers))
+		for r, w := range job.Workers {
+			outputs[r] = w.Output
+		}
+		err = verify.SortedOutput(outputs, p, in)
+	} else {
+		err = verify.CheckSummaries(sums, in)
+	}
+	if err != nil {
+		return fmt.Errorf("cluster: output verification failed: %w", err)
+	}
+	job.Validated = true
+	return nil
+}
+
+// checkSplitterAgreement verifies, when p is a sampled job's Splitters,
+// that every worker reported the same splitter bounds and that they match
+// p's, the coordinator's own replay of the deterministic sampling round. A
+// mismatch means the round's determinism argument was violated
+// (non-deterministic input read, a worker partitioned by stale bounds after
+// recovery) and the job's output, though locally sorted, would not be
+// globally partitioned as verified. A uniform job has no bounds to agree on.
+func checkSplitterAgreement(p partition.Partitioner, reports []WorkerReport) error {
+	sp, ok := p.(partition.Splitters)
+	if !ok {
+		return nil
+	}
+	want := sp.Bounds()
 	for _, w := range reports {
 		if len(w.SplitterBounds) != len(want) {
 			return fmt.Errorf("cluster: worker %d reported %d splitters, expected %d",
@@ -426,62 +496,14 @@ func describeInput(spec Spec) (verify.Input, error) {
 	return in, nil
 }
 
-// runWorker executes the spec on one endpoint. A non-nil sink receives the
-// sorted partition as ascending blocks instead of it being returned; hooks
-// observe each completed stage through the engine runtime.
-func runWorker(ep transport.Endpoint, spec Spec, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, kv.Records, error) {
+// runWorker executes the sort on one endpoint. A non-nil sink receives the
+// sorted partition as ascending blocks instead of it being returned in the
+// report's Output; hooks observe each completed stage through the engine
+// runtime.
+func runWorker(ep transport.Endpoint, spec Spec, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
 	res, err := coded.Run(ep, coded.Config{Spec: spec, OutputSink: sink, Hooks: hooks}, nil)
 	if err != nil {
-		return WorkerReport{}, kv.Records{}, err
+		return WorkerReport{}, err
 	}
-	rep := WorkerReport{Summary: res.Summary}
-	if spec.KeepOutput {
-		rep.Output = res.Output
-	}
-	return rep, res.Output, nil
-}
-
-// assemble merges worker reports, verifies outputs against p, and builds
-// the job report. Exactly one of outputs (materialized partitions) or sums
-// (streaming-checker summaries) carries the verification evidence; nil for
-// both skips verification (the TCP coordinator's checksum-only path). It
-// runs after the last timed stage, when every rank has gone idle, so the
-// input description and the K partition checks each use every core.
-func assemble(spec Spec, p partition.Partitioner, reports []WorkerReport, outputs []kv.Records, sums []verify.Summary) (*JobReport, error) {
-	job := &JobReport{Spec: spec, Workers: reports}
-	for _, w := range reports {
-		job.Times = job.Times.Max(w.Times)
-		job.ShuffleLoadBytes += w.SentBytes
-		job.WireBytes += w.WireBytes
-		job.ChunksShuffled += w.ChunksSent
-		job.SpilledRuns += w.SpilledRuns
-		job.Spill.Add(w.Spill)
-		job.MergeOVCDecided += w.MergeOVCDecided
-		job.MergeFullCompares += w.MergeFullCompares
-		job.SampleRoundBytes += w.SampleRoundBytes
-	}
-	// A sampled job is verified against Splitters; a uniform one has no
-	// bounds to agree on.
-	if sp, ok := p.(partition.Splitters); ok {
-		if err := checkSplitterAgreement(sp.Bounds(), reports); err != nil {
-			return nil, err
-		}
-	}
-	if outputs == nil && sums == nil {
-		return job, nil
-	}
-	in, err := describeInput(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: describing input: %w", err)
-	}
-	if sums == nil {
-		err = verify.SortedOutput(outputs, p, in)
-	} else {
-		err = verify.CheckSummaries(sums, in)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
-	}
-	job.Validated = true
-	return job, nil
+	return WorkerReport{Summary: res.Summary, Output: res.Output}, nil
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // Control-plane wire protocol between coordinator and workers: 4-byte
-// big-endian length followed by a JSON document. Register (worker ->
-// coordinator), assign (coordinator -> worker) and report (worker ->
-// coordinator) always flow. With Spec.StageDeadline armed the monitored
-// protocol is active on both sides: workers wrap their post-assignment
-// traffic in workerMsg frames carrying per-stage progress events and
-// periodic liveness heartbeats alongside the final report, and the
+// big-endian length followed by a JSON document. One conversation serves
+// every job: register (worker -> coordinator) and assign (coordinator ->
+// worker), then the worker wraps all its traffic in workerMsg frames — a
+// progress event after each completed stage, liveness heartbeats when
+// Spec.StageDeadline is armed, and finally its report — while the
 // coordinator may send an abort frame that tells a worker to cancel its
 // attempt (close its mesh) instead of waiting forever on a dead peer.
 
@@ -41,7 +40,7 @@ type reportMsg struct {
 	Err string `json:"err,omitempty"`
 }
 
-// progressMsg is one liveness/progress event of the monitored protocol:
+// progressMsg is one liveness/progress event:
 // a completed stage (Stage set, named per stats.ParseStage) or a bare
 // heartbeat (Stage empty). Either form proves the worker alive.
 type progressMsg struct {
@@ -50,14 +49,14 @@ type progressMsg struct {
 	Elapsed time.Duration `json:"elapsed,omitempty"`
 }
 
-// workerMsg is the monitored protocol's worker -> coordinator frame: a
+// workerMsg is the worker -> coordinator frame after assignment: a
 // progress event or the final report, exactly one set.
 type workerMsg struct {
 	Progress *progressMsg `json:"progress,omitempty"`
 	Report   *reportMsg   `json:"report,omitempty"`
 }
 
-// abortMsg is the monitored protocol's coordinator -> worker frame: cancel
+// abortMsg is the coordinator -> worker frame after assignment: cancel
 // the attempt (the worker closes its mesh, unblocking its run with
 // ErrClosed) because a peer was declared dead or straggling.
 type abortMsg struct {

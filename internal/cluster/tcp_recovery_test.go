@@ -1,16 +1,17 @@
 package cluster
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
-// runMonitored starts a coordinator and K worker goroutines speaking the
-// real TCP protocol with the monitored extensions armed, and returns the
-// coordinator's verdict plus every worker's error.
-func runMonitored(t *testing.T, spec Spec) (jobErr error, workerErrs []error) {
+// runTCP starts a coordinator and K worker goroutines speaking the real TCP
+// protocol, and returns the coordinator's verdict plus every worker's
+// error.
+func runTCP(t *testing.T, spec Spec) (job *JobReport, workerErrs []error, jobErr error) {
 	t.Helper()
 	coord, err := NewCoordinator("127.0.0.1:0")
 	if err != nil {
@@ -26,33 +27,17 @@ func runMonitored(t *testing.T, spec Spec) (jobErr error, workerErrs []error) {
 			workerErrs[i] = RunWorker(coord.Addr(), WorkerOptions{})
 		}(i)
 	}
-	_, jobErr = coord.RunJob(spec)
+	job, jobErr = coord.RunJob(spec)
 	wg.Wait()
-	return jobErr, workerErrs
+	return job, workerErrs, jobErr
 }
 
-// TestTCPMonitoredHealthy: the monitored protocol (heartbeats, progress
-// frames, workerMsg framing) carries a clean job end to end exactly like
-// the legacy protocol.
+// TestTCPMonitoredHealthy: the deadline-armed conversation (heartbeats and
+// the watchdog on top of progress frames) carries a clean job end to end.
 func TestTCPMonitoredHealthy(t *testing.T) {
 	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 31,
 		StageDeadline: 10 * time.Second, Heartbeat: 20 * time.Millisecond}
-	coord, err := NewCoordinator("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	var wg sync.WaitGroup
-	workerErrs := make([]error, spec.K)
-	for i := 0; i < spec.K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			workerErrs[i] = RunWorker(coord.Addr(), WorkerOptions{})
-		}(i)
-	}
-	job, err := coord.RunJob(spec)
-	wg.Wait()
+	job, workerErrs, err := runTCP(t, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,29 +53,76 @@ func TestTCPMonitoredHealthy(t *testing.T) {
 
 // TestTCPWorkerDeathFailsFast: a worker process dying mid-Map (simulated
 // by the injected kill: the worker drops its coordinator connection and
-// mesh without reporting) must not hang the job. The coordinator detects
-// the broken connection, aborts the survivors, and fails fast naming the
-// dead rank; every surviving worker returns instead of blocking at the
-// dead rank's barrier.
+// mesh without reporting) must not hang the job, deadline or not. The
+// coordinator detects the broken connection, aborts the survivors, and
+// fails fast naming the dead rank — not a casualty whose mesh peer
+// vanished; every surviving worker returns instead of blocking at the dead
+// rank's barrier.
 func TestTCPWorkerDeathFailsFast(t *testing.T) {
-	start := time.Now()
-	spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 32,
-		StageDeadline: 5 * time.Second, Heartbeat: 20 * time.Millisecond,
-		Faults: []FaultSpec{{Rank: 1, Stage: "Map", Kind: "kill"}}}
-	jobErr, workerErrs := runMonitored(t, spec)
-	if jobErr == nil {
-		t.Fatal("job with a dead worker reported success")
+	for _, c := range []struct {
+		name      string
+		deadline  time.Duration
+		heartbeat time.Duration
+	}{
+		{"deadline", 5 * time.Second, 20 * time.Millisecond},
+		{"no-deadline", 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			start := time.Now()
+			spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 32,
+				StageDeadline: c.deadline, Heartbeat: c.heartbeat,
+				Faults: []FaultSpec{{Rank: 1, Stage: "Map", Kind: "kill"}}}
+			_, workerErrs, jobErr := runTCP(t, spec)
+			if jobErr == nil {
+				t.Fatal("job with a dead worker reported success")
+			}
+			if !strings.Contains(jobErr.Error(), "rank 1 died") {
+				t.Fatalf("verdict does not name the dead rank: %v", jobErr)
+			}
+			for i, werr := range workerErrs {
+				if werr == nil {
+					t.Fatalf("worker %d reported success in an aborted job", i)
+				}
+			}
+			if elapsed := time.Since(start); elapsed > 30*time.Second {
+				t.Fatalf("death took %v to surface — fail-fast is broken", elapsed)
+			}
+		})
 	}
-	if !strings.Contains(jobErr.Error(), "rank 1 died") {
-		t.Fatalf("verdict does not name the dead rank: %v", jobErr)
+}
+
+// TestTCPWorkerGoroutinesExit: every worker listens for aborts, deadline or
+// not, and the listener (like the heartbeat sender) must die with its
+// worker — a long-lived process joining job after job would otherwise
+// pile them up. Goroutines that are already exiting get a moment to
+// settle, as the benchmark's leak count does.
+func TestTCPWorkerGoroutinesExit(t *testing.T) {
+	spec := Spec{Algorithm: AlgCoded, K: 3, R: 2, Rows: 1500, Seed: 34}
+	_, workerErrs, err := runTCP(t, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i, werr := range workerErrs {
-		if werr == nil {
-			t.Fatalf("worker %d reported success in an aborted job", i)
+		if werr != nil {
+			t.Fatalf("worker %d: %v", i, werr)
 		}
 	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("death took %v to surface — fail-fast is broken", elapsed)
+	lingering := func() string {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, fn := range []string{"cluster.listenAbort", "cluster.heartbeat"} {
+			if strings.Contains(stacks, fn) {
+				return fn
+			}
+		}
+		return ""
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for lingering() != "" && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if fn := lingering(); fn != "" {
+		t.Fatalf("%s goroutine outlived its worker", fn)
 	}
 }
 
@@ -101,7 +133,7 @@ func TestTCPStragglerDetected(t *testing.T) {
 	spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 33,
 		StageDeadline: 300 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
 		Faults: []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "slow", Factor: 1, Delay: 3 * time.Second}}}
-	jobErr, _ := runMonitored(t, spec)
+	_, _, jobErr := runTCP(t, spec)
 	if jobErr == nil {
 		t.Fatal("job with a straggler past deadline reported success")
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"time"
@@ -77,24 +78,19 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	if opts.Parallelism > 0 {
 		spec.Parallelism = opts.Parallelism
 	}
-	// The monitored protocol is active exactly when the distributed spec
-	// arms the stage deadline; both sides key off the same field.
-	var tx *ctrlSender
-	if spec.StageDeadline > 0 {
-		tx = &ctrlSender{conn: conn}
-	}
+	tx := &ctrlSender{conn: conn}
 	resolved, err := spec.Resolve(job.Local{})
 	if err != nil {
-		return reportFailure(conn, tx, assign.Rank, err)
+		return reportFailure(tx, assign.Rank, err)
 	}
 	if assign.Rank < 0 || assign.Rank >= len(assign.Addrs) || len(assign.Addrs) != spec.K {
-		return reportFailure(conn, tx, assign.Rank, fmt.Errorf("cluster: bad assignment rank=%d addrs=%d k=%d",
+		return reportFailure(tx, assign.Rank, fmt.Errorf("cluster: bad assignment rank=%d addrs=%d k=%d",
 			assign.Rank, len(assign.Addrs), spec.K))
 	}
 
 	mesh, err := tcpnet.NewWithListener(assign.Rank, assign.Addrs, meshLn)
 	if err != nil {
-		return reportFailure(conn, tx, assign.Rank, err)
+		return reportFailure(tx, assign.Rank, err)
 	}
 	meshOwned = false
 	defer mesh.Close()
@@ -116,50 +112,36 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		// straight off the wire — no local replay of the sampling round.
 		p, err := verifyPartitioner(spec)
 		if err != nil {
-			return reportFailure(conn, tx, assign.Rank, err)
+			return reportFailure(tx, assign.Rank, err)
 		}
 		sink = verify.NewPartitionChecker(p, assign.Rank).Feed
 	}
-	var hooks engine.Hooks
-	if opts.OnStage != nil {
-		hooks.StageEnd = func(ev engine.StageEvent) {
-			if ev.Err == nil {
-				opts.OnStage(ev.Stage, ev.Elapsed)
-			}
+
+	// Per-stage progress frames (and, with the stage deadline armed,
+	// periodic heartbeats) flow to the coordinator, and an abort frame (or
+	// a vanished coordinator) cancels the run by closing the mesh — a
+	// worker never waits forever on a peer the coordinator has declared
+	// dead.
+	hooks := engine.Hooks{StageEnd: func(ev engine.StageEvent) {
+		if ev.Err != nil {
+			return
 		}
-	}
-
-	// The monitored protocol (stage deadline armed): per-stage progress
-	// frames and periodic heartbeats flow to the coordinator, and an abort
-	// frame (or a vanished coordinator) cancels the run by closing the
-	// mesh — a worker never waits forever on a peer the coordinator has
-	// declared dead.
-	monitored := tx != nil
-	if monitored {
-		hooks = hooks.Then(engine.Hooks{StageEnd: func(ev engine.StageEvent) {
-			if ev.Err == nil {
-				tx.send(workerMsg{Progress: &progressMsg{
-					Rank: assign.Rank, Stage: ev.Stage.String(), Elapsed: ev.Elapsed,
-				}})
-			}
+		if opts.OnStage != nil {
+			opts.OnStage(ev.Stage, ev.Elapsed)
+		}
+		_ = tx.send(workerMsg{Progress: &progressMsg{
+			Rank: assign.Rank, Stage: ev.Stage.String(), Elapsed: ev.Elapsed,
 		}})
-		stopBeat := make(chan struct{})
-		defer close(stopBeat)
-		go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
-		go func() {
-			// Abort listener: any inbound frame (or coordinator loss) ends
-			// the attempt. The mesh close is idempotent, so racing the
-			// normal teardown is harmless.
-			var ab abortMsg
-			_ = readFrame(conn, &ab)
-			mesh.Close()
-		}()
-	}
+	}}
+	stopBeat := make(chan struct{})
+	defer close(stopBeat)
+	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
+	go listenAbort(conn, mesh)
 
-	rep, _, err := runWorker(ep, spec, sink, hooks)
+	rep, err := runWorker(ep, spec, sink, hooks)
 	if err != nil {
 		var killed *engine.KilledError
-		if monitored && errors.As(err, &killed) {
+		if errors.As(err, &killed) {
 			// Simulate the process death the fault models: drop the
 			// coordinator connection and the mesh without reporting. The
 			// coordinator sees the broken connection — the real crash
@@ -168,15 +150,21 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 			mesh.Close()
 			return err
 		}
-		return reportFailure(conn, tx, assign.Rank, err)
+		return reportFailure(tx, assign.Rank, err)
 	}
 	rep.Rank = assign.Rank
 	rep.WireBytes = meter.Counters().SentBytes
-	msg := reportMsg{WorkerReport: rep}
-	if monitored {
-		return tx.send(workerMsg{Report: &msg})
-	}
-	return writeFrame(conn, msg)
+	return tx.send(workerMsg{Report: &reportMsg{WorkerReport: rep}})
+}
+
+// listenAbort ends the worker's attempt on any inbound frame from the
+// coordinator (an abort) or on losing it, by closing the mesh. It returns
+// once the coordinator connection closes, which RunWorker's return does;
+// the mesh close is idempotent, so racing the normal teardown is harmless.
+func listenAbort(conn net.Conn, mesh io.Closer) {
+	var ab abortMsg
+	_ = readFrame(conn, &ab)
+	mesh.Close()
 }
 
 // ctrlSender serializes control-plane writes: heartbeats, stage progress
@@ -211,14 +199,9 @@ func heartbeat(tx *ctrlSender, rank int, interval time.Duration, stop <-chan str
 	}
 }
 
-// reportFailure best-effort reports err to the coordinator (through the
-// monitored-protocol sender when active) and returns err.
-func reportFailure(conn net.Conn, tx *ctrlSender, rank int, err error) error {
-	msg := reportMsg{WorkerReport: WorkerReport{Rank: rank}, Err: err.Error()}
-	if tx != nil {
-		_ = tx.send(workerMsg{Report: &msg})
-	} else {
-		_ = writeFrame(conn, msg)
-	}
+// reportFailure best-effort reports err to the coordinator and returns
+// err.
+func reportFailure(tx *ctrlSender, rank int, err error) error {
+	_ = tx.send(workerMsg{Report: &reportMsg{WorkerReport: WorkerReport{Rank: rank}, Err: err.Error()}})
 	return err
 }

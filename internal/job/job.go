@@ -143,18 +143,20 @@ type Spec struct {
 	Faults []FaultSpec `json:"faults,omitempty"`
 	// StageDeadline, when positive, arms straggler detection: a rank that
 	// has not finished a stage StageDeadline after the first rank finished
-	// it is declared straggling and the attempt is canceled. RunLocal then
-	// re-executes the job with the faulty rank's worker respawned (up to
-	// MaxAttempts); the TCP coordinator aborts the job and fails fast with
-	// the suspect named instead of hanging. The deadline must exceed the
-	// natural per-stage skew of the cluster, so it is opt-in.
+	// it is declared straggling and the attempt is canceled. The in-process
+	// supervisor (sort and MapReduce jobs alike) then re-executes the job
+	// with the faulty rank's worker respawned (up to MaxAttempts); the TCP
+	// coordinator aborts the job and fails fast with the suspect named
+	// instead of hanging. The deadline must exceed the natural per-stage
+	// skew of the cluster, so it is opt-in.
 	StageDeadline time.Duration `json:"stage_deadline,omitempty"`
 	// Heartbeat is the interval at which TCP workers send liveness frames
 	// to the coordinator when StageDeadline is armed (0 derives
-	// StageDeadline/3). A worker silent for a full StageDeadline is
-	// declared dead even if no stage completes anywhere.
+	// StageDeadline/3; ignored without a deadline). A worker silent for a
+	// full StageDeadline is declared dead even if no stage completes
+	// anywhere.
 	Heartbeat time.Duration `json:"heartbeat,omitempty"`
-	// MaxAttempts caps the total job executions RunLocal's recovery may
+	// MaxAttempts caps the total job executions in-process recovery may
 	// use (first run included). 0 derives the default: 3 when
 	// StageDeadline is armed, 1 (no recovery) otherwise.
 	MaxAttempts int `json:"max_attempts,omitempty"`
@@ -392,7 +394,11 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 			r.MaxAttempts = 3
 		}
 	}
-	if s.Heartbeat == 0 {
+	switch {
+	case s.StageDeadline == 0:
+		// Heartbeats feed only the deadline's liveness rule.
+		r.Heartbeat = 0
+	case s.Heartbeat == 0:
 		r.Heartbeat = s.StageDeadline / 3
 	}
 	return r, nil

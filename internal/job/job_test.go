@@ -153,6 +153,11 @@ func TestResolveDerives(t *testing.T) {
 	if r.MaxAttempts != 5 || r.Heartbeat != time.Millisecond {
 		t.Fatalf("explicit recovery knobs perturbed: attempts %d heartbeat %v", r.MaxAttempts, r.Heartbeat)
 	}
+	// Heartbeats feed only the deadline's liveness rule: without a deadline
+	// an explicit interval arms nothing.
+	if r = resolve(tera(job.Spec{K: 2, Heartbeat: time.Millisecond}), job.Local{}); r.Heartbeat != 0 {
+		t.Fatalf("heartbeat %v armed without a deadline", r.Heartbeat)
+	}
 	// Sampled partitioning: the round resolves the partitioner unless the
 	// bounds are preset.
 	if r = resolve(tera(job.Spec{K: 4, Partitioning: "sample", SampleSize: 100}), job.Local{}); r.Part != nil || !r.Sampled() {

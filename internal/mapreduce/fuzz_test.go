@@ -40,7 +40,7 @@ func FuzzMapReduceKernels(f *testing.F) {
 				t.Fatalf("RunLocal(%s, K=%d, R=%d, chunk=%d): %v", kern.Name, k, r, chunk, err)
 			}
 			for rank := range want {
-				if !bytes.Equal(rep.Output(rank).Bytes(), want[rank].Bytes()) {
+				if !bytes.Equal(rep.Workers[rank].Output.Bytes(), want[rank].Bytes()) {
 					t.Fatalf("%s K=%d R=%d chunk=%d: rank %d output diverges from sequential oracle",
 						kern.Name, k, r, chunk, rank)
 				}

@@ -67,10 +67,8 @@ func (g *grouper) emit(key, value []byte) {
 	g.out = g.out.Append(MakeRecord(key, value))
 }
 
-// finish closes the trailing group and fills the output fields of res.
-func (g *grouper) finish(res Result) Result {
+// finish closes the trailing group and returns the reduced output.
+func (g *grouper) finish() kv.Records {
 	g.closeGroup()
-	res.Output = g.out
-	res.Rows = int64(g.out.Len())
-	return res
+	return g.out
 }

@@ -14,8 +14,10 @@
 //
 // Either way the job inherits the engine's machinery for free: the chunked
 // streaming shuffle (ChunkRows/Window), out-of-core spilling (MemBudget),
-// the multicore worker kernels (Parallelism), per-stage hooks, and the
-// fault-injection/recovery model. The map function runs inside the engines'
+// the multicore worker kernels (Parallelism) and per-stage hooks — and
+// RunLocal runs it on the sorters' own supervisor (cluster.Supervise), so
+// fault injection, deadline detection and recovery are theirs too. The map
+// function runs inside the engines'
 // Map stage through the Transform hook; the shuffled intermediate records
 // are sorted by the engines' Reduce stage, and the framework's group-reduce
 // driver consumes the sorted stream through OutputSink, invoking the
@@ -100,8 +102,9 @@ type Job struct {
 	// R <= 1. Partitioning "sample" runs the engine's sampling round over
 	// the mapped intermediate keys — the Mapper's emissions, not the raw
 	// input — range-ordering the reducers by intermediate key. RunLocal
-	// reads the traffic-shaping and straggler knobs; MaxAttempts 0 there
-	// means one attempt per injected fault plus the clean run.
+	// reads the runtime knobs too — traffic shaping, stragglers,
+	// StageDeadline and MaxAttempts — exactly as the sorters' supervisor
+	// does.
 	job.Spec
 	// Mapper is the map function. Required.
 	Mapper Mapper
@@ -190,8 +193,6 @@ type Result struct {
 	// the sorted key groups of this rank's partition, in ascending group
 	// order.
 	Output kv.Records
-	// Rows counts the reduced output records.
-	Rows int64
 }
 
 // Run executes the job's worker for ep.Rank() and blocks until this rank's
@@ -215,5 +216,5 @@ func Run(ep transport.Endpoint, j Job, tl *stats.Timeline) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return g.finish(Result{Summary: res.Summary}), nil
+	return Result{Summary: res.Summary, Output: g.finish()}, nil
 }

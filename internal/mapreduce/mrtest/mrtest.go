@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"testing"
 
+	"codedterasort/internal/cluster"
 	jobspec "codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/mapreduce"
@@ -62,13 +63,13 @@ func Oracle(tb testing.TB, kern mapreduce.Kernel, cfg Config) []kv.Records {
 
 // Equal asserts that the report's per-rank reduced output is byte-identical
 // to want.
-func Equal(tb testing.TB, want []kv.Records, rep *mapreduce.Report) {
+func Equal(tb testing.TB, want []kv.Records, rep *cluster.JobReport) {
 	tb.Helper()
-	if len(rep.PerRank) != len(want) {
-		tb.Fatalf("got %d ranks, want %d", len(rep.PerRank), len(want))
+	if len(rep.Workers) != len(want) {
+		tb.Fatalf("got %d ranks, want %d", len(rep.Workers), len(want))
 	}
 	for rank := range want {
-		got := rep.Output(rank)
+		got := rep.Workers[rank].Output
 		if got.Len() != want[rank].Len() {
 			tb.Fatalf("rank %d: %d output rows, want %d", rank, got.Len(), want[rank].Len())
 		}
@@ -167,7 +168,7 @@ func CheckRecovery(t *testing.T, kern mapreduce.Kernel, cfg Config) {
 			if rep.Attempts != 2 {
 				t.Fatalf("Attempts = %d, want 2", rep.Attempts)
 			}
-			if len(rep.Recovered) != 1 || rep.Recovered[0] != 1 {
+			if len(rep.Recovered) != 1 || rep.Recovered[0].Rank != 1 {
 				t.Fatalf("Recovered = %v, want [1]", rep.Recovered)
 			}
 			Equal(t, want, rep)

@@ -31,9 +31,9 @@ func TestSampledJobMatchesSequential(t *testing.T) {
 			t.Fatalf("R=%d: %v", r, err)
 		}
 		for rank := 0; rank < job.K; rank++ {
-			if !rep.Output(rank).Equal(want[rank]) {
+			if !rep.Workers[rank].Output.Equal(want[rank]) {
 				t.Fatalf("R=%d rank %d output differs from sequential oracle (%d rows vs %d)",
-					r, rank, rep.Output(rank).Len(), want[rank].Len())
+					r, rank, rep.Workers[rank].Output.Len(), want[rank].Len())
 			}
 		}
 	}
@@ -73,7 +73,7 @@ func TestSampledSortRangeOrders(t *testing.T) {
 	var prev []byte
 	total := int64(0)
 	for rank := 0; rank < job.K; rank++ {
-		out := rep.Output(rank)
+		out := rep.Workers[rank].Output
 		total += int64(out.Len())
 		if !out.IsSorted() {
 			t.Fatalf("rank %d output not sorted", rank)
@@ -114,7 +114,7 @@ func TestResolvablePlacementMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: %v", placement, err)
 		}
 		for rank := range want {
-			if !rep.Output(rank).Equal(want[rank]) {
+			if !rep.Workers[rank].Output.Equal(want[rank]) {
 				t.Fatalf("%s rank %d output differs from sequential oracle", placement, rank)
 			}
 		}

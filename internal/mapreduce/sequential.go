@@ -51,7 +51,7 @@ func Sequential(job Job) ([]kv.Records, error) {
 		if err := g.Feed(part); err != nil {
 			return nil, err
 		}
-		outs[rank] = g.finish(Result{}).Output
+		outs[rank] = g.finish()
 	}
 	return outs, nil
 }
