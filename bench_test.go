@@ -145,7 +145,7 @@ func BenchmarkFig5MapStage(b *testing.B) {
 
 // --- Fig 6/7: encoding and decoding within one multicast group ---
 
-func fig67Setup(b *testing.B) ([]codec.IVMap, combin.Set) {
+func fig67Setup(b *testing.B) ([]codec.IVMap, codec.Group) {
 	b.Helper()
 	plan, err := placement.Redundant(5, 2, 50000)
 	if err != nil {
@@ -156,28 +156,28 @@ func fig67Setup(b *testing.B) ([]codec.IVMap, combin.Set) {
 	for rank := 0; rank < 5; rank++ {
 		stores[rank] = codedpkg.MapFiles(plan, part, kv.NewGenerator(6, kv.DistUniform), rank)
 	}
-	return stores, combin.NewSet(0, 1, 2)
+	return stores, codec.CliqueGroup(combin.NewSet(0, 1, 2))
 }
 
 func BenchmarkFig6Encoding(b *testing.B) {
-	stores, m := fig67Setup(b)
+	stores, g := fig67Setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.EncodePacket(stores[0], m, 0); err != nil {
+		if _, err := codec.EncodeGroupPacket(stores[0], g, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkFig7Decoding(b *testing.B) {
-	stores, m := fig67Setup(b)
-	pkt, err := codec.EncodePacket(stores[0], m, 0)
+	stores, g := fig67Setup(b)
+	pkt, err := codec.EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := codec.DecodePacket(stores[1], m, 1, 0, pkt); err != nil {
+		if _, err := codec.DecodeGroupPacket(stores[1], g, 1, 0, pkt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -185,15 +185,15 @@ func BenchmarkFig7Decoding(b *testing.B) {
 
 // Chunked Algorithm 1/2 on the multicore runtime: every chunk of a coded
 // packet encodes (and decodes) independently, so the per-chunk
-// EncodePacketChunk/DecodePacketChunk calls fan out over P goroutines —
+// EncodeGroupPacketChunk/DecodeGroupPacketChunk calls fan out over P goroutines —
 // the coded engine's code-path hot loop at P=1 vs P=NumCPU.
 func BenchmarkChunkCodecParallel(b *testing.B) {
-	stores, m := fig67Setup(b)
+	stores, g := fig67Setup(b)
 	const chunkRows = 256
-	count := codec.PacketChunkCount(stores[0], m, 0, chunkRows)
+	count := codec.GroupPacketChunkCount(stores[0], g, 0, chunkRows)
 	pkts := make([][]byte, count)
 	for c := 0; c < count; c++ {
-		pkt, err := codec.EncodePacketChunk(stores[0], m, 0, chunkRows, c)
+		pkt, err := codec.EncodeGroupPacketChunk(stores[0], g, 0, chunkRows, c)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func BenchmarkChunkCodecParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("encode/p=%d", procs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := parallel.Do(procs, count, func(c int) error {
-					pkt, err := codec.EncodePacketChunk(stores[0], m, 0, chunkRows, c)
+					pkt, err := codec.EncodeGroupPacketChunk(stores[0], g, 0, chunkRows, c)
 					codec.Recycle(pkt)
 					return err
 				}); err != nil {
@@ -214,7 +214,7 @@ func BenchmarkChunkCodecParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("decode/p=%d", procs), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := parallel.Do(procs, count, func(c int) error {
-					_, err := codec.DecodePacketChunk(stores[1], m, 1, 0, chunkRows, c, pkts[c])
+					_, err := codec.DecodeGroupPacketChunk(stores[1], g, 1, 0, chunkRows, c, pkts[c])
 					return err
 				}); err != nil {
 					b.Fatal(err)

@@ -11,8 +11,10 @@
 // Workers stream per-stage progress, and a worker that dies aborts the job
 // fast with the suspect named instead of hanging it; -deadline adds
 // heartbeats and aborts on a worker that falls that far behind its
-// fastest peer. -stragglers (with -rate or -permsg) injects one
-// egress-slowed rank to observe the coded-vs-uncoded degradation live.
+// fastest peer. A job runs once: recovery by re-execution is in-process
+// only, so -max-attempts above 1 is refused before any worker registers.
+// -stragglers (with -rate or -permsg) injects one egress-slowed rank to
+// observe the coded-vs-uncoded degradation live.
 package main
 
 import (

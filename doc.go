@@ -85,6 +85,6 @@
 // input (DESIGN.md section 2).
 // The benchmarks in bench_test.go regenerate every table and figure of
 // the paper's evaluation; the tests in internal/simnet pin the reproduced
-// values against the paper's tables; cmd/benchjson tracks the pipeline
-// performance trajectory as machine-readable JSON.
+// values against the paper's tables; the bench/ module (BENCHMARK.json)
+// measures every layer and whole jobs end to end.
 package codedterasort

@@ -45,10 +45,15 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // cleanly instead of blocking forever at the faulty rank's barrier — and
 // RunJob fails fast with the suspect named. Re-execution across processes
 // is the operator's (or a supervisor script's) job: restart the workers
-// and call RunJob again; the in-process Supervise automates that loop.
+// and call RunJob again; the in-process Supervise automates that loop. A
+// spec asking for more than one attempt is therefore refused before any
+// worker is accepted.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
+	}
+	if spec.MaxAttempts > 1 {
+		return nil, fmt.Errorf("job: max attempts %d: recovery by re-execution is in-process only; a TCP job runs once", spec.MaxAttempts)
 	}
 	// Resolve sampled partitioning coordinator-side: the splitters are a
 	// pure function of the input (the deterministic stride sample), so the

@@ -54,12 +54,15 @@ func NewPool(slots int) *Pool {
 	return p
 }
 
-// executor is one reusable rank lifecycle host.
+// executor is one reusable rank lifecycle host. A task is counted as it
+// starts: its ranks report the job's completion from inside it, so a count
+// taken after task() returned could still be missing when the job's Run
+// returns and the caller reads Stats.
 func (p *Pool) executor() {
 	defer p.wg.Done()
 	for task := range p.tasks {
-		task()
 		p.ranks.Add(1)
+		task()
 	}
 }
 
@@ -168,10 +171,10 @@ func (p *Pool) Run(ctx context.Context, spec Spec, opts Options) (*JobReport, er
 type PoolStats struct {
 	// Slots is the executor count; Free how many are unreserved right now.
 	Slots, Free int
-	// Jobs counts jobs started on the pool; Ranks counts completed
-	// executor tasks (one per attempt per executor batch — K per attempt
-	// when ranks are not multiplexed) — Ranks exceeding Slots is the
-	// executor-reuse evidence.
+	// Jobs counts jobs started on the pool; Ranks counts executor tasks
+	// started (one per attempt per executor batch — K per attempt when
+	// ranks are not multiplexed), all of them in by the time the job's Run
+	// returns — Ranks exceeding Slots is the executor-reuse evidence.
 	Jobs, Ranks int64
 }
 

@@ -126,6 +126,31 @@ func TestTCPWorkerGoroutinesExit(t *testing.T) {
 	}
 }
 
+// TestTCPRejectsMaxAttempts: the coordinator runs a job once, so a spec
+// asking for recovery by re-execution is refused up front — before any
+// worker registers — instead of being accepted and then ignored.
+func TestTCPRejectsMaxAttempts(t *testing.T) {
+	coord, err := NewCoordinator("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := coord.RunJob(Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 35,
+			StageDeadline: 5 * time.Second, MaxAttempts: 2})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.HasPrefix(err.Error(), "job: ") || !strings.Contains(err.Error(), "in-process only") {
+			t.Fatalf("MaxAttempts 2 over TCP: got %v, want a job: in-process-only refusal", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunJob waited for workers instead of refusing MaxAttempts 2")
+	}
+}
+
 // TestTCPStragglerDetected: a worker stalled far past the stage deadline
 // is flagged by the peer-relative detector over the progress frames, and
 // the job aborts naming it.

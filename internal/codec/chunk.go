@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"codedterasort/internal/combin"
 	"codedterasort/internal/kv"
 )
 
@@ -129,35 +128,4 @@ func ChunkSpan(n, chunkRows, c int) (lo, hi int) {
 func chunkOf(seg kv.Records, chunkRows, c int) kv.Records {
 	lo, hi := ChunkSpan(seg.Len(), chunkRows, c)
 	return seg.Slice(lo, hi)
-}
-
-// PacketChunkCount returns how many chunk packets node k multicasts in
-// group m when streaming with the given chunk size: enough to cover its
-// widest contributing segment, and at least one so every stream closes.
-func PacketChunkCount(store IVStore, m combin.Set, k int, chunkRows int) int {
-	return GroupPacketChunkCount(store, CliqueGroup(m), k, chunkRows)
-}
-
-// EncodePacketChunk builds chunk c of the coded packet E_{M,k} (the chunked
-// Algorithm 1): the XOR of chunk c of each of the r contributing segments,
-// each wrapped in a length-headed frame padded to the widest chunk. The
-// concatenation of all chunks' decoded payloads equals the monolithic
-// packet's decoded segment. It is the clique-scheme form of the
-// strategy-generic EncodeGroupPacketChunk.
-func EncodePacketChunk(store IVStore, m combin.Set, k int, chunkRows, c int) ([]byte, error) {
-	if !m.Contains(k) {
-		return nil, fmt.Errorf("codec: encoder node %d not in group %v", k, m)
-	}
-	return EncodeGroupPacketChunk(store, CliqueGroup(m), k, chunkRows, c)
-}
-
-// DecodePacketChunk recovers node k's chunk c from the chunked coded packet
-// received from node u in group m (the chunked Algorithm 2): it cancels
-// chunk c of every side-information segment and opens the remaining frame.
-// It is the clique-scheme form of the strategy-generic DecodeGroupPacketChunk.
-func DecodePacketChunk(store IVStore, m combin.Set, k, u int, chunkRows, c int, packet []byte) (kv.Records, error) {
-	if !m.Contains(k) || !m.Contains(u) || k == u {
-		return kv.Records{}, fmt.Errorf("codec: decode with k=%d u=%d not distinct members of %v", k, u, m)
-	}
-	return DecodeGroupPacketChunk(store, CliqueGroup(m), k, u, chunkRows, c, packet)
 }

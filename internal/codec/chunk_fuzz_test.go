@@ -77,8 +77,8 @@ func FuzzChunkStream(f *testing.F) {
 // the cancelling three-member path and the zero-copy two-member path.
 func FuzzDecodePacketChunk(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
-	m := combin.NewSet(0, 1, 2)
-	good, err := EncodePacketChunk(stores[0], m, 0, 16, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	good, err := EncodeGroupPacketChunk(stores[0], g, 0, 16, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func FuzzDecodePacketChunk(f *testing.F) {
 		f.Add(p, 8, 0)
 	}
 	f.Fuzz(func(t *testing.T, packet []byte, chunkRows, chunk int) {
-		if seg, err := DecodePacketChunk(stores[1], m, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
+		if seg, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
 		}
 		if seg, err := DecodeGroupPacketChunk(IVMap{}, pair, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {

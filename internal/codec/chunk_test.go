@@ -137,7 +137,7 @@ func TestChunkedPackEquivalence(t *testing.T) {
 
 // TestChunkedEncodeDecodeEquivalence: for every group and every
 // sender/receiver pair, the concatenation of the chunk-wise decoded
-// payloads equals the monolithic DecodePacket result.
+// payloads equals the monolithic DecodeGroupPacket result.
 func TestChunkedEncodeDecodeEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		k, r int
@@ -147,25 +147,26 @@ func TestChunkedEncodeDecodeEquivalence(t *testing.T) {
 	} {
 		stores, _ := buildScenario(t, uint64(tc.k*10+tc.r), tc.k, tc.r, tc.rows)
 		for _, m := range combin.Subsets(combin.Range(tc.k), tc.r+1) {
+			g := CliqueGroup(m)
 			for _, u := range m.Members() {
-				whole, err := EncodePacket(stores[u], m, u)
+				whole, err := EncodeGroupPacket(stores[u], g, u)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, chunkRows := range []int{1, 5, 37, 100000} {
-					count := PacketChunkCount(stores[u], m, u, chunkRows)
+					count := GroupPacketChunkCount(stores[u], g, u, chunkRows)
 					for _, k2 := range m.Remove(u).Members() {
-						want, err := DecodePacket(stores[k2], m, k2, u, whole)
+						want, err := DecodeGroupPacket(stores[k2], g, k2, u, whole)
 						if err != nil {
 							t.Fatal(err)
 						}
 						got := kv.MakeRecords(0)
 						for c := 0; c < count; c++ {
-							pkt, err := EncodePacketChunk(stores[u], m, u, chunkRows, c)
+							pkt, err := EncodeGroupPacketChunk(stores[u], g, u, chunkRows, c)
 							if err != nil {
 								t.Fatal(err)
 							}
-							seg, err := DecodePacketChunk(stores[k2], m, k2, u, chunkRows, c, pkt)
+							seg, err := DecodeGroupPacketChunk(stores[k2], g, k2, u, chunkRows, c, pkt)
 							if err != nil {
 								t.Fatalf("k=%d r=%d group %v u=%d k2=%d chunkRows=%d chunk %d: %v",
 									tc.k, tc.r, m, u, k2, chunkRows, c, err)
@@ -185,14 +186,14 @@ func TestChunkedEncodeDecodeEquivalence(t *testing.T) {
 
 func TestPacketChunkCountCoversWidestSegment(t *testing.T) {
 	stores, _ := buildScenario(t, 11, 5, 2, 900)
-	m := combin.NewSet(0, 1, 2)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
 	// One extra chunk index past the count must be empty for every segment.
-	for _, u := range m.Members() {
-		count := PacketChunkCount(stores[u], m, u, 10)
+	for _, u := range g.Members {
+		count := GroupPacketChunkCount(stores[u], g, u, 10)
 		if count < 1 {
 			t.Fatalf("chunk count %d", count)
 		}
-		pkt, err := EncodePacketChunk(stores[u], m, u, 10, count)
+		pkt, err := EncodeGroupPacketChunk(stores[u], g, u, 10, count)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,27 +205,27 @@ func TestPacketChunkCountCoversWidestSegment(t *testing.T) {
 
 func TestChunkCodecErrors(t *testing.T) {
 	stores, _ := buildScenario(t, 12, 4, 2, 200)
-	m := combin.NewSet(0, 1, 2)
-	if _, err := EncodePacketChunk(stores[3], m, 3, 10, 0); err == nil {
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	if _, err := EncodeGroupPacketChunk(stores[3], g, 3, 10, 0); err == nil {
 		t.Fatalf("encode by non-member accepted")
 	}
-	if _, err := EncodePacketChunk(stores[0], m, 0, 0, 0); err == nil {
+	if _, err := EncodeGroupPacketChunk(stores[0], g, 0, 0, 0); err == nil {
 		t.Fatalf("chunkRows=0 accepted")
 	}
-	if _, err := EncodePacketChunk(stores[0], m, 0, 10, -1); err == nil {
+	if _, err := EncodeGroupPacketChunk(stores[0], g, 0, 10, -1); err == nil {
 		t.Fatalf("negative chunk accepted")
 	}
-	pkt, err := EncodePacketChunk(stores[0], m, 0, 10, 0)
+	pkt, err := EncodeGroupPacketChunk(stores[0], g, 0, 10, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodePacketChunk(stores[1], m, 1, 1, 10, 0, pkt); err == nil {
+	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 1, 10, 0, pkt); err == nil {
 		t.Fatalf("k == u accepted")
 	}
-	if _, err := DecodePacketChunk(stores[1], m, 1, 0, 0, 0, pkt); err == nil {
+	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, 0, 0, pkt); err == nil {
 		t.Fatalf("chunkRows=0 decode accepted")
 	}
-	if _, err := DecodePacketChunk(stores[1], m, 1, 0, 10, 0, pkt[:2]); err == nil {
+	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, 10, 0, pkt[:2]); err == nil {
 		t.Fatalf("truncated chunk packet accepted")
 	}
 }

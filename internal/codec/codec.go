@@ -9,8 +9,10 @@
 //   - Frames: zero-padded, length-headed byte frames that make XOR of
 //     unequal-length segments reversible ("all segments are zero-padded to
 //     the length of the longest one", Section IV-C footnote).
-//   - EncodePacket / DecodePacket: Algorithm 1 and Algorithm 2 — the coded
-//     multicast packet construction and its cancellation decoding.
+//   - EncodeGroupPacket / DecodeGroupPacket: Algorithm 1 and Algorithm 2 —
+//     the coded multicast packet construction and its cancellation
+//     decoding, for any placement strategy's Group (CliqueGroup is the
+//     paper's scheme).
 package codec
 
 import (
@@ -214,53 +216,4 @@ func (m IVMap) IV(part int, file combin.Set) kv.Records {
 // Put stores an intermediate value.
 func (m IVMap) Put(part int, file combin.Set, iv kv.Records) {
 	m[IVKey{part, file}] = iv
-}
-
-// EncodePacket builds the coded packet E_{M,k} that node k multicasts to
-// the other members of group M (Algorithm 1):
-//
-//	E_{M,k} = XOR over t in M\{k} of  I^t_{M\{t}, k}
-//
-// where I^t_{M\{t},k} is node k's segment of the intermediate value for
-// partition t computed from file M\{t}. All r participating segments are
-// wrapped in length-headed frames padded to the widest one, so the packet
-// width is FrameSize(max segment bytes).
-//
-// The redundancy parameter r is |M|-1; every file index M\{t} has size r.
-// It is the clique-scheme form of the strategy-generic EncodeGroupPacket.
-func EncodePacket(store IVStore, m combin.Set, k int) ([]byte, error) {
-	if !m.Contains(k) {
-		return nil, fmt.Errorf("codec: encoder node %d not in group %v", k, m)
-	}
-	return EncodeGroupPacket(store, CliqueGroup(m), k)
-}
-
-// DecodePacket recovers node k's segment from the coded packet E_{M,u}
-// received from node u in group M (Algorithm 2):
-//
-//	I^k_{M\{k}, u} = E_{M,u} XOR ( XOR over t in M\{u,k} of I^t_{M\{t}, u} )
-//
-// The cancellation terms are segments of IVs node k computed locally in its
-// Map stage (k is a member of every file M\{t} with t != k). It is the
-// clique-scheme form of the strategy-generic DecodeGroupPacket.
-func DecodePacket(store IVStore, m combin.Set, k, u int, packet []byte) (kv.Records, error) {
-	if !m.Contains(k) || !m.Contains(u) || k == u {
-		return kv.Records{}, fmt.Errorf("codec: decode with k=%d u=%d not distinct members of %v", k, u, m)
-	}
-	return DecodeGroupPacket(store, CliqueGroup(m), k, u, packet)
-}
-
-// MergeSegments reassembles the intermediate value I^k_{M\{k}} from the r
-// segments node k decoded within group M, given in ascending sender order
-// (the order combin.Set.Members returns for M\{k}). Because SplitSegments
-// is contiguous and ascending, reassembly is concatenation.
-func MergeSegments(segs []kv.Records) kv.Records {
-	return kv.Concat(segs...)
-}
-
-// CodedPacketWidth returns the wire size of the coded packet node k sends
-// in group M given the store, without building it. Used by the cost model
-// and the simulator.
-func CodedPacketWidth(store IVStore, m combin.Set, k int) int {
-	return GroupPacketWidth(store, CliqueGroup(m), k)
 }

@@ -56,8 +56,10 @@ func TestSplitSegmentsEvenAndComplete(t *testing.T) {
 		}
 		total := 0
 		min, max := tc.n, 0
+		var joined kv.Records
 		for _, s := range segs {
 			total += s.Len()
+			joined = joined.AppendRecords(s)
 			if s.Len() < min {
 				min = s.Len()
 			}
@@ -71,7 +73,7 @@ func TestSplitSegmentsEvenAndComplete(t *testing.T) {
 		if max-min > 1 {
 			t.Fatalf("n=%d r=%d: uneven split %d..%d", tc.n, tc.r, min, max)
 		}
-		if !MergeSegments(segs).Equal(iv) {
+		if !joined.Equal(iv) {
 			t.Fatalf("n=%d r=%d: concat != original", tc.n, tc.r)
 		}
 	}
@@ -234,10 +236,11 @@ func TestEncodeDecodeAllGroups(t *testing.T) {
 		stores, truth := buildScenario(t, uint64(tc.k*100+tc.r), tc.k, tc.r, tc.rows)
 		groups := combin.Subsets(combin.Range(tc.k), tc.r+1)
 		for _, m := range groups {
+			g := CliqueGroup(m)
 			// Every member encodes one packet; every other member decodes it.
 			packets := map[int][]byte{}
 			for _, u := range m.Members() {
-				p, err := EncodePacket(localOnlyStore{t, u, stores[u]}, m, u)
+				p, err := EncodeGroupPacket(localOnlyStore{t, u, stores[u]}, g, u)
 				if err != nil {
 					t.Fatalf("k=%d r=%d encode %v at %d: %v", tc.k, tc.r, m, u, err)
 				}
@@ -246,15 +249,15 @@ func TestEncodeDecodeAllGroups(t *testing.T) {
 			for _, k2 := range m.Members() {
 				file := m.Remove(k2)
 				want := truth.IV(k2, file)
-				segs := make([]kv.Records, 0, tc.r)
+				var got kv.Records
 				for _, u := range file.Members() {
-					seg, err := DecodePacket(localOnlyStore{t, k2, stores[k2]}, m, k2, u, packets[u])
+					seg, err := DecodeGroupPacket(localOnlyStore{t, k2, stores[k2]}, g, k2, u, packets[u])
 					if err != nil {
 						t.Fatalf("k=%d r=%d decode %v at %d from %d: %v", tc.k, tc.r, m, k2, u, err)
 					}
-					segs = append(segs, seg)
+					got = got.AppendRecords(seg)
 				}
-				if got := MergeSegments(segs); !got.Equal(want) {
+				if !got.Equal(want) {
 					t.Fatalf("k=%d r=%d group %v node %d: recovered IV mismatch (%d vs %d records)",
 						tc.k, tc.r, m, k2, got.Len(), want.Len())
 				}
@@ -267,15 +270,15 @@ func TestEncodeDecodeEmptyIVs(t *testing.T) {
 	// All-empty intermediate values must encode to an all-zero minimal
 	// packet and decode to empty segments.
 	stores, _ := buildScenario(t, 1, 4, 2, 0)
-	m := combin.NewSet(0, 1, 2)
-	p, err := EncodePacket(stores[0], m, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	p, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(p) != frameHeader {
 		t.Fatalf("empty packet width = %d, want %d", len(p), frameHeader)
 	}
-	seg, err := DecodePacket(stores[1], m, 1, 0, p)
+	seg, err := DecodeGroupPacket(stores[1], g, 1, 0, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,41 +289,41 @@ func TestEncodeDecodeEmptyIVs(t *testing.T) {
 
 func TestEncodeErrors(t *testing.T) {
 	stores, _ := buildScenario(t, 2, 4, 2, 100)
-	if _, err := EncodePacket(stores[3], combin.NewSet(0, 1, 2), 3); err == nil {
+	if _, err := EncodeGroupPacket(stores[3], CliqueGroup(combin.NewSet(0, 1, 2)), 3); err == nil {
 		t.Fatalf("encode by non-member accepted")
 	}
-	if _, err := EncodePacket(stores[0], combin.NewSet(0), 0); err == nil {
+	if _, err := EncodeGroupPacket(stores[0], CliqueGroup(combin.NewSet(0)), 0); err == nil {
 		t.Fatalf("singleton group accepted")
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
 	stores, _ := buildScenario(t, 3, 4, 2, 200)
-	m := combin.NewSet(0, 1, 2)
-	p, err := EncodePacket(stores[0], m, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	p, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodePacket(stores[1], m, 1, 1, p); err == nil {
+	if _, err := DecodeGroupPacket(stores[1], g, 1, 1, p); err == nil {
 		t.Fatalf("k == u accepted")
 	}
-	if _, err := DecodePacket(stores[3], m, 3, 0, p); err == nil {
+	if _, err := DecodeGroupPacket(stores[3], g, 3, 0, p); err == nil {
 		t.Fatalf("non-member decoder accepted")
 	}
-	if _, err := DecodePacket(stores[1], m, 1, 0, p[:2]); err == nil {
+	if _, err := DecodeGroupPacket(stores[1], g, 1, 0, p[:2]); err == nil {
 		t.Fatalf("truncated packet accepted")
 	}
 }
 
 func TestDecodeDetectsCorruptPacket(t *testing.T) {
 	stores, _ := buildScenario(t, 4, 5, 2, 500)
-	m := combin.NewSet(0, 1, 2)
-	p, err := EncodePacket(stores[0], m, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	p, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p[0] ^= 0x80 // push the decoded length header far out of range
-	if _, err := DecodePacket(stores[1], m, 1, 0, p); err == nil {
+	if _, err := DecodeGroupPacket(stores[1], g, 1, 0, p); err == nil {
 		t.Fatalf("corrupt header decoded without error")
 	}
 }
@@ -328,12 +331,13 @@ func TestDecodeDetectsCorruptPacket(t *testing.T) {
 func TestCodedPacketWidthMatchesEncode(t *testing.T) {
 	stores, _ := buildScenario(t, 5, 5, 3, 911)
 	for _, m := range combin.Subsets(combin.Range(5), 4) {
+		g := CliqueGroup(m)
 		for _, u := range m.Members() {
-			p, err := EncodePacket(stores[u], m, u)
+			p, err := EncodeGroupPacket(stores[u], g, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := CodedPacketWidth(stores[u], m, u); got != len(p) {
+			if got := GroupPacketWidth(stores[u], g, u); got != len(p) {
 				t.Fatalf("width %d, packet %d", got, len(p))
 			}
 		}
@@ -349,7 +353,7 @@ func TestCodedPacketSavesBytes(t *testing.T) {
 	m := combin.NewSet(0, 1, 2, 3)
 	var codedBytes, uncodedBytes int
 	for _, u := range m.Members() {
-		codedBytes += CodedPacketWidth(stores[u], m, u)
+		codedBytes += GroupPacketWidth(stores[u], CliqueGroup(m), u)
 		// Uncoded: u would unicast each needed segment separately.
 		for _, t2 := range m.Remove(u).Members() {
 			file := m.Remove(t2)
@@ -373,9 +377,10 @@ func TestEncodeDecodeQuick(t *testing.T) {
 		// Check one deterministic-but-seed-dependent group.
 		groups := combin.Subsets(combin.Range(k), r+1)
 		m := groups[int(seed%uint64(len(groups)))]
+		g := CliqueGroup(m)
 		packets := map[int][]byte{}
 		for _, u := range m.Members() {
-			p, err := EncodePacket(stores[u], m, u)
+			p, err := EncodeGroupPacket(stores[u], g, u)
 			if err != nil {
 				return false
 			}
@@ -383,15 +388,15 @@ func TestEncodeDecodeQuick(t *testing.T) {
 		}
 		for _, kk := range m.Members() {
 			file := m.Remove(kk)
-			segs := make([]kv.Records, 0, r)
+			var got kv.Records
 			for _, u := range file.Members() {
-				seg, err := DecodePacket(stores[kk], m, kk, u, packets[u])
+				seg, err := DecodeGroupPacket(stores[kk], g, kk, u, packets[u])
 				if err != nil {
 					return false
 				}
-				segs = append(segs, seg)
+				got = got.AppendRecords(seg)
 			}
-			if !MergeSegments(segs).Equal(truth.IV(kk, file)) {
+			if !got.Equal(truth.IV(kk, file)) {
 				return false
 			}
 		}
@@ -434,10 +439,10 @@ func buildScenarioQuick(seed uint64, k, r int, rows int64) ([]IVMap, IVMap) {
 
 func BenchmarkEncodePacket(b *testing.B) {
 	stores, _ := buildScenarioQuick(1, 6, 3, 60000)
-	m := combin.NewSet(0, 1, 2, 3)
+	g := CliqueGroup(combin.NewSet(0, 1, 2, 3))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodePacket(stores[0], m, 0); err != nil {
+		if _, err := EncodeGroupPacket(stores[0], g, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -445,15 +450,15 @@ func BenchmarkEncodePacket(b *testing.B) {
 
 func BenchmarkDecodePacket(b *testing.B) {
 	stores, _ := buildScenarioQuick(1, 6, 3, 60000)
-	m := combin.NewSet(0, 1, 2, 3)
-	p, err := EncodePacket(stores[0], m, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2, 3))
+	p, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(p)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodePacket(stores[1], m, 1, 0, p); err != nil {
+		if _, err := DecodeGroupPacket(stores[1], g, 1, 0, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,8 +33,8 @@ func FuzzUnpackIV(f *testing.F) {
 // of a two-member one.
 func FuzzDecodePacket(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
-	m := combin.NewSet(0, 1, 2)
-	good, err := EncodePacket(stores[0], m, 0)
+	g := CliqueGroup(combin.NewSet(0, 1, 2))
+	good, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, packet []byte) {
-		if seg, err := DecodePacket(stores[1], m, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
+		if seg, err := DecodeGroupPacket(stores[1], g, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
 		}
 		if seg, err := DecodeGroupPacket(IVMap{}, pair, 1, 0, packet); err == nil && seg.Size()%100 != 0 {

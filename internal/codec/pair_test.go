@@ -81,11 +81,12 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 	// A three-member group cancels side information on a private copy.
 	stores3, truth3 := buildScenario(t, 3, 4, 2, 600)
 	m := combin.NewSet(0, 1, 2)
-	p3, err := EncodePacket(stores3[0], m, 0)
+	g := CliqueGroup(m)
+	p3, err := EncodeGroupPacket(stores3[0], g, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg3, err := DecodePacket(stores3[1], m, 1, 0, p3)
+	seg3, err := DecodeGroupPacket(stores3[1], g, 1, 0, p3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 	if !seg3.Equal(want3) {
 		t.Fatal("three-member decode aliases the packet")
 	}
-	pc3, err := EncodePacketChunk(stores3[0], m, 0, chunkRows, 0)
+	pc3, err := EncodeGroupPacketChunk(stores3[0], g, 0, chunkRows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part3, err := DecodePacketChunk(stores3[1], m, 1, 0, chunkRows, 0, pc3)
+	part3, err := DecodeGroupPacketChunk(stores3[1], g, 1, 0, chunkRows, 0, pc3)
 	if err != nil {
 		t.Fatal(err)
 	}

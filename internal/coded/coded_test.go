@@ -91,6 +91,15 @@ func outputs(results []Result) []kv.Records {
 	return out
 }
 
+// allOutput is every rank's output appended in rank order.
+func allOutput(results []Result) kv.Records {
+	var all kv.Records
+	for _, r := range results {
+		all = all.AppendRecords(r.Output)
+	}
+	return all
+}
+
 func TestEndToEndSortsCorrectly(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		cfg := cfgOf(job.Spec{K: 4, R: r, Rows: 4200, Seed: 1})
@@ -109,7 +118,7 @@ func TestMatchesSequentialSort(t *testing.T) {
 	} {
 		cfg := cfgOf(spec)
 		results := runAll(t, cfg)
-		all := kv.Concat(outputs(results)...)
+		all := allOutput(results)
 		want := kv.NewGenerator(7, kv.DistUniform).Generate(0, cfg.Rows)
 		want.Sort()
 		if !all.Equal(want) {

@@ -55,7 +55,7 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 func TestParallelWithTreeMulticast(t *testing.T) {
 	cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 33, TreeMulticast: true, ParallelShuffle: true})
 	results := runAll(t, cfg)
-	all := kv.Concat(outputs(results)...)
+	all := allOutput(results)
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
 	want.Sort()
 	if !all.Equal(want) {
@@ -85,7 +85,7 @@ func TestFilterGrep(t *testing.T) {
 		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
 		cfg.Filter = match
 		results := runAll(t, cfg)
-		if got := kv.Concat(outputs(results)...); !got.Equal(want) {
+		if got := allOutput(results); !got.Equal(want) {
 			t.Fatalf("r=%d grep: %d records, want %d", r, got.Len(), want.Len())
 		}
 	}

@@ -43,14 +43,15 @@ func TestReduceTieOrder(t *testing.T) {
 		spec.Parallelism = 4
 		parallel := runAll(t, cfgOf(spec))
 		for rank, w := range workers {
-			var parts []kv.Records
+			var all kv.Records
 			for _, fi := range w.stored {
-				parts = append(parts, w.store.IV(w.rank, w.plan.Files[fi]))
+				all = all.AppendRecords(w.store.IV(w.rank, w.plan.Files[fi]))
 			}
 			for _, segs := range w.decoded {
-				parts = append(parts, segs...)
+				for _, seg := range segs {
+					all = all.AppendRecords(seg)
+				}
 			}
-			all := kv.Concat(parts...)
 			idx := make([]int, all.Len())
 			for i := range idx {
 				idx[i] = i

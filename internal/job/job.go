@@ -158,7 +158,9 @@ type Spec struct {
 	Heartbeat time.Duration `json:"heartbeat,omitempty"`
 	// MaxAttempts caps the total job executions in-process recovery may
 	// use (first run included). 0 derives the default: 3 when
-	// StageDeadline is armed, 1 (no recovery) otherwise.
+	// StageDeadline is armed, 1 (no recovery) otherwise. Recovery by
+	// re-execution is in-process only: the TCP coordinator refuses an
+	// explicit value above 1 and runs the derived default once.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 

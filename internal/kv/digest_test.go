@@ -143,10 +143,10 @@ func TestChecksumIsAMultisetDigest(t *testing.T) {
 				}
 			}
 			for i := 0; i < r.Len(); i += 50 {
-				if Concat(r.Slice(0, i), r.Slice(i+1, r.Len())).Checksum() == sum {
+				if r.Slice(0, i).Clone().AppendRecords(r.Slice(i+1, r.Len())).Checksum() == sum {
 					t.Fatalf("checksum missed the loss of record %d", i)
 				}
-				if Concat(r, r.Slice(i, i+1)).Checksum() == sum {
+				if r.Clone().AppendRecords(r.Slice(i, i+1)).Checksum() == sum {
 					t.Fatalf("checksum missed the duplication of record %d", i)
 				}
 			}

@@ -282,16 +282,3 @@ func mix64(z uint64) uint64 {
 	z ^= z >> 31
 	return z
 }
-
-// Concat concatenates any number of record buffers into one new buffer.
-func Concat(parts ...Records) Records {
-	total := 0
-	for _, p := range parts {
-		total += p.Size()
-	}
-	out := make([]byte, 0, total)
-	for _, p := range parts {
-		out = append(out, p.buf...)
-	}
-	return Records{buf: out}
-}

@@ -146,15 +146,15 @@ func TestMinMaxKey(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
+func TestAppendRecords(t *testing.T) {
 	a := genRecords(t, 1, 10)
 	b := genRecords(t, 2, 20)
-	c := Concat(a, b)
+	c := a.Clone().AppendRecords(b)
 	if c.Len() != 30 {
-		t.Fatalf("Concat len = %d", c.Len())
+		t.Fatalf("AppendRecords len = %d", c.Len())
 	}
-	if !bytes.Equal(c.Bytes()[:a.Size()], a.Bytes()) {
-		t.Fatalf("Concat lost leading bytes")
+	if !bytes.Equal(c.Bytes()[:a.Size()], a.Bytes()) || !bytes.Equal(c.Bytes()[a.Size():], b.Bytes()) {
+		t.Fatalf("AppendRecords lost bytes")
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 // stableReference is the kernel's contract spelled with the standard
 // library: the concatenation of parts, stably sorted by full key.
 func stableReference(parts []Records) Records {
-	all := Concat(parts...)
+	var all Records
+	for _, p := range parts {
+		all = all.AppendRecords(p)
+	}
 	idx := make([]int, all.Len())
 	for i := range idx {
 		idx[i] = i

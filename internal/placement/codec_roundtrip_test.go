@@ -85,8 +85,7 @@ func TestGroupCodecRoundTripAcrossStrategies(t *testing.T) {
 			}
 			for j, node := range g.Members {
 				want := truth.IV(node, g.Need[j])
-				segs := make([]kv.Records, 0, len(g.Members)-1)
-				var chunkSegs []kv.Records
+				var got, gotChunked kv.Records
 				for _, u := range g.Members {
 					if u == node {
 						continue
@@ -95,7 +94,7 @@ func TestGroupCodecRoundTripAcrossStrategies(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s K=%d r=%d group %d decode at %d from %d: %v", tc.kind, tc.k, tc.r, g.ID, node, u, err)
 					}
-					segs = append(segs, seg)
+					got = got.AppendRecords(seg)
 					var reassembled kv.Records
 					for c, pkt := range chunked[u] {
 						part, err := codec.DecodeGroupPacketChunk(stores[node], g.Group, node, u, chunkRows, c, pkt)
@@ -107,13 +106,13 @@ func TestGroupCodecRoundTripAcrossStrategies(t *testing.T) {
 					if !reassembled.Equal(seg) {
 						t.Fatalf("%s K=%d r=%d group %d: chunked segment from %d differs", tc.kind, tc.k, tc.r, g.ID, u)
 					}
-					chunkSegs = append(chunkSegs, reassembled)
+					gotChunked = gotChunked.AppendRecords(reassembled)
 				}
-				if got := codec.MergeSegments(segs); !got.Equal(want) {
+				if !got.Equal(want) {
 					t.Fatalf("%s K=%d r=%d group %d node %d: recovered IV mismatch (%d vs %d records)",
 						tc.kind, tc.k, tc.r, g.ID, node, got.Len(), want.Len())
 				}
-				if got := codec.MergeSegments(chunkSegs); !got.Equal(want) {
+				if !gotChunked.Equal(want) {
 					t.Fatalf("%s K=%d r=%d group %d node %d: chunked recovery mismatch", tc.kind, tc.k, tc.r, g.ID, node)
 				}
 			}

@@ -178,7 +178,7 @@ func TestCheckerDetectsForeignKeyAnywhere(t *testing.T) {
 	own := outs[1]
 	below, above := outs[0].Slice(0, 1), outs[2].Slice(0, 1)
 	splice := func(at int, foreign kv.Records) kv.Records {
-		return kv.Concat(own.Slice(0, at), foreign, own.Slice(at, own.Len()))
+		return kv.Records{}.AppendRecords(own.Slice(0, at)).AppendRecords(foreign).AppendRecords(own.Slice(at, own.Len()))
 	}
 	mid := own.Len() / 2
 	for _, tc := range []struct {
