@@ -416,7 +416,7 @@ func BenchmarkRawTeraSortDriver(b *testing.B) {
 			go func(rank int) {
 				defer wg.Done()
 				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-				if _, err := codedpkg.Run(ep, cfg, nil); err != nil {
+				if _, err := codedpkg.Run(ep, cfg); err != nil {
 					b.Error(err)
 				}
 			}(r)
@@ -580,7 +580,7 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 				go func(rank int) {
 					defer wg.Done()
 					ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Filter: match}, nil)
+					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Filter: match})
 					if err != nil {
 						b.Error(err)
 						return

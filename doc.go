@@ -29,11 +29,13 @@
 // of two members: unicast shuffle, identity coding, no CodeGen). It is a
 // thin stage-graph builder over internal/engine, the execution runtime: a
 // job is a declarative DAG of typed stages
-// (Map, Pack/Encode, Shuffle, Unpack/Decode, Sort, Reduce) with explicit
+// (Map, Pack/Encode, Shuffle, Unpack/Decode, Reduce) with explicit
 // data-plane edges, and one scheduler runs the monolithic, chunk-streaming
-// and out-of-core schedules as modes read off the job spec, with per-stage
-// instrumentation hooks — the engine contributes only placement, codecs
-// and shuffle topology (DESIGN.md sections 3 and 10).
+// and out-of-core schedules as modes read off the job spec. The scheduler
+// is the one place a stage is measured: it charges the per-stage breakdown
+// and reports the same event to one stage hook, which feeds the cluster
+// stage log in process and over TCP alike — the engine contributes only
+// placement, codecs and shuffle topology (DESIGN.md sections 3 and 10).
 // Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, the sort kernel (Reduce and
 // spill runs alike) and per-group packet encode/decode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -236,6 +237,58 @@ func TestRunLocalStageLog(t *testing.T) {
 			t.Fatalf("node %d ran %v after %v", r.Node, r.Stage, prev)
 		}
 		lastPerNode[r.Node] = r.Stage
+	}
+}
+
+// checkStagesSumToTimes asserts the one-measurement invariant: for every
+// rank, the successful attempt's stage records in job.Stages sum, column by
+// column, to exactly the worker's reported Summary.Times.
+func checkStagesSumToTimes(t *testing.T, job *JobReport) {
+	t.Helper()
+	sums := map[int]stats.Breakdown{}
+	for _, rec := range job.Stages {
+		if rec.Attempt == job.Attempts {
+			b := sums[rec.Node]
+			b[rec.Stage] += rec.Elapsed
+			sums[rec.Node] = b
+		}
+	}
+	for _, w := range job.Workers {
+		if w.Times != sums[w.Rank] {
+			t.Fatalf("rank %d: Summary.Times %v, stage records sum to %v", w.Rank, w.Times, sums[w.Rank])
+		}
+	}
+}
+
+// TestStagesSumToTimes: the breakdown a worker reports and the stage log
+// are one measurement, in every execution mode and at r = 1 and 2, and
+// after a recovery the successful attempt's records alone make up the
+// breakdown.
+func TestStagesSumToTimes(t *testing.T) {
+	const rows = 2400
+	modes := map[string]func(*Spec){
+		"mono":    func(*Spec) {},
+		"chunked": func(s *Spec) { s.ChunkRows = 300 },
+		"spill":   func(s *Spec) { s.MemBudget = rows * 100 / 16 },
+		"recovered": func(s *Spec) {
+			s.Faults, s.MaxAttempts = []FaultSpec{{Rank: 1, Stage: "Shuffle", Kind: "kill"}}, 2
+		},
+	}
+	for name, mode := range modes {
+		for _, r := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/r=%d", name, r), func(t *testing.T) {
+				spec := Spec{Algorithm: AlgCoded, K: 4, R: r, Rows: rows, Seed: 12}
+				mode(&spec)
+				job, err := RunLocal(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if name == "recovered" && job.Attempts != 2 {
+					t.Fatalf("attempts=%d, want 2", job.Attempts)
+				}
+				checkStagesSumToTimes(t, job)
+			})
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"codedterasort/internal/stats"
+	"codedterasort/internal/trace"
 )
 
 // Coordinator is the Fig 8 control node: it accepts worker registrations,
@@ -115,12 +116,15 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	})
 	mon.Watch()
 	defer mon.Stop()
+	// The workers' progress frames carry the same stage events the
+	// in-process supervisor logs from its hooks; a TCP job is one attempt.
+	stageLog := trace.NewStageLog(stats.NewWallClock())
 	var wg sync.WaitGroup
 	for rank, conn := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, reported, err := collectWorker(rank, conn, mon)
+			rep, reported, err := collectWorker(rank, conn, mon, stageLog)
 			if err != nil {
 				errs[rank] = err
 				// A broken connection is the crash signal of a dead worker
@@ -149,14 +153,15 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 			return nil, fmt.Errorf("cluster: worker %d: %w", rank, err)
 		}
 	}
-	return assembleRemote(spec, reports)
+	return assembleRemote(spec, reports, stageLog.Records())
 }
 
 // assembleRemote merges TCP worker reports and verifies multiset
 // integrity: partition checksums must sum to the input's. (With
 // Spec.InputDir the coordinator scans the same part files the workers read
-// — the single-machine deployment this runtime targets.)
-func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
+// — the single-machine deployment this runtime targets.) stages is the
+// job's stage log.
+func assembleRemote(spec Spec, reports []WorkerReport, stages []trace.StageRecord) (*JobReport, error) {
 	p, err := verifyPartitioner(spec) // RunJob preset the splitters: no replay
 	if err != nil {
 		return nil, err
@@ -181,14 +186,15 @@ func assembleRemote(spec Spec, reports []WorkerReport) (*JobReport, error) {
 	job := rollup(spec, reports)
 	job.Validated = true
 	job.Attempts = 1
+	job.Stages = stages
 	return job, nil
 }
 
 // collectWorker consumes one worker connection's workerMsg frames until the
-// final report; progress events feed the detector. reported says whether
-// the worker delivered its report (alive) as opposed to its connection
-// breaking (the crash signal).
-func collectWorker(rank int, conn net.Conn, mon *monitor) (rep WorkerReport, reported bool, err error) {
+// final report; progress events feed the detector and completed stages the
+// stage log. reported says whether the worker delivered its report (alive)
+// as opposed to its connection breaking (the crash signal).
+func collectWorker(rank int, conn net.Conn, mon *monitor, stageLog *trace.StageLog) (rep WorkerReport, reported bool, err error) {
 	for {
 		var frame workerMsg
 		if err := readFrame(conn, &frame); err != nil {
@@ -208,6 +214,7 @@ func collectWorker(rank int, conn net.Conn, mon *monitor) (rep WorkerReport, rep
 			mon.Alive(rank)
 			if frame.Progress.Stage != "" {
 				if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
+					stageLog.Record(rank, st, frame.Progress.Elapsed, nil)
 					mon.StageEnd(rank, st)
 				}
 			}

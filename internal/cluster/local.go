@@ -73,9 +73,10 @@ type JobReport struct {
 	// its oracle — so its report leaves Validated false.
 	Validated bool
 	// Stages is the cluster-wide stage timeline, recorded through the
-	// engine runtime's per-stage hooks: every worker's completed stages in
-	// completion order, attempt-tagged across recovery re-executions
-	// (in-process runs only).
+	// engine runtime's per-stage hook (over TCP, from the workers' progress
+	// frames): every worker's completed stages in completion order,
+	// attempt-tagged across recovery re-executions. Per rank, the
+	// successful attempt's records sum to that worker's Summary.Times.
 	Stages []trace.StageRecord
 	// Attempts counts the job executions recovery used (1 = ran clean).
 	Attempts int
@@ -324,12 +325,12 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, rank RankFunc, con
 				conn = netem.Limit(conn, shape)
 			}
 			meter := transport.NewMeter(conn)
-			hooks := engine.Hooks{StageEnd: func(ev engine.StageEvent) {
+			hooks := func(ev engine.StageEvent) {
 				stageLog.Record(ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
 				if ev.Err == nil {
 					mon.StageEnd(ev.Rank, ev.Stage)
 				}
-			}}
+			}
 			rep, err := rank(transport.WithCollectives(meter, spec.Strategy()), attemptSpec, hooks)
 			if err != nil {
 				errs[r] = err
@@ -501,7 +502,7 @@ func describeInput(spec Spec) (verify.Input, error) {
 // report's Output; hooks observe each completed stage through the engine
 // runtime.
 func runWorker(ep transport.Endpoint, spec Spec, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
-	res, err := coded.Run(ep, coded.Config{Spec: spec, OutputSink: sink, Hooks: hooks}, nil)
+	res, err := coded.Run(ep, coded.Config{Spec: spec, OutputSink: sink, Hooks: hooks})
 	if err != nil {
 		return WorkerReport{}, err
 	}

@@ -218,9 +218,10 @@ func TestRunLocalOptsOnStage(t *testing.T) {
 	if len(recs) != len(job.Stages) {
 		t.Fatalf("observer saw %d records, log holds %d", len(recs), len(job.Stages))
 	}
-	totals := trace.TotalsOf(recs)
+	totals := trace.StageTotals{}
 	var attempts1, attempts2 int
 	for _, rec := range recs {
+		totals.Add(rec)
 		switch rec.Attempt {
 		case 1:
 			attempts1++
@@ -241,6 +242,6 @@ func TestRunLocalOptsOnStage(t *testing.T) {
 		runs += tot.Runs
 	}
 	if runs != int64(len(recs)) {
-		t.Fatalf("TotalsOf covers %d runs of %d records", runs, len(recs))
+		t.Fatalf("totals cover %d runs of %d records", runs, len(recs))
 	}
 }

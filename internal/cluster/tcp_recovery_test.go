@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"codedterasort/internal/stats"
 )
 
 // runTCP starts a coordinator and K worker goroutines speaking the real TCP
@@ -49,6 +51,43 @@ func TestTCPMonitoredHealthy(t *testing.T) {
 	if !job.Validated {
 		t.Fatal("monitored job not validated")
 	}
+}
+
+// TestTCPStageLog: a TCP job's report carries the stage log its workers'
+// progress frames fed — one record per (rank, timed stage) of the chunked
+// coded schedule, summing per rank to the worker's reported breakdown.
+func TestTCPStageLog(t *testing.T) {
+	const k = 4
+	spec := Spec{Algorithm: AlgCoded, K: k, R: 2, Rows: 4000, Seed: 32, ChunkRows: 300}
+	job, workerErrs, err := runTCP(t, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, werr := range workerErrs {
+		if werr != nil {
+			t.Fatalf("worker %d: %v", i, werr)
+		}
+	}
+	// Chunked coded ranks time CodeGen, Map, the streamed Shuffle and Reduce.
+	timed := []stats.Stage{stats.StageCodeGen, stats.StageMap, stats.StageShuffle, stats.StageReduce}
+	seen := map[[2]int]int{}
+	for _, rec := range job.Stages {
+		if rec.Attempt != 1 || rec.Err != "" {
+			t.Fatalf("unexpected record %v", rec)
+		}
+		seen[[2]int{rec.Node, int(rec.Stage)}]++
+	}
+	if len(job.Stages) != k*len(timed) {
+		t.Fatalf("%d stage records, want %d", len(job.Stages), k*len(timed))
+	}
+	for rank := 0; rank < k; rank++ {
+		for _, st := range timed {
+			if n := seen[[2]int{rank, int(st)}]; n != 1 {
+				t.Fatalf("rank %d %v: %d records, want 1", rank, st, n)
+			}
+		}
+	}
+	checkStagesSumToTimes(t, job)
 }
 
 // TestTCPWorkerDeathFailsFast: a worker process dying mid-Map (simulated

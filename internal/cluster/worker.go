@@ -122,7 +122,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	// a vanished coordinator) cancels the run by closing the mesh — a
 	// worker never waits forever on a peer the coordinator has declared
 	// dead.
-	hooks := engine.Hooks{StageEnd: func(ev engine.StageEvent) {
+	hooks := func(ev engine.StageEvent) {
 		if ev.Err != nil {
 			return
 		}
@@ -132,7 +132,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		_ = tx.send(workerMsg{Progress: &progressMsg{
 			Rank: assign.Rank, Stage: ev.Stage.String(), Elapsed: ev.Elapsed,
 		}})
-	}}
+	}
 	stopBeat := make(chan struct{})
 	defer close(stopBeat)
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)

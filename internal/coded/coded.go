@@ -102,9 +102,9 @@ type Config struct {
 	// reused; the sink must not retain it. With MemBudget unset the whole
 	// partition arrives as one block.
 	OutputSink func(kv.Records) error
-	// Hooks observe each timed stage of the run — the instrumentation API
-	// the cluster runtime uses for its stage log. The timeline is always
-	// charged first, so hook observers see consistent timings.
+	// Hooks observes each timed stage of the run — the instrumentation API
+	// the cluster runtime uses for its stage log. It sees exactly the
+	// elapsed times Summary.Times sums.
 	Hooks engine.Hooks
 }
 
@@ -114,7 +114,8 @@ type Config struct {
 // are the report frame's.
 type Summary struct {
 	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Decode under Unpack, Reduce).
+	// Pack, Shuffle, Decode under Unpack, Reduce), as the engine scheduler
+	// charged it.
 	Times stats.Breakdown `json:"times"`
 	// OutputRows and OutputChecksum summarize the sorted partition in
 	// every mode, including sink-streamed budget runs where Output is
@@ -172,14 +173,14 @@ type Result struct {
 
 // Run executes the sort worker for ep.Rank() and blocks until this node's
 // part of the job completes. Every rank of the endpoint's world must call
-// Run concurrently with an identical configuration. The timeline may be
-// nil, in which case a wall-clock timeline is used internally.
-func Run(ep transport.Endpoint, cfg Config, tl *stats.Timeline) (Result, error) {
+// Run concurrently with an identical configuration. Stages are timed by
+// the wall clock.
+func Run(ep transport.Endpoint, cfg Config) (Result, error) {
 	w, err := newWorker(ep, cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := w.run(ep, tl); err != nil {
+	if err := w.run(ep, stats.NewWallClock()); err != nil {
 		return Result{}, err
 	}
 	return w.result, nil
@@ -252,13 +253,10 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	return w, nil
 }
 
-// run drives the stage graph on the engine runtime and fills the result.
-func (w *worker) run(ep transport.Endpoint, tl *stats.Timeline) error {
-	if tl == nil {
-		tl = stats.NewTimeline(stats.NewWallClock())
-	}
-	hooks := engine.TimelineHooks(tl).Then(w.cfg.Hooks)
-	ctx, err := engine.Run(ep, w.graph(), w.spec, tl.Clock(), hooks)
+// run drives the stage graph on the engine runtime, timing stages by
+// clock, and fills the result.
+func (w *worker) run(ep transport.Endpoint, clock stats.Clock) error {
+	ctx, err := engine.Run(ep, w.graph(), w.spec, clock, w.cfg.Hooks)
 	if err != nil {
 		return err
 	}
@@ -270,7 +268,7 @@ func (w *worker) run(ep transport.Endpoint, tl *stats.Timeline) error {
 	w.result.SentOps = ctx.Counters.SentOps
 	w.result.ChunksSent = ctx.Counters.ChunksSent
 	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
-	w.result.Times = tl.Breakdown()
+	w.result.Times = ctx.Times
 	return nil
 }
 
@@ -292,7 +290,7 @@ func (w *worker) graph() *engine.Graph {
 		// Sampled partitioning without preset splitters: the splitter
 		// agreement rides the graph as a timed pre-Map stage, so hooks,
 		// fault injection and recovery cover it like any other stage. It
-		// shares the CodeGen timeline column.
+		// shares the CodeGen breakdown column.
 		g.Add(engine.Stage{Kind: engine.KindSample, Modes: engine.AllModes,
 			Provides: []string{"part"}, Run: w.sampleStage})
 		mapNeeds = append(mapNeeds, "part")

@@ -45,9 +45,9 @@ func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []R
 
 // runWorkers runs every rank of a sort over an in-memory mesh and returns
 // the finished workers, whose retained state white-box tests inspect.
-// perRank (may be nil) adjusts each rank's config; timeline (may be nil)
-// supplies a worker's timeline once the worker exists.
-func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), timeline func(*worker) *stats.Timeline) []*worker {
+// perRank (may be nil) adjusts each rank's config; clock (may be nil)
+// supplies the clock a worker's stages are timed by once the worker exists.
+func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clock func(*worker) stats.Clock) []*worker {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
@@ -65,11 +65,11 @@ func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), tim
 			ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy())
 			w, err := newWorker(ep, c)
 			if err == nil {
-				var tl *stats.Timeline
-				if timeline != nil {
-					tl = timeline(w)
+				var clk stats.Clock = stats.NewWallClock()
+				if clock != nil {
+					clk = clock(w)
 				}
-				err = w.run(ep, tl)
+				err = w.run(ep, clk)
 			}
 			workers[rank], errs[rank] = w, err
 		}(r)
@@ -351,7 +351,7 @@ func TestRunResolvesTheJob(t *testing.T) {
 		cfgOf(job.Spec{K: 3, R: 1, Rows: 10}), // world-size mismatch
 		wrongPart,
 	} {
-		if _, err := Run(ep, cfg, nil); err == nil {
+		if _, err := Run(ep, cfg); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, cfg)
 		}
 	}
@@ -368,7 +368,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 		go func() {
 			conn := netem.Fail(mesh.Endpoint(0), tc.failAfter, transport.ErrClosed)
 			ep := transport.WithCollectives(conn, transport.BcastSequential)
-			_, err := Run(ep, cfg, nil)
+			_, err := Run(ep, cfg)
 			rank0Err <- err
 		}()
 		for r := 1; r < tc.k; r++ {
@@ -377,7 +377,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 				defer wg.Done()
 				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
 				// Errors here are expected: the cluster is going down.
-				_, _ = Run(ep, cfg, nil)
+				_, _ = Run(ep, cfg)
 			}(r)
 		}
 		err0 := <-rank0Err
@@ -415,7 +415,7 @@ func benchmarkSort(b *testing.B, cfg Config) {
 			go func(rank int) {
 				defer wg.Done()
 				ep := transport.WithCollectives(mesh.Endpoint(rank), cfg.Strategy())
-				if _, err := Run(ep, cfg, nil); err != nil {
+				if _, err := Run(ep, cfg); err != nil {
 					b.Error(err)
 				}
 			}(r)

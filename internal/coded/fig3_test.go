@@ -68,7 +68,7 @@ func TestFig3Walkthrough(t *testing.T) {
 		go func(rank int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
-			results[rank], errs[rank] = Run(ep, cfg, nil)
+			results[rank], errs[rank] = Run(ep, cfg)
 		}(r)
 	}
 	wg.Wait()

@@ -20,7 +20,7 @@ type liveHeapPeak struct {
 }
 
 func (p *liveHeapPeak) hooks() engine.Hooks {
-	return engine.Hooks{StageEnd: func(engine.StageEvent) {
+	return func(engine.StageEvent) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		runtime.GC()
@@ -29,7 +29,7 @@ func (p *liveHeapPeak) hooks() engine.Hooks {
 		if m.HeapAlloc > p.bytes {
 			p.bytes = m.HeapAlloc
 		}
-	}}
+	}
 }
 
 // TestPipelinedBoundsPeakMemory is the bounded-memory regression test for

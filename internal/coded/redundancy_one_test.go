@@ -162,11 +162,9 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 			var events []engine.StageEvent
 			workers := runWorkers(t, cfg, func(rank int, c *Config) {
 				if rank == 0 {
-					c.Hooks.StageEnd = func(ev engine.StageEvent) { events = append(events, ev) }
+					c.Hooks = func(ev engine.StageEvent) { events = append(events, ev) }
 				}
-			}, func(w *worker) *stats.Timeline {
-				return stats.NewTimeline(filesPlacedClock{w})
-			})
+			}, func(w *worker) stats.Clock { return filesPlacedClock{w} })
 			for _, ev := range events {
 				if ev.Elapsed != 0 {
 					t.Fatalf("%s r=%d: %v stage materialized %d input files", mode, r, ev.Stage, ev.Elapsed)

@@ -10,6 +10,7 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
+	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
 )
 
@@ -58,6 +59,9 @@ type Context struct {
 	Procs int
 	// Counters is the run's transfer accounting.
 	Counters Counters
+	// Times is the run's stage breakdown: the scheduler charges each timed
+	// stage's elapsed time to its column, errored stages included.
+	Times stats.Breakdown
 
 	sorter   *extsort.Sorter
 	sorterMu sync.Mutex

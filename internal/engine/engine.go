@@ -12,8 +12,8 @@
 //     spec (job.Resolved: ChunkRows/MemBudget), selects the stage schedule,
 //     validates its edges, and drives the stages with the paper's
 //     synchronous-stage protocol: each timed stage is charged to the
-//     engine's timeline through per-stage Hooks and followed by a cluster
-//     barrier (Section V-A).
+//     run's stage breakdown (Context.Times), reported to the Hooks and
+//     followed by a cluster barrier (Section V-A).
 //   - Cross-cutting behaviors are runtime services on the Context: the
 //     budget-bounded spill sorter lifecycle, transfer accounting, the
 //     serial-vs-parallel sender schedule, and LIFO cleanups.
@@ -41,7 +41,7 @@ type Kind int
 const (
 	// KindPlace is untimed input placement/setup (the coordinator's file
 	// distribution stands outside the measured pipeline); it is neither
-	// charged to the timeline nor followed by a barrier.
+	// charged to the breakdown nor followed by a barrier.
 	KindPlace Kind = iota
 	// KindCodeGen establishes multicast-group communication state (graphs
 	// whose groups have more than two members).
@@ -54,10 +54,6 @@ const (
 	KindShuffle
 	// KindUnpack deserializes received data (Decode for CodedTeraSort).
 	KindUnpack
-	// KindSort sorts a node's partition as its own stage. Reserved for
-	// graphs that split Reduce into Sort + Reduce; charged to the Reduce
-	// column like KindReduce.
-	KindSort
 	// KindReduce produces the node's sorted output partition.
 	KindReduce
 	// KindSample is the pre-Map splitter-agreement round of sampled
@@ -82,8 +78,6 @@ func (k Kind) String() string {
 		return "Shuffle"
 	case KindUnpack:
 		return "Unpack"
-	case KindSort:
-		return "Sort"
 	case KindReduce:
 		return "Reduce"
 	case KindSample:
@@ -93,7 +87,7 @@ func (k Kind) String() string {
 	}
 }
 
-// Stats returns the timeline stage the kind is charged to, and whether it
+// Stats returns the breakdown stage the kind is charged to, and whether it
 // is timed at all (KindPlace is not).
 func (k Kind) Stats() (stats.Stage, bool) {
 	switch k {
@@ -107,7 +101,7 @@ func (k Kind) Stats() (stats.Stage, bool) {
 		return stats.StageShuffle, true
 	case KindUnpack:
 		return stats.StageUnpack, true
-	case KindSort, KindReduce:
+	case KindReduce:
 		return stats.StageReduce, true
 	default:
 		return 0, false
@@ -117,7 +111,7 @@ func (k Kind) Stats() (stats.Stage, bool) {
 // Stage is one node of the job graph: a typed unit of work annotated with
 // the execution modes it participates in and its data-plane edges.
 type Stage struct {
-	// Kind types the stage and selects its timeline column.
+	// Kind types the stage and selects its breakdown column.
 	Kind Kind
 	// Modes says which execution modes include this stage. Registering
 	// several stages of the same Kind under disjoint mode sets expresses
@@ -196,7 +190,7 @@ func (g *Graph) Schedule(m Mode) ([]Stage, error) {
 // data-plane edges, and no mode may schedule two stages of the same timed
 // Kind — per-mode variants of a stage must carry disjoint mode sets, and a
 // duplicate would also confuse the fault injector, which strikes the first
-// stage of a timeline column. Untimed KindPlace stages may repeat (setup
+// stage of a breakdown column. Untimed KindPlace stages may repeat (setup
 // can be multi-part).
 func (g *Graph) Validate() error {
 	for _, s := range g.stages {
@@ -236,11 +230,12 @@ func (g *Graph) Validate() error {
 // Run executes the graph for ep.Rank(): it derives the active mode from the
 // resolved job spec, schedules the stages, and drives each one under the
 // paper's synchronous-stage protocol — the stage body runs, its elapsed
-// clock time is reported through the hooks (which charge the engine's
-// timeline), and a cluster-wide barrier follows so stages execute
-// synchronously across nodes and per-stage times stay comparable (Section
-// V-A). The returned Context carries the run's transfer counters; its spill
-// resources are already released.
+// clock time is charged to Context.Times and reported to hooks, and a
+// cluster-wide barrier follows so stages execute synchronously across
+// nodes and per-stage times stay comparable (Section V-A). This is the one
+// place a stage completion is measured. The returned Context carries the
+// run's stage breakdown and transfer counters; its spill resources are
+// already released.
 func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock, hooks Hooks) (*Context, error) {
 	mode := ModeOf(spec)
 	sched, err := g.Schedule(mode)
@@ -249,9 +244,8 @@ func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock,
 	}
 	ctx := newContext(ep, spec, mode)
 	defer ctx.cleanup()
-	// Injected faults strike the first stage charged to their timeline
-	// column (KindSort and KindReduce share one column); of two faults on
-	// one column the first listed wins.
+	// Injected faults strike the first stage charged to their breakdown
+	// column; of two faults on one column the first listed wins.
 	faults := map[stats.Stage]job.FaultSpec{}
 	for _, f := range spec.Faults {
 		if st, err := stats.ParseStage(f.Stage); err == nil && f.Rank == ctx.Rank {
@@ -264,7 +258,7 @@ func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock,
 		st, timed := s.Kind.Stats()
 		if !timed {
 			// Setup stages (file placement) run outside the measured
-			// pipeline: no timeline charge, no barrier, errors unwrapped.
+			// pipeline: no breakdown charge, no barrier, errors unwrapped.
 			if err := s.Run(ctx); err != nil {
 				return ctx, err
 			}
@@ -278,7 +272,6 @@ func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock,
 		if struck && fault.Kind == job.FaultKill {
 			return ctx, &KilledError{Rank: ctx.Rank, Stage: st}
 		}
-		hooks.start(ctx.Rank, st)
 		t0 := clock.Now()
 		serr := s.Run(ctx)
 		if struck && serr == nil {
@@ -286,7 +279,11 @@ func Run(ep transport.Endpoint, g *Graph, spec *job.Resolved, clock stats.Clock,
 			// inflated Elapsed is what peers and the detection layer see.
 			stall(fault, clock.Now()-t0)
 		}
-		hooks.end(StageEvent{Rank: ctx.Rank, Stage: st, Elapsed: clock.Now() - t0, Err: serr})
+		elapsed := clock.Now() - t0
+		ctx.Times[st] += elapsed
+		if hooks != nil {
+			hooks(StageEvent{Rank: ctx.Rank, Stage: st, Elapsed: elapsed, Err: serr})
+		}
 		if serr != nil {
 			return ctx, fmt.Errorf("%s: rank %d %v stage: %w", g.name, ctx.Rank, st, serr)
 		}

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/combin"
@@ -21,8 +20,7 @@ func barrierTag(s stats.Stage) transport.Tag {
 	return transport.MakeTag(0x7F, uint16(s), 0xFFFF)
 }
 
-// TestKindStats: every timed kind maps onto the shared stage axis (Sort and
-// Reduce share the Reduce column, like Pack/Encode share theirs), and the
+// TestKindStats: every timed kind maps onto the shared stage axis, and the
 // placement kind is untimed.
 func TestKindStats(t *testing.T) {
 	want := map[Kind]stats.Stage{
@@ -31,7 +29,6 @@ func TestKindStats(t *testing.T) {
 		KindPack:    stats.StagePack,
 		KindShuffle: stats.StageShuffle,
 		KindUnpack:  stats.StageUnpack,
-		KindSort:    stats.StageReduce,
 		KindReduce:  stats.StageReduce,
 	}
 	for k, st := range want {
@@ -119,9 +116,9 @@ func TestGraphModeFiltering(t *testing.T) {
 }
 
 // TestRunDrivesStages: a two-rank graph runs its scheduled stages in
-// order, charges the timeline through the hooks, fires the per-stage
-// hooks, skips timing for the placement stage, and reports stage errors
-// with the engine's name prefix.
+// order, charges the context's breakdown with exactly what it reports to
+// the hooks, skips timing for the placement stage, and reports stage
+// errors with the engine's name prefix.
 func TestRunDrivesStages(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
@@ -147,18 +144,15 @@ func TestRunDrivesStages(t *testing.T) {
 		return g
 	}
 
-	tls := [2]*stats.Timeline{}
+	var ctxs [2]*Context
 	var events [2][]StageEvent
 	errs := [2]error{}
 	spec := resolved(t, job.Spec{K: 2})
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
-		tls[r] = stats.NewTimeline(stats.NewWallClock())
-		hooks := TimelineHooks(tls[r]).Then(Hooks{StageEnd: func(ev StageEvent) {
-			events[r] = append(events[r], ev)
-		}})
+		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
 		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-		_, errs[r] = Run(ep, build(r, r == 0), spec, tls[r].Clock(), hooks)
+		ctxs[r], errs[r] = Run(ep, build(r, r == 0), spec, stats.NewWallClock(), hooks)
 	}
 	var wg0, wg1 sync.WaitGroup
 	wg0.Add(1)
@@ -188,9 +182,16 @@ func TestRunDrivesStages(t *testing.T) {
 	if events[0][1].Err == nil {
 		t.Fatalf("reduce failure not reported to hooks: %+v", events[0][1])
 	}
-	// The timeline was charged through the hooks (both timed stages).
-	if b := tls[0].Breakdown(); b[stats.StageMap] < 0 || b.Total() < 0 {
-		t.Fatalf("timeline breakdown: %v", b)
+	// The breakdown holds exactly the reported elapsed times, the failed
+	// stage's included.
+	for r := 0; r < 2; r++ {
+		var want stats.Breakdown
+		for _, ev := range events[r] {
+			want[ev.Stage] += ev.Elapsed
+		}
+		if ctxs[r] == nil || ctxs[r].Times != want {
+			t.Fatalf("rank %d breakdown %v, hooks reported %v", r, ctxs[r].Times, want)
+		}
 	}
 }
 
@@ -226,9 +227,8 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 				}
 				return nil
 			}})
-			tl := stats.NewTimeline(stats.NewWallClock())
 			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-			_, errs[r] = Run(ep, g, spec, tl.Clock(), TimelineHooks(tl))
+			_, errs[r] = Run(ep, g, spec, stats.NewWallClock(), nil)
 		}(r)
 	}
 	wg.Wait()
@@ -251,9 +251,8 @@ func TestContextDeferLIFO(t *testing.T) {
 		ctx.Defer(func() { got = append(got, "b") })
 		return nil
 	}})
-	tl := stats.NewTimeline(stats.NewWallClock())
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
-	if _, err := Run(ep, g, resolved(t, job.Spec{K: 1}), tl.Clock(), Hooks{}); err != nil {
+	if _, err := Run(ep, g, resolved(t, job.Spec{K: 1}), stats.NewWallClock(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[b a]" {
@@ -347,21 +346,5 @@ func TestCreditGate(t *testing.T) {
 	free.Sent()
 	if err := free.Drain(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHooksCompose: Then fires both hook sets in order.
-func TestHooksCompose(t *testing.T) {
-	var got []string
-	h := Hooks{
-		StageStart: func(int, stats.Stage) { got = append(got, "a-start") },
-		StageEnd:   func(StageEvent) { got = append(got, "a-end") },
-	}.Then(Hooks{
-		StageEnd: func(StageEvent) { got = append(got, "b-end") },
-	})
-	h.start(0, stats.StageMap)
-	h.end(StageEvent{Stage: stats.StageMap, Elapsed: time.Millisecond})
-	if fmt.Sprint(got) != "[a-start a-end b-end]" {
-		t.Fatalf("hook order %v", got)
 	}
 }

@@ -43,10 +43,9 @@ func TestKillFault(t *testing.T) {
 	spec := resolved(t, job.Spec{K: 2, Faults: []job.FaultSpec{{Rank: 1, Stage: "Reduce", Kind: job.FaultKill}}})
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
-		tl := stats.NewTimeline(stats.NewWallClock())
-		hooks := Hooks{StageEnd: func(ev StageEvent) { events[r] = append(events[r], ev) }}
+		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
 		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
-		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), spec, tl.Clock(), hooks)
+		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), spec, stats.NewWallClock(), hooks)
 	}
 	wg0.Add(1)
 	wg1.Add(1)
@@ -80,19 +79,18 @@ func TestSlowFault(t *testing.T) {
 	var mu sync.Mutex
 	var ran []stats.Stage
 	var reduceElapsed time.Duration
-	tl := stats.NewTimeline(stats.NewWallClock())
-	hooks := Hooks{StageEnd: func(ev StageEvent) {
+	hooks := func(ev StageEvent) {
 		if ev.Stage == stats.StageReduce {
 			reduceElapsed = ev.Elapsed
 		}
-	}}
+	}
 	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
 	const delay = 30 * time.Millisecond
 	spec := resolved(t, job.Spec{K: 1, Faults: []job.FaultSpec{
 		// The kill on the same column is listed second: the first wins.
 		{Rank: 0, Stage: "Reduce", Kind: job.FaultSlow, Factor: 1, Delay: delay},
 		{Rank: 0, Stage: "Sort", Kind: job.FaultKill}}})
-	if _, err := Run(ep, twoStageGraph(&ran, &mu), spec, tl.Clock(), hooks); err != nil {
+	if _, err := Run(ep, twoStageGraph(&ran, &mu), spec, stats.NewWallClock(), hooks); err != nil {
 		t.Fatal(err)
 	}
 	if len(ran) != 2 {

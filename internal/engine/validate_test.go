@@ -124,15 +124,15 @@ func TestKindStrings(t *testing.T) {
 	want := map[Kind]string{
 		KindPlace: "Place", KindCodeGen: "CodeGen", KindMap: "Map",
 		KindPack: "Pack", KindShuffle: "Shuffle", KindUnpack: "Unpack",
-		KindSort: "Sort", KindReduce: "Reduce", Kind(99): "Kind(99)",
+		KindReduce: "Reduce", KindSample: "Sample", Kind(99): "Kind(99)",
 	}
 	for k, s := range want {
 		if k.String() != s {
 			t.Errorf("Kind(%d).String() = %q, want %q", int(k), k.String(), s)
 		}
 	}
-	if st, timed := KindSort.Stats(); st != stats.StageReduce || !timed {
-		t.Errorf("KindSort.Stats() = %v, %v", st, timed)
+	if st, timed := KindSample.Stats(); st != stats.StageCodeGen || !timed {
+		t.Errorf("KindSample.Stats() = %v, %v", st, timed)
 	}
 	if _, timed := KindPlace.Stats(); timed {
 		t.Error("KindPlace is timed")

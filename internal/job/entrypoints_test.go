@@ -62,7 +62,7 @@ func TestEveryEntryPointRejects(t *testing.T) {
 				_, err = srv.Submit(service.SubmitRequest{Tenant: "t", Spec: spec})
 				refused("service.Submit", err)
 			}
-			_, err := codedpkg.Run(ep, codedpkg.Config{Spec: spec, Local: c.local}, nil)
+			_, err := codedpkg.Run(ep, codedpkg.Config{Spec: spec, Local: c.local})
 			refused("coded.Run", err)
 
 			// A MapReduce job names its input as one dataset, so it cannot
@@ -77,7 +77,7 @@ func TestEveryEntryPointRejects(t *testing.T) {
 			case c.local.Input != nil:
 				mr.Input = kv.NewGenerator(1, kv.DistUniform).Generate(0, 10)
 			}
-			_, err = mapreduce.Run(ep, mr, nil)
+			_, err = mapreduce.Run(ep, mr)
 			refused("mapreduce.Run", err)
 			_, err = mapreduce.RunLocal(mr)
 			refused("mapreduce.RunLocal", err)

@@ -25,8 +25,8 @@ func RunLocal(j Job) (*cluster.JobReport, error) {
 	return cluster.Supervise(context.Background(), j.Spec, cluster.Options{},
 		func(ep transport.Endpoint, spec job.Spec, hooks engine.Hooks) (cluster.WorkerReport, error) {
 			attempt := j
-			attempt.Spec, attempt.Hooks = spec, j.Hooks.Then(hooks)
-			res, err := Run(ep, attempt, nil)
+			attempt.Spec = spec
+			res, err := run(ep, attempt, hooks)
 			return cluster.WorkerReport{Summary: res.Summary, Output: res.Output}, err
 		})
 }

@@ -41,7 +41,6 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
-	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
 )
 
@@ -122,8 +121,6 @@ type Job struct {
 	// may install partition.NewUniform for range-partitioned output.
 	// Mutually exclusive with Partitioning "sample".
 	Part partition.Partitioner
-	// Hooks observe each timed engine stage.
-	Hooks engine.Hooks
 }
 
 // normalize fills the job's defaults and resolves its description; the
@@ -197,9 +194,13 @@ type Result struct {
 
 // Run executes the job's worker for ep.Rank() and blocks until this rank's
 // part completes. Every rank of the endpoint's world must call Run
-// concurrently with an identical job. The timeline may be nil, in which
-// case a wall-clock timeline is used internally.
-func Run(ep transport.Endpoint, j Job, tl *stats.Timeline) (Result, error) {
+// concurrently with an identical job.
+func Run(ep transport.Endpoint, j Job) (Result, error) {
+	return run(ep, j, nil)
+}
+
+// run is Run with hooks observing each timed engine stage.
+func run(ep transport.Endpoint, j Job, hooks engine.Hooks) (Result, error) {
 	j, spec, err := j.normalize()
 	if err != nil {
 		return Result{}, err
@@ -211,8 +212,8 @@ func Run(ep transport.Endpoint, j Job, tl *stats.Timeline) (Result, error) {
 	g := newGrouper(j.Reducer)
 	res, err := coded.Run(ep, coded.Config{
 		Spec: j.Spec, Local: job.Local{Part: j.Part, Input: input},
-		Transform: j.transform(), OutputSink: g.Feed, Hooks: j.Hooks,
-	}, tl)
+		Transform: j.transform(), OutputSink: g.Feed, Hooks: hooks,
+	})
 	if err != nil {
 		return Result{}, err
 	}

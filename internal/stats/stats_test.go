@@ -1,8 +1,8 @@
 package stats
 
 import (
+	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -16,50 +16,6 @@ func TestWallClockMonotone(t *testing.T) {
 	}
 }
 
-func TestVirtualClock(t *testing.T) {
-	var v VirtualClock
-	if v.Now() != 0 {
-		t.Fatalf("zero clock not at 0")
-	}
-	if got := v.Advance(3 * time.Second); got != 3*time.Second {
-		t.Fatalf("Advance = %v", got)
-	}
-	if got := v.AdvanceTo(2 * time.Second); got != 3*time.Second {
-		t.Fatalf("AdvanceTo backwards moved the clock: %v", got)
-	}
-	if got := v.AdvanceTo(5 * time.Second); got != 5*time.Second {
-		t.Fatalf("AdvanceTo = %v", got)
-	}
-}
-
-func TestVirtualClockPanicsOnNegativeAdvance(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	var v VirtualClock
-	v.Advance(-time.Second)
-}
-
-func TestVirtualClockConcurrent(t *testing.T) {
-	var v VirtualClock
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				v.Advance(time.Nanosecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if v.Now() != 8000*time.Nanosecond {
-		t.Fatalf("lost advances: %v", v.Now())
-	}
-}
-
 func TestStageNames(t *testing.T) {
 	want := []string{"CodeGen", "Map", "Pack/Encode", "Shuffle", "Unpack/Decode", "Reduce"}
 	for s := StageCodeGen; s < NumStages; s++ {
@@ -69,7 +25,7 @@ func TestStageNames(t *testing.T) {
 	}
 }
 
-func TestBreakdownTotalMaxAddScale(t *testing.T) {
+func TestBreakdownTotalMaxAdd(t *testing.T) {
 	a := Seconds(1, 2, 3, 4, 5, 6)
 	if a.Total() != 21*time.Second {
 		t.Fatalf("Total = %v", a.Total())
@@ -83,70 +39,25 @@ func TestBreakdownTotalMaxAddScale(t *testing.T) {
 	if s.Total() != 42*time.Second {
 		t.Fatalf("Add total = %v", s.Total())
 	}
-	h := a.Scale(0.5)
-	if h[StageMap] != time.Second {
-		t.Fatalf("Scale = %v", h)
-	}
 }
 
-func TestBreakdownWireRoundTrip(t *testing.T) {
+// TestBreakdownJSONRoundTrip: a breakdown survives the JSON report frame
+// that carries coded.Summary.Times from TCP workers, nanosecond for
+// nanosecond.
+func TestBreakdownJSONRoundTrip(t *testing.T) {
 	a := Seconds(0.5, 1.25, 0, 99.75, 3, 0.01)
-	p, err := a.MarshalBinary()
+	a[StageReduce] += time.Nanosecond
+	p, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b Breakdown
-	if err := b.UnmarshalBinary(p); err != nil {
+	if err := json.Unmarshal(p, &b); err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("roundtrip: %v != %v", a, b)
 	}
-	if err := b.UnmarshalBinary(p[:10]); err == nil {
-		t.Fatalf("truncated payload accepted")
-	}
-}
-
-func TestTimelineMeasure(t *testing.T) {
-	var v VirtualClock
-	tl := NewTimeline(&v)
-	err := tl.Measure(StageMap, func() error {
-		v.Advance(2 * time.Second)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := tl.Breakdown()[StageMap]; got != 2*time.Second {
-		t.Fatalf("Map time = %v", got)
-	}
-}
-
-func TestTimelineAccumulates(t *testing.T) {
-	var v VirtualClock
-	tl := NewTimeline(&v)
-	tl.AddDuration(StageShuffle, time.Second)
-	tl.AddDuration(StageShuffle, 2*time.Second)
-	if got := tl.Breakdown()[StageShuffle]; got != 3*time.Second {
-		t.Fatalf("accumulated = %v", got)
-	}
-}
-
-func TestTimelineClampsNegative(t *testing.T) {
-	tl := NewTimeline(NewWallClock())
-	tl.AddDuration(StageReduce, -5*time.Second)
-	if got := tl.Breakdown()[StageReduce]; got != 0 {
-		t.Fatalf("negative duration stored: %v", got)
-	}
-}
-
-func TestTimelinePanicsOnBadStage(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("expected panic")
-		}
-	}()
-	NewTimeline(NewWallClock()).AddDuration(NumStages, time.Second)
 }
 
 func TestRenderTableMatchesPaperLayout(t *testing.T) {

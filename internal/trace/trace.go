@@ -1,184 +1,20 @@
-// Package trace records transport-level events (sends and receives with
-// timestamps, peers, tags and sizes) so schedules can be inspected and
-// asserted on: the serial one-sender-at-a-time shuffles of Fig 9, the
-// multicast fan-out of coded packets, or the burst pattern of the CodeGen
-// handshake. A Recorder wraps any transport.Conn; several Recorders sharing
-// one Clock produce a cluster-wide timeline.
+// Package trace is the cluster-wide stage log: every node's completed
+// stages, as the engine runtime's per-stage hook reports them, stamped
+// against a shared clock and tagged with the recovery attempt they ran
+// under, plus the per-stage rollup a metrics endpoint exposes.
 package trace
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
 
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
 )
-
-// Kind classifies an event.
-type Kind int
-
-const (
-	// KindSend is a completed Send call.
-	KindSend Kind = iota
-	// KindRecv is a completed Recv call.
-	KindRecv
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case KindSend:
-		return "send"
-	case KindRecv:
-		return "recv"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// Event is one recorded transport operation.
-type Event struct {
-	At    time.Duration // clock time at completion
-	Node  int           // rank that performed the operation
-	Kind  Kind
-	Peer  int
-	Tag   transport.Tag
-	Bytes int
-}
-
-// String renders the event as one log line.
-func (e Event) String() string {
-	arrow := "->"
-	if e.Kind == KindRecv {
-		arrow = "<-"
-	}
-	return fmt.Sprintf("%12v node %2d %s %2d  tag=%#x  %d B", e.At, e.Node, arrow, e.Peer, uint64(e.Tag), e.Bytes)
-}
-
-// Recorder wraps a Conn and records its operations against a shared clock.
-// It keeps at most capacity events (oldest dropped first).
-type Recorder struct {
-	inner    transport.Conn
-	clock    stats.Clock
-	capacity int
-
-	mu      sync.Mutex
-	events  []Event
-	dropped int64
-}
-
-// New wraps c with event recording. capacity <= 0 selects a default of
-// 65536 events.
-func New(c transport.Conn, clock stats.Clock, capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = 65536
-	}
-	return &Recorder{inner: c, clock: clock, capacity: capacity}
-}
-
-// Rank implements transport.Conn.
-func (r *Recorder) Rank() int { return r.inner.Rank() }
-
-// Size implements transport.Conn.
-func (r *Recorder) Size() int { return r.inner.Size() }
-
-// Send implements transport.Conn, recording the event on success.
-func (r *Recorder) Send(to int, tag transport.Tag, payload []byte) error {
-	if err := r.inner.Send(to, tag, payload); err != nil {
-		return err
-	}
-	r.record(Event{At: r.clock.Now(), Node: r.Rank(), Kind: KindSend, Peer: to, Tag: tag, Bytes: len(payload)})
-	return nil
-}
-
-// Recv implements transport.Conn, recording the event on success.
-func (r *Recorder) Recv(from int, tag transport.Tag) ([]byte, error) {
-	p, err := r.inner.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	r.record(Event{At: r.clock.Now(), Node: r.Rank(), Kind: KindRecv, Peer: from, Tag: tag, Bytes: len(p)})
-	return p, nil
-}
-
-// Close implements transport.Conn.
-func (r *Recorder) Close() error { return r.inner.Close() }
-
-func (r *Recorder) record(e Event) {
-	r.mu.Lock()
-	if len(r.events) >= r.capacity {
-		r.events = r.events[1:]
-		r.dropped++
-	}
-	r.events = append(r.events, e)
-	r.mu.Unlock()
-}
-
-// Events returns a snapshot of the recorded events in record order.
-func (r *Recorder) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.events...)
-}
-
-// Dropped returns how many events were evicted by the capacity bound.
-func (r *Recorder) Dropped() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Summary aggregates a set of events.
-type Summary struct {
-	Sends     int
-	Recvs     int
-	SentBytes int64
-	RecvBytes int64
-}
-
-// Summarize folds events into totals.
-func Summarize(events []Event) Summary {
-	var s Summary
-	for _, e := range events {
-		switch e.Kind {
-		case KindSend:
-			s.Sends++
-			s.SentBytes += int64(e.Bytes)
-		case KindRecv:
-			s.Recvs++
-			s.RecvBytes += int64(e.Bytes)
-		}
-	}
-	return s
-}
-
-// Merge combines the timelines of several recorders into one sequence
-// ordered by timestamp (stable for equal times).
-func Merge(recorders ...*Recorder) []Event {
-	var all []Event
-	for _, r := range recorders {
-		all = append(all, r.Events()...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	return all
-}
-
-// Write dumps events as text, one line each.
-func Write(w io.Writer, events []Event) error {
-	for _, e := range events {
-		if _, err := fmt.Fprintln(w, e.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // StageRecord is one node's completed stage execution, reported through
-// the engine runtime's per-stage hooks — the stage-level counterpart of
-// the transport-level Event.
+// the engine runtime's per-stage hook.
 type StageRecord struct {
 	// At is the clock time at stage completion.
 	At time.Duration
@@ -187,7 +23,7 @@ type StageRecord struct {
 	Attempt int
 	// Node is the rank that ran the stage.
 	Node int
-	// Stage is the timeline column the stage was charged to.
+	// Stage is the breakdown column the stage was charged to.
 	Stage stats.Stage
 	// Elapsed is the stage's measured duration.
 	Elapsed time.Duration
@@ -209,7 +45,7 @@ func (r StageRecord) String() string {
 
 // StageLog collects StageRecords from several nodes against a shared
 // clock. It is the sink the cluster runtime wires into the engines'
-// per-stage hooks, replacing inline instrumentation.
+// per-stage hook, in process and from TCP workers' progress frames alike.
 type StageLog struct {
 	clock stats.Clock
 
@@ -238,8 +74,8 @@ func (l *StageLog) NewAttempt() int {
 
 // Observe registers fn to receive every record as it is appended, after
 // the log's own bookkeeping. It is how live consumers (job status, metrics
-// exposition) ride the same hook chain as the log without a second wiring
-// path. fn runs on the recording goroutine, outside the log's lock.
+// exposition) ride the same hook as the log without a second wiring path.
+// fn runs on the recording goroutine, outside the log's lock.
 func (l *StageLog) Observe(fn func(StageRecord)) {
 	l.mu.Lock()
 	l.observer = fn
@@ -299,32 +135,4 @@ func (t StageTotals) Add(rec StageRecord) {
 	}
 	tot.Seconds += rec.Elapsed.Seconds()
 	t[rec.Stage] = tot
-}
-
-// TotalsOf rolls a set of records up into per-stage totals.
-func TotalsOf(records []StageRecord) StageTotals {
-	t := StageTotals{}
-	for _, rec := range records {
-		t.Add(rec)
-	}
-	return t
-}
-
-// SenderOrder returns the distinct sender ranks of the send events in
-// first-appearance order — the tool for asserting the Fig 9 serial
-// schedule (senders must appear in rank order, each completing before the
-// next begins).
-func SenderOrder(events []Event, tagFilter func(transport.Tag) bool) []int {
-	var order []int
-	seen := map[int]bool{}
-	for _, e := range events {
-		if e.Kind != KindSend || (tagFilter != nil && !tagFilter(e.Tag)) {
-			continue
-		}
-		if !seen[e.Node] {
-			seen[e.Node] = true
-			order = append(order, e.Node)
-		}
-	}
-	return order
 }
