@@ -255,11 +255,10 @@ func BenchmarkFig8CoordinatorWorkerTCP(b *testing.B) {
 
 // fig9Run measures the shuffle stage under light traffic shaping so the
 // schedule, not the in-memory copy, dominates.
-func fig9Run(b *testing.B, alg cluster.Algorithm, r int, tree bool) float64 {
+func fig9Run(b *testing.B, alg cluster.Algorithm, r int) float64 {
 	b.Helper()
 	job, err := cluster.RunLocal(cluster.Spec{
-		Algorithm: alg, K: 6, R: r, Rows: 30000, Seed: 9,
-		RateMbps: 2000, TreeMulticast: tree,
+		Algorithm: alg, K: 6, R: r, Rows: 30000, Seed: 9, RateMbps: 2000,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -270,39 +269,27 @@ func fig9Run(b *testing.B, alg cluster.Algorithm, r int, tree bool) float64 {
 func BenchmarkFig9aSerialUnicastShuffle(b *testing.B) {
 	var s float64
 	for i := 0; i < b.N; i++ {
-		s = fig9Run(b, cluster.AlgTeraSort, 0, false)
+		s = fig9Run(b, cluster.AlgTeraSort, 0)
 	}
 	b.ReportMetric(s, "shuffle_s")
 }
 
+// BenchmarkFig9bSerialMulticastShuffle sweeps r at K = 6. Roots take turns;
+// each packet relays down its group's chain, so the root's egress carries
+// it once whatever r is.
 func BenchmarkFig9bSerialMulticastShuffle(b *testing.B) {
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s = fig9Run(b, cluster.AlgCoded, 3, false)
+	for _, r := range []int{2, 3, 5} {
+		b.Run(benchName("r", r), func(b *testing.B) {
+			var s float64
+			for i := 0; i < b.N; i++ {
+				s = fig9Run(b, cluster.AlgCoded, r)
+			}
+			b.ReportMetric(s, "shuffle_s")
+		})
 	}
-	b.ReportMetric(s, "shuffle_s")
 }
 
 // --- Ablations -----------------------------------------------------------
-
-// Multicast strategy: the paper's serial per-receiver broadcast vs the
-// binomial tree MPI_Bcast uses (Section V-C discusses the tree's log(r)
-// cost; the tree shortens wall-clock shuffle at equal load).
-func BenchmarkAblationMulticastSequential(b *testing.B) {
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s = fig9Run(b, cluster.AlgCoded, 3, false)
-	}
-	b.ReportMetric(s, "shuffle_s")
-}
-
-func BenchmarkAblationMulticastTree(b *testing.B) {
-	var s float64
-	for i := 0; i < b.N; i++ {
-		s = fig9Run(b, cluster.AlgCoded, 3, true)
-	}
-	b.ReportMetric(s, "shuffle_s")
-}
 
 // Redundancy sweep at K=6 (the "impact of r" trend of Section V-C): load
 // falls as ~1/r while CodeGen group count rises as C(K, r+1).
@@ -415,7 +402,7 @@ func BenchmarkRawTeraSortDriver(b *testing.B) {
 			wg.Add(1)
 			go func(rank int) {
 				defer wg.Done()
-				ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+				ep := transport.WithCollectives(mesh.Endpoint(rank))
 				if _, err := codedpkg.Run(ep, cfg); err != nil {
 					b.Error(err)
 				}
@@ -579,7 +566,7 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 				wg.Add(1)
 				go func(rank int) {
 					defer wg.Done()
-					ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+					ep := transport.WithCollectives(mesh.Endpoint(rank))
 					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Filter: match})
 					if err != nil {
 						b.Error(err)

@@ -77,12 +77,12 @@ func TestPartitionFlagsReachTheEngine(t *testing.T) {
 // TestEveryJobFlagReachesTheJob: the rest of the shared surface, at its
 // spec field; -strategy is honoured or refused, never dropped.
 func TestEveryJobFlagReachesTheJob(t *testing.T) {
-	mr := parse(t, "", "-k", "6", "-r", "3", "-strategy", "resolvable", "-dist", "zipf", "-tree",
+	mr := parse(t, "", "-k", "6", "-r", "3", "-strategy", "resolvable", "-dist", "zipf",
 		"-rate", "50", "-permsg", "1ms", "-chunk", "64", "-window", "2", "-membudget", "65536",
 		"-spilldir", "/tmp/x", "-procs", "2", "-stragglers", "4", "-straggler-rank", "1", "-max-attempts", "2",
 		"-deadline", "3s")
 	s := mr.Spec
-	if s.K != 6 || s.R != 3 || s.Placement != "resolvable" || s.DistName != "zipf" || !s.TreeMulticast ||
+	if s.K != 6 || s.R != 3 || s.Placement != "resolvable" || s.DistName != "zipf" ||
 		s.RateMbps != 50 || s.PerMessage.Milliseconds() != 1 || s.ChunkRows != 64 || s.Window != 2 ||
 		s.MemBudget != 65536 || s.SpillDir != "/tmp/x" || s.Parallelism != 2 ||
 		s.StragglerFactor != 4 || s.StragglerRank != 1 || s.MaxAttempts != 2 || s.StageDeadline != 3*time.Second {

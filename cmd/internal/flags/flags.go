@@ -46,12 +46,11 @@ func (j *Job) RegisterCommon(fs *flag.FlagSet, defaultK int) {
 }
 
 // RegisterCoded binds the CodedTeraSort-only flags: the redundancy
-// parameter, the placement/coding strategy and the multicast strategy.
+// parameter and the placement/coding strategy.
 func (j *Job) RegisterCoded(fs *flag.FlagSet, defaultR int) {
 	fs.IntVar(&j.R, "r", defaultR, "redundancy parameter (each file mapped on r nodes)")
 	fs.StringVar(&j.Placement, "strategy", "",
 		"placement/coding strategy: clique (the paper's scheme, default) or resolvable (q^(r-1) subfiles and far fewer groups at large K; needs K divisible by r)")
-	fs.BoolVar(&j.TreeMulticast, "tree", false, "binomial-tree multicast instead of serial")
 }
 
 // RegisterFaults binds the straggler/failure-resilience flags: the
@@ -89,7 +88,7 @@ func (j *Job) For(alg job.Algorithm) job.Spec {
 		spec.StragglerFactor, spec.StragglerRank = 0, 0
 	}
 	if alg == job.AlgTeraSort {
-		spec.R, spec.Placement, spec.TreeMulticast = 0, "", false
+		spec.R, spec.Placement = 0, ""
 	} else {
 		spec.InputDir = ""
 	}

@@ -21,7 +21,7 @@ func TestRegisterAndFor(t *testing.T) {
 	j.RegisterInDir(fs)
 	err := fs.Parse([]string{
 		"-k", "6", "-r", "2", "-rows", "1234", "-seed", "99", "-dist", "skewed",
-		"-tree", "-rate", "100", "-permsg", "5ms", "-chunk", "500",
+		"-strategy", "resolvable", "-rate", "100", "-permsg", "5ms", "-chunk", "500",
 		"-window", "8", "-membudget", "65536", "-spilldir", "/tmp/x",
 		"-indir", "/tmp/in", "-procs", "4",
 	})
@@ -31,7 +31,7 @@ func TestRegisterAndFor(t *testing.T) {
 
 	coded := j.For(job.AlgCoded)
 	if coded.K != 6 || coded.R != 2 || coded.Rows != 1234 || coded.Seed != 99 ||
-		coded.DistName != "skewed" || !coded.TreeMulticast || coded.RateMbps != 100 ||
+		coded.DistName != "skewed" || coded.Placement != "resolvable" || coded.RateMbps != 100 ||
 		coded.PerMessage != 5*time.Millisecond || coded.ChunkRows != 500 ||
 		coded.Window != 8 || coded.MemBudget != 65536 || coded.SpillDir != "/tmp/x" ||
 		coded.Parallelism != 4 {
@@ -45,7 +45,7 @@ func TestRegisterAndFor(t *testing.T) {
 	}
 
 	tera := j.For(job.AlgTeraSort)
-	if tera.R != 0 || tera.TreeMulticast {
+	if tera.R != 0 || tera.Placement != "" {
 		t.Fatalf("terasort spec kept coded-only knobs: %+v", tera)
 	}
 	if tera.InputDir != "/tmp/in" {
@@ -127,7 +127,7 @@ func TestEveryFlagLandsInTheSpec(t *testing.T) {
 	field := map[string]string{
 		"k": "K", "r": "R", "strategy": "Placement", "rows": "Rows", "seed": "Seed",
 		"dist": "DistName", "partition": "Partitioning", "samples": "SampleSize",
-		"tree": "TreeMulticast", "rate": "RateMbps", "permsg": "PerMessage",
+		"rate": "RateMbps", "permsg": "PerMessage",
 		"chunk": "ChunkRows", "window": "Window", "membudget": "MemBudget",
 		"spilldir": "SpillDir", "indir": "InputDir", "procs": "Parallelism",
 		"stragglers": "StragglerFactor", "straggler-rank": "StragglerRank",

@@ -26,7 +26,11 @@
 // machine, byte-identical to the uncoded oracle (DESIGN.md section 15).
 // There is one sort engine, internal/coded: CodedTeraSort at any
 // redundancy r, with conventional TeraSort as its r = 1 endpoint (groups
-// of two members: unicast shuffle, identity coding, no CodeGen). It is a
+// of two members: unicast shuffle, identity coding, no CodeGen). Its
+// multicast is application-layer, as the paper's MPI_Bcast is: each coded
+// packet relays down a chain of its group (transport.ChainBcast), so the
+// root's egress carries it once and members forward it on their own links
+// while the next root sends. The engine is a
 // thin stage-graph builder over internal/engine, the execution runtime: a
 // job is a declarative DAG of typed stages
 // (Map, Pack/Encode, Shuffle, Unpack/Decode, Reduce) with explicit

@@ -29,6 +29,35 @@ func TestRunLocalTeraSort(t *testing.T) {
 	}
 }
 
+// TestWireBytesAreRCopiesOfLoad: each multicast packet crosses exactly r
+// links (the root's send and r-1 relays' forwards), so the wire bytes
+// summed over the ranks are r times the shuffle load, which counts a packet
+// once — monolithic and chunked. Per rank the relays carry part of it; at
+// r = 1 there is nothing to relay and every rank's wire bytes are its load.
+func TestWireBytesAreRCopiesOfLoad(t *testing.T) {
+	for _, c := range []struct{ k, r int }{{4, 1}, {4, 2}, {6, 3}} {
+		for _, chunkRows := range []int{0, 64} {
+			t.Run(fmt.Sprintf("k=%d/r=%d/chunk=%d", c.k, c.r, chunkRows), func(t *testing.T) {
+				job, err := RunLocal(Spec{Algorithm: AlgCoded, K: c.k, R: c.r, Rows: 3000, Seed: 5, ChunkRows: chunkRows})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var wire, sent int64
+				for _, w := range job.Workers {
+					wire += w.WireBytes
+					sent += w.SentBytes
+					if c.r == 1 && w.WireBytes != w.SentBytes {
+						t.Fatalf("rank %d: wire %d bytes, sent %d", w.Rank, w.WireBytes, w.SentBytes)
+					}
+				}
+				if sent == 0 || wire != int64(c.r)*sent {
+					t.Fatalf("wire %d bytes, want r=%d x sent %d", wire, c.r, sent)
+				}
+			})
+		}
+	}
+}
+
 func TestRunLocalCoded(t *testing.T) {
 	job, err := RunLocal(Spec{Algorithm: AlgCoded, K: 5, R: 2, Rows: 5000, Seed: 2})
 	if err != nil {

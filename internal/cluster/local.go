@@ -331,7 +331,7 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, rank RankFunc, con
 					mon.StageEnd(ev.Rank, ev.Stage)
 				}
 			}
-			rep, err := rank(transport.WithCollectives(meter, spec.Strategy()), attemptSpec, hooks)
+			rep, err := rank(transport.WithCollectives(meter), attemptSpec, hooks)
 			if err != nil {
 				errs[r] = err
 				// Any exited worker strands its peers at a barrier or a

@@ -100,7 +100,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		shaped = netem.Limit(mesh, netem.Options{RateMbps: spec.RateMbps, PerMessage: spec.PerMessage})
 	}
 	meter := transport.NewMeter(shaped)
-	ep := transport.WithCollectives(meter, spec.Strategy())
+	ep := transport.WithCollectives(meter)
 
 	// Budget-bounded workers never materialize their partition: the sorted
 	// blocks stream through a local checker that self-verifies order and

@@ -13,8 +13,10 @@
 //  3. Map — hash every stored file, keeping only the relevant intermediate
 //     values (I^k_S and {I^i_S : i not in S}, Fig 5).
 //  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
-//  5. Multicast Shuffling — serial multicast, one sender at a time, each
-//     packet broadcast to the other members of its group (Fig 9).
+//  5. Multicast Shuffling — serial multicast, one root at a time, each
+//     packet broadcast to the other members of its group (Fig 9) by relay
+//     down the group's chain: the root sends it once and every member
+//     forwards it to the next, so relays forward while the next root sends.
 //  6. Decode — cancel known segments from received packets to recover the
 //     needed intermediate values (Algorithm 2).
 //  7. Reduce — locally sort partition k.
@@ -675,10 +677,12 @@ func memberSlots[T any](groups []placement.Group) [][]T {
 	return out
 }
 
-// multicastStage runs the serial schedule of Fig 9: one sender at a time
+// multicastStage runs the serial schedule of Fig 9: one root at a time
 // (rank order), each broadcasting its packets to its groups one after
 // another. Receives run concurrently, roots in ascending rank order, so the
-// single active sender streams without blocking.
+// single active root streams without blocking; a receive that relays
+// forwards the packet before returning it, on this node's own egress, while
+// the root moves on.
 func (w *worker) multicastStage(ctx *engine.Context) error {
 	w.received = memberSlots[[]byte](w.myGroups)
 	recvErr := make(chan error, 1)

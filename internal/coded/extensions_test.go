@@ -52,14 +52,17 @@ func TestParallelShuffleMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestParallelWithTreeMulticast(t *testing.T) {
-	cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 33, TreeMulticast: true, ParallelShuffle: true})
-	results := runAll(t, cfg)
-	all := allOutput(results)
+// TestParallelShuffleRelays: with every root sending at once, each member
+// of a group of four relays other roots' packets and chunks while it
+// multicasts its own (K = 6, r = 3), monolithic and chunked.
+func TestParallelShuffleRelays(t *testing.T) {
 	want := kv.NewGenerator(33, kv.DistUniform).Generate(0, 3000)
 	want.Sort()
-	if !all.Equal(want) {
-		t.Fatalf("parallel tree multicast output wrong")
+	for _, chunkRows := range []int{0, 64} {
+		cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 33, ParallelShuffle: true, ChunkRows: chunkRows})
+		if all := allOutput(runAll(t, cfg)); !all.Equal(want) {
+			t.Fatalf("chunkRows=%d: parallel relayed multicast output wrong", chunkRows)
+		}
 	}
 }
 

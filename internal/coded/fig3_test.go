@@ -67,7 +67,7 @@ func TestFig3Walkthrough(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(rank), transport.BcastSequential)
+			ep := transport.WithCollectives(mesh.Endpoint(rank))
 			results[rank], errs[rank] = Run(ep, cfg)
 		}(r)
 	}

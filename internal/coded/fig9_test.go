@@ -10,69 +10,88 @@ import (
 	"codedterasort/internal/transport/memnet"
 )
 
-// sentMsg is one completed Send: the sending rank, its tag and payload size.
-type sentMsg struct {
-	node  int
-	tag   transport.Tag
-	bytes int
+// wireEvent is one completed Send (node to peer) or Recv (at node, from
+// peer): its tag and payload size.
+type wireEvent struct {
+	recv       bool
+	node, peer int
+	tag        transport.Tag
+	bytes      int
 }
 
-// sendLog collects the completed sends of every rank of a cluster in
-// completion order.
-type sendLog struct {
-	mu    sync.Mutex
-	sends []sentMsg
+// wireLog collects the completed sends and receives of every rank of a
+// cluster in completion order.
+type wireLog struct {
+	mu     sync.Mutex
+	events []wireEvent
 }
 
-// recordingConn is a Conn that appends each completed Send to a shared log.
+func (l *wireLog) add(e wireEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// recordingConn is a Conn that appends each completed Send and Recv to a
+// shared log.
 type recordingConn struct {
 	transport.Conn
-	log *sendLog
+	log *wireLog
 }
 
 func (c recordingConn) Send(to int, tag transport.Tag, payload []byte) error {
 	if err := c.Conn.Send(to, tag, payload); err != nil {
 		return err
 	}
-	c.log.mu.Lock()
-	c.log.sends = append(c.log.sends, sentMsg{node: c.Rank(), tag: tag, bytes: len(payload)})
-	c.log.mu.Unlock()
+	c.log.add(wireEvent{node: c.Rank(), peer: to, tag: tag, bytes: len(payload)})
 	return nil
 }
 
-// tracedShuffleSends runs every rank of the job over an in-memory mesh
-// with sequential broadcast and returns the shuffle sends (stage byte
-// tagMulticast in the tag) in completion order.
-func tracedShuffleSends(t *testing.T, spec job.Spec) []sentMsg {
+func (c recordingConn) Recv(from int, tag transport.Tag) ([]byte, error) {
+	p, err := c.Conn.Recv(from, tag)
+	if err != nil {
+		return nil, err
+	}
+	c.log.add(wireEvent{recv: true, node: c.Rank(), peer: from, tag: tag, bytes: len(p)})
+	return p, nil
+}
+
+// tracedShuffle runs every rank of the job over an in-memory mesh and
+// returns the shuffle traffic (stage byte tagMulticast in the tag), sends
+// and receives, in completion order.
+func tracedShuffle(t *testing.T, spec job.Spec) []wireEvent {
 	t.Helper()
 	mesh := memnet.NewMesh(spec.K)
 	defer mesh.Close()
-	log := &sendLog{}
+	log := &wireLog{}
 	var wg sync.WaitGroup
 	for rank := 0; rank < spec.K; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(recordingConn{mesh.Endpoint(rank), log}, transport.BcastSequential)
+			ep := transport.WithCollectives(recordingConn{mesh.Endpoint(rank), log})
 			if _, err := Run(ep, Config{Spec: spec}); err != nil {
 				t.Error(err)
 			}
 		}(rank)
 	}
 	wg.Wait()
-	var shuffle []sentMsg
-	for _, s := range log.sends {
-		if uint8(s.tag>>56) == tagMulticast {
-			shuffle = append(shuffle, s)
+	var shuffle []wireEvent
+	for _, e := range log.events {
+		if uint8(e.tag>>56) == tagMulticast {
+			shuffle = append(shuffle, e)
 		}
 	}
 	return shuffle
 }
 
+// tagRoot is the multicast root groupTag encodes in a shuffle tag.
+func tagRoot(tag transport.Tag) int { return int(tag >> 48 & 0xFF) }
+
 // assertSerialSenders checks the Fig 9 schedule: senders take the wire
 // strictly in rank order, each finishing all its sends before the next
 // sender's first (the token-chained schedule).
-func assertSerialSenders(t *testing.T, sends []sentMsg, k int) {
+func assertSerialSenders(t *testing.T, sends []wireEvent, k int) {
 	t.Helper()
 	var order []int
 	firstOf, lastOf := map[int]int{}, map[int]int{}
@@ -100,11 +119,11 @@ func assertSerialSenders(t *testing.T, sends []sentMsg, k int) {
 // rank order.
 func TestFig9aSerialScheduleObserved(t *testing.T) {
 	const k = 4
-	var sends []sentMsg
+	var sends []wireEvent
 	// Shuffle payload sends carry a non-empty payload.
-	for _, s := range tracedShuffleSends(t, job.Spec{Algorithm: job.AlgTeraSort, K: k, Rows: 2000, Seed: 3}) {
-		if s.bytes > 0 {
-			sends = append(sends, s)
+	for _, e := range tracedShuffle(t, job.Spec{Algorithm: job.AlgTeraSort, K: k, Rows: 2000, Seed: 3}) {
+		if !e.recv && e.bytes > 0 {
+			sends = append(sends, e)
 		}
 	}
 	if len(sends) != k*(k-1) {
@@ -123,16 +142,54 @@ func TestFig9aSerialScheduleObserved(t *testing.T) {
 }
 
 // TestFig9bSerialMulticastObserved traces a CodedTeraSort multicast
-// shuffle and asserts the Fig 9(b) property: multicast roots take the
-// wire strictly in rank order, each finishing its groups before the next
-// root starts.
+// shuffle and asserts the Fig 9(b) property, which is about roots: the
+// sends multicast roots make take the wire strictly in rank order, each
+// root finishing its groups before the next root starts. Relays may still
+// be forwarding a root's packets after its turn. Every (group, root)
+// packet crosses exactly r links: one send by the root, and r-1 by members
+// that had already received it.
 func TestFig9bSerialMulticastObserved(t *testing.T) {
 	const k, r = 4, 2
-	sends := tracedShuffleSends(t, job.Spec{Algorithm: job.AlgCoded, K: k, R: r, Rows: 2000, Seed: 4})
-	// Each node roots C(K-1, r) = 3 groups and unicasts each packet to r
-	// receivers: 4 * 3 * 2 = 24 wire sends.
-	if len(sends) != 24 {
-		t.Fatalf("%d multicast sends, want 24", len(sends))
+	events := tracedShuffle(t, job.Spec{Algorithm: job.AlgCoded, K: k, R: r, Rows: 2000, Seed: 4})
+	var rootSends []wireEvent
+	sendsOf := map[transport.Tag][]wireEvent{}
+	received := map[transport.Tag]map[int]bool{} // tag -> the members holding the packet
+	for _, e := range events {
+		if received[e.tag] == nil {
+			received[e.tag] = map[int]bool{tagRoot(e.tag): true}
+		}
+		if e.recv {
+			received[e.tag][e.node] = true
+			continue
+		}
+		if !received[e.tag][e.node] {
+			t.Fatalf("rank %d sent root %d's packet before receiving it", e.node, tagRoot(e.tag))
+		}
+		sendsOf[e.tag] = append(sendsOf[e.tag], e)
+		if e.node == tagRoot(e.tag) {
+			rootSends = append(rootSends, e)
+		}
 	}
-	assertSerialSenders(t, sends, k)
+	// Each node roots C(K-1, r) = 3 groups and each packet crosses r links:
+	// 4 * 3 * 2 = 24 wire sends, 12 of them by roots.
+	var total int
+	for tag, sends := range sendsOf {
+		total += len(sends)
+		if len(sends) != r {
+			t.Fatalf("root %d's packet crossed %d links, want %d", tagRoot(tag), len(sends), r)
+		}
+		var byRoot int
+		for _, s := range sends {
+			if s.node == tagRoot(tag) {
+				byRoot++
+			}
+		}
+		if byRoot != 1 {
+			t.Fatalf("root %d sent its packet %d times, want once", tagRoot(tag), byRoot)
+		}
+	}
+	if total != 24 || len(rootSends) != 12 {
+		t.Fatalf("%d multicast sends (%d by roots), want 24 (12)", total, len(rootSends))
+	}
+	assertSerialSenders(t, rootSends, k)
 }

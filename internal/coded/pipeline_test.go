@@ -11,25 +11,21 @@ import (
 
 // TestPipelinedMatchesMonolithic: the chunked streaming multicast shuffle
 // must produce exactly the per-rank partitions of the stage-by-stage
-// engine across redundancy, chunk size, window, multicast strategy and
-// schedule.
+// engine across redundancy, chunk size, window and schedule.
 func TestPipelinedMatchesMonolithic(t *testing.T) {
 	const k, rows, seed = 5, 2500, 31
 	for _, r := range []int{1, 2, 4} {
 		ref := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		for _, chunkRows := range []int{1, 50, 100000} {
 			for _, window := range []int{1, 3} {
-				for _, tree := range []bool{false, true} {
-					for _, parallel := range []bool{false, true} {
-						cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed,
-							TreeMulticast: tree, ParallelShuffle: parallel,
-							ChunkRows: chunkRows, Window: window})
-						results := runAll(t, cfg)
-						for rank := range results {
-							if !results[rank].Output.Equal(ref[rank].Output) {
-								t.Fatalf("r=%d chunkRows=%d window=%d tree=%v parallel=%v rank %d: output differs",
-									r, chunkRows, window, tree, parallel, rank)
-							}
+				for _, parallel := range []bool{false, true} {
+					cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed,
+						ParallelShuffle: parallel, ChunkRows: chunkRows, Window: window})
+					results := runAll(t, cfg)
+					for rank := range results {
+						if !results[rank].Output.Equal(ref[rank].Output) {
+							t.Fatalf("r=%d chunkRows=%d window=%d parallel=%v rank %d: output differs",
+								r, chunkRows, window, parallel, rank)
 						}
 					}
 				}

@@ -151,7 +151,7 @@ func TestRunDrivesStages(t *testing.T) {
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
 		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
-		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+		ep := transport.WithCollectives(mesh.Endpoint(r))
 		ctxs[r], errs[r] = Run(ep, build(r, r == 0), spec, stats.NewWallClock(), hooks)
 	}
 	var wg0, wg1 sync.WaitGroup
@@ -227,7 +227,7 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 				}
 				return nil
 			}})
-			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+			ep := transport.WithCollectives(mesh.Endpoint(r))
 			_, errs[r] = Run(ep, g, spec, stats.NewWallClock(), nil)
 		}(r)
 	}
@@ -251,7 +251,7 @@ func TestContextDeferLIFO(t *testing.T) {
 		ctx.Defer(func() { got = append(got, "b") })
 		return nil
 	}})
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	if _, err := Run(ep, g, resolved(t, job.Spec{K: 1}), stats.NewWallClock(), nil); err != nil {
 		t.Fatal(err)
 	}

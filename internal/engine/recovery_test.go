@@ -44,7 +44,7 @@ func TestKillFault(t *testing.T) {
 	run := func(r int, wg *sync.WaitGroup) {
 		defer wg.Done()
 		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
-		ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+		ep := transport.WithCollectives(mesh.Endpoint(r))
 		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), spec, stats.NewWallClock(), hooks)
 	}
 	wg0.Add(1)
@@ -84,7 +84,7 @@ func TestSlowFault(t *testing.T) {
 			reduceElapsed = ev.Elapsed
 		}
 	}
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	const delay = 30 * time.Millisecond
 	spec := resolved(t, job.Spec{K: 1, Faults: []job.FaultSpec{
 		// The kill on the same column is listed second: the first wins.

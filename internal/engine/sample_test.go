@@ -45,7 +45,7 @@ func TestSampleSplitters(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(mesh.Endpoint(r), transport.BcastSequential)
+			ep := transport.WithCollectives(mesh.Endpoint(r))
 			ctx := newContext(ep, spec, ModeMono)
 			got[r], errs[r] = ctx.SampleSplitters(gatherTag, bcastTag, samples[r])
 			counted[r] = ctx.Counters.SampleBytes
@@ -76,7 +76,7 @@ func TestSampleSplitters(t *testing.T) {
 func TestSampleSplittersCorruptSample(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, resolved(t, job.Spec{K: 1, Partitioning: "sample"}), ModeMono)
 	_, err := ctx.SampleSplitters(transport.MakeTag(0x7E, 1, 0xFFFF),
 		transport.MakeTag(0x7E, 2, 0xFFFF), []byte{1, 2, 3})
@@ -88,7 +88,7 @@ func TestSampleSplittersCorruptSample(t *testing.T) {
 func TestContextSorterAndSpillAppend(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, resolved(t, job.Spec{K: 1, MemBudget: 1 << 20, SpillDir: t.TempDir()}), ModeSpill)
 	if err := ctx.SpillAppend(kv.MakeRecords(0)); err == nil {
 		t.Fatal("SpillAppend before the sorter exists must error")
@@ -109,7 +109,7 @@ func TestContextSorterAndSpillAppend(t *testing.T) {
 func TestContextScheduleParallel(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	ctx := newContext(ep, resolved(t, job.Spec{K: 1, ParallelShuffle: true}), ModeMono)
 	ran := false
 	if err := ctx.Schedule(transport.MakeTag(0x7E, 3, 0xFFFF), func() error { ran = true; return nil }); err != nil {

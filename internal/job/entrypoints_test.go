@@ -35,7 +35,7 @@ func TestEveryEntryPointRejects(t *testing.T) {
 	defer coord.Close()
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
-	ep := transport.WithCollectives(mesh.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(mesh.Endpoint(0))
 	identity := mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) {
 		emit(rec[:kv.KeySize], rec[kv.KeySize:])
 	})

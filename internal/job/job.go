@@ -19,7 +19,6 @@ import (
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
 )
 
 // Algorithm selects which sorting algorithm a job runs.
@@ -80,9 +79,6 @@ type Spec struct {
 	// the in-graph sampling round; empty leaves the round to the engine.
 	// Requires Partitioning "sample".
 	Splitters [][]byte `json:"splitters,omitempty"`
-	// TreeMulticast selects binomial-tree multicast instead of the
-	// paper's serial per-receiver multicast.
-	TreeMulticast bool `json:"tree_multicast,omitempty"`
 	// RateMbps, when positive, rate-limits every worker's egress — the
 	// paper's 100 Mbps tc configuration.
 	RateMbps float64 `json:"rate_mbps,omitempty"`
@@ -239,14 +235,6 @@ func (s Spec) Redundancy() int {
 // Sampled reports whether the spec asks for sampled partitioning.
 func (s Spec) Sampled() bool {
 	return partition.Policy(s.Partitioning) == partition.PolicySample
-}
-
-// Strategy returns the multicast strategy of the spec.
-func (s Spec) Strategy() transport.BcastStrategy {
-	if s.TreeMulticast {
-		return transport.BcastBinomialTree
-	}
-	return transport.BcastSequential
 }
 
 // Dist returns the input key distribution of a validated spec (Resolve

@@ -12,7 +12,6 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
-	"codedterasort/internal/transport"
 )
 
 // invalid is one job that no entry point may accept: a spec, what is
@@ -123,13 +122,13 @@ func TestResolveDerives(t *testing.T) {
 		r.ChunkRows != 0 || r.Window != 0 || r.MaxAttempts != 1 || r.Heartbeat != 0 {
 		t.Fatalf("bare TeraSort resolved to %+v", r)
 	}
-	if r.Strategy() != transport.BcastSequential || r.Sampled() || r.Redundancy() != 1 {
-		t.Fatalf("bare TeraSort accessors: %v %v %v", r.Strategy(), r.Sampled(), r.Redundancy())
+	if r.Sampled() || r.Redundancy() != 1 {
+		t.Fatalf("bare TeraSort accessors: %v %v", r.Sampled(), r.Redundancy())
 	}
-	// Coded, resolvable, named distribution, tree multicast.
-	r = resolve(coded(job.Spec{K: 6, R: 3, Placement: "resolvable", DistName: "zipf", TreeMulticast: true}), job.Local{})
+	// Coded, resolvable, named distribution.
+	r = resolve(coded(job.Spec{K: 6, R: 3, Placement: "resolvable", DistName: "zipf"}), job.Local{})
 	if r.R != 3 || r.Strat.Kind() != placement.KindResolvable || r.KeyDist != kv.DistZipf ||
-		r.Strategy() != transport.BcastBinomialTree || r.Dist() != kv.DistZipf {
+		r.Dist() != kv.DistZipf {
 		t.Fatalf("coded resolvable resolved to %+v", r)
 	}
 	// Pipelining fills the default window; explicit knobs are untouched.
@@ -202,8 +201,8 @@ func TestFaultsWithout(t *testing.T) {
 // fullSpec has every field set, to a value no other field has.
 var fullSpec = job.Spec{Algorithm: job.AlgCoded, K: 4, R: 2, Placement: "resolvable", Rows: 1 << 20, Seed: 9,
 	DistName: "zipf", Partitioning: "sample", SampleSize: 2048,
-	Splitters:     [][]byte{{0x40}, {0x80, 0x01}, {0xc0, 0xff, 0xee}},
-	TreeMulticast: true, RateMbps: 100, PerMessage: 50 * time.Millisecond, ParallelShuffle: true,
+	Splitters: [][]byte{{0x40}, {0x80, 0x01}, {0xc0, 0xff, 0xee}}, RateMbps: 100,
+	PerMessage: 50 * time.Millisecond, ParallelShuffle: true,
 	StragglerFactor: 4, StragglerRank: 1, KeepOutput: true,
 	ChunkRows: 4096, Window: 8, MemBudget: 1 << 26, SpillDir: "/tmp/spill", InputDir: "/data/in",
 	Parallelism: 2,
@@ -215,7 +214,7 @@ var fullSpec = job.Spec{Algorithm: job.AlgCoded, K: 4, R: 2, Placement: "resolva
 // at commit 726ecd0, before the struct moved here: the coordinator's assign
 // frame and the sortd job body carry exactly these bytes.
 const (
-	fullSpecJSON = `{"algorithm":"codedterasort","k":4,"r":2,"placement":"resolvable","rows":1048576,"seed":9,"dist":"zipf","partitioning":"sample","sample_size":2048,"splitters":["QA==","gAE=","wP/u"],"tree_multicast":true,"rate_mbps":100,"per_message":50000000,"parallel_shuffle":true,"straggler_factor":4,"straggler_rank":1,"keep_output":true,"chunk_rows":4096,"window":8,"mem_budget":67108864,"spill_dir":"/tmp/spill","input_dir":"/data/in","parallelism":2,"faults":[{"rank":3,"stage":"Shuffle","kind":"slow","factor":4,"delay":1000000000},{"rank":1,"stage":"Map","kind":"kill"}],"stage_deadline":1000000000,"heartbeat":100000000,"max_attempts":2}`
+	fullSpecJSON = `{"algorithm":"codedterasort","k":4,"r":2,"placement":"resolvable","rows":1048576,"seed":9,"dist":"zipf","partitioning":"sample","sample_size":2048,"splitters":["QA==","gAE=","wP/u"],"rate_mbps":100,"per_message":50000000,"parallel_shuffle":true,"straggler_factor":4,"straggler_rank":1,"keep_output":true,"chunk_rows":4096,"window":8,"mem_budget":67108864,"spill_dir":"/tmp/spill","input_dir":"/data/in","parallelism":2,"faults":[{"rank":3,"stage":"Shuffle","kind":"slow","factor":4,"delay":1000000000},{"rank":1,"stage":"Map","kind":"kill"}],"stage_deadline":1000000000,"heartbeat":100000000,"max_attempts":2}`
 	minSpecJSON  = `{"algorithm":"terasort","k":2,"rows":0,"seed":0}`
 )
 

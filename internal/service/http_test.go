@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -153,5 +154,34 @@ func TestHTTPDrainFlow(t *testing.T) {
 	}
 	if !final.State.Finished() {
 		t.Fatalf("job not terminal after drain: %q", final.State)
+	}
+}
+
+// TestHTTPRefusesRetiredMulticastKnob: the multicast has no strategy left
+// to choose, and a body that still asks for the retired binomial tree gets
+// 400 (the decoder disallows unknown fields) instead of silently running
+// on the relay chain. The same body without the key is accepted.
+func TestHTTPRefusesRetiredMulticastKnob(t *testing.T) {
+	_, c := newTestAPI(t, Config{PoolSlots: 4})
+	post := func(extra string) int {
+		t.Helper()
+		body := `{"tenant":"t","spec":{"algorithm":"codedterasort","k":4,"r":2,"rows":500,"seed":1` + extra + `}}`
+		resp, err := http.Post(c.base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if got := post(`,"tree_multicast":true`); got != http.StatusBadRequest {
+		t.Fatalf("retired knob: HTTP %d, want 400", got)
+	}
+	if got := post(""); got != http.StatusAccepted {
+		t.Fatalf("same body without it: HTTP %d, want 202", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if jobs, err := c.Jobs(ctx, "t"); err != nil || len(jobs) != 1 {
+		t.Fatalf("want only the accepted job: %v, %v", jobs, err)
 	}
 }

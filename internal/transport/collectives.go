@@ -26,39 +26,18 @@ func groupIndex(group []int, rank int) ([]int, int, error) {
 	return nil, -1, fmt.Errorf("transport: rank %d not in group %v", rank, group)
 }
 
-// SeqBcast is the serial application-layer multicast of the paper's
-// Fig 9(b): the root sends the payload to every other group member
-// back-to-back in ascending rank order; each member posts one Recv.
-// All group members must call it with identical group/root/tag.
-func SeqBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
-	sorted, _, err := groupIndex(group, c.Rank())
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := groupIndex(group, root); err != nil {
-		return nil, err
-	}
-	if c.Rank() == root {
-		for _, m := range sorted {
-			if m == root {
-				continue
-			}
-			if err := c.Send(m, tag, payload); err != nil {
-				return nil, err
-			}
-		}
-		return payload, nil
-	}
-	return c.Recv(root, tag)
-}
-
-// TreeBcast relays the payload along a binomial tree rooted at root, the
-// algorithm MPI_Bcast uses for small clusters: in round j, every node that
-// already has the payload forwards it to the node 2^j positions away in
-// root-relative group order. It completes in ceil(log2(n)) rounds.
-// All group members must call it with identical group/root/tag.
-func TreeBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
-	sorted, selfIdx, err := groupIndex(group, c.Rank())
+// ChainBcast is the application-layer multicast: the payload relays down a
+// chain of the group — the root, then the other members in ascending rank,
+// wrapping around. The root sends it once, to its successor; every other
+// member receives it from its predecessor and forwards the same buffer to
+// its successor before returning it, and the last member only receives. The
+// payload crosses len(group)-1 links, as many as r unicasts from the root,
+// but each member's egress carries it at most once, so a relay forwards on
+// its own link while the root moves on to its next packet. A group of two
+// is one unicast. All group members must call it with identical
+// group/root/tag.
+func ChainBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
+	sorted, self, err := groupIndex(group, c.Rank())
 	if err != nil {
 		return nil, err
 	}
@@ -67,50 +46,18 @@ func TreeBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, 
 		return nil, err
 	}
 	n := len(sorted)
-	// Virtual rank: position relative to the root, so the root is vrank 0.
-	vrank := (selfIdx - rootIdx + n) % n
 	data := payload
-	if vrank != 0 {
-		// Receive from the parent: clear the lowest set bit of vrank.
-		parentV := vrank &^ (vrank & -vrank)
-		parent := sorted[(parentV+rootIdx)%n]
-		data, err = c.Recv(parent, tag)
-		if err != nil {
+	if self != rootIdx {
+		if data, err = c.Recv(sorted[(self+n-1)%n], tag); err != nil {
 			return nil, err
 		}
 	}
-	// Forward to children: vrank + 2^j for each j above our lowest set bit
-	// (for the root: all powers of two below n), descending so the farthest
-	// subtree starts first — the standard binomial schedule.
-	lowBit := n
-	if vrank != 0 {
-		lowBit = vrank & -vrank
-	}
-	for step := largestPow2Below(n); step >= 1; step >>= 1 {
-		if step >= lowBit {
-			continue
-		}
-		childV := vrank + step
-		if childV >= n {
-			continue
-		}
-		child := sorted[(childV+rootIdx)%n]
-		if err := c.Send(child, tag, data); err != nil {
+	if next := (self + 1) % n; next != rootIdx {
+		if err := c.Send(sorted[next], tag, data); err != nil {
 			return nil, err
 		}
 	}
 	return data, nil
-}
-
-func largestPow2Below(n int) int {
-	p := 1
-	for p*2 < n {
-		p *= 2
-	}
-	if n == 1 {
-		return 0
-	}
-	return p
 }
 
 // CentralBarrier blocks until every node of the Conn has entered the

@@ -42,11 +42,11 @@ func runRanks(t *testing.T, k int, timeout time.Duration, fn func(rank int) erro
 	return errs
 }
 
-// faultyBcast runs one Bcast over a K-node mesh where the root's egress
-// fails permanently after `successes` sends, closing the mesh once the
-// root errors (the teardown a failed job performs), and returns the
+// faultyBcast runs one Bcast rooted at root over a K-node mesh where the
+// egress of rank faulty fails on its first send, closing the mesh once that
+// rank errors (the teardown a failed job performs), and returns the
 // per-rank results.
-func faultyBcast(t *testing.T, strategy transport.BcastStrategy, k, successes int) []error {
+func faultyBcast(t *testing.T, k, root, faulty int) []error {
 	t.Helper()
 	mesh := memnet.NewMesh(k)
 	defer mesh.Close()
@@ -57,45 +57,38 @@ func faultyBcast(t *testing.T, strategy transport.BcastStrategy, k, successes in
 	payload := make([]byte, 1024)
 	return runRanks(t, k, 5*time.Second, func(rank int) error {
 		var conn transport.Conn = mesh.Endpoint(rank)
-		if rank == 0 {
-			conn = netem.Fail(conn, successes, errLink)
+		if rank == faulty {
+			conn = netem.Fail(conn, 0, errLink)
 		}
-		ep := transport.WithCollectives(conn, strategy)
 		var p []byte
-		if rank == 0 {
+		if rank == root {
 			p = payload
 		}
-		_, err := ep.Bcast(group, 0, transport.MakeTag(0x60, 0, 0), p)
-		if rank == 0 && err != nil {
-			// The failed root tears the job down; peers waiting on the
-			// dead link unblock with ErrClosed instead of hanging.
+		_, err := transport.WithCollectives(conn).Bcast(group, root, transport.MakeTag(0x60, 0, 0), p)
+		if rank == faulty && err != nil {
+			// The failed rank tears the job down; members downstream of
+			// the dead link unblock with ErrClosed instead of hanging.
 			mesh.Close()
 		}
 		return err
 	})
 }
 
-// TestBcastFaultyRootErrorsCleanly: for every point the root's link can
-// die at, sequential and tree multicast surface the injected error at the
-// root and never strand a receiver.
-func TestBcastFaultyRootErrorsCleanly(t *testing.T) {
-	const k = 4
-	// The root's own send count is where the link can die: K-1 serial
-	// unicasts sequentially, log2(K) child forwards in the binomial tree.
-	rootSends := map[transport.BcastStrategy]int{
-		transport.BcastSequential:   k - 1,
-		transport.BcastBinomialTree: 2,
-	}
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		for successes := 0; successes < rootSends[strategy]; successes++ {
-			errs := faultyBcast(t, strategy, k, successes)
-			if !errors.Is(errs[0], errLink) {
-				t.Fatalf("%v after %d sends: root error = %v, want injected failure", strategy, successes, errs[0])
-			}
-			for r := 1; r < k; r++ {
-				if errs[r] != nil && !errors.Is(errs[r], transport.ErrClosed) {
-					t.Fatalf("%v after %d sends: rank %d error = %v, want nil or ErrClosed", strategy, successes, r, errs[r])
-				}
+// TestBcastFaultyLinkErrorsCleanly: every link of the chain can die — the
+// root's, and each relay's forward. The member whose link died surfaces the
+// injected error, and no other member errors otherwise or hangs.
+func TestBcastFaultyLinkErrorsCleanly(t *testing.T) {
+	const k, root = 5, 2
+	// Chain order: the root, then the members above it, wrapping around.
+	for v := 0; v < k-1; v++ {
+		faulty := (root + v) % k
+		errs := faultyBcast(t, k, root, faulty)
+		if !errors.Is(errs[faulty], errLink) {
+			t.Fatalf("chain member %d (rank %d): error = %v, want injected failure", v, faulty, errs[faulty])
+		}
+		for r := 0; r < k; r++ {
+			if r != faulty && errs[r] != nil && !errors.Is(errs[r], transport.ErrClosed) {
+				t.Fatalf("link %d down: rank %d error = %v, want nil or ErrClosed", v, r, errs[r])
 			}
 		}
 	}
@@ -121,7 +114,7 @@ func TestBcastShapedLinkDelivers(t *testing.T) {
 			// shaper's queueing, fast enough for a test.
 			conn = netem.Limit(conn, netem.Options{RateMbps: 50, PerMessage: time.Millisecond})
 		}
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
+		ep := transport.WithCollectives(conn)
 		var p []byte
 		if rank == 0 {
 			p = payload
@@ -190,7 +183,7 @@ func TestBarrierFaultyArrivalErrorsCleanly(t *testing.T) {
 		if rank == 3 {
 			conn = netem.Fail(conn, 0, errLink)
 		}
-		ep := transport.WithCollectives(conn, transport.BcastSequential)
+		ep := transport.WithCollectives(conn)
 		err := ep.Barrier(transport.MakeTag(0x63, 0, 0))
 		if rank == 3 && err != nil {
 			mesh.Close()

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -118,54 +119,28 @@ func runGroup(t *testing.T, mesh *fakeMesh, group []int, fn func(c Conn) error) 
 	}
 }
 
-func TestSeqBcastSendPattern(t *testing.T) {
-	// The root of a sequential bcast sends one copy per receiver, in
-	// ascending rank order, and nobody else sends anything.
-	mesh := newFakeMesh(5)
-	group := []int{0, 2, 4}
+func TestChainBcastSendPattern(t *testing.T) {
+	// The chain of a sparse group rooted mid-group: the root, then the
+	// members above it, then wrapping to the lowest. The root sends exactly
+	// once, member v of the chain sends only to member v+1, the last member
+	// sends nothing — and the Endpoint's Bcast is this chain.
+	mesh := newFakeMesh(8)
+	group := []int{7, 0, 4, 2, 5}
 	runGroup(t, mesh, group, func(c Conn) error {
 		var p []byte
-		if c.Rank() == 2 {
+		if c.Rank() == 4 {
 			p = []byte("x")
 		}
-		_, err := SeqBcast(c, group, 2, 7, p)
+		_, err := WithCollectives(c).Bcast(group, 4, 7, p)
 		return err
 	})
-	want := []string{"2->0", "2->4"}
-	got := mesh.sendLog()
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+	want := []string{"4->5", "5->7", "7->0", "0->2"}
+	if got := mesh.sendLog(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("send log %v, want %v", got, want)
 	}
 }
 
-func TestTreeBcastSendPattern(t *testing.T) {
-	// Binomial tree over 4 members rooted at the first: root sends 2
-	// copies (to vranks 2 and 1), the vrank-2 node relays once. Total
-	// sends = n-1 = 3 and no node sends more than ceil(log2 n) times.
-	mesh := newFakeMesh(4)
-	group := []int{0, 1, 2, 3}
-	runGroup(t, mesh, group, func(c Conn) error {
-		var p []byte
-		if c.Rank() == 0 {
-			p = []byte("pkt")
-		}
-		_, err := TreeBcast(c, group, 0, 9, p)
-		return err
-	})
-	log := mesh.sendLog()
-	if len(log) != 3 {
-		t.Fatalf("tree bcast of 4 should send 3 messages, sent %v", log)
-	}
-	perSender := map[string]int{}
-	for _, s := range log {
-		perSender[s[:1]]++
-	}
-	if perSender["0"] != 2 || perSender["2"] != 1 {
-		t.Fatalf("unexpected tree shape: %v", log)
-	}
-}
-
-func TestTreeBcastAllRootsAllSizes(t *testing.T) {
+func TestChainBcastAllRootsAllSizes(t *testing.T) {
 	for size := 1; size <= 9; size++ {
 		group := make([]int, size)
 		for i := range group {
@@ -174,32 +149,33 @@ func TestTreeBcastAllRootsAllSizes(t *testing.T) {
 		for root := 0; root < size; root++ {
 			mesh := newFakeMesh(size)
 			payload := []byte{byte(root), byte(size)}
-			var wg sync.WaitGroup
-			errs := make([]error, size)
 			got := make([][]byte, size)
-			for i := 0; i < size; i++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					var p []byte
-					if rank == root {
-						p = payload
-					}
-					got[rank], errs[rank] = TreeBcast(mesh.conn(rank), group, root, 3, p)
-				}(i)
-			}
-			wg.Wait()
-			for rank := 0; rank < size; rank++ {
-				if errs[rank] != nil {
-					t.Fatalf("size=%d root=%d rank=%d: %v", size, root, rank, errs[rank])
+			runGroup(t, mesh, group, func(c Conn) error {
+				var p []byte
+				if c.Rank() == root {
+					p = payload
 				}
+				var err error
+				got[c.Rank()], err = ChainBcast(c, group, root, 3, p)
+				return err
+			})
+			for rank := range got {
 				if string(got[rank]) != string(payload) {
 					t.Fatalf("size=%d root=%d rank=%d: got %v", size, root, rank, got[rank])
 				}
 			}
-			// Exactly n-1 sends.
-			if n := len(mesh.sendLog()); n != size-1 {
-				t.Fatalf("size=%d root=%d: %d sends", size, root, n)
+			// n-1 sends, no member sending twice.
+			log := mesh.sendLog()
+			senders := map[string]bool{}
+			for _, s := range log {
+				from, _, _ := strings.Cut(s, "->")
+				if senders[from] {
+					t.Fatalf("size=%d root=%d: rank %s sent twice: %v", size, root, from, log)
+				}
+				senders[from] = true
+			}
+			if len(log) != size-1 {
+				t.Fatalf("size=%d root=%d: %d sends", size, root, len(log))
 			}
 		}
 	}
@@ -256,19 +232,5 @@ func TestGatherAndScatterValidation(t *testing.T) {
 	}
 	if _, err := Scatter(mesh.conn(0), 0, 1, [][]byte{{1}}); err == nil {
 		t.Fatalf("wrong scatter payload count accepted")
-	}
-}
-
-func TestWithCollectivesUnknownStrategy(t *testing.T) {
-	mesh := newFakeMesh(2)
-	ep := WithCollectives(mesh.conn(0), BcastStrategy(99))
-	if _, err := ep.Bcast([]int{0, 1}, 0, 1, []byte("x")); err == nil {
-		t.Fatalf("unknown strategy accepted")
-	}
-	if BcastStrategy(99).String() == "" {
-		t.Fatalf("strategy String empty")
-	}
-	if BcastSequential.String() != "sequential" || BcastBinomialTree.String() != "binomial-tree" {
-		t.Fatalf("strategy names wrong")
 	}
 }

@@ -200,8 +200,7 @@ func TestConcurrentAllToAll(t *testing.T) {
 
 // runCollective runs fn concurrently on every endpoint and fails the test
 // on any error.
-func runCollective(t *testing.T, m *Mesh, strategy transport.BcastStrategy,
-	fn func(ep transport.Endpoint) error) {
+func runCollective(t *testing.T, m *Mesh, fn func(ep transport.Endpoint) error) {
 	t.Helper()
 	var wg sync.WaitGroup
 	errs := make([]error, m.Size())
@@ -209,7 +208,7 @@ func runCollective(t *testing.T, m *Mesh, strategy transport.BcastStrategy,
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = fn(transport.WithCollectives(m.Endpoint(rank), strategy))
+			errs[rank] = fn(transport.WithCollectives(m.Endpoint(rank)))
 		}(r)
 	}
 	wg.Wait()
@@ -220,10 +219,19 @@ func runCollective(t *testing.T, m *Mesh, strategy transport.BcastStrategy,
 	}
 }
 
-func TestBcastBothStrategies(t *testing.T) {
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		for _, groupSize := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
-			t.Run(fmt.Sprintf("%v/n=%d", strategy, groupSize), func(t *testing.T) {
+// bcastPayload is a root-specific payload of n bytes.
+func bcastPayload(root, n int) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(root*31 + i*7)
+	}
+	return p
+}
+
+func TestBcastEveryRootSizePayload(t *testing.T) {
+	for _, groupSize := range []int{1, 2, 3, 4, 5, 6, 7, 8} {
+		for _, n := range []int{0, 1, 1 << 20} {
+			t.Run(fmt.Sprintf("n=%d/len=%d", groupSize, n), func(t *testing.T) {
 				m := NewMesh(8)
 				defer m.Close()
 				group := make([]int, groupSize)
@@ -231,8 +239,8 @@ func TestBcastBothStrategies(t *testing.T) {
 					group[i] = i
 				}
 				for _, root := range group {
-					payload := []byte(fmt.Sprintf("bcast-%d", root))
-					runCollective(t, m, strategy, func(ep transport.Endpoint) error {
+					payload := bcastPayload(root, n)
+					runCollective(t, m, func(ep transport.Endpoint) error {
 						if !contains(group, ep.Rank()) {
 							return nil
 						}
@@ -245,7 +253,7 @@ func TestBcastBothStrategies(t *testing.T) {
 							return err
 						}
 						if !bytes.Equal(got, payload) {
-							return fmt.Errorf("rank %d got %q", ep.Rank(), got)
+							return fmt.Errorf("rank %d got %d bytes, not the root's %d", ep.Rank(), len(got), n)
 						}
 						return nil
 					})
@@ -256,39 +264,37 @@ func TestBcastBothStrategies(t *testing.T) {
 }
 
 func TestBcastNonContiguousGroup(t *testing.T) {
-	// Multicast groups are arbitrary subsets (e.g. {1,4,6}); both
-	// strategies must handle sparse membership and any root.
+	// Multicast groups are arbitrary subsets (e.g. {1,4,6}); the chain must
+	// handle sparse membership and wrap around from any root.
 	m := NewMesh(8)
 	defer m.Close()
 	group := []int{1, 4, 6}
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		for _, root := range group {
-			payload := []byte{byte(root), 0xEE}
-			runCollective(t, m, strategy, func(ep transport.Endpoint) error {
-				if !contains(group, ep.Rank()) {
-					return nil
-				}
-				var p []byte
-				if ep.Rank() == root {
-					p = payload
-				}
-				got, err := ep.Bcast(group, root, transport.MakeTag(2, uint16(root), uint16(strategy)), p)
-				if err != nil {
-					return err
-				}
-				if !bytes.Equal(got, payload) {
-					return fmt.Errorf("rank %d got %v", ep.Rank(), got)
-				}
+	for _, root := range group {
+		payload := []byte{byte(root), 0xEE}
+		runCollective(t, m, func(ep transport.Endpoint) error {
+			if !contains(group, ep.Rank()) {
 				return nil
-			})
-		}
+			}
+			var p []byte
+			if ep.Rank() == root {
+				p = payload
+			}
+			got, err := ep.Bcast(group, root, transport.MakeTag(2, uint16(root), 0), p)
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, payload) {
+				return fmt.Errorf("rank %d got %v", ep.Rank(), got)
+			}
+			return nil
+		})
 	}
 }
 
 func TestBcastErrors(t *testing.T) {
 	m := NewMesh(4)
 	defer m.Close()
-	ep := transport.WithCollectives(m.Endpoint(0), transport.BcastSequential)
+	ep := transport.WithCollectives(m.Endpoint(0))
 	if _, err := ep.Bcast([]int{1, 2}, 1, 1, nil); err == nil {
 		t.Fatalf("non-member bcast accepted")
 	}
@@ -308,7 +314,7 @@ func TestBarrier(t *testing.T) {
 	m := NewMesh(k)
 	defer m.Close()
 	var phase [k]int32
-	runCollective(t, m, transport.BcastSequential, func(ep transport.Endpoint) error {
+	runCollective(t, m, func(ep transport.Endpoint) error {
 		phase[ep.Rank()] = 1
 		if err := ep.Barrier(transport.MakeTag(3, 0, 0)); err != nil {
 			return err

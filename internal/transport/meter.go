@@ -3,11 +3,14 @@ package transport
 import "sync/atomic"
 
 // Counters is a snapshot of wire-level traffic through a Meter.
-// SentBytes counts payload bytes pushed by this node (a sequential
-// multicast to r receivers counts r payload copies, matching what actually
-// crosses the NIC — the paper's distinction between the communication load,
-// which counts a multicast packet once, and the wire traffic behind
-// application-layer multicast).
+// SentBytes counts payload bytes pushed by this node: what actually crosses
+// its NIC. A multicast to r receivers puts r payload copies on the wire —
+// the paper's distinction between the communication load, which counts a
+// multicast packet once, and the wire traffic behind application-layer
+// multicast. The chain relay spreads those copies over the group: the root
+// and each relay send one, the last member none, so a rank's wire bytes
+// include the packets it relays and the totals over all ranks are r copies
+// per packet.
 type Counters struct {
 	SentMsgs  int64
 	SentBytes int64

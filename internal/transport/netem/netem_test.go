@@ -131,43 +131,51 @@ func TestFaulty(t *testing.T) {
 }
 
 func TestFaultyBcastPropagates(t *testing.T) {
-	// A failing send inside a collective must surface at the caller.
-	m := memnet.NewMesh(3)
-	defer m.Close()
+	// A failing send inside a collective must surface at the caller whose
+	// link died, whether that is the root or a relay of the chain; the
+	// members downstream of it never get the packet and are released by
+	// closing their endpoints.
 	boom := errors.New("link down")
-	var wg sync.WaitGroup
-	rootErr := make(chan error, 1)
-	errs := make([]error, 3)
-	go func() {
-		ep := transport.WithCollectives(Fail(m.Endpoint(0), 1, boom), transport.BcastSequential)
-		_, err := ep.Bcast([]int{0, 1, 2}, 0, 1, []byte("pkt"))
-		rootErr <- err
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ep := transport.WithCollectives(m.Endpoint(1), transport.BcastSequential)
-		_, errs[1] = ep.Bcast([]int{0, 1, 2}, 0, 1, nil)
-	}()
-	// Rank 2 never gets the packet (root fails after 1 send); unblock it
-	// by closing its endpoint after the root has failed.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ep := transport.WithCollectives(m.Endpoint(2), transport.BcastSequential)
-		_, errs[2] = ep.Bcast([]int{0, 1, 2}, 0, 1, nil)
-	}()
-	// Wait for the root's error, then release rank 2.
-	err0 := <-rootErr
-	m.Endpoint(2).Close()
-	wg.Wait()
-	if !errors.Is(err0, boom) {
-		t.Fatalf("root error = %v", err0)
-	}
-	if errs[1] != nil {
-		t.Fatalf("rank 1 should have received: %v", errs[1])
-	}
-	if !errors.Is(errs[2], transport.ErrClosed) {
-		t.Fatalf("rank 2 error = %v", errs[2])
+	for _, tc := range []struct {
+		name   string
+		faulty int      // the rank whose first send fails
+		want   [3]error // per rank: the injected failure, nil, or ErrClosed
+	}{
+		{"root", 0, [3]error{boom, transport.ErrClosed, transport.ErrClosed}},
+		{"relay", 1, [3]error{nil, boom, transport.ErrClosed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := memnet.NewMesh(3)
+			defer m.Close()
+			group := []int{0, 1, 2}
+			errs := make([]error, len(group))
+			var wg sync.WaitGroup
+			for _, rank := range group {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var conn transport.Conn = m.Endpoint(rank)
+					if rank == tc.faulty {
+						conn = Fail(conn, 0, boom)
+					}
+					var p []byte
+					if rank == 0 {
+						p = []byte("pkt")
+					}
+					_, errs[rank] = transport.WithCollectives(conn).Bcast(group, 0, 1, p)
+					if rank == tc.faulty {
+						for r := rank + 1; r < len(group); r++ {
+							m.Endpoint(r).Close()
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for r, want := range tc.want {
+				if !errors.Is(errs[r], want) {
+					t.Fatalf("rank %d error = %v, want %v", r, errs[r], want)
+				}
+			}
+		})
 	}
 }

@@ -3,7 +3,8 @@
 // per-sender demultiplexing into tag-matched mailboxes. It plays the role
 // Open MPI's point-to-point layer plays in the paper's EC2 deployment
 // (Section V-A); the multicast used for coded shuffling is application-layer
-// (transport.SeqBcast / TreeBcast), exactly as the paper's MPI_Bcast is,
+// (transport.ChainBcast: each packet relays down a chain of its group over
+// these point-to-point sockets), exactly as the paper's MPI_Bcast is,
 // because neither EC2 nor ordinary IP networks offer network-layer
 // multicast to applications.
 //

@@ -150,36 +150,41 @@ func TestConcurrentAllToAll(t *testing.T) {
 }
 
 func TestCollectivesOverTCP(t *testing.T) {
-	const k = 5
+	// Every root of every group size relays payloads of 0, 1 and 1 MiB
+	// bytes intact down the chain over real sockets.
+	const k = 8
 	eps := startLocal(t, k)
-	for _, strategy := range []transport.BcastStrategy{transport.BcastSequential, transport.BcastBinomialTree} {
-		var wg sync.WaitGroup
-		group := []int{0, 2, 4}
-		payload := []byte("coded packet")
-		for r := 0; r < k; r++ {
-			wg.Add(1)
-			go func(rank int) {
-				defer wg.Done()
-				ep := transport.WithCollectives(eps[rank], strategy)
-				inGroup := rank == 0 || rank == 2 || rank == 4
-				if !inGroup {
-					return
+	group := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for size := 1; size <= k; size++ {
+		for _, n := range []int{0, 1, 1 << 20} {
+			t.Run(fmt.Sprintf("n=%d/len=%d", size, n), func(t *testing.T) {
+				for root := 0; root < size; root++ {
+					payload := make([]byte, n)
+					for i := range payload {
+						payload[i] = byte(root*31 + i*7)
+					}
+					tag := transport.MakeTag(8, uint16(size), uint16(root))
+					var wg sync.WaitGroup
+					for _, rank := range group[:size] {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							var p []byte
+							if rank == root {
+								p = payload
+							}
+							got, err := transport.WithCollectives(eps[rank]).Bcast(group[:size], root, tag, p)
+							if err != nil {
+								t.Errorf("rank %d: %v", rank, err)
+							} else if !bytes.Equal(got, payload) {
+								t.Errorf("rank %d got %d bytes, not root %d's %d", rank, len(got), root, n)
+							}
+						}()
+					}
+					wg.Wait()
 				}
-				var p []byte
-				if rank == 2 {
-					p = payload
-				}
-				got, err := ep.Bcast(group, 2, transport.MakeTag(8, uint16(strategy), 0), p)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if !bytes.Equal(got, payload) {
-					t.Errorf("rank %d got %q", rank, got)
-				}
-			}(r)
+			})
 		}
-		wg.Wait()
 	}
 }
 
@@ -191,7 +196,7 @@ func TestBarrierOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			ep := transport.WithCollectives(eps[rank], transport.BcastSequential)
+			ep := transport.WithCollectives(eps[rank])
 			for round := 0; round < 3; round++ {
 				if err := ep.Barrier(transport.MakeTag(9, uint16(round), 0)); err != nil {
 					t.Error(err)

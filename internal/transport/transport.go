@@ -7,17 +7,15 @@
 //   - Conn: tagged point-to-point messaging between K ranked nodes
 //     (implemented over in-process channels by memnet, real TCP by tcpnet,
 //     and a virtual-time network by simnet).
-//   - Collectives: Bcast (serial or binomial-tree application-layer
-//     multicast), Barrier and Gather built generically on any Conn.
+//   - Collectives: Bcast (the application-layer multicast, relayed down a
+//     chain of the group so every member's egress carries a packet at most
+//     once), Barrier and Gather built generically on any Conn.
 //   - Meter: byte and message accounting used to measure communication
 //     load, counting multicast payloads once (the paper's load metric) and
 //     wire bytes separately.
 package transport
 
-import (
-	"errors"
-	"fmt"
-)
+import "errors"
 
 // Tag disambiguates message flows between the same pair of nodes. Stages
 // allocate disjoint tag ranges so interleaved traffic (barriers, shuffle
@@ -61,61 +59,30 @@ type Endpoint interface {
 	Conn
 	// Bcast is a collective: every member of group calls it with the same
 	// group, root and tag. The root's payload is returned at every member.
-	// Non-root callers pass nil payload.
+	// Non-root callers pass nil payload. Like Send, Bcast does not alias
+	// the payload after it returns: every send it makes, a relay's forward
+	// included, has completed by then.
 	Bcast(group []int, root int, tag Tag, payload []byte) ([]byte, error)
 	// Barrier blocks until all Size() nodes have entered it with this tag.
 	Barrier(tag Tag) error
-}
-
-// BcastStrategy selects how a Bcast collective moves bytes.
-type BcastStrategy int
-
-const (
-	// BcastSequential sends the payload from the root to each other group
-	// member one after another — the serial application-layer multicast of
-	// the paper's Fig 9(b).
-	BcastSequential BcastStrategy = iota
-	// BcastBinomialTree relays the payload along a binomial tree, the
-	// strategy MPI_Bcast uses; latency grows as log2(group size).
-	BcastBinomialTree
-)
-
-// String names the strategy.
-func (s BcastStrategy) String() string {
-	switch s {
-	case BcastSequential:
-		return "sequential"
-	case BcastBinomialTree:
-		return "binomial-tree"
-	default:
-		return fmt.Sprintf("BcastStrategy(%d)", int(s))
-	}
 }
 
 // withCollectives upgrades a Conn to an Endpoint using the generic
 // collective algorithms in this package.
 type withCollectives struct {
 	Conn
-	strategy BcastStrategy
 }
 
 // WithCollectives returns an Endpoint that runs the generic collectives
-// over the given point-to-point Conn with the chosen multicast strategy.
-func WithCollectives(c Conn, strategy BcastStrategy) Endpoint {
-	return &withCollectives{Conn: c, strategy: strategy}
+// over the given point-to-point Conn: ChainBcast and CentralBarrier.
+func WithCollectives(c Conn) Endpoint {
+	return withCollectives{Conn: c}
 }
 
-func (w *withCollectives) Bcast(group []int, root int, tag Tag, payload []byte) ([]byte, error) {
-	switch w.strategy {
-	case BcastSequential:
-		return SeqBcast(w.Conn, group, root, tag, payload)
-	case BcastBinomialTree:
-		return TreeBcast(w.Conn, group, root, tag, payload)
-	default:
-		return nil, fmt.Errorf("transport: unknown bcast strategy %v", w.strategy)
-	}
+func (w withCollectives) Bcast(group []int, root int, tag Tag, payload []byte) ([]byte, error) {
+	return ChainBcast(w.Conn, group, root, tag, payload)
 }
 
-func (w *withCollectives) Barrier(tag Tag) error {
+func (w withCollectives) Barrier(tag Tag) error {
 	return CentralBarrier(w.Conn, tag)
 }
