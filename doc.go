@@ -80,9 +80,12 @@
 // skewed-workload generators zipf/sorted/nearsorted/dupheavy/varprefix
 // that defeat the uniform split; DESIGN.md section 16).
 // Input is generated, not read: kv.Generator is addressable by row —
-// record i is a pure function of (seed, distribution, i) — so the r holders
-// of a file, the verifier and a recovered attempt each materialise the
-// same bytes with no data movement. One block kernel produces every row:
+// record i is a pure function of (seed, distribution, i) — so any party
+// materialises any file with no data movement. In process, an in-memory
+// job's input is generated once by the supervisor and described in the same
+// pass, and the r holders of a file read it in place; TCP workers and
+// out-of-core jobs generate their own files, and the verifier regenerates
+// the input to describe it. One block kernel produces every row:
 // the 82-letter value filler, a serial 64-bit LCG by definition, runs as
 // eight jump-ahead lanes (v_(n+j) = a^j v_n + c(a^j-1)/(a-1) mod 2^64)
 // with a letter table and word stores, byte-identical to the serial chain.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
 	"sync"
 
@@ -90,7 +91,8 @@ func (j JobReport) Total() float64 { return j.Times.Total().Seconds() }
 
 // RunLocal executes the sort job with all K workers in this process under
 // Supervise, then verifies the outputs against the input (order, partition
-// membership, multiset equality) before the report is returned. With
+// membership, multiset equality) before the report is returned; see
+// RunLocalOpts for who generates the input. With
 // MemBudget set (and KeepOutput unset, which defeats the point of a budget)
 // the sorted partitions are never materialized: each worker streams its
 // output blocks into a verify.PartitionChecker, so verification itself runs
@@ -157,7 +159,26 @@ func (o Options) startTasks(tasks []func()) {
 
 // RunLocalOpts is RunLocal with cancellation and run options; see
 // Supervise for both.
+//
+// An in-memory job (MemBudget unset) gets its input from the supervisor:
+// every file of the placement plan is generated once, on every core, and
+// described in the same pass (verify.Materialize), or an InputDir job's
+// part files are read once and described from the bytes read. Every rank
+// aliases its files (job.Local.Input) instead of generating its replicas,
+// and the output is verified against that description, taken before any
+// rank ran. An out-of-core job must never hold its input, so its ranks
+// generate or scan it block by block and the verifier describes it the
+// same way after the job.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
+	return runLocal(ctx, spec, opts, runWorker)
+}
+
+// workerFunc runs the sort on one endpoint: runWorker, or in tests a
+// wrapper around it that tampers with what one rank reads or returns.
+type workerFunc func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error)
+
+// runLocal is RunLocalOpts with every rank's body run by work.
+func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*JobReport, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -168,25 +189,44 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 	if err != nil {
 		return nil, err
 	}
+	rankSpec := spec
+	var input *placedInput
+	if spec.MemBudget == 0 {
+		if input, err = placeInput(ctx, spec, p); err != nil {
+			return nil, err
+		}
+		rankSpec = input.spec
+	}
 	var sums []verify.Summary
 	if spec.MemBudget > 0 && !spec.KeepOutput {
 		sums = make([]verify.Summary, spec.K)
 	}
-	rep, err := Supervise(ctx, spec, opts, func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error) {
+	rep, err := Supervise(ctx, rankSpec, opts, func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error) {
+		var local job.Local
+		if input != nil {
+			local.Input = input.take(ep.Rank())
+		}
 		if sums == nil {
-			return runWorker(ep, spec, nil, hooks)
+			return work(ep, spec, local, nil, hooks)
 		}
 		// Every rank of the attempt that succeeds overwrites its own slot,
 		// so only that attempt's checker summaries survive.
 		c := verify.NewPartitionChecker(p, ep.Rank())
-		w, err := runWorker(ep, spec, c.Feed, hooks)
+		w, err := work(ep, spec, local, c.Feed, hooks)
 		sums[ep.Rank()] = c.Summary()
 		return w, err
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyOutput(rep, p, sums); err != nil {
+	rep.Spec = spec
+	var in verify.Input
+	if input != nil {
+		in = input.desc
+	} else if in, err = describeInput(spec); err != nil {
+		return nil, fmt.Errorf("cluster: describing input: %w", err)
+	}
+	if err := verifyOutput(rep, p, in, sums); err != nil {
 		return nil, err
 	}
 	if !spec.KeepOutput {
@@ -195,6 +235,90 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 		}
 	}
 	return rep, nil
+}
+
+// placedInput is an in-memory job's input as the supervisor placed it: the
+// files every rank aliases, their description, and the spec the ranks run.
+type placedInput struct {
+	// spec is the job's spec, except that an InputDir job's files arrive
+	// as Local.Input, so it names no directory, and under sampled
+	// partitioning it carries the verifier's splitters, which the ranks
+	// could no longer sample from the part files.
+	spec Spec
+	desc verify.Input
+	// held[r] is rank r's reference to the files until the rank takes it.
+	// Unless another attempt may need the files, taking clears the slot, so
+	// once every rank has placed, each file lives only until its holders
+	// have mapped it.
+	held [][]kv.Records
+	keep bool
+}
+
+// placeInput generates the input files of spec's placement plan (or reads
+// an InputDir job's part files) and describes them in the same pass. A
+// cancel that arrives meanwhile returns ctx's error before any rank starts.
+func placeInput(ctx context.Context, spec Spec, p partition.Partitioner) (*placedInput, error) {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
+		return nil, err
+	}
+	in := &placedInput{spec: spec, keep: resolved.MaxAttempts > 1}
+	var files []kv.Records
+	if spec.InputDir == "" {
+		plan, err := resolved.Strat.Plan(spec.Rows)
+		if err != nil {
+			return nil, err
+		}
+		files, in.desc, err = verify.Materialize(ctx, kv.NewGenerator(spec.Seed, resolved.KeyDist), plan.Bounds)
+		if err != nil {
+			return nil, fmt.Errorf("cluster: placing input: %w", err)
+		}
+	} else {
+		if files, in.desc, err = readInput(spec.InputDir, spec.K); err != nil {
+			return nil, err
+		}
+		in.spec.InputDir = ""
+		if sp, ok := p.(partition.Splitters); ok {
+			in.spec.Splitters = sp.Bounds()
+		}
+	}
+	in.held = make([][]kv.Records, spec.K)
+	for r := range in.held {
+		in.held[r] = files
+	}
+	return in, nil
+}
+
+// take hands rank its reference to the files.
+func (in *placedInput) take(rank int) []kv.Records {
+	files := in.held[rank]
+	if !in.keep {
+		in.held[rank] = nil
+	}
+	return files
+}
+
+// readInput reads the K part files of a teragen -disk directory, each once
+// and on every core, and describes them from the bytes read.
+func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
+	files := make([]kv.Records, k)
+	if err := parallel.Do(runtime.GOMAXPROCS(0), k, func(i int) error {
+		buf, err := os.ReadFile(extsort.PartFile(dir, i))
+		if err != nil {
+			return fmt.Errorf("cluster: read input file: %w", err)
+		}
+		files[i], err = kv.NewRecords(buf)
+		return err
+	}); err != nil {
+		return nil, verify.Input{}, err
+	}
+	var in verify.Input
+	for _, f := range files {
+		d := verify.Describe(f)
+		in.Rows += d.Rows
+		in.Checksum += d.Checksum
+	}
+	return files, in, nil
 }
 
 // RankFunc is one rank's body for one supervised attempt: it runs the job's
@@ -404,19 +528,16 @@ func rollup(spec Spec, reports []WorkerReport) *JobReport {
 	return job
 }
 
-// verifyOutput verifies a sort job's output against p and the input. The
-// evidence is the streaming checkers' summaries when sums is non-nil, the
-// workers' materialized outputs otherwise. It runs after the last timed
-// stage, when every rank has gone idle, so the input description and the K
-// partition checks each use every core.
-func verifyOutput(job *JobReport, p partition.Partitioner, sums []verify.Summary) error {
+// verifyOutput verifies a sort job's output against p and the input's
+// description in. The evidence is the streaming checkers' summaries when
+// sums is non-nil, the workers' materialized outputs otherwise. It runs
+// after the last timed stage, when every rank has gone idle, so the K
+// partition checks use every core.
+func verifyOutput(job *JobReport, p partition.Partitioner, in verify.Input, sums []verify.Summary) error {
 	if err := checkSplitterAgreement(p, job.Workers); err != nil {
 		return err
 	}
-	in, err := describeInput(job.Spec)
-	if err != nil {
-		return fmt.Errorf("cluster: describing input: %w", err)
-	}
+	var err error
 	if sums == nil {
 		outputs := make([]kv.Records, len(job.Workers))
 		for r, w := range job.Workers {
@@ -470,10 +591,11 @@ func inputFiles(dir string, k int) []string {
 	return files
 }
 
-// describeInput summarizes the job's input for multiset verification:
-// generated data is described by regeneration, file-backed data by a
-// streaming scan of the part files — both on every core, in O(block) memory
-// per core.
+// describeInput summarizes the input of a job whose input this process
+// does not hold — a TCP job's, an out-of-core job's — for multiset
+// verification: generated data is described by regeneration, file-backed
+// data by a streaming scan of the part files — both on every core, in
+// O(block) memory per core.
 func describeInput(spec Spec) (verify.Input, error) {
 	if spec.InputDir == "" {
 		return verify.DescribeGenerated(kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows), nil
@@ -497,12 +619,12 @@ func describeInput(spec Spec) (verify.Input, error) {
 	return in, nil
 }
 
-// runWorker executes the sort on one endpoint. A non-nil sink receives the
-// sorted partition as ascending blocks instead of it being returned in the
-// report's Output; hooks observe each completed stage through the engine
-// runtime.
-func runWorker(ep transport.Endpoint, spec Spec, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
-	res, err := coded.Run(ep, coded.Config{Spec: spec, OutputSink: sink, Hooks: hooks})
+// runWorker executes the sort on one endpoint, with local attached. A
+// non-nil sink receives the sorted partition as ascending blocks instead of
+// it being returned in the report's Output; hooks observe each completed
+// stage through the engine runtime.
+func runWorker(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+	res, err := coded.Run(ep, coded.Config{Spec: spec, Local: local, OutputSink: sink, Hooks: hooks})
 	if err != nil {
 		return WorkerReport{}, err
 	}

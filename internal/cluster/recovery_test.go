@@ -223,7 +223,9 @@ func TestDeadRankNoHang(t *testing.T) {
 // TestWorkerErrorNoHang: a genuine worker error (not an injected fault —
 // here rank 2's input file is missing) must cancel the attempt and fail
 // fast with the failing rank named, never strand the healthy peers at the
-// next barrier.
+// next barrier. The job runs out of core, where each rank scans its own part
+// file; an in-memory job's files are read by the supervisor, so there the
+// missing file fails the job before any rank starts.
 func TestWorkerErrorNoHang(t *testing.T) {
 	dir := t.TempDir()
 	gen := kv.NewGenerator(5, kv.DistUniform)
@@ -236,8 +238,12 @@ func TestWorkerErrorNoHang(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: 4, InputDir: dir}); err == nil ||
+		!strings.Contains(err.Error(), "part-00002") {
+		t.Fatalf("in-memory job with a missing input file: %v, want the file named", err)
+	}
 	start := time.Now()
-	_, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: 4, InputDir: dir})
+	_, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: 4, InputDir: dir, MemBudget: 1 << 20, SpillDir: t.TempDir()})
 	if err == nil {
 		t.Fatal("job with a missing input file reported success")
 	}

@@ -138,7 +138,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
 	go listenAbort(conn, mesh)
 
-	rep, err := runWorker(ep, spec, sink, hooks)
+	rep, err := runWorker(ep, spec, job.Local{}, sink, hooks)
 	if err != nil {
 		var killed *engine.KilledError
 		if errors.As(err, &killed) {

@@ -9,7 +9,10 @@
 //     bottleneck Section V-C identifies, C(K,r+1) under the clique scheme
 //     and q^r - q^(r-1) under resolvable designs).
 //  2. Place — materialize the files stored on this node (untimed, like the
-//     coordinator's disk placement it stands in for).
+//     coordinator's disk placement it stands in for). Files supplied as
+//     job.Local.Input are aliased in place: the in-process runtime
+//     generates the input once and every holder reads the same bytes. A
+//     node without them (a TCP worker, a direct Run) generates its own.
 //  3. Map — hash every stored file, keeping only the relevant intermediate
 //     values (I^k_S and {I^i_S : i not in S}, Fig 5).
 //  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
@@ -324,14 +327,20 @@ func (w *worker) graph() *engine.Graph {
 
 // placeStage materializes the files stored on this node — supplied,
 // read from disk, or generated (the row-addressable generator stands in for
-// the coordinator's disk placement) — outside the timed pipeline.
+// the coordinator's disk placement) — outside the timed pipeline. Supplied
+// files are aliased, never copied or written, and the node drops its
+// references to the supplied set: from here only w.files, which Map empties
+// file by file, keeps a file alive, so it is garbage once its holders have
+// mapped it.
 func (w *worker) placeStage(ctx *engine.Context) error {
+	input := w.spec.Input
+	w.spec.Input, w.cfg.Input = nil, nil
 	w.files = make(map[int]kv.Records, len(w.stored))
 	gen := kv.NewGenerator(w.spec.Seed, w.spec.KeyDist)
 	for _, fi := range w.stored {
 		switch {
-		case w.spec.Input != nil:
-			w.files[fi] = w.spec.Input[fi]
+		case input != nil:
+			w.files[fi] = input[fi]
 		case w.spec.InputDir != "":
 			buf, err := os.ReadFile(extsort.PartFile(w.spec.InputDir, fi))
 			if err != nil {

@@ -202,6 +202,11 @@ type Local struct {
 	// of node k at R = 1) is Input[i]. All workers must hold the same
 	// slice. Rows and Seed are ignored for data placement when Input is
 	// set. Mutually exclusive with InputDir.
+	//
+	// The files are read-only: every holder aliases them, and no stage
+	// writes an input file. The in-process sort runtime
+	// (cluster.RunLocalOpts) supplies an in-memory job's input this way,
+	// generated once for all ranks; MapReduce jobs supply Job.Input's splits.
 	Input []kv.Records
 }
 

@@ -307,6 +307,10 @@ func (g *Generator) Generate(first, count int64) Records {
 	return Records{buf: buf}
 }
 
+// Fill writes rows first, first+1, ... over dst, one row per record slot:
+// Generate into a buffer the caller owns.
+func (g *Generator) Fill(dst Records, first int64) { g.fill(dst.buf, first) }
+
 // parallelGenMinRows is the size below which GenerateParallel stays on the
 // calling goroutine: under ~0.2 ms of generation the spawn and join cost of
 // the shards is no longer noise.

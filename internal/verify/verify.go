@@ -12,12 +12,21 @@
 // costs O(block) memory; the per-partition residue is a Summary (rows,
 // multiset checksum, min and max key), and CheckSummaries closes the
 // cross-partition and whole-input checks over those summaries alone.
+//
+// The input side is an Input (rows and multiset checksum). Generated input
+// is described by one generate-and-describe loop in two forms: Materialize
+// keeps the generated files, which is how the in-process runtime creates an
+// in-memory job's input and its description in one pass before any rank
+// runs; DescribeGenerated keeps nothing, for the runtimes whose input must
+// not be held (TCP workers in other processes, out-of-core jobs).
 package verify
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
@@ -35,30 +44,96 @@ func Describe(r kv.Records) Input {
 	return Input{Rows: int64(r.Len()), Checksum: r.Checksum()}
 }
 
-// describeBlockRows is the block DescribeGenerated generates and digests at
-// a time: 400 KB, so a block is still in cache when its digest reads it.
+// describeBlockRows is the piece the generate-and-describe loop fills and
+// digests at a time: 400 KB, so a piece is still in cache when its digest
+// reads it.
 const describeBlockRows = 1 << 12
 
-// DescribeGenerated computes the Input summary for generated data without
-// holding it all in memory at once: the row space is cut into one range per
-// core (the generator is addressable by row), and each range is generated
-// and digested block by block into one reused buffer.
+// DescribeGenerated computes the Input summary of generator rows [0, rows)
+// without holding them: the streaming form of Materialize, which fills and
+// digests every piece in one reused buffer per core.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
-	shards := runtime.GOMAXPROCS(0)
-	cuts := kv.SplitRows(rows, shards)
-	sums := make([]uint64, shards)
-	// Neither GenerateBlocks (positive block size) nor the callback can fail.
-	_ = parallel.Do(shards, shards, func(s int) error {
-		return g.GenerateBlocks(cuts[s], cuts[s+1]-cuts[s], describeBlockRows, func(b kv.Records) error {
-			sums[s] += b.Checksum()
-			return nil
-		})
-	})
-	in := Input{Rows: rows}
+	// One file from row 0 is valid bounds, and Background never cancels.
+	_, in, _ := generate(context.Background(), g, []int64{0, max(rows, 0)}, false)
+	return in
+}
+
+// Materialize generates the files of generator rows cut at bounds — file i
+// is rows [bounds[i], bounds[i+1]), one allocation each, so each file can
+// be freed on its own — and describes rows [0, bounds[len(bounds)-1]) in
+// the same pass: every piece is digested right after it is filled, on
+// GOMAXPROCS goroutines. bounds must start at 0 and must not decrease (a
+// placement plan's Bounds). A canceled ctx stops the loop between pieces
+// and returns ctx's error.
+func Materialize(ctx context.Context, g *kv.Generator, bounds []int64) ([]kv.Records, Input, error) {
+	return generate(ctx, g, bounds, true)
+}
+
+// piece is a run of at most describeBlockRows rows of one file.
+type piece struct {
+	file      int
+	off, rows int64 // the run's first row within the file, and its length
+}
+
+// generate is the one generate-and-describe loop behind Materialize (keep
+// set: each piece is filled in place in its file) and DescribeGenerated
+// (each core fills its pieces into one reused buffer). The pieces are cut
+// per file and dealt to the cores in contiguous shards.
+func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep bool) ([]kv.Records, Input, error) {
+	if len(bounds) == 0 || bounds[0] != 0 {
+		return nil, Input{}, fmt.Errorf("verify: bounds %v do not start at row 0", bounds)
+	}
+	var pieces []piece
+	for i := 0; i+1 < len(bounds); i++ {
+		n := bounds[i+1] - bounds[i]
+		if n < 0 {
+			return nil, Input{}, fmt.Errorf("verify: bounds decrease at file %d", i)
+		}
+		for off := int64(0); off < n; off += describeBlockRows {
+			pieces = append(pieces, piece{file: i, off: off, rows: min(describeBlockRows, n-off)})
+		}
+	}
+	var files []kv.Records
+	if keep {
+		files = make([]kv.Records, len(bounds)-1)
+	}
+	// A file is allocated by the first core to reach one of its pieces, so
+	// the clearing Go does on allocation is spread over the cores rather
+	// than run up front on one.
+	made := make([]sync.Once, len(files))
+	procs := runtime.GOMAXPROCS(0)
+	sums := make([]uint64, parallel.Shards(procs, len(pieces)))
+	if err := parallel.ForShards(procs, len(pieces), func(s, lo, hi int) error {
+		var scratch kv.Records
+		if !keep && hi > lo {
+			scratch, _ = kv.NewRecords(make([]byte, describeBlockRows*kv.RecordSize))
+		}
+		for _, p := range pieces[lo:hi] {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			var blk kv.Records
+			if keep {
+				made[p.file].Do(func() {
+					// A whole number of records cannot be refused.
+					files[p.file], _ = kv.NewRecords(make([]byte, (bounds[p.file+1]-bounds[p.file])*kv.RecordSize))
+				})
+				blk = files[p.file].Slice(int(p.off), int(p.off+p.rows))
+			} else {
+				blk = scratch.Slice(0, int(p.rows))
+			}
+			g.Fill(blk, bounds[p.file]+p.off)
+			sums[s] += blk.Checksum()
+		}
+		return nil
+	}); err != nil {
+		return nil, Input{}, err
+	}
+	in := Input{Rows: bounds[len(bounds)-1]}
 	for _, sum := range sums {
 		in.Checksum += sum
 	}
-	return in
+	return files, in, nil
 }
 
 // Summary is the O(1)-size residue of checking one partition's stream.
