@@ -99,13 +99,17 @@ func digests(files []kv.Records) [][sha256.Size]byte {
 }
 
 // TestSharedInputReadOnly: no stage of any rank writes the input files it
-// aliases. Every file's digest after the job equals its digest before the
-// first rank ran, across modes, redundancies, sampled skewed input and a
-// recovered job, whose output also equals the healthy run's.
+// aliases — Encode gathers from them and Decode cancels in the packets it
+// received, never in a file. Every file's digest after the job equals its
+// digest before the first rank ran, across modes, redundancies, sampled
+// skewed input and a recovered job, whose output also equals the healthy
+// run's.
 func TestSharedInputReadOnly(t *testing.T) {
 	coded := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 6000, Seed: 44, KeepOutput: true}
 	tera := coded
 	tera.Algorithm, tera.R = AlgTeraSort, 0
+	coded3 := coded
+	coded3.R = 3
 	chunked := func(s Spec) Spec { s.ChunkRows = 500; return s }
 	sampled := coded
 	sampled.Partitioning, sampled.DistName = "sample", "zipf"
@@ -116,8 +120,8 @@ func TestSharedInputReadOnly(t *testing.T) {
 		name string
 		spec Spec
 	}{
-		{"mono r=1", tera}, {"mono r=2", coded},
-		{"chunked r=1", chunked(tera)}, {"chunked r=2", chunked(coded)},
+		{"mono r=1", tera}, {"mono r=2", coded}, {"mono r=3", coded3},
+		{"chunked r=1", chunked(tera)}, {"chunked r=2", chunked(coded)}, {"chunked r=3", chunked(coded3)},
 		{"sampled zipf", sampled}, {"killed at Reduce", killed},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -164,21 +168,22 @@ func TestSharedInputReadOnly(t *testing.T) {
 }
 
 // TestSharedInputReleased: with one attempt allowed, the supervisor hands
-// the files over and keeps none, and every rank lets go of them after
-// placing, so once the last rank has mapped, no input file is reachable.
-// With a second attempt allowed the supervisor keeps them for it.
+// the files over and keeps none, and every rank lets go of them — and of
+// the views its Map kept into them — once it has reduced, so after the
+// last Reduce no input file is reachable. With a second attempt allowed
+// the supervisor keeps them for it.
 func TestSharedInputReleased(t *testing.T) {
 	for _, attempts := range []int{1, 2} {
 		spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 8000, Seed: 52, MaxAttempts: attempts}
 		var once sync.Once
 		var refs []weak.Pointer[byte]
-		var maps atomic.Int32
+		var reduces atomic.Int32
 		live := -1
 		opts := Options{OnStage: func(rec trace.StageRecord) {
-			if rec.Stage.String() != "Map" || maps.Add(1) != int32(spec.K) {
+			if rec.Stage.String() != "Reduce" || reduces.Add(1) != int32(spec.K) {
 				return
 			}
-			// The last rank has mapped: every file is unreachable unless
+			// The last rank has reduced: every file is unreachable unless
 			// the supervisor still holds it.
 			runtime.GC()
 			live = 0
@@ -213,7 +218,7 @@ func TestSharedInputReleased(t *testing.T) {
 			want = len(refs)
 		}
 		if live != want {
-			t.Fatalf("MaxAttempts %d: %d of %d input files alive after the last Map, want %d",
+			t.Fatalf("MaxAttempts %d: %d of %d input files alive after the last Reduce, want %d",
 				attempts, live, len(refs), want)
 		}
 	}

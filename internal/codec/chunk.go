@@ -29,15 +29,21 @@ const (
 // flag. The frame comes from the codec buffer pool; senders Recycle it once
 // the transport returns (retaining it instead is safe, just unpooled).
 func FrameChunk(seq uint32, last bool, payload []byte) []byte {
-	out := getBuf(chunkHeaderSize + len(payload))
+	out := getChunkFrame(seq, last, len(payload))
+	copy(out[chunkHeaderSize:], payload)
+	return out
+}
+
+// getChunkFrame returns a pooled chunk frame for a payload of n bytes with
+// its header written and its payload left for the caller to fill.
+func getChunkFrame(seq uint32, last bool, n int) []byte {
+	out := getBuf(chunkHeaderSize + n)
 	binary.BigEndian.PutUint32(out, seq)
+	out[4] = 0
 	if last {
 		out[4] = chunkFlagLast
-	} else {
-		out[4] = 0
 	}
-	binary.BigEndian.PutUint32(out[5:], uint32(len(payload)))
-	copy(out[chunkHeaderSize:], payload)
+	binary.BigEndian.PutUint32(out[5:], uint32(n))
 	return out
 }
 
@@ -125,7 +131,7 @@ func ChunkSpan(n, chunkRows, c int) (lo, hi int) {
 // (c+1)*chunkRows) clipped to the segment length. Every node derives the
 // identical chunking locally, which is what keeps the XOR cancellation
 // aligned chunk by chunk.
-func chunkOf(seg kv.Records, chunkRows, c int) kv.Records {
+func chunkOf(seg kv.View, chunkRows, c int) kv.View {
 	lo, hi := ChunkSpan(seg.Len(), chunkRows, c)
 	return seg.Slice(lo, hi)
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"codedterasort/internal/combin"
@@ -73,10 +74,14 @@ func FuzzChunkStream(f *testing.F) {
 }
 
 // FuzzDecodePacketChunk: corrupted or adversarial chunked coded packets
-// must decode to an error or a record-aligned segment — never panic — on
-// the cancelling three-member path and the zero-copy two-member path.
+// must decode in place to an error or a record-aligned segment — never
+// panic — on the cancelling three-member path, over contiguous and over
+// view stores alike, and on the zero-copy two-member path. The decode over
+// views agrees with the one over copies and never writes a file.
 func FuzzDecodePacketChunk(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
+	views, files := viewScenario(7, 4, 2, 400)
+	sums := checksums(files)
 	g := CliqueGroup(combin.NewSet(0, 1, 2))
 	good, err := EncodeGroupPacketChunk(stores[0], g, 0, 16, 0)
 	if err != nil {
@@ -97,10 +102,18 @@ func FuzzDecodePacketChunk(f *testing.F) {
 		f.Add(p, 8, 0)
 	}
 	f.Fuzz(func(t *testing.T, packet []byte, chunkRows, chunk int) {
-		if seg, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
+		seg, err := DecodeGroupPacketChunkInPlace(stores[1], g, 1, 0, chunkRows, chunk, append([]byte(nil), packet...))
+		if err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
 		}
-		if seg, err := DecodeGroupPacketChunk(IVMap{}, pair, 1, 0, chunkRows, chunk, packet); err == nil && seg.Size()%100 != 0 {
+		in, inErr := DecodeGroupPacketChunkInPlace(views[1], g, 1, 0, chunkRows, chunk, append([]byte(nil), packet...))
+		if (inErr == nil) != (err == nil) || (err == nil && !in.Equal(seg)) {
+			t.Fatalf("decode over views (%v) disagrees with the decode over copies (%v)", inErr, err)
+		}
+		if !slices.Equal(checksums(files), sums) {
+			t.Fatal("in-place chunk decode wrote an input file")
+		}
+		if seg, err := DecodeGroupPacketChunkInPlace(IVMap{}, pair, 1, 0, chunkRows, chunk, append([]byte(nil), packet...)); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("two-member decode opened a misaligned segment of %d bytes", seg.Size())
 		}
 	})

@@ -166,7 +166,7 @@ func TestChunkedEncodeDecodeEquivalence(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							seg, err := DecodeGroupPacketChunk(stores[k2], g, k2, u, chunkRows, c, pkt)
+							seg, err := DecodeGroupPacketChunkInPlace(stores[k2], g, k2, u, chunkRows, c, pkt)
 							if err != nil {
 								t.Fatalf("k=%d r=%d group %v u=%d k2=%d chunkRows=%d chunk %d: %v",
 									tc.k, tc.r, m, u, k2, chunkRows, c, err)
@@ -219,13 +219,13 @@ func TestChunkCodecErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 1, 10, 0, pkt); err == nil {
+	if _, err := DecodeGroupPacketChunkInPlace(stores[1], g, 1, 1, 10, 0, pkt); err == nil {
 		t.Fatalf("k == u accepted")
 	}
-	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, 0, 0, pkt); err == nil {
+	if _, err := DecodeGroupPacketChunkInPlace(stores[1], g, 1, 0, 0, 0, pkt); err == nil {
 		t.Fatalf("chunkRows=0 decode accepted")
 	}
-	if _, err := DecodeGroupPacketChunk(stores[1], g, 1, 0, 10, 0, pkt[:2]); err == nil {
+	if _, err := DecodeGroupPacketChunkInPlace(stores[1], g, 1, 0, 10, 0, pkt[:2]); err == nil {
 		t.Fatalf("truncated chunk packet accepted")
 	}
 }

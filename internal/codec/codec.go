@@ -13,6 +13,15 @@
 //     the coded multicast packet construction and its cancellation
 //     decoding, for any placement strategy's Group (CliqueGroup is the
 //     paper's scheme).
+//
+// The coder reads intermediate values through an IVStore, as kv.Views:
+// ViewMap holds the engine's references into the input files, IVMap holds
+// contiguous buffers. Encode gathers each record of the first term into the
+// packet and XORs the others onto it, record by record, from wherever the
+// store's views point. The engine decodes in place: DecodeGroupPacketInPlace
+// cancels the side information in the packet buffer it received and opens
+// the frame where it lies, so a recovered segment is never copied.
+// DecodeGroupPacket is the same decode on a copy, leaving the packet intact.
 package codec
 
 import (
@@ -79,10 +88,9 @@ func SplitSegments(iv kv.Records, r int) []kv.Records {
 	if r <= 0 {
 		panic(fmt.Sprintf("codec: SplitSegments r=%d", r))
 	}
-	n := iv.Len()
 	segs := make([]kv.Records, r)
 	for j := 0; j < r; j++ {
-		segs[j] = iv.Slice(j*n/r, (j+1)*n/r)
+		segs[j] = iv.Slice(segmentSpan(iv.Len(), r, j))
 	}
 	return segs
 }
@@ -93,9 +101,12 @@ func Segment(iv kv.Records, r, j int) kv.Records {
 	if r <= 0 || j < 0 || j >= r {
 		panic(fmt.Sprintf("codec: Segment r=%d j=%d", r, j))
 	}
-	n := iv.Len()
-	return iv.Slice(j*n/r, (j+1)*n/r)
+	return iv.Slice(segmentSpan(iv.Len(), r, j))
 }
+
+// segmentSpan returns the record range [lo, hi) of segment j of r of an
+// intermediate value of n records.
+func segmentSpan(n, r, j int) (lo, hi int) { return j * n / r, (j + 1) * n / r }
 
 // frameHeader is the per-segment length header inside a coded frame.
 // XORing zero-padded segments is only reversible if the receiver can learn
@@ -120,11 +131,10 @@ func AppendFrame(dst []byte, seg []byte, width int) []byte {
 	return dst
 }
 
-// XORInto XORs src into dst element-wise. It panics if lengths differ:
-// frames participating in one packet always share the packet width.
+// XORInto XORs src into dst element-wise. It panics if lengths differ.
 // The loop works in 8-byte words, unrolled four wide (32 bytes per
-// iteration) so the Algorithm 1/2 encode and cancellation passes run at
-// memory bandwidth rather than one byte per cycle.
+// iteration). It is the contiguous-buffer kernel; the Algorithm 1/2 passes
+// XOR record by record from wherever a view's rows lie (kv.View.XORInto).
 func XORInto(dst, src []byte) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("codec: XOR length mismatch %d vs %d", len(dst), len(src)))
@@ -155,18 +165,14 @@ func XORInto(dst, src []byte) {
 	}
 }
 
-// xorFrameInto XORs the frame encoding of seg (width len(dst)) into dst
-// without materializing the padded frame.
-func xorFrameInto(dst []byte, seg []byte) {
-	if len(dst) < FrameSize(len(seg)) {
-		panic(fmt.Sprintf("codec: frame width %d < %d", len(dst), FrameSize(len(seg))))
+// xorFrameInto XORs the frame encoding of the records seg views (width
+// len(dst)) into dst without materializing the padded frame.
+func xorFrameInto(dst []byte, seg kv.View) {
+	if len(dst) < FrameSize(seg.Size()) {
+		panic(fmt.Sprintf("codec: frame width %d < %d", len(dst), FrameSize(seg.Size())))
 	}
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(seg)))
-	for i := 0; i < frameHeader; i++ {
-		dst[i] ^= hdr[i]
-	}
-	XORInto(dst[frameHeader:frameHeader+len(seg)], seg)
+	binary.BigEndian.PutUint32(dst, binary.BigEndian.Uint32(dst)^uint32(seg.Size()))
+	seg.XORInto(dst[frameHeader:])
 }
 
 // openFrame validates and strips the frame header, returning the segment.
@@ -192,15 +198,13 @@ func openFrame(frame []byte) ([]byte, error) {
 }
 
 // IVStore provides the locally known intermediate values of one node:
-// IV(q, file) returns I^q_file, the records of file whose keys hash to
-// partition q. Encode reads the IVs a node computed in its Map stage;
-// Decode reads them as cancellation side information.
+// View(q, file) returns I^q_file, the records of file whose keys hash to
+// partition q, where the node holds them. Encode reads the IVs a node
+// computed in its Map stage; Decode reads them as cancellation side
+// information.
 type IVStore interface {
-	IV(part int, file combin.Set) kv.Records
+	View(part int, file combin.Set) kv.View
 }
-
-// IVMap is a map-backed IVStore for tests and the in-memory engines.
-type IVMap map[IVKey]kv.Records
 
 // IVKey identifies one intermediate value I^Part_File.
 type IVKey struct {
@@ -208,9 +212,32 @@ type IVKey struct {
 	File combin.Set
 }
 
-// IV implements IVStore; absent entries are empty record sets.
+// ViewMap is the IVStore of the in-memory Map: every intermediate value is
+// a view of the rows of the file it came from.
+type ViewMap map[IVKey]kv.View
+
+// View implements IVStore; absent entries are empty.
+func (m ViewMap) View(part int, file combin.Set) kv.View {
+	return m[IVKey{part, file}]
+}
+
+// Put stores an intermediate value.
+func (m ViewMap) Put(part int, file combin.Set, iv kv.View) {
+	m[IVKey{part, file}] = iv
+}
+
+// IVMap is an IVStore of contiguous intermediate values: the out-of-core
+// Map's, whose input blocks are transient, and coded.MapFiles'.
+type IVMap map[IVKey]kv.Records
+
+// IV returns I^part_file; absent entries are empty record sets.
 func (m IVMap) IV(part int, file combin.Set) kv.Records {
 	return m[IVKey{part, file}]
+}
+
+// View implements IVStore by viewing the whole buffer.
+func (m IVMap) View(part int, file combin.Set) kv.View {
+	return kv.ViewAll(m.IV(part, file))
 }
 
 // Put stores an intermediate value.

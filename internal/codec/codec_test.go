@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -182,33 +183,7 @@ func TestXORIntoOddLengths(t *testing.T) {
 // {0..k-1}; partitioning is uniform over k partitions.
 func buildScenario(t *testing.T, seed uint64, k, r int, rows int64) (stores []IVMap, truth IVMap) {
 	t.Helper()
-	truth = IVMap{}
-	stores = make([]IVMap, k)
-	for i := range stores {
-		stores[i] = IVMap{}
-	}
-	files := combin.Subsets(combin.Range(k), r)
-	bounds := kv.SplitRows(rows, len(files))
-	g := kv.NewGenerator(seed, kv.DistUniform)
-	for fi, file := range files {
-		recs := g.Generate(bounds[fi], bounds[fi+1]-bounds[fi])
-		// Hash into k partitions by first key byte range.
-		parts := make([]kv.Records, k)
-		for p := range parts {
-			parts[p] = kv.MakeRecords(0)
-		}
-		for i := 0; i < recs.Len(); i++ {
-			p := int(recs.Key(i)[0]) * k / 256
-			parts[p] = parts[p].Append(recs.Record(i))
-		}
-		for p := range parts {
-			truth.Put(p, file, parts[p])
-			for _, node := range file.Members() {
-				stores[node].Put(p, file, parts[p])
-			}
-		}
-	}
-	return stores, truth
+	return buildScenarioQuick(seed, k, r, rows)
 }
 
 // localOnlyStore asserts that every IV read concerns a file stored on the
@@ -219,11 +194,11 @@ type localOnlyStore struct {
 	inner IVMap
 }
 
-func (s localOnlyStore) IV(part int, file combin.Set) kv.Records {
+func (s localOnlyStore) View(part int, file combin.Set) kv.View {
 	if !file.Contains(s.node) {
 		s.t.Fatalf("node %d read IV of remote file %v", s.node, file)
 	}
-	return s.inner.IV(part, file)
+	return s.inner.View(part, file)
 }
 
 func TestEncodeDecodeAllGroups(t *testing.T) {
@@ -262,6 +237,73 @@ func TestEncodeDecodeAllGroups(t *testing.T) {
 						tc.k, tc.r, m, k2, got.Len(), want.Len())
 				}
 			}
+		}
+	}
+}
+
+// TestViewStoreMatchesContiguous: a store of views into the files encodes
+// the very packets a store of contiguous copies does, whole and chunked, and
+// the in-place decodes over it recover what DecodeGroupPacket recovers from
+// the copies — while the files, which both sides only read, keep their
+// digest.
+func TestViewStoreMatchesContiguous(t *testing.T) {
+	for _, tc := range []struct {
+		k, r int
+		rows int64
+	}{
+		{4, 2, 600}, {5, 3, 777}, {6, 1, 300}, {3, 2, 90}, {5, 2, 0},
+	} {
+		views, files := viewScenario(uint64(tc.k*10+tc.r), tc.k, tc.r, tc.rows)
+		stores, _ := buildScenarioQuick(uint64(tc.k*10+tc.r), tc.k, tc.r, tc.rows)
+		sums := checksums(files)
+		for _, m := range combin.Subsets(combin.Range(tc.k), tc.r+1) {
+			g := CliqueGroup(m)
+			for _, u := range m.Members() {
+				whole, err := EncodeGroupPacket(views[u], g, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, _ := EncodeGroupPacket(stores[u], g, u); !bytes.Equal(whole, want) {
+					t.Fatalf("k=%d r=%d group %v u=%d: view and contiguous stores encode different packets", tc.k, tc.r, m, u)
+				}
+				const chunkRows = 7
+				count := GroupPacketChunkCount(views[u], g, u, chunkRows)
+				for _, k2 := range m.Remove(u).Members() {
+					want, err := DecodeGroupPacket(stores[k2], g, k2, u, whole)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := DecodeGroupPacketInPlace(views[k2], g, k2, u, append([]byte(nil), whole...))
+					if err != nil || !got.Equal(want) {
+						t.Fatalf("k=%d r=%d group %v u=%d k2=%d: in-place decode differs (err %v)", tc.k, tc.r, m, u, k2, err)
+					}
+					chunked := kv.MakeRecords(0)
+					for c := 0; c < count; c++ {
+						frame, err := FrameGroupPacketChunk(views[u], g, u, chunkRows, c, c == count-1)
+						if err != nil {
+							t.Fatal(err)
+						}
+						pkt, err := EncodeGroupPacketChunk(stores[u], g, u, chunkRows, c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !bytes.Equal(frame, FrameChunk(uint32(c), c == count-1, pkt)) {
+							t.Fatalf("k=%d r=%d group %v u=%d chunk %d: fused chunk frame differs", tc.k, tc.r, m, u, c)
+						}
+						part, err := DecodeGroupPacketChunkInPlace(views[k2], g, k2, u, chunkRows, c, frame[chunkHeaderSize:])
+						if err != nil {
+							t.Fatal(err)
+						}
+						chunked = chunked.AppendRecords(part)
+					}
+					if !chunked.Equal(want) {
+						t.Fatalf("k=%d r=%d group %v u=%d k2=%d: chunked in-place decode differs", tc.k, tc.r, m, u, k2)
+					}
+				}
+			}
+		}
+		if got := checksums(files); !slices.Equal(got, sums) {
+			t.Fatalf("k=%d r=%d: encode or decode wrote an input file", tc.k, tc.r)
 		}
 	}
 }
@@ -414,27 +456,58 @@ func buildScenarioQuick(seed uint64, k, r int, rows int64) ([]IVMap, IVMap) {
 	for i := range stores {
 		stores[i] = IVMap{}
 	}
-	files := combin.Subsets(combin.Range(k), r)
-	bounds := kv.SplitRows(rows, len(files))
-	g := kv.NewGenerator(seed, kv.DistUniform)
-	for fi, file := range files {
-		recs := g.Generate(bounds[fi], bounds[fi+1]-bounds[fi])
-		parts := make([]kv.Records, k)
-		for p := range parts {
-			parts[p] = kv.MakeRecords(0)
+	views, _ := viewScenario(seed, k, r, rows)
+	for _, node := range views {
+		for key, v := range node {
+			truth[key] = v.Collect()
 		}
-		for i := 0; i < recs.Len(); i++ {
-			p := int(recs.Key(i)[0]) * k / 256
-			parts[p] = parts[p].Append(recs.Record(i))
-		}
-		for p := range parts {
-			truth.Put(p, file, parts[p])
-			for _, node := range file.Members() {
-				stores[node].Put(p, file, parts[p])
-			}
+	}
+	for node, vs := range views {
+		for key := range vs {
+			stores[node][key] = truth[key]
 		}
 	}
 	return stores, truth
+}
+
+// viewScenario is the scenario of buildScenario as the in-memory Map keeps
+// it: every intermediate value is a view of the rows of its file, which is
+// one generated buffer per file. It returns each node's view store and the
+// files (the buffers the views point into).
+func viewScenario(seed uint64, k, r int, rows int64) ([]ViewMap, []kv.Records) {
+	stores := make([]ViewMap, k)
+	for i := range stores {
+		stores[i] = ViewMap{}
+	}
+	sets := combin.Subsets(combin.Range(k), r)
+	bounds := kv.SplitRows(rows, len(sets))
+	g := kv.NewGenerator(seed, kv.DistUniform)
+	files := make([]kv.Records, len(sets))
+	for fi, file := range sets {
+		recs := g.Generate(bounds[fi], bounds[fi+1]-bounds[fi])
+		files[fi] = recs
+		// Hash into k partitions by first key byte range.
+		lists := make([][]uint32, k)
+		for i := 0; i < recs.Len(); i++ {
+			p := int(recs.Key(i)[0]) * k / 256
+			lists[p] = append(lists[p], uint32(i))
+		}
+		for p, rows := range lists {
+			for _, node := range file.Members() {
+				stores[node].Put(p, file, kv.ViewRows(recs, rows))
+			}
+		}
+	}
+	return stores, files
+}
+
+// checksums returns the digest of every buffer.
+func checksums(bufs []kv.Records) []uint64 {
+	out := make([]uint64, len(bufs))
+	for i, b := range bufs {
+		out[i] = b.Checksum()
+	}
+	return out
 }
 
 func BenchmarkEncodePacket(b *testing.B) {

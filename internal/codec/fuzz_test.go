@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"slices"
 	"testing"
 
 	"codedterasort/internal/combin"
@@ -30,9 +31,13 @@ func FuzzUnpackIV(f *testing.F) {
 // FuzzDecodePacket: a corrupted or adversarial coded packet must decode to
 // an error or a record-aligned segment — never panic — both through the
 // cancelling decode of a three-member group and the zero-copy in-place open
-// of a two-member one.
+// of a two-member one. The in-place decode over a store of views into the
+// files recovers what DecodeGroupPacket recovers from contiguous copies,
+// and never writes a file.
 func FuzzDecodePacket(f *testing.F) {
 	stores, _ := buildScenarioQuick(7, 4, 2, 400)
+	views, files := viewScenario(7, 4, 2, 400)
+	sums := checksums(files)
 	g := CliqueGroup(combin.NewSet(0, 1, 2))
 	good, err := EncodeGroupPacket(stores[0], g, 0)
 	if err != nil {
@@ -53,8 +58,16 @@ func FuzzDecodePacket(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, packet []byte) {
-		if seg, err := DecodeGroupPacket(stores[1], g, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
+		seg, err := DecodeGroupPacket(stores[1], g, 1, 0, packet)
+		if err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("decoded misaligned segment of %d bytes", seg.Size())
+		}
+		in, inErr := DecodeGroupPacketInPlace(views[1], g, 1, 0, append([]byte(nil), packet...))
+		if (inErr == nil) != (err == nil) || (err == nil && !in.Equal(seg)) {
+			t.Fatalf("in-place decode over views (%v) disagrees with the copying decode (%v)", inErr, err)
+		}
+		if !slices.Equal(checksums(files), sums) {
+			t.Fatal("in-place decode wrote an input file")
 		}
 		if seg, err := DecodeGroupPacket(IVMap{}, pair, 1, 0, packet); err == nil && seg.Size()%100 != 0 {
 			t.Fatalf("two-member decode opened a misaligned segment of %d bytes", seg.Size())

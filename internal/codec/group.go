@@ -85,14 +85,15 @@ func (g Group) check(k int) (int, error) {
 // decoder cancelling side information skips its own IV, an encoder passes
 // -1. chunkRows > 0 narrows every segment to its chunk c. The terms come in
 // ascending member order, which is what makes the XOR agree on every node.
-func (g Group) terms(store IVStore, is, skip, chunkRows, c int) []kv.Records {
+func (g Group) terms(store IVStore, is, skip, chunkRows, c int) []kv.View {
 	nseg := g.segments()
-	out := make([]kv.Records, 0, nseg)
+	out := make([]kv.View, 0, nseg)
 	for j, t := range g.Members {
 		if j == is || j == skip {
 			continue
 		}
-		seg := Segment(store.IV(t, g.Need[j]), nseg, senderPos(is, j))
+		iv := store.View(t, g.Need[j])
+		seg := iv.Slice(segmentSpan(iv.Len(), nseg, senderPos(is, j)))
 		if chunkRows > 0 {
 			seg = chunkOf(seg, chunkRows, c)
 		}
@@ -103,7 +104,7 @@ func (g Group) terms(store IVStore, is, skip, chunkRows, c int) []kv.Records {
 
 // packetWidth returns the wire size of the packet of the given terms: the
 // frame of the widest one.
-func packetWidth(terms []kv.Records) int {
+func packetWidth(terms []kv.View) int {
 	width := frameHeader
 	for _, seg := range terms {
 		width = max(width, FrameSize(seg.Size()))
@@ -111,52 +112,45 @@ func packetWidth(terms []kv.Records) int {
 	return width
 }
 
-// encode builds the packet of the given terms in a pooled buffer: each term
-// is wrapped in a length-headed frame padded to the widest one. The first
-// term is copied in and the rest XORed onto it, so a packet with a single
-// term — every packet of a two-member group — is that segment's frame: one
-// copy, no XOR pass.
-func encode(terms []kv.Records) []byte {
-	packet := getBuf(packetWidth(terms))
-	first := terms[0].Bytes()
-	binary.BigEndian.PutUint32(packet, uint32(len(first)))
-	copy(packet[frameHeader:], first)
-	clear(packet[frameHeader+len(first):])
+// encodeInto writes the packet of the given terms to packet, which is
+// packetWidth(terms) bytes: each term wrapped in a length-headed frame
+// padded to the widest one. The first term is gathered in and the rest
+// XORed onto it, so a packet with a single term — every packet of a
+// two-member group — is that segment's frame: one copy, no XOR pass.
+func encodeInto(packet []byte, terms []kv.View) {
+	first := terms[0]
+	binary.BigEndian.PutUint32(packet, uint32(first.Size()))
+	first.Gather(packet[frameHeader:])
+	clear(packet[frameHeader+first.Size():])
 	for _, seg := range terms[1:] {
-		xorFrameInto(packet, seg.Bytes())
+		xorFrameInto(packet, seg)
 	}
+}
+
+// encode builds the packet of the given terms in a pooled buffer.
+func encode(terms []kv.View) []byte {
+	packet := getBuf(packetWidth(terms))
+	encodeInto(packet, terms)
 	return packet
 }
 
-// decode cancels the side-information terms from packet and opens the frame
-// that remains. With nothing to cancel — a two-member group — the packet is
-// the needed segment's frame and is opened in place: the returned records
-// alias packet, which the caller owns. Otherwise the cancellation runs on a
-// pooled copy and the recovered segment is copied out, leaving packet
-// untouched.
-func decode(terms []kv.Records, packet []byte) (kv.Records, error) {
-	if len(terms) == 0 {
-		segBytes, err := openFrame(packet)
-		if err != nil {
-			return kv.Records{}, err
-		}
-		return kv.NewRecords(segBytes)
-	}
-	acc := getBuf(len(packet))
-	defer Recycle(acc)
-	copy(acc, packet)
+// decodeInPlace cancels the side-information terms from packet and opens
+// the frame that remains. It writes only packet, and the returned records
+// alias it; with nothing to cancel — a two-member group — it writes
+// nothing. After an error the packet's contents are unspecified.
+func decodeInPlace(terms []kv.View, packet []byte) (kv.Records, error) {
 	for _, seg := range terms {
-		if FrameSize(seg.Size()) > len(acc) {
+		if FrameSize(seg.Size()) > len(packet) {
 			return kv.Records{}, fmt.Errorf("codec: side-information segment (%d bytes) wider than packet (%d)",
-				seg.Size(), len(acc))
+				seg.Size(), len(packet))
 		}
-		xorFrameInto(acc, seg.Bytes())
+		xorFrameInto(packet, seg)
 	}
-	segBytes, err := openFrame(acc)
+	segBytes, err := openFrame(packet)
 	if err != nil {
 		return kv.Records{}, err
 	}
-	return kv.NewRecords(append([]byte(nil), segBytes...))
+	return kv.NewRecords(segBytes)
 }
 
 // decoderPositions validates a decode call and returns the member positions
@@ -191,20 +185,33 @@ func EncodeGroupPacket(store IVStore, g Group, k int) ([]byte, error) {
 	return encode(g.terms(store, ik, -1, 0, 0)), nil
 }
 
-// DecodeGroupPacket recovers node k's segment from the coded packet E_{M,u}
-// received from node u in group g — Algorithm 2 generalized:
+// DecodeGroupPacketInPlace recovers node k's segment from the coded packet
+// E_{M,u} received from node u in group g — Algorithm 2 generalized:
 //
 //	segment_u( I^k_{Need[k]} ) = E_{M,u} XOR ( XOR over t in M\{u,k} of segment_u( I^t_{Need[t]} ) )
 //
 // The cancellation terms are IVs node k computed locally: k stores Need[t]
-// for every other member t. In a two-member group there are none and the
-// result aliases packet (see decode).
-func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Records, error) {
+// for every other member t. They are cancelled in packet itself, which the
+// caller must own, and the result aliases packet. The store's buffers are
+// only read. In a two-member group there is nothing to cancel and packet is
+// opened as it is.
+func DecodeGroupPacketInPlace(store IVStore, g Group, k, u int, packet []byte) (kv.Records, error) {
 	ik, iu, err := g.decoderPositions(k, u)
 	if err != nil {
 		return kv.Records{}, err
 	}
-	return decode(g.terms(store, iu, ik, 0, 0), packet)
+	return decodeInPlace(g.terms(store, iu, ik, 0, 0), packet)
+}
+
+// DecodeGroupPacket is DecodeGroupPacketInPlace that leaves packet intact:
+// a packet with terms to cancel is decoded in a copy, and the result
+// aliases that copy. In a two-member group nothing is written and the
+// result aliases packet.
+func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Records, error) {
+	if len(g.Members) > 2 {
+		packet = append([]byte(nil), packet...)
+	}
+	return DecodeGroupPacketInPlace(store, g, k, u, packet)
 }
 
 // GroupPacketWidth returns the wire size of the coded packet node k sends in
@@ -230,6 +237,27 @@ func GroupPacketChunkCount(store IVStore, g Group, k int, chunkRows int) int {
 // widest chunk. The concatenation of all chunks' decoded payloads equals
 // the monolithic packet's decoded segment.
 func EncodeGroupPacketChunk(store IVStore, g Group, k int, chunkRows, c int) ([]byte, error) {
+	terms, err := g.chunkTerms(store, k, chunkRows, c)
+	if err != nil {
+		return nil, err
+	}
+	return encode(terms), nil
+}
+
+// FrameGroupPacketChunk is FrameChunk(c, last, EncodeGroupPacketChunk(...))
+// built in one pooled buffer: the packet is encoded where the chunk frame
+// carries it. Recycle the returned buffer after sending.
+func FrameGroupPacketChunk(store IVStore, g Group, k int, chunkRows, c int, last bool) ([]byte, error) {
+	terms, err := g.chunkTerms(store, k, chunkRows, c)
+	if err != nil {
+		return nil, err
+	}
+	return frameTerms(uint32(c), last, terms), nil
+}
+
+// chunkTerms validates a chunk encode and returns the terms of node k's
+// chunk c.
+func (g Group) chunkTerms(store IVStore, k int, chunkRows, c int) ([]kv.View, error) {
 	ik, err := g.check(k)
 	if err != nil {
 		return nil, err
@@ -237,15 +265,15 @@ func EncodeGroupPacketChunk(store IVStore, g Group, k int, chunkRows, c int) ([]
 	if chunkRows <= 0 || c < 0 {
 		return nil, fmt.Errorf("codec: chunk encode with chunkRows=%d chunk=%d", chunkRows, c)
 	}
-	return encode(g.terms(store, ik, -1, chunkRows, c)), nil
+	return g.terms(store, ik, -1, chunkRows, c), nil
 }
 
-// DecodeGroupPacketChunk recovers node k's chunk c from the chunked coded
-// packet received from node u in group g (the chunked, strategy-generic
-// Algorithm 2): it cancels chunk c of every side-information segment and
-// opens the remaining frame. In a two-member group the result aliases
-// packet (see decode).
-func DecodeGroupPacketChunk(store IVStore, g Group, k, u int, chunkRows, c int, packet []byte) (kv.Records, error) {
+// DecodeGroupPacketChunkInPlace recovers node k's chunk c from the chunked
+// coded packet received from node u in group g (the chunked,
+// strategy-generic Algorithm 2): it cancels chunk c of every
+// side-information segment in packet itself and opens the remaining frame
+// there, as DecodeGroupPacketInPlace does for a whole packet.
+func DecodeGroupPacketChunkInPlace(store IVStore, g Group, k, u int, chunkRows, c int, packet []byte) (kv.Records, error) {
 	ik, iu, err := g.decoderPositions(k, u)
 	if err != nil {
 		return kv.Records{}, err
@@ -253,5 +281,5 @@ func DecodeGroupPacketChunk(store IVStore, g Group, k, u int, chunkRows, c int, 
 	if chunkRows <= 0 || c < 0 {
 		return kv.Records{}, fmt.Errorf("codec: chunk decode with chunkRows=%d chunk=%d", chunkRows, c)
 	}
-	return decode(g.terms(store, iu, ik, chunkRows, c), packet)
+	return decodeInPlace(g.terms(store, iu, ik, chunkRows, c), packet)
 }

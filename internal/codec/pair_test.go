@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 
@@ -20,8 +21,9 @@ func flipAll(buf []byte) {
 // single term and a decode no cancellation, so the packet is exactly the
 // packed size of the intermediate value, decoding returns it unchanged, and
 // the result aliases the received packet instead of copying it — monolithic
-// and chunked alike. A larger group's decode must keep copying: its packet
-// stays usable after the call.
+// and chunked alike. In a larger group DecodeGroupPacket decodes a copy and
+// leaves the packet as it was, while the in-place forms cancel in the
+// packet and alias it.
 func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 	stores, truth := buildScenario(t, 3, 4, 1, 600)
 	pair := CliqueGroup(combin.NewSet(1, 2))
@@ -64,7 +66,7 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 		if len(pc) != PackedSize(hi-lo) {
 			t.Fatalf("chunk %d packet of %d bytes, want %d", c, len(pc), PackedSize(hi-lo))
 		}
-		part, err := DecodeGroupPacketChunk(stores[2], pair, 2, 1, chunkRows, c, pc)
+		part, err := DecodeGroupPacketChunkInPlace(stores[2], pair, 2, 1, chunkRows, c, pc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 		t.Fatal("chunked two-member round trip changed the records")
 	}
 
-	// A three-member group cancels side information on a private copy.
+	// A three-member group.
 	stores3, truth3 := buildScenario(t, 3, 4, 2, 600)
 	m := combin.NewSet(0, 1, 2)
 	g := CliqueGroup(m)
@@ -86,27 +88,43 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sent := append([]byte(nil), p3...)
 	seg3, err := DecodeGroupPacket(stores3[1], g, 1, 0, p3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(p3, sent) {
+		t.Fatal("three-member DecodeGroupPacket wrote the packet")
+	}
 	want3 := Segment(truth3.IV(1, m.Remove(1)), 2, m.Remove(1).Index(0))
 	flipAll(p3)
 	if !seg3.Equal(want3) {
-		t.Fatal("three-member decode aliases the packet")
+		t.Fatal("three-member DecodeGroupPacket aliases the packet")
+	}
+	flipAll(p3)
+	in3, err := DecodeGroupPacketInPlace(stores3[1], g, 1, 0, p3)
+	if err != nil || !in3.Equal(want3) {
+		t.Fatalf("three-member in-place decode: %v", err)
+	}
+	flipAll(p3)
+	if in3.Equal(want3) {
+		t.Fatal("three-member in-place decode copied the packet")
 	}
 	pc3, err := EncodeGroupPacketChunk(stores3[0], g, 0, chunkRows, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	part3, err := DecodeGroupPacketChunk(stores3[1], g, 1, 0, chunkRows, 0, pc3)
+	part3, err := DecodeGroupPacketChunkInPlace(stores3[1], g, 1, 0, chunkRows, 0, pc3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPart3 := chunkOf(want3, chunkRows, 0)
-	flipAll(pc3)
+	wantPart3 := want3.Slice(ChunkSpan(want3.Len(), chunkRows, 0))
 	if !part3.Equal(wantPart3) {
-		t.Fatal("three-member chunk decode aliases the packet")
+		t.Fatal("three-member chunk decode differs")
+	}
+	flipAll(pc3)
+	if part3.Equal(wantPart3) {
+		t.Fatal("three-member in-place chunk decode copied the packet")
 	}
 }
 
@@ -114,7 +132,7 @@ func TestTwoMemberGroupIsIdentityCoded(t *testing.T) {
 // zero-copy decode must reject: a corrupt header, an over-long declared
 // length and a declared length that is not record-aligned.
 func pairCorruptions() (good []byte, bad [][]byte) {
-	good = encode([]kv.Records{gen(5, 3)})
+	good = encode([]kv.View{kv.ViewAll(gen(5, 3))})
 	flipped := append([]byte(nil), good...)
 	flipped[0] ^= 0x80
 	long := append([]byte(nil), good...)
@@ -136,7 +154,7 @@ func TestTwoMemberDecodeRejectsCorruptPackets(t *testing.T) {
 		if _, err := DecodeGroupPacket(IVMap{}, pair, 1, 0, p); err == nil {
 			t.Fatalf("corruption %d decoded without error", i)
 		}
-		if _, err := DecodeGroupPacketChunk(IVMap{}, pair, 1, 0, 8, 0, p); err == nil {
+		if _, err := DecodeGroupPacketChunkInPlace(IVMap{}, pair, 1, 0, 8, 0, p); err == nil {
 			t.Fatalf("corruption %d chunk-decoded without error", i)
 		}
 	}

@@ -1,19 +1,16 @@
 package codec
 
 import (
-	"encoding/binary"
 	"sync"
 
 	"codedterasort/internal/kv"
 )
 
-// Buffer pooling for the streaming shuffle hot path. Every chunk of every
-// stream used to be built as a fresh make+copy (a packed IV, then a chunk
-// frame around it, then a decode accumulator on the receive side), so a
-// pipelined run churned the GC in proportion to Rows. The transport
-// contract makes pooling safe: Send/Bcast do not alias the payload after
-// they return, so a sender can Recycle a frame as soon as the call comes
-// back, and the decode accumulator dies inside its function.
+// Buffer pooling for the shuffle hot path. Every packet and chunk frame a
+// sender builds is about to be fully overwritten, so it comes from a pool
+// instead of a cleared make. The transport contract makes pooling safe:
+// Send/Bcast do not alias the payload after they return, so a sender can
+// Recycle a packet or frame as soon as the call comes back.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getBuf returns a pooled buffer of length n with unspecified contents.
@@ -25,8 +22,9 @@ func getBuf(n int) []byte {
 	return (*p)[:n]
 }
 
-// Recycle returns a buffer obtained from FrameSegmentChunk, the
-// EncodeGroupPacket family or FrameChunk to the pool. Callers recycle only
+// Recycle returns a buffer obtained from FrameSegmentChunk,
+// FrameGroupPacketChunk, the EncodeGroupPacket family or FrameChunk to the
+// pool. Callers recycle only
 // once the buffer is dead (for sent frames: after Send/Bcast returns, per
 // the transport non-aliasing contract); retaining instead of recycling is
 // always safe, just slower.
@@ -45,15 +43,13 @@ func Recycle(buf []byte) {
 // once; the out-of-core shuffle sends its spooled blocks with it. Recycle
 // the returned buffer after sending.
 func FrameSegmentChunk(seq uint32, last bool, seg kv.Records) []byte {
-	out := getBuf(chunkHeaderSize + FrameSize(seg.Size()))
-	binary.BigEndian.PutUint32(out, seq)
-	if last {
-		out[4] = chunkFlagLast
-	} else {
-		out[4] = 0
-	}
-	binary.BigEndian.PutUint32(out[5:], uint32(FrameSize(seg.Size())))
-	binary.BigEndian.PutUint32(out[chunkHeaderSize:], uint32(seg.Size()))
-	copy(out[chunkHeaderSize+frameHeader:], seg.Bytes())
+	return frameTerms(seq, last, []kv.View{kv.ViewAll(seg)})
+}
+
+// frameTerms builds the chunk frame of the packet of terms in one pooled
+// buffer, encoding the packet where the frame carries it.
+func frameTerms(seq uint32, last bool, terms []kv.View) []byte {
+	out := getChunkFrame(seq, last, packetWidth(terms))
+	encodeInto(out[chunkHeaderSize:], terms)
 	return out
 }

@@ -88,7 +88,7 @@ func TestFrameSegmentChunkMatchesComposition(t *testing.T) {
 	for _, rows := range []int64{0, 1, 57} {
 		iv := kv.NewGenerator(9, kv.DistUniform).Generate(0, rows)
 		for _, last := range []bool{false, true} {
-			want := FrameChunk(7, last, encode([]kv.Records{iv}))
+			want := FrameChunk(7, last, encode([]kv.View{kv.ViewAll(iv)}))
 			got := FrameSegmentChunk(7, last, iv)
 			if !bytes.Equal(got, want) {
 				t.Fatalf("rows=%d last=%v: fused frame differs", rows, last)
@@ -140,7 +140,7 @@ func BenchmarkFrameSegmentChunk(b *testing.B) {
 	b.Run("composed", func(b *testing.B) {
 		b.SetBytes(int64(iv.Size()))
 		for i := 0; i < b.N; i++ {
-			Recycle(FrameChunk(0, true, encode([]kv.Records{iv})))
+			Recycle(FrameChunk(0, true, encode([]kv.View{kv.ViewAll(iv)})))
 		}
 	})
 }

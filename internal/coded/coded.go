@@ -13,16 +13,22 @@
 //     job.Local.Input are aliased in place: the in-process runtime
 //     generates the input once and every holder reads the same bytes. A
 //     node without them (a TCP worker, a direct Run) generates its own.
+//     In the in-memory modes a file lives until Reduce has gathered from
+//     it; no stage writes it.
 //  3. Map — hash every stored file, keeping only the relevant intermediate
-//     values (I^k_S and {I^i_S : i not in S}, Fig 5).
-//  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1).
+//     values (I^k_S and {I^i_S : i not in S}, Fig 5) as references: the
+//     ascending rows of the file each one holds. No record is copied.
+//  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1),
+//     gathering each record from the file into the packet.
 //  5. Multicast Shuffling — serial multicast, one root at a time, each
 //     packet broadcast to the other members of its group (Fig 9) by relay
 //     down the group's chain: the root sends it once and every member
 //     forwards it to the next, so relays forward while the next root sends.
 //  6. Decode — cancel known segments from received packets to recover the
-//     needed intermediate values (Algorithm 2).
-//  7. Reduce — locally sort partition k.
+//     needed intermediate values (Algorithm 2), in the received buffer.
+//  7. Reduce — locally sort partition k: order references to the records
+//     where they lie, in the files and the decoded packets, and gather each
+//     one once into the output.
 //
 // What changes with the group size: a group of two members (clique r = 1,
 // resolvable r = 2) has nothing to code. Its "multicast" is one unicast, a
@@ -208,9 +214,14 @@ type worker struct {
 	coding bool
 
 	// files are the stored input files, materialized by Place in the
-	// in-memory modes; Map releases each one after its scatter.
+	// in-memory modes. Map hands each one over to the views it keeps.
 	files map[int]kv.Records
-	store codec.IVMap // IVs kept after Map: {I^q_S : rank in S, q == rank or q not in S}
+	// store holds the IVs kept after Map: {I^q_S : rank in S, q == rank or
+	// q not in S}. The in-memory Map keeps views of the files' rows
+	// (codec.ViewMap), which keep the files alive until Reduce lets go of
+	// the store; the out-of-core Map copies its side information out of
+	// transient blocks (codec.IVMap).
+	store codec.IVStore
 	// spools[gi] holds the IV this node sends in group myGroups[gi] when the
 	// out-of-core Map spooled it to disk (no coding); spoolBlocks are
 	// the finished spools' block counts.
@@ -219,10 +230,12 @@ type worker struct {
 	packets     [][]byte // E_{M,rank} per myGroups index
 	// received[gi][i] is the packet from member i of group myGroups[gi].
 	received [][][]byte
-	// decoded[gi][i] is the segment of this node's needed IV recovered from
-	// member i of group myGroups[gi]; read in (group, member) order it is
-	// the remote share of partition `rank`.
-	decoded [][]kv.Records
+	// decoded[gi][i] lists the non-empty pieces of this node's needed IV
+	// recovered from member i of group myGroups[gi] — one per packet, or
+	// one per chunk when streaming — each decoded where its packet arrived
+	// (see compact). Read in (group, member, piece) order they are the
+	// remote share of partition `rank`.
+	decoded [][][]kv.Records
 	result  Result
 }
 
@@ -243,7 +256,7 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	}
 	rank := ep.Rank()
 	w := &worker{cfg: cfg, spec: spec, rank: rank, part: spec.Part, plan: plan,
-		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank), store: codec.IVMap{}}
+		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank)}
 	w.groupIdx = make(map[int64]int, len(w.myGroups))
 	for i, g := range w.myGroups {
 		w.groupIdx[g.ID] = i
@@ -329,9 +342,9 @@ func (w *worker) graph() *engine.Graph {
 // read from disk, or generated (the row-addressable generator stands in for
 // the coordinator's disk placement) — outside the timed pipeline. Supplied
 // files are aliased, never copied or written, and the node drops its
-// references to the supplied set: from here only w.files, which Map empties
-// file by file, keeps a file alive, so it is garbage once its holders have
-// mapped it.
+// references to the supplied set: from here only w.files, and then the
+// views Map keeps, hold a file, so it is garbage once its holders have
+// reduced.
 func (w *worker) placeStage(ctx *engine.Context) error {
 	input := w.spec.Input
 	w.spec.Input, w.cfg.Input = nil, nil
@@ -508,8 +521,9 @@ func (w *worker) mapRecords(r kv.Records) kv.Records {
 }
 
 // mapStage hashes every stored file and keeps only the relevant
-// intermediate values (Fig 5), releasing each file after its scatter. The
-// scatter runs on the worker's Parallelism goroutines.
+// intermediate values (Fig 5) as views of the file's rows, handing each
+// file over to its views after the scatter. The scatter runs on the
+// worker's Parallelism goroutines.
 func (w *worker) mapStage(ctx *engine.Context) error {
 	w.store = mapRelevant(w.plan, w.part, w.rank, func(fi int) kv.Records {
 		file := w.files[fi]
@@ -534,6 +548,8 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 	if err != nil {
 		return err
 	}
+	ivs := codec.IVMap{}
+	w.store = ivs
 	// sends maps an IV this node sends to its group: the spool key.
 	var sends map[codec.IVKey]int
 	if !w.coding {
@@ -579,7 +595,7 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 						}
 					}
 				default:
-					w.store.Put(q, fileSet, w.store.IV(q, fileSet).AppendRecords(parts[q]))
+					ivs.Put(q, fileSet, ivs.IV(q, fileSet).AppendRecords(parts[q]))
 				}
 			}
 			return nil
@@ -624,21 +640,30 @@ func (w *worker) reduceSpillStage(ctx *engine.Context) error {
 // this node's own reducer) and {I^q_S : q not in S} (needed by remote
 // reducers that did not map S). IVs for partitions q in S\{rank} are
 // dropped: those reducers computed them locally during their own Map stage
-// (paper Section IV-B, Fig 5).
+// (paper Section IV-B, Fig 5). It is the engine's Map with each view
+// gathered into a buffer of its own.
 func MapFiles(plan placement.Plan, part partition.Partitioner, gen *kv.Generator, rank int) codec.IVMap {
-	return mapRelevant(plan, part, rank, func(i int) kv.Records {
+	views := mapRelevant(plan, part, rank, func(i int) kv.Records {
 		return plan.Materialize(gen, i)
 	}, 1)
+	store := make(codec.IVMap, len(views))
+	for key, v := range views {
+		store[key] = v.Collect()
+	}
+	return store
 }
 
-func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file func(int) kv.Records, procs int) codec.IVMap {
-	store := codec.IVMap{}
+// mapRelevant is the in-memory Map body: every relevant IV is the list of
+// the file's rows that hash to its partition.
+func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file func(int) kv.Records, procs int) codec.ViewMap {
+	store := codec.ViewMap{}
 	for _, fi := range plan.FilesOn(rank) {
 		fileSet := plan.Files[fi]
-		parts := partition.SplitParallel(part, file(fi), procs)
+		recs := file(fi)
+		rows := partition.SplitRows(part, recs, procs)
 		for q := 0; q < plan.K; q++ {
 			if q == rank || !fileSet.Contains(q) {
-				store.Put(q, fileSet, parts[q])
+				store.Put(q, fileSet, kv.ViewRows(recs, rows[q]))
 			}
 		}
 	}
@@ -720,6 +745,9 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 			}
 			ctx.Counters.SentBytes += int64(len(w.packets[i]))
 			ctx.Counters.SentOps++
+			// Bcast does not alias the packet after it returns.
+			codec.Recycle(w.packets[i])
+			w.packets[i] = nil
 		}
 		return nil
 	}
@@ -739,7 +767,7 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 // side runs one goroutine per root, each walking that root's groups in the
 // root's send order, so concurrent senders never queue behind one another.
 func (w *worker) streamStage(ctx *engine.Context) error {
-	w.decoded = memberSlots[kv.Records](w.myGroups)
+	w.decoded = memberSlots[[]kv.Records](w.myGroups)
 	recvErrs := make([]error, w.spec.K)
 	var wg sync.WaitGroup
 	// Under the serial schedule the roots take the wire in rank order and
@@ -795,14 +823,16 @@ func (w *worker) streamStage(ctx *engine.Context) error {
 }
 
 // receiveStream consumes the chunk stream root u sends in group
-// myGroups[gi], decoding each chunk on arrival. Recovered records
-// accumulate into the group's decoded slot, or in the spill mode go
-// straight into the runtime's budget-bounded sorter.
+// myGroups[gi], decoding each chunk in place on arrival. Recovered chunks
+// join the group's decoded slot where they lie (see compact), or in the
+// spill mode are copied straight into the runtime's budget-bounded sorter.
 func (w *worker) receiveStream(ctx *engine.Context, gi, u int) error {
 	g := w.myGroups[gi]
-	seg := &w.decoded[gi][g.Index(u)]
+	pieces := &w.decoded[gi][g.Index(u)]
 	consume := func(recs kv.Records) error {
-		*seg = seg.AppendRecords(recs)
+		if recs = compact(recs); recs.Len() > 0 {
+			*pieces = append(*pieces, recs)
+		}
 		return nil
 	}
 	if ctx.Mode == engine.ModeSpill {
@@ -820,7 +850,7 @@ func (w *worker) receiveStream(ctx *engine.Context, gi, u int) error {
 			return transport.StreamAck(ctx.Ep, u, groupTag(tagChunkAck, g.ID, u))
 		},
 		Decode: func(c int, payload []byte) (kv.Records, error) {
-			part, err := codec.DecodeGroupPacketChunk(w.store, g.Group, w.rank, u, w.spec.ChunkRows, c, payload)
+			part, err := codec.DecodeGroupPacketChunkInPlace(w.store, g.Group, w.rank, u, w.spec.ChunkRows, c, payload)
 			if err != nil {
 				return kv.Records{}, fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
 			}
@@ -886,12 +916,10 @@ func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error
 	if w.spools == nil {
 		count := codec.GroupPacketChunkCount(w.store, g.Group, w.rank, w.spec.ChunkRows)
 		return count, func(c int, last bool) ([]byte, error) {
-			pkt, err := codec.EncodeGroupPacketChunk(w.store, g.Group, w.rank, w.spec.ChunkRows, c)
+			frame, err := codec.FrameGroupPacketChunk(w.store, g.Group, w.rank, w.spec.ChunkRows, c, last)
 			if err != nil {
 				return nil, fmt.Errorf("encode chunk %d in %v: %w", c, g.Members, err)
 			}
-			frame := codec.FrameChunk(uint32(c), last, pkt)
-			codec.Recycle(pkt)
 			return frame, nil
 		}, nil
 	}
@@ -914,44 +942,73 @@ func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error
 
 // decodeStage recovers, for every group M containing this node, the
 // segments of the intermediate value this node needs (its Need file) from
-// the received coded packets (Algorithm 2). Groups decode concurrently —
-// each reads only its own received packets and the read-only
-// side-information store, and lands in its own slots.
+// the received coded packets (Algorithm 2), cancelling in each packet where
+// it arrived: the packet is this node's own (a relay's forward completed
+// before Bcast returned it), and once decoded only its segment holds it
+// (see compact). Groups decode concurrently — each writes only its own
+// received packets, reads the read-only side-information store, and lands
+// in its own slots.
 func (w *worker) decodeStage(ctx *engine.Context) error {
-	w.decoded = memberSlots[kv.Records](w.myGroups)
+	w.decoded = memberSlots[[]kv.Records](w.myGroups)
 	return parallel.Do(ctx.Procs, len(w.myGroups), func(gi int) error {
 		g := w.myGroups[gi]
 		for i, u := range g.Members {
 			if u == w.rank {
 				continue
 			}
-			seg, err := codec.DecodeGroupPacket(w.store, g.Group, w.rank, u, w.received[gi][i])
+			seg, err := codec.DecodeGroupPacketInPlace(w.store, g.Group, w.rank, u, w.received[gi][i])
 			if err != nil {
 				return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
 			}
-			w.decoded[gi][i] = seg
+			w.received[gi][i] = nil
+			if seg = compact(seg); seg.Len() > 0 {
+				w.decoded[gi][i] = []kv.Records{seg}
+			}
 		}
 		return nil
 	})
 }
 
+// compact returns a decoded segment that pins no buffer much wider than
+// itself. A segment is decoded where its packet or chunk frame arrived, and
+// that buffer is padded to the group's widest segment, so under partition
+// skew a member's share can be a sliver of it: an empty segment keeps
+// nothing, and one that fills under half its buffer is copied out so the
+// buffer can go.
+func compact(seg kv.Records) kv.Records {
+	b := seg.Bytes()
+	switch {
+	case len(b) == 0:
+		return kv.Records{}
+	case 2*len(b) < cap(b):
+		return seg.Clone()
+	}
+	return seg
+}
+
 // reduceStage sorts partition `rank` (Section IV-F): the locally mapped
-// share ({I^rank_S : rank in S}) followed by the decoded remote share
-// ({I^rank_S : rank not in S}: per group, the segments in ascending sender
-// order). The parts are ordered by reference where they lie and each record
-// is copied once, into the output; equal keys keep that part order, rows
-// ascending, at any Parallelism setting.
+// share ({I^rank_S : rank in S}, views of the stored files) followed by the
+// decoded remote share ({I^rank_S : rank not in S}: per group, the segments
+// in ascending sender order, where their packets arrived). The parts are
+// ordered by reference where they lie and each record is copied once, into
+// the output; equal keys keep that part order, rows ascending, at any
+// Parallelism setting. Then the node lets go of the files and packets.
 func (w *worker) reduceStage(ctx *engine.Context) error {
-	var parts []kv.Records
+	var parts []kv.View
 	for _, fi := range w.stored {
-		parts = append(parts, w.store.IV(w.rank, w.plan.Files[fi]))
+		parts = append(parts, w.store.View(w.rank, w.plan.Files[fi]))
 	}
 	for _, segs := range w.decoded {
-		parts = append(parts, segs...)
+		for _, pieces := range segs {
+			for _, p := range pieces {
+				parts = append(parts, kv.ViewAll(p))
+			}
+		}
 	}
 	var order kv.Order
-	order.Sort(ctx.Procs, parts...)
+	order.SortViews(ctx.Procs, parts...)
 	out := order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
+	w.store, w.decoded = nil, nil
 	w.result.OutputRows = int64(out.Len())
 	w.result.OutputChecksum = out.Checksum()
 	if sink := w.cfg.OutputSink; sink != nil {

@@ -5,8 +5,10 @@ import (
 	"slices"
 	"testing"
 
+	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/stats"
 )
 
 // TestParallelismMatchesSequential: the engine's Parallelism knob —
@@ -35,37 +37,62 @@ func TestParallelismMatchesSequential(t *testing.T) {
 // Reduce takes its parts in (stored files, then decoded segments by group
 // and sender), then row — which is what the standard library's stable sort
 // of those parts' concatenation produces, and which no Parallelism setting
-// can change.
+// can change. The parts are read through the view store and the decoded
+// pieces as Reduce is about to take them, after Decode.
 func TestReduceTieOrder(t *testing.T) {
 	for _, r := range []int{1, 2} {
-		spec := job.Spec{K: 4, R: r, Rows: 6000, Seed: 5, DistName: "dupheavy", Parallelism: 1}
-		workers := runWorkers(t, cfgOf(spec), nil, nil)
-		spec.Parallelism = 4
-		parallel := runAll(t, cfgOf(spec))
-		for rank, w := range workers {
-			var all kv.Records
-			for _, fi := range w.stored {
-				all = all.AppendRecords(w.store.IV(w.rank, w.plan.Files[fi]))
+		for _, chunkRows := range []int{0, 80} {
+			spec := job.Spec{K: 4, R: r, Rows: 6000, Seed: 5, DistName: "dupheavy", Parallelism: 1, ChunkRows: chunkRows}
+			// The last stage before Reduce: Decode, or the streaming Shuffle.
+			beforeReduce := stats.StageUnpack
+			if chunkRows > 0 {
+				beforeReduce = stats.StageShuffle
 			}
-			for _, segs := range w.decoded {
-				for _, seg := range segs {
-					all = all.AppendRecords(seg)
+			parts := make([]kv.Records, spec.K)
+			workers := make([]*worker, spec.K)
+			collect := func(rank int, c *Config) {
+				c.Hooks = func(ev engine.StageEvent) {
+					if ev.Stage != beforeReduce {
+						return
+					}
+					w := workers[rank]
+					var all kv.Records
+					for _, fi := range w.stored {
+						all = all.AppendRecords(w.store.View(w.rank, w.plan.Files[fi]).Collect())
+					}
+					for _, segs := range w.decoded {
+						for _, pieces := range segs {
+							for _, p := range pieces {
+								all = all.AppendRecords(p)
+							}
+						}
+					}
+					parts[rank] = all
 				}
 			}
-			idx := make([]int, all.Len())
-			for i := range idx {
-				idx[i] = i
-			}
-			slices.SortStableFunc(idx, func(a, b int) int { return bytes.Compare(all.Key(a), all.Key(b)) })
-			want := kv.MakeRecords(all.Len())
-			for _, i := range idx {
-				want = want.Append(all.Record(i))
-			}
-			if !w.result.Output.Equal(want) {
-				t.Fatalf("r=%d rank %d: equal keys are not in (part, row) order", r, rank)
-			}
-			if !parallel[rank].Output.Equal(want) {
-				t.Fatalf("r=%d rank %d: Parallelism 4 output differs from Parallelism 1", r, rank)
+			runWorkers(t, cfgOf(spec), collect, func(w *worker) stats.Clock {
+				workers[w.rank] = w
+				return stats.NewWallClock()
+			})
+			spec.Parallelism = 4
+			parallel := runAll(t, cfgOf(spec))
+			for rank, w := range workers {
+				all := parts[rank]
+				idx := make([]int, all.Len())
+				for i := range idx {
+					idx[i] = i
+				}
+				slices.SortStableFunc(idx, func(a, b int) int { return bytes.Compare(all.Key(a), all.Key(b)) })
+				want := kv.MakeRecords(all.Len())
+				for _, i := range idx {
+					want = want.Append(all.Record(i))
+				}
+				if want.Len() == 0 || !w.result.Output.Equal(want) {
+					t.Fatalf("r=%d chunkRows=%d rank %d: equal keys are not in (part, row) order", r, chunkRows, rank)
+				}
+				if !parallel[rank].Output.Equal(want) {
+					t.Fatalf("r=%d chunkRows=%d rank %d: Parallelism 4 output differs from Parallelism 1", r, chunkRows, rank)
+				}
 			}
 		}
 	}

@@ -286,7 +286,7 @@ func TestChunkRx(t *testing.T) {
 		Decode: func(c int, payload []byte) (kv.Records, error) {
 			// A two-member group has nothing to cancel: the store is unread.
 			pair := codec.CliqueGroup(combin.NewSet(0, 1))
-			return codec.DecodeGroupPacketChunk(codec.IVMap{}, pair, 0, 1, 4, c, payload)
+			return codec.DecodeGroupPacketChunkInPlace(codec.IVMap{}, pair, 0, 1, 4, c, payload)
 		},
 		Consume: func(r kv.Records) error { out = out.AppendRecords(r); return nil },
 	}

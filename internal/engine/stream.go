@@ -19,10 +19,12 @@ type ChunkRx struct {
 	// Ack returns one credit to the stream's sender.
 	Ack func() error
 	// Decode recovers the chunk's records from its payload; c is the chunk
-	// index within the stream. The callback owns engine-specific error
-	// context (source rank, multicast group).
+	// index within the stream. The payload belongs to the receiver, so
+	// Decode may work in it and return records that alias it. The callback
+	// owns engine-specific error context (source rank, multicast group).
 	Decode func(c int, payload []byte) (kv.Records, error)
-	// Consume receives each decoded chunk's records in arrival order.
+	// Consume receives each decoded chunk's records in arrival order, and
+	// may keep them: nothing reuses the frame they lie in.
 	Consume func(kv.Records) error
 	// WrapStreamErr adds engine-specific context to chunk-framing errors
 	// (nil leaves them unwrapped).

@@ -204,7 +204,9 @@ type Local struct {
 	// set. Mutually exclusive with InputDir.
 	//
 	// The files are read-only: every holder aliases them, and no stage
-	// writes an input file. The in-process sort runtime
+	// writes an input file — Map keeps views of their rows until Reduce,
+	// Encode gathers from them, and Decode cancels in the packets it
+	// received, never in a file. The in-process sort runtime
 	// (cluster.RunLocalOpts) supplies an in-memory job's input this way,
 	// generated once for all ranks; MapReduce jobs supply Job.Input's splits.
 	Input []kv.Records

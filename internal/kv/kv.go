@@ -1,13 +1,17 @@
 // Package kv implements the TeraSort data substrate: fixed-width key-value
 // records in the Hadoop TeraGen format the paper sorts (a 10-byte unsigned
 // integer key followed by a 90-byte arbitrary value, Section V-A), flat
-// record buffers, the sort kernel (Order: key references are ordered, each
-// record is copied once), and the generator that replaces TeraGen.
+// record buffers, views that refer to records where a buffer holds them,
+// the sort kernel (Order: key references are ordered, each record is copied
+// once), and the generator that replaces TeraGen.
 //
-// Records are stored back to back in a single []byte so that a file, an
-// intermediate value, a packed shuffle payload and a coded-packet segment
-// are all the same representation; Map, Pack, Encode and Reduce never copy
-// per-record headers around.
+// Records are stored back to back in a single []byte, so a file, a packed
+// shuffle payload and a decoded coded-packet segment are the same
+// representation. An in-memory intermediate value is a View: the rows of
+// the file it came from. On its way from the input to the output a record
+// is written twice: Encode gathers it into a packet (or XORs it onto one),
+// and Reduce gathers it into the sorted output. Decode cancels in the
+// received packet and leaves the recovered records where they lie.
 package kv
 
 import (

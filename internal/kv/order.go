@@ -10,22 +10,22 @@ import (
 
 // ref is one record's sort reference, 16 bytes: the first eight key bytes
 // as one big-endian word — enough to decide every comparison between
-// distinct TeraGen keys, and exactly eight radix digits — plus the record's
-// input position. Sorting moves references; each 100-byte record is
-// touched once, by Gather.
+// distinct TeraGen keys, and exactly eight radix digits — plus where the
+// record lies: its view and its row in the view's buffer. Sorting moves
+// references; each 100-byte record is touched once, by Gather.
 type ref struct {
 	prefix    uint64
 	part, row uint32
 }
 
-// Order is the sorted order of the records of any number of buffers, which
+// Order is the sorted order of the records of any number of views, which
 // are never concatenated: the total order by full key, equal keys in input
-// position (buffers in argument order, rows ascending). That order is
-// unique, so it does not depend on the goroutine budget. The zero value is
-// ready to use, and an Order reused across Sort calls keeps its reference
-// arrays.
+// position (views in argument order, then view order — rows ascending).
+// That order is unique, so it does not depend on the goroutine budget. The
+// zero value is ready to use, and an Order reused across Sort calls keeps
+// its reference arrays.
 type Order struct {
-	parts         []Records
+	parts         []View
 	refs, scratch []ref
 	procs         int
 }
@@ -40,14 +40,27 @@ const (
 	parallelMinRows = 1 << 12
 )
 
-// Sort orders the records of parts on up to procs goroutines: row ranges
-// shard the reference extraction, top-digit buckets shard the radix.
+// Sort orders the records of whole buffers: SortViews over a view of each.
 func (o *Order) Sort(procs int, parts ...Records) {
-	n := 0
+	o.parts = o.parts[:0]
 	for _, p := range parts {
+		o.parts = append(o.parts, ViewAll(p))
+	}
+	o.sort(procs)
+}
+
+// SortViews orders the records of views on up to procs goroutines: row
+// ranges shard the reference extraction, top-digit buckets shard the radix.
+func (o *Order) SortViews(procs int, views ...View) {
+	o.parts = append(o.parts[:0], views...)
+	o.sort(procs)
+}
+
+func (o *Order) sort(procs int) {
+	n := 0
+	for _, p := range o.parts {
 		n += p.Len()
 	}
-	o.parts = append(o.parts[:0], parts...)
 	o.refs = slices.Grow(o.refs[:0], n)[:n]
 	o.scratch = slices.Grow(o.scratch[:0], n)[:n]
 	if n < parallelMinRows {
@@ -114,12 +127,13 @@ func (o *Order) Sort(procs int, parts ...Records) {
 func (o *Order) extract(lo, hi int) [2]uint64 {
 	and, or := ^uint64(0), uint64(0)
 	base := 0
-	for p, part := range o.parts {
-		n := part.Len()
+	for p, v := range o.parts {
+		n := v.Len()
 		for i := max(lo-base, 0); i < min(hi-base, n); i++ {
-			prefix := part.KeyPrefix64(i)
+			row := v.row(i)
+			prefix := binary.BigEndian.Uint64(v.recs.buf[row*RecordSize:])
 			and, or = and&prefix, or|prefix
-			o.refs[base+i] = ref{prefix, uint32(p), uint32(i)}
+			o.refs[base+i] = ref{prefix, uint32(p), uint32(row)}
 		}
 		base += n
 	}
@@ -142,7 +156,7 @@ func (o *Order) sortRun(a, tmp []ref, shift int) {
 		}
 		if j-i > 1 {
 			for k := i; k < j; k++ {
-				key := o.parts[a[k].part].buf[int(a[k].row)*RecordSize:]
+				key := o.parts[a[k].part].recs.buf[int(a[k].row)*RecordSize:]
 				a[k].prefix = uint64(binary.BigEndian.Uint16(key[8:KeySize]))
 			}
 			sortRefs(a[i:j], tmp[i:j], 8)
@@ -221,7 +235,7 @@ func (o *Order) Gather(dst Records, from, to int) Records {
 	parallel.ForShards(procs, n, func(_, lo, hi int) error {
 		out := dst.buf[at+lo*RecordSize:]
 		for _, r := range o.refs[from+lo : from+hi] {
-			copy(out[:RecordSize], o.parts[r.part].buf[int(r.row)*RecordSize:])
+			copy(out[:RecordSize], o.parts[r.part].recs.buf[int(r.row)*RecordSize:])
 			out = out[RecordSize:]
 		}
 		return nil
@@ -233,10 +247,10 @@ func (o *Order) Gather(dst Records, from, to int) Records {
 // place, following the permutation's cycles: one copy per record and no
 // record-sized scratch. It consumes the order.
 func (o *Order) Permute() {
-	if len(o.parts) != 1 {
-		panic("kv: Permute on an order of several buffers")
+	if len(o.parts) != 1 || o.parts[0].listed {
+		panic("kv: Permute on an order of other than one whole buffer")
 	}
-	rec := o.parts[0].Record
+	rec := o.parts[0].recs.Record
 	var held [RecordSize]byte
 	for i := range o.refs {
 		// refs[j].row is the row that belongs at j; it is set to j once

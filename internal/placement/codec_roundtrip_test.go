@@ -97,7 +97,8 @@ func TestGroupCodecRoundTripAcrossStrategies(t *testing.T) {
 					got = got.AppendRecords(seg)
 					var reassembled kv.Records
 					for c, pkt := range chunked[u] {
-						part, err := codec.DecodeGroupPacketChunk(stores[node], g.Group, node, u, chunkRows, c, pkt)
+						// Every member decodes its own copy, in place.
+						part, err := codec.DecodeGroupPacketChunkInPlace(stores[node], g.Group, node, u, chunkRows, c, append([]byte(nil), pkt...))
 						if err != nil {
 							t.Fatalf("group %d chunk %d decode at %d from %d: %v", g.ID, c, node, u, err)
 						}
