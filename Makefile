@@ -123,7 +123,7 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 20
 
 # Coverage floor on the framework-critical packages: the job description
-# (the one validator every entry point calls), the stage-graph
+# (the one validator every entry point calls), the stage
 # runtime, the sort engine built on it, the MapReduce layer riding it, the
 # multi-tenant serving layer, and the partitioner (the one component every
 # reducer's balance and every splitter agreement depends on), and the two
@@ -150,7 +150,7 @@ cover-gate:
 # number a simplicity PR diffs against its parent. LOC_PARENT is that
 # parent's figure (the last simplicity PR's base), so the gate's log shows
 # the delta the PR description quotes; bump it when the base moves.
-LOC_PARENT ?= 15483
+LOC_PARENT ?= 15733
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 

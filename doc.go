@@ -30,12 +30,11 @@
 // multicast is application-layer, as the paper's MPI_Bcast is: each coded
 // packet relays down a chain of its group (transport.ChainBcast), so the
 // root's egress carries it once and members forward it on their own links
-// while the next root sends. The engine is a
-// thin stage-graph builder over internal/engine, the execution runtime: a
-// job is a declarative DAG of typed stages
-// (Map, Pack/Encode, Shuffle, Unpack/Decode, Reduce) with explicit
-// data-plane edges, and one scheduler runs the monolithic, chunk-streaming
-// and out-of-core schedules as modes read off the job spec. The scheduler
+// while the next root sends. The engine writes out, as a plain list per
+// execution mode, the fixed stage sequence the paper runs (CodeGen, Map,
+// Pack/Encode, Shuffle, Unpack/Decode, Reduce), and internal/engine, the
+// execution runtime, walks the monolithic, chunk-streaming or out-of-core
+// list, the mode read off the job spec. The scheduler
 // is the one place a stage is measured: it charges the per-stage breakdown
 // and reports the same event to one stage hook, which feeds the cluster
 // stage log in process and over TCP alike — the engine contributes only

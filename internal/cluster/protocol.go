@@ -18,8 +18,8 @@ import (
 // coordinator may send an abort frame that tells a worker to cancel its
 // attempt (close its mesh) instead of waiting forever on a dead peer.
 
-// maxControlFrame caps control messages; they carry no record data.
-const maxControlFrame = 16 << 20
+// MaxControlFrame caps control messages; they carry no record data.
+const MaxControlFrame = 16 << 20
 
 // registerMsg announces a worker and the address of its mesh listener.
 type registerMsg struct {
@@ -87,7 +87,7 @@ func readFrame(conn net.Conn, v any) error {
 		return fmt.Errorf("cluster: read frame header: %w", err)
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxControlFrame {
+	if n > MaxControlFrame {
 		return fmt.Errorf("cluster: control frame of %d bytes exceeds limit", n)
 	}
 	p := make([]byte, n)

@@ -39,9 +39,10 @@
 // disk instead of holding them. The engine tests only that property — never
 // an algorithm name or r itself.
 //
-// The package is a stage-graph builder over the internal/engine runtime:
-// scheduling, mode selection, spill-sorter lifecycle, transfer accounting
-// and per-stage instrumentation live there. The placement/coding scheme is
+// The package writes out each execution mode's stage list (worker.schedule)
+// for the internal/engine runtime, which walks it: mode selection, stage
+// timing, barriers, fault injection, the spill-sorter lifecycle and
+// transfer accounting live there. The placement/coding scheme is
 // pluggable (job.Spec.Placement) through placement.Strategy.
 package coded
 
@@ -240,8 +241,8 @@ type worker struct {
 }
 
 // newWorker resolves the job against the endpoint's world and derives
-// everything the stage graph's shape depends on: the placement plan, this
-// node's files and groups, and the group size.
+// everything the schedule depends on: the placement plan, this node's files
+// and groups, and the group size.
 func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	spec, err := cfg.Resolve(cfg.Local)
 	if err != nil {
@@ -262,7 +263,7 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 		w.groupIdx[g.ID] = i
 	}
 	// Group size is uniform within a strategy, so every rank reads the same
-	// value and builds the same graph.
+	// value and lists the same schedule.
 	spec.Strat.EachGroup(func(g placement.Group) bool {
 		w.coding = len(g.Members) > 2
 		return false
@@ -271,10 +272,10 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	return w, nil
 }
 
-// run drives the stage graph on the engine runtime, timing stages by
+// run walks this rank's schedule on the engine runtime, timing stages by
 // clock, and fills the result.
 func (w *worker) run(ep transport.Endpoint, clock stats.Clock) error {
-	ctx, err := engine.Run(ep, w.graph(), w.spec, clock, w.cfg.Hooks)
+	ctx, err := engine.Run(ep, w.schedule(engine.ModeOf(w.spec)), tagBarrier, w.spec, clock, w.cfg.Hooks)
 	if err != nil {
 		return err
 	}
@@ -290,52 +291,45 @@ func (w *worker) run(ep transport.Endpoint, clock stats.Clock) error {
 	return nil
 }
 
-// graph declares the stage DAG over the engine runtime: the paper's
-// monolithic schedule, the chunked streaming variant that collapses
-// Encode+Shuffle+Decode into one overlapped stage, and the out-of-core
-// variant that spills through the runtime's sorter — one declarative graph,
-// scheduled by the runtime's policy-derived mode.
-func (w *worker) graph() *engine.Graph {
-	g := engine.NewGraph("coded", func(s stats.Stage) transport.Tag {
-		return transport.MakeTag(tagBarrier, uint16(s), 0xFFFF)
-	})
+// schedule lists this rank's stages in mode m: the paper's monolithic
+// sequence, the chunked one whose streaming Shuffle overlaps Encode,
+// Shuffle and Decode, and the out-of-core one that scans its files block by
+// block and spills through the runtime's sorter. Every rank lists the same
+// columns.
+func (w *worker) schedule(m engine.Mode) []engine.Stage {
+	var stages []engine.Stage
 	if w.coding {
-		g.Add(engine.Stage{Kind: engine.KindCodeGen, Modes: engine.AllModes, Run: w.codeGenStage})
+		stages = append(stages, engine.Stage{Column: stats.StageCodeGen, Run: w.codeGenStage})
 	}
-	mapNeeds := []string{"files"}
-	var spillNeeds []string
 	if w.part == nil {
 		// Sampled partitioning without preset splitters: the splitter
-		// agreement rides the graph as a timed pre-Map stage, so hooks,
-		// fault injection and recovery cover it like any other stage. It
-		// shares the CodeGen breakdown column.
-		g.Add(engine.Stage{Kind: engine.KindSample, Modes: engine.AllModes,
-			Provides: []string{"part"}, Run: w.sampleStage})
-		mapNeeds = append(mapNeeds, "part")
-		spillNeeds = []string{"part"}
+		// agreement is a timed pre-Map stage, so hooks, fault injection and
+		// recovery cover it like any other. It shares the CodeGen column.
+		stages = append(stages, engine.Stage{Column: stats.StageCodeGen, Run: w.sampleStage})
 	}
 	// Place comes last before Map, the first stage whose body talks to no
 	// peer: placement is unbarriered, so a communicating stage after it
 	// would be charged the wait for the slowest rank's placement.
-	g.Add(engine.Stage{Kind: engine.KindPlace, Modes: engine.InMemory,
-		Provides: []string{"files"}, Run: w.placeStage})
-	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.InMemory,
-		Needs: mapNeeds, Provides: []string{"store"}, Run: w.mapStage})
-	g.Add(engine.Stage{Kind: engine.KindMap, Modes: engine.In(engine.ModeSpill),
-		Needs: spillNeeds, Provides: []string{"store", "sorter"}, Run: w.mapSpillStage})
-	g.Add(engine.Stage{Kind: engine.KindPack, Modes: engine.In(engine.ModeMono),
-		Needs: []string{"store"}, Provides: []string{"packets"}, Run: w.encodeStage})
-	g.Add(engine.Stage{Kind: engine.KindShuffle, Modes: engine.In(engine.ModeMono),
-		Needs: []string{"packets"}, Provides: []string{"received"}, Run: w.multicastStage})
-	g.Add(engine.Stage{Kind: engine.KindShuffle, Modes: engine.Streaming,
-		Needs: []string{"store"}, Provides: []string{"decoded"}, Run: w.streamStage})
-	g.Add(engine.Stage{Kind: engine.KindUnpack, Modes: engine.In(engine.ModeMono),
-		Needs: []string{"received", "store"}, Provides: []string{"decoded"}, Run: w.decodeStage})
-	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.InMemory,
-		Needs: []string{"store", "decoded"}, Run: w.reduceStage})
-	g.Add(engine.Stage{Kind: engine.KindReduce, Modes: engine.In(engine.ModeSpill),
-		Needs: []string{"sorter"}, Run: w.reduceSpillStage})
-	return g
+	place := engine.Stage{Untimed: true, Run: w.placeStage}
+	switch m {
+	case engine.ModeMono:
+		return append(stages, place,
+			engine.Stage{Column: stats.StageMap, Run: w.mapStage},
+			engine.Stage{Column: stats.StagePack, Run: w.encodeStage},
+			engine.Stage{Column: stats.StageShuffle, Run: w.multicastStage},
+			engine.Stage{Column: stats.StageUnpack, Run: w.decodeStage},
+			engine.Stage{Column: stats.StageReduce, Run: w.reduceStage})
+	case engine.ModeChunked:
+		return append(stages, place,
+			engine.Stage{Column: stats.StageMap, Run: w.mapStage},
+			engine.Stage{Column: stats.StageShuffle, Run: w.streamStage},
+			engine.Stage{Column: stats.StageReduce, Run: w.reduceStage})
+	default: // engine.ModeSpill
+		return append(stages,
+			engine.Stage{Column: stats.StageMap, Run: w.mapSpillStage},
+			engine.Stage{Column: stats.StageShuffle, Run: w.streamStage},
+			engine.Stage{Column: stats.StageReduce, Run: w.reduceSpillStage})
+	}
 }
 
 // placeStage materializes the files stored on this node — supplied,

@@ -16,31 +16,8 @@ import (
 	"codedterasort/internal/transport/memnet"
 )
 
-func barrierTag(s stats.Stage) transport.Tag {
-	return transport.MakeTag(0x7F, uint16(s), 0xFFFF)
-}
-
-// TestKindStats: every timed kind maps onto the shared stage axis, and the
-// placement kind is untimed.
-func TestKindStats(t *testing.T) {
-	want := map[Kind]stats.Stage{
-		KindCodeGen: stats.StageCodeGen,
-		KindMap:     stats.StageMap,
-		KindPack:    stats.StagePack,
-		KindShuffle: stats.StageShuffle,
-		KindUnpack:  stats.StageUnpack,
-		KindReduce:  stats.StageReduce,
-	}
-	for k, st := range want {
-		got, timed := k.Stats()
-		if !timed || got != st {
-			t.Errorf("%v: got (%v, %v), want (%v, true)", k, got, timed, st)
-		}
-	}
-	if _, timed := KindPlace.Stats(); timed {
-		t.Errorf("KindPlace must be untimed")
-	}
-}
+// barrierNS is the tag namespace of the test schedules' stage barriers.
+const barrierNS = 0x7F
 
 // resolved returns the resolved spec of a TeraSort job with the given
 // knobs — what a scheduler test hands Run.
@@ -74,74 +51,46 @@ func TestModeOf(t *testing.T) {
 	}
 }
 
-// TestGraphEdges: a stage whose need no earlier stage provides fails
-// validation, in exactly the modes where the provider is absent.
-func TestGraphEdges(t *testing.T) {
-	nop := func(*Context) error { return nil }
-	g := NewGraph("enginetest", barrierTag)
-	g.Add(Stage{Kind: KindMap, Modes: InMemory, Provides: []string{"hashed"}, Run: nop})
-	g.Add(Stage{Kind: KindShuffle, Modes: AllModes, Needs: []string{"hashed"}, Run: nop})
-	if _, err := g.Schedule(ModeMono); err != nil {
-		t.Fatalf("mono schedule: %v", err)
+// TestModeAndKilledStrings pins the mode and death diagnostic renderings.
+func TestModeAndKilledStrings(t *testing.T) {
+	for m, s := range map[Mode]string{ModeMono: "monolithic", ModeChunked: "chunked", ModeSpill: "spill", Mode(9): "Mode(9)"} {
+		if m.String() != s {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(m), m.String(), s)
+		}
 	}
-	if _, err := g.Schedule(ModeSpill); err == nil {
-		t.Fatal("spill schedule accepted an unmet edge (map only runs in-memory)")
-	}
-	if err := g.Validate(); err == nil {
-		t.Fatal("Validate missed the unmet spill edge")
+	dead := &KilledError{Rank: 3, Stage: stats.StageReduce}
+	if !strings.Contains(dead.Error(), "rank 3 killed at Reduce") {
+		t.Errorf("KilledError renders %q", dead.Error())
 	}
 }
 
-// TestGraphModeFiltering: the schedule keeps insertion order and picks the
-// per-mode stage variant declaratively.
-func TestGraphModeFiltering(t *testing.T) {
-	nop := func(*Context) error { return nil }
-	g := NewGraph("enginetest", barrierTag)
-	g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: nop})
-	g.Add(Stage{Kind: KindShuffle, Modes: In(ModeMono), Run: nop})
-	g.Add(Stage{Kind: KindShuffle, Modes: Streaming, Run: nop})
-	g.Add(Stage{Kind: KindReduce, Modes: AllModes, Run: nop})
-	for _, m := range []Mode{ModeMono, ModeChunked, ModeSpill} {
-		sched, err := g.Schedule(m)
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if len(sched) != 3 {
-			t.Fatalf("%v: %d stages, want 3", m, len(sched))
-		}
-		if sched[0].Kind != KindMap || sched[1].Kind != KindShuffle || sched[2].Kind != KindReduce {
-			t.Fatalf("%v: wrong order %v %v %v", m, sched[0].Kind, sched[1].Kind, sched[2].Kind)
-		}
-	}
-}
-
-// TestRunDrivesStages: a two-rank graph runs its scheduled stages in
-// order, charges the context's breakdown with exactly what it reports to
-// the hooks, skips timing for the placement stage, and reports stage
-// errors with the engine's name prefix.
+// TestRunDrivesStages: a two-rank schedule runs its stages in order,
+// charges the context's breakdown with exactly what it reports to the
+// hooks, skips timing for the untimed placement stage, and reports stage
+// errors with the rank and column.
 func TestRunDrivesStages(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
 
 	var mu sync.Mutex
-	order := map[int][]Kind{}
-	build := func(rank int, failReduce bool) *Graph {
-		note := func(k Kind) func(*Context) error {
+	order := map[int][]string{}
+	build := func(rank int, failReduce bool) []Stage {
+		note := func(name string) func(*Context) error {
 			return func(ctx *Context) error {
 				mu.Lock()
-				order[rank] = append(order[rank], k)
+				order[rank] = append(order[rank], name)
 				mu.Unlock()
-				if failReduce && k == KindReduce {
+				if failReduce && name == "Reduce" {
 					return errors.New("boom")
 				}
 				return nil
 			}
 		}
-		g := NewGraph("enginetest", barrierTag)
-		g.Add(Stage{Kind: KindPlace, Modes: AllModes, Run: note(KindPlace)})
-		g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: note(KindMap)})
-		g.Add(Stage{Kind: KindReduce, Modes: AllModes, Run: note(KindReduce)})
-		return g
+		return []Stage{
+			{Untimed: true, Run: note("Place")},
+			{Column: stats.StageMap, Run: note("Map")},
+			{Column: stats.StageReduce, Run: note("Reduce")},
+		}
 	}
 
 	var ctxs [2]*Context
@@ -152,7 +101,7 @@ func TestRunDrivesStages(t *testing.T) {
 		defer wg.Done()
 		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
 		ep := transport.WithCollectives(mesh.Endpoint(r))
-		ctxs[r], errs[r] = Run(ep, build(r, r == 0), spec, stats.NewWallClock(), hooks)
+		ctxs[r], errs[r] = Run(ep, build(r, r == 0), barrierNS, spec, stats.NewWallClock(), hooks)
 	}
 	var wg0, wg1 sync.WaitGroup
 	wg0.Add(1)
@@ -166,11 +115,11 @@ func TestRunDrivesStages(t *testing.T) {
 	mesh.Close()
 	wg1.Wait()
 
-	if errs[0] == nil || !strings.Contains(errs[0].Error(), "enginetest: rank 0 Reduce stage: boom") {
+	if errs[0] == nil || !strings.Contains(errs[0].Error(), "engine: rank 0 Reduce stage: boom") {
 		t.Fatalf("rank 0 error = %v", errs[0])
 	}
 	for r := 0; r < 2; r++ {
-		want := []Kind{KindPlace, KindMap, KindReduce}
+		want := []string{"Place", "Map", "Reduce"}
 		if fmt.Sprint(order[r]) != fmt.Sprint(want) {
 			t.Fatalf("rank %d ran %v, want %v", r, order[r], want)
 		}
@@ -212,23 +161,24 @@ func TestRunBarrierSynchronizes(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			g := NewGraph("enginetest", barrierTag)
-			g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: func(*Context) error {
-				mu.Lock()
-				mapDone++
-				mu.Unlock()
-				return nil
-			}})
-			g.Add(Stage{Kind: KindReduce, Modes: AllModes, Run: func(*Context) error {
-				mu.Lock()
-				defer mu.Unlock()
-				if mapDone != k {
-					return fmt.Errorf("reduce entered with %d/%d maps done", mapDone, k)
-				}
-				return nil
-			}})
+			stages := []Stage{
+				{Column: stats.StageMap, Run: func(*Context) error {
+					mu.Lock()
+					mapDone++
+					mu.Unlock()
+					return nil
+				}},
+				{Column: stats.StageReduce, Run: func(*Context) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if mapDone != k {
+						return fmt.Errorf("reduce entered with %d/%d maps done", mapDone, k)
+					}
+					return nil
+				}},
+			}
 			ep := transport.WithCollectives(mesh.Endpoint(r))
-			_, errs[r] = Run(ep, g, spec, stats.NewWallClock(), nil)
+			_, errs[r] = Run(ep, stages, barrierNS, spec, stats.NewWallClock(), nil)
 		}(r)
 	}
 	wg.Wait()
@@ -245,14 +195,13 @@ func TestContextDeferLIFO(t *testing.T) {
 	mesh := memnet.NewMesh(1)
 	defer mesh.Close()
 	var got []string
-	g := NewGraph("enginetest", barrierTag)
-	g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: func(ctx *Context) error {
+	stages := []Stage{{Column: stats.StageMap, Run: func(ctx *Context) error {
 		ctx.Defer(func() { got = append(got, "a") })
 		ctx.Defer(func() { got = append(got, "b") })
 		return nil
-	}})
+	}}}
 	ep := transport.WithCollectives(mesh.Endpoint(0))
-	if _, err := Run(ep, g, resolved(t, job.Spec{K: 1}), stats.NewWallClock(), nil); err != nil {
+	if _, err := Run(ep, stages, barrierNS, resolved(t, job.Spec{K: 1}), stats.NewWallClock(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got) != "[b a]" {

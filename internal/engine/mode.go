@@ -7,7 +7,7 @@ import (
 )
 
 // Mode is the execution mode the scheduler derives from the job spec: how
-// the stage graph trades memory for overlap.
+// the schedule trades memory for overlap.
 type Mode int
 
 const (
@@ -37,31 +37,6 @@ func (m Mode) String() string {
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
 }
-
-// ModeSet is a set of modes a stage participates in.
-type ModeSet uint8
-
-// In builds the set of the given modes.
-func In(modes ...Mode) ModeSet {
-	var s ModeSet
-	for _, m := range modes {
-		s |= 1 << m
-	}
-	return s
-}
-
-// Has reports membership.
-func (s ModeSet) Has(m Mode) bool { return s&(1<<m) != 0 }
-
-// The common stage mode sets.
-var (
-	// AllModes marks a stage present in every schedule.
-	AllModes = In(ModeMono, ModeChunked, ModeSpill)
-	// InMemory marks a stage of the fully in-memory schedules.
-	InMemory = In(ModeMono, ModeChunked)
-	// Streaming marks a stage of the chunk-streaming schedules.
-	Streaming = In(ModeChunked, ModeSpill)
-)
 
 // ModeOf derives the execution mode of a resolved job: MemBudget forces
 // out-of-core, ChunkRows alone selects the streaming pipeline, otherwise the

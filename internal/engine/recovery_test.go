@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +13,9 @@ import (
 	"codedterasort/internal/transport/memnet"
 )
 
-// twoStageGraph is a minimal Map -> Reduce graph whose bodies record what
+// twoStages is a minimal Map -> Reduce schedule whose bodies record what
 // ran.
-func twoStageGraph(ran *[]stats.Stage, mu *sync.Mutex) *Graph {
+func twoStages(ran *[]stats.Stage, mu *sync.Mutex) []Stage {
 	note := func(st stats.Stage) func(*Context) error {
 		return func(*Context) error {
 			mu.Lock()
@@ -23,10 +24,7 @@ func twoStageGraph(ran *[]stats.Stage, mu *sync.Mutex) *Graph {
 			return nil
 		}
 	}
-	g := NewGraph("enginetest", barrierTag)
-	g.Add(Stage{Kind: KindMap, Modes: AllModes, Run: note(stats.StageMap)})
-	g.Add(Stage{Kind: KindReduce, Modes: AllModes, Run: note(stats.StageReduce)})
-	return g
+	return []Stage{{Column: stats.StageMap, Run: note(stats.StageMap)}, {Column: stats.StageReduce, Run: note(stats.StageReduce)}}
 }
 
 // TestKillFault: the killed rank exits with *KilledError before the faulty
@@ -45,7 +43,7 @@ func TestKillFault(t *testing.T) {
 		defer wg.Done()
 		hooks := func(ev StageEvent) { events[r] = append(events[r], ev) }
 		ep := transport.WithCollectives(mesh.Endpoint(r))
-		_, errs[r] = Run(ep, twoStageGraph(&ran[r], &mu), spec, stats.NewWallClock(), hooks)
+		_, errs[r] = Run(ep, twoStages(&ran[r], &mu), barrierNS, spec, stats.NewWallClock(), hooks)
 	}
 	wg0.Add(1)
 	wg1.Add(1)
@@ -90,7 +88,7 @@ func TestSlowFault(t *testing.T) {
 		// The kill on the same column is listed second: the first wins.
 		{Rank: 0, Stage: "Reduce", Kind: job.FaultSlow, Factor: 1, Delay: delay},
 		{Rank: 0, Stage: "Sort", Kind: job.FaultKill}}})
-	if _, err := Run(ep, twoStageGraph(&ran, &mu), spec, stats.NewWallClock(), hooks); err != nil {
+	if _, err := Run(ep, twoStages(&ran, &mu), barrierNS, spec, stats.NewWallClock(), hooks); err != nil {
 		t.Fatal(err)
 	}
 	if len(ran) != 2 {
@@ -98,5 +96,26 @@ func TestSlowFault(t *testing.T) {
 	}
 	if reduceElapsed < delay {
 		t.Fatalf("straggler stall not visible: Reduce elapsed %v < %v", reduceElapsed, delay)
+	}
+}
+
+// TestFaultOnAbsentColumn: a fault on a column the schedule never runs
+// fails the run before its first stage, naming the column and the mode,
+// instead of never firing; another rank's fault is not this rank's check.
+func TestFaultOnAbsentColumn(t *testing.T) {
+	mesh := memnet.NewMesh(2)
+	defer mesh.Close()
+	var mu sync.Mutex
+	var ran []stats.Stage
+	spec := resolved(t, job.Spec{K: 2, Faults: []job.FaultSpec{
+		{Rank: 0, Stage: "Encode", Kind: job.FaultKill},
+		{Rank: 1, Stage: "Map", Kind: job.FaultKill}}})
+	ep := transport.WithCollectives(mesh.Endpoint(0))
+	_, err := Run(ep, twoStages(&ran, &mu), barrierNS, spec, stats.NewWallClock(), nil)
+	if err == nil || !strings.Contains(err.Error(), "fault at Pack/Encode, a stage the monolithic schedule never runs") {
+		t.Fatalf("err = %v, want the absent-column refusal", err)
+	}
+	if len(ran) != 0 {
+		t.Fatalf("ran %v before refusing the fault", ran)
 	}
 }

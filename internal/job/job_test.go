@@ -31,8 +31,8 @@ func tera(s job.Spec) job.Spec  { s.Algorithm = job.AlgTeraSort; return s }
 func coded(s job.Spec) job.Spec { s.Algorithm = job.AlgCoded; return s }
 
 // invalidJobs is the one validation table: every check any layer used to
-// make (cluster.Spec.Validate, engine.Policies.Normalize, coded's and
-// mapreduce's normalize) has a row, and TestEveryEntryPointRejects feeds
+// make (cluster.Spec.Validate, the engine's former policy normalization,
+// coded's and mapreduce's normalize) has a row, and TestEveryEntryPointRejects feeds
 // each row to every entry point.
 var invalidJobs = []invalid{
 	{"unknown algorithm", job.Spec{Algorithm: "quicksort", K: 2}, job.Local{}, "unknown algorithm"},

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"codedterasort/internal/cluster"
 	"codedterasort/internal/service/tenant"
 )
 
@@ -62,10 +63,17 @@ func statusFor(err error) int {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	// A spec carries no records, so a submit body is capped like a
+	// cluster control frame.
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, cluster.MaxControlFrame))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("service: bad submit body: %v", err)})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, apiError{Error: fmt.Sprintf("service: bad submit body: %v", err)})
 		return
 	}
 	st, err := s.Submit(req)

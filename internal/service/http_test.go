@@ -185,3 +185,32 @@ func TestHTTPRefusesRetiredMulticastKnob(t *testing.T) {
 		t.Fatalf("want only the accepted job: %v, %v", jobs, err)
 	}
 }
+
+// TestHTTPSubmitBodyCap: a submit body one byte over the control-frame cap
+// gets 413 without being buffered whole, and the server still answers
+// /healthz and accepts a valid job afterwards.
+func TestHTTPSubmitBodyCap(t *testing.T) {
+	_, c := newTestAPI(t, Config{PoolSlots: 4})
+	// Valid JSON but for its size: an empty object padded with whitespace.
+	body := "{" + strings.Repeat(" ", cluster.MaxControlFrame-1) + "}"
+	resp, err := http.Post(c.base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: HTTP %d, want 413", resp.StatusCode)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if ok, err := c.Healthy(ctx); err != nil || !ok {
+		t.Fatalf("healthz after the oversized body: %v, %v", ok, err)
+	}
+	st, err := c.Submit(ctx, SubmitRequest{Tenant: "t", Spec: terasortSpec(500, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.WaitJob(ctx, st.ID); err != nil || final.State != StateDone {
+		t.Fatalf("valid job after the oversized body: %+v, %v", final, err)
+	}
+}
