@@ -47,8 +47,8 @@ func rangeOrdered(rep *cluster.JobReport) bool {
 
 // TestPartitionFlagsReachTheEngine: -partition and -samples were registered
 // and then dropped on the way to the job; now the job is the flags' spec, so
-// the engine runs the sampling round and the reducers come out
-// range-ordered by the agreed splitters.
+// the engine derives sampled splitters and the reducers come out
+// range-ordered by them.
 func TestPartitionFlagsReachTheEngine(t *testing.T) {
 	args := []string{"-kernel", "wordcount", "-k", "4", "-r", "2", "-rows", "3000", "-procs", "1"}
 	hashed, err := mapreduce.RunLocal(parse(t, "", args...))

@@ -72,12 +72,13 @@
 // reusable rank lifecycles and driven by cmd/sortctl (DESIGN.md
 // section 13).
 // Partitioning is skew-robust: beyond the paper's uniform key-domain
-// split, -partition sample runs a pre-Map sampling round — a
-// deterministic stride sample of input keys, pooled at rank 0, K-1
-// quantile splitters broadcast so every rank, engine, mode and recovery
-// attempt partitions identically (internal/partition; -dist selects the
-// skewed-workload generators zipf/sorted/nearsorted/dupheavy/varprefix
-// that defeat the uniform split; DESIGN.md section 16).
+// split, -partition sample selects K-1 quantile splitters from a
+// deterministic stride sample of the input keys, derived by one function
+// (job.Spec.DeriveSplitters) with no traffic, so every rank, engine, mode
+// and recovery attempt partitions identically (internal/partition; -dist
+// selects the skewed-workload generators
+// zipf/sorted/nearsorted/dupheavy/varprefix that defeat the uniform split;
+// DESIGN.md section 16).
 // Input is generated, not read: kv.Generator is addressable by row —
 // record i is a pure function of (seed, distribution, i) — so any party
 // materialises any file with no data movement. In process, an in-memory

@@ -1,5 +1,5 @@
 // Command skewed shows why the paper's uniform key-domain partitioner
-// needs help on realistic inputs, and what the sampling round buys: it
+// needs help on realistic inputs, and what sampled splitters buy: it
 // sorts a Zipf(1.1)-keyed input on 8 in-process workers under both
 // partitioning policies and prints each reducer's share of the output,
 // then sweeps the whole skewed-workload family.
@@ -61,7 +61,7 @@ func main() {
 		}
 		fmt.Printf("\n%-8s max/mean imbalance %.2fx", pol, partition.Imbalance(counts))
 	}
-	fmt.Printf("\nsampling round payload: %d bytes\n\n", jobs["sample"].SampleRoundBytes)
+	fmt.Print("\n\n")
 
 	fmt.Println("The full skewed-workload family, same comparison:")
 	fmt.Printf("%-12s %16s %16s\n", "dist", "uniform", "sampled")

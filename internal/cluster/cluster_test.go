@@ -333,12 +333,12 @@ func TestReportWireForm(t *testing.T) {
 	rep := WorkerReport{Rank: 3, WireBytes: 15, Output: kv.NewGenerator(1, kv.DistUniform).Generate(0, 2),
 		Summary: coded.Summary{Times: times, OutputRows: 11, OutputChecksum: 12, SentBytes: 13, SentOps: 14,
 			ChunksSent: 16, ChunksReceived: 17, SpilledRuns: 18, Spill: stats.SpillStats{RawBytes: 19, DiskBytes: 20},
-			MergeOVCDecided: 21, MergeFullCompares: 22, SplitterBounds: [][]byte{{1, 2}, {3}}, SampleRoundBytes: 23}}
+			MergeOVCDecided: 21, MergeFullCompares: 22, SplitterBounds: [][]byte{{1, 2}, {3}}}}
 	for _, c := range []struct {
 		msg  reportMsg
 		want string
 	}{
-		{reportMsg{WorkerReport: rep}, `{"rank":3,"times":[1000000,2000000,3000000,4000000,5000000,6000000],"output_rows":11,"output_checksum":12,"sent_payload_bytes":13,"multicast_ops":14,"wire_bytes":15,"chunks_sent":16,"chunks_received":17,"spilled_runs":18,"spill":{"raw_bytes":19,"disk_bytes":20},"merge_ovc_decided":21,"merge_full_compares":22,"splitter_bounds":["AQI=","Aw=="],"sample_round_bytes":23}`},
+		{reportMsg{WorkerReport: rep}, `{"rank":3,"times":[1000000,2000000,3000000,4000000,5000000,6000000],"output_rows":11,"output_checksum":12,"sent_payload_bytes":13,"multicast_ops":14,"wire_bytes":15,"chunks_sent":16,"chunks_received":17,"spilled_runs":18,"spill":{"raw_bytes":19,"disk_bytes":20},"merge_ovc_decided":21,"merge_full_compares":22,"splitter_bounds":["AQI=","Aw=="]}`},
 		{reportMsg{WorkerReport: WorkerReport{Rank: 2}, Err: "boom"}, `{"rank":2,"err":"boom","times":[0,0,0,0,0,0],"output_rows":0,"output_checksum":0,"sent_payload_bytes":0,"multicast_ops":0,"wire_bytes":0}`},
 	} {
 		p, err := json.Marshal(c.msg)

@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 
+	"codedterasort/internal/coded"
+	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/trace"
 )
@@ -50,7 +52,8 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // spec asking for more than one attempt is therefore refused before any
 // worker is accepted.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
-	if err := spec.Validate(); err != nil {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
 		return nil, err
 	}
 	if spec.MaxAttempts > 1 {
@@ -60,9 +63,8 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	// pure function of the input (the deterministic stride sample), so the
 	// coordinator computes them once and serializes them into the spec it
 	// distributes. Workers then partition by the preset bounds without
-	// running the agreement round — one fewer collective on the hot path,
-	// and the spec on the wire names the exact key-domain split the job ran
-	// with.
+	// sampling, and the spec on the wire names the exact key-domain split
+	// the job ran with.
 	if spec.Sampled() && spec.Splitters == nil {
 		bounds, err := spec.ExpectedSplitters()
 		if err != nil {
@@ -107,7 +109,7 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	reports := make([]WorkerReport, spec.K)
 	errs := make([]error, spec.K)
 	var abortOnce sync.Once
-	mon := newMonitor(spec.K, spec.StageDeadline, true, 1, func() {
+	mon := newMonitor(spec.K, coded.Columns(resolved), spec.StageDeadline, true, 1, func() {
 		abortOnce.Do(func() {
 			for _, conn := range conns {
 				_ = writeFrame(conn, abortMsg{Reason: "fault detected"})

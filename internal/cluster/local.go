@@ -65,9 +65,6 @@ type JobReport struct {
 	MergeFullCompares int64
 	// WireBytes is the total transport-level traffic.
 	WireBytes int64
-	// SampleRoundBytes totals the sampling round's wire traffic across
-	// workers (0 under uniform partitioning or preset splitters).
-	SampleRoundBytes int64
 	// Validated is set when a sort job's output passed verification
 	// against the input multiset and ordering invariants. A MapReduce
 	// job's reduced output is not self-verified — mapreduce.Sequential is
@@ -183,16 +180,19 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		return nil, err
 	}
 	// The partitioner the output is verified against is resolved once per
-	// job: under sampled partitioning it replays the whole sampling round,
-	// so a run that drifts from the deterministic sample fails verification.
+	// job. Under sampled partitioning its splitters are the ranks' too:
+	// they are preset into the spec the ranks run, so no rank samples.
 	p, err := verifyPartitioner(spec)
 	if err != nil {
 		return nil, err
 	}
 	rankSpec := spec
+	if sp, ok := p.(partition.Splitters); ok {
+		rankSpec.Splitters = sp.Bounds()
+	}
 	var input *placedInput
 	if spec.MemBudget == 0 {
-		if input, err = placeInput(ctx, spec, p); err != nil {
+		if input, err = placeInput(ctx, rankSpec); err != nil {
 			return nil, err
 		}
 		rankSpec = input.spec
@@ -240,10 +240,8 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 // placedInput is an in-memory job's input as the supervisor placed it: the
 // files every rank aliases, their description, and the spec the ranks run.
 type placedInput struct {
-	// spec is the job's spec, except that an InputDir job's files arrive
-	// as Local.Input, so it names no directory, and under sampled
-	// partitioning it carries the verifier's splitters, which the ranks
-	// could no longer sample from the part files.
+	// spec is the ranks' spec, except that an InputDir job's files arrive
+	// as Local.Input, so it names no directory.
 	spec Spec
 	desc verify.Input
 	// held[r] is rank r's reference to the files until the rank takes it.
@@ -257,7 +255,7 @@ type placedInput struct {
 // placeInput generates the input files of spec's placement plan (or reads
 // an InputDir job's part files) and describes them in the same pass. A
 // cancel that arrives meanwhile returns ctx's error before any rank starts.
-func placeInput(ctx context.Context, spec Spec, p partition.Partitioner) (*placedInput, error) {
+func placeInput(ctx context.Context, spec Spec) (*placedInput, error) {
 	resolved, err := spec.Resolve(job.Local{})
 	if err != nil {
 		return nil, err
@@ -278,9 +276,6 @@ func placeInput(ctx context.Context, spec Spec, p partition.Partitioner) (*place
 			return nil, err
 		}
 		in.spec.InputDir = ""
-		if sp, ok := p.(partition.Splitters); ok {
-			in.spec.Splitters = sp.Bounds()
-		}
 	}
 	in.held = make([][]kv.Records, spec.K)
 	for r := range in.held {
@@ -364,7 +359,7 @@ func Supervise(ctx context.Context, spec Spec, opts Options, rank RankFunc) (*Jo
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("cluster: job canceled: %w", err)
 		}
-		reports, suspects, err := runAttempt(ctx, spec, opts, rank, consumed, attempt, stageLog)
+		reports, suspects, err := runAttempt(ctx, spec, coded.Columns(resolved), opts, rank, consumed, attempt, stageLog)
 		if err == nil {
 			rep := rollup(spec, reports)
 			rep.Attempts = attempt
@@ -409,9 +404,11 @@ func allFailed(suspects []Suspect) bool {
 }
 
 // runAttempt executes one supervised attempt and returns its per-rank
-// reports. On a detected fault it returns the suspects alongside the
-// error; an error with no suspects is a genuine (unrecoverable) failure.
-func runAttempt(ctx context.Context, spec Spec, opts Options, rank RankFunc, consumed map[int]bool, attempt int, stageLog *trace.StageLog) ([]WorkerReport, []Suspect, error) {
+// reports; columns is the job's schedule (coded.Columns), by which the
+// monitor names a failed rank's stage. On a detected fault it returns the
+// suspects alongside the error; an error with no suspects is a genuine
+// (unrecoverable) failure.
+func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, opts Options, rank RankFunc, consumed map[int]bool, attempt int, stageLog *trace.StageLog) ([]WorkerReport, []Suspect, error) {
 	// Replacement workers took over the consumed ranks, so their injected
 	// faults do not strike this attempt.
 	attemptSpec := spec
@@ -428,7 +425,7 @@ func runAttempt(ctx context.Context, spec Spec, opts Options, rank RankFunc, con
 	// Detection: crash signals from worker goroutines plus the
 	// peer-relative stage deadline; cancel closes the mesh, unblocking
 	// every rank stuck on the faulty one with ErrClosed.
-	mon := newMonitor(spec.K, spec.StageDeadline, false, attempt, func() { mesh.Close() })
+	mon := newMonitor(spec.K, columns, spec.StageDeadline, false, attempt, func() { mesh.Close() })
 	mon.Watch()
 	defer mon.Stop()
 
@@ -523,7 +520,6 @@ func rollup(spec Spec, reports []WorkerReport) *JobReport {
 		job.Spill.Add(w.Spill)
 		job.MergeOVCDecided += w.MergeOVCDecided
 		job.MergeFullCompares += w.MergeFullCompares
-		job.SampleRoundBytes += w.SampleRoundBytes
 	}
 	return job
 }
@@ -556,8 +552,8 @@ func verifyOutput(job *JobReport, p partition.Partitioner, in verify.Input, sums
 
 // checkSplitterAgreement verifies, when p is a sampled job's Splitters,
 // that every worker reported the same splitter bounds and that they match
-// p's, the coordinator's own replay of the deterministic sampling round. A
-// mismatch means the round's determinism argument was violated
+// p's, the coordinator's own derivation from the deterministic sample. A
+// mismatch means the sample's determinism argument was violated
 // (non-deterministic input read, a worker partitioned by stale bounds after
 // recovery) and the job's output, though locally sorted, would not be
 // globally partitioned as verified. A uniform job has no bounds to agree on.

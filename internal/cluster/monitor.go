@@ -48,6 +48,7 @@ func (s Suspect) String() string {
 // peer stuck at the dead rank's barrier.
 type monitor struct {
 	k        int
+	columns  []stats.Stage // the job's schedule, in run order
 	deadline time.Duration // 0 disables the deadline/liveness rules
 	liveness bool          // enable the absolute heartbeat timeout
 	attempt  int
@@ -64,14 +65,15 @@ type monitor struct {
 	stopOnce  sync.Once
 }
 
-// newMonitor builds a monitor for a k-rank attempt. deadline <= 0 disables
-// the deadline rules (crash detection stays active); liveness additionally
-// arms the absolute heartbeat timeout (the TCP coordinator's mode, where
-// heartbeats flow; in-process runs get crash signals directly instead).
-// cancel is fired exactly once, on the first detection.
-func newMonitor(k int, deadline time.Duration, liveness bool, attempt int, cancel func()) *monitor {
+// newMonitor builds a monitor for a k-rank attempt of a job whose schedule
+// is columns (coded.Columns). deadline <= 0 disables the deadline rules
+// (crash detection stays active); liveness additionally arms the absolute
+// heartbeat timeout (the TCP coordinator's mode, where heartbeats flow;
+// in-process runs get crash signals directly instead). cancel is fired
+// exactly once, on the first detection.
+func newMonitor(k int, columns []stats.Stage, deadline time.Duration, liveness bool, attempt int, cancel func()) *monitor {
 	m := &monitor{
-		k: k, deadline: deadline, liveness: liveness, attempt: attempt,
+		k: k, columns: columns, deadline: deadline, liveness: liveness, attempt: attempt,
 		cancel: cancel, lastSeen: make([]time.Time, k),
 		completed: make([]bool, k),
 		stop:      make(chan struct{}),
@@ -142,7 +144,7 @@ func (m *monitor) Crashed(rank int, st stats.Stage) {
 // connection says nothing about the stage the process died in.
 func (m *monitor) CrashedAtLast(rank int) {
 	m.mu.Lock()
-	m.addSuspect(Suspect{Rank: rank, Stage: m.lastStage(rank), Attempt: m.attempt, Reason: "died"})
+	m.addSuspect(Suspect{Rank: rank, Stage: m.nextStage(rank), Attempt: m.attempt, Reason: "died"})
 	fire := m.markFired()
 	m.mu.Unlock()
 	if fire {
@@ -156,7 +158,7 @@ func (m *monitor) CrashedAtLast(rank int) {
 // for them to unblock regardless of why the rank left.
 func (m *monitor) Errored(rank int) {
 	m.mu.Lock()
-	m.addSuspect(Suspect{Rank: rank, Stage: m.lastStage(rank), Attempt: m.attempt, Reason: "failed"})
+	m.addSuspect(Suspect{Rank: rank, Stage: m.nextStage(rank), Attempt: m.attempt, Reason: "failed"})
 	fire := m.markFired()
 	m.mu.Unlock()
 	if fire {
@@ -234,7 +236,7 @@ func (m *monitor) sweep() bool {
 	if m.liveness {
 		for r := 0; r < m.k; r++ {
 			if !m.completed[r] && now.Sub(m.lastSeen[r]) > m.deadline {
-				m.addSuspect(Suspect{Rank: r, Stage: m.lastStage(r), Attempt: m.attempt, Reason: "missed deadline"})
+				m.addSuspect(Suspect{Rank: r, Stage: m.nextStage(r), Attempt: m.attempt, Reason: "missed deadline"})
 			}
 		}
 	}
@@ -246,19 +248,17 @@ func (m *monitor) sweep() bool {
 	return fire
 }
 
-// lastStage returns the stage after the last one rank completed — the best
-// guess at where a silent rank is stuck. Callers hold mu.
-func (m *monitor) lastStage(rank int) stats.Stage {
-	last := stats.Stage(0)
-	for st := stats.Stage(0); st < stats.NumStages; st++ {
-		if m.done[st][rank] {
-			last = st + 1
+// nextStage returns the first column of the job's schedule that rank has
+// not completed — the best guess at where a silent or failed rank is stuck
+// — or the schedule's last column once it has completed them all. Callers
+// hold mu.
+func (m *monitor) nextStage(rank int) stats.Stage {
+	for _, st := range m.columns {
+		if !m.done[st][rank] {
+			return st
 		}
 	}
-	if last >= stats.NumStages {
-		last = stats.NumStages - 1
-	}
-	return last
+	return m.columns[len(m.columns)-1]
 }
 
 // Stop halts the watchdog.

@@ -9,7 +9,6 @@ import (
 
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/kv"
-	"codedterasort/internal/stats"
 )
 
 // recoverySpec is the base job of the recovery tests: small enough to keep
@@ -106,44 +105,28 @@ func TestRecoveryKillMatrix(t *testing.T) {
 	}
 }
 
-// TestRecoveryKillSampleStage: a TeraSort job has no CodeGen stage, so
-// under sampled partitioning a CodeGen kill strikes the sampling round that
-// shares its column, and the respawned attempt reproduces the healthy
-// output.
-func TestRecoveryKillSampleStage(t *testing.T) {
-	spec := recoverySpec(AlgTeraSort, 6000)
-	spec.Partitioning = "sample"
-	healthy, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Faults = []FaultSpec{{Rank: 1, Stage: "CodeGen", Kind: "kill"}}
-	spec.StageDeadline, spec.MaxAttempts = 5*time.Second, 2
-	job, err := RunLocal(spec)
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	if len(job.Recovered) != 1 || job.Recovered[0] != (Suspect{Rank: 1, Stage: stats.StageCodeGen, Attempt: 1, Reason: "died"}) {
-		t.Fatalf("recovered %v, want rank 1 died at CodeGen", job.Recovered)
-	}
-	assertSameOutput(t, healthy, job)
-}
-
 // TestFaultOnAbsentStageFails: a fault on a column the job's schedule
 // never runs fails the job at once, naming the column and the mode,
 // instead of never firing: Encode in a chunked job (the streaming Shuffle
-// replaces it), CodeGen in a uniform TeraSort job (groups of two have no
-// communicator to build).
+// replaces it), CodeGen in a TeraSort job, uniform or sampled (groups of
+// two have no communicator to build, and sampling is no stage).
 func TestFaultOnAbsentStageFails(t *testing.T) {
 	chunked := recoverySpec(AlgCoded, 2000)
 	chunked.ChunkRows = 500
 	chunked.Faults = []FaultSpec{{Rank: 1, Stage: "Encode", Kind: "kill"}}
 	uniform := recoverySpec(AlgTeraSort, 2000)
 	uniform.Faults = []FaultSpec{{Rank: 1, Stage: "CodeGen", Kind: "kill"}}
-	for want, spec := range map[string]Spec{
-		"kill fault at Pack/Encode, a stage the chunked schedule never runs": chunked,
-		"kill fault at CodeGen, a stage the monolithic schedule never runs":  uniform,
+	sampled := uniform
+	sampled.Partitioning = "sample"
+	for _, c := range []struct {
+		want string
+		spec Spec
+	}{
+		{"kill fault at Pack/Encode, a stage the chunked schedule never runs", chunked},
+		{"kill fault at CodeGen, a stage the monolithic schedule never runs", uniform},
+		{"kill fault at CodeGen, a stage the monolithic schedule never runs", sampled},
 	} {
+		want, spec := c.want, c.spec
 		spec.StageDeadline, spec.MaxAttempts = 5*time.Second, 2
 		done := make(chan error, 1)
 		go func() {

@@ -32,7 +32,7 @@ func (f fullRecordOrder) Less(i, j int) bool {
 // out-of-core) at procs 1 and 4, clean and through a mid-Map kill
 // recovery, produces per-rank output that (a) holds exactly the records
 // the sequential oracle assigns that rank — the whole input split by the
-// splitters the deterministic sampling round must agree on — in sorted
+// splitters derived from the deterministic stride sample — in sorted
 // order, and (b) is byte-identical across every cell of the matrix. The
 // oracle is independent of the engines (it never runs one), so the matrix
 // catches a sampled run that is self-consistent but partitioned by the
@@ -100,9 +100,6 @@ func TestSkewEquivalenceMatrix(t *testing.T) {
 				}
 				references[cell] = reference
 			}
-			if job.SampleRoundBytes <= 0 {
-				t.Fatal("sampled job reported no sample-round bytes")
-			}
 		}
 
 		for _, alg := range []struct {
@@ -142,9 +139,9 @@ func TestSkewEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestSampledMatchesUniformOnPresetBounds: a sampled spec with the
-// splitters preset (the TCP coordinator's path) runs without the sampling
-// round, reports zero sample-round bytes, and still matches the oracle.
+// TestSampledPresetSplitters: a sampled spec with the splitters preset
+// (the TCP coordinator's path) sorts byte-identically to one whose
+// splitters are derived from its input.
 func TestSampledPresetSplitters(t *testing.T) {
 	const k, rows, seed = 4, 2000, 7
 	base := Spec{
@@ -165,16 +162,10 @@ func TestSampledPresetSplitters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.SampleRoundBytes != 0 {
-		t.Fatalf("preset-splitter job ran the sampling round (%d bytes)", job.SampleRoundBytes)
-	}
 	for rank := 0; rank < k; rank++ {
 		if !job.Workers[rank].Output.Equal(ref.Workers[rank].Output) {
 			t.Fatalf("rank %d preset output differs from sampled-round output", rank)
 		}
-	}
-	if ref.SampleRoundBytes <= 0 {
-		t.Fatal("sampling-round job reported no sample-round bytes")
 	}
 }
 

@@ -130,6 +130,31 @@ func TestTCPWorkerDeathFailsFast(t *testing.T) {
 	}
 }
 
+// TestTCPDeathNamesScheduledStage: a worker that dies is blamed on the
+// next stage of its job's own schedule, not on the next breakdown column:
+// a TeraSort job has no CodeGen, so a death before any stage completes is
+// at Map, and a chunked coded job's streaming Shuffle follows Map with no
+// Pack/Encode between them.
+func TestTCPDeathNamesScheduledStage(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"terasort-map", Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 36,
+			Faults: []FaultSpec{{Rank: 2, Stage: "Map", Kind: "kill"}}}, "rank 2 died at Map (attempt 1)"},
+		{"chunked-shuffle", Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 36, ChunkRows: 300,
+			Faults: []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "kill"}}}, "rank 2 died at Shuffle (attempt 1)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, jobErr := runTCP(t, c.spec)
+			if jobErr == nil || !strings.Contains(jobErr.Error(), c.want) {
+				t.Fatalf("verdict %v, want %q", jobErr, c.want)
+			}
+		})
+	}
+}
+
 // TestTCPWorkerGoroutinesExit: every worker listens for aborts, deadline or
 // not, and the listener (like the heartbeat sender) must die with its
 // worker — a long-lived process joining job after job would otherwise

@@ -109,7 +109,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	if spec.MemBudget > 0 {
 		// Under sampled partitioning the coordinator distributes the spec
 		// with the splitters preset, so the checker's partitioner comes
-		// straight off the wire — no local replay of the sampling round.
+		// straight off the wire — no local sampling.
 		p, err := verifyPartitioner(spec)
 		if err != nil {
 			return reportFailure(tx, assign.Rank, err)

@@ -70,10 +70,6 @@ const (
 	tagToken     uint8 = 0x22
 	tagBarrier   uint8 = 0x23
 	tagChunkAck  uint8 = 0x24
-	// Sampling-round tags: key samples gathered to rank 0, agreed splitter
-	// bounds broadcast back.
-	tagSample       uint8 = 0x25
-	tagSampleBounds uint8 = 0x26
 )
 
 // groupTag builds the unique tag of group-scoped traffic: the group's
@@ -161,14 +157,10 @@ type Summary struct {
 	MergeOVCDecided   int64 `json:"merge_ovc_decided,omitempty"`
 	MergeFullCompares int64 `json:"merge_full_compares,omitempty"`
 	// SplitterBounds are the boundary keys this worker partitioned with
-	// under sampled partitioning (agreed in the sampling round or preset
-	// via Spec.Splitters); nil under uniform partitioning. Every worker
-	// must report the same bounds — the coordinator cross-checks.
+	// under sampled partitioning (derived from the input or preset via
+	// Spec.Splitters); nil under uniform partitioning. Every worker must
+	// report the same bounds — the coordinator cross-checks.
 	SplitterBounds [][]byte `json:"splitter_bounds,omitempty"`
-	// SampleRoundBytes counts the sampling-round payload this worker
-	// pushed: sample keys gathered plus, on the selecting rank, the
-	// broadcast bounds. Zero when no round ran.
-	SampleRoundBytes int64 `json:"sample_round_bytes,omitempty"`
 }
 
 // Result is one worker's output.
@@ -202,7 +194,7 @@ type worker struct {
 	cfg  Config        // the process-local hooks
 	spec *job.Resolved // cfg.Spec and cfg.Local, validated and defaulted
 	rank int
-	part partition.Partitioner // resolved by config or the sampling stage
+	part partition.Partitioner // resolved by config or derived from the input
 
 	plan     placement.Plan
 	stored   []int // indices of the files placed on this node, ascending
@@ -242,7 +234,8 @@ type worker struct {
 
 // newWorker resolves the job against the endpoint's world and derives
 // everything the schedule depends on: the placement plan, this node's files
-// and groups, and the group size.
+// and groups, the group size, and a sampled job's splitters when none are
+// preset.
 func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	spec, err := cfg.Resolve(cfg.Local)
 	if err != nil {
@@ -257,18 +250,24 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	}
 	rank := ep.Rank()
 	w := &worker{cfg: cfg, spec: spec, rank: rank, part: spec.Part, plan: plan,
-		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank)}
+		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank), coding: coding(spec.Strat)}
 	w.groupIdx = make(map[int64]int, len(w.myGroups))
 	for i, g := range w.myGroups {
 		w.groupIdx[g.ID] = i
 	}
-	// Group size is uniform within a strategy, so every rank reads the same
-	// value and lists the same schedule.
-	spec.Strat.EachGroup(func(g placement.Group) bool {
-		w.coding = len(g.Members) > 2
-		return false
-	})
 	w.result.Groups = len(w.myGroups)
+	if w.part == nil {
+		// Sampled partitioning without preset splitters: every rank derives
+		// the same splitters from the whole input, through its own Map
+		// hooks, with no traffic.
+		bounds, err := spec.DeriveSplitters(spec.Input, w.mapRecords)
+		if err != nil {
+			return nil, err
+		}
+		if w.part, err = partition.NewSplitters(bounds); err != nil {
+			return nil, fmt.Errorf("coded: sampled splitters: %w", err)
+		}
+	}
 	return w, nil
 }
 
@@ -282,13 +281,37 @@ func (w *worker) run(ep transport.Endpoint, clock stats.Clock) error {
 	if sp, ok := w.part.(partition.Splitters); ok {
 		w.result.SplitterBounds = sp.Bounds()
 	}
-	w.result.SampleRoundBytes = ctx.Counters.SampleBytes
 	w.result.SentBytes = ctx.Counters.SentBytes
 	w.result.SentOps = ctx.Counters.SentOps
 	w.result.ChunksSent = ctx.Counters.ChunksSent
 	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
 	w.result.Times = ctx.Times
 	return nil
+}
+
+// coding reports whether strat's groups have more than two members. Group
+// size is uniform within a strategy, so every rank reads the same value and
+// lists the same schedule.
+func coding(strat placement.Strategy) (coding bool) {
+	strat.EachGroup(func(g placement.Group) bool {
+		coding = len(g.Members) > 2
+		return false
+	})
+	return coding
+}
+
+// Columns lists the breakdown columns every rank of spec's job runs, in
+// schedule order: the timed stages of worker.schedule. The supervisors name
+// the stage a silent or failed rank is stuck at by it.
+func Columns(spec *job.Resolved) []stats.Stage {
+	w := &worker{coding: coding(spec.Strat)}
+	var cols []stats.Stage
+	for _, s := range w.schedule(engine.ModeOf(spec)) {
+		if !s.Untimed {
+			cols = append(cols, s.Column)
+		}
+	}
+	return cols
 }
 
 // schedule lists this rank's stages in mode m: the paper's monolithic
@@ -300,12 +323,6 @@ func (w *worker) schedule(m engine.Mode) []engine.Stage {
 	var stages []engine.Stage
 	if w.coding {
 		stages = append(stages, engine.Stage{Column: stats.StageCodeGen, Run: w.codeGenStage})
-	}
-	if w.part == nil {
-		// Sampled partitioning without preset splitters: the splitter
-		// agreement is a timed pre-Map stage, so hooks, fault injection and
-		// recovery cover it like any other. It shares the CodeGen column.
-		stages = append(stages, engine.Stage{Column: stats.StageCodeGen, Run: w.sampleStage})
 	}
 	// Place comes last before Map, the first stage whose body talks to no
 	// peer: placement is unbarriered, so a communicating stage after it
@@ -402,101 +419,6 @@ func (w *worker) codeGenStage(ctx *engine.Context) error {
 		}
 	}
 	return nil
-}
-
-// sampleStage is the splitter-agreement round of sampled partitioning:
-// draw this rank's share of the global stride sample, pool it at rank 0,
-// and install the broadcast splitters as the run's partitioner.
-func (w *worker) sampleStage(ctx *engine.Context) error {
-	keys, err := w.sampleKeys()
-	if err != nil {
-		return err
-	}
-	bounds, err := ctx.SampleSplitters(
-		transport.MakeTag(tagSample, 0, 0), transport.MakeTag(tagSampleBounds, 0, 0), keys)
-	if err != nil {
-		return err
-	}
-	sp, err := partition.NewSplitters(bounds)
-	if err != nil {
-		return fmt.Errorf("coded: sampled splitters: %w", err)
-	}
-	if sp.NumPartitions() != w.spec.K {
-		return fmt.Errorf("coded: sampling agreed on %d partitions for K=%d", sp.NumPartitions(), w.spec.K)
-	}
-	w.part = sp
-	return nil
-}
-
-// sampleKeys draws this rank's share of the deterministic global stride
-// sample: the key of every stride-th row of the whole input. Only a file's
-// minimum-rank holder contributes its sampled rows, so the shares tile the
-// row space exactly once and the pooled sample — and hence the splitters —
-// is a pure function of the input and the sample size, identical at every
-// redundancy and on every recovery attempt. Map-stage hooks apply before
-// key extraction so the splitters balance the records the shuffle will
-// actually carry.
-func (w *worker) sampleKeys() ([]byte, error) {
-	n := w.plan.NumFiles()
-	// File-order global offsets: generated files tile [0, Rows) via the
-	// plan; supplied input files tile by cumulative length.
-	offsets := make([]int64, n+1)
-	for i := 0; i < n; i++ {
-		if w.spec.Input != nil {
-			offsets[i+1] = offsets[i] + int64(w.spec.Input[i].Len())
-		} else {
-			offsets[i+1] = offsets[i] + w.plan.FileRowCount(i)
-		}
-	}
-	stride := partition.SampleStride(offsets[n], w.spec.SampleSize)
-	gen := kv.NewGenerator(w.spec.Seed, w.spec.KeyDist)
-	// A Map-stage hook may read or rewrite the value, so it needs whole
-	// sampled records; without one a generated sample is keys alone.
-	hooked := w.cfg.Filter != nil || w.cfg.Transform != nil
-	rec := make([]byte, kv.RecordSize)
-	sampled := kv.MakeRecords(0)
-	var keys []byte
-	for _, fi := range w.stored {
-		if w.plan.Files[fi].Min() != w.rank {
-			continue
-		}
-		if w.spec.InputDir != "" {
-			// Peer file sizes are not visible locally, so an on-disk file
-			// samples its own positions at the stride of n files of its
-			// size — identical to the global stride when the files split
-			// the input evenly, and a valid per-file sample otherwise.
-			path := extsort.PartFile(w.spec.InputDir, fi)
-			st, err := os.Stat(path)
-			if err != nil {
-				return nil, fmt.Errorf("coded: sample input file: %w", err)
-			}
-			rows := st.Size() / int64(kv.RecordSize)
-			s, err := extsort.SampleFile(path, partition.SampleStride(rows*int64(n), w.spec.SampleSize))
-			if err != nil {
-				return nil, err
-			}
-			sampled = sampled.AppendRecords(s)
-			continue
-		}
-		first, last := offsets[fi], offsets[fi+1]
-		for g := partition.FirstSampleRow(first, stride); g < last; g += stride {
-			// Generated files tile [0, Rows) in file order, so the plan
-			// row of a sampled offset is the offset itself.
-			switch {
-			case w.spec.Input != nil:
-				sampled = sampled.Append(w.spec.Input[fi].Record(int(g - first)))
-			case hooked:
-				gen.Record(rec, g)
-				sampled = sampled.Append(rec)
-			default:
-				gen.Key(rec[:kv.KeySize], g)
-				keys = append(keys, rec[:kv.KeySize]...)
-			}
-		}
-	}
-	// One run samples either records or bare keys, never both, so the
-	// order of the two parts is immaterial.
-	return append(keys, w.mapRecords(sampled).Keys()...), nil
 }
 
 // mapRecords applies the Map-stage record hooks in order: Filter selects,

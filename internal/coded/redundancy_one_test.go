@@ -80,8 +80,8 @@ func TestRedundancyOneIsTeraSort(t *testing.T) {
 			}
 			all := kv.NewGenerator(seed, cfg.Dist()).Generate(0, rows)
 			if cell.input == "zipf" {
-				// Replay the sampling round: every stride-th row of the
-				// input, splitters from the pooled keys.
+				// Replay the sampler: every stride-th row of the input,
+				// splitters from the sampled keys.
 				var keys []byte
 				for g := int64(0); g < rows; g += partition.SampleStride(rows, 0) {
 					keys = append(keys, all.Key(int(g))...)
@@ -130,9 +130,7 @@ func TestRedundancyOneIsTeraSort(t *testing.T) {
 				if res.Groups != k-1 {
 					t.Fatalf("rank %d in %d groups, want %d", rank, res.Groups, k-1)
 				}
-				// Sampling shares the CodeGen column, so only unsampled
-				// runs can assert it empty.
-				if cfg.Partitioning == "" && res.Times[stats.StageCodeGen] != 0 {
+				if res.Times[stats.StageCodeGen] != 0 {
 					t.Fatalf("rank %d charged %v to CodeGen", rank, res.Times[stats.StageCodeGen])
 				}
 				if ivs, _ := w.store.(codec.IVMap); cell.mode == "spill" && len(ivs) != 0 {
@@ -153,9 +151,10 @@ func (c filesPlacedClock) Now() time.Duration { return time.Duration(len(c.w.fil
 // TestStageAccountingIsRedundancyFree: in every mode the hooks observe the
 // mode's exact column sequence, the same at R = 1 and R = 2 apart from a
 // leading CodeGen exactly when groups have more than two members (R = 2
-// at K = 4), and with one more CodeGen-column event for the sampling
-// round; and in the in-memory modes input generation advances no timed
-// stage for either R — it lives in the untimed Place stage.
+// at K = 4), and the same for sampled runs as for unsampled ones; and in
+// the in-memory modes input generation advances no timed stage for either
+// R — it lives in the untimed Place stage. Columns lists the same
+// sequence without running the job.
 func TestStageAccountingIsRedundancyFree(t *testing.T) {
 	streaming := []stats.Stage{stats.StageMap, stats.StageShuffle, stats.StageReduce}
 	sequences := map[string][]stats.Stage{
@@ -168,9 +167,6 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 			for _, partitioning := range []string{"", "sample"} {
 				var want []stats.Stage
 				if r == 2 {
-					want = append(want, stats.StageCodeGen)
-				}
-				if partitioning == "sample" {
 					want = append(want, stats.StageCodeGen)
 				}
 				want = append(want, sequences[mode]...)
@@ -191,6 +187,13 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 				}
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("%s r=%d partitioning=%q: timed stages %v, want %v", mode, r, partitioning, got, want)
+				}
+				resolved, err := cfg.Resolve(cfg.Local)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cols := Columns(resolved); fmt.Sprint(cols) != fmt.Sprint(want) {
+					t.Fatalf("%s r=%d: Columns %v, want the observed %v", mode, r, cols, want)
 				}
 				// The probe is live: the in-memory modes did place the files.
 				if placed := len(workers[0].files); (placed > 0) != (mode != "spill") {

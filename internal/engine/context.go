@@ -9,7 +9,6 @@ import (
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
-	"codedterasort/internal/partition"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
 )
@@ -28,10 +27,6 @@ type Counters struct {
 	SentOps int64
 	// ChunksSent counts pipelined chunks shipped (zero in ModeMono).
 	ChunksSent int64
-	// SampleBytes counts the sampling-round payload this node pushed:
-	// sample keys gathered to the selecting rank, plus the splitter bounds
-	// that rank broadcast. Zero under uniform partitioning.
-	SampleBytes int64
 
 	chunksReceived atomic.Int64
 }
@@ -118,44 +113,6 @@ func (ctx *Context) Schedule(tokenTag transport.Tag, send func() error) error {
 		return send()
 	}
 	return transport.SerialOrder(ctx.Ep, tokenTag, send)
-}
-
-// SampleSplitters runs the splitter-agreement round of sampled
-// partitioning: every rank contributes its flat buffer of sampled keys
-// (kv.KeySize bytes each, any order), rank 0 pools the samples and selects
-// K-1 quantile splitters, and the encoded bounds are broadcast so every
-// rank returns identical boundaries — the Partitioner agreement the
-// engines require. Selection sorts the pooled sample, so the result does
-// not depend on gather order, only on the sampled key multiset.
-func (ctx *Context) SampleSplitters(gatherTag, bcastTag transport.Tag, sampleKeys []byte) ([][]byte, error) {
-	payloads, err := transport.Gather(ctx.Ep, 0, gatherTag, sampleKeys)
-	if err != nil {
-		return nil, fmt.Errorf("engine: sample gather: %w", err)
-	}
-	var wire []byte
-	if ctx.Rank == 0 {
-		var pooled []byte
-		for _, p := range payloads {
-			pooled = append(pooled, p...)
-		}
-		bounds, err := partition.SelectSplitters(pooled, ctx.Spec.K)
-		if err != nil {
-			return nil, fmt.Errorf("engine: splitter selection: %w", err)
-		}
-		wire = partition.EncodeBounds(bounds)
-		ctx.Counters.SampleBytes += int64(len(wire))
-	} else {
-		ctx.Counters.SampleBytes += int64(len(sampleKeys))
-	}
-	group := make([]int, ctx.Spec.K)
-	for i := range group {
-		group[i] = i
-	}
-	wire, err = ctx.Ep.Bcast(group, 0, bcastTag, wire)
-	if err != nil {
-		return nil, fmt.Errorf("engine: splitter broadcast: %w", err)
-	}
-	return partition.DecodeBounds(wire)
 }
 
 func (ctx *Context) cleanup() {

@@ -34,8 +34,7 @@ import (
 type Stage struct {
 	// Column is the breakdown column the stage is charged to, reported
 	// under and struck at by a job.FaultSpec naming it. Pack/Encode and
-	// Unpack/Decode share columns the way the paper's tables do, and the
-	// sampling round shares CodeGen's.
+	// Unpack/Decode share columns the way the paper's tables do.
 	Column stats.Stage
 	// Untimed marks setup (file placement) outside the measured pipeline:
 	// it is not charged, reported, struck or followed by a barrier, and its

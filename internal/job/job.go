@@ -62,22 +62,20 @@ type Spec struct {
 	// uniform.
 	DistName string `json:"dist,omitempty"`
 	// Partitioning selects the reducer-partitioning policy: "" or
-	// "uniform" for the paper's uniform key-domain split, "sample" for the
-	// pre-Map sampling round — one holder of every input file contributes a
-	// deterministic stride sample of its keys, rank 0 selects K-1 splitters
-	// from the pooled sample and broadcasts them. The pooled sample is a
-	// pure function of the input, so runs of the same input agree on the
-	// splitters byte for byte at every R.
+	// "uniform" for the paper's uniform key-domain split, "sample" for K-1
+	// splitters selected from a deterministic stride sample of the input
+	// (DeriveSplitters). The sample is a pure function of the input, so
+	// runs of the same input agree on the splitters byte for byte at every
+	// R.
 	Partitioning string `json:"partitioning,omitempty"`
-	// SampleSize is the pooled sample-size target of sampled partitioning
+	// SampleSize is the sample-size target of sampled partitioning
 	// (0 = partition.DefaultSampleSize). Requires Partitioning "sample".
 	SampleSize int `json:"sample_size,omitempty"`
-	// Splitters carries the K-1 agreed splitter boundaries of sampled
+	// Splitters carries the K-1 splitter boundaries of sampled
 	// partitioning, serialized with the spec (JSON base64 per boundary):
-	// when the coordinator can compute them up front — any
-	// generator-backed input — it distributes them here and workers skip
-	// the in-graph sampling round; empty leaves the round to the engine.
-	// Requires Partitioning "sample".
+	// the coordinator derives them once and distributes them here, so
+	// workers partition by them without sampling; empty leaves each worker
+	// to derive them itself. Requires Partitioning "sample".
 	Splitters [][]byte `json:"splitters,omitempty"`
 	// RateMbps, when positive, rate-limits every worker's egress — the
 	// paper's 100 Mbps tc configuration.
@@ -221,8 +219,9 @@ type Resolved struct {
 	// MaxAttempts and Heartbeat carry their defaults.
 	Spec
 	// Local is the job's attachment. Part is filled in from the policy —
-	// uniform, or the preset Splitters — and stays nil only when the
-	// sampling round has to agree on it at run time.
+	// uniform, or the preset Splitters — and stays nil only when a sampled
+	// job's splitters are still to be derived from its input
+	// (DeriveSplitters).
 	Local
 	// KeyDist is the parsed DistName.
 	KeyDist kv.Distribution
@@ -342,8 +341,8 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 		return nil, fmt.Errorf("job: %w", err)
 	}
 	if pol == partition.PolicySample {
-		// The sampling round (or the preset bounds) resolves the
-		// partitioner; an explicit one would contradict it.
+		// The sample (or the preset bounds) resolves the partitioner; an
+		// explicit one would contradict it.
 		if local.Part != nil {
 			return nil, fmt.Errorf("job: explicit partitioner with sample partitioning")
 		}
@@ -418,15 +417,11 @@ func (f FaultSpec) validate(k int) error {
 	return nil
 }
 
-// ExpectedSplitters reproduces the splitter boundaries the engine's
-// sampling round will agree on, computed coordinator-side without running
-// the job. The round pools the deterministic global stride sample of the
-// input — the per-holder shares tile the row space, so the pooled multiset
-// is a pure function of (input, sample size) alone — and selection sorts
-// the pool, so replaying the same stride walk here yields byte-identical
-// bounds. For InputDir jobs the part files are sampled positionally, the
-// same way the workers do. Returns nil with no error when the spec does
-// not use sampled partitioning.
+// ExpectedSplitters returns the splitter boundaries a sampled job
+// partitions by, computed without running it: the preset Splitters, or
+// the hook-free DeriveSplitters of the spec's own input (generated rows or
+// InputDir part files). Returns nil with no error when the spec does not
+// use sampled partitioning.
 func (s Spec) ExpectedSplitters() ([][]byte, error) {
 	if !s.Sampled() {
 		return nil, nil
@@ -434,8 +429,38 @@ func (s Spec) ExpectedSplitters() ([][]byte, error) {
 	if len(s.Splitters) > 0 {
 		return s.Splitters, nil
 	}
-	var keys []byte
-	if s.InputDir != "" {
+	return s.DeriveSplitters(nil, nil)
+}
+
+// DeriveSplitters is the sampler of sampled partitioning. It walks the
+// deterministic global stride sample of the job's input — every stride-th
+// row of input's files read in file order when input is non-nil, of the
+// generated rows [0, Rows) otherwise — passes it through mapRecords when
+// that is non-nil (the Map-stage hooks, so the splitters balance the
+// records the shuffle carries), and selects K-1 splitters from the
+// sample's keys. The sample is a pure function of the input, the sample
+// size and the hook, so every rank, attempt and redundancy derives the same
+// bounds with no communication. InputDir part files are sampled by
+// position, each at the stride of K files of its size: the global stride
+// when the files split the input evenly.
+func (s Spec) DeriveSplitters(input []kv.Records, mapRecords func(kv.Records) kv.Records) ([][]byte, error) {
+	var sample kv.Records
+	switch {
+	case input != nil:
+		var total int64
+		for _, f := range input {
+			total += int64(f.Len())
+		}
+		stride := partition.SampleStride(total, s.SampleSize)
+		fi, first := 0, int64(0) // the file holding row g, and its first row
+		for g := int64(0); g < total; g += stride {
+			for g >= first+int64(input[fi].Len()) {
+				first += int64(input[fi].Len())
+				fi++
+			}
+			sample = sample.Append(input[fi].Record(int(g - first)))
+		}
+	case s.InputDir != "":
 		for rank := 0; rank < s.K; rank++ {
 			path := extsort.PartFile(s.InputDir, rank)
 			st, err := os.Stat(path)
@@ -447,16 +472,18 @@ func (s Spec) ExpectedSplitters() ([][]byte, error) {
 			if err != nil {
 				return nil, fmt.Errorf("job: sample input: %w", err)
 			}
-			keys = append(keys, sampled.Keys()...)
+			sample = sample.AppendRecords(sampled)
 		}
-	} else {
+	default:
 		gen := kv.NewGenerator(s.Seed, s.Dist())
-		stride := partition.SampleStride(s.Rows, s.SampleSize)
-		var key [kv.KeySize]byte
-		for g := int64(0); g < s.Rows; g += stride {
-			gen.Key(key[:], g)
-			keys = append(keys, key[:]...)
+		rec := make([]byte, kv.RecordSize)
+		for g, stride := int64(0), partition.SampleStride(s.Rows, s.SampleSize); g < s.Rows; g += stride {
+			gen.Record(rec, g)
+			sample = sample.Append(rec)
 		}
 	}
-	return partition.SelectSplitters(keys, s.K)
+	if mapRecords != nil {
+		sample = mapRecords(sample)
+	}
+	return partition.SelectSplitters(sample.Keys(), s.K)
 }

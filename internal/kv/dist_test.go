@@ -26,8 +26,8 @@ func TestParseDistributionRoundTrip(t *testing.T) {
 }
 
 // TestDistributionsDeterministic: record i is a pure function of
-// (seed, dist, i) for every distribution — the property the sampling
-// round's splitter agreement is built on.
+// (seed, dist, i) for every distribution — the property every rank's
+// derivation of the same sampled splitters is built on.
 func TestDistributionsDeterministic(t *testing.T) {
 	for _, d := range append([]Distribution{DistUniform, DistSkewed}, SkewedDistributions...) {
 		a := NewGenerator(7, d).Generate(0, 500)

@@ -35,8 +35,8 @@ func referenceRecord(g *Generator, dst []byte, row int64) {
 	case DistZipf:
 		// Inverse-CDF draw of the rank. u is uniform in (0, 1); the offset
 		// keeps it away from 0 so Pow stays finite. math.Pow is only
-		// required to be deterministic within one binary, which is all the
-		// splitter agreement needs (every rank runs the same build).
+		// required to be deterministic within one binary, which is all
+		// sampled splitters need (every rank runs the same build).
 		u := (float64(mix64(s+4)>>11) + 0.5) / (1 << 53)
 		rank := math.Pow(u, -1/(zipfTheta-1))
 		r32 := uint32(math.MaxUint32)

@@ -76,7 +76,7 @@ func (r Records) Value(i int) []byte {
 }
 
 // Keys returns a fresh flat buffer of every record's key, concatenated in
-// record order (Len() x KeySize bytes) — the sampling round's wire shape.
+// record order (Len() x KeySize bytes) — the form splitter selection reads.
 func (r Records) Keys() []byte {
 	out := make([]byte, 0, r.Len()*KeySize)
 	for i := 0; i < r.Len(); i++ {

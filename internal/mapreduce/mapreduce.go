@@ -98,9 +98,9 @@ type Job struct {
 	// DistName) and every runtime policy. Algorithm may stay empty, in
 	// which case R alone decides: every input split is mapped on R nodes
 	// and the shuffle is coded multicast at R >= 2, the uncoded job at
-	// R <= 1. Partitioning "sample" runs the engine's sampling round over
-	// the mapped intermediate keys — the Mapper's emissions, not the raw
-	// input — range-ordering the reducers by intermediate key. RunLocal
+	// R <= 1. Partitioning "sample" derives the splitters from a sample
+	// of the mapped intermediate keys — the Mapper's emissions, not the
+	// raw input — range-ordering the reducers by intermediate key. RunLocal
 	// reads the runtime knobs too — traffic shaping, stragglers,
 	// StageDeadline and MaxAttempts — exactly as the sorters' supervisor
 	// does.

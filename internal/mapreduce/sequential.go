@@ -23,9 +23,9 @@ func Sequential(job Job) ([]kv.Records, error) {
 	}
 	mapped := kv.TransformRecords(input, job.transform())
 	if job.Sampled() {
-		// The sampling round, sequentially: the same global stride sample
-		// of input rows the engines draw, mapped through the Mapper, keys
-		// pooled and quantiled — so the engines' agreed splitters are
+		// The sampler, written out again for the oracle: the same global
+		// stride sample of input rows the engines draw, mapped through the
+		// Mapper, keys quantiled — so the engines' splitters are
 		// reproduced exactly.
 		stride := partition.SampleStride(int64(input.Len()), job.SampleSize)
 		sampled := kv.MakeRecords(0)

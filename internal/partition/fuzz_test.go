@@ -17,7 +17,7 @@ import (
 func FuzzSplitters(f *testing.F) {
 	f.Add([]byte{}, 4)
 	f.Add(bytes.Repeat([]byte{0xFF}, 3*kv.KeySize), 5)
-	f.Add(EncodeBounds(UniformBounds(9)), 8)
+	f.Add(bytes.Join(UniformBounds(9), nil), 8)
 	f.Add([]byte{1, 2, 3}, 2)
 	f.Add(kv.NewGenerator(1, kv.DistZipf).Generate(0, 64).Keys(), 16)
 	f.Fuzz(func(t *testing.T, buf []byte, kRaw int) {

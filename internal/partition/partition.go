@@ -31,17 +31,17 @@ const (
 	// PolicyUniform splits the 64-bit key prefix space evenly — the
 	// paper's TeraGen assumption, balanced only for uniform keys.
 	PolicyUniform Policy = "uniform"
-	// PolicySample runs a pre-Map sampling round: every mapper contributes
-	// a deterministic stride sample of its input keys, the pooled sample is
-	// sorted, and K-1 quantile splitters become the cluster-wide
-	// partitioner — the practical TeraSort approach for skewed keys.
+	// PolicySample selects K-1 quantile splitters from a deterministic
+	// stride sample of the input keys (job.Spec.DeriveSplitters) as the
+	// cluster-wide partitioner — the practical TeraSort approach for skewed
+	// keys.
 	PolicySample Policy = "sample"
 )
 
-// DefaultSampleSize is the pooled sample size of PolicySample when the
-// caller sets none. 4096 ten-byte keys keep the sampling round's traffic
-// trivial while holding the per-boundary quantile error near N/2^6, far
-// inside the 1.3x max/mean balance the skew experiments gate.
+// DefaultSampleSize is the sample size of PolicySample when the
+// caller sets none. 4096 sampled rows keep the sample's cost trivial while
+// holding the per-boundary quantile error near N/2^6, far inside the 1.3x
+// max/mean balance the skew experiments gate.
 const DefaultSampleSize = 4096
 
 // ParsePolicy parses a partitioning policy name; "" selects PolicyUniform.
@@ -179,8 +179,8 @@ func FromSample(sample kv.Records, k int) (Splitters, error) {
 
 // SelectSplitters picks k-1 strictly ascending splitter boundaries from a
 // flat buffer of kv.KeySize-wide sample keys, concatenated in any order
-// (the sample is sorted here, so the result is independent of gather
-// order). Degenerate samples never fail: duplicate quantile keys are
+// (the sample is sorted here, so the result depends only on the key
+// multiset). Degenerate samples never fail: duplicate quantile keys are
 // nudged to the next key in the space, saturation at the top of the key
 // space is repaired by a backward pass from the ceiling, and an empty
 // sample falls back to the uniform boundaries — the 2^80 key space always
@@ -288,10 +288,10 @@ func predecessor(key []byte) []byte {
 	return nil
 }
 
-// SampleStride converts a pooled sample-size target into the row stride of
-// the deterministic global sample: every stride-th row of [0, totalRows)
+// SampleStride converts a sample-size target into the row stride of the
+// deterministic global sample: every stride-th row of [0, totalRows)
 // contributes its key. A stride (rather than a per-node reservoir) makes
-// the pooled sample a pure function of the input alone, so every engine,
+// the sample a pure function of the input alone, so every engine,
 // placement, and recovery attempt agrees on the splitters. size <= 0
 // selects DefaultSampleSize.
 func SampleStride(totalRows int64, size int) int64 {
@@ -303,40 +303,6 @@ func SampleStride(totalRows int64, size int) int64 {
 		stride = 1
 	}
 	return stride
-}
-
-// FirstSampleRow returns the smallest sampled global row at or after
-// first: the next multiple of the sample stride. Each input holder walks
-// its own [first, last) row range with this, and the union over holders is
-// exactly the global stride sample.
-func FirstSampleRow(first, stride int64) int64 {
-	return (first + stride - 1) / stride * stride
-}
-
-// EncodeBounds flattens splitter boundaries into the wire form of the
-// splitter-agreement broadcast: the k-1 keys concatenated in ascending
-// order, kv.KeySize bytes each, no framing (the count is the payload
-// length divided by the key width).
-func EncodeBounds(bounds [][]byte) []byte {
-	out := make([]byte, 0, len(bounds)*kv.KeySize)
-	for _, b := range bounds {
-		out = append(out, b...)
-	}
-	return out
-}
-
-// DecodeBounds splits a flat boundary payload back into keys. It errors on
-// a payload that is not a whole number of keys; ordering and width per key
-// are re-validated by NewSplitters on the receiving side.
-func DecodeBounds(p []byte) ([][]byte, error) {
-	if len(p)%kv.KeySize != 0 {
-		return nil, fmt.Errorf("partition: bounds payload of %d bytes is not a whole number of %d-byte keys", len(p), kv.KeySize)
-	}
-	bounds := make([][]byte, len(p)/kv.KeySize)
-	for i := range bounds {
-		bounds[i] = append([]byte(nil), p[i*kv.KeySize:(i+1)*kv.KeySize]...)
-	}
-	return bounds, nil
 }
 
 // Imbalance returns the max/mean ratio of a partition histogram — the

@@ -159,7 +159,7 @@ func TestPredecessor(t *testing.T) {
 
 // TestSampledBalanceProperty: for every skewed generator, splitters from a
 // stride sample hold each partition within 1.5x of the even share N/K —
-// the property the sampling round exists to provide. (The dup-heavy
+// the property sampled partitioning exists to provide. (The dup-heavy
 // distribution has only 64 distinct keys, so boundary granularity alone
 // costs up to one key's worth of rows per partition; 1.5x covers that
 // plus sampling noise with margin.)
@@ -214,27 +214,6 @@ func TestUniformBoundsMatchUniform(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeBounds(t *testing.T) {
-	bounds := UniformBounds(5)
-	p := EncodeBounds(bounds)
-	if len(p) != 4*kv.KeySize {
-		t.Fatalf("payload %d bytes, want %d", len(p), 4*kv.KeySize)
-	}
-	got, err := DecodeBounds(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, bounds) {
-		t.Fatalf("round trip: %x, want %x", got, bounds)
-	}
-	if back, err := DecodeBounds(nil); err != nil || len(back) != 0 {
-		t.Fatalf("empty payload: %x, %v", back, err)
-	}
-	if _, err := DecodeBounds(make([]byte, kv.KeySize-1)); err == nil {
-		t.Fatal("truncated payload accepted")
-	}
-}
-
 func TestImbalance(t *testing.T) {
 	cases := []struct {
 		counts []int
@@ -269,35 +248,5 @@ func TestSampleStride(t *testing.T) {
 		if got := SampleStride(c.rows, c.size); got != c.want {
 			t.Fatalf("SampleStride(%d, %d) = %d, want %d", c.rows, c.size, got, c.want)
 		}
-	}
-}
-
-func TestFirstSampleRow(t *testing.T) {
-	cases := []struct{ first, stride, want int64 }{
-		{0, 5, 0},
-		{1, 5, 5},
-		{5, 5, 5},
-		{6, 5, 10},
-		{7, 1, 7},
-	}
-	for _, c := range cases {
-		if got := FirstSampleRow(c.first, c.stride); got != c.want {
-			t.Fatalf("FirstSampleRow(%d, %d) = %d, want %d", c.first, c.stride, got, c.want)
-		}
-	}
-	// The union of per-holder walks is exactly the global stride sample.
-	const rows, stride = 100, 7
-	var union []int64
-	for _, span := range [][2]int64{{0, 33}, {33, 60}, {60, 100}} {
-		for row := FirstSampleRow(span[0], stride); row < span[1]; row += stride {
-			union = append(union, row)
-		}
-	}
-	var global []int64
-	for row := int64(0); row < rows; row += stride {
-		global = append(global, row)
-	}
-	if !reflect.DeepEqual(union, global) {
-		t.Fatalf("per-holder union %v, global %v", union, global)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
 )
@@ -23,22 +24,12 @@ type SkewPoint struct {
 	// under each policy (1.0 = perfectly balanced).
 	UniformImbalance float64
 	SampledImbalance float64
-	// SampleBytes is the sampling round's gathered key volume — the wire
-	// cost of the sampled policy's balance.
-	SampleBytes int64
 }
 
 // skewPoint generates rows keys of dist and partitions them both ways.
 func skewPoint(dist kv.Distribution, k int, rows int64, seed uint64, sampleSize int) (SkewPoint, error) {
-	gen := kv.NewGenerator(seed, dist)
-	stride := partition.SampleStride(rows, sampleSize)
-	var sample []byte
-	var key [kv.KeySize]byte
-	for row := int64(0); row < rows; row += stride {
-		gen.Key(key[:], row)
-		sample = append(sample, key[:]...)
-	}
-	bounds, err := partition.SelectSplitters(sample, k)
+	bounds, err := job.Spec{K: k, Rows: rows, Seed: seed, DistName: dist.String(),
+		Partitioning: string(partition.PolicySample), SampleSize: sampleSize}.ExpectedSplitters()
 	if err != nil {
 		return SkewPoint{}, err
 	}
@@ -46,6 +37,8 @@ func skewPoint(dist kv.Distribution, k int, rows int64, seed uint64, sampleSize 
 	if err != nil {
 		return SkewPoint{}, err
 	}
+	gen := kv.NewGenerator(seed, dist)
+	var key [kv.KeySize]byte
 	uniform := partition.NewUniform(k)
 	uniCounts := make([]int, k)
 	smpCounts := make([]int, k)
@@ -58,7 +51,6 @@ func skewPoint(dist kv.Distribution, k int, rows int64, seed uint64, sampleSize 
 		Dist: dist, Rows: rows, K: k,
 		UniformImbalance: partition.Imbalance(uniCounts),
 		SampledImbalance: partition.Imbalance(smpCounts),
-		SampleBytes:      int64(len(sample)),
 	}, nil
 }
 
@@ -81,12 +73,12 @@ func SweepSkew(k int, rows int64, seed uint64, sampleSize int, dists []kv.Distri
 func RenderSkew(title string, pts []SkewPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%-12s %10s %4s  %12s %12s %12s\n",
-		"dist", "rows", "K", "uniform", "sampled", "sample B")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 68))
+	fmt.Fprintf(&b, "%-12s %10s %4s  %12s %12s\n",
+		"dist", "rows", "K", "uniform", "sampled")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 55))
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%-12v %10d %4d  %11.2fx %11.2fx %12d\n",
-			p.Dist, p.Rows, p.K, p.UniformImbalance, p.SampledImbalance, p.SampleBytes)
+		fmt.Fprintf(&b, "%-12v %10d %4d  %11.2fx %11.2fx\n",
+			p.Dist, p.Rows, p.K, p.UniformImbalance, p.SampledImbalance)
 	}
 	return b.String()
 }

@@ -107,49 +107,3 @@ func SerialOrder(c Conn, tag Tag, fn func() error) error {
 	}
 	return nil
 }
-
-// Gather collects one payload from every rank at root. Root receives the
-// payloads indexed by rank (its own entry is its local payload); non-roots
-// receive nil. All nodes must call it with identical root/tag.
-func Gather(c Conn, root int, tag Tag, payload []byte) ([][]byte, error) {
-	if root < 0 || root >= c.Size() {
-		return nil, fmt.Errorf("transport: gather root %d out of range", root)
-	}
-	if c.Rank() != root {
-		return nil, c.Send(root, tag, payload)
-	}
-	out := make([][]byte, c.Size())
-	out[root] = payload
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		p, err := c.Recv(r, tag)
-		if err != nil {
-			return nil, err
-		}
-		out[r] = p
-	}
-	return out, nil
-}
-
-// Scatter delivers payloads[r] from root to every rank r and returns the
-// local slice. Non-roots pass nil payloads. All nodes call it with
-// identical root/tag.
-func Scatter(c Conn, root int, tag Tag, payloads [][]byte) ([]byte, error) {
-	if c.Rank() == root {
-		if len(payloads) != c.Size() {
-			return nil, fmt.Errorf("transport: scatter needs %d payloads, got %d", c.Size(), len(payloads))
-		}
-		for r := 0; r < c.Size(); r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, tag, payloads[r]); err != nil {
-				return nil, err
-			}
-		}
-		return payloads[root], nil
-	}
-	return c.Recv(root, tag)
-}

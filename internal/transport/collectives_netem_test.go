@@ -138,39 +138,6 @@ func TestBcastShapedLinkDelivers(t *testing.T) {
 	}
 }
 
-// TestGatherFaultyLeafErrorsCleanly: a non-root whose report send fails
-// gets the injected error; the root, stuck waiting for the lost report,
-// unblocks with ErrClosed when the job tears down.
-func TestGatherFaultyLeafErrorsCleanly(t *testing.T) {
-	const k = 4
-	mesh := memnet.NewMesh(k)
-	defer mesh.Close()
-	errs := runRanks(t, k, 5*time.Second, func(rank int) error {
-		var conn transport.Conn = mesh.Endpoint(rank)
-		if rank == 2 {
-			conn = netem.Fail(conn, 0, errLink)
-		}
-		_, err := transport.Gather(conn, 0, transport.MakeTag(0x62, 0, 0), []byte{byte(rank)})
-		if rank == 2 && err != nil {
-			mesh.Close()
-		}
-		return err
-	})
-	if !errors.Is(errs[2], errLink) {
-		t.Fatalf("faulty leaf error = %v, want injected failure", errs[2])
-	}
-	if errs[0] == nil || !errors.Is(errs[0], transport.ErrClosed) {
-		t.Fatalf("root error = %v, want ErrClosed after teardown", errs[0])
-	}
-	// Healthy leaves either delivered their report before the teardown or
-	// lost the race with it — both are clean exits.
-	for _, r := range []int{1, 3} {
-		if errs[r] != nil && !errors.Is(errs[r], transport.ErrClosed) {
-			t.Fatalf("healthy rank %d error = %v, want nil or ErrClosed", r, errs[r])
-		}
-	}
-}
-
 // TestBarrierFaultyArrivalErrorsCleanly: a rank whose barrier arrival send
 // fails errors immediately; everyone blocked on the incomplete barrier
 // unblocks with ErrClosed at teardown.

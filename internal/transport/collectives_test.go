@@ -224,13 +224,3 @@ func TestSerialOrderStopsOnError(t *testing.T) {
 		t.Fatalf("token passed after error: %v", mesh.sendLog())
 	}
 }
-
-func TestGatherAndScatterValidation(t *testing.T) {
-	mesh := newFakeMesh(2)
-	if _, err := Gather(mesh.conn(0), 9, 1, nil); err == nil {
-		t.Fatalf("out-of-range gather root accepted")
-	}
-	if _, err := Scatter(mesh.conn(0), 0, 1, [][]byte{{1}}); err == nil {
-		t.Fatalf("wrong scatter payload count accepted")
-	}
-}

@@ -329,50 +329,6 @@ func TestBarrier(t *testing.T) {
 	})
 }
 
-func TestGatherScatter(t *testing.T) {
-	const k = 5
-	m := NewMesh(k)
-	defer m.Close()
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			ep := m.Endpoint(rank)
-			got, err := transport.Gather(ep, 0, 11, []byte{byte(rank * 2)})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if rank == 0 {
-				for i, p := range got {
-					if len(p) != 1 || p[0] != byte(i*2) {
-						t.Errorf("gather[%d] = %v", i, p)
-					}
-				}
-			} else if got != nil {
-				t.Errorf("non-root gather returned %v", got)
-			}
-			var outs [][]byte
-			if rank == 0 {
-				outs = make([][]byte, k)
-				for i := range outs {
-					outs[i] = []byte{byte(100 + i)}
-				}
-			}
-			mine, err := transport.Scatter(ep, 0, 12, outs)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if len(mine) != 1 || mine[0] != byte(100+rank) {
-				t.Errorf("scatter at %d = %v", rank, mine)
-			}
-		}(r)
-	}
-	wg.Wait()
-}
-
 func TestMeterCounts(t *testing.T) {
 	m := NewMesh(2)
 	defer m.Close()

@@ -9,7 +9,7 @@
 //     and a virtual-time network by simnet).
 //   - Collectives: Bcast (the application-layer multicast, relayed down a
 //     chain of the group so every member's egress carries a packet at most
-//     once), Barrier and Gather built generically on any Conn.
+//     once) and Barrier built generically on any Conn.
 //   - Meter: byte and message accounting used to measure communication
 //     load, counting multicast payloads once (the paper's load metric) and
 //     wire bytes separately.
