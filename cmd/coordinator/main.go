@@ -8,13 +8,16 @@
 //	coordinator -listen :7077 -alg codedterasort -k 4 -r 2 -rows 1000000
 //	(then start 4 `worker -coord host:7077` processes)
 //
-// Workers stream per-stage progress, and a worker that dies aborts the job
-// fast with the suspect named instead of hanging it; -deadline adds
-// heartbeats and aborts on a worker that falls that far behind its
-// fastest peer. A job runs once: recovery by re-execution is in-process
-// only, so -max-attempts above 1 is refused before any worker registers.
-// -stragglers (with -rate or -permsg) injects one egress-slowed rank to
-// observe the coded-vs-uncoded degradation live.
+// The job runs under the same supervisor as an in-process run. Workers
+// stream per-stage progress, and a worker that dies aborts the attempt
+// instead of hanging it; -deadline adds heartbeats and aborts on a worker
+// that falls that far behind its fastest peer. The job then re-runs on the
+// next K workers to register, up to -max-attempts (default 3 with
+// -deadline, else 1), or fails naming the suspects. Workers are one-shot,
+// so recovery needs them restarted (a shell loop around `worker` will do);
+// with -deadline a retry waits that long for them. -stragglers (with -rate
+// or -permsg) slows one rank's egress to observe the coded-vs-uncoded
+// degradation live.
 package main
 
 import (
@@ -51,6 +54,9 @@ func main() {
 	}
 	fmt.Printf("job complete: validated=%v, shuffle load %.2f MB, wire %.2f MB\n",
 		job.Validated, float64(job.ShuffleLoadBytes)/1e6, float64(job.WireBytes)/1e6)
+	if job.Attempts > 1 {
+		fmt.Printf("recovery: %d attempts, recovered from %v\n", job.Attempts, job.Recovered)
+	}
 	if j.MemBudget > 0 {
 		fmt.Printf("external sort: %d runs spilled under a %.1f MB/worker budget\n",
 			job.SpilledRuns, float64(j.MemBudget)/1e6)

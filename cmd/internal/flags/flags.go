@@ -63,7 +63,7 @@ func (j *Job) RegisterFaults(fs *flag.FlagSet) {
 	fs.DurationVar(&j.StageDeadline, "deadline", 0,
 		"stage deadline arming straggler detection: a rank this far behind its fastest peer on a stage is declared faulty (0 = detection off)")
 	fs.IntVar(&j.MaxAttempts, "max-attempts", 0,
-		"recovery attempt cap for supervised local runs (0 = default: 3 with -deadline, else 1)")
+		"recovery attempt cap: total job executions, first run included (0 = default: 3 with -deadline, else 1)")
 }
 
 // RegisterInDir binds the file-backed input flag (TeraSort only).

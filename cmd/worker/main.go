@@ -1,8 +1,14 @@
 // Command worker is one compute node of the distributed deployment (paper
 // Fig 8): it registers with the coordinator, joins the TCP worker mesh,
 // executes its share of the assigned sorting job, and reports its stage
-// times and output checksum. With -v it prints each stage as it completes,
-// fed by the engine runtime's per-stage hooks.
+// times and the digest of the partition it checked for order and
+// membership. With -v it prints each stage as it completes, fed by the
+// engine runtime's per-stage hooks. A worker serves one attempt of one job
+// and exits (status 1 if the attempt failed or was aborted); for the
+// coordinator to recover from a fault by re-running the job, run workers
+// in a restart loop:
+//
+//	while true; do worker -coord host:7077; sleep 1; done
 //
 // Usage:
 //

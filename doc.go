@@ -47,9 +47,9 @@
 // run — crash signals and peer-relative stage deadlines (fed by progress
 // frames over TCP, plus heartbeats once a deadline is armed) declare dead
 // or straggling ranks, the attempt is canceled so no peer ever hangs at a
-// faulty rank's barrier, and cluster.Supervise, the one in-process
-// supervisor of sort and MapReduce jobs alike, re-executes with the faulty
-// worker respawned until the job completes byte-identical to a healthy run
+// faulty rank's barrier, and cluster.Supervise, the one supervisor of sort
+// and MapReduce jobs alike, in process or over TCP, re-executes with the
+// faulty worker respawned until the job completes byte-identical to a healthy run
 // (Spec.StageDeadline/MaxAttempts/Faults; -deadline and -stragglers on the
 // CLIs; DESIGN.md section 11). Coding's redundancy doubles as fault
 // tolerance: a straggler's penalty scales with shuffle volume, which

@@ -1,8 +1,11 @@
 // Command distributed runs the paper's Fig 8 deployment end to end in one command:
 // a coordinator and K worker processes-worth of protocol over real TCP
 // sockets on loopback. Each worker registers, receives its rank and the
-// job spec, joins the worker mesh, sorts, and reports; the coordinator
-// validates the combined output checksums and prints the stage table.
+// job spec, joins the worker mesh, sorts, checks its partition, and
+// reports; the coordinator validates the combined output checksums and
+// prints the stage table. The coordinator supervises the job as an
+// in-process run is supervised, but these workers are one-shot goroutines:
+// a job that had to re-run would wait for K fresh registrations.
 //
 //	go run ./examples/distributed
 //	go run ./examples/distributed -alg terasort -k 6 -rows 300000

@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
-	"codedterasort/internal/coded"
-	"codedterasort/internal/job"
+	"codedterasort/internal/engine"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/trace"
+	"codedterasort/internal/verify"
 )
 
 // Coordinator is the Fig 8 control node: it accepts worker registrations,
@@ -17,7 +18,7 @@ import (
 // generator replaces its role of copying input files onto worker disks,
 // and workers report partition checksums instead of shipping output back.
 type Coordinator struct {
-	ln net.Listener
+	ln *net.TCPListener
 }
 
 // NewCoordinator starts a coordinator listening on addr
@@ -27,7 +28,7 @@ func NewCoordinator(addr string) (*Coordinator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: coordinator listen: %w", err)
 	}
-	return &Coordinator{ln: ln}, nil
+	return &Coordinator{ln: ln.(*net.TCPListener)}, nil
 }
 
 // Addr returns the coordinator's listen address for workers to dial.
@@ -36,192 +37,134 @@ func (c *Coordinator) Addr() string { return c.ln.Addr().String() }
 // Close stops accepting workers.
 func (c *Coordinator) Close() error { return c.ln.Close() }
 
-// RunJob blocks until spec.K workers register, runs the job across them,
-// and aggregates their reports. Output integrity is verified by multiset
-// checksum: the sum of per-partition checksums must equal the input's.
-//
-// RunJob supervises the run: workers stream per-stage progress, and a
-// worker that dies (its connection breaks) is declared faulty; with
-// Spec.StageDeadline armed, so is one that stops heartbeating or falls a
-// full StageDeadline behind its fastest peer on a stage. The coordinator
-// then broadcasts an abort — every surviving worker cancels its attempt
-// cleanly instead of blocking forever at the faulty rank's barrier — and
-// RunJob fails fast with the suspect named. Re-execution across processes
-// is the operator's (or a supervisor script's) job: restart the workers
-// and call RunJob again; the in-process Supervise automates that loop. A
-// spec asking for more than one attempt is therefore refused before any
-// worker is accepted.
+// RunJob runs the job under Supervise's attempt loop with worker processes
+// as the ranks, and verifies the output. A worker that dies (its connection
+// breaks) is declared faulty; with Spec.StageDeadline armed, so is one that
+// stops heartbeating or falls a full StageDeadline behind its fastest peer
+// on a stage. The coordinator then broadcasts an abort — every surviving
+// worker cancels its attempt instead of blocking at the faulty rank's
+// barrier — and the job re-runs on the next K workers to register (workers
+// are one-shot), up to Spec.MaxAttempts, or fails naming the suspects.
+// Output never rides the wire: each worker checks its partition's order
+// and membership and reports its digest, and the digests must total the
+// input's.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
-	resolved, err := spec.Resolve(job.Local{})
+	rankSpec, p, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	if spec.MaxAttempts > 1 {
-		return nil, fmt.Errorf("job: max attempts %d: recovery by re-execution is in-process only; a TCP job runs once", spec.MaxAttempts)
+	rep, err := supervise(context.Background(), rankSpec, nil, c.launch)
+	if err != nil {
+		return nil, err
 	}
-	// Resolve sampled partitioning coordinator-side: the splitters are a
-	// pure function of the input (the deterministic stride sample), so the
-	// coordinator computes them once and serializes them into the spec it
-	// distributes. Workers then partition by the preset bounds without
-	// sampling, and the spec on the wire names the exact key-domain split
-	// the job ran with.
-	if spec.Sampled() && spec.Splitters == nil {
-		bounds, err := spec.ExpectedSplitters()
-		if err != nil {
-			return nil, fmt.Errorf("cluster: computing splitters: %w", err)
-		}
-		spec.Splitters = bounds
+	rep.Spec = spec
+	in, err := describeInput(spec)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: describing input: %w", err)
 	}
-	conns := make([]net.Conn, 0, spec.K)
+	sums := make([]verify.Summary, len(rep.Workers))
+	for r, w := range rep.Workers {
+		sums[r] = verify.Summary{Rows: w.OutputRows, Checksum: w.OutputChecksum}
+	}
+	if err := verifyOutput(rep, p, in, sums); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// launch is the TCP launcher: one attempt on the next K workers to
+// register, ranked in registration order. A retry's registrations must
+// arrive within StageDeadline when one is armed, since a respawned worker
+// that never comes would otherwise hang the job. Every worker connection
+// carries workerMsg frames (progress, heartbeats when the deadline is
+// armed, the final report) that feed mon; an abort is broadcast when ctx
+// is done.
+func (c *Coordinator) launch(ctx context.Context, spec Spec, mon *monitor, hooks engine.Hooks) ([]WorkerReport, []error, error) {
+	var conns []net.Conn
 	defer func() {
 		for _, conn := range conns {
 			conn.Close()
 		}
 	}()
+	if mon.attempt > 1 && spec.StageDeadline > 0 {
+		c.ln.SetDeadline(time.Now().Add(spec.StageDeadline))
+		defer c.ln.SetDeadline(time.Time{})
+	}
 	addrs := make([]string, 0, spec.K)
 	for len(conns) < spec.K {
 		conn, err := c.ln.Accept()
 		if err != nil {
-			return nil, fmt.Errorf("cluster: accepting worker %d: %w", len(conns), err)
+			return nil, nil, fmt.Errorf("cluster: accepting worker %d of attempt %d: %w", len(conns), mon.attempt, err)
 		}
 		var reg registerMsg
 		if err := readFrame(conn, &reg); err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("cluster: worker %d registration: %w", len(conns), err)
+			return nil, nil, fmt.Errorf("cluster: worker %d registration: %w", len(conns), err)
 		}
 		conns = append(conns, conn)
 		addrs = append(addrs, reg.MeshAddr)
 	}
-	// Assign ranks in registration order and release all workers.
 	for rank, conn := range conns {
 		if err := writeFrame(conn, assignMsg{Rank: rank, Addrs: addrs, Spec: spec}); err != nil {
-			return nil, fmt.Errorf("cluster: assigning rank %d: %w", rank, err)
+			return nil, nil, fmt.Errorf("cluster: assigning rank %d: %w", rank, err)
 		}
+		// A registered worker is alive: its liveness clock starts now.
+		mon.Alive(rank)
 	}
-	// Collect reports concurrently; a worker failure fails the job. Every
-	// connection carries workerMsg frames (progress, heartbeats when the
-	// deadline is armed, the final report) that feed the detector; a
-	// detection aborts all workers and fails fast with the suspects named.
-	// A dead worker (broken connection, or silent past the deadline) is
-	// always caught; a wedged-but-alive worker is caught once any peer
-	// finishes the stage it is stuck in (the peer-relative rule — see the
-	// monitor's detection notes for the residual all-ranks-blocked case).
+	stop := context.AfterFunc(ctx, func() {
+		for _, conn := range conns {
+			_ = writeFrame(conn, abortMsg{Reason: "fault detected"})
+		}
+	})
+	defer stop()
 	reports := make([]WorkerReport, spec.K)
 	errs := make([]error, spec.K)
-	var abortOnce sync.Once
-	mon := newMonitor(spec.K, coded.Columns(resolved), spec.StageDeadline, true, 1, func() {
-		abortOnce.Do(func() {
-			for _, conn := range conns {
-				_ = writeFrame(conn, abortMsg{Reason: "fault detected"})
-			}
-		})
-	})
-	mon.Watch()
-	defer mon.Stop()
-	// The workers' progress frames carry the same stage events the
-	// in-process supervisor logs from its hooks; a TCP job is one attempt.
-	stageLog := trace.NewStageLog(stats.NewWallClock())
 	var wg sync.WaitGroup
 	for rank, conn := range conns {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rep, reported, err := collectWorker(rank, conn, mon, stageLog)
-			if err != nil {
-				errs[rank] = err
-				// A broken connection is the crash signal of a dead worker
-				// process. A worker that delivered a failure report is
-				// alive — often a casualty of someone else's death (its
-				// mesh peer vanished) — so it must not be blamed; the true
-				// suspect surfaces through its own broken connection or
-				// the deadline.
-				if !reported {
-					mon.CrashedAtLast(rank)
-				}
-				return
-			}
-			reports[rank] = rep
-			// The worker's heartbeats stop with its report; exempt it from
-			// the liveness rule while slower peers finish.
-			mon.Done(rank)
+			reports[rank], errs[rank] = collectWorker(rank, conn, mon, hooks)
 		}()
 	}
 	wg.Wait()
-	if suspects := mon.Suspects(); len(suspects) > 0 {
-		return nil, fmt.Errorf("cluster: job aborted, detected %v", suspects)
-	}
-	for rank, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: worker %d: %w", rank, err)
-		}
-	}
-	return assembleRemote(spec, reports, stageLog.Records())
-}
-
-// assembleRemote merges TCP worker reports and verifies multiset
-// integrity: partition checksums must sum to the input's. (With
-// Spec.InputDir the coordinator scans the same part files the workers read
-// — the single-machine deployment this runtime targets.) stages is the
-// job's stage log.
-func assembleRemote(spec Spec, reports []WorkerReport, stages []trace.StageRecord) (*JobReport, error) {
-	p, err := verifyPartitioner(spec) // RunJob preset the splitters: no replay
-	if err != nil {
-		return nil, err
-	}
-	if err := checkSplitterAgreement(p, reports); err != nil {
-		return nil, err
-	}
-	in, err := describeInput(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: describing input: %w", err)
-	}
-	var rows int64
-	var sum uint64
-	for _, w := range reports {
-		rows += w.OutputRows
-		sum += w.OutputChecksum
-	}
-	if rows != in.Rows || sum != in.Checksum {
-		return nil, fmt.Errorf("cluster: output mismatch: %d rows (want %d), checksum %#x (want %#x)",
-			rows, in.Rows, sum, in.Checksum)
-	}
-	job := rollup(spec, reports)
-	job.Validated = true
-	job.Attempts = 1
-	job.Stages = stages
-	return job, nil
+	return reports, errs, nil
 }
 
 // collectWorker consumes one worker connection's workerMsg frames until the
-// final report; progress events feed the detector and completed stages the
-// stage log. reported says whether the worker delivered its report (alive)
-// as opposed to its connection breaking (the crash signal).
-func collectWorker(rank int, conn net.Conn, mon *monitor, stageLog *trace.StageLog) (rep WorkerReport, reported bool, err error) {
+// final report: progress events feed mon and hooks. A broken connection is
+// the crash signal of a dead worker process. A worker that delivers a
+// failure report is alive — often a casualty of someone else's death (its
+// mesh peer vanished) — so it is not blamed; the true suspect surfaces
+// through its own broken connection or the deadline.
+func collectWorker(rank int, conn net.Conn, mon *monitor, hooks engine.Hooks) (WorkerReport, error) {
 	for {
 		var frame workerMsg
 		if err := readFrame(conn, &frame); err != nil {
-			return WorkerReport{}, false, err
+			mon.CrashedAtLast(rank)
+			return WorkerReport{}, err
 		}
 		switch {
 		case frame.Report != nil:
 			msg := frame.Report
 			if msg.Err != "" {
-				return WorkerReport{}, true, fmt.Errorf("worker failure: %s", msg.Err)
+				return WorkerReport{}, fmt.Errorf("worker failure: %s", msg.Err)
 			}
 			if msg.Rank != rank {
-				return WorkerReport{}, true, fmt.Errorf("report rank %d on connection %d", msg.Rank, rank)
+				return WorkerReport{}, fmt.Errorf("report rank %d on connection %d", msg.Rank, rank)
 			}
-			return msg.WorkerReport, true, nil
+			// The worker's heartbeats stop with its report; exempt it from
+			// the liveness rule while slower peers finish.
+			mon.Done(rank)
+			return msg.WorkerReport, nil
 		case frame.Progress != nil:
 			mon.Alive(rank)
-			if frame.Progress.Stage != "" {
-				if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
-					stageLog.Record(rank, st, frame.Progress.Elapsed, nil)
-					mon.StageEnd(rank, st)
-				}
+			if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
+				hooks(engine.StageEvent{Rank: rank, Stage: st, Elapsed: frame.Progress.Elapsed})
 			}
 		default:
-			return WorkerReport{}, false, fmt.Errorf("empty control frame")
+			mon.CrashedAtLast(rank)
+			return WorkerReport{}, fmt.Errorf("empty control frame")
 		}
 	}
 }

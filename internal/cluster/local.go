@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -19,8 +18,6 @@ import (
 	"codedterasort/internal/stats"
 	"codedterasort/internal/trace"
 	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/memnet"
-	"codedterasort/internal/transport/netem"
 	"codedterasort/internal/verify"
 )
 
@@ -130,16 +127,9 @@ func (o Options) startTasks(tasks []func()) {
 		}
 		return
 	}
-	batch := o.mux
-	if batch < 1 {
-		batch = 1
-	}
+	batch := max(o.mux, 1)
 	for lo := 0; lo < len(tasks); lo += batch {
-		hi := lo + batch
-		if hi > len(tasks) {
-			hi = len(tasks)
-		}
-		group := tasks[lo:hi]
+		group := tasks[lo:min(lo+batch, len(tasks))]
 		o.spawn(func() {
 			var wg sync.WaitGroup
 			for _, task := range group {
@@ -176,19 +166,9 @@ type workerFunc func(ep transport.Endpoint, spec Spec, local job.Local, sink fun
 
 // runLocal is RunLocalOpts with every rank's body run by work.
 func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*JobReport, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	// The partitioner the output is verified against is resolved once per
-	// job. Under sampled partitioning its splitters are the ranks' too:
-	// they are preset into the spec the ranks run, so no rank samples.
-	p, err := verifyPartitioner(spec)
+	rankSpec, p, err := prepare(spec)
 	if err != nil {
 		return nil, err
-	}
-	rankSpec := spec
-	if sp, ok := p.(partition.Splitters); ok {
-		rankSpec.Splitters = sp.Bounds()
 	}
 	var input *placedInput
 	if spec.MemBudget == 0 {
@@ -316,214 +296,6 @@ func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
 	return files, in, nil
 }
 
-// RankFunc is one rank's body for one supervised attempt: it runs the job's
-// worker on ep under spec — the attempt's spec, the respawned ranks' faults
-// removed — with hooks observing every stage (they feed the stage log and
-// the deadline detector), and returns the rank's report. Supervise fills in
-// the report's Rank and WireBytes. An engine.KilledError return is the
-// rank's death; any other error is a failure.
-type RankFunc func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error)
-
-// Supervise runs a job's K ranks in this process over the in-memory
-// transport, traffic-shaped per the spec, with rank as every rank's body —
-// the one in-process supervisor, shared by the sort (RunLocalOpts) and the
-// MapReduce framework (mapreduce.RunLocal). It detects dead and straggling
-// ranks (crash signals always; peer-relative stage deadlines when
-// Spec.StageDeadline is armed) and recovers by attempt-scoped
-// re-execution: the attempt is canceled, which unblocks every peer stuck
-// at the faulty rank's barrier, and the job re-runs with the faulty rank's
-// worker respawned, up to Spec.MaxAttempts. The report rolls up the
-// successful attempt's worker reports and carries the attempt history in
-// Attempts, Recovered and the attempt-tagged stage log; verifying the
-// output is the caller's business.
-//
-// Canceling ctx checkpoint-cancels the job: the current attempt's mesh is
-// closed, which unblocks every rank at its next transport operation exactly
-// like fault recovery's attempt cancelation, and the job returns ctx's
-// error instead of recovering. Long-lived callers (the sortd service) use
-// it to drain without waiting out a slow job.
-func Supervise(ctx context.Context, spec Spec, opts Options, rank RankFunc) (*JobReport, error) {
-	resolved, err := spec.Resolve(job.Local{})
-	if err != nil {
-		return nil, err
-	}
-	// One stage log spans all attempts, so the recovery timeline (failed
-	// attempts' partial records included) survives into the report.
-	stageLog := trace.NewStageLog(stats.NewWallClock())
-	if opts.OnStage != nil {
-		stageLog.Observe(opts.OnStage)
-	}
-	consumed := map[int]bool{}
-	var recovered []Suspect
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: job canceled: %w", err)
-		}
-		reports, suspects, err := runAttempt(ctx, spec, coded.Columns(resolved), opts, rank, consumed, attempt, stageLog)
-		if err == nil {
-			rep := rollup(spec, reports)
-			rep.Attempts = attempt
-			rep.Recovered = recovered
-			rep.Stages = stageLog.Records()
-			return rep, nil
-		}
-		if len(suspects) == 0 {
-			// A genuine failure, not a detected fault: no recovery.
-			return nil, err
-		}
-		if allFailed(suspects) {
-			// A worker exited with its own error (bad input file,
-			// unwritable spill dir): the cancel already unblocked its
-			// peers, but re-executing a deterministic failure only wastes
-			// attempts — surface the error instead of recovering.
-			return nil, err
-		}
-		recovered = append(recovered, suspects...)
-		if attempt >= resolved.MaxAttempts {
-			return nil, fmt.Errorf("cluster: job failed after %d attempt(s), unrecovered faults %v: %w",
-				attempt, suspects, err)
-		}
-		// Respawn: replacement workers take over the detected ranks, so
-		// their injected faults are consumed and do not strike again.
-		for _, s := range suspects {
-			consumed[s.Rank] = true
-		}
-		stageLog.NewAttempt()
-	}
-}
-
-// allFailed reports whether every suspect is a genuine worker error
-// rather than a death or straggle — the unrecoverable kind.
-func allFailed(suspects []Suspect) bool {
-	for _, s := range suspects {
-		if s.Reason != "failed" {
-			return false
-		}
-	}
-	return true
-}
-
-// runAttempt executes one supervised attempt and returns its per-rank
-// reports; columns is the job's schedule (coded.Columns), by which the
-// monitor names a failed rank's stage. On a detected fault it returns the
-// suspects alongside the error; an error with no suspects is a genuine
-// (unrecoverable) failure.
-func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, opts Options, rank RankFunc, consumed map[int]bool, attempt int, stageLog *trace.StageLog) ([]WorkerReport, []Suspect, error) {
-	// Replacement workers took over the consumed ranks, so their injected
-	// faults do not strike this attempt.
-	attemptSpec := spec
-	attemptSpec.Faults = spec.FaultsWithout(consumed)
-	mesh := memnet.NewMesh(spec.K)
-	defer mesh.Close()
-
-	// Cancellation rides the recovery machinery: closing the mesh unblocks
-	// every rank at its next transport operation with ErrClosed, the same
-	// way a detected fault cancels an attempt.
-	stopCancel := context.AfterFunc(ctx, func() { mesh.Close() })
-	defer stopCancel()
-
-	// Detection: crash signals from worker goroutines plus the
-	// peer-relative stage deadline; cancel closes the mesh, unblocking
-	// every rank stuck on the faulty one with ErrClosed.
-	mon := newMonitor(spec.K, columns, spec.StageDeadline, false, attempt, func() { mesh.Close() })
-	mon.Watch()
-	defer mon.Stop()
-
-	reports := make([]WorkerReport, spec.K)
-	errs := make([]error, spec.K)
-	var wg sync.WaitGroup
-	tasks := make([]func(), spec.K)
-	for r := range tasks {
-		wg.Add(1)
-		tasks[r] = func() {
-			defer wg.Done()
-			var conn transport.Conn = mesh.Endpoint(r)
-			if spec.RateMbps > 0 || spec.PerMessage > 0 {
-				shape := netem.Options{RateMbps: spec.RateMbps, PerMessage: spec.PerMessage}
-				if spec.StragglerFactor > 1 && r == spec.StragglerRank {
-					shape.SlowFactor = spec.StragglerFactor
-				}
-				conn = netem.Limit(conn, shape)
-			}
-			meter := transport.NewMeter(conn)
-			hooks := func(ev engine.StageEvent) {
-				stageLog.Record(ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
-				if ev.Err == nil {
-					mon.StageEnd(ev.Rank, ev.Stage)
-				}
-			}
-			rep, err := rank(transport.WithCollectives(meter), attemptSpec, hooks)
-			if err != nil {
-				errs[r] = err
-				// Any exited worker strands its peers at a barrier or a
-				// pending receive, so every worker error cancels the
-				// attempt (the supervisor's crash signal; over TCP it is
-				// the worker's broken coordinator connection). A killed
-				// rank is recorded as a death; a genuine error as a
-				// failure — but first-detection freezing means casualties
-				// of the cancellation itself are never blamed.
-				var killed *engine.KilledError
-				if errors.As(err, &killed) {
-					mon.Crashed(killed.Rank, killed.Stage)
-				} else {
-					mon.Errored(r)
-				}
-				return
-			}
-			rep.Rank = r
-			rep.WireBytes = meter.Counters().SentBytes
-			reports[r] = rep
-		}
-	}
-	opts.startTasks(tasks)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		// A canceled job is not a fault: no suspects, no recovery — the
-		// caller asked for the stop.
-		return nil, nil, fmt.Errorf("cluster: job canceled: %w", err)
-	}
-	if suspects := mon.Suspects(); len(suspects) > 0 {
-		// Prefer the detected rank's own error over a casualty's ErrClosed.
-		werr := errs[suspects[0].Rank]
-		if werr == nil {
-			for _, e := range errs {
-				if e != nil {
-					werr = e
-					break
-				}
-			}
-		}
-		err := fmt.Errorf("cluster: attempt %d canceled, detected %v", attempt, suspects)
-		if werr != nil {
-			err = fmt.Errorf("cluster: attempt %d canceled, detected %v: %w", attempt, suspects, werr)
-		}
-		return nil, suspects, err
-	}
-	for r, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: worker %d: %w", r, err)
-		}
-	}
-	return reports, nil, nil
-}
-
-// rollup builds the job report from the per-rank reports: per-stage maxima
-// and job-wide counter totals.
-func rollup(spec Spec, reports []WorkerReport) *JobReport {
-	job := &JobReport{Spec: spec, Workers: reports}
-	for _, w := range reports {
-		job.Times = job.Times.Max(w.Times)
-		job.ShuffleLoadBytes += w.SentBytes
-		job.WireBytes += w.WireBytes
-		job.ChunksShuffled += w.ChunksSent
-		job.SpilledRuns += w.SpilledRuns
-		job.Spill.Add(w.Spill)
-		job.MergeOVCDecided += w.MergeOVCDecided
-		job.MergeFullCompares += w.MergeFullCompares
-	}
-	return job
-}
-
 // verifyOutput verifies a sort job's output against p and the input's
 // description in. The evidence is the streaming checkers' summaries when
 // sums is non-nil, the workers' materialized outputs otherwise. It runs
@@ -578,15 +350,6 @@ func checkSplitterAgreement(p partition.Partitioner, reports []WorkerReport) err
 	return nil
 }
 
-// inputFiles lists the K part files of a teragen -disk directory.
-func inputFiles(dir string, k int) []string {
-	files := make([]string, k)
-	for i := range files {
-		files[i] = extsort.PartFile(dir, i)
-	}
-	return files
-}
-
 // describeInput summarizes the input of a job whose input this process
 // does not hold — a TCP job's, an out-of-core job's — for multiset
 // verification: generated data is described by regeneration, file-backed
@@ -596,10 +359,9 @@ func describeInput(spec Spec) (verify.Input, error) {
 	if spec.InputDir == "" {
 		return verify.DescribeGenerated(kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows), nil
 	}
-	files := inputFiles(spec.InputDir, spec.K)
-	parts := make([]verify.Input, len(files))
-	if err := parallel.Do(runtime.GOMAXPROCS(0), len(files), func(i int) error {
-		return extsort.ScanFile(files[i], 1<<12, func(b kv.Records) error {
+	parts := make([]verify.Input, spec.K)
+	if err := parallel.Do(runtime.GOMAXPROCS(0), spec.K, func(i int) error {
+		return extsort.ScanFile(extsort.PartFile(spec.InputDir, i), 1<<12, func(b kv.Records) error {
 			parts[i].Rows += int64(b.Len())
 			parts[i].Checksum += b.Checksum()
 			return nil

@@ -28,8 +28,9 @@ func (s Suspect) String() string {
 	return fmt.Sprintf("rank %d %s at %v (attempt %d)", s.Rank, s.Reason, s.Stage, s.Attempt)
 }
 
-// monitor implements the straggler/failure detection protocol shared by
-// the in-process supervisor and the TCP coordinator. Two signals feed it:
+// monitor implements the straggler/failure detection protocol of a
+// supervised attempt, whichever launcher runs its ranks. Two signals feed
+// it:
 //
 //   - Stage progress: every rank's StageEnd events (engine hooks locally,
 //     progress frames over TCP). The deadline rule is peer-relative — the
@@ -40,25 +41,25 @@ func (s Suspect) String() string {
 //     exactly the ones the barrier is waiting for.
 //   - Liveness: crash signals (Crashed) fire immediately; over TCP,
 //     Alive-stamped heartbeats feed an absolute timeout so a silently dead
-//     worker (no crash signal, no progress) is still detected.
+//     worker (no crash signal, no progress) is still detected. A rank's
+//     first Alive arms the timeout for it, so in-process ranks, which send
+//     no heartbeats, are never subject to it.
 //
 // On the first detection the monitor records the suspects and fires the
-// cancel callback exactly once — the supervisor's abort path (closing the
-// mesh locally, broadcasting abort frames over TCP), which unblocks every
-// peer stuck at the dead rank's barrier.
+// cancel callback exactly once — the attempt's abort path (the launcher
+// closes the mesh in process, broadcasts abort frames over TCP), which
+// unblocks every peer stuck at the dead rank's barrier.
 type monitor struct {
 	k        int
 	columns  []stats.Stage // the job's schedule, in run order
 	deadline time.Duration // 0 disables the deadline/liveness rules
-	liveness bool          // enable the absolute heartbeat timeout
 	attempt  int
 	cancel   func()
 
 	mu        sync.Mutex
 	firstDone [stats.NumStages]time.Time
 	done      [stats.NumStages][]bool
-	lastSeen  []time.Time
-	completed []bool
+	lastSeen  []time.Time // zero: liveness rule off for the rank
 	suspects  []Suspect
 	fired     bool
 	stop      chan struct{}
@@ -67,20 +68,13 @@ type monitor struct {
 
 // newMonitor builds a monitor for a k-rank attempt of a job whose schedule
 // is columns (coded.Columns). deadline <= 0 disables the deadline rules
-// (crash detection stays active); liveness additionally arms the absolute
-// heartbeat timeout (the TCP coordinator's mode, where heartbeats flow;
-// in-process runs get crash signals directly instead). cancel is fired
-// exactly once, on the first detection.
-func newMonitor(k int, columns []stats.Stage, deadline time.Duration, liveness bool, attempt int, cancel func()) *monitor {
+// (crash detection stays active). cancel is fired exactly once, on the
+// first detection.
+func newMonitor(k int, columns []stats.Stage, deadline time.Duration, attempt int, cancel func()) *monitor {
 	m := &monitor{
-		k: k, columns: columns, deadline: deadline, liveness: liveness, attempt: attempt,
+		k: k, columns: columns, deadline: deadline, attempt: attempt,
 		cancel: cancel, lastSeen: make([]time.Time, k),
-		completed: make([]bool, k),
-		stop:      make(chan struct{}),
-	}
-	now := time.Now()
-	for r := range m.lastSeen {
-		m.lastSeen[r] = now
+		stop: make(chan struct{}),
 	}
 	for st := range m.done {
 		m.done[st] = make([]bool, k)
@@ -88,14 +82,13 @@ func newMonitor(k int, columns []stats.Stage, deadline time.Duration, liveness b
 	return m
 }
 
-// StageEnd records that rank finished the stage (and is alive).
+// StageEnd records that rank finished the stage.
 func (m *monitor) StageEnd(rank int, st stats.Stage) {
 	if st < 0 || st >= stats.NumStages || rank < 0 || rank >= m.k {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lastSeen[rank] = time.Now()
 	if !m.done[st][rank] {
 		m.done[st][rank] = true
 		if m.firstDone[st].IsZero() {
@@ -104,7 +97,8 @@ func (m *monitor) StageEnd(rank int, st stats.Stage) {
 	}
 }
 
-// Alive records a liveness heartbeat from rank.
+// Alive records a liveness heartbeat or progress frame from rank; the
+// first arms the liveness timeout for it.
 func (m *monitor) Alive(rank int) {
 	if rank < 0 || rank >= m.k {
 		return
@@ -115,14 +109,14 @@ func (m *monitor) Alive(rank int) {
 }
 
 // Done records that rank delivered its final report: its heartbeats stop
-// with it, so the liveness rule must never condemn a rank that already
-// finished while slower peers are still working.
+// with it, so the liveness rule is disarmed for it — it must never condemn
+// a rank that already finished while slower peers are still working.
 func (m *monitor) Done(rank int) {
 	if rank < 0 || rank >= m.k {
 		return
 	}
 	m.mu.Lock()
-	m.completed[rank] = true
+	m.lastSeen[rank] = time.Time{}
 	m.mu.Unlock()
 }
 
@@ -130,26 +124,14 @@ func (m *monitor) Done(rank int) {
 // cancel path: crash detection needs no deadline, the signal itself is
 // proof of death.
 func (m *monitor) Crashed(rank int, st stats.Stage) {
-	m.mu.Lock()
-	m.addSuspect(Suspect{Rank: rank, Stage: st, Attempt: m.attempt, Reason: "died"})
-	fire := m.markFired()
-	m.mu.Unlock()
-	if fire {
-		m.cancel()
-	}
+	m.detect(Suspect{Rank: rank, Stage: st, Reason: "died"}, false)
 }
 
 // CrashedAtLast reports a crash with the stage inferred from the rank's
-// recorded progress — the TCP coordinator's path, where a broken worker
+// recorded progress — the TCP launcher's path, where a broken worker
 // connection says nothing about the stage the process died in.
 func (m *monitor) CrashedAtLast(rank int) {
-	m.mu.Lock()
-	m.addSuspect(Suspect{Rank: rank, Stage: m.nextStage(rank), Attempt: m.attempt, Reason: "died"})
-	fire := m.markFired()
-	m.mu.Unlock()
-	if fire {
-		m.cancel()
-	}
+	m.detect(Suspect{Rank: rank, Reason: "died"}, true)
 }
 
 // Errored reports a rank whose worker exited with a genuine error (not an
@@ -157,8 +139,19 @@ func (m *monitor) CrashedAtLast(rank int) {
 // job any exited rank strands its peers, so the attempt must be canceled
 // for them to unblock regardless of why the rank left.
 func (m *monitor) Errored(rank int) {
+	m.detect(Suspect{Rank: rank, Reason: "failed"}, true)
+}
+
+// detect records s as a suspect of this attempt — at the rank's next
+// scheduled stage when inferStage is set — and fires cancel on the first
+// detection.
+func (m *monitor) detect(s Suspect, inferStage bool) {
 	m.mu.Lock()
-	m.addSuspect(Suspect{Rank: rank, Stage: m.nextStage(rank), Attempt: m.attempt, Reason: "failed"})
+	s.Attempt = m.attempt
+	if inferStage {
+		s.Stage = m.nextStage(s.Rank)
+	}
+	m.addSuspect(s)
 	fire := m.markFired()
 	m.mu.Unlock()
 	if fire {
@@ -233,11 +226,9 @@ func (m *monitor) sweep() bool {
 			}
 		}
 	}
-	if m.liveness {
-		for r := 0; r < m.k; r++ {
-			if !m.completed[r] && now.Sub(m.lastSeen[r]) > m.deadline {
-				m.addSuspect(Suspect{Rank: r, Stage: m.nextStage(r), Attempt: m.attempt, Reason: "missed deadline"})
-			}
+	for r := 0; r < m.k; r++ {
+		if seen := m.lastSeen[r]; !seen.IsZero() && now.Sub(seen) > m.deadline {
+			m.addSuspect(Suspect{Rank: r, Stage: m.nextStage(r), Attempt: m.attempt, Reason: "missed deadline"})
 		}
 	}
 	fire := len(m.suspects) > 0 && m.markFired()

@@ -20,7 +20,7 @@ func TestMonitorNamesScheduledStage(t *testing.T) {
 		{columns[:1], stats.StageShuffle},
 		{columns, stats.StageReduce},
 	} {
-		m := newMonitor(2, columns, 0, false, 1, func() {})
+		m := newMonitor(2, columns, 0, 1, func() {})
 		for _, st := range c.done {
 			m.StageEnd(1, st)
 		}

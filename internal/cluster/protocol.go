@@ -11,12 +11,13 @@ import (
 
 // Control-plane wire protocol between coordinator and workers: 4-byte
 // big-endian length followed by a JSON document. One conversation serves
-// every job: register (worker -> coordinator) and assign (coordinator ->
-// worker), then the worker wraps all its traffic in workerMsg frames — a
-// progress event after each completed stage, liveness heartbeats when
-// Spec.StageDeadline is armed, and finally its report — while the
-// coordinator may send an abort frame that tells a worker to cancel its
-// attempt (close its mesh) instead of waiting forever on a dead peer.
+// every attempt of every job: register (worker -> coordinator) and assign
+// (coordinator -> worker, with the attempt's spec), then the worker wraps
+// all its traffic in workerMsg frames — a progress event after each
+// completed stage, liveness heartbeats when Spec.StageDeadline is armed,
+// and finally its report — while the coordinator may send an abort frame
+// that tells a worker to cancel its attempt (close its mesh) instead of
+// waiting forever on a dead peer.
 
 // MaxControlFrame caps control messages; they carry no record data.
 const MaxControlFrame = 16 << 20

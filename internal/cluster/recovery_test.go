@@ -69,37 +69,53 @@ func stagesOf(alg Algorithm, mode string) []string {
 	}
 }
 
+// deployments are the two launchers of the supervisor as tests drive them:
+// RunLocal, and a coordinator with rejoining workers (rejoinTCP). prefix
+// names the TCP axis of a test's subtests.
+var deployments = []struct {
+	prefix string
+	run    func(*testing.T, Spec) (*JobReport, error)
+}{
+	{"", func(_ *testing.T, spec Spec) (*JobReport, error) { return RunLocal(spec) }},
+	{"tcp/", func(t *testing.T, spec Spec) (*JobReport, error) { return rejoinTCP(t, spec, runWorker) }},
+}
+
 // TestRecoveryKillMatrix kills one rank at every timed stage of both
 // engines under all three execution modes and asserts the supervised
 // runtime recovers to byte-identical output: the crash is detected, the
 // attempt canceled (no peer hangs at the dead rank's barrier), and the
-// respawned re-execution reproduces the healthy run exactly.
+// respawned re-execution reproduces the healthy run exactly. The tcp/
+// cells run the same matrix on worker processes' protocol, with workers
+// rejoining for the retry; there the output never rides the wire, so the
+// per-rank digests are what must match the healthy TCP run.
 func TestRecoveryKillMatrix(t *testing.T) {
-	for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
-		base := recoverySpec(alg, 6000)
-		for mode, spec := range modeVariants(t, base) {
-			healthy, err := RunLocal(spec)
-			if err != nil {
-				t.Fatalf("%s/%s healthy: %v", alg, mode, err)
-			}
-			for _, stage := range stagesOf(alg, mode) {
-				t.Run(string(alg)+"/"+mode+"/kill@"+stage, func(t *testing.T) {
-					faulty := spec
-					faulty.Faults = []FaultSpec{{Rank: 1, Stage: stage, Kind: "kill"}}
-					faulty.StageDeadline = 5 * time.Second
-					faulty.MaxAttempts = 2
-					job, err := RunLocal(faulty)
-					if err != nil {
-						t.Fatalf("recovery failed: %v", err)
-					}
-					if job.Attempts != 2 || len(job.Recovered) != 1 {
-						t.Fatalf("attempts=%d recovered=%v, want 2 attempts / 1 fault", job.Attempts, job.Recovered)
-					}
-					if s := job.Recovered[0]; s.Rank != 1 || s.Reason != "died" {
-						t.Fatalf("suspect %v, want rank 1 died", s)
-					}
-					assertSameOutput(t, healthy, job)
-				})
+	for _, dep := range deployments {
+		for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
+			base := recoverySpec(alg, 6000)
+			for mode, spec := range modeVariants(t, base) {
+				healthy, err := dep.run(t, spec)
+				if err != nil {
+					t.Fatalf("%s%s/%s healthy: %v", dep.prefix, alg, mode, err)
+				}
+				for _, stage := range stagesOf(alg, mode) {
+					t.Run(dep.prefix+string(alg)+"/"+mode+"/kill@"+stage, func(t *testing.T) {
+						faulty := spec
+						faulty.Faults = []FaultSpec{{Rank: 1, Stage: stage, Kind: "kill"}}
+						faulty.StageDeadline = 5 * time.Second
+						faulty.MaxAttempts = 2
+						job, err := dep.run(t, faulty)
+						if err != nil {
+							t.Fatalf("recovery failed: %v", err)
+						}
+						if job.Attempts != 2 || len(job.Recovered) != 1 {
+							t.Fatalf("attempts=%d recovered=%v, want 2 attempts / 1 fault", job.Attempts, job.Recovered)
+						}
+						if s := job.Recovered[0]; s.Rank != 1 || s.Reason != "died" {
+							t.Fatalf("suspect %v, want rank 1 died", s)
+						}
+						assertSameOutput(t, healthy, job)
+					})
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 // Package cluster implements the paper's system architecture (Fig 8): a
 // coordinator that distributes the job specification and input placement,
 // and K workers that execute the sorting stages. Two deployments share the
-// same job specification:
+// same job specification and one supervisor (Supervise's attempt loop:
+// detection, recovery, stage log, roll-up), differing only in how an
+// attempt launches its ranks:
 //
 //   - RunLocal: all workers as goroutines over the in-memory transport,
 //     optionally traffic-shaped (the single-machine stand-in for EC2).
@@ -35,6 +37,24 @@ const (
 	AlgTeraSort = job.AlgTeraSort
 	AlgCoded    = job.AlgCoded
 )
+
+// prepare validates a job's spec and resolves, once per job, the
+// partitioner its output is verified against. Under sampled partitioning
+// the splitters are the ranks' too: they come preset in the returned spec
+// the ranks run, so no rank samples.
+func prepare(spec Spec) (Spec, partition.Partitioner, error) {
+	if err := spec.Validate(); err != nil {
+		return spec, nil, err
+	}
+	p, err := verifyPartitioner(spec)
+	if err != nil {
+		return spec, nil, err
+	}
+	if sp, ok := p.(partition.Splitters); ok {
+		spec.Splitters = sp.Bounds()
+	}
+	return spec, p, nil
+}
 
 // verifyPartitioner returns the partitioner output verification checks
 // worker partitions against: uniform by default, the expected sampled

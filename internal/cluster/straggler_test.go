@@ -8,27 +8,30 @@ import (
 
 // TestStragglerSlowsShuffle: one slow node under the serial schedule
 // stretches the whole cluster's shuffle — the straggler effect the coded
-// computing literature the paper cites ([11]) targets.
+// computing literature the paper cites ([11]) targets — in process and
+// over TCP, where each worker shapes its own mesh.
 func TestStragglerSlowsShuffle(t *testing.T) {
-	base := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 60000, Seed: 15, RateMbps: 200}
-	healthy, err := RunLocal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := base
-	slow.StragglerFactor = 4
-	slow.StragglerRank = 1
-	straggling, err := RunLocal(slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := healthy.Times[stats.StageShuffle].Seconds()
-	s := straggling.Times[stats.StageShuffle].Seconds()
-	if s <= h*1.3 {
-		t.Fatalf("straggler had little effect: healthy %.3fs vs straggling %.3fs", h, s)
-	}
-	if !straggling.Validated {
-		t.Fatalf("straggling job must still be correct")
+	for _, dep := range deployments {
+		base := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 60000, Seed: 15, RateMbps: 200}
+		healthy, err := dep.run(t, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slow := base
+		slow.StragglerFactor = 4
+		slow.StragglerRank = 1
+		straggling, err := dep.run(t, slow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := healthy.Times[stats.StageShuffle].Seconds()
+		s := straggling.Times[stats.StageShuffle].Seconds()
+		if s <= h*1.3 {
+			t.Fatalf("%sstraggler had little effect: healthy %.3fs vs straggling %.3fs", dep.prefix, h, s)
+		}
+		if !straggling.Validated {
+			t.Fatalf("%sstraggling job must still be correct", dep.prefix)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 )
 
@@ -32,6 +34,36 @@ func runTCP(t *testing.T, spec Spec) (job *JobReport, workerErrs []error, jobErr
 	job, jobErr = coord.RunJob(spec)
 	wg.Wait()
 	return job, workerErrs, jobErr
+}
+
+// rejoinTCP runs spec on a coordinator whose K workers run in a restart
+// loop, the way a process supervisor keeps worker processes up: every
+// worker that leaves — done, aborted or dead — is replaced by a fresh one
+// until the job is over, so a retry finds K workers to register. work is
+// every worker's body.
+func rejoinTCP(t *testing.T, spec Spec, work workerFunc) (*JobReport, error) {
+	t.Helper()
+	coord, err := NewCoordinator("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var over atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < spec.K; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !over.Load() {
+				_ = joinJob(coord.Addr(), WorkerOptions{}, work)
+			}
+		}()
+	}
+	job, err := coord.RunJob(spec)
+	over.Store(true)
+	// Closing the listener resets the registrations no attempt accepted.
+	coord.Close()
+	wg.Wait()
+	return job, err
 }
 
 // TestTCPMonitoredHealthy: the deadline-armed conversation (heartbeats and
@@ -158,8 +190,9 @@ func TestTCPDeathNamesScheduledStage(t *testing.T) {
 // TestTCPWorkerGoroutinesExit: every worker listens for aborts, deadline or
 // not, and the listener (like the heartbeat sender) must die with its
 // worker — a long-lived process joining job after job would otherwise
-// pile them up. Goroutines that are already exiting get a moment to
-// settle, as the benchmark's leak count does.
+// pile them up — in a clean job and across a recovered one, whose first
+// attempt's workers were killed or aborted. Goroutines that are already
+// exiting get a moment to settle, as the benchmark's leak count does.
 func TestTCPWorkerGoroutinesExit(t *testing.T) {
 	spec := Spec{Algorithm: AlgCoded, K: 3, R: 2, Rows: 1500, Seed: 34}
 	_, workerErrs, err := runTCP(t, spec)
@@ -181,37 +214,86 @@ func TestTCPWorkerGoroutinesExit(t *testing.T) {
 		}
 		return ""
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for lingering() != "" && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	settled := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for lingering() != "" && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if fn := lingering(); fn != "" {
+			t.Fatalf("%s goroutine outlived its worker (%s job)", fn, what)
+		}
 	}
-	if fn := lingering(); fn != "" {
-		t.Fatalf("%s goroutine outlived its worker", fn)
+	settled("clean")
+	spec.StageDeadline, spec.Heartbeat = 5*time.Second, 20*time.Millisecond
+	spec.Faults = []FaultSpec{{Rank: 1, Stage: "Shuffle", Kind: "kill"}}
+	if job, err := rejoinTCP(t, spec, runWorker); err != nil || job.Attempts != 2 {
+		t.Fatalf("recovered job: %v (report %+v)", err, job)
 	}
+	settled("recovered")
 }
 
-// TestTCPRejectsMaxAttempts: the coordinator runs a job once, so a spec
-// asking for recovery by re-execution is refused up front — before any
-// worker registers — instead of being accepted and then ignored.
-func TestTCPRejectsMaxAttempts(t *testing.T) {
-	coord, err := NewCoordinator("127.0.0.1:0")
+// TestTCPRecoversWithMaxAttempts: a TCP job asking for recovery gets it. A
+// worker killed mid-Shuffle is detected by its broken connection, the
+// survivors are aborted, and the retry runs on the workers that register
+// next — with no deadline armed, so the wait for them is unbounded — to
+// the clean run's per-rank output digests.
+func TestTCPRecoversWithMaxAttempts(t *testing.T) {
+	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 35}
+	healthy, err := rejoinTCP(t, spec, runWorker)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer coord.Close()
-	done := make(chan error, 1)
-	go func() {
-		_, err := coord.RunJob(Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 35,
-			StageDeadline: 5 * time.Second, MaxAttempts: 2})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err == nil || !strings.HasPrefix(err.Error(), "job: ") || !strings.Contains(err.Error(), "in-process only") {
-			t.Fatalf("MaxAttempts 2 over TCP: got %v, want a job: in-process-only refusal", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("RunJob waited for workers instead of refusing MaxAttempts 2")
+	faulty := spec
+	faulty.MaxAttempts = 2
+	faulty.Faults = []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "kill"}}
+	job, err := rejoinTCP(t, faulty, runWorker)
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if job.Attempts != 2 || len(job.Recovered) != 1 || job.Recovered[0].Rank != 2 || job.Recovered[0].Reason != "died" {
+		t.Fatalf("attempts=%d recovered=%v, want 2 attempts / rank 2 died", job.Attempts, job.Recovered)
+	}
+	assertSameOutput(t, healthy, job)
+}
+
+// TestTCPVerifyCatchesFaultyRank is TestVerifyCatchesFaultyRank over TCP,
+// where the output never reaches the coordinator: each worker checks its
+// own partition's order and membership and reports the digest it checked,
+// so one faulty rank fails the job whether its fault breaks the order, the
+// partition or the multiset.
+func TestTCPVerifyCatchesFaultyRank(t *testing.T) {
+	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 71}
+	for _, c := range []struct {
+		name   string
+		tamper func(kv.Records) kv.Records
+		want   string
+	}{
+		{"swapped adjacent pair", func(r kv.Records) kv.Records {
+			r.Swap(10, 11)
+			return r
+		}, "not sorted"},
+		{"key from another partition", func(r kv.Records) kv.Records {
+			r.Key(0)[0] = 0 // below every key of partition 1, so still ascending
+			return r
+		}, "belongs to partition 0"},
+		{"flipped value byte", func(r kv.Records) kv.Records {
+			r.Value(r.Len() / 2)[5] ^= 0x40
+			return r
+		}, "checksum"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := rejoinTCP(t, spec, runWorker); err != nil {
+				t.Fatalf("healthy run: %v", err)
+			}
+			_, err := rejoinTCP(t, spec, tamperOutput(1, c.tamper))
+			if err == nil {
+				t.Fatal("faulty rank passed verification over TCP")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name the %s mismatch", err, c.want)
+			}
+		})
 	}
 }
 

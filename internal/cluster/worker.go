@@ -12,8 +12,6 @@ import (
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
-	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/netem"
 	"codedterasort/internal/transport/tcpnet"
 	"codedterasort/internal/verify"
 )
@@ -38,10 +36,17 @@ type WorkerOptions struct {
 
 // RunWorker joins one job: it opens a mesh listener, registers with the
 // coordinator at coordAddr, waits for a rank assignment, forms the TCP
-// mesh with its peers, executes the assigned algorithm, and reports the
-// result. It returns once the report is delivered (or on failure, after
-// attempting to report the error so the coordinator can fail fast).
+// mesh with its peers, executes the assigned algorithm on the rank's
+// shaped endpoint, checks its partition, and reports the result. It
+// returns once the report is delivered (or on failure, after attempting to
+// report the error so the coordinator can fail fast). A worker serves one
+// attempt of one job: a retry runs on the workers that register next.
 func RunWorker(coordAddr string, opts WorkerOptions) error {
+	return joinJob(coordAddr, opts, runWorker)
+}
+
+// joinJob is RunWorker with the rank's body run by work.
+func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	if opts.Parallelism < 0 {
 		return fmt.Errorf("cluster: negative parallelism override %d", opts.Parallelism)
 	}
@@ -87,6 +92,13 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		return reportFailure(tx, assign.Rank, fmt.Errorf("cluster: bad assignment rank=%d addrs=%d k=%d",
 			assign.Rank, len(assign.Addrs), spec.K))
 	}
+	// The coordinator presets a sampled job's splitters, so the checker's
+	// partitioner comes straight off the wire — no local sampling.
+	p, err := verifyPartitioner(spec)
+	if err != nil {
+		return reportFailure(tx, assign.Rank, err)
+	}
+	check := verify.NewPartitionChecker(p, assign.Rank)
 
 	mesh, err := tcpnet.NewWithListener(assign.Rank, assign.Addrs, meshLn)
 	if err != nil {
@@ -94,28 +106,7 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	}
 	meshOwned = false
 	defer mesh.Close()
-
-	var shaped transport.Conn = mesh
-	if spec.RateMbps > 0 || spec.PerMessage > 0 {
-		shaped = netem.Limit(mesh, netem.Options{RateMbps: spec.RateMbps, PerMessage: spec.PerMessage})
-	}
-	meter := transport.NewMeter(shaped)
-	ep := transport.WithCollectives(meter)
-
-	// Budget-bounded workers never materialize their partition: the sorted
-	// blocks stream through a local checker that self-verifies order and
-	// membership, and the coordinator cross-checks the reported totals.
-	var sink func(kv.Records) error
-	if spec.MemBudget > 0 {
-		// Under sampled partitioning the coordinator distributes the spec
-		// with the splitters preset, so the checker's partitioner comes
-		// straight off the wire — no local sampling.
-		p, err := verifyPartitioner(spec)
-		if err != nil {
-			return reportFailure(tx, assign.Rank, err)
-		}
-		sink = verify.NewPartitionChecker(p, assign.Rank).Feed
-	}
+	ep, meter := rankEndpoint(mesh, spec)
 
 	// Per-stage progress frames (and, with the stage deadline armed,
 	// periodic heartbeats) flow to the coordinator, and an abort frame (or
@@ -138,7 +129,18 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
 	go listenAbort(conn, mesh)
 
-	rep, err := runWorker(ep, spec, job.Local{}, sink, hooks)
+	// A budget-bounded worker streams its sorted blocks through the checker
+	// as Reduce emits them; an in-memory one checks its partition once the
+	// timed stages are over. Either way the report carries the checked
+	// digest, which the coordinator totals against the input.
+	var sink func(kv.Records) error
+	if spec.MemBudget > 0 {
+		sink = check.Feed
+	}
+	rep, err := work(ep, spec, job.Local{}, sink, hooks)
+	if err == nil && sink == nil {
+		err = check.Feed(rep.Output)
+	}
 	if err != nil {
 		var killed *engine.KilledError
 		if errors.As(err, &killed) {
@@ -152,7 +154,9 @@ func RunWorker(coordAddr string, opts WorkerOptions) error {
 		}
 		return reportFailure(tx, assign.Rank, err)
 	}
+	sum := check.Summary()
 	rep.Rank = assign.Rank
+	rep.OutputRows, rep.OutputChecksum = sum.Rows, sum.Checksum
 	rep.WireBytes = meter.Counters().SentBytes
 	return tx.send(workerMsg{Report: &reportMsg{WorkerReport: rep}})
 }

@@ -137,12 +137,12 @@ type Spec struct {
 	Faults []FaultSpec `json:"faults,omitempty"`
 	// StageDeadline, when positive, arms straggler detection: a rank that
 	// has not finished a stage StageDeadline after the first rank finished
-	// it is declared straggling and the attempt is canceled. The in-process
-	// supervisor (sort and MapReduce jobs alike) then re-executes the job
-	// with the faulty rank's worker respawned (up to MaxAttempts); the TCP
-	// coordinator aborts the job and fails fast with the suspect named
-	// instead of hanging. The deadline must exceed the natural per-stage
-	// skew of the cluster, so it is opt-in.
+	// it is declared straggling and the attempt is canceled. The
+	// supervisor (in process and TCP alike) then re-executes the job with
+	// the faulty rank's worker respawned (up to MaxAttempts); over TCP a
+	// retry also waits at most StageDeadline for its K workers to register.
+	// The deadline must exceed the natural per-stage skew of the cluster,
+	// so it is opt-in.
 	StageDeadline time.Duration `json:"stage_deadline,omitempty"`
 	// Heartbeat is the interval at which TCP workers send liveness frames
 	// to the coordinator when StageDeadline is armed (0 derives
@@ -150,11 +150,9 @@ type Spec struct {
 	// full StageDeadline is declared dead even if no stage completes
 	// anywhere.
 	Heartbeat time.Duration `json:"heartbeat,omitempty"`
-	// MaxAttempts caps the total job executions in-process recovery may
-	// use (first run included). 0 derives the default: 3 when
-	// StageDeadline is armed, 1 (no recovery) otherwise. Recovery by
-	// re-execution is in-process only: the TCP coordinator refuses an
-	// explicit value above 1 and runs the derived default once.
+	// MaxAttempts caps the total job executions recovery may use (first
+	// run included), in process and over TCP. 0 derives the default: 3
+	// when StageDeadline is armed, 1 (no recovery) otherwise.
 	MaxAttempts int `json:"max_attempts,omitempty"`
 }
 
