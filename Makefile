@@ -77,6 +77,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitters -fuzztime=5s ./internal/partition/
 	$(GO) test -run=Fuzz -fuzz=FuzzGenerateBlocks -fuzztime=5s ./internal/kv/
 	$(GO) test -run=Fuzz -fuzz=FuzzSortOrder -fuzztime=5s ./internal/kv/
+	$(GO) test -run=Fuzz -fuzz=FuzzJob -fuzztime=5s ./internal/cluster/
 
 # Large-K smoke: the K=64 resolvable sort over multiplexed logical ranks,
 # checksum-tied to the uncoded oracle. Also runs (race-enabled) inside the

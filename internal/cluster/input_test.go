@@ -3,15 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 	"weak"
 
 	"codedterasort/internal/engine"
@@ -84,84 +81,6 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not name the %s mismatch", err, c.want)
-			}
-		})
-	}
-}
-
-// digests returns the SHA-256 of every file.
-func digests(files []kv.Records) [][sha256.Size]byte {
-	out := make([][sha256.Size]byte, len(files))
-	for i, f := range files {
-		out[i] = sha256.Sum256(f.Bytes())
-	}
-	return out
-}
-
-// TestSharedInputReadOnly: no stage of any rank writes the input files it
-// aliases — Encode gathers from them and Decode cancels in the packets it
-// received, never in a file. Every file's digest after the job equals its
-// digest before the first rank ran, across modes, redundancies, sampled
-// skewed input and a recovered job, whose output also equals the healthy
-// run's.
-func TestSharedInputReadOnly(t *testing.T) {
-	coded := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 6000, Seed: 44, KeepOutput: true}
-	tera := coded
-	tera.Algorithm, tera.R = AlgTeraSort, 0
-	coded3 := coded
-	coded3.R = 3
-	chunked := func(s Spec) Spec { s.ChunkRows = 500; return s }
-	sampled := coded
-	sampled.Partitioning, sampled.DistName = "sample", "zipf"
-	killed := coded
-	killed.Faults = []FaultSpec{{Rank: 2, Stage: "Reduce", Kind: "kill"}}
-	killed.MaxAttempts = 2
-	for _, c := range []struct {
-		name string
-		spec Spec
-	}{
-		{"mono r=1", tera}, {"mono r=2", coded}, {"mono r=3", coded3},
-		{"chunked r=1", chunked(tera)}, {"chunked r=2", chunked(coded)}, {"chunked r=3", chunked(coded3)},
-		{"sampled zipf", sampled}, {"killed at Reduce", killed},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			var once sync.Once
-			var files []kv.Records
-			var before [][sha256.Size]byte
-			rep, err := runLocal(context.Background(), c.spec, Options{},
-				func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
-					// The first rank in takes the digests; the others wait in
-					// Do, so no rank has run yet.
-					once.Do(func() { files, before = local.Input, digests(local.Input) })
-					return runWorker(ep, spec, local, sink, hooks)
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(files) == 0 {
-				t.Fatal("the ranks were handed no input files")
-			}
-			for i, d := range digests(files) {
-				if d != before[i] {
-					t.Fatalf("input file %d changed during the job", i)
-				}
-			}
-			if len(c.spec.Faults) == 0 {
-				return
-			}
-			if rep.Attempts != 2 {
-				t.Fatalf("attempts=%d, want 2", rep.Attempts)
-			}
-			healthy := c.spec
-			healthy.Faults, healthy.MaxAttempts = nil, 0
-			want, err := RunLocal(healthy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for r := range want.Workers {
-				if !rep.Workers[r].Output.Equal(want.Workers[r].Output) {
-					t.Fatalf("rank %d: recovered output differs from the healthy run's", r)
-				}
 			}
 		})
 	}
@@ -242,8 +161,8 @@ func (c *cancelOnCheck) Err() error {
 
 // TestCancelDuringPlacement: a cancel that arrives while the supervisor
 // generates an in-memory job's input — a sortd drain, on a pool lease —
-// returns the context's error, starts no rank, and leaves no goroutine or
-// spill entry behind.
+// returns the context's error, starts no rank, and leaves no goroutine,
+// descriptor or spill entry behind.
 func TestCancelDuringPlacement(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -252,7 +171,7 @@ func TestCancelDuringPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer lease.Release()
-	before := runtime.NumGoroutine()
+	leaks := snapshotLeaks()
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// 200 000 rows are 49 pieces of generation; the cancel lands at the
@@ -267,15 +186,8 @@ func TestCancelDuringPlacement(t *testing.T) {
 	if st := p.Stats(); st.Ranks != 0 {
 		t.Fatalf("%d rank lifecycles started after a cancel during placement", st.Ranks)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before {
-		t.Fatalf("%d goroutines before the job, %d after", before, after)
-	}
-	if entries, err := os.ReadDir(spill); err != nil || len(entries) != 0 {
-		t.Fatalf("spill dir after the job: %d entries, err %v", len(entries), err)
+	if err := leaks.check(spill); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -288,7 +200,7 @@ func TestCancelDuringPlacement(t *testing.T) {
 // handed-over files would pick other rows than sampling the part files.
 func TestInputDirSampledInMemory(t *testing.T) {
 	const k = 4
-	dir := writeDiskInput(t, k, 3001, 19)
+	dir := writeDiskInput(t, kv.NewGenerator(19, kv.DistUniform).Generate(0, 3001), k)
 	var reps []*JobReport
 	for _, budget := range []int64{0, 16 * 1024} {
 		spec := Spec{Algorithm: AlgTeraSort, K: k, InputDir: dir, Partitioning: "sample", SampleSize: 70,

@@ -10,31 +10,6 @@ import (
 	"codedterasort/internal/trace"
 )
 
-// TestPoolRunMatchesRunLocal: a pooled job is byte-identical to the same
-// spec run directly — the executors are pure placement.
-func TestPoolRunMatchesRunLocal(t *testing.T) {
-	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 9}
-	direct, err := RunLocal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewPool(4)
-	defer p.Close()
-	pooled, err := p.Run(context.Background(), spec, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pooled.Validated {
-		t.Fatalf("pooled job not validated")
-	}
-	for r := range direct.Workers {
-		if pooled.Workers[r].OutputChecksum != direct.Workers[r].OutputChecksum ||
-			pooled.Workers[r].OutputRows != direct.Workers[r].OutputRows {
-			t.Fatalf("rank %d output differs pooled vs direct", r)
-		}
-	}
-}
-
 // TestPoolExecutorReuse: sequential jobs share the same executor
 // goroutines, so completed rank lifecycles accumulate well past the slot
 // count.
@@ -87,22 +62,14 @@ func TestPoolConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestPoolReserveTooLarge: a job bigger than the pool is rejected, not
-// deadlocked.
+// TestPoolReserveTooLarge: a reservation bigger than the pool is rejected,
+// not deadlocked (Pool.Run multiplexes such a job instead, as FuzzJob's
+// pool draws do).
 func TestPoolReserveTooLarge(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	if _, err := p.Reserve(context.Background(), 3); err == nil {
 		t.Fatal("reserving 3 of 2 slots succeeded")
-	}
-	// Oversized jobs are not rejected: Pool.Run reserves the whole pool and
-	// the lease multiplexes logical ranks over it.
-	job, err := p.Run(context.Background(), Spec{Algorithm: AlgTeraSort, K: 3, Rows: 300, Seed: 1}, Options{})
-	if err != nil {
-		t.Fatalf("running K=3 on a 2-slot pool: %v", err)
-	}
-	if !job.Validated {
-		t.Fatal("multiplexed job not validated")
 	}
 }
 

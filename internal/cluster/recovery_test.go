@@ -12,26 +12,13 @@ import (
 )
 
 // recoverySpec is the base job of the recovery tests: small enough to keep
-// the matrix fast, big enough that every stage does real work.
+// them fast, big enough that every stage does real work.
 func recoverySpec(alg Algorithm, rows int64) Spec {
 	spec := Spec{Algorithm: alg, K: 4, Rows: rows, Seed: 23, KeepOutput: true}
 	if alg == AlgCoded {
 		spec.R = 2
 	}
 	return spec
-}
-
-// modeVariants applies the three execution modes to a base spec. The
-// out-of-core variant keeps KeepOutput so outputs stay byte-comparable
-// (budget runs with retained output still exercise the spill machinery).
-func modeVariants(t *testing.T, base Spec) map[string]Spec {
-	t.Helper()
-	chunked := base
-	chunked.ChunkRows = 500
-	spill := base
-	spill.MemBudget = base.Rows * 100 / 8
-	spill.SpillDir = t.TempDir()
-	return map[string]Spec{"mono": base, "chunked": chunked, "extsort": spill}
 }
 
 // assertSameOutput asserts two job reports carry byte-identical sorted
@@ -49,74 +36,6 @@ func assertSameOutput(t *testing.T, want, got *JobReport) {
 		}
 		if !bytes.Equal(w.Output.Bytes(), g.Output.Bytes()) {
 			t.Fatalf("rank %d output bytes differ after recovery", r)
-		}
-	}
-}
-
-// stagesOf lists the timed stages of an algorithm x mode combination — the
-// kill matrix's axis. The streaming modes collapse Pack/Encode, Shuffle and
-// Unpack/Decode into the Shuffle stage.
-func stagesOf(alg Algorithm, mode string) []string {
-	switch {
-	case alg == AlgTeraSort && mode == "mono":
-		return []string{"Map", "Pack", "Shuffle", "Unpack", "Reduce"}
-	case alg == AlgTeraSort:
-		return []string{"Map", "Shuffle", "Reduce"}
-	case mode == "mono":
-		return []string{"CodeGen", "Map", "Encode", "Shuffle", "Decode", "Reduce"}
-	default: // coded chunked and extsort
-		return []string{"CodeGen", "Map", "Shuffle", "Reduce"}
-	}
-}
-
-// deployments are the two launchers of the supervisor as tests drive them:
-// RunLocal, and a coordinator with rejoining workers (rejoinTCP). prefix
-// names the TCP axis of a test's subtests.
-var deployments = []struct {
-	prefix string
-	run    func(*testing.T, Spec) (*JobReport, error)
-}{
-	{"", func(_ *testing.T, spec Spec) (*JobReport, error) { return RunLocal(spec) }},
-	{"tcp/", func(t *testing.T, spec Spec) (*JobReport, error) { return rejoinTCP(t, spec, runWorker) }},
-}
-
-// TestRecoveryKillMatrix kills one rank at every timed stage of both
-// engines under all three execution modes and asserts the supervised
-// runtime recovers to byte-identical output: the crash is detected, the
-// attempt canceled (no peer hangs at the dead rank's barrier), and the
-// respawned re-execution reproduces the healthy run exactly. The tcp/
-// cells run the same matrix on worker processes' protocol, with workers
-// rejoining for the retry; there the output never rides the wire, so the
-// per-rank digests are what must match the healthy TCP run.
-func TestRecoveryKillMatrix(t *testing.T) {
-	for _, dep := range deployments {
-		for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
-			base := recoverySpec(alg, 6000)
-			for mode, spec := range modeVariants(t, base) {
-				healthy, err := dep.run(t, spec)
-				if err != nil {
-					t.Fatalf("%s%s/%s healthy: %v", dep.prefix, alg, mode, err)
-				}
-				for _, stage := range stagesOf(alg, mode) {
-					t.Run(dep.prefix+string(alg)+"/"+mode+"/kill@"+stage, func(t *testing.T) {
-						faulty := spec
-						faulty.Faults = []FaultSpec{{Rank: 1, Stage: stage, Kind: "kill"}}
-						faulty.StageDeadline = 5 * time.Second
-						faulty.MaxAttempts = 2
-						job, err := dep.run(t, faulty)
-						if err != nil {
-							t.Fatalf("recovery failed: %v", err)
-						}
-						if job.Attempts != 2 || len(job.Recovered) != 1 {
-							t.Fatalf("attempts=%d recovered=%v, want 2 attempts / 1 fault", job.Attempts, job.Recovered)
-						}
-						if s := job.Recovered[0]; s.Rank != 1 || s.Reason != "died" {
-							t.Fatalf("suspect %v, want rank 1 died", s)
-						}
-						assertSameOutput(t, healthy, job)
-					})
-				}
-			}
 		}
 	}
 }
@@ -157,60 +76,6 @@ func TestFaultOnAbsentStageFails(t *testing.T) {
 		case <-time.After(time.Minute):
 			t.Fatalf("job with an unreachable fault (%q) hung", want)
 		}
-	}
-}
-
-// TestRecoveryKeepsTieOrder: with keys that repeat (64 distinct keys over
-// 6 000 rows) the in-memory Reduce's order of equal keys is defined by input
-// position alone, so neither Parallelism nor a kill-recovery attempt can
-// move a byte of it.
-func TestRecoveryKeepsTieOrder(t *testing.T) {
-	for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
-		spec := recoverySpec(alg, 6000)
-		spec.DistName, spec.Parallelism = "dupheavy", 1
-		healthy, err := RunLocal(spec)
-		if err != nil {
-			t.Fatalf("%s healthy: %v", alg, err)
-		}
-		spec.Parallelism = 4
-		spec.Faults = []FaultSpec{{Rank: 1, Stage: "Reduce", Kind: "kill"}}
-		spec.StageDeadline, spec.MaxAttempts = 5*time.Second, 2
-		job, err := RunLocal(spec)
-		if err != nil {
-			t.Fatalf("%s recovery: %v", alg, err)
-		}
-		if job.Attempts != 2 {
-			t.Fatalf("%s: attempts=%d, want 2", alg, job.Attempts)
-		}
-		assertSameOutput(t, healthy, job)
-	}
-}
-
-// TestRecoveryStraggler injects the acceptance scenario's straggler — a
-// 4x slow-down at Shuffle with a stall far past the stage deadline — and
-// asserts the deadline detector flags it and recovery reproduces the
-// healthy output on both engines.
-func TestRecoveryStraggler(t *testing.T) {
-	for _, alg := range []Algorithm{AlgTeraSort, AlgCoded} {
-		t.Run(string(alg), func(t *testing.T) {
-			spec := recoverySpec(alg, 4000)
-			healthy, err := RunLocal(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			faulty := spec
-			faulty.Faults = []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "slow", Factor: 4, Delay: 2 * time.Second}}
-			faulty.StageDeadline = 300 * time.Millisecond
-			faulty.MaxAttempts = 2
-			job, err := RunLocal(faulty)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(job.Recovered) != 1 || job.Recovered[0].Rank != 2 || job.Recovered[0].Reason != "missed deadline" {
-				t.Fatalf("recovered %v, want rank 2 missed deadline", job.Recovered)
-			}
-			assertSameOutput(t, healthy, job)
-		})
 	}
 }
 
@@ -307,18 +172,5 @@ func TestWorkerErrorNoHang(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("worker error took %v to surface — the no-hang property is broken", elapsed)
-	}
-}
-
-// TestRecoveryDisabledByDefault: without StageDeadline or MaxAttempts the
-// runtime behaves exactly as before for healthy jobs — one attempt, no
-// recovery bookkeeping.
-func TestRecoveryDisabledByDefault(t *testing.T) {
-	job, err := RunLocal(recoverySpec(AlgTeraSort, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job.Attempts != 1 || len(job.Recovered) != 0 {
-		t.Fatalf("clean run reported attempts=%d recovered=%v", job.Attempts, job.Recovered)
 	}
 }

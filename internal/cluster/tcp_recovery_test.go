@@ -1,7 +1,7 @@
 package cluster
 
 import (
-	"runtime"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"codedterasort/internal/kv"
-	"codedterasort/internal/stats"
 )
 
 // runTCP starts a coordinator and K worker goroutines speaking the real TCP
@@ -40,21 +39,29 @@ func runTCP(t *testing.T, spec Spec) (job *JobReport, workerErrs []error, jobErr
 // loop, the way a process supervisor keeps worker processes up: every
 // worker that leaves — done, aborted or dead — is replaced by a fresh one
 // until the job is over, so a retry finds K workers to register. work is
-// every worker's body.
-func rejoinTCP(t *testing.T, spec Spec, work workerFunc) (*JobReport, error) {
+// every worker's body, and first the options of the first loop's workers.
+// A job that succeeds must have had K workers return cleanly.
+func rejoinTCP(t *testing.T, spec Spec, work workerFunc, first WorkerOptions) (*JobReport, error) {
 	t.Helper()
 	coord, err := NewCoordinator("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var over atomic.Bool
+	var clean atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < spec.K; i++ {
+		opts := WorkerOptions{}
+		if i == 0 {
+			opts = first
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !over.Load() {
-				_ = joinJob(coord.Addr(), WorkerOptions{}, work)
+				if joinJob(coord.Addr(), opts, work) == nil {
+					clean.Add(1)
+				}
 			}
 		}()
 	}
@@ -63,63 +70,10 @@ func rejoinTCP(t *testing.T, spec Spec, work workerFunc) (*JobReport, error) {
 	// Closing the listener resets the registrations no attempt accepted.
 	coord.Close()
 	wg.Wait()
+	if err == nil && clean.Load() < int64(spec.K) {
+		err = fmt.Errorf("%d of the last attempt's %d workers returned cleanly", clean.Load(), spec.K)
+	}
 	return job, err
-}
-
-// TestTCPMonitoredHealthy: the deadline-armed conversation (heartbeats and
-// the watchdog on top of progress frames) carries a clean job end to end.
-func TestTCPMonitoredHealthy(t *testing.T) {
-	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 31,
-		StageDeadline: 10 * time.Second, Heartbeat: 20 * time.Millisecond}
-	job, workerErrs, err := runTCP(t, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
-	if !job.Validated {
-		t.Fatal("monitored job not validated")
-	}
-}
-
-// TestTCPStageLog: a TCP job's report carries the stage log its workers'
-// progress frames fed — one record per (rank, timed stage) of the chunked
-// coded schedule, summing per rank to the worker's reported breakdown.
-func TestTCPStageLog(t *testing.T) {
-	const k = 4
-	spec := Spec{Algorithm: AlgCoded, K: k, R: 2, Rows: 4000, Seed: 32, ChunkRows: 300}
-	job, workerErrs, err := runTCP(t, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
-	// Chunked coded ranks time CodeGen, Map, the streamed Shuffle and Reduce.
-	timed := []stats.Stage{stats.StageCodeGen, stats.StageMap, stats.StageShuffle, stats.StageReduce}
-	seen := map[[2]int]int{}
-	for _, rec := range job.Stages {
-		if rec.Attempt != 1 || rec.Err != "" {
-			t.Fatalf("unexpected record %v", rec)
-		}
-		seen[[2]int{rec.Node, int(rec.Stage)}]++
-	}
-	if len(job.Stages) != k*len(timed) {
-		t.Fatalf("%d stage records, want %d", len(job.Stages), k*len(timed))
-	}
-	for rank := 0; rank < k; rank++ {
-		for _, st := range timed {
-			if n := seen[[2]int{rank, int(st)}]; n != 1 {
-				t.Fatalf("rank %d %v: %d records, want 1", rank, st, n)
-			}
-		}
-	}
-	checkStagesSumToTimes(t, job)
 }
 
 // TestTCPWorkerDeathFailsFast: a worker process dying mid-Map (simulated
@@ -162,101 +116,6 @@ func TestTCPWorkerDeathFailsFast(t *testing.T) {
 	}
 }
 
-// TestTCPDeathNamesScheduledStage: a worker that dies is blamed on the
-// next stage of its job's own schedule, not on the next breakdown column:
-// a TeraSort job has no CodeGen, so a death before any stage completes is
-// at Map, and a chunked coded job's streaming Shuffle follows Map with no
-// Pack/Encode between them.
-func TestTCPDeathNamesScheduledStage(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		spec Spec
-		want string
-	}{
-		{"terasort-map", Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 36,
-			Faults: []FaultSpec{{Rank: 2, Stage: "Map", Kind: "kill"}}}, "rank 2 died at Map (attempt 1)"},
-		{"chunked-shuffle", Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 36, ChunkRows: 300,
-			Faults: []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "kill"}}}, "rank 2 died at Shuffle (attempt 1)"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, _, jobErr := runTCP(t, c.spec)
-			if jobErr == nil || !strings.Contains(jobErr.Error(), c.want) {
-				t.Fatalf("verdict %v, want %q", jobErr, c.want)
-			}
-		})
-	}
-}
-
-// TestTCPWorkerGoroutinesExit: every worker listens for aborts, deadline or
-// not, and the listener (like the heartbeat sender) must die with its
-// worker — a long-lived process joining job after job would otherwise
-// pile them up — in a clean job and across a recovered one, whose first
-// attempt's workers were killed or aborted. Goroutines that are already
-// exiting get a moment to settle, as the benchmark's leak count does.
-func TestTCPWorkerGoroutinesExit(t *testing.T) {
-	spec := Spec{Algorithm: AlgCoded, K: 3, R: 2, Rows: 1500, Seed: 34}
-	_, workerErrs, err := runTCP(t, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, werr := range workerErrs {
-		if werr != nil {
-			t.Fatalf("worker %d: %v", i, werr)
-		}
-	}
-	lingering := func() string {
-		buf := make([]byte, 1<<20)
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		for _, fn := range []string{"cluster.listenAbort", "cluster.heartbeat"} {
-			if strings.Contains(stacks, fn) {
-				return fn
-			}
-		}
-		return ""
-	}
-	settled := func(what string) {
-		t.Helper()
-		deadline := time.Now().Add(2 * time.Second)
-		for lingering() != "" && time.Now().Before(deadline) {
-			time.Sleep(2 * time.Millisecond)
-		}
-		if fn := lingering(); fn != "" {
-			t.Fatalf("%s goroutine outlived its worker (%s job)", fn, what)
-		}
-	}
-	settled("clean")
-	spec.StageDeadline, spec.Heartbeat = 5*time.Second, 20*time.Millisecond
-	spec.Faults = []FaultSpec{{Rank: 1, Stage: "Shuffle", Kind: "kill"}}
-	if job, err := rejoinTCP(t, spec, runWorker); err != nil || job.Attempts != 2 {
-		t.Fatalf("recovered job: %v (report %+v)", err, job)
-	}
-	settled("recovered")
-}
-
-// TestTCPRecoversWithMaxAttempts: a TCP job asking for recovery gets it. A
-// worker killed mid-Shuffle is detected by its broken connection, the
-// survivors are aborted, and the retry runs on the workers that register
-// next — with no deadline armed, so the wait for them is unbounded — to
-// the clean run's per-rank output digests.
-func TestTCPRecoversWithMaxAttempts(t *testing.T) {
-	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 35}
-	healthy, err := rejoinTCP(t, spec, runWorker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faulty := spec
-	faulty.MaxAttempts = 2
-	faulty.Faults = []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "kill"}}
-	job, err := rejoinTCP(t, faulty, runWorker)
-	if err != nil {
-		t.Fatalf("recovery failed: %v", err)
-	}
-	if job.Attempts != 2 || len(job.Recovered) != 1 || job.Recovered[0].Rank != 2 || job.Recovered[0].Reason != "died" {
-		t.Fatalf("attempts=%d recovered=%v, want 2 attempts / rank 2 died", job.Attempts, job.Recovered)
-	}
-	assertSameOutput(t, healthy, job)
-}
-
 // TestTCPVerifyCatchesFaultyRank is TestVerifyCatchesFaultyRank over TCP,
 // where the output never reaches the coordinator: each worker checks its
 // own partition's order and membership and reports the digest it checked,
@@ -283,10 +142,10 @@ func TestTCPVerifyCatchesFaultyRank(t *testing.T) {
 		}, "checksum"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := rejoinTCP(t, spec, runWorker); err != nil {
+			if _, err := rejoinTCP(t, spec, runWorker, WorkerOptions{}); err != nil {
 				t.Fatalf("healthy run: %v", err)
 			}
-			_, err := rejoinTCP(t, spec, tamperOutput(1, c.tamper))
+			_, err := rejoinTCP(t, spec, tamperOutput(1, c.tamper), WorkerOptions{})
 			if err == nil {
 				t.Fatal("faulty rank passed verification over TCP")
 			}

@@ -69,21 +69,21 @@ func newContext(ep transport.Endpoint, spec *job.Resolved, mode Mode) *Context {
 }
 
 // Sorter returns the run's budget-bounded spill sorter, creating it on
-// first use: half the MemBudget bounds the sorter's buffer (merge cursors,
-// spool buffers and in-flight chunks share the other half), its runs sort
-// on Procs goroutines, and it is closed — removing the whole spill
-// directory — when the run ends.
+// first use: half the MemBudget (at least a byte) bounds its buffer, the
+// other half is for merge cursors, spools and chunks; its runs sort on
+// Procs goroutines; and it is removed with its directory when the run
+// ends, under the mutex of the receivers that may still be appending.
 func (ctx *Context) Sorter() (*extsort.Sorter, error) {
 	if ctx.sorter != nil {
 		return ctx.sorter, nil
 	}
-	s, err := extsort.NewSorter(ctx.Spec.SpillDir, ctx.Spec.MemBudget/2)
+	s, err := extsort.NewSorter(ctx.Spec.SpillDir, max(ctx.Spec.MemBudget/2, 1))
 	if err != nil {
 		return nil, err
 	}
 	s.SetParallelism(ctx.Procs)
 	ctx.sorter = s
-	ctx.Defer(func() { s.Close() })
+	ctx.Defer(func() { ctx.sorterMu.Lock(); defer ctx.sorterMu.Unlock(); s.Close() })
 	return s, nil
 }
 

@@ -108,12 +108,12 @@ type Spec struct {
 	// O(ChunkRows x Window x group size).
 	Window int `json:"window,omitempty"`
 	// MemBudget, when positive, runs every worker out-of-core: input is
-	// consumed block by block, intermediate partitions spill to
-	// radix-sorted on-disk runs under the per-worker byte budget, and
-	// Reduce becomes a streaming loser-tree merge. Output is byte-identical
-	// to the in-memory engine; verification switches to the streaming
-	// checker so it stays O(1) memory too. Implies the streaming pipelined
-	// shuffle (a budget-derived ChunkRows is chosen when none is set).
+	// consumed block by block, partitions spill to sorted on-disk runs under
+	// the per-worker byte budget, Reduce becomes a streaming merge and
+	// verification streams in O(1) memory. Each rank outputs the in-memory
+	// engine's records, sorted, but equal keys may come in another order
+	// (coded) or in arrival order, varying run to run (ParallelShuffle).
+	// Implies the streaming shuffle (budget-derived ChunkRows if unset).
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// SpillDir is the parent directory for spill files when MemBudget is
 	// positive ("" = the system temp directory). Each worker owns a fresh
