@@ -71,7 +71,6 @@ fuzz:
 		$(GO) test -run=Fuzz -fuzz="^$$target\$$" -fuzztime=5s ./internal/codec/ || exit 1; \
 	done; \
 	$(GO) test -run=Fuzz -fuzz='FuzzRunReader$$' -fuzztime=5s ./internal/extsort/
-	$(GO) test -run=Fuzz -fuzz='FuzzRunReaderV2$$' -fuzztime=5s ./internal/extsort/
 	$(GO) test -run=Fuzz -fuzz=FuzzMapReduceKernels -fuzztime=5s ./internal/mapreduce/
 	$(GO) test -run=Fuzz -fuzz=FuzzDesign -fuzztime=5s ./internal/placement/resolvable/
 	$(GO) test -run=Fuzz -fuzz=FuzzSplitters -fuzztime=5s ./internal/partition/
@@ -96,9 +95,11 @@ bench-smoke:
 
 # Where a whole job's CPU goes: one job shape of the repository benchmark
 # (BenchmarkJob/<JOB>: uncoded_mem, coded_mem or uncoded_spill) under the
-# CPU profiler, then the top frames and, last, the copy share: the flat
+# CPU profiler, then the top frames and, last, the copy share (the flat
 # shares of runtime.memmove and runtime.memclrNoHeapPointers among all
-# samples. The profile and test binary go to PROFILE_DIR, outside the tree.
+# samples) and the syscall share (the largest flat share of a Syscall6
+# frame: the runtime's system call, where the kernel copies spill bytes).
+# The profile and test binary go to PROFILE_DIR, outside the tree.
 JOB         ?= uncoded_mem
 PROFILE_DIR ?= $${TMPDIR:-/tmp}/codedterasort-profile
 profile:
@@ -108,7 +109,9 @@ profile:
 	$(GO) tool pprof -top -nodecount=25 $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/$(JOB).prof
 	@$(GO) tool pprof -top $(PROFILE_DIR)/bench.test $(PROFILE_DIR)/$(JOB).prof 2>/dev/null | awk \
 		'$$6 == "runtime.memmove" { m = $$2 } $$6 == "runtime.memclrNoHeapPointers" { c = $$2 } \
-		END { printf "copy share: memmove %s + memclr %s\n", m ? m : "0%", c ? c : "0%" }'
+		$$6 ~ /syscall\.Syscall6$$/ && !s { s = $$2 } \
+		END { printf "copy share: memmove %s + memclr %s; syscall share: Syscall6 %s\n", \
+			m ? m : "0%", c ? c : "0%", s ? s : "0%" }'
 
 # The repository benchmark (bench/, a module of its own that `./...` does
 # not reach) calls internal packages from its probes; its own tests build

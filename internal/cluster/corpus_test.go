@@ -21,6 +21,8 @@ var jobCorpus = []uint64{
 	249651, 250046, 251472, 251734, 256616, 257707, 258852, 259748, 263600, 265083,
 	268188, 270000, 270703, 271832, 273960, 283093, 286576, 288227, 289227, 292165,
 	293479, 295936, 296028,
+	// A kill at CodeGen of an out-of-core coded job over TCP.
+	4470,
 	// A peer killed during an out-of-core shuffle once left a spill run in
 	// the directory its rank was removing (4 runs in 600 of this seed, on a
 	// loaded host).

@@ -161,8 +161,8 @@ func drawJob(seed uint64) jobDraw {
 			s.MemBudget = int64(one(1, 16<<10, 64<<20, max(int(s.Rows)*kv.RecordSize/8, 1)))
 			s.KeepOutput = coin(0.2)
 			if coin(0.5) {
-				// Out of core, every spool buffers ChunkRows records whatever
-				// the budget, so 1<<20 would allocate 100 MB a spool.
+				// Out of core, each spool buffers one ChunkRows block, which
+				// must fit the budget, so 1<<20 is never drawn here.
 				s.ChunkRows, s.Window = one(33, 64, 300, 512), one(0, 1, 2, 4, 16)
 			}
 		}

@@ -86,6 +86,96 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 	}
 }
 
+// scanFunc is an out-of-core rank's input scan (job.Local.Scan).
+type scanFunc = func(i, blockRows int, fn func(kv.Records) error) error
+
+// tamperScan wraps runWorker so that rank scans its input through tamper,
+// which is handed the supervisor's scan and the rank's call and decides
+// what reaches the rank.
+func tamperScan(rank int, tamper func(scan scanFunc, i, blockRows int, fn func(kv.Records) error) error) workerFunc {
+	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+		if scan := local.Scan; ep.Rank() == rank {
+			local.Scan = func(i, blockRows int, fn func(kv.Records) error) error {
+				return tamper(scan, i, blockRows, fn)
+			}
+		}
+		return runWorker(ep, spec, local, sink, hooks)
+	}
+}
+
+// TestVerifyCatchesFaultyScan: an out-of-core job's input is described from
+// the blocks the supervisor hands its ranks, so a rank that loses or alters
+// what it was handed fails verification: a dropped block or a file the
+// rank never scans on rows (the supervisor checks each file was described
+// whole), a byte flipped after hand-off on the checksum (each block was
+// digested before the rank saw it). At r = 1 rank 1 is file 1's only
+// holder, so its description and its records are one rank's alone.
+func TestVerifyCatchesFaultyScan(t *testing.T) {
+	spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 73, MemBudget: 16 << 10}
+	cases := []struct {
+		name   string
+		tamper func(scan scanFunc, i, blockRows int, fn func(kv.Records) error) error
+		want   string
+	}{
+		{"dropped block", func(scan scanFunc, i, blockRows int, fn func(kv.Records) error) error {
+			n := 0
+			return scan(i, blockRows, func(b kv.Records) error {
+				if n++; n == 2 {
+					return nil
+				}
+				return fn(b)
+			})
+		}, "rows"},
+		{"unscanned file", func(scanFunc, int, int, func(kv.Records) error) error {
+			return nil
+		}, "rows"},
+		{"flipped byte after hand-off", func(scan scanFunc, i, blockRows int, fn func(kv.Records) error) error {
+			return scan(i, blockRows, func(b kv.Records) error {
+				b.Value(b.Len() / 2)[5] ^= 0x40
+				return fn(b)
+			})
+		}, "checksum"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			spec.SpillDir = t.TempDir()
+			if _, err := runLocal(context.Background(), spec, Options{}, runWorker); err != nil {
+				t.Fatalf("healthy run: %v", err)
+			}
+			_, err := runLocal(context.Background(), spec, Options{}, tamperScan(1, c.tamper))
+			if err == nil {
+				t.Fatal("faulty rank passed verification")
+			}
+			if !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not name the %s mismatch", err, c.want)
+			}
+		})
+	}
+}
+
+// TestScannedFileCountedOnce: the lowest-ranked holder of a file is killed
+// on entering Map, after which its peers finish their Maps — scans whose
+// files are described — before the attempt is torn down; the retry scans
+// and describes every file again. Each description replaces the last, so
+// the recovered job validates against each file counted once, in both
+// algorithms.
+func TestScannedFileCountedOnce(t *testing.T) {
+	for _, spec := range []Spec{
+		{Algorithm: AlgTeraSort, K: 4, Rows: 3000, Seed: 79},
+		{Algorithm: AlgCoded, K: 4, R: 2, Rows: 3000, Seed: 79},
+	} {
+		spec.MemBudget, spec.SpillDir, spec.MaxAttempts = 16<<10, t.TempDir(), 2
+		spec.Faults = []FaultSpec{{Rank: 0, Stage: "Map", Kind: job.FaultKill}}
+		rep, err := RunLocal(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Algorithm, err)
+		}
+		if !rep.Validated || rep.Attempts != 2 {
+			t.Fatalf("%s: validated=%v after %d attempts", spec.Algorithm, rep.Validated, rep.Attempts)
+		}
+	}
+}
+
 // TestSharedInputReleased: with one attempt allowed, the supervisor hands
 // the files over and keeps none, and every rank lets go of them — and of
 // the views its Map kept into them — once it has reduced, so after the

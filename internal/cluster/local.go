@@ -15,6 +15,7 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
 	"codedterasort/internal/partition"
+	"codedterasort/internal/placement"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/trace"
 	"codedterasort/internal/transport"
@@ -147,15 +148,17 @@ func (o Options) startTasks(tasks []func()) {
 // RunLocalOpts is RunLocal with cancellation and run options; see
 // Supervise for both.
 //
-// An in-memory job (MemBudget unset) gets its input from the supervisor:
-// every file of the placement plan is generated once, on every core, and
-// described in the same pass (verify.Materialize), or an InputDir job's
-// part files are read once and described from the bytes read. Every rank
-// aliases its files (job.Local.Input) instead of generating its replicas,
-// and the output is verified against that description, taken before any
-// rank ran. An out-of-core job must never hold its input, so its ranks
-// generate or scan it block by block and the verifier describes it the
-// same way after the job.
+// Every job gets its input from the supervisor, and the output is verified
+// against the supervisor's description of it. An in-memory job (MemBudget
+// unset): every file of the placement plan is generated once, on every
+// core, and described in the same pass (verify.Materialize), or an
+// InputDir job's part files are read once and described from the bytes
+// read, before any rank runs; every rank aliases its files
+// (job.Local.Input) instead of generating its replicas. An out-of-core job
+// must never hold its input: each rank scans its files through the
+// supervisor (job.Local.Scan), which generates or reads them block by
+// block into the rank and digests each file during its lowest-ranked
+// holder's scan, so the input is read once and described on the way.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
 	return runLocal(ctx, spec, opts, runWorker)
 }
@@ -171,11 +174,17 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		return nil, err
 	}
 	var input *placedInput
+	var scanned *scannedInput
 	if spec.MemBudget == 0 {
 		if input, err = placeInput(ctx, rankSpec); err != nil {
 			return nil, err
 		}
 		rankSpec = input.spec
+	} else {
+		if scanned, err = scanInput(rankSpec); err != nil {
+			return nil, err
+		}
+		rankSpec = scanned.spec
 	}
 	var sums []verify.Summary
 	if spec.MemBudget > 0 && !spec.KeepOutput {
@@ -185,6 +194,8 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		var local job.Local
 		if input != nil {
 			local.Input = input.take(ep.Rank())
+		} else {
+			local.Scan = scanned.scan(ep.Rank())
 		}
 		if sums == nil {
 			return work(ep, spec, local, nil, hooks)
@@ -203,8 +214,8 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 	var in verify.Input
 	if input != nil {
 		in = input.desc
-	} else if in, err = describeInput(spec); err != nil {
-		return nil, fmt.Errorf("cluster: describing input: %w", err)
+	} else if in, err = scanned.describe(); err != nil {
+		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
 	}
 	if err := verifyOutput(rep, p, in, sums); err != nil {
 		return nil, err
@@ -273,6 +284,90 @@ func (in *placedInput) take(rank int) []kv.Records {
 	return files
 }
 
+// scannedInput is an out-of-core job's input as the supervisor hands it to
+// the ranks: each file generated, or read from its part file, block by
+// block into the rank that scans it. Its lowest-ranked holder digests each
+// block before handing it over and stores the file's description when the
+// scan completes, replacing an earlier attempt's, so each file counts once
+// and one no attempt scanned whole shows as missing rows.
+type scannedInput struct {
+	// spec is the ranks' spec; an InputDir job's files arrive through the
+	// scan, so it names no directory.
+	spec Spec
+	gen  *kv.Generator
+	dir  string
+	plan placement.Plan
+	// files[i] is file i's description. Only its lowest-ranked holder
+	// writes it, once per attempt, and attempts end before verification.
+	files []verify.Input
+}
+
+// scanInput prepares spec's input for scanning.
+func scanInput(spec Spec) (*scannedInput, error) {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
+		return nil, err
+	}
+	in := &scannedInput{spec: spec, gen: kv.NewGenerator(spec.Seed, resolved.KeyDist), dir: spec.InputDir}
+	if in.plan, err = resolved.Strat.Plan(spec.Rows); err != nil {
+		return nil, err
+	}
+	in.files = make([]verify.Input, in.plan.NumFiles())
+	in.spec.InputDir = ""
+	return in, nil
+}
+
+// scan returns rank's scan of the input (job.Local.Scan).
+func (in *scannedInput) scan(rank int) func(i, blockRows int, fn func(kv.Records) error) error {
+	return func(i, blockRows int, fn func(kv.Records) error) error {
+		if in.plan.Files[i].Min() != rank {
+			return in.blocks(i, blockRows, fn)
+		}
+		var d verify.Input
+		err := in.blocks(i, blockRows, func(b kv.Records) error {
+			d.Rows += int64(b.Len())
+			d.Checksum += b.Checksum()
+			return fn(b)
+		})
+		if err == nil {
+			in.files[i] = d
+		}
+		return err
+	}
+}
+
+// blocks feeds file i to fn in blocks of at most blockRows records.
+func (in *scannedInput) blocks(i, blockRows int, fn func(kv.Records) error) error {
+	if in.dir != "" {
+		return extsort.ScanFile(extsort.PartFile(in.dir, i), blockRows, fn)
+	}
+	first, last := in.plan.FileRows(i)
+	return in.gen.GenerateBlocks(first, last-first, blockRows, fn)
+}
+
+// describe totals the files' descriptions once every rank has returned,
+// refusing an input some file of which was not described whole: each must
+// hold the plan's rows, or its part file's.
+func (in *scannedInput) describe() (verify.Input, error) {
+	var total verify.Input
+	for i, d := range in.files {
+		rows := in.plan.FileRowCount(i)
+		if in.dir != "" {
+			st, err := os.Stat(extsort.PartFile(in.dir, i))
+			if err != nil {
+				return verify.Input{}, err
+			}
+			rows = st.Size() / kv.RecordSize
+		}
+		if d.Rows != rows {
+			return verify.Input{}, fmt.Errorf("input file %d was scanned as %d rows, it has %d", i, d.Rows, rows)
+		}
+		total.Rows += d.Rows
+		total.Checksum += d.Checksum
+	}
+	return total, nil
+}
+
 // readInput reads the K part files of a teragen -disk directory, each once
 // and on every core, and describes them from the bytes read.
 func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
@@ -311,12 +406,16 @@ func verifyOutput(job *JobReport, p partition.Partitioner, in verify.Input, sums
 		for r, w := range job.Workers {
 			outputs[r] = w.Output
 		}
-		err = verify.SortedOutput(outputs, p, in)
+		sums, err = verify.SortedOutput(outputs, p, in)
 	} else {
 		err = verify.CheckSummaries(sums, in)
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: output verification failed: %w", err)
+	}
+	// The engine does not digest its output; the checkers did.
+	for r := range job.Workers {
+		job.Workers[r].OutputRows, job.Workers[r].OutputChecksum = sums[r].Rows, sums[r].Checksum
 	}
 	job.Validated = true
 	return nil
@@ -350,11 +449,10 @@ func checkSplitterAgreement(p partition.Partitioner, reports []WorkerReport) err
 	return nil
 }
 
-// describeInput summarizes the input of a job whose input this process
-// does not hold — a TCP job's, an out-of-core job's — for multiset
-// verification: generated data is described by regeneration, file-backed
-// data by a streaming scan of the part files — both on every core, in
-// O(block) memory per core.
+// describeInput summarizes the input of a TCP job, which this process
+// neither holds nor hands out, for multiset verification: generated data is
+// described by regeneration, file-backed data by a streaming scan of the
+// part files — both on every core, in O(block) memory per core.
 func describeInput(spec Spec) (verify.Input, error) {
 	if spec.InputDir == "" {
 		return verify.DescribeGenerated(kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows), nil

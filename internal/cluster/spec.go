@@ -10,6 +10,11 @@
 //   - Coordinator/Worker: separate processes; workers register with the
 //     coordinator over TCP, receive rank assignments and the spec, form a
 //     full TCP mesh among themselves, run, and report results back.
+//
+// Both verify each output, digested once by its checker, against the
+// input's description. In process the supervisor supplies the input and
+// describes it as it goes, an out-of-core job's block by block as the ranks
+// scan it (RunLocalOpts); over TCP the coordinator regenerates it.
 package cluster
 
 import (

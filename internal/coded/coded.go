@@ -125,9 +125,12 @@ type Summary struct {
 	// Pack, Shuffle, Decode under Unpack, Reduce), as the engine scheduler
 	// charged it.
 	Times stats.Breakdown `json:"times"`
-	// OutputRows and OutputChecksum summarize the sorted partition in
-	// every mode, including sink-streamed budget runs where Output is
-	// empty. The checksum is the kv order-independent multiset digest.
+	// OutputRows counts the sorted partition's records in every mode,
+	// including sink-streamed budget runs where Output is empty.
+	// OutputChecksum is its kv order-independent multiset digest, which the
+	// engine does not take: the runtime that verifies the partition fills it
+	// in from its checker's summary (cluster: in process and on TCP workers
+	// alike), so each output is digested once.
 	OutputRows     int64  `json:"output_rows"`
 	OutputChecksum uint64 `json:"output_checksum"`
 	// SentBytes counts the shuffle payload bytes this node sent, each
@@ -149,7 +152,7 @@ type Summary struct {
 	SpilledRuns int64 `json:"spilled_runs,omitempty"`
 	// Spill accounts this worker's spill volume — runs plus shuffle
 	// spools — as raw record bytes vs framed on-disk bytes (zero without
-	// MemBudget; the gap is the compact block format's saving).
+	// MemBudget).
 	Spill stats.SpillStats `json:"spill,omitzero"`
 	// MergeOVCDecided and MergeFullCompares are the final merge's
 	// loser-tree match counters: matches decided by cached offset-value
@@ -387,6 +390,8 @@ func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
 	switch {
 	case w.spec.Input != nil:
 		return w.spec.Input[fi].ForEachBlock(w.spec.ChunkRows, fn)
+	case w.spec.Scan != nil:
+		return w.spec.Scan(fi, w.spec.ChunkRows, fn)
 	case w.spec.InputDir != "":
 		return extsort.ScanFile(extsort.PartFile(w.spec.InputDir, fi), w.spec.ChunkRows, fn)
 	default:
@@ -451,14 +456,15 @@ func (w *worker) mapStage(ctx *engine.Context) error {
 
 // mapSpillStage is the out-of-core Map: every stored file is consumed
 // block by block (never materialized whole), and each block's partitions
-// route by destiny. Records of this node's own partition go straight into
-// the runtime's budget-bounded sorter. The remotely relevant intermediate
-// values accumulate in the in-memory store exactly as the monolithic Map
-// builds them when they are the XOR side information of Algorithms 1 and
-// 2; without coding they are send-once, so each appends to its
-// group's disk spool, framed at ChunkRows (the granularity the shuffle will
-// stream it at), and peak memory is one input block plus the partial spool
-// blocks.
+// are listed by reference (partition.SplitRows, the in-memory Map's
+// scatter) and gathered once, straight to where they go. Records of this
+// node's own partition go into the runtime's budget-bounded sorter. The
+// remotely relevant intermediate values accumulate in the in-memory store
+// exactly as the monolithic Map builds them when they are the XOR side
+// information of Algorithms 1 and 2; without coding they are send-once, so
+// each appends to its group's disk spool, framed at ChunkRows (the
+// granularity the shuffle will stream it at), and peak memory is one input
+// block plus the partial spool blocks.
 func (w *worker) mapSpillStage(ctx *engine.Context) error {
 	sorter, err := ctx.Sorter()
 	if err != nil {
@@ -493,11 +499,13 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 	for _, fi := range w.stored {
 		fileSet := w.plan.Files[fi]
 		if err := w.scanFile(fi, func(block kv.Records) error {
-			parts := partition.SplitParallel(w.part, w.mapRecords(block), ctx.Procs)
+			recs := w.mapRecords(block)
+			rows := partition.SplitRows(w.part, recs, ctx.Procs)
 			for q := 0; q < w.plan.K; q++ {
+				part := kv.ViewRows(recs, rows[q])
 				switch {
 				case q == w.rank:
-					if err := sorter.Append(parts[q]); err != nil {
+					if err := sorter.AppendView(part); err != nil {
 						return err
 					}
 				case fileSet.Contains(q):
@@ -506,12 +514,12 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 					// An IV no group of this node carries is sent by
 					// another holder of the file.
 					if gi, ok := sends[codec.IVKey{Part: q, File: fileSet}]; ok {
-						if err := w.spools[gi].Append(parts[q]); err != nil {
+						if err := w.spools[gi].AppendView(part); err != nil {
 							return err
 						}
 					}
 				default:
-					ivs.Put(q, fileSet, ivs.IV(q, fileSet).AppendRecords(parts[q]))
+					ivs.Put(q, fileSet, ivs.IV(q, fileSet).AppendView(part))
 				}
 			}
 			return nil
@@ -537,13 +545,12 @@ func (w *worker) reduceSpillStage(ctx *engine.Context) error {
 	if err != nil {
 		return err
 	}
-	out, err := extsort.DrainSorted(sorter, w.spec.ChunkRows, w.cfg.OutputSink)
+	out, err := sorter.Drain(w.spec.ChunkRows, w.cfg.OutputSink)
 	if err != nil {
 		return err
 	}
 	w.result.Output = out.Records
 	w.result.OutputRows = out.Rows
-	w.result.OutputChecksum = out.Checksum
 	w.result.SpilledRuns = out.SpilledRuns
 	w.result.Spill.Add(stats.SpillStats{RawBytes: out.SpilledRawBytes, DiskBytes: out.SpilledDiskBytes})
 	w.result.MergeOVCDecided = out.OVCDecided
@@ -926,7 +933,6 @@ func (w *worker) reduceStage(ctx *engine.Context) error {
 	out := order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
 	w.store, w.decoded = nil, nil
 	w.result.OutputRows = int64(out.Len())
-	w.result.OutputChecksum = out.Checksum()
 	if sink := w.cfg.OutputSink; sink != nil {
 		return sink(out)
 	}

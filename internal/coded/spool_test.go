@@ -131,10 +131,6 @@ func TestBudgetBoundsPeakMemory(t *testing.T) {
 	// K x budget; the multiplier covers Go allocator slop and the
 	// per-run-cursor block buffers, while staying far below the
 	// 32 MB an in-memory run necessarily materializes several times over.
-	// Baseline history: 3x through PR 7 (peak ~12.5 MB here); 3.5x since
-	// the compact v2 spill format, whose reader reconstructs prefix-
-	// truncated records into a second per-run-cursor block buffer
-	// (measured peak 12.9 MB against the old 12.6 MB limit).
 	if limit := uint64(3.5 * k * budget); peak > limit {
 		t.Fatalf("peak heap %.1f MB exceeds %.1f MB (3.5 x K x budget)",
 			float64(peak)/1e6, float64(limit)/1e6)

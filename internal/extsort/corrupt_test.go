@@ -94,10 +94,27 @@ func fnv64a(payload []byte) uint64 {
 	return h.Sum64()
 }
 
-// TestRunReaderRejectsRetiredFrames: a well-formed frame of the retired
-// FNV-trailer format — in either layout, with its original trailer or a
-// CRC one — is refused by its magic with a version error, never reported
-// as a checksum mismatch (bit rot) and never read.
+// retiredFrame lays recs out as one frame of a retired prefix-truncated
+// layout — [magic][count][encLen][payload][crc32c], the payload giving each
+// record an lcp byte (0 here), its key and its value — so the reader can be
+// shown such frames although no writer makes them any more.
+func retiredFrame(magic uint32, recs kv.Records) []byte {
+	var enc []byte
+	for i := 0; i < recs.Len(); i++ {
+		enc = append(append(enc, 0), recs.Record(i)...)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, magic)
+	frame = binary.BigEndian.AppendUint32(frame, uint32(recs.Len()))
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(enc)))
+	frame = append(frame, enc...)
+	return binary.BigEndian.AppendUint64(frame, blockSum(enc))
+}
+
+// TestRunReaderRejectsRetiredFrames: a well-formed frame of a retired
+// format — the FNV-trailer layouts with their original trailer or a CRC
+// one, and the prefix-truncated CTS4 layout — is refused by its magic with
+// a version error, never reported as a checksum mismatch (bit rot) and
+// never read.
 func TestRunReaderRejectsRetiredFrames(t *testing.T) {
 	recs := kv.NewGenerator(29, kv.DistUniform).Generate(0, 40)
 	recs.Sort()
@@ -105,25 +122,23 @@ func TestRunReaderRejectsRetiredFrames(t *testing.T) {
 	if err := WriteBlock(&v1, recs); err != nil {
 		t.Fatal(err)
 	}
-	var v2 bytes.Buffer
-	if err := writeBlockV2(&v2, encodeBlockV2(nil, recs), recs.Len()); err != nil {
-		t.Fatal(err)
+	if rows, err := readAll(v1.Bytes()); err != nil || rows != 40 {
+		t.Fatalf("current-format frame: rows=%d err=%v", rows, err)
 	}
 	for _, tc := range []struct {
-		name    string
-		frame   []byte
-		magic   uint32
-		payload int // offset of the checksummed payload
+		name     string
+		frame    []byte
+		magic    uint32
+		payload  int // offset of the checksummed payload
+		trailers []string
 	}{
-		{"v1", v1.Bytes(), retiredMagic, blockHeader},
-		{"v2", v2.Bytes(), retiredMagicV2, blockHeader + 4},
+		{"v1", v1.Bytes(), retiredMagic, blockHeader, []string{"fnv", "crc"}},
+		{"v2", retiredFrame(retiredMagicV2, recs), retiredMagicV2, blockHeader + 4, []string{"fnv", "crc"}},
+		{"cts4", retiredFrame(retiredMagicCompact, recs), retiredMagicCompact, blockHeader + 4, []string{"crc"}},
 	} {
-		for _, trailer := range []string{"fnv", "crc"} {
+		for _, trailer := range tc.trailers {
 			t.Run(tc.name+"-"+trailer+"-trailer", func(t *testing.T) {
 				d := append([]byte(nil), tc.frame...)
-				if rows, err := readAll(d); err != nil || rows != 40 {
-					t.Fatalf("current-format frame: rows=%d err=%v", rows, err)
-				}
 				binary.BigEndian.PutUint32(d[0:4], tc.magic)
 				if trailer == "fnv" {
 					end := len(d) - blockTrailer
@@ -161,167 +176,6 @@ func TestRunReaderPartialReadBeforeError(t *testing.T) {
 func TestRunReaderEmptyInput(t *testing.T) {
 	if rows, err := readAll(nil); err != nil || rows != 0 {
 		t.Fatalf("rows=%d err=%v", rows, err)
-	}
-}
-
-// validV2Bytes returns a two-frame v2 (CTS4) spill file over sorted records,
-// built directly from the v2 encoder so every byte offset is known.
-func validV2Bytes(t *testing.T, recs kv.Records) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	half := recs.Len() / 2
-	for _, blk := range []kv.Records{recs.Slice(0, half), recs.Slice(half, recs.Len())} {
-		if err := writeBlockV2(&buf, encodeBlockV2(nil, blk), blk.Len()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
-// resealV2 recomputes the checksum of the first v2 frame of d after its
-// encoded payload was tampered with — modeling damage (or malice) the
-// checksum cannot catch, which the decoder's structural checks must.
-func resealV2(d []byte) []byte {
-	encLen := binary.BigEndian.Uint32(d[8:12])
-	enc := d[12 : 12+encLen]
-	binary.BigEndian.PutUint64(d[12+encLen:], blockSum(enc))
-	return d
-}
-
-// TestRunReaderV2Corruption: every class of damage to a prefix-truncated
-// frame — torn sections, flipped bits, impossible lengths, malformed lcp
-// bytes (including checksum-preserving ones), frames under the wrong magic
-// — must surface as an error, never a panic and never wrong records.
-func TestRunReaderV2Corruption(t *testing.T) {
-	recs := kv.NewGenerator(17, kv.DistUniform).Generate(0, 60)
-	recs.Sort()
-	valid := validV2Bytes(t, recs)
-	if rows, err := readAll(valid); err != nil || rows != 60 {
-		t.Fatalf("valid v2 file: rows=%d err=%v", rows, err)
-	}
-
-	corrupt := func(name string, mutate func([]byte) []byte) {
-		t.Run(name, func(t *testing.T) {
-			data := mutate(append([]byte(nil), valid...))
-			if _, err := readAll(data); err == nil {
-				t.Fatal("corrupted v2 spill file accepted")
-			}
-		})
-	}
-
-	corrupt("torn-enclen", func(d []byte) []byte { return d[:blockHeader+2] })
-	corrupt("torn-payload", func(d []byte) []byte { return d[:blockHeader+4+17] })
-	corrupt("torn-checksum", func(d []byte) []byte {
-		encLen := binary.BigEndian.Uint32(d[8:12])
-		return d[:12+encLen+3]
-	})
-	corrupt("flipped-payload-bit", func(d []byte) []byte { d[12+5] ^= 0x01; return d })
-	corrupt("flipped-checksum-bit", func(d []byte) []byte {
-		d[12+binary.BigEndian.Uint32(d[8:12])+blockTrailer-1] ^= 0x01
-		return d
-	})
-	corrupt("flipped-trailer-pad-bit", func(d []byte) []byte {
-		d[12+binary.BigEndian.Uint32(d[8:12])] ^= 0x01
-		return d
-	})
-	corrupt("fnv-trailer-under-crc-magic", func(d []byte) []byte {
-		encLen := binary.BigEndian.Uint32(d[8:12])
-		binary.BigEndian.PutUint64(d[12+encLen:], fnv64a(d[12:12+encLen]))
-		return d
-	})
-	corrupt("absurd-enclen", func(d []byte) []byte {
-		binary.BigEndian.PutUint32(d[8:12], uint32(61*(kv.RecordSize+1)))
-		return d
-	})
-	corrupt("absurd-count", func(d []byte) []byte {
-		binary.BigEndian.PutUint32(d[4:8], 0xFFFFFFFF)
-		return d
-	})
-	corrupt("zero-count-with-payload", func(d []byte) []byte {
-		binary.BigEndian.PutUint32(d[4:8], 0)
-		return d
-	})
-	// Checksum-preserving lcp damage: the trailer is recomputed over the
-	// tampered encoding, so only the decoder's own validation stands
-	// between these frames and reconstructing garbage records.
-	corrupt("first-record-lcp-nonzero", func(d []byte) []byte {
-		d[12] = 3
-		return resealV2(d)
-	})
-	corrupt("lcp-beyond-keysize", func(d []byte) []byte {
-		d[12+1+kv.KeySize+kv.ValueSize] = kv.KeySize + 1 // record 1's lcp byte
-		return resealV2(d)
-	})
-	corrupt("lcp-shifts-decode-off-end", func(d []byte) []byte {
-		d[12+1+kv.KeySize+kv.ValueSize] = 7 // shortens record 1's suffix: trailing bytes remain
-		return resealV2(d)
-	})
-	// Magic confusion: a v2 frame relabeled v1 makes the reader expect
-	// count*RecordSize raw payload bytes that are not there; a v1 frame
-	// relabeled v2 makes it read an encLen out of record bytes. Both must
-	// reject, whatever the resulting lengths happen to be.
-	corrupt("v2-frame-with-v1-magic", func(d []byte) []byte {
-		binary.BigEndian.PutUint32(d[0:4], blockMagic)
-		return d
-	})
-	t.Run("v1-frame-with-v2-magic", func(t *testing.T) {
-		var buf bytes.Buffer
-		w := NewBlockWriter(&buf, 60)
-		if err := w.Append(recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		d := buf.Bytes()
-		binary.BigEndian.PutUint32(d[0:4], blockMagicV2)
-		if _, err := readAll(d); err == nil {
-			t.Fatal("v1 frame under v2 magic accepted")
-		}
-	})
-}
-
-// TestRunReaderV2PartialReadBeforeError: damage in the second v2 frame
-// still delivers the first frame's reconstructed records intact.
-func TestRunReaderV2PartialReadBeforeError(t *testing.T) {
-	recs := kv.NewGenerator(19, kv.DistUniform).Generate(0, 60)
-	recs.Sort()
-	valid := validV2Bytes(t, recs)
-	frame1 := 12 + int(binary.BigEndian.Uint32(valid[8:12])) + blockTrailer
-	rd := NewRunReader(bytes.NewReader(valid[:frame1+blockHeader+4+9]))
-	b, err := rd.Next()
-	if err != nil || b.Len() != 30 {
-		t.Fatalf("first v2 frame: len=%d err=%v", b.Len(), err)
-	}
-	if !bytes.Equal(b.Bytes(), recs.Slice(0, 30).Bytes()) {
-		t.Fatal("first v2 frame reconstructed wrong records")
-	}
-	if _, err := rd.Next(); err == nil || err == io.EOF {
-		t.Fatalf("torn second v2 frame returned %v", err)
-	}
-}
-
-// TestMergerRejectsUnsortedV2Run: the satellite regression — a v2 run with
-// valid framing and checksums whose reconstructed keys regress (the
-// truncated encoding re-expanded into out-of-order records) must fail the
-// merge's sortedness guard, which runs on reconstructed keys, not frames.
-func TestMergerRejectsUnsortedV2Run(t *testing.T) {
-	recs := kv.NewGenerator(23, kv.DistUniform).Generate(0, 120)
-	// Deliberately NOT sorted: every frame is internally valid v2.
-	data := validV2Bytes(t, recs)
-	if rows, err := readAll(data); err != nil || rows != 120 {
-		t.Fatalf("reader must accept the frames (sortedness is the merge's job): rows=%d err=%v", rows, err)
-	}
-	src := &mergeSource{rd: NewRunReader(bytes.NewReader(data))}
-	if err := src.load(); err != nil {
-		t.Fatal(err)
-	}
-	var err error
-	for err == nil && src.key != nil {
-		err = src.advance()
-	}
-	if err == nil {
-		t.Fatal("unsorted v2 run drained without error")
 	}
 }
 

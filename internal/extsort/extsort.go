@@ -30,7 +30,7 @@ type Sorter struct {
 	runs      []string
 	merging   bool
 	// Spill accounting: record bytes handed to run writers vs framed bytes
-	// on disk — the gap is the compact (prefix-truncated) format's saving.
+	// on disk.
 	spilledRaw  int64
 	spilledDisk int64
 }
@@ -106,7 +106,7 @@ func (s *Sorter) Runs() int { return len(s.runs) }
 func (s *Sorter) Rows() int64 { return s.spilledRaw/kv.RecordSize + int64(s.buf.Len()) }
 
 // SpilledRawBytes returns the record bytes written to spill runs so far,
-// before framing and prefix truncation.
+// before framing.
 func (s *Sorter) SpilledRawBytes() int64 { return s.spilledRaw }
 
 // SpilledDiskBytes returns the framed bytes the spill runs occupy on disk.
@@ -114,16 +114,20 @@ func (s *Sorter) SpilledDiskBytes() int64 { return s.spilledDisk }
 
 // Append copies recs into the buffer, spilling a sorted run first if the
 // addition would push the buffer past the budget.
-func (s *Sorter) Append(recs kv.Records) error {
+func (s *Sorter) Append(recs kv.Records) error { return s.AppendView(kv.ViewAll(recs)) }
+
+// AppendView is Append of the records v views, each gathered straight into
+// the buffer.
+func (s *Sorter) AppendView(v kv.View) error {
 	if s.merging {
 		return fmt.Errorf("extsort: Append after Merge")
 	}
-	if s.buf.Size() > 0 && int64(s.buf.Size()+recs.Size()) > s.budget {
+	if s.buf.Size() > 0 && int64(s.buf.Size()+v.Size()) > s.budget {
 		if err := s.spill(); err != nil {
 			return err
 		}
 	}
-	s.buf = s.buf.AppendRecords(recs)
+	s.buf = s.buf.AppendView(v)
 	if int64(s.buf.Size()) >= s.budget {
 		return s.spill()
 	}
@@ -143,7 +147,7 @@ func (s *Sorter) spill() error {
 		return fmt.Errorf("extsort: create run: %w", err)
 	}
 	if s.w == nil {
-		s.w = NewCompactBlockWriter(nil, s.blockRows)
+		s.w = NewBlockWriter(nil, s.blockRows)
 	}
 	w := s.w
 	w.Reset(f)
@@ -187,17 +191,18 @@ func (s *Sorter) Close() error {
 
 // Output is the residue of draining a sorter's merged order.
 type Output struct {
-	// Rows and Checksum accumulate the kv multiset summary of the drained
-	// records.
-	Rows     int64
+	// Rows counts the drained records.
+	Rows int64
+	// Checksum is the kv multiset digest of the drained records, taken by
+	// DrainSorted only: Drain leaves the digest to the caller's verifier.
 	Checksum uint64
-	// Records holds the materialized order when DrainSorted ran without a
+	// Records holds the materialized order when the drain ran without a
 	// sink; empty otherwise.
 	Records kv.Records
 	// SpilledRuns counts the on-disk runs the merge consumed.
 	SpilledRuns int64
 	// SpilledRawBytes and SpilledDiskBytes account the runs' record bytes
-	// before framing/truncation vs their framed on-disk size.
+	// before framing vs their framed on-disk size.
 	SpilledRawBytes  int64
 	SpilledDiskBytes int64
 	// OVCDecided and FullCompares are the merge's loser-tree match
@@ -207,12 +212,13 @@ type Output struct {
 	FullCompares int64
 }
 
-// DrainSorted finalizes the sorter and streams its fully merged order in
-// ascending blocks of at most blockRows records: to sink when non-nil
-// (the block is reused; the sink must not retain it), otherwise
-// materialized into Output.Records. It is the shared Reduce tail of both
-// engines' out-of-core paths. The caller still closes the sorter.
-func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output, error) {
+// Drain finalizes the sorter and streams its fully merged order in
+// ascending blocks of at most blockRows records: to sink when non-nil (the
+// block is reused; the sink must not retain it), otherwise materialized
+// into Output.Records. It is the Reduce tail of the engine's out-of-core
+// path, whose output is digested by the verifier it streams through. The
+// caller still closes the sorter.
+func (s *Sorter) Drain(blockRows int, sink func(kv.Records) error) (Output, error) {
 	rows := s.Rows()
 	merger, err := s.Merge()
 	if err != nil {
@@ -229,7 +235,6 @@ func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output,
 	}
 	if err := merger.Drain(blockRows, func(block kv.Records) error {
 		out.Rows += int64(block.Len())
-		out.Checksum += block.Checksum()
 		if sink != nil {
 			return sink(block)
 		}
@@ -240,4 +245,22 @@ func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output,
 	}
 	out.OVCDecided, out.FullCompares = merger.CompareStats()
 	return out, nil
+}
+
+// DrainSorted is s.Drain plus the multiset digest of the drained records in
+// Output.Checksum, for callers that check a drain without a verifier of
+// their own.
+func DrainSorted(s *Sorter, blockRows int, sink func(kv.Records) error) (Output, error) {
+	if sink == nil {
+		out, err := s.Drain(blockRows, nil)
+		out.Checksum = out.Records.Checksum()
+		return out, err
+	}
+	var sum uint64
+	out, err := s.Drain(blockRows, func(block kv.Records) error {
+		sum += block.Checksum()
+		return sink(block)
+	})
+	out.Checksum = sum
+	return out, err
 }

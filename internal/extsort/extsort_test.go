@@ -158,7 +158,7 @@ func TestSpoolRoundTrip(t *testing.T) {
 		if j > input.Len() {
 			j = input.Len()
 		}
-		if err := sp.Append(input.Slice(i, j)); err != nil {
+		if err := sp.AppendView(kv.ViewAll(input.Slice(i, j))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -332,103 +332,68 @@ func TestBlockWriterExactMultiples(t *testing.T) {
 	}
 }
 
-// frameMagics walks a spill file frame by frame and returns each frame's
-// magic, using only the headers (payloads are skipped, not validated).
-func frameMagics(t *testing.T, data []byte) []uint32 {
+// countFrames walks a spill file frame by frame, using only the headers
+// (payloads are skipped, not validated), and fails on any frame that is
+// not CTS3.
+func countFrames(t *testing.T, data []byte) (frames int64) {
 	t.Helper()
-	var magics []uint32
-	for pos := 0; pos < len(data); {
+	for pos := 0; pos < len(data); frames++ {
 		if pos+blockHeader > len(data) {
 			t.Fatalf("torn header at offset %d", pos)
 		}
-		m := binary.BigEndian.Uint32(data[pos : pos+4])
-		n := int(binary.BigEndian.Uint32(data[pos+4 : pos+8]))
-		magics = append(magics, m)
-		switch m {
-		case blockMagic:
-			pos += blockHeader + n*kv.RecordSize + blockTrailer
-		case blockMagicV2:
-			encLen := int(binary.BigEndian.Uint32(data[pos+8 : pos+12]))
-			pos += blockHeader + 4 + encLen + blockTrailer
-		default:
-			t.Fatalf("unknown magic %#x at offset %d", m, pos)
+		if m := binary.BigEndian.Uint32(data[pos : pos+4]); m != blockMagic {
+			t.Fatalf("block framed as %#x at offset %d", m, pos)
 		}
+		pos += blockHeader + int(binary.BigEndian.Uint32(data[pos+4:pos+8]))*kv.RecordSize + blockTrailer
 	}
-	return magics
+	return frames
 }
 
-// TestCompactBlockWriterRoundTrip: a compact writer over sorted
-// duplicate-heavy records must emit prefix-truncated frames, write fewer
-// bytes to disk than the records' raw size, and round-trip the records
-// byte-identically through RunReader.
-func TestCompactBlockWriterRoundTrip(t *testing.T) {
-	recs := quantized(2000, 64) // 64 distinct keys: long equal-key stretches
-	recs.Sort()
-	var buf bytes.Buffer
-	w := NewCompactBlockWriter(&buf, 37)
-	if err := w.Append(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	if w.RawBytes() != int64(recs.Size()) {
-		t.Fatalf("raw bytes %d, want %d", w.RawBytes(), recs.Size())
-	}
-	if int64(buf.Len()) != w.DiskBytes() {
-		t.Fatalf("DiskBytes %d but file is %d bytes", w.DiskBytes(), buf.Len())
-	}
-	if w.DiskBytes() >= w.RawBytes() {
-		t.Fatalf("compact file (%d bytes) did not beat raw records (%d bytes)", w.DiskBytes(), w.RawBytes())
-	}
-	v2 := 0
-	for _, m := range frameMagics(t, buf.Bytes()) {
-		if m == blockMagicV2 {
-			v2++
-		}
-	}
-	if v2 == 0 {
-		t.Fatal("no v2 frames in a duplicate-heavy compact file")
-	}
-	var got kv.Records
-	rd := NewRunReader(bytes.NewReader(buf.Bytes()))
-	for {
-		b, err := rd.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+// TestBlockWriterFramesRawRecords: whatever the keys — sorted
+// duplicate-heavy ones sharing long prefixes, or unsorted uniform ones —
+// every block is a raw CTS3 frame, disk bytes are exactly the records plus
+// 16 bytes of framing per block, and the records round-trip through
+// RunReader byte-identically.
+func TestBlockWriterFramesRawRecords(t *testing.T) {
+	dup := quantized(2000, 64) // 64 distinct keys: long equal-key stretches
+	dup.Sort()
+	for name, recs := range map[string]kv.Records{
+		"dupheavy-sorted":  dup,
+		"uniform-unsorted": kv.NewGenerator(29, kv.DistUniform).Generate(0, 500),
+	} {
+		var buf bytes.Buffer
+		w := NewBlockWriter(&buf, 37)
+		if err := w.Append(recs); err != nil {
 			t.Fatal(err)
 		}
-		got = got.AppendRecords(b)
-	}
-	if !bytes.Equal(got.Bytes(), recs.Bytes()) {
-		t.Fatal("compact round trip altered records")
-	}
-}
-
-// TestCompactBlockWriterFallsBackOnIncompressible: unsorted uniform keys
-// share almost no prefixes, so the per-block choice must keep every frame
-// v1 and hold disk bytes at exactly raw plus v1 framing — the compact
-// format never inflates a spill file beyond framing.
-func TestCompactBlockWriterFallsBackOnIncompressible(t *testing.T) {
-	recs := kv.NewGenerator(29, kv.DistUniform).Generate(0, 500)
-	var buf bytes.Buffer
-	w := NewCompactBlockWriter(&buf, 50)
-	if err := w.Append(recs); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range frameMagics(t, buf.Bytes()) {
-		if m != blockMagic {
-			t.Fatalf("incompressible block framed as %#x", m)
+		if err := w.Finish(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	framing := w.Blocks() * (blockHeader + blockTrailer)
-	if w.DiskBytes() != w.RawBytes()+framing {
-		t.Fatalf("disk bytes %d, want raw %d + framing %d", w.DiskBytes(), w.RawBytes(), framing)
+		if w.RawBytes() != int64(recs.Size()) {
+			t.Fatalf("%s: raw bytes %d, want %d", name, w.RawBytes(), recs.Size())
+		}
+		framing := w.Blocks() * (blockHeader + blockTrailer)
+		if w.DiskBytes() != w.RawBytes()+framing || int64(buf.Len()) != w.DiskBytes() {
+			t.Fatalf("%s: disk bytes %d (file %d), want raw %d + framing %d", name, w.DiskBytes(), buf.Len(), w.RawBytes(), framing)
+		}
+		if n := countFrames(t, buf.Bytes()); n != w.Blocks() {
+			t.Fatalf("%s: %d frames for %d blocks", name, n, w.Blocks())
+		}
+		var got kv.Records
+		rd := NewRunReader(bytes.NewReader(buf.Bytes()))
+		for {
+			b, err := rd.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = got.AppendRecords(b)
+		}
+		if !bytes.Equal(got.Bytes(), recs.Bytes()) {
+			t.Fatalf("%s: round trip altered records", name)
+		}
 	}
 }
 

@@ -44,15 +44,20 @@ func FuzzRunReader(f *testing.F) {
 	binary.BigEndian.PutUint32(retired[0:4], retiredMagic)
 	binary.BigEndian.PutUint64(retired[block1-blockTrailer:], fnv64a(retired[blockHeader:block1-blockTrailer]))
 	f.Add(retired)
+	// A frame of the retired prefix-truncated layout (CTS4).
+	recs := kv.NewGenerator(5, kv.DistUniform).Generate(0, 20)
+	recs.Sort()
+	f.Add(retiredFrame(retiredMagicCompact, recs))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzReadAll(t, data)
 	})
 }
 
-// fuzzReadAll is the shared fuzz oracle: reading arbitrary bytes must end
-// in io.EOF or an error — never a panic, never unaligned records, never
-// more records than the input could possibly frame.
+// fuzzReadAll is the fuzz oracle: reading arbitrary bytes must end in
+// io.EOF or an error — never a panic, never unaligned records, never more
+// records than the input could possibly frame, and never a record from a
+// file whose first frame carries a magic other than CTS3.
 func fuzzReadAll(t *testing.T, data []byte) {
 	rd := NewRunReader(bytes.NewReader(data))
 	total := 0
@@ -64,6 +69,9 @@ func fuzzReadAll(t *testing.T, data []byte) {
 		if err != nil {
 			return // rejected: fine, as long as it didn't panic
 		}
+		if binary.BigEndian.Uint32(data) != blockMagic {
+			t.Fatalf("reader delivered records under magic %#x", binary.BigEndian.Uint32(data))
+		}
 		if b.Size()%kv.RecordSize != 0 {
 			t.Fatalf("reader delivered %d non-record-aligned bytes", b.Size())
 		}
@@ -72,60 +80,4 @@ func fuzzReadAll(t *testing.T, data []byte) {
 			t.Fatalf("reader delivered more records than any %d-byte input can frame", len(data))
 		}
 	}
-}
-
-// FuzzRunReaderV2 aims the fuzzer at the prefix-truncated frame decoder:
-// seeds cover valid v2 files, torn frames at every section boundary,
-// checksum-preserving lcp corruption, and v1/v2 magic confusion, so
-// mutations explore the reconstruction loop's bounds checks.
-func FuzzRunReaderV2(f *testing.F) {
-	recs := kv.NewGenerator(5, kv.DistUniform).Generate(0, 40)
-	recs.Sort()
-	var buf bytes.Buffer
-	for _, blk := range []kv.Records{recs.Slice(0, 20), recs.Slice(20, 40)} {
-		if err := writeBlockV2(&buf, encodeBlockV2(nil, blk), blk.Len()); err != nil {
-			f.Fatal(err)
-		}
-	}
-	valid := buf.Bytes()
-	f.Add([]byte{})
-	f.Add(append([]byte(nil), valid...))
-	// Torn at the encLen field, mid-payload, and mid-checksum.
-	f.Add(valid[:blockHeader+2])
-	f.Add(valid[:blockHeader+4+33])
-	f.Add(valid[:len(valid)-3])
-	// Checksum-preserving lcp damage: first record claiming a prefix, and
-	// a shifted lcp that derails the decode positions.
-	tampered := append([]byte(nil), valid...)
-	tampered[12] = 4
-	f.Add(resealV2(tampered))
-	tampered = append([]byte(nil), valid...)
-	tampered[12+1+kv.KeySize+kv.ValueSize] = 9
-	f.Add(resealV2(tampered))
-	// Magic confusion in both directions.
-	confused := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(confused[0:4], blockMagic)
-	f.Add(confused)
-	var v1buf bytes.Buffer
-	w := NewBlockWriter(&v1buf, 40)
-	if err := w.Append(recs); err != nil {
-		f.Fatal(err)
-	}
-	if err := w.Finish(); err != nil {
-		f.Fatal(err)
-	}
-	v1 := v1buf.Bytes()
-	binary.BigEndian.PutUint32(v1[0:4], blockMagicV2)
-	f.Add(v1)
-	// The CRC trailer's zero extension, and the retired v2 magic.
-	tampered = append([]byte(nil), valid...)
-	tampered[12+binary.BigEndian.Uint32(tampered[8:12])] ^= 0x80
-	f.Add(tampered)
-	retired := append([]byte(nil), valid...)
-	binary.BigEndian.PutUint32(retired[0:4], retiredMagicV2)
-	f.Add(retired)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzReadAll(t, data)
-	})
 }

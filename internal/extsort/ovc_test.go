@@ -40,7 +40,7 @@ func drainThrough(t *testing.T, recs kv.Records, budget int64) Output {
 
 // quantized returns rows records whose keys are drawn from a small domain:
 // long stretches of equal and near-equal keys, the worst case for the OVC
-// tie path and the best case for prefix truncation.
+// tie path.
 func quantized(rows int64, domain uint64) kv.Records {
 	recs := kv.NewGenerator(7, kv.DistUniform).Generate(0, rows)
 	buf := recs.Bytes()

@@ -12,37 +12,36 @@ import (
 )
 
 // goldenRuns pins the run files a Sorter writes — seed 2017, a budget of
-// 6007 records, 30 000 rows appended in uneven slices — to the SHA-256 of
-// the bytes PR 15 (a record-moving LSD radix) spilled, one digest per
-// run in spill order. Run generation is a stable sort by full key followed
-// by compact framing, so any kernel that keeps that order keeps these
-// files, and with them extsort.spill_amp, extsort.ovc_decided,
-// SpilledDiskBytes and the terasortGolden spill cells. The runs depend on
-// neither procs setting.
+// 6007 records, 30 000 rows appended in uneven slices — to their SHA-256,
+// one digest per run in spill order. Run generation is a stable sort by
+// full key followed by raw CTS3 framing, so any kernel that keeps that
+// order keeps these files, and with them extsort.spill_amp,
+// extsort.ovc_decided, SpilledDiskBytes and the terasortGolden spill
+// cells. The runs depend on neither procs setting.
 //
-// The rows are uniform, skewed and duplicate-heavy keys: the three merge
-// inputs whose on-disk spill bytes must not grow.
+// The rows are uniform, skewed and duplicate-heavy keys; a run file is its
+// records plus 16 bytes of framing per block, whatever the keys.
 var goldenRuns = map[kv.Distribution][]string{
 	kv.DistUniform: {
-		"e34c4ff96683ab52d2f22e6c31cdc21cd3a682e07bb7450ffc1aa5c5332f30c1",
-		"fe49e82c03e30e160d8454658117bc128dfe9cd62bd0756852856ee83d3701fe",
-		"1de513d7f3516599309690cda222a1cd555a199215d406063d8e1dd4624b4919",
-		"71bbebfa98296e71f800d6505f01ae780b49aa68a0328e7c8476463ad569e3ed",
-		"2075406bc850d33e2b2bb15f3ee28aac17c7b25443bcbe9e3e48327c4810ffa1",
+		"6b965e0a2f108b8c30c64728de5d9ac190dfa2ea26e23e459c6f6f0260ae1152",
+		"c914afea463f8ebf65785e374f3296ad128536cb48a343199eb2dc544de03cca",
+		"bace5fed317507c6c3517fef2306253be24d2f9f1e0d16c5f6f0154afc619e01",
+		"70b9423b89344c526541194b993550eca9c4c5a00785a69b19445de53dbbd791",
+		"dfe6793b5acdb34f0cf9062fac180ddc0824c9b06f3fdb21aae6d755f6bca182",
 	},
 	kv.DistSkewed: {
-		"aaf5f00676b93f8fbfd697b19f513708db556e88e4b9328306b4c00ee979b59d",
-		"972618bfc46e13afa66bbe815bd23b021bf917de29d26ec84ba2230d9ddcab1d",
-		"50784e374c2213c34060b36ad3288ec33919c8186aacfd5e693f01d91e0303b0",
-		"c23602123e1ef16de6280409117053b8a49457d8388fd32a617dca24e921a4cc",
-		"2afd8432e3861922623ec3d9366349d5ffd6f0f08a25b270a6d1a91b65194915",
+		"1e6ddfc3001b60ff688c396c7889484b58337827237a9d5a16bec6c65696a6ec",
+		"a3fd7d68517600645feb17c15495d2d7d3a6115c9e94fd0e0568dcec1fd2409b",
+		"dfc01e83c37ec4e41af3041a6775c5afda6c92d7e0ab0c4f60f851b72398364b",
+		"cce1660930b9d6048fa489aa207450a9ee1a8882d247e2fd8f2893f68e944d0a",
+		"2819463c0fa6289d6439a34767fe7cee89ffbccb2ce79e88675e6a2b79d7ecd8",
 	},
 	kv.DistDupHeavy: {
-		"41aab198fe684be62a9cedc1c61ee416502545d94a03bc7e5b11e7ad6451eee5",
-		"8b307dc2530e825f391a11708917fbe6574a6b37b0199d17e028083d9e59caa6",
-		"ddc92bbef828cb0b52ba6098a2efc8f4943f69180b71dbb99bbb7aec8b23e964",
-		"8be91fe7455d94d453a67307c08d72a3c7e588ceb2b5e142f9921dd8c7fbe510",
-		"0205a014946c78740a95ff8999ef90a7af007bbd56fe94eb6bb35f042aa382ea",
+		"ef539b594039ead972585e1bc2af7551f72ad6b19ae6bf3cd81217a38d9115d1",
+		"40d85da5b304ea016a5461ec90a0c81e9412ce1237da30e5e99eac370d0c7602",
+		"30af0bee052e56e66116b512fab19487c822979df6e7600aed57e3dc92ed5201",
+		"5ce3f70ea0417b5eab179f912ded33c69c851c51bfd67e2cafe3d688ce2972a3",
+		"5b97d059a4f6ffcc2b1fb1036464030a6cf6ab7783839facbafe28d04a11b1bf",
 	},
 }
 

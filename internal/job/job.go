@@ -206,6 +206,12 @@ type Local struct {
 	// (cluster.RunLocalOpts) supplies an in-memory job's input this way,
 	// generated once for all ranks; MapReduce jobs supply Job.Input's splits.
 	Input []kv.Records
+	// Scan, when non-nil and Input nil, supplies an out-of-core job's
+	// input: it calls fn with input file i in blocks of at most blockRows
+	// records, each valid until fn returns, and returns fn's first error.
+	// The in-process sort runtime (cluster.RunLocalOpts) supplies its
+	// ranks' input this way, describing each file as it hands it out.
+	Scan func(i, blockRows int, fn func(kv.Records) error) error
 }
 
 // Resolved is a validated job: the Spec with every default filled in and
@@ -374,9 +380,13 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 			r.ChunkRows = extsort.BudgetChunkRows(s.MemBudget, s.K, s.Window)
 		}
 		// Spool blocks and the streaming merge are framed at ChunkRows, so
-		// the spill-block cap bounds it.
+		// the spill-block cap bounds it, and each spool buffers one block
+		// whatever the budget, so an explicit one must fit the budget.
 		if r.ChunkRows > extsort.MaxBlockRows {
 			return nil, fmt.Errorf("job: chunk rows %d exceed the spill block cap %d", r.ChunkRows, extsort.MaxBlockRows)
+		}
+		if block := int64(s.ChunkRows) * kv.RecordSize; block > s.MemBudget {
+			return nil, fmt.Errorf("job: chunk rows %d make %d-byte spool blocks, over the mem budget %d", s.ChunkRows, block, s.MemBudget)
 		}
 	}
 	if r.ChunkRows > 0 && s.Window == 0 {

@@ -52,6 +52,8 @@ var invalidJobs = []invalid{
 	{"negative parallelism", tera(job.Spec{K: 2, Parallelism: -1}), job.Local{}, "negative parallelism"},
 	{"chunk rows over the spill block cap", tera(job.Spec{K: 3, MemBudget: 1 << 30, ChunkRows: extsort.MaxBlockRows + 1}), job.Local{}, "spill block cap"},
 	{"chunk rows over the cap, coded", coded(job.Spec{K: 3, R: 2, MemBudget: 1 << 30, ChunkRows: extsort.MaxBlockRows + 1}), job.Local{}, "spill block cap"},
+	// Each spool buffers one ChunkRows block whatever the budget.
+	{"spool blocks over the mem budget", tera(job.Spec{K: 8, MemBudget: 25 << 10, ChunkRows: 1 << 12}), job.Local{}, "over the mem budget 25600"},
 	{"input dir coded", coded(job.Spec{K: 2, R: 1, InputDir: "/data"}), job.Local{}, "TeraSort-only"},
 	{"negative stage deadline", tera(job.Spec{K: 2, StageDeadline: -time.Second}), job.Local{}, "negative stage deadline"},
 	{"negative heartbeat", tera(job.Spec{K: 2, Heartbeat: -time.Second}), job.Local{}, "negative heartbeat"},

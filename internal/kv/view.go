@@ -1,6 +1,9 @@
 package kv
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // View is a set of records read where a buffer already holds them: the
 // listed rows of the buffer, ascending, or the whole buffer. It is how an
@@ -59,6 +62,15 @@ func (v View) Gather(dst []byte) {
 	for i, row := range v.rows {
 		copy(dst[i*RecordSize:(i+1)*RecordSize], src[int(row)*RecordSize:])
 	}
+}
+
+// AppendView appends a copy of the records v views, gathered back to back,
+// and returns the extended buffer.
+func (r Records) AppendView(v View) Records {
+	n := len(r.buf)
+	r.buf = slices.Grow(r.buf, v.Size())[:n+v.Size()]
+	v.Gather(r.buf[n:])
+	return r
 }
 
 // Collect returns the viewed records as one contiguous buffer: the whole

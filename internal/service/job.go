@@ -88,8 +88,7 @@ type JobStatus struct {
 	ShuffleLoadBytes int64 `json:"shuffle_load_bytes,omitempty"`
 	WireBytes        int64 `json:"wire_bytes,omitempty"`
 	SpilledRuns      int64 `json:"spilled_runs,omitempty"`
-	// Raw vs on-disk spilled bytes; the gap is the compact spill format's
-	// saving. The merge counters split comparisons between offset-value
+	// Raw vs on-disk (framed) spilled bytes. The merge counters split comparisons between offset-value
 	// code decisions and full key compares on code ties.
 	SpilledRawBytes   int64 `json:"spilled_raw_bytes,omitempty"`
 	SpilledDiskBytes  int64 `json:"spilled_disk_bytes,omitempty"`

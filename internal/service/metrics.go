@@ -123,9 +123,9 @@ func (s *Server) MetricsText() string {
 	fmt.Fprintf(&b, "sortd_wire_bytes_total %d\n", tot.wireBytes)
 	counterHead("sortd_spilled_runs_total", "External-sort runs spilled by finished jobs.")
 	fmt.Fprintf(&b, "sortd_spilled_runs_total %d\n", tot.spilledRuns)
-	counterHead("sortd_spilled_raw_bytes_total", "Record bytes spilled by finished jobs, before framing and prefix truncation.")
+	counterHead("sortd_spilled_raw_bytes_total", "Record bytes spilled by finished jobs, before framing.")
 	fmt.Fprintf(&b, "sortd_spilled_raw_bytes_total %d\n", tot.spilledRawBytes)
-	counterHead("sortd_spilled_disk_bytes_total", "On-disk bytes of spilled runs and spools of finished jobs (compact framing).")
+	counterHead("sortd_spilled_disk_bytes_total", "On-disk bytes of spilled runs and spools of finished jobs (framed).")
 	fmt.Fprintf(&b, "sortd_spilled_disk_bytes_total %d\n", tot.spilledDiskBytes)
 	counterHead("sortd_merge_compares_total", "Merge-path key comparisons of finished jobs by kind: offset-value codes decided, or full key compares on code ties.")
 	fmt.Fprintf(&b, "sortd_merge_compares_total{kind=\"ovc\"} %d\n", tot.mergeOVCDecided)

@@ -17,13 +17,16 @@
 // is described by one generate-and-describe loop in two forms: Materialize
 // keeps the generated files, which is how the in-process runtime creates an
 // in-memory job's input and its description in one pass before any rank
-// runs; DescribeGenerated keeps nothing, for the runtimes whose input must
-// not be held (TCP workers in other processes, out-of-core jobs).
+// runs; DescribeGenerated keeps nothing, for the TCP coordinator. An
+// in-process out-of-core job's input is described by the runtime as it
+// hands each block to a rank, and each output by the checker it passes
+// through: the engine reports no digest of its own.
 package verify
 
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -166,8 +169,14 @@ func NewPartitionChecker(p partition.Partitioner, k int) *PartitionChecker {
 	return &PartitionChecker{p: p, k: k}
 }
 
+// The order check reads a key as its big-endian 8-byte prefix and then
+// bytes 8-9, which is the whole key.
+const _ = uint(kv.KeySize-10) + uint(10-kv.KeySize)
+
 // Feed verifies the next block of the partition's output stream. Per record
-// it costs one compare with the preceding key, in place, plus the digest.
+// it costs one compare with the preceding key, in place — two integer
+// compares, the 8-byte prefix and then the last two bytes — plus the
+// digest.
 func (c *PartitionChecker) Feed(out kv.Records) error {
 	n := out.Len()
 	if n == 0 {
@@ -176,10 +185,14 @@ func (c *PartitionChecker) Feed(out kv.Records) error {
 	if c.sum.Max != nil && bytes.Compare(out.Key(0), c.sum.Max) < 0 {
 		return fmt.Errorf("verify: partition %d output not sorted", c.k)
 	}
-	for i := 1; i < n; i++ {
-		if out.Less(i, i-1) {
+	b := out.Bytes()
+	prevHi, prevLo := binary.BigEndian.Uint64(b), binary.BigEndian.Uint16(b[8:])
+	for off := kv.RecordSize; off < len(b); off += kv.RecordSize {
+		hi, lo := binary.BigEndian.Uint64(b[off:]), binary.BigEndian.Uint16(b[off+8:])
+		if hi < prevHi || hi == prevHi && lo < prevLo {
 			return fmt.Errorf("verify: partition %d output not sorted", c.k)
 		}
+		prevHi, prevLo = hi, lo
 	}
 	for _, i := range [2]int{0, n - 1} {
 		if got := c.p.Partition(out.Key(i)); got != c.k {
@@ -226,14 +239,14 @@ func CheckSummaries(sums []Summary, in Input) error {
 	return nil
 }
 
-// SortedOutput validates per-node outputs of a K-way distributed sort.
-// outputs[k] must be node k's reduced partition; p is the partitioner all
-// nodes hashed with. It is the materialized special case of the streaming
-// checker: each partition is fed as one block, the K partitions
-// concurrently.
-func SortedOutput(outputs []kv.Records, p partition.Partitioner, in Input) error {
+// SortedOutput validates per-node outputs of a K-way distributed sort and
+// returns each partition's summary. outputs[k] must be node k's reduced
+// partition; p is the partitioner all nodes hashed with. It is the
+// materialized special case of the streaming checker: each partition is
+// fed as one block, the K partitions concurrently.
+func SortedOutput(outputs []kv.Records, p partition.Partitioner, in Input) ([]Summary, error) {
 	if len(outputs) != p.NumPartitions() {
-		return fmt.Errorf("verify: %d outputs for %d partitions", len(outputs), p.NumPartitions())
+		return nil, fmt.Errorf("verify: %d outputs for %d partitions", len(outputs), p.NumPartitions())
 	}
 	sums := make([]Summary, len(outputs))
 	if err := parallel.Do(runtime.GOMAXPROCS(0), len(outputs), func(k int) error {
@@ -242,7 +255,7 @@ func SortedOutput(outputs []kv.Records, p partition.Partitioner, in Input) error
 		sums[k] = c.Summary()
 		return err
 	}); err != nil {
-		return err
+		return nil, err
 	}
-	return CheckSummaries(sums, in)
+	return sums, CheckSummaries(sums, in)
 }
