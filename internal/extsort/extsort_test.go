@@ -349,52 +349,61 @@ func countFrames(t *testing.T, data []byte) (frames int64) {
 	return frames
 }
 
-// TestBlockWriterFramesRawRecords: whatever the keys — sorted
-// duplicate-heavy ones sharing long prefixes, or unsorted uniform ones —
-// every block is a raw CTS3 frame, disk bytes are exactly the records plus
-// 16 bytes of framing per block, and the records round-trip through
-// RunReader byte-identically.
-func TestBlockWriterFramesRawRecords(t *testing.T) {
-	dup := quantized(2000, 64) // 64 distinct keys: long equal-key stretches
-	dup.Sort()
-	for name, recs := range map[string]kv.Records{
-		"dupheavy-sorted":  dup,
-		"uniform-unsorted": kv.NewGenerator(29, kv.DistUniform).Generate(0, 500),
-	} {
-		var buf bytes.Buffer
-		w := NewBlockWriter(&buf, 37)
-		if err := w.Append(recs); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		if w.RawBytes() != int64(recs.Size()) {
-			t.Fatalf("%s: raw bytes %d, want %d", name, w.RawBytes(), recs.Size())
-		}
-		framing := w.Blocks() * (blockHeader + blockTrailer)
-		if w.DiskBytes() != w.RawBytes()+framing || int64(buf.Len()) != w.DiskBytes() {
-			t.Fatalf("%s: disk bytes %d (file %d), want raw %d + framing %d", name, w.DiskBytes(), buf.Len(), w.RawBytes(), framing)
-		}
-		if n := countFrames(t, buf.Bytes()); n != w.Blocks() {
-			t.Fatalf("%s: %d frames for %d blocks", name, n, w.Blocks())
-		}
-		var got kv.Records
-		rd := NewRunReader(bytes.NewReader(buf.Bytes()))
-		for {
-			b, err := rd.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = got.AppendRecords(b)
-		}
-		if !bytes.Equal(got.Bytes(), recs.Bytes()) {
-			t.Fatalf("%s: round trip altered records", name)
-		}
+// checkRawFrames writes recs through a BlockWriter of blockRows-record
+// blocks and checks that every block is a raw CTS3 frame, that disk bytes
+// are exactly the records plus 16 bytes of framing per block, and that the
+// records round-trip through RunReader byte-identically.
+func checkRawFrames(t *testing.T, recs kv.Records, blockRows int) {
+	t.Helper()
+	var buf bytes.Buffer
+	w := NewBlockWriter(&buf, blockRows)
+	if err := w.Append(recs); err != nil {
+		t.Fatal(err)
 	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if w.RawBytes() != int64(recs.Size()) {
+		t.Fatalf("raw bytes %d, want %d", w.RawBytes(), recs.Size())
+	}
+	framing := w.Blocks() * (blockHeader + blockTrailer)
+	if w.DiskBytes() != w.RawBytes()+framing || int64(buf.Len()) != w.DiskBytes() {
+		t.Fatalf("disk bytes %d (file %d), want raw %d + framing %d", w.DiskBytes(), buf.Len(), w.RawBytes(), framing)
+	}
+	if n := countFrames(t, buf.Bytes()); n != w.Blocks() {
+		t.Fatalf("%d frames for %d blocks", n, w.Blocks())
+	}
+	var got kv.Records
+	rd := NewRunReader(bytes.NewReader(buf.Bytes()))
+	for {
+		b, err := rd.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = got.AppendRecords(b)
+	}
+	if !bytes.Equal(got.Bytes(), recs.Bytes()) {
+		t.Fatal("round trip altered records")
+	}
+}
+
+// TestBlockWriterRoundTripsDuplicateHeavyRecords: sorted duplicate-heavy
+// keys sharing long prefixes are still written as raw CTS3 frames, with no
+// prefix truncation, and round-trip byte-identically.
+func TestBlockWriterRoundTripsDuplicateHeavyRecords(t *testing.T) {
+	recs := quantized(2000, 64) // 64 distinct keys: long equal-key stretches
+	recs.Sort()
+	checkRawFrames(t, recs, 37)
+}
+
+// TestBlockWriterFramesUniformRecordsRaw: unsorted uniform keys are written
+// as raw CTS3 frames, and the spill file never grows beyond the records
+// plus framing.
+func TestBlockWriterFramesUniformRecordsRaw(t *testing.T) {
+	checkRawFrames(t, kv.NewGenerator(29, kv.DistUniform).Generate(0, 500), 50)
 }
 
 var blockSumSink uint64
