@@ -154,7 +154,7 @@ cover-gate:
 # number a simplicity PR diffs against its parent. LOC_PARENT is that
 # parent's figure (the last simplicity PR's base), so the gate's log shows
 # the delta the PR description quotes; bump it when the base moves.
-LOC_PARENT ?= 15343
+LOC_PARENT ?= 15363
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 

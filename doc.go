@@ -51,10 +51,9 @@
 // and MapReduce jobs alike, in process or over TCP, re-executes with the
 // faulty worker respawned until the job completes byte-identical to a healthy run
 // (Spec.StageDeadline/MaxAttempts/Faults; -deadline and -stragglers on the
-// CLIs; DESIGN.md section 11). Coding's redundancy doubles as fault
+// CLIs; DESIGN.md section 11). Coding's redundancy doubles as straggler
 // tolerance: a straggler's penalty scales with shuffle volume, which
-// coding cuts by ~r, and a dead rank's input survives on its r-1 placement
-// replicas — the straggler-mitigation story of the coded-computing
+// coding cuts by ~r — the straggler-mitigation story of the coded-computing
 // literature the paper cites.
 // The paper's "Beyond Sorting Algorithms" direction is first-class:
 // internal/mapreduce runs arbitrary Mapper/Reducer kernels over the same
@@ -92,8 +91,9 @@
 // The bytes are frozen — replicas are XORed against each other in
 // decoding, and every golden digest in the tree is a digest of generated
 // input (DESIGN.md section 2).
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; the tests in internal/simnet pin the reproduced
-// values against the paper's tables; the bench/ module (BENCHMARK.json)
+// cmd/tables prints the paper's evaluation, every job priced by
+// simnet.Simulate, the one predictor; the benchmarks in bench_test.go
+// regenerate every table and figure of it; the tests in internal/simnet
+// pin the reproduced values against the paper's tables; the bench/ module (BENCHMARK.json)
 // measures every layer and whole jobs end to end.
 package codedterasort

@@ -42,6 +42,42 @@ func TestDocNamesExist(t *testing.T) {
 	}
 }
 
+// docSpan matches a fenced code block or an inline code span.
+var docSpan = regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+
+// TestDocPathsExist: every backticked repository path in DESIGN.md,
+// README.md and the examples' READMEs — a word of a code span or block
+// whose first element is a directory at the repository root, as in
+// `internal/cluster/fuzz_test.go` or `go run ./cmd/tables` — names a file
+// or directory that exists (a glob, at least one). A line suffix
+// (`gen.go:294`), a package pattern's `...` and trailing punctuation are
+// dropped first.
+func TestDocPathsExist(t *testing.T) {
+	docs, err := filepath.Glob("examples/*/README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"DESIGN.md", "README.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range docSpan.FindAllString(string(text), -1) {
+			for _, word := range strings.Fields(strings.Trim(span, "`")) {
+				path, _, _ := strings.Cut(strings.TrimPrefix(word, "./"), ":")
+				path = strings.TrimRight(path, ".,;)")
+				root, _, nested := strings.Cut(path, "/")
+				if st, err := os.Stat(root); !nested || root == "" || err != nil || !st.IsDir() {
+					continue
+				}
+				if matches, err := filepath.Glob(path); err != nil || len(matches) == 0 {
+					t.Errorf("%s: `%s` names no file or directory", doc, path)
+				}
+			}
+		}
+	}
+}
+
 // moduleDecls maps every package name of the main module (the bench module
 // excluded) to the names its non-test files declare: top-level names, and
 // Type.Member for each method, struct field and interface method.

@@ -66,10 +66,6 @@ func OpenChunk(frame []byte) (seq uint32, last bool, payload []byte, err error) 
 	return seq, flags&chunkFlagLast != 0, frame[chunkHeaderSize:], nil
 }
 
-// ChunkFrameSize returns the wire size of a chunk frame with payloadBytes of
-// payload.
-func ChunkFrameSize(payloadBytes int) int { return chunkHeaderSize + payloadBytes }
-
 // ChunkStream validates the arrival order of one chunk stream: sequence
 // numbers must run 0,1,2,... and nothing may follow the last-flagged chunk.
 // The transport delivers one (src,dst,tag) flow in order, so a gap or

@@ -13,8 +13,8 @@ func TestChunkFrameRoundTrip(t *testing.T) {
 		payload := PackIV(gen(uint64(n+1), n))
 		for _, last := range []bool{false, true} {
 			frame := FrameChunk(uint32(n), last, payload)
-			if len(frame) != ChunkFrameSize(len(payload)) {
-				t.Fatalf("frame size %d, want %d", len(frame), ChunkFrameSize(len(payload)))
+			if len(frame) != chunkHeaderSize+len(payload) {
+				t.Fatalf("frame size %d, want %d", len(frame), chunkHeaderSize+len(payload))
 			}
 			seq, gotLast, got, err := OpenChunk(frame)
 			if err != nil {

@@ -289,17 +289,6 @@ func (g *Generator) Record(dst []byte, row int64) {
 	g.fill(dst, row)
 }
 
-// Key writes the key of record number row into dst, which must be KeySize
-// bytes — the bytes Record would put there, without the value.
-func (g *Generator) Key(dst []byte, row int64) {
-	if len(dst) != KeySize {
-		panic(fmt.Sprintf("kv: Generator.Key dst of %d bytes", len(dst)))
-	}
-	hi, lo := g.key(g.rowState(row), row)
-	binary.BigEndian.PutUint64(dst[0:8], hi)
-	binary.BigEndian.PutUint16(dst[8:10], lo)
-}
-
 // Generate materializes rows [first, first+count) as a fresh buffer.
 func (g *Generator) Generate(first, count int64) Records {
 	buf := make([]byte, count*RecordSize)

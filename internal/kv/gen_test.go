@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -161,11 +160,10 @@ func firstDiff(a, b Records) int {
 	return min(len(x), len(y))
 }
 
-// TestRecordAndKeyMatchReference checks the one-row forms: Record is the
-// kernel at one row, Key its first KeySize bytes.
+// TestRecordAndKeyMatchReference checks the one-row form: Record, key and
+// value, is the kernel at one row.
 func TestRecordAndKeyMatchReference(t *testing.T) {
 	var want, got [RecordSize]byte
-	var key [KeySize]byte
 	for _, dist := range allDistributions {
 		for _, seed := range []uint64{0, 7, 0xdeadbeefcafef00d} {
 			g := NewGenerator(seed, dist)
@@ -175,10 +173,6 @@ func TestRecordAndKeyMatchReference(t *testing.T) {
 				if got != want {
 					t.Fatalf("%v seed=%#x row=%d: Record differs from reference", dist, seed, row)
 				}
-				g.Key(key[:], row)
-				if !bytes.Equal(key[:], want[:KeySize]) {
-					t.Fatalf("%v seed=%#x row=%d: Key %x, record key %x", dist, seed, row, key, want[:KeySize])
-				}
 			}
 		}
 	}
@@ -187,8 +181,8 @@ func TestRecordAndKeyMatchReference(t *testing.T) {
 func TestRecordAndKeyRejectWrongLength(t *testing.T) {
 	g := NewGenerator(1, DistUniform)
 	for name, fn := range map[string]func(){
-		"Record": func() { g.Record(make([]byte, RecordSize-1), 0) },
-		"Key":    func() { g.Key(make([]byte, RecordSize), 0) },
+		"Record":      func() { g.Record(make([]byte, RecordSize-1), 0) },
+		"Record long": func() { g.Record(make([]byte, RecordSize+1), 0) },
 	} {
 		func() {
 			defer func() {
@@ -260,21 +254,6 @@ func BenchmarkGenerate(b *testing.B) {
 				_ = g.Generate(0, rows)
 			}
 		})
-	}
-}
-
-// BenchmarkGenerateKey reports key-only generation in record bytes per
-// second, so it reads against BenchmarkGenerate: the rate at which a
-// sampler or a key histogram gets through the input.
-func BenchmarkGenerateKey(b *testing.B) {
-	const rows = 10000
-	g := NewGenerator(1, DistUniform)
-	var key [KeySize]byte
-	b.SetBytes(rows * RecordSize)
-	for i := 0; i < b.N; i++ {
-		for row := int64(0); row < rows; row++ {
-			g.Key(key[:], row)
-		}
 	}
 }
 

@@ -3,18 +3,15 @@
 // L_coded(r) = (1/r)(1 - r/K) versus L_uncoded(r) = 1 - r/K (Eq. 2, Fig 2),
 // the execution-time model T_total ≈ r·T_map + T_shuffle/r + T_reduce
 // (Eq. 4), the optimal redundancy r* = sqrt(T_shuffle/T_map) and the
-// resulting minimum time 2·sqrt(T_shuffle·T_map) + T_reduce (Eq. 5), plus
-// the overhead models the evaluation section identifies: CodeGen time
-// proportional to C(K, r+1) and the logarithmic multicast penalty of
-// application-layer broadcast.
+// resulting minimum time 2·sqrt(T_shuffle·T_map) + T_reduce (Eq. 5), and
+// the straggler penalty at that level. Pricing a whole job stage by stage
+// is internal/simnet's.
 package model
 
 import (
 	"fmt"
 	"math"
 	"time"
-
-	"codedterasort/internal/combin"
 )
 
 // UncodedLoad returns the normalized communication load 1 - r/K of an
@@ -36,10 +33,6 @@ func CodedLoad(k int, r float64) float64 {
 // TeraSortLoad returns the load of conventional TeraSort, the uncoded
 // r = 1 point: (K-1)/K of all data crosses the network.
 func TeraSortLoad(k int) float64 { return UncodedLoad(k, 1) }
-
-// LoadGain returns the multiplicative load reduction of coding at equal
-// computation load r: exactly r (Eq. 2).
-func LoadGain(r float64) float64 { return r }
 
 func checkKR(k int, r float64) {
 	if k <= 0 {
@@ -163,47 +156,4 @@ func (m TimeModel) StragglerDelta(r float64, k int, f float64) time.Duration {
 		return 0
 	}
 	return time.Duration((f - 1) * float64(m.TShuffle) / r / float64(k))
-}
-
-// Groups returns C(K, r+1), the number of multicast groups CodeGen must
-// initialize — the quantity the paper observes dominating at large r
-// (Section V-C: "the time spent in the CodeGen stage is proportional to
-// C(K, r+1)").
-func Groups(k, r int) int64 { return combin.Binomial(k, r+1) }
-
-// ResolvableGroups returns q^r - q^(r-1) with q = K/r, the multicast group
-// count of the resolvable-design placement (the non-codewords of the
-// [r, r-1] single-parity-check code over Z_q). It panics unless K = q·r
-// with q ≥ 2 and r ≥ 2, the feasibility condition of the construction.
-// Compare with Groups: the resolvable count grows polynomially in q where
-// C(K, r+1) grows binomially in K, which is what lets CodeGen scale past
-// the clique scheme's wall at large K.
-func ResolvableGroups(k, r int) int64 {
-	if r < 2 || k < 2*r || k%r != 0 {
-		panic(fmt.Sprintf("model: no resolvable design for K=%d, r=%d (need K = q*r, q >= 2, r >= 2)", k, r))
-	}
-	q := int64(k / r)
-	p := int64(1)
-	for i := 0; i < r-1; i++ {
-		p *= q
-	}
-	return p*q - p
-}
-
-// CodeGenTime models the CodeGen stage as perGroup × C(K, r+1); perGroup
-// absorbs the communicator-construction cost of one multicast group
-// (MPI_Comm_split in the paper's implementation).
-func CodeGenTime(k, r int, perGroup time.Duration) time.Duration {
-	return time.Duration(Groups(k, r)) * perGroup
-}
-
-// MulticastFactor models the cost of an application-layer multicast to r
-// receivers relative to one unicast of the same packet: 1 + gamma·log2(r).
-// The paper cites this logarithmic growth (Section V-C, citing [11]) as
-// the reason observed shuffle gains fall slightly short of r.
-func MulticastFactor(r int, gamma float64) float64 {
-	if r <= 1 {
-		return 1
-	}
-	return 1 + gamma*math.Log2(float64(r))
 }

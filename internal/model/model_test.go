@@ -191,85 +191,6 @@ func TestBaselineIsEq3(t *testing.T) {
 	}
 }
 
-func TestGroupsMatchesPaperCounts(t *testing.T) {
-	// Section V-C: CodeGen time proportional to C(K, r+1).
-	cases := []struct {
-		k, r int
-		want int64
-	}{{16, 3, 1820}, {16, 5, 8008}, {20, 3, 4845}, {20, 5, 38760}}
-	for _, c := range cases {
-		if got := Groups(c.k, c.r); got != c.want {
-			t.Fatalf("Groups(%d,%d) = %d, want %d", c.k, c.r, got, c.want)
-		}
-	}
-}
-
-func TestResolvableGroupsClosedForm(t *testing.T) {
-	// q^r - q^(r-1) with q = K/r, cross-checked against the counts the
-	// placement package enumerates.
-	cases := []struct {
-		k, r int
-		want int64
-	}{{4, 2, 2}, {8, 2, 12}, {16, 2, 56}, {16, 4, 192}, {32, 2, 240}, {64, 2, 992}, {9, 3, 18}}
-	for _, c := range cases {
-		got := ResolvableGroups(c.k, c.r)
-		if got != c.want {
-			t.Fatalf("ResolvableGroups(%d,%d) = %d, want %d", c.k, c.r, got, c.want)
-		}
-		// The scaling claim: strictly fewer groups than the clique scheme
-		// at every shared configuration with q > 2.
-		if c.k/c.r > 2 && got >= Groups(c.k, c.r) {
-			t.Fatalf("ResolvableGroups(%d,%d) = %d >= C(%d,%d) = %d", c.k, c.r, got, c.k, c.r+1, Groups(c.k, c.r))
-		}
-	}
-	for _, c := range []struct{ k, r int }{{5, 2}, {4, 1}, {4, 4}, {0, 2}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("ResolvableGroups(%d,%d) did not panic", c.k, c.r)
-				}
-			}()
-			ResolvableGroups(c.k, c.r)
-		}()
-	}
-}
-
-func TestCodeGenTimeFitsPaper(t *testing.T) {
-	// With a single per-group constant of ~3.5 ms, the model lands within
-	// 2x of all four measured CodeGen times (6.06, 23.47, 19.32, 140.91 s)
-	// — the fit DESIGN.md documents.
-	perGroup := 3500 * time.Microsecond
-	cases := []struct {
-		k, r    int
-		measure float64
-	}{{16, 3, 6.06}, {16, 5, 23.47}, {20, 3, 19.32}, {20, 5, 140.91}}
-	for _, c := range cases {
-		got := CodeGenTime(c.k, c.r, perGroup).Seconds()
-		if got < c.measure/2 || got > c.measure*2 {
-			t.Fatalf("CodeGen(%d,%d) = %.2fs vs measured %.2fs", c.k, c.r, got, c.measure)
-		}
-	}
-}
-
-func TestMulticastFactor(t *testing.T) {
-	if got := MulticastFactor(1, 0.55); got != 1 {
-		t.Fatalf("r=1 factor = %v", got)
-	}
-	// Monotone in r, and with gamma=0.55 the Table II shuffle ratios hold:
-	// observed shuffle gain at K=16, r=3 is 945.72/412.22 = 2.29 < 3.
-	f3 := MulticastFactor(3, 0.55)
-	f5 := MulticastFactor(5, 0.55)
-	if f5 <= f3 {
-		t.Fatalf("factor not monotone: %v %v", f3, f5)
-	}
-	gain3 := 3.0 * (UncodedLoad(16, 3) / TeraSortLoad(16)) // load ratio alone
-	_ = gain3
-	effGain := LoadGain(3) / f3 / (CodedLoad(16, 3) / CodedLoad(16, 3))
-	if effGain >= 3 {
-		t.Fatalf("penalized gain should fall below r: %v", effGain)
-	}
-}
-
 func TestRStarPanicsWithoutMapTime(t *testing.T) {
 	defer func() {
 		if recover() == nil {

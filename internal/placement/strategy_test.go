@@ -168,6 +168,48 @@ func TestResolvableGroupCountBeatsClique(t *testing.T) {
 	}
 }
 
+// TestGroupsMatchesPaperCounts: the clique scheme's group count is
+// C(K, r+1) at the paper's evaluated configurations — the count CodeGen
+// time is proportional to (Section V-C).
+func TestGroupsMatchesPaperCounts(t *testing.T) {
+	for _, c := range []struct {
+		k, r int
+		want int64
+	}{{16, 3, 1820}, {16, 5, 8008}, {20, 3, 4845}, {20, 5, 38760}} {
+		s, err := New(KindClique, c.k, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumGroups(); got != c.want {
+			t.Fatalf("K=%d r=%d: %d groups, want %d", c.k, c.r, got, c.want)
+		}
+	}
+}
+
+// TestResolvableGroupsClosedForm: the resolvable design has q^r - q^(r-1)
+// groups with q = K/r, strictly fewer than the clique scheme's C(K, r+1)
+// whenever q > 2.
+func TestResolvableGroupsClosedForm(t *testing.T) {
+	for _, c := range []struct {
+		k, r int
+		want int64
+	}{{4, 2, 2}, {8, 2, 12}, {16, 2, 56}, {16, 4, 192}, {32, 2, 240}, {64, 2, 992}, {9, 3, 18}} {
+		s, err := New(KindResolvable, c.k, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.NumGroups(); got != c.want {
+			t.Fatalf("K=%d r=%d: %d groups, want %d", c.k, c.r, got, c.want)
+		}
+		if clique := combin.Binomial(c.k, c.r+1); c.k/c.r > 2 && c.want >= clique {
+			t.Fatalf("K=%d r=%d: %d resolvable groups >= C(%d,%d) = %d", c.k, c.r, c.want, c.k, c.r+1, clique)
+		}
+	}
+	if _, err := New(KindResolvable, 0, 2); err == nil {
+		t.Fatal("resolvable K=0 accepted")
+	}
+}
+
 // TestNewRejectsInfeasible: every infeasible (kind, K, r) fails with a
 // clear error, never a panic — including the binomial overflow the clique
 // scheme hits at large K and the divisibility the resolvable one needs.

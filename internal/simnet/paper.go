@@ -3,7 +3,7 @@ package simnet
 import "codedterasort/internal/stats"
 
 // The published measurements of the paper's evaluation (Section V),
-// encoded verbatim so tables, tests and EXPERIMENTS.md can report
+// encoded verbatim so cmd/tables and the tests can report
 // paper-vs-reproduced for every cell.
 
 // PaperRow is one published table row.
@@ -30,17 +30,6 @@ var PaperRows12GB = []PaperRow{
 		Times: stats.Seconds(19.32, 4.68, 4.89, 453.37, 1.87, 9.73), Speedup: 1.97},
 	{Label: "CodedTeraSort: r=5", K: 20, R: 5, Coded: true,
 		Times: stats.Seconds(140.91, 8.59, 7.51, 269.42, 3.70, 10.97), Speedup: 2.20},
-}
-
-// PaperTable returns the published rows for one worker count (16 or 20).
-func PaperTable(k int) []PaperRow {
-	var out []PaperRow
-	for _, r := range PaperRows12GB {
-		if r.K == k {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Rows12GB is the paper's input size: 12 GB of 100-byte records.

@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"codedterasort/internal/codec"
@@ -32,18 +31,6 @@ type Workload struct {
 	// shuffle time is the maximum per-node egress occupancy instead of
 	// the serial global sum.
 	ParallelShuffle bool
-	// ChunkRows, when positive, models the streaming pipelined shuffle:
-	// each stream is split into ceil(rows/ChunkRows) chunk messages (each
-	// paying the per-message overhead and per-chunk framing bytes), and
-	// Pack/Encode, Shuffle and Unpack/Decode overlap — the combined wall
-	// time is the longest of the three plus a fill/drain residue of one
-	// chunk per stage, reported under Shuffle with Pack and Unpack zeroed.
-	// The credit window bounds memory, not time, so it has no model knob.
-	ChunkRows int
-	// Seed is accepted for interface symmetry with the live engines; the
-	// simulator is distribution-exact (uniform keys), so the seed does not
-	// change its output.
-	Seed uint64
 }
 
 func (w Workload) normalize() (Workload, error) {
@@ -58,9 +45,6 @@ func (w Workload) normalize() (Workload, error) {
 	}
 	if w.Rows <= 0 {
 		return w, fmt.Errorf("simnet: Rows=%d", w.Rows)
-	}
-	if w.ChunkRows < 0 {
-		return w, fmt.Errorf("simnet: negative ChunkRows")
 	}
 	kind, err := placement.ParseKind(string(w.Placement))
 	if err != nil {
@@ -122,7 +106,6 @@ func simulateTeraSort(w Workload, cm CostModel) (stats.Breakdown, Report, error)
 	recvBytes := make([]float64, w.K)
 	sendTime := make([]time.Duration, w.K)
 	var maxMap, maxPack time.Duration
-	maxStreamChunks := 1
 	for node := 0; node < w.K; node++ {
 		fileRows := float64(plan.FileRowCount(node))
 		fileBytes := fileRows * kv.RecordSize
@@ -135,16 +118,10 @@ func simulateTeraSort(w Workload, cm CostModel) (stats.Breakdown, Report, error)
 			if dst == node {
 				continue
 			}
-			chunks := streamChunks(fileRows/float64(w.K), w.ChunkRows)
-			if chunks > maxStreamChunks {
-				maxStreamChunks = chunks
-			}
-			// Chunking pays the per-message overhead and the pack+chunk
-			// framing once per chunk instead of once per stream.
-			msg := ivBytes + float64(chunks)*streamOverhead(w.ChunkRows, codec.PackedSize(0))
+			msg := ivBytes + float64(codec.PackedSize(0))
 			packBytes += msg
-			sendTime[node] += time.Duration(chunks) * cm.WireTime(msg/float64(chunks))
-			rep.Messages += int64(chunks)
+			sendTime[node] += cm.WireTime(msg)
+			rep.Messages++
 			rep.ShuffledBytes += msg
 			recvBytes[dst] += msg
 		}
@@ -162,56 +139,7 @@ func simulateTeraSort(w Workload, cm CostModel) (stats.Breakdown, Report, error)
 		}
 	}
 	b[stats.StageReduce] = perGB(reduceBytes, cm.ReduceSecPerGB)
-	if w.ChunkRows > 0 {
-		overlapPipeline(&b, maxStreamChunks)
-	}
 	return b, rep, nil
-}
-
-// streamChunks returns the chunk count of one stream of `rows` records, at
-// least one (empty streams still close with one last-flagged chunk).
-func streamChunks(rows float64, chunkRows int) int {
-	if chunkRows <= 0 {
-		return 1
-	}
-	c := int(math.Ceil(rows / float64(chunkRows)))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// streamOverhead is the per-chunk framing cost in bytes: the inner payload
-// header (pack header for unicast, coded frame header for multicast) plus
-// the chunk header. Unchunked streams pay the inner header once.
-func streamOverhead(chunkRows, innerHeader int) float64 {
-	if chunkRows <= 0 {
-		return float64(innerHeader)
-	}
-	return float64(codec.ChunkFrameSize(innerHeader))
-}
-
-// overlapPipeline folds the Pack, Shuffle and Unpack occupancies into the
-// overlapped wall time of the streaming pipeline: the longest of the three
-// stays fully busy while the other two hide behind it, except for the
-// pipeline fill and drain — one chunk's worth of each hidden stage, i.e.
-// their serial total divided by the per-stream chunk count. The combined
-// time is charged to Shuffle; Pack and Unpack are zeroed, matching how the
-// live pipelined engines report.
-func overlapPipeline(b *stats.Breakdown, chunksPerStream int) {
-	pack, shuffle, unpack := b[stats.StagePack], b[stats.StageShuffle], b[stats.StageUnpack]
-	max := pack
-	if shuffle > max {
-		max = shuffle
-	}
-	if unpack > max {
-		max = unpack
-	}
-	sum := pack + shuffle + unpack
-	residue := (sum - max) / time.Duration(chunksPerStream)
-	b[stats.StagePack] = 0
-	b[stats.StageUnpack] = 0
-	b[stats.StageShuffle] = max + residue
 }
 
 // scheduleTime folds per-node egress occupancies into a stage time:
@@ -267,7 +195,6 @@ func simulateCoded(w Workload, cm CostModel) (stats.Breakdown, Report, error) {
 	encodeVol := make([]float64, w.K)
 	decodeVol := make([]float64, w.K)
 	sendTime := make([]time.Duration, w.K)
-	maxStreamChunks := 1
 	strat.EachGroup(func(g placement.Group) bool {
 		nseg := float64(len(g.Members) - 1)
 		for iu, u := range g.Members {
@@ -282,14 +209,10 @@ func simulateCoded(w Workload, cm CostModel) (stats.Breakdown, Report, error) {
 					maxSeg = seg
 				}
 			}
-			chunks := streamChunks(maxSeg/kv.RecordSize, w.ChunkRows)
-			if chunks > maxStreamChunks {
-				maxStreamChunks = chunks
-			}
-			width := maxSeg + float64(chunks)*streamOverhead(w.ChunkRows, codec.FrameSize(0))
-			rep.Multicasts += int64(chunks)
+			width := maxSeg + float64(codec.FrameSize(0))
+			rep.Multicasts++
 			rep.ShuffledBytes += width
-			sendTime[u] += time.Duration(chunks) * cm.MulticastTime(width/float64(chunks), len(g.Members)-1)
+			sendTime[u] += cm.MulticastTime(width, len(g.Members)-1)
 			encodeVol[u] += width * nseg
 			for _, k := range g.Members {
 				if k != u {
@@ -311,9 +234,6 @@ func simulateCoded(w Workload, cm CostModel) (stats.Breakdown, Report, error) {
 	}
 	b[stats.StagePack] = maxEnc
 	b[stats.StageUnpack] = maxDec
-	if w.ChunkRows > 0 {
-		overlapPipeline(&b, maxStreamChunks)
-	}
 
 	// Reduce: every node sorts its full 1/K partition, inflated by the
 	// coded memory penalty (Section V-C).

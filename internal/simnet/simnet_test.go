@@ -17,7 +17,7 @@ func within(got, want, tol float64) bool {
 
 func simulate(t *testing.T, k, r int, coded bool) (stats.Breakdown, Report) {
 	t.Helper()
-	b, rep, err := Simulate(Workload{Rows: Rows12GB, K: k, R: r, Coded: coded, Seed: 2017}, Default())
+	b, rep, err := Simulate(Workload{Rows: Rows12GB, K: k, R: r, Coded: coded}, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,6 +129,22 @@ func TestCodeGenGrowsWithGroups(t *testing.T) {
 	}
 }
 
+// TestCodeGenTimeFitsPaper: one per-group constant puts every simulated
+// CodeGen cell within 2x of the measured one (6.06, 23.47, 19.32 and
+// 140.91 s).
+func TestCodeGenTimeFitsPaper(t *testing.T) {
+	for _, pr := range PaperRows12GB {
+		if !pr.Coded {
+			continue
+		}
+		b, _ := simulate(t, pr.K, pr.R, true)
+		got, measured := b[stats.StageCodeGen].Seconds(), pr.Times[stats.StageCodeGen].Seconds()
+		if got < measured/2 || got > measured*2 {
+			t.Fatalf("K=%d r=%d: CodeGen %.2fs vs measured %.2fs", pr.K, pr.R, got, measured)
+		}
+	}
+}
+
 func TestShuffledBytesMatchTheory(t *testing.T) {
 	// TeraSort moves (K-1)/K x 12 GB; coded moves ~ (1/r)(1-r/K) x 12 GB.
 	const d = 12e9
@@ -153,12 +169,12 @@ func TestSimulationDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, repB, err := Simulate(Workload{Rows: Rows12GB, K: 16, R: 3, Coded: true, Seed: 999}, Default())
+	b, repB, err := Simulate(Workload{Rows: Rows12GB, K: 16, R: 3, Coded: true}, Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b || repA != repB {
-		t.Fatalf("simulation not deterministic / seed-dependent")
+		t.Fatalf("simulation not deterministic")
 	}
 }
 
@@ -191,10 +207,11 @@ func TestRowsSmallerThanFiles(t *testing.T) {
 }
 
 func TestGenerateTable2(t *testing.T) {
-	rows, err := GenerateTable(Table2Spec(), Default())
+	tables, err := Tables(Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := tables[1].Simulated
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
@@ -211,19 +228,18 @@ func TestGenerateTable2(t *testing.T) {
 }
 
 func TestGenerateTable1And3(t *testing.T) {
-	rows1, err := GenerateTable(Table1Spec(), Default())
+	tables, err := Tables(Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows1) != 1 {
-		t.Fatalf("Table I should have the TeraSort row only, got %d", len(rows1))
+	if len(tables) != 3 {
+		t.Fatalf("%d tables", len(tables))
 	}
-	rows3, err := GenerateTable(Table3Spec(), Default())
-	if err != nil {
-		t.Fatal(err)
+	if rows := tables[0].Simulated; len(rows) != 1 || rows[0] != tables[1].Simulated[0] {
+		t.Fatalf("Table I should be Table II's TeraSort row alone, got %+v", rows)
 	}
-	if len(rows3) != 3 {
-		t.Fatalf("Table III rows = %d", len(rows3))
+	if rows := tables[2].Simulated; len(rows) != 3 {
+		t.Fatalf("Table III rows = %d", len(rows))
 	}
 }
 
@@ -267,15 +283,23 @@ func TestCostModelWireTime(t *testing.T) {
 	}
 }
 
+// TestPaperTableLookup: each table's published rows are PaperRows12GB's at
+// its K, in order, beside as many simulated rows.
 func TestPaperTableLookup(t *testing.T) {
-	if got := len(PaperTable(16)); got != 3 {
-		t.Fatalf("PaperTable(16) has %d rows", got)
+	tables, err := Tables(Default())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := len(PaperTable(20)); got != 3 {
-		t.Fatalf("PaperTable(20) has %d rows", got)
-	}
-	if got := len(PaperTable(99)); got != 0 {
-		t.Fatalf("PaperTable(99) has %d rows", got)
+	for i, want := range [][]PaperRow{PaperRows12GB[:1], PaperRows12GB[:3], PaperRows12GB[3:]} {
+		tab := tables[i]
+		if len(tab.Paper) != len(want) || len(tab.Simulated) != len(want) {
+			t.Fatalf("%s: %d published, %d simulated rows, want %d", tab.Title, len(tab.Paper), len(tab.Simulated), len(want))
+		}
+		for j, pr := range want {
+			if got := tab.Paper[j]; got.Label != pr.Label || got.Times != pr.Times || got.Speedup != pr.Speedup {
+				t.Fatalf("%s row %d: %+v, want %+v", tab.Title, j, got, pr)
+			}
+		}
 	}
 }
 

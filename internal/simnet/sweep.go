@@ -8,173 +8,69 @@ import (
 	"codedterasort/internal/stats"
 )
 
-// SweepPoint is one configuration of a parameter sweep at full 12 GB
-// scale: the simulated coded breakdown plus its speedup over the TeraSort
-// baseline at the same K.
-type SweepPoint struct {
-	K, R          int
-	Times         stats.Breakdown
-	BaselineTotal float64 // seconds
-	Speedup       float64
-	ShuffledGB    float64
-	Groups        int64
+// Point is one configuration of a curve: the simulated breakdown and
+// counts, the placement's file count, and the speedup over TeraSort at the
+// same K and Rows.
+type Point struct {
+	Workload
+	Times   stats.Breakdown
+	Report  Report
+	Files   int
+	Speedup float64
 }
 
-// sweepPoint simulates one (K, r) cell.
-func sweepPoint(k, r int, cm CostModel) (SweepPoint, error) {
-	base, _, err := Simulate(Workload{Rows: Rows12GB, K: k}, cm)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	b, rep, err := Simulate(Workload{Rows: Rows12GB, K: k, R: r, Coded: true}, cm)
-	if err != nil {
-		return SweepPoint{}, err
-	}
-	return SweepPoint{
-		K: k, R: r, Times: b,
-		BaselineTotal: base.Total().Seconds(),
-		Speedup:       base.Total().Seconds() / b.Total().Seconds(),
-		ShuffledGB:    rep.ShuffledBytes / 1e9,
-		Groups:        rep.Groups,
-	}, nil
-}
-
-// SweepR simulates the "impact of redundancy parameter r" trend of
-// Section V-C: coded runs at fixed K for every r in rs.
-func SweepR(k int, rs []int, cm CostModel) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(rs))
-	for _, r := range rs {
-		p, err := sweepPoint(k, r, cm)
+// Curve simulates every workload beside the TeraSort baseline at its K —
+// the r, K and placement trends of Section V-C. A workload at r = 1 is
+// TeraSort whatever its Coded flag says (the engine runs the same code for
+// both), so it is priced as the baseline, at r = 1 and 1.00x, as an
+// uncoded workload is.
+func Curve(ws []Workload, cm CostModel) ([]Point, error) {
+	out := make([]Point, 0, len(ws))
+	for _, w := range ws {
+		if w.R == 1 || !w.Coded {
+			w.R, w.Coded = 1, false
+		}
+		base, _, err := Simulate(Workload{Rows: w.Rows, K: w.K}, cm)
 		if err != nil {
-			return nil, fmt.Errorf("simnet: sweep r=%d: %w", r, err)
+			return nil, err
+		}
+		b, rep, err := Simulate(w, cm)
+		if err != nil {
+			return nil, err
+		}
+		p := Point{Workload: w, Times: b, Report: rep, Files: w.K,
+			Speedup: base.Total().Seconds() / b.Total().Seconds()}
+		if w.Coded {
+			strat, err := placement.New(w.Placement, w.K, w.R)
+			if err != nil {
+				return nil, err
+			}
+			p.Placement, p.Files = strat.Kind(), strat.NumFiles()
 		}
 		out = append(out, p)
 	}
 	return out, nil
 }
 
-// SweepK simulates the "impact of worker number K" trend of Section V-C:
-// coded runs at fixed r for every k in ks.
-func SweepK(r int, ks []int, cm CostModel) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(ks))
-	for _, k := range ks {
-		p, err := sweepPoint(k, r, cm)
-		if err != nil {
-			return nil, fmt.Errorf("simnet: sweep K=%d: %w", k, err)
-		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// RenderSweep formats sweep points as a text table.
-func RenderSweep(title string, pts []SweepPoint) string {
+// RenderCurve formats curve points as a text table.
+func RenderCurve(title string, pts []Point) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%4s %4s  %10s %10s %10s %10s  %9s %8s %8s\n",
-		"K", "r", "CodeGen(s)", "Map(s)", "Shuffle(s)", "Total(s)", "Shuffle GB", "Groups", "Speedup")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 96))
+	fmt.Fprintf(&b, "%4s %4s  %-10s  %10s %10s %10s %10s  %10s %8s %8s %8s\n",
+		"K", "r", "scheme", "CodeGen(s)", "Map(s)", "Shuffle(s)", "Total(s)", "Shuffle GB", "Files", "Groups", "Speedup")
+	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 112))
 	for _, p := range pts {
-		fmt.Fprintf(&b, "%4d %4d  %10.2f %10.2f %10.2f %10.2f  %9.2f %8d %7.2fx\n",
-			p.K, p.R,
+		scheme := "TeraSort"
+		if p.Coded {
+			scheme = string(p.Placement)
+		}
+		fmt.Fprintf(&b, "%4d %4d  %-10s  %10.2f %10.2f %10.2f %10.2f  %10.2f %8d %8d %7.2fx\n",
+			p.K, p.R, scheme,
 			p.Times[stats.StageCodeGen].Seconds(),
 			p.Times[stats.StageMap].Seconds(),
 			p.Times[stats.StageShuffle].Seconds(),
 			p.Times.Total().Seconds(),
-			p.ShuffledGB, p.Groups, p.Speedup)
+			p.Report.ShuffledBytes/1e9, p.Files, p.Report.Groups, p.Speedup)
 	}
 	return b.String()
-}
-
-// PlacementPoint is one K of the clique-vs-resolvable placement sweep:
-// both strategies simulated at full 12 GB scale and the same (K, r), with
-// the structural counts that drive the CodeGen gap.
-type PlacementPoint struct {
-	K, R int
-	// Clique side: C(K-1, r-1)-files-per-node scheme.
-	CliqueGroups   int64
-	CliqueFiles    int
-	CliqueGB       float64
-	CliqueTotalSec float64
-	// Resolvable side: q^(r-1) subfiles, q^r - q^(r-1) groups.
-	ResolvableGroups   int64
-	ResolvableFiles    int
-	ResolvableGB       float64
-	ResolvableTotalSec float64
-}
-
-// SweepPlacement simulates clique vs resolvable coded runs at fixed r for
-// every K in ks. Ks not divisible by r (no resolvable design) are skipped.
-func SweepPlacement(r int, ks []int, cm CostModel) ([]PlacementPoint, error) {
-	out := make([]PlacementPoint, 0, len(ks))
-	for _, k := range ks {
-		if k%r != 0 || k/r < 2 {
-			continue
-		}
-		pt := PlacementPoint{K: k, R: r}
-		for _, kind := range []placement.Kind{placement.KindClique, placement.KindResolvable} {
-			strat, err := placement.New(kind, k, r)
-			if err != nil {
-				return nil, fmt.Errorf("simnet: placement sweep K=%d %s: %w", k, kind, err)
-			}
-			b, rep, err := Simulate(Workload{Rows: Rows12GB, K: k, R: r, Coded: true, Placement: kind}, cm)
-			if err != nil {
-				return nil, fmt.Errorf("simnet: placement sweep K=%d %s: %w", k, kind, err)
-			}
-			if kind == placement.KindClique {
-				pt.CliqueGroups, pt.CliqueFiles = rep.Groups, strat.NumFiles()
-				pt.CliqueGB, pt.CliqueTotalSec = rep.ShuffledBytes/1e9, b.Total().Seconds()
-			} else {
-				pt.ResolvableGroups, pt.ResolvableFiles = rep.Groups, strat.NumFiles()
-				pt.ResolvableGB, pt.ResolvableTotalSec = rep.ShuffledBytes/1e9, b.Total().Seconds()
-			}
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// RenderPlacementSweep formats placement sweep points as a text table.
-func RenderPlacementSweep(title string, pts []PlacementPoint) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%4s %3s  %9s %8s %8s %9s  %9s %8s %8s %9s  %7s\n",
-		"K", "r",
-		"clq.grps", "clq.file", "clq.GB", "clq.s",
-		"res.grps", "res.file", "res.GB", "res.s", "grp.gain")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 104))
-	for _, p := range pts {
-		gain := float64(p.CliqueGroups) / float64(p.ResolvableGroups)
-		fmt.Fprintf(&b, "%4d %3d  %9d %8d %8.2f %9.2f  %9d %8d %8.2f %9.2f  %6.1fx\n",
-			p.K, p.R,
-			p.CliqueGroups, p.CliqueFiles, p.CliqueGB, p.CliqueTotalSec,
-			p.ResolvableGroups, p.ResolvableFiles, p.ResolvableGB, p.ResolvableTotalSec,
-			gain)
-	}
-	return b.String()
-}
-
-// OptimalR returns the r in [1, min(maxR, K)] with the highest simulated
-// speedup. maxR encodes the storage constraint of the paper's footnote 6:
-// redundancy r stores the input r times across the cluster, so r cannot
-// exceed total worker storage divided by input size (the paper caps its
-// evaluation at r=5). Without that cap the degenerate r=K point — the
-// whole input replicated everywhere, no shuffle at all — wins trivially.
-// Within the feasible range the speedup peaks at moderate r before the
-// C(K, r+1) CodeGen cost takes over, the Section V-C observation.
-func OptimalR(k, maxR int, cm CostModel) (int, float64, error) {
-	if maxR < 1 || maxR > k {
-		maxR = k
-	}
-	bestR, bestS := 1, 0.0
-	for r := 1; r <= maxR; r++ {
-		p, err := sweepPoint(k, r, cm)
-		if err != nil {
-			return 0, 0, err
-		}
-		if p.Speedup > bestS {
-			bestR, bestS = r, p.Speedup
-		}
-	}
-	return bestR, bestS, nil
 }

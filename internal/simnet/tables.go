@@ -7,48 +7,60 @@ import (
 	"codedterasort/internal/stats"
 )
 
-// TableSpec selects one of the paper's evaluation tables.
-type TableSpec struct {
-	Title string
-	K     int
-	Rs    []int // coded rows to include; the TeraSort baseline is implicit
+// Table is one of the paper's evaluation tables: the simulated rows beside
+// the published ones.
+type Table struct {
+	Title            string
+	Simulated, Paper []stats.Row
 }
 
-// Table1Spec is Table I: TeraSort alone at K=16.
-func Table1Spec() TableSpec {
-	return TableSpec{Title: "Table I: TeraSort, 12 GB, K=16 workers, 100 Mbps", K: 16}
-}
-
-// Table2Spec is Table II: K=16 with r in {3,5}.
-func Table2Spec() TableSpec {
-	return TableSpec{Title: "Table II: 12 GB, K=16 workers, 100 Mbps", K: 16, Rs: []int{3, 5}}
-}
-
-// Table3Spec is Table III: K=20 with r in {3,5}.
-func Table3Spec() TableSpec {
-	return TableSpec{Title: "Table III: 12 GB, K=20 workers, 100 Mbps", K: 20, Rs: []int{3, 5}}
-}
-
-// GenerateTable simulates every row of the spec at full 12 GB scale and
-// returns renderable rows.
-func GenerateTable(spec TableSpec, cm CostModel) ([]stats.Row, error) {
-	base, _, err := Simulate(Workload{Rows: Rows12GB, K: spec.K, Seed: 2017}, cm)
+// Tables simulates every published row once and lays the rows out as the
+// paper does: Table I is the K=16 TeraSort row alone (the same experiment
+// as Table II's first row), Tables II and III are every row at K=16 and
+// K=20.
+func Tables(cm CostModel) ([]Table, error) {
+	sim, err := simulatePaper(cm)
 	if err != nil {
 		return nil, err
 	}
-	rows := []stats.Row{{Label: "TeraSort", Times: base}}
-	for _, r := range spec.Rs {
-		b, _, err := Simulate(Workload{Rows: Rows12GB, K: spec.K, R: r, Coded: true, Seed: 2017}, cm)
+	tables := []Table{
+		{Title: "Table I: TeraSort, 12 GB, K=16 workers, 100 Mbps"},
+		{Title: "Table II: 12 GB, K=16 workers, 100 Mbps"},
+		{Title: "Table III: 12 GB, K=20 workers, 100 Mbps"},
+	}
+	for i, pr := range PaperRows12GB {
+		paper := stats.Row{Label: pr.Label, Times: pr.Times, Speedup: pr.Speedup}
+		t := &tables[1]
+		if pr.K == 20 {
+			t = &tables[2]
+		} else if !pr.Coded {
+			tables[0].Simulated, tables[0].Paper = []stats.Row{sim[i]}, []stats.Row{paper}
+		}
+		t.Simulated = append(t.Simulated, sim[i])
+		t.Paper = append(t.Paper, paper)
+	}
+	return tables, nil
+}
+
+// simulatePaper simulates every row of PaperRows12GB in order. A coded
+// row's speedup is over the TeraSort row at its K, which PaperRows12GB
+// lists first.
+func simulatePaper(cm CostModel) ([]stats.Row, error) {
+	out := make([]stats.Row, len(PaperRows12GB))
+	var base stats.Breakdown
+	for i, pr := range PaperRows12GB {
+		b, _, err := Simulate(Workload{Rows: Rows12GB, K: pr.K, R: pr.R, Coded: pr.Coded}, cm)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, stats.Row{
-			Label:   fmt.Sprintf("CodedTeraSort: r=%d", r),
-			Times:   b,
-			Speedup: base.Total().Seconds() / b.Total().Seconds(),
-		})
+		out[i] = stats.Row{Label: pr.Label, Times: b}
+		if pr.Coded {
+			out[i].Speedup = base.Total().Seconds() / b.Total().Seconds()
+		} else {
+			base = b
+		}
 	}
-	return rows, nil
+	return out, nil
 }
 
 // CompareCell is one paper-vs-simulated comparison.
@@ -68,15 +80,15 @@ func (c CompareCell) Ratio() float64 {
 }
 
 // Compare simulates all published rows and pairs every stage cell with the
-// paper's measurement — the data behind EXPERIMENTS.md and the calibration
-// report of cmd/tables.
+// paper's measurement — the calibration report of cmd/tables.
 func Compare(cm CostModel) ([]CompareCell, error) {
+	sim, err := simulatePaper(cm)
+	if err != nil {
+		return nil, err
+	}
 	var out []CompareCell
-	for _, pr := range PaperRows12GB {
-		b, _, err := Simulate(Workload{Rows: Rows12GB, K: pr.K, R: pr.R, Coded: pr.Coded, Seed: 2017}, cm)
-		if err != nil {
-			return nil, err
-		}
+	for i, pr := range PaperRows12GB {
+		b := sim[i].Times
 		label := fmt.Sprintf("K=%d %s", pr.K, pr.Label)
 		for s := stats.StageCodeGen; s < stats.NumStages; s++ {
 			if !pr.Coded && s == stats.StageCodeGen {
