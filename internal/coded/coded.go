@@ -22,8 +22,10 @@
 //     gathering each record from the file into the packet.
 //  5. Multicast Shuffling — serial multicast, one root at a time, each
 //     packet broadcast to the other members of its group (Fig 9) by relay
-//     down the group's chain: the root sends it once and every member
-//     forwards it to the next, so relays forward while the next root sends.
+//     down the group's chain, from the root through descending ranks: the
+//     root sends it once and every member forwards it to the next. The
+//     member just above the root is the tail, so the next root only
+//     receives its predecessor's packets and takes the wire on a free link.
 //  6. Decode — cancel known segments from received packets to recover the
 //     needed intermediate values (Algorithm 2), in the received buffer.
 //  7. Reduce — locally sort partition k: order references to the records
@@ -639,7 +641,9 @@ func memberSlots[T any](groups []placement.Group) [][]T {
 // another. Receives run concurrently, roots in ascending rank order, so the
 // single active root streams without blocking; a receive that relays
 // forwards the packet before returning it, on this node's own egress, while
-// the root moves on.
+// the root moves on. This node is the tail of every chain rooted at rank-1,
+// so it relays none of its predecessor's packets and starts its own turn
+// with its egress free.
 func (w *worker) multicastStage(ctx *engine.Context) error {
 	w.received = memberSlots[[]byte](w.myGroups)
 	recvErr := make(chan error, 1)

@@ -1,11 +1,13 @@
 package coded
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/placement"
 	"codedterasort/internal/transport"
 	"codedterasort/internal/transport/memnet"
 )
@@ -141,42 +143,82 @@ func TestFig9aSerialScheduleObserved(t *testing.T) {
 	}
 }
 
-// TestFig9bSerialMulticastObserved traces a CodedTeraSort multicast
-// shuffle and asserts the Fig 9(b) property, which is about roots: the
-// sends multicast roots make take the wire strictly in rank order, each
-// root finishing its groups before the next root starts. Relays may still
-// be forwarding a root's packets after its turn. Every (group, root)
-// packet crosses exactly r links: one send by the root, and r-1 by members
-// that had already received it.
+// TestFig9bSerialMulticastObserved traces CodedTeraSort multicast shuffles
+// and asserts the Fig 9(b) property, which is about roots: the sends
+// multicast roots make take the wire strictly in rank order, each root
+// finishing its groups before the next root starts. Every (group, root)
+// packet crosses exactly one link per receiving member: one send by the
+// root, and the rest by members that had already received it. Relays are
+// ranks whose turn has passed or has yet to come, never the next root:
+// rank u+1 does not forward any of root u's packets, so it takes the wire
+// with its egress free. Each shape runs monolithic and chunked.
 func TestFig9bSerialMulticastObserved(t *testing.T) {
-	const k, r = 4, 2
-	events := tracedShuffle(t, job.Spec{Algorithm: job.AlgCoded, K: k, R: r, Rows: 2000, Seed: 4})
+	for _, shape := range []struct {
+		kind placement.Kind
+		k, r int
+	}{
+		{placement.KindClique, 4, 2},
+		{placement.KindClique, 5, 3},
+		{placement.KindClique, 6, 2},
+		{placement.KindResolvable, 6, 3},
+	} {
+		for _, chunkRows := range []int{0, 64} {
+			spec := job.Spec{Algorithm: job.AlgCoded, K: shape.k, R: shape.r, Placement: string(shape.kind),
+				ChunkRows: chunkRows, Rows: 2000, Seed: 4}
+			t.Run(fmt.Sprintf("%s/K=%d/r=%d/chunk=%d", shape.kind, shape.k, shape.r, chunkRows), func(t *testing.T) {
+				strategy, err := placement.New(shape.kind, shape.k, shape.r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertSerialMulticast(t, strategy, tracedShuffle(t, spec), chunkRows == 0)
+			})
+		}
+	}
+}
+
+// assertSerialMulticast checks one traced coded shuffle against its
+// strategy's groups: see TestFig9bSerialMulticastObserved. Monolithic
+// shuffles send one packet per (group, root); chunked ones at least one.
+func assertSerialMulticast(t *testing.T, strategy placement.Strategy, events []wireEvent, mono bool) {
+	t.Helper()
+	k := strategy.K()
+	links := map[transport.Tag]int{} // tag -> links each of its packets crosses
+	strategy.EachGroup(func(g placement.Group) bool {
+		for _, root := range g.Members {
+			links[groupTag(tagMulticast, g.ID, root)] = len(g.Members) - 1
+		}
+		return true
+	})
 	var rootSends []wireEvent
 	sendsOf := map[transport.Tag][]wireEvent{}
 	received := map[transport.Tag]map[int]bool{} // tag -> the members holding the packet
 	for _, e := range events {
+		root := tagRoot(e.tag)
 		if received[e.tag] == nil {
-			received[e.tag] = map[int]bool{tagRoot(e.tag): true}
+			received[e.tag] = map[int]bool{root: true}
 		}
 		if e.recv {
 			received[e.tag][e.node] = true
 			continue
 		}
 		if !received[e.tag][e.node] {
-			t.Fatalf("rank %d sent root %d's packet before receiving it", e.node, tagRoot(e.tag))
+			t.Fatalf("rank %d sent root %d's packet before receiving it", e.node, root)
+		}
+		if e.node == root+1 {
+			t.Fatalf("rank %d relayed root %d's packet: the next root must take the wire free", e.node, root)
 		}
 		sendsOf[e.tag] = append(sendsOf[e.tag], e)
-		if e.node == tagRoot(e.tag) {
+		if e.node == root {
 			rootSends = append(rootSends, e)
 		}
 	}
-	// Each node roots C(K-1, r) = 3 groups and each packet crosses r links:
-	// 4 * 3 * 2 = 24 wire sends, 12 of them by roots.
-	var total int
+	if len(sendsOf) != len(links) {
+		t.Fatalf("%d (group, root) packets on the wire, want %d", len(sendsOf), len(links))
+	}
 	for tag, sends := range sendsOf {
-		total += len(sends)
-		if len(sends) != r {
-			t.Fatalf("root %d's packet crossed %d links, want %d", tagRoot(tag), len(sends), r)
+		want, ok := links[tag]
+		if !ok {
+			t.Fatalf("traffic on tag %#x, which names no (group, root) of the strategy", tag)
 		}
 		var byRoot int
 		for _, s := range sends {
@@ -184,12 +226,12 @@ func TestFig9bSerialMulticastObserved(t *testing.T) {
 				byRoot++
 			}
 		}
-		if byRoot != 1 {
-			t.Fatalf("root %d sent its packet %d times, want once", tagRoot(tag), byRoot)
+		if byRoot == 0 || (mono && byRoot != 1) {
+			t.Fatalf("root %d sent its packet %d times", tagRoot(tag), byRoot)
 		}
-	}
-	if total != 24 || len(rootSends) != 12 {
-		t.Fatalf("%d multicast sends (%d by roots), want 24 (12)", total, len(rootSends))
+		if len(sends) != byRoot*want {
+			t.Fatalf("root %d's %d packet(s) crossed %d links, want %d each", tagRoot(tag), byRoot, len(sends), want)
+		}
 	}
 	assertSerialSenders(t, rootSends, k)
 }

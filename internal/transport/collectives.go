@@ -27,15 +27,18 @@ func groupIndex(group []int, rank int) ([]int, int, error) {
 }
 
 // ChainBcast is the application-layer multicast: the payload relays down a
-// chain of the group — the root, then the other members in ascending rank,
-// wrapping around. The root sends it once, to its successor; every other
-// member receives it from its predecessor and forwards the same buffer to
-// its successor before returning it, and the last member only receives. The
-// payload crosses len(group)-1 links, as many as r unicasts from the root,
-// but each member's egress carries it at most once, so a relay forwards on
-// its own link while the root moves on to its next packet. A group of two
-// is one unicast. All group members must call it with identical
-// group/root/tag.
+// chain of the group — the root, then the other members in descending rank,
+// wrapping around from the lowest to the highest. The root sends it once, to
+// its successor; every other member receives it from its predecessor and
+// forwards the same buffer to its successor before returning it, and the
+// last member only receives. The payload crosses len(group)-1 links, as many
+// as r unicasts from the root, but each member's egress carries it at most
+// once, so a relay forwards on its own link while the root moves on to its
+// next packet. Running down from the root makes the member just above it the
+// tail: under the serial schedule (roots in ascending rank) the next root
+// only receives its predecessor's packets, and the relays are ranks whose
+// turn has passed or is two or more roots away. A group of two is one unicast. All group members must
+// call it with identical group/root/tag.
 func ChainBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte, error) {
 	sorted, self, err := groupIndex(group, c.Rank())
 	if err != nil {
@@ -48,11 +51,11 @@ func ChainBcast(c Conn, group []int, root int, tag Tag, payload []byte) ([]byte,
 	n := len(sorted)
 	data := payload
 	if self != rootIdx {
-		if data, err = c.Recv(sorted[(self+n-1)%n], tag); err != nil {
+		if data, err = c.Recv(sorted[(self+1)%n], tag); err != nil {
 			return nil, err
 		}
 	}
-	if next := (self + 1) % n; next != rootIdx {
+	if next := (self + n - 1) % n; next != rootIdx {
 		if err := c.Send(sorted[next], tag, data); err != nil {
 			return nil, err
 		}

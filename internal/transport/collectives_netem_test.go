@@ -79,9 +79,9 @@ func faultyBcast(t *testing.T, k, root, faulty int) []error {
 // injected error, and no other member errors otherwise or hangs.
 func TestBcastFaultyLinkErrorsCleanly(t *testing.T) {
 	const k, root = 5, 2
-	// Chain order: the root, then the members above it, wrapping around.
+	// Chain order: the root, then the members below it, wrapping around.
 	for v := 0; v < k-1; v++ {
-		faulty := (root + v) % k
+		faulty := (root - v + k) % k
 		errs := faultyBcast(t, k, root, faulty)
 		if !errors.Is(errs[faulty], errLink) {
 			t.Fatalf("chain member %d (rank %d): error = %v, want injected failure", v, faulty, errs[faulty])

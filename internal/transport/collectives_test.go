@@ -121,9 +121,10 @@ func runGroup(t *testing.T, mesh *fakeMesh, group []int, fn func(c Conn) error) 
 
 func TestChainBcastSendPattern(t *testing.T) {
 	// The chain of a sparse group rooted mid-group: the root, then the
-	// members above it, then wrapping to the lowest. The root sends exactly
+	// members below it, then wrapping to the highest. The root sends exactly
 	// once, member v of the chain sends only to member v+1, the last member
-	// sends nothing — and the Endpoint's Bcast is this chain.
+	// — the one just above the root — sends nothing, and the Endpoint's
+	// Bcast is this chain.
 	mesh := newFakeMesh(8)
 	group := []int{7, 0, 4, 2, 5}
 	runGroup(t, mesh, group, func(c Conn) error {
@@ -134,7 +135,7 @@ func TestChainBcastSendPattern(t *testing.T) {
 		_, err := WithCollectives(c).Bcast(group, 4, 7, p)
 		return err
 	})
-	want := []string{"4->5", "5->7", "7->0", "0->2"}
+	want := []string{"4->2", "2->0", "0->7", "7->5"}
 	if got := mesh.sendLog(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("send log %v, want %v", got, want)
 	}

@@ -30,14 +30,28 @@ type Options struct {
 }
 
 // Limiter wraps a Conn and blocks each Send for the time the message would
-// occupy a serial egress link at the configured rate. Concurrent sends on
-// one Limiter queue behind each other, like frames on a single NIC.
+// occupy a serial egress link at the configured rate. A Send holds the link
+// from its reservation until its delivery, so concurrent sends on one
+// Limiter queue behind each other, like frames on a single NIC, and reach
+// the inner Conn in the order they took it: a token or an ack never
+// overtakes the data queued before it.
+//
+// The time the Limiter itself spends delivering a message — the sleeper's
+// overshoot and the inner transport's copy — is not idle line time: the
+// next reservation starts that much before its Send takes the link, so a
+// sender that keeps up, or a Send queued behind another, finds the line
+// where the last message left it and the link runs back to back.
+// Occupancy per message is exact, reservations never overlap, and a message
+// is never delivered more than sleepGranularity before its reservation
+// ends, so the long-run rate never exceeds RateMbps and n bytes sent back
+// to back take at least their line time less sleepGranularity.
 type Limiter struct {
 	inner transport.Conn
 	opts  Options
 
-	mu       sync.Mutex
-	nextFree time.Time
+	mu       sync.Mutex    // the link: held from reservation to delivery
+	nextFree time.Time     // when the last reservation ends
+	late     time.Duration // how long after nextFree its message was delivered
 }
 
 // Limit wraps c with egress shaping.
@@ -70,25 +84,22 @@ func (l *Limiter) TransmitTime(n int) time.Duration {
 // and one longer sleep settles the debt, preserving the long-run rate.
 const sleepGranularity = time.Millisecond
 
-// Send implements transport.Conn: it reserves the egress link for the
-// message's transmission time, sleeps until the reservation completes, and
-// then delivers through the inner transport.
+// Send implements transport.Conn: it takes the link, reserves it for the
+// message's transmission time, sleeps until the reservation ends, and then
+// delivers through the inner transport.
 func (l *Limiter) Send(to int, tag transport.Tag, payload []byte) error {
-	d := l.TransmitTime(len(payload))
-	if d > 0 {
-		l.mu.Lock()
-		now := time.Now()
-		if l.nextFree.Before(now) {
-			l.nextFree = now
-		}
-		l.nextFree = l.nextFree.Add(d)
-		release := l.nextFree
-		l.mu.Unlock()
-		if wait := time.Until(release); wait > sleepGranularity {
-			time.Sleep(wait)
-		}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if start := time.Now().Add(-l.late); l.nextFree.Before(start) {
+		l.nextFree = start
 	}
-	return l.inner.Send(to, tag, payload)
+	l.nextFree = l.nextFree.Add(l.TransmitTime(len(payload)))
+	if wait := time.Until(l.nextFree); wait > sleepGranularity {
+		time.Sleep(wait)
+	}
+	err := l.inner.Send(to, tag, payload)
+	l.late = max(time.Since(l.nextFree), 0)
+	return err
 }
 
 // Recv implements transport.Conn (ingress is not shaped: with serial

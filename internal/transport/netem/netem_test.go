@@ -2,6 +2,7 @@ package netem
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -77,6 +78,100 @@ func TestConcurrentSendsSerialize(t *testing.T) {
 	}
 }
 
+// TestLimiterDeliversItsRate streams 40 400 KB frames at 400 Mbps, each
+// acked by the receiver through a window of 8 (the shape of the benchmark's
+// netem probe): a sender that keeps up must find the line where its last
+// frame left it, so the stream takes its ideal line time, never less than
+// that minus sleepGranularity and at most 5 % more. A lone message is not
+// delivered more than sleepGranularity before its line time.
+func TestLimiterDeliversItsRate(t *testing.T) {
+	const (
+		frames = 40
+		frame  = 400 << 10
+		rate   = 400
+	)
+	ideal := time.Duration(float64(frames*frame*8) / (rate * 1e6) * float64(time.Second))
+	var runs []time.Duration
+	for range 3 {
+		m := memnet.NewMesh(2)
+		l := Limit(m.Endpoint(0), Options{RateMbps: rate})
+		acks := make(chan error, 1)
+		go func() {
+			for range frames {
+				if _, err := m.Endpoint(1).Recv(0, 1); err != nil {
+					acks <- err
+					return
+				}
+				if err := transport.StreamAck(m.Endpoint(1), 0, 2); err != nil {
+					acks <- err
+					return
+				}
+			}
+			acks <- nil
+		}()
+		s := transport.NewStreamSender(l, 1, 1, 2, 8)
+		payload := make([]byte, frame)
+		start := time.Now()
+		for range frames {
+			if err := s.Send(payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-acks; err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, time.Since(start))
+		m.Close()
+	}
+	slices.Sort(runs)
+	if got := runs[1]; got < ideal-sleepGranularity || got > ideal*105/100 {
+		t.Fatalf("%d x %d B at %d Mbps took %v (median of %v), want %v within [-%v, +5%%]",
+			frames, frame, rate, got, runs, ideal, sleepGranularity)
+	}
+
+	m := memnet.NewMesh(2)
+	defer m.Close()
+	l := Limit(m.Endpoint(0), Options{RateMbps: rate})
+	start := time.Now()
+	sent := make(chan error, 1)
+	go func() { sent <- l.Send(1, 3, make([]byte, 1_000_000)) }() // 20 ms of line time
+	if _, err := m.Endpoint(1).Recv(0, 3); err != nil {
+		t.Fatal(err)
+	}
+	if got := time.Since(start); got < 19*time.Millisecond {
+		t.Fatalf("a 20 ms message arrived after %v, more than %v early", got, sleepGranularity)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLimiterKeepsAcceptanceOrder: a zero-length message (a token, an ack)
+// queued behind a shaped one reaches the peer after it, never first.
+func TestLimiterKeepsAcceptanceOrder(t *testing.T) {
+	m := memnet.NewMesh(2)
+	defer m.Close()
+	l := Limit(m.Endpoint(0), Options{RateMbps: 400})
+	sent := make(chan error, 1)
+	go func() { sent <- l.Send(1, 1, make([]byte, 1_000_000)) }() // 20 ms of line time
+	time.Sleep(5 * time.Millisecond)
+	if err := l.Send(1, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{1_000_000, 0} {
+		p, err := m.Endpoint(1).Recv(0, 1)
+		if err != nil || len(p) != want {
+			t.Fatalf("message %d: %d bytes, %v; want %d bytes", i, len(p), err, want)
+		}
+	}
+}
+
 func TestUnlimitedIsFast(t *testing.T) {
 	m := memnet.NewMesh(2)
 	defer m.Close()
@@ -134,15 +229,17 @@ func TestFaultyBcastPropagates(t *testing.T) {
 	// A failing send inside a collective must surface at the caller whose
 	// link died, whether that is the root or a relay of the chain; the
 	// members downstream of it never get the packet and are released by
-	// closing their endpoints.
+	// closing their endpoints. Rooted at 0 the chain is 0, 2, 1: rank 2
+	// relays and rank 1, the tail, only receives.
 	boom := errors.New("link down")
 	for _, tc := range []struct {
-		name   string
-		faulty int      // the rank whose first send fails
-		want   [3]error // per rank: the injected failure, nil, or ErrClosed
+		name       string
+		faulty     int      // the rank whose first send fails
+		downstream []int    // the chain members after it
+		want       [3]error // per rank: the injected failure, nil, or ErrClosed
 	}{
-		{"root", 0, [3]error{boom, transport.ErrClosed, transport.ErrClosed}},
-		{"relay", 1, [3]error{nil, boom, transport.ErrClosed}},
+		{"root", 0, []int{2, 1}, [3]error{boom, transport.ErrClosed, transport.ErrClosed}},
+		{"relay", 2, []int{1}, [3]error{nil, transport.ErrClosed, boom}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := memnet.NewMesh(3)
@@ -164,7 +261,7 @@ func TestFaultyBcastPropagates(t *testing.T) {
 					}
 					_, errs[rank] = transport.WithCollectives(conn).Bcast(group, 0, 1, p)
 					if rank == tc.faulty {
-						for r := rank + 1; r < len(group); r++ {
+						for _, r := range tc.downstream {
 							m.Endpoint(r).Close()
 						}
 					}

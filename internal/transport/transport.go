@@ -8,8 +8,10 @@
 //     (implemented over in-process channels by memnet, real TCP by tcpnet,
 //     and a virtual-time network by simnet).
 //   - Collectives: Bcast (the application-layer multicast, relayed down a
-//     chain of the group so every member's egress carries a packet at most
-//     once) and Barrier built generically on any Conn.
+//     chain of the group from the root through descending ranks, so every
+//     member's egress carries a packet at most once and the member just
+//     above the root only receives) and Barrier built generically on any
+//     Conn.
 //   - Meter: byte and message accounting used to measure communication
 //     load, counting multicast payloads once (the paper's load metric) and
 //     wire bytes separately.
