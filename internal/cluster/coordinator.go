@@ -46,27 +46,41 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // barrier — and the job re-runs on the next K workers to register (workers
 // are one-shot), up to Spec.MaxAttempts, or fails naming the suspects.
 // Output never rides the wire: each worker checks its partition's order
-// and membership and reports its digest, and the digests must total the
-// input's.
+// and membership as it reduces and reports its digest, and the digests
+// must total the input's. The coordinator describes the input meanwhile,
+// regenerating it from the spec while the attempts run; a failed job
+// cancels the description and waits for it, so none outlives RunJob.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 	rankSpec, p, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var in verify.Input
+	var inErr error
+	described := make(chan struct{})
+	go func() {
+		defer close(described)
+		in, inErr = describeInput(ctx, spec)
+	}()
+	defer func() {
+		cancel()
+		<-described
+	}()
 	rep, err := supervise(context.Background(), rankSpec, nil, c.launch)
 	if err != nil {
 		return nil, err
 	}
-	rep.Spec = spec
-	in, err := describeInput(spec)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: describing input: %w", err)
+	<-described
+	if inErr != nil {
+		return nil, fmt.Errorf("cluster: describing input: %w", inErr)
 	}
+	rep.Spec = spec
 	sums := make([]verify.Summary, len(rep.Workers))
 	for r, w := range rep.Workers {
 		sums[r] = verify.Summary{Rows: w.OutputRows, Checksum: w.OutputChecksum}
 	}
-	if err := verifyOutput(rep, p, in, sums); err != nil {
+	if err := verifyOutput(rep, p, in, sums, nil); err != nil {
 		return nil, err
 	}
 	return rep, nil

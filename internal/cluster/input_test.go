@@ -19,28 +19,41 @@ import (
 	"codedterasort/internal/transport"
 )
 
-// tamperOutput wraps runWorker so that rank's reported output is replaced
-// by tamper's rewrite of it — a faulty rank the verifier must catch.
+// tamperOutput wraps runWorker so that the first block of rank's output
+// stream reaches its checker as tamper's rewrite of a copy of it — a faulty
+// rank the verifier must catch. The tests' partitions fit in one block.
 func tamperOutput(rank int, tamper func(kv.Records) kv.Records) workerFunc {
 	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
-		w, err := runWorker(ep, spec, local, sink, hooks)
-		if err == nil && ep.Rank() == rank {
-			w.Output = tamper(w.Output.Clone())
+		if check := sink; ep.Rank() == rank {
+			tampered := false
+			sink = func(block kv.Records) error {
+				if !tampered && block.Len() > 0 {
+					tampered = true
+					block = tamper(block.Clone())
+				}
+				return check(block)
+			}
 		}
-		return w, err
+		return runWorker(ep, spec, local, sink, hooks)
 	}
 }
 
 // TestVerifyCatchesFaultyRank: the in-process runtime's own verification,
 // fed one rank's output with a single fault, fails the job and names the
-// mismatch. The last case is a rank that writes into an input file it
-// aliases: the input was described before any rank ran, so the corrupted
-// record fails the multiset check instead of being verified against
-// itself.
+// mismatch, in memory and out of core, without blaming a rank. The last
+// case is a rank that writes into an input file it aliases: the input was
+// described before any rank ran, so the corrupted record fails the
+// multiset check instead of being verified against itself.
 func TestVerifyCatchesFaultyRank(t *testing.T) {
 	coded := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 71}
+	outOfCore := coded
+	outOfCore.MemBudget, outOfCore.SpillDir = 16<<10, t.TempDir()
 	flipValue := func(r kv.Records) kv.Records {
 		r.Value(r.Len() / 2)[5] ^= 0x40
+		return r
+	}
+	swap := func(r kv.Records) kv.Records {
+		r.Swap(10, 11)
 		return r
 	}
 	cases := []struct {
@@ -56,10 +69,10 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 			return r.Slice(0, 1).AppendRecords(r)
 		}), "rows"},
 		{"flipped value byte", coded, tamperOutput(1, flipValue), "checksum"},
-		{"swapped adjacent pair", coded, tamperOutput(1, func(r kv.Records) kv.Records {
-			r.Swap(10, 11)
-			return r
-		}), "not sorted"},
+		{"swapped adjacent pair", coded, tamperOutput(1, swap), "not sorted"},
+		// The check fails inside the rank's Reduce, which must still finish:
+		// the failure is the job's verification, not a rank fault.
+		{"swapped adjacent pair out of core", outOfCore, tamperOutput(1, swap), "not sorted"},
 		// r = 1, so rank 1 is its file's only reader and the write races
 		// with no other rank.
 		{"write into aliased input", Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 71},
@@ -81,6 +94,9 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "verification failed") || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("error %q does not name the %s mismatch", err, c.want)
+			}
+			if strings.Contains(err.Error(), "failed at") {
+				t.Fatalf("error %q blames a rank for the verifier's finding", err)
 			}
 		})
 	}

@@ -85,13 +85,14 @@ type JobReport struct {
 func (j JobReport) Total() float64 { return j.Times.Total().Seconds() }
 
 // RunLocal executes the sort job with all K workers in this process under
-// Supervise, then verifies the outputs against the input (order, partition
+// Supervise and verifies the outputs against the input (order, partition
 // membership, multiset equality) before the report is returned; see
-// RunLocalOpts for who generates the input. With
-// MemBudget set (and KeepOutput unset, which defeats the point of a budget)
-// the sorted partitions are never materialized: each worker streams its
-// output blocks into a verify.PartitionChecker, so verification itself runs
-// in O(block) memory.
+// RunLocalOpts for who generates the input. The sorted partitions are never
+// materialized: each worker's Reduce streams its output blocks into a
+// verify.PartitionChecker, so a partition is checked while it is still in
+// cache and in O(block) memory, and only the checkers' summaries are left
+// to close after the job. KeepOutput copies each checked block into the
+// worker's report.
 func RunLocal(spec Spec) (*JobReport, error) {
 	return RunLocalOpts(context.Background(), spec, Options{})
 }
@@ -186,10 +187,7 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		}
 		rankSpec = scanned.spec
 	}
-	var sums []verify.Summary
-	if spec.MemBudget > 0 && !spec.KeepOutput {
-		sums = make([]verify.Summary, spec.K)
-	}
+	checks := make([]*outputCheck, spec.K)
 	rep, err := Supervise(ctx, rankSpec, opts, func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error) {
 		var local job.Local
 		if input != nil {
@@ -197,14 +195,12 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		} else {
 			local.Scan = scanned.scan(ep.Rank())
 		}
-		if sums == nil {
-			return work(ep, spec, local, nil, hooks)
-		}
 		// Every rank of the attempt that succeeds overwrites its own slot,
-		// so only that attempt's checker summaries survive.
-		c := verify.NewPartitionChecker(p, ep.Rank())
-		w, err := work(ep, spec, local, c.Feed, hooks)
-		sums[ep.Rank()] = c.Summary()
+		// so only that attempt's checks survive.
+		c := &outputCheck{PartitionChecker: verify.NewPartitionChecker(p, ep.Rank()), keep: spec.KeepOutput}
+		w, err := work(ep, spec, local, c.feed, hooks)
+		checks[ep.Rank()] = c
+		w.Output = c.kept
 		return w, err
 	})
 	if err != nil {
@@ -217,15 +213,40 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 	} else if in, err = scanned.describe(); err != nil {
 		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
 	}
-	if err := verifyOutput(rep, p, in, sums); err != nil {
-		return nil, err
-	}
-	if !spec.KeepOutput {
-		for r := range rep.Workers {
-			rep.Workers[r].Output = kv.Records{}
+	sums := make([]verify.Summary, spec.K)
+	var failed error
+	for r, c := range checks {
+		sums[r] = c.Summary()
+		if failed == nil {
+			failed = c.failed
 		}
 	}
+	if err := verifyOutput(rep, p, in, sums, failed); err != nil {
+		return nil, err
+	}
 	return rep, nil
+}
+
+// outputCheck is the sink the runtime hands a rank: its partition's
+// checker. A failed check is the job's verification failure, not the
+// rank's: the first is latched and later blocks go unchecked, so the rank
+// finishes and no one is blamed for what the checker found. A KeepOutput
+// rank's checked blocks are also copied out.
+type outputCheck struct {
+	*verify.PartitionChecker
+	failed error
+	keep   bool
+	kept   kv.Records
+}
+
+func (c *outputCheck) feed(block kv.Records) error {
+	if c.failed != nil {
+		return nil
+	}
+	if c.failed = c.Feed(block); c.failed == nil && c.keep {
+		c.kept = c.kept.AppendRecords(block)
+	}
+	return nil
 }
 
 // placedInput is an in-memory job's input as the supervisor placed it: the
@@ -391,23 +412,18 @@ func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
 	return files, in, nil
 }
 
-// verifyOutput verifies a sort job's output against p and the input's
-// description in. The evidence is the streaming checkers' summaries when
-// sums is non-nil, the workers' materialized outputs otherwise. It runs
-// after the last timed stage, when every rank has gone idle, so the K
-// partition checks use every core.
-func verifyOutput(job *JobReport, p partition.Partitioner, in verify.Input, sums []verify.Summary) error {
+// verifyOutput closes the verification of a sort job's output against p
+// and the input's description in. Each partition was checked as its rank
+// reduced it — order and membership, by a verify.PartitionChecker fed
+// every block — and sums are the checkers' summaries, in rank order;
+// failed, when non-nil, is a partition check that failed. What is left is
+// the cross-partition and whole-input check over the summaries.
+func verifyOutput(job *JobReport, p partition.Partitioner, in verify.Input, sums []verify.Summary, failed error) error {
 	if err := checkSplitterAgreement(p, job.Workers); err != nil {
 		return err
 	}
-	var err error
-	if sums == nil {
-		outputs := make([]kv.Records, len(job.Workers))
-		for r, w := range job.Workers {
-			outputs[r] = w.Output
-		}
-		sums, err = verify.SortedOutput(outputs, p, in)
-	} else {
+	err := failed
+	if err == nil {
 		err = verify.CheckSummaries(sums, in)
 	}
 	if err != nil {
@@ -452,17 +468,18 @@ func checkSplitterAgreement(p partition.Partitioner, reports []WorkerReport) err
 // describeInput summarizes the input of a TCP job, which this process
 // neither holds nor hands out, for multiset verification: generated data is
 // described by regeneration, file-backed data by a streaming scan of the
-// part files — both on every core, in O(block) memory per core.
-func describeInput(spec Spec) (verify.Input, error) {
+// part files — both on every core, in O(block) memory per core. A canceled
+// ctx stops it between blocks with ctx's error.
+func describeInput(ctx context.Context, spec Spec) (verify.Input, error) {
 	if spec.InputDir == "" {
-		return verify.DescribeGenerated(kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows), nil
+		return verify.DescribeGeneratedContext(ctx, kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows)
 	}
 	parts := make([]verify.Input, spec.K)
 	if err := parallel.Do(runtime.GOMAXPROCS(0), spec.K, func(i int) error {
 		return extsort.ScanFile(extsort.PartFile(spec.InputDir, i), 1<<12, func(b kv.Records) error {
 			parts[i].Rows += int64(b.Len())
 			parts[i].Checksum += b.Checksum()
-			return nil
+			return ctx.Err()
 		})
 	}); err != nil {
 		return verify.Input{}, err

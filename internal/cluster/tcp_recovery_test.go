@@ -116,6 +116,28 @@ func TestTCPWorkerDeathFailsFast(t *testing.T) {
 	}
 }
 
+// TestTCPDeathStopsDescribing: the coordinator describes the input while
+// the job runs, so a job that fails fast must stop describing too. Rank 1
+// dies entering CodeGen, before any worker places its input, while the
+// coordinator has 200 GB of rows to regenerate: the verdict still
+// comes at once, and neither it nor a worker leaves a goroutine behind.
+func TestTCPDeathStopsDescribing(t *testing.T) {
+	leaks := snapshotLeaks()
+	start := time.Now()
+	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 2_000_000_000, Seed: 34,
+		Faults: []FaultSpec{{Rank: 1, Stage: "CodeGen", Kind: "kill"}}}
+	_, _, jobErr := runTCP(t, spec)
+	if jobErr == nil || !strings.Contains(jobErr.Error(), "rank 1 died") {
+		t.Fatalf("verdict does not name the dead rank: %v", jobErr)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("the verdict took %v: the input description outlived the job", elapsed)
+	}
+	if err := leaks.check(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTCPVerifyCatchesFaultyRank is TestVerifyCatchesFaultyRank over TCP,
 // where the output never reaches the coordinator: each worker checks its
 // own partition's order and membership and reports the digest it checked,

@@ -10,7 +10,6 @@ import (
 
 	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
-	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport/tcpnet"
 	"codedterasort/internal/verify"
@@ -98,7 +97,7 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	if err != nil {
 		return reportFailure(tx, assign.Rank, err)
 	}
-	check := verify.NewPartitionChecker(p, assign.Rank)
+	check := &outputCheck{PartitionChecker: verify.NewPartitionChecker(p, assign.Rank)}
 
 	mesh, err := tcpnet.NewWithListener(assign.Rank, assign.Addrs, meshLn)
 	if err != nil {
@@ -129,17 +128,14 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
 	go listenAbort(conn, mesh)
 
-	// A budget-bounded worker streams its sorted blocks through the checker
-	// as Reduce emits them; an in-memory one checks its partition once the
-	// timed stages are over. Either way the report carries the checked
-	// digest, which the coordinator totals against the input.
-	var sink func(kv.Records) error
-	if spec.MemBudget > 0 {
-		sink = check.Feed
-	}
-	rep, err := work(ep, spec, job.Local{}, sink, hooks)
-	if err == nil && sink == nil {
-		err = check.Feed(rep.Output)
+	// The worker streams its sorted blocks through the checker as Reduce
+	// emits them, in every mode, so the partition is never materialized.
+	// A failed check lets the job finish and is then the worker's failure
+	// report; otherwise the report carries the checked digest, which the
+	// coordinator totals against the input.
+	rep, err := work(ep, spec, job.Local{}, check.feed, hooks)
+	if err == nil {
+		err = check.failed
 	}
 	if err != nil {
 		var killed *engine.KilledError

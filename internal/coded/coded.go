@@ -74,6 +74,11 @@ const (
 	tagChunkAck  uint8 = 0x24
 )
 
+// reduceBlockRows is the block an in-memory Reduce gathers its output into
+// and hands an OutputSink: 400 KB, so the sink reads each block while it is
+// still in cache.
+const reduceBlockRows = 1 << 12
+
 // groupTag builds the unique tag of group-scoped traffic: the group's
 // strategy-scoped ID (colex rank under the clique scheme, tuple index under
 // resolvable designs; strategy validation caps it well inside 48 bits) plus
@@ -108,9 +113,10 @@ type Config struct {
 	Transform func(record []byte, emit func([]byte))
 	// OutputSink, when non-nil, receives the node's sorted partition as
 	// ascending record blocks during Reduce instead of it being
-	// materialized in Result.Output. The block passed to the sink is
-	// reused; the sink must not retain it. With MemBudget unset the whole
-	// partition arrives as one block.
+	// materialized in Result.Output: blocks of reduceBlockRows records in
+	// memory, of ChunkRows out of core. The block passed to the sink is
+	// reused; the sink must not retain it. An error from the sink fails
+	// the rank's Reduce.
 	OutputSink func(kv.Records) error
 	// Hooks observes each timed stage of the run — the instrumentation API
 	// the cluster runtime uses for its stage log. It sees exactly the
@@ -919,7 +925,9 @@ func compact(seg kv.Records) kv.Records {
 // in ascending sender order, where their packets arrived). The parts are
 // ordered by reference where they lie and each record is copied once, into
 // the output; equal keys keep that part order, rows ascending, at any
-// Parallelism setting. Then the node lets go of the files and packets.
+// Parallelism setting. With an OutputSink the output is gathered and handed
+// over reduceBlockRows at a time, never whole. Then the node lets go of
+// the files and packets.
 func (w *worker) reduceStage(ctx *engine.Context) error {
 	var parts []kv.View
 	for _, fi := range w.stored {
@@ -934,12 +942,13 @@ func (w *worker) reduceStage(ctx *engine.Context) error {
 	}
 	var order kv.Order
 	order.SortViews(ctx.Procs, parts...)
-	out := order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
-	w.store, w.decoded = nil, nil
-	w.result.OutputRows = int64(out.Len())
+	w.result.OutputRows = int64(order.Len())
+	var err error
 	if sink := w.cfg.OutputSink; sink != nil {
-		return sink(out)
+		err = order.GatherBlocks(reduceBlockRows, sink)
+	} else {
+		w.result.Output = order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
 	}
-	w.result.Output = out
-	return nil
+	w.store, w.decoded = nil, nil
+	return err
 }

@@ -111,6 +111,42 @@ func TestEndToEndSortsCorrectly(t *testing.T) {
 	}
 }
 
+// TestReduceStreamsToSink: with an OutputSink an in-memory Reduce never
+// materializes its partition — the sink sees ascending blocks of at most
+// reduceBlockRows records, the Result's Output stays empty, and the blocks
+// concatenate to exactly the sink-less Output — monolithic and chunked, at
+// r = 1 and r = 2. 40 000 rows make partitions of several blocks.
+func TestReduceStreamsToSink(t *testing.T) {
+	const k, rows, seed = 4, 40_000, 29
+	for _, chunk := range []int{0, 1500} {
+		for _, r := range []int{1, 2} {
+			spec := job.Spec{K: k, R: r, Rows: rows, Seed: seed, ChunkRows: chunk}
+			ref := runAll(t, cfgOf(spec))
+			streamed := make([]kv.Records, k)
+			results := runAllWith(t, cfgOf(spec), func(rank int, c *Config) {
+				c.OutputSink = func(block kv.Records) error {
+					if block.Len() > reduceBlockRows || !block.IsSorted() {
+						t.Errorf("chunk=%d r=%d rank %d: block of %d rows, sorted %v",
+							chunk, r, rank, block.Len(), block.IsSorted())
+					}
+					streamed[rank] = streamed[rank].AppendRecords(block)
+					return nil
+				}
+			})
+			for rank, res := range results {
+				if res.Output.Len() != 0 || res.OutputRows != int64(streamed[rank].Len()) {
+					t.Fatalf("chunk=%d r=%d rank %d: Output holds %d rows with a sink, %d reported, %d streamed",
+						chunk, r, rank, res.Output.Len(), res.OutputRows, streamed[rank].Len())
+				}
+				if streamed[rank].Len() <= reduceBlockRows || !streamed[rank].Equal(ref[rank].Output) {
+					t.Fatalf("chunk=%d r=%d rank %d: %d streamed rows are not the sink-less output",
+						chunk, r, rank, streamed[rank].Len())
+				}
+			}
+		}
+	}
+}
+
 func TestMatchesSequentialSort(t *testing.T) {
 	for _, spec := range []job.Spec{
 		{K: 3, R: 1, Rows: 900, Seed: 7},

@@ -243,6 +243,21 @@ func (o *Order) Gather(dst Records, from, to int) Records {
 	return dst
 }
 
+// GatherBlocks hands the sorted records to fn in order, blockRows at a
+// time, each block gathered into one buffer reused for every block, so the
+// sorted records are never resident together. fn must not retain its
+// block. It returns fn's first error.
+func (o *Order) GatherBlocks(blockRows int, fn func(Records) error) error {
+	block := MakeRecords(min(blockRows, o.Len()))
+	for from := 0; from < o.Len(); from += blockRows {
+		block = o.Gather(Records{buf: block.buf[:0]}, from, min(from+blockRows, o.Len()))
+		if err := fn(block); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Permute moves the records of the one buffer ordered into sorted order in
 // place, following the permutation's cycles: one copy per record and no
 // record-sized scratch. It consumes the order.

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -140,6 +141,38 @@ func TestGatherWindowsTile(t *testing.T) {
 		if mid := o.Gather(Records{}, 100, 4321); !mid.Equal(want.Slice(100, 4321)) {
 			t.Fatalf("procs=%d: window [100, 4321) is not that slice of the output", procs)
 		}
+	}
+}
+
+// TestGatherBlocksTile: GatherBlocks hands over the output in order, in
+// full blocks but the last, all in one buffer, and stops at fn's error.
+func TestGatherBlocksTile(t *testing.T) {
+	parts := splitInto(NewGenerator(13, DistZipf).Generate(0, 10000), 3, rand.New(rand.NewSource(9)))
+	want := stableReference(parts)
+	var o Order
+	o.Sort(4, parts...)
+	for _, blockRows := range []int{1, 999, 4096, 10000, 20000} {
+		var got Records
+		var first *byte
+		err := o.GatherBlocks(blockRows, func(b Records) error {
+			if first == nil {
+				first = &b.Bytes()[0]
+			}
+			if &b.Bytes()[0] != first || b.Len() > blockRows || b.Len() < blockRows && got.Len()+b.Len() != o.Len() {
+				t.Fatalf("blockRows=%d: block of %d rows at row %d is not the reused buffer's next full block",
+					blockRows, b.Len(), got.Len())
+			}
+			got = got.AppendRecords(b)
+			return nil
+		})
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("blockRows=%d: blocks do not tile the output (err %v)", blockRows, err)
+		}
+	}
+	stop := errors.New("stop")
+	calls := 0
+	if err := o.GatherBlocks(100, func(Records) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("GatherBlocks returned %v after %d calls, want the sink's error after 1", err, calls)
 	}
 }
 

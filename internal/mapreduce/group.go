@@ -8,8 +8,8 @@ import (
 )
 
 // grouper is the streaming group-reduce driver: it consumes the engine's
-// sorted reduce stream (whole partition in one block in-memory, ascending
-// merge blocks out-of-core) through the OutputSink hook, detects key-group
+// sorted reduce stream (ascending blocks, gathered in memory or merged out
+// of core) through the OutputSink hook, detects key-group
 // boundaries — groups may span block boundaries — and invokes the Reducer
 // once per group with the group's values in canonical ascending order.
 // Blocks are copied as they arrive (the engines reuse the sink buffer), but

@@ -95,12 +95,15 @@ func TestMaterializeRefusesBadBounds(t *testing.T) {
 }
 
 // TestMaterializeCanceled: a canceled context stops the loop with the
-// context's error and no files.
+// context's error and no files, in both forms.
 func TestMaterializeCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	files, _, err := Materialize(ctx, kv.NewGenerator(1, kv.DistUniform), []int64{0, 5000, 10000})
 	if !errors.Is(err, context.Canceled) || files != nil {
 		t.Fatalf("canceled materialize: %d files, err %v", len(files), err)
+	}
+	if _, err := DescribeGeneratedContext(ctx, kv.NewGenerator(1, kv.DistUniform), 10000); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled describe: err %v", err)
 	}
 }

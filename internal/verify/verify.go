@@ -5,20 +5,22 @@
 // invariants that make (Q_1, ..., Q_K) "the final sorted list of the entire
 // input data" (paper Section III-A5).
 //
-// Two entry points share one implementation: SortedOutput checks fully
-// materialized partitions, and PartitionChecker consumes a partition as a
-// stream of ascending blocks — the verification path of the out-of-core
-// engines, whose sorted output is never resident in memory. Feeding blocks
-// costs O(block) memory; the per-partition residue is a Summary (rows,
-// multiset checksum, min and max key), and CheckSummaries closes the
-// cross-partition and whole-input checks over those summaries alone.
+// PartitionChecker consumes a partition as a stream of ascending blocks —
+// the one way the runtime verifies a sort's output, fed by each rank's
+// Reduce as it emits, so no sorted partition is ever resident whole.
+// SortedOutput is its special case for partitions already materialized,
+// each fed as one block. Feeding blocks costs O(block) memory; the
+// per-partition residue is a Summary (rows, multiset checksum, min and max
+// key), and CheckSummaries closes the cross-partition and whole-input
+// checks over those summaries alone.
 //
 // The input side is an Input (rows and multiset checksum). Generated input
 // is described by one generate-and-describe loop in two forms: Materialize
 // keeps the generated files, which is how the in-process runtime creates an
 // in-memory job's input and its description in one pass before any rank
-// runs; DescribeGenerated keeps nothing, for the TCP coordinator. An
-// in-process out-of-core job's input is described by the runtime as it
+// runs; DescribeGenerated keeps nothing, and the TCP coordinator runs its
+// cancelable form, DescribeGeneratedContext, while the job's workers run.
+// An in-process out-of-core job's input is described by the runtime as it
 // hands each block to a rank, and each output by the checker it passes
 // through: the engine reports no digest of its own.
 package verify
@@ -56,9 +58,17 @@ const describeBlockRows = 1 << 12
 // without holding them: the streaming form of Materialize, which fills and
 // digests every piece in one reused buffer per core.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
-	// One file from row 0 is valid bounds, and Background never cancels.
-	_, in, _ := generate(context.Background(), g, []int64{0, max(rows, 0)}, false)
+	// Background never cancels.
+	in, _ := DescribeGeneratedContext(context.Background(), g, rows)
 	return in
+}
+
+// DescribeGeneratedContext is DescribeGenerated stopped by a canceled ctx
+// between pieces, returning ctx's error.
+func DescribeGeneratedContext(ctx context.Context, g *kv.Generator, rows int64) (Input, error) {
+	// One file from row 0 is valid bounds.
+	_, in, err := generate(ctx, g, []int64{0, max(rows, 0)}, false)
+	return in, err
 }
 
 // Materialize generates the files of generator rows cut at bounds — file i
