@@ -561,7 +561,11 @@ func BenchmarkAblationReduceSortOrder(b *testing.B) {
 // filtered records, coded vs uncoded.
 func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 	// The first 8 value bytes hold the row id; filler text starts after.
-	match := func(rec []byte) bool { return rec[kv.KeySize+8] == 'Q' }
+	match := func(rec []byte, emit func([]byte)) {
+		if rec[kv.KeySize+8] == 'Q' {
+			emit(rec)
+		}
+	}
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(4)
@@ -576,7 +580,7 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 				go func(rank int) {
 					defer wg.Done()
 					ep := transport.WithCollectives(mesh.Endpoint(rank))
-					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Filter: match})
+					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Transform: match})
 					if err != nil {
 						b.Error(err)
 						return

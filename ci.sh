@@ -1,7 +1,7 @@
 #!/bin/sh
 # The standard gate: build + vet + gofmt cleanliness + staticcheck (when
 # installed) + docs gate (every package/command carries a godoc comment) +
-# race-enabled tests in shuffled order + the bench module's own tests +
+# the README smoke + race-enabled tests in shuffled order + the bench module's own tests +
 # the coverage floor + the end-to-end service smoke, plus a govulncheck
 # pass against the known-vulnerability database when the tool is installed
 # (CI installs it; offline machines skip with a notice).
@@ -9,7 +9,7 @@
 set -eux
 # Program size (mirrors `make loc-delta`): non-test Go lines outside bench/,
 # beside the figure of the last simplicity PR's parent.
-loc_parent=14675
+loc_parent=14736
 loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "loc: $loc non-test lines (parent $loc_parent, $((loc - loc_parent)))"
 go build ./...
@@ -20,8 +20,7 @@ if command -v staticcheck >/dev/null 2>&1; then
 else
 	echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"
 fi
-# Docs gate. (The examples compile smoke needs no separate step here:
-# `go build ./...` and `go vet ./...` above already cover examples/.)
+# Docs gate.
 for dir in $(go list -f '{{.Dir}}' ./...); do
 	files=$(find "$dir" -maxdepth 1 -name '*.go' ! -name '*_test.go')
 	if ! grep -qE '^// (Package|Command) ' $files; then
@@ -29,6 +28,10 @@ for dir in $(go list -f '{{.Dir}}' ./...); do
 		exit 1
 	fi
 done
+# README smoke (mirrors `make examples-smoke`): every `go run ./cmd/...`
+# line of README.md, run in order with a small -rows; a non-zero exit or
+# validated=false fails. sortd/sortctl lines are the service smoke's.
+./scripts/readme_smoke.sh
 go test -race -shuffle=on ./...
 # Large-K smoke (mirrors `make largek-smoke`): the K=64 resolvable sort
 # over multiplexed logical ranks, checksum-tied to the uncoded oracle. The

@@ -21,7 +21,6 @@ import (
 
 	"codedterasort/cmd/internal/flags"
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/job"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/stats"
 )
@@ -51,9 +50,10 @@ func register(fs *flag.FlagSet) *options {
 }
 
 // job builds the selected kernel's job: the kernel's functions and corpus
-// under the flags' spec. An empty alg leaves -r to pick coded (r >= 2) or
-// uncoded execution; job.AlgTeraSort is the -compare baseline.
-func (o *options) job(alg job.Algorithm) (mapreduce.Kernel, mapreduce.Job, error) {
+// under the flags' spec, where -r picks coded (r >= 2) or uncoded
+// execution. With base it is the -compare baseline: the same flags at
+// r = 1 on clique placement.
+func (o *options) job(base bool) (mapreduce.Kernel, mapreduce.Job, error) {
 	kern, ok := mapreduce.Lookup(o.kernel)
 	if !ok {
 		return kern, mapreduce.Job{}, fmt.Errorf("unknown kernel %q (try -list)", o.kernel)
@@ -61,7 +61,11 @@ func (o *options) job(alg job.Algorithm) (mapreduce.Kernel, mapreduce.Job, error
 	if kern.Name == "grep" {
 		kern = mapreduce.Grep(o.pattern)
 	}
-	spec := o.j.For(alg)
+	j := o.j
+	if base {
+		j.R, j.Placement = 1, ""
+	}
+	spec := j.ToSpec()
 	mr := kern.Job(spec.K, spec.R, spec.Rows, spec.Seed)
 	mr.Spec = spec
 	return kern, mr, nil
@@ -78,7 +82,7 @@ func main() {
 		}
 		return
 	}
-	kern, mr, err := o.job("")
+	kern, mr, err := o.job(false)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codedmr:", err)
 		os.Exit(1)
@@ -100,7 +104,7 @@ func main() {
 	}
 
 	if o.compare {
-		_, base, _ := o.job(job.AlgTeraSort)
+		_, base, _ := o.job(true)
 		baseRep, err := mapreduce.RunLocal(base)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "codedmr: baseline:", err)

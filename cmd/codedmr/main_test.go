@@ -12,14 +12,14 @@ import (
 )
 
 // parse runs codedmr's flag-to-job path on args.
-func parse(t *testing.T, alg job.Algorithm, args ...string) mapreduce.Job {
+func parse(t *testing.T, base bool, args ...string) mapreduce.Job {
 	t.Helper()
 	fs := flag.NewFlagSet("codedmr", flag.ContinueOnError)
 	o := register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	_, mr, err := o.job(alg)
+	_, mr, err := o.job(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func rangeOrdered(rep *cluster.JobReport) bool {
 // range-ordered by them.
 func TestPartitionFlagsReachTheEngine(t *testing.T) {
 	args := []string{"-kernel", "wordcount", "-k", "4", "-r", "2", "-rows", "3000", "-procs", "1"}
-	hashed, err := mapreduce.RunLocal(parse(t, "", args...))
+	hashed, err := mapreduce.RunLocal(parse(t, false, args...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rangeOrdered(hashed) {
 		t.Fatal("degenerate test: the hash-partitioned run is already range-ordered")
 	}
-	mr := parse(t, "", append(args, "-partition", "sample", "-samples", "400")...)
+	mr := parse(t, false, append(args, "-partition", "sample", "-samples", "400")...)
 	if mr.Partitioning != "sample" || mr.SampleSize != 400 {
 		t.Fatalf("job lost the partitioning flags: %+v", mr.Spec)
 	}
@@ -77,7 +77,7 @@ func TestPartitionFlagsReachTheEngine(t *testing.T) {
 // TestEveryJobFlagReachesTheJob: the rest of the shared surface, at its
 // spec field; -strategy is honoured or refused, never dropped.
 func TestEveryJobFlagReachesTheJob(t *testing.T) {
-	mr := parse(t, "", "-k", "6", "-r", "3", "-strategy", "resolvable", "-dist", "zipf",
+	mr := parse(t, false, "-k", "6", "-r", "3", "-strategy", "resolvable", "-dist", "zipf",
 		"-rate", "50", "-permsg", "1ms", "-chunk", "64", "-window", "2", "-membudget", "65536",
 		"-spilldir", "/tmp/x", "-procs", "2", "-stragglers", "4", "-straggler-rank", "1", "-max-attempts", "2",
 		"-deadline", "3s")
@@ -93,14 +93,14 @@ func TestEveryJobFlagReachesTheJob(t *testing.T) {
 	}
 	// The -compare baseline is the same job as TeraSort: coded-only knobs
 	// dropped, everything else held.
-	base := parse(t, job.AlgTeraSort, "-k", "6", "-r", "3", "-strategy", "resolvable", "-chunk", "64").Spec
+	base := parse(t, true, "-k", "6", "-r", "3", "-strategy", "resolvable", "-chunk", "64").Spec
 	if base.Algorithm != job.AlgTeraSort || base.R != 0 || base.Placement != "" || base.ChunkRows != 64 {
 		t.Fatalf("baseline spec: %+v", base)
 	}
-	if _, err := mapreduce.RunLocal(parse(t, "", "-strategy", "nosuch", "-rows", "100")); err == nil {
+	if _, err := mapreduce.RunLocal(parse(t, false, "-strategy", "nosuch", "-rows", "100")); err == nil {
 		t.Fatal("-strategy nosuch accepted")
 	}
-	if _, err := mapreduce.RunLocal(parse(t, "", "-k", "5", "-r", "2", "-strategy", "resolvable", "-rows", "100")); err == nil {
+	if _, err := mapreduce.RunLocal(parse(t, false, "-k", "5", "-r", "2", "-strategy", "resolvable", "-rows", "100")); err == nil {
 		t.Fatal("infeasible -strategy resolvable accepted")
 	}
 }

@@ -5,8 +5,11 @@
 //
 // Usage:
 //
-//	coordinator -listen :7077 -alg codedterasort -k 4 -r 2 -rows 1000000
+//	coordinator -listen :7077 -k 4 -r 2 -rows 1000000
 //	(then start 4 `worker -coord host:7077` processes)
+//
+// -r picks the algorithm: the default job is CodedTeraSort at r = 2, and
+// -r 1 runs TeraSort.
 //
 // The job runs under the same supervisor as an in-process run. Workers
 // stream per-stage progress, and a worker that dies aborts the attempt
@@ -32,14 +35,13 @@ import (
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7077", "address to accept worker registrations on")
-	alg := flag.String("alg", "codedterasort", "algorithm: terasort or codedterasort")
 	var j flags.Job
 	j.RegisterCommon(flag.CommandLine, 4)
 	j.RegisterCoded(flag.CommandLine, 2)
 	j.RegisterFaults(flag.CommandLine)
 	flag.Parse()
 
-	spec := j.For(cluster.Algorithm(*alg))
+	spec := j.ToSpec()
 	coord, err := cluster.NewCoordinator(*listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "coordinator:", err)

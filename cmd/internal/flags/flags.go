@@ -1,8 +1,8 @@
 // Package flags centralizes the job-spec flag surface shared by the run
-// binaries (terasort, codedterasort, coordinator, worker, codedmr, sortctl).
-// Each flag has one canonical name, default and usage string and binds
-// straight onto its job.Spec field, so a registered flag cannot fail to
-// reach the job.
+// binaries (codedterasort, coordinator, worker, codedmr, sortctl). Each
+// flag has one canonical name, default and usage string and binds straight
+// onto its job.Spec field, so a registered flag cannot fail to reach the
+// job. -r is the one algorithm selector: TeraSort is the job at r = 1.
 package flags
 
 import (
@@ -16,8 +16,8 @@ import (
 const ProcsUsage = "per-worker compute goroutines for the map/sort/code hot paths (0 = all cores, 1 = sequential); output is identical at any setting"
 
 // Job is the flag target: the job spec the Register* calls bind a FlagSet
-// onto. After Parse the fields hold the flag values as typed; For yields
-// the spec to run.
+// onto. After Parse the fields hold the flag values as typed; ToSpec
+// yields the spec to run.
 type Job struct {
 	job.Spec
 }
@@ -45,10 +45,10 @@ func (j *Job) RegisterCommon(fs *flag.FlagSet, defaultK int) {
 	j.RegisterProcs(fs, ProcsUsage)
 }
 
-// RegisterCoded binds the CodedTeraSort-only flags: the redundancy
-// parameter and the placement/coding strategy.
+// RegisterCoded binds the redundancy parameter, which also selects the
+// algorithm (r = 1 is TeraSort), and the placement/coding strategy.
 func (j *Job) RegisterCoded(fs *flag.FlagSet, defaultR int) {
-	fs.IntVar(&j.R, "r", defaultR, "redundancy parameter (each file mapped on r nodes)")
+	fs.IntVar(&j.R, "r", defaultR, "redundancy parameter (each file mapped on r nodes; 1 = TeraSort)")
 	fs.StringVar(&j.Placement, "strategy", "",
 		"placement/coding strategy: clique (the paper's scheme, default) or resolvable (q^(r-1) subfiles and far fewer groups at large K; needs K divisible by r)")
 }
@@ -66,7 +66,7 @@ func (j *Job) RegisterFaults(fs *flag.FlagSet) {
 		"recovery attempt cap: total job executions, first run included (0 = default: 3 with -deadline, else 1)")
 }
 
-// RegisterInDir binds the file-backed input flag (TeraSort only).
+// RegisterInDir binds the file-backed input flag (valid at r = 1 only).
 func (j *Job) RegisterInDir(fs *flag.FlagSet) {
 	fs.StringVar(&j.InputDir, "indir", "", "read input from the part files teragen -disk wrote here instead of generating it")
 }
@@ -77,20 +77,19 @@ func (j *Job) RegisterProcs(fs *flag.FlagSet, usage string) {
 	fs.IntVar(&j.Parallelism, "procs", 0, usage)
 }
 
-// For returns the parsed flags as a job spec for the given algorithm.
-// -stragglers at or below 1 means healthy, and TeraSort specs drop the
-// coded-only knobs (coded ones the TeraSort-only -indir) so identical flag
-// sets produce valid specs for either engine (the -compare path).
-func (j *Job) For(alg job.Algorithm) job.Spec {
+// ToSpec returns the parsed flags as a job spec: TeraSort (R 0) at r = 1,
+// CodedTeraSort at any other r, which Resolve checks. -stragglers at or
+// below 1 means healthy. The input dir and the placement are kept on every
+// spec, so a coded job refuses an input dir and a TeraSort job a non-clique
+// placement, instead of either flag being dropped on the way.
+func (j *Job) ToSpec() job.Spec {
 	spec := j.Spec
-	spec.Algorithm = alg
+	spec.Algorithm = job.AlgCoded
+	if spec.R == 1 {
+		spec.Algorithm, spec.R = job.AlgTeraSort, 0
+	}
 	if spec.StragglerFactor <= 1 {
 		spec.StragglerFactor, spec.StragglerRank = 0, 0
-	}
-	if alg == job.AlgTeraSort {
-		spec.R, spec.Placement = 0, ""
-	} else {
-		spec.InputDir = ""
 	}
 	return spec
 }

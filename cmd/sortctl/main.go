@@ -1,12 +1,13 @@
 // Command sortctl is the client for a running sortd: it submits jobs,
 // watches them, lists a tenant's work, scrapes metrics and triggers
 // graceful drain — the same HTTP JSON API the service tests and the CI
-// smoke exercise, packaged for operators.
+// smoke exercise, packaged for operators. -r picks a submitted job's
+// algorithm: a bare submit is TeraSort (r = 1), -r 2 and up CodedTeraSort.
 //
 // Usage:
 //
 //	sortctl submit -addr 127.0.0.1:8371 -tenant acme -rows 100000 -wait
-//	sortctl submit -tenant acme -coded -r 3 -k 6 -rows 200000
+//	sortctl submit -tenant acme -r 3 -k 6 -rows 200000
 //	sortctl status -id job-000001
 //	sortctl wait -id job-000001 -timeout 5m
 //	sortctl list -tenant acme
@@ -95,22 +96,17 @@ func cmdSubmit(args []string) error {
 	fs := flag.NewFlagSet("sortctl submit", flag.ExitOnError)
 	addr, timeout := common(fs)
 	tenantName := fs.String("tenant", "default", "tenant submitting the job")
-	coded := fs.Bool("coded", false, "run CodedTeraSort instead of the uncoded baseline")
 	wait := fs.Bool("wait", false, "block until the job finishes and print its final status")
 	var faults faultFlags
 	fs.Var(&faults, "fault", "inject a fault as rank:stage:kind (repeatable; kind kill or slow, pair with -deadline and -max-attempts for recovery)")
 	var job jobflags.Job
 	job.RegisterCommon(fs, 4)
-	job.RegisterCoded(fs, 2)
+	job.RegisterCoded(fs, 1)
 	job.RegisterFaults(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	alg := cluster.AlgTeraSort
-	if *coded {
-		alg = cluster.AlgCoded
-	}
-	spec := job.For(alg)
+	spec := job.ToSpec()
 	spec.Faults = faults.specs
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()

@@ -10,7 +10,8 @@
 // inventory, the streaming-pipeline design notes, and the out-of-core
 // external sort: internal/extsort provides spill-to-disk run generation
 // and the loser-tree merge behind the MemBudget knob),
-// with runnable binaries under cmd/ and worked examples under examples/.
+// with runnable binaries under cmd/, whose README.md lines CI runs as the
+// worked examples. TeraSort is cmd/codedterasort at -r 1.
 // A job is described once: internal/job's Spec — (K, r, input, network)
 // plus every runtime knob — is the engine's configuration, the cluster
 // spec, the JSON on the wire, the sortd job body and the struct the shared

@@ -97,19 +97,15 @@ type Config struct {
 	job.Spec
 	// Local attaches an explicit partitioner or in-memory input files.
 	job.Local
-	// Filter, when non-nil, keeps only records it accepts during the Map
-	// stage — the "Beyond Sorting" hook (paper Section VI): Grep selects in
-	// Map and shuffles only (coded) matches. The function must be pure and
+	// Transform, when non-nil, rewrites each input record into zero or
+	// more intermediate records during the Map stage — the "Beyond
+	// Sorting" hook (paper Section VI) behind internal/mapreduce: the
+	// shuffle moves whatever records the transform emits, so a Grep that
+	// emits only its matches shuffles only (coded) matches. Each emitted
+	// record must be kv.RecordSize bytes. The function must be pure and
 	// identical on all workers, because every replica of a file must
 	// produce identical intermediate values for the XOR cancellation to
 	// hold.
-	Filter func(record []byte) bool
-	// Transform, when non-nil, rewrites each surviving input record into
-	// zero or more intermediate records during the Map stage (after
-	// Filter) — the general map hook behind internal/mapreduce: the shuffle
-	// moves whatever records the transform emits. Each emitted record must
-	// be kv.RecordSize bytes. Pure and identical on all workers, like
-	// Filter.
 	Transform func(record []byte, emit func([]byte))
 	// OutputSink, when non-nil, receives the node's sorted partition as
 	// ascending record blocks during Reduce instead of it being
@@ -434,18 +430,9 @@ func (w *worker) codeGenStage(ctx *engine.Context) error {
 	return nil
 }
 
-// mapRecords applies the Map-stage record hooks in order: Filter selects,
-// Transform rewrites. Both nil returns r unchanged (aliased).
+// mapRecords applies the Map-stage record hook, Transform. A nil hook
+// returns r unchanged (aliased).
 func (w *worker) mapRecords(r kv.Records) kv.Records {
-	if keep := w.cfg.Filter; keep != nil {
-		out := kv.MakeRecords(r.Len())
-		for i := 0; i < r.Len(); i++ {
-			if keep(r.Record(i)) {
-				out = out.Append(r.Record(i))
-			}
-		}
-		r = out
-	}
 	return kv.TransformRecords(r, w.cfg.Transform)
 }
 

@@ -24,6 +24,16 @@ func cfgOf(s job.Spec) Config {
 	return Config{Spec: s}
 }
 
+// selecting is the Transform that keeps the records keep accepts: a
+// selecting Map, such as Grep's.
+func selecting(keep func(rec []byte) bool) func(rec []byte, emit func([]byte)) {
+	return func(rec []byte, emit func([]byte)) {
+		if keep(rec) {
+			emit(rec)
+		}
+	}
+}
+
 // runAll executes a full sort over an in-memory mesh and returns all worker
 // results.
 func runAll(t *testing.T, cfg Config) []Result {
@@ -257,16 +267,25 @@ func TestSkewedInputWithSampledPartitioner(t *testing.T) {
 }
 
 func TestGroupCount(t *testing.T) {
-	// Each node belongs to C(K-1, r) multicast groups.
-	cfg := cfgOf(job.Spec{K: 6, R: 2, Rows: 600, Seed: 1})
-	results := runAll(t, cfg)
-	want := int(combin.Binomial(5, 2))
-	for rank, res := range results {
-		if res.Groups != want {
-			t.Fatalf("rank %d in %d groups, want %d", rank, res.Groups, want)
+	// Each node belongs to C(K-1, r) multicast groups and multicasts one
+	// packet in each. K = 3, r = 2 is the paper's Fig 1b: one group, one
+	// packet per node, three in all.
+	for _, c := range []struct{ k, r, rows int }{{6, 2, 600}, {3, 2, 60000}} {
+		cfg := cfgOf(job.Spec{K: c.k, R: c.r, Rows: int64(c.rows), Seed: 1})
+		results := runAll(t, cfg)
+		want := int(combin.Binomial(c.k-1, c.r))
+		var packets int64
+		for rank, res := range results {
+			if res.Groups != want {
+				t.Fatalf("K=%d r=%d: rank %d in %d groups, want %d", c.k, c.r, rank, res.Groups, want)
+			}
+			if res.SentOps != int64(want) {
+				t.Fatalf("K=%d r=%d: rank %d multicast %d packets, want %d", c.k, c.r, rank, res.SentOps, want)
+			}
+			packets += res.SentOps
 		}
-		if res.SentOps != int64(want) {
-			t.Fatalf("rank %d multicast %d packets, want %d", rank, res.SentOps, want)
+		if wantAll := int64(c.k * want); packets != wantAll {
+			t.Fatalf("K=%d r=%d: %d packets in all, want %d", c.k, c.r, packets, wantAll)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestFilterGrep(t *testing.T) {
 	}
 	for _, r := range []int{1, 2} {
 		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
-		cfg.Filter = match
+		cfg.Transform = selecting(match)
 		results := runAll(t, cfg)
 		if got := allOutput(results); !got.Equal(want) {
 			t.Fatalf("r=%d grep: %d records, want %d", r, got.Len(), want.Len())
@@ -99,7 +99,7 @@ func TestFilterShrinksShuffle(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
 		full := runAll(t, cfg)
-		cfg.Filter = func(rec []byte) bool { return rec[0] < 0x20 } // ~1/8 of records
+		cfg.Transform = selecting(func(rec []byte) bool { return rec[0] < 0x20 }) // ~1/8 of records
 		filtered := runAll(t, cfg)
 		var fullBytes, filteredBytes int64
 		for i := range full {
@@ -114,7 +114,7 @@ func TestFilterShrinksShuffle(t *testing.T) {
 
 func TestFilterRejectAll(t *testing.T) {
 	cfg := cfgOf(job.Spec{K: 4, R: 2, Rows: 400, Seed: 35})
-	cfg.Filter = func([]byte) bool { return false }
+	cfg.Transform = selecting(func([]byte) bool { return false })
 	results := runAll(t, cfg)
 	for rank, res := range results {
 		if res.Output.Len() != 0 {

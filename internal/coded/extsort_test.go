@@ -99,13 +99,13 @@ func TestBudgetStreamsToSink(t *testing.T) {
 	}
 }
 
-// TestBudgetWithFilterRelayed: the budget path composes with the coded
-// Grep filter when every chunk relays through two members of its group.
+// TestBudgetWithFilterRelayed: the budget path composes with a coded
+// Grep (a selecting Map Transform) when every chunk relays through two members of its group.
 func TestBudgetWithFilterRelayed(t *testing.T) {
 	const k, r, rows, seed = 4, 3, 3000, 67
 	match := func(rec []byte) bool { return rec[kv.KeySize+8]%2 == 0 }
 	base := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
-	base.Filter = match
+	base.Transform = selecting(match)
 	ref := runAll(t, base)
 	cfg := base
 	cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()

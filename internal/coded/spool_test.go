@@ -15,14 +15,14 @@ import (
 // R = 1 groups have two members, so remote-bound intermediate values go to
 // per-group disk spools instead of the in-memory store.
 
-// TestBudgetWithFilterAndSkew: the budget path composes with the Map
-// filter and the skewed distribution (uneven partition sizes stress the
+// TestBudgetWithFilterAndSkew: the budget path composes with a selecting
+// Map Transform and the skewed distribution (uneven partition sizes stress the
 // empty-stream and tiny-run paths).
 func TestBudgetWithFilterAndSkew(t *testing.T) {
 	const k, rows, seed = 5, 5000, 37
 	match := func(rec []byte) bool { return rec[kv.KeySize+8]%3 == 0 }
 	base := cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed, DistName: "skewed"})
-	base.Filter = match
+	base.Transform = selecting(match)
 	ref := runAll(t, base)
 	cfg := base
 	cfg.MemBudget, cfg.SpillDir = 8*1024, t.TempDir()

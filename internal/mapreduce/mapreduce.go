@@ -51,10 +51,11 @@ import (
 type Emit func(key, value []byte)
 
 // Mapper is the user map function: it consumes one input record and emits
-// zero or more intermediate records. The same contract the engines' Filter
-// hook carries applies: Map must be pure and identical on all workers,
-// because under coded execution every replica of an input split must
-// produce identical intermediate values for the XOR cancellation to hold.
+// zero or more intermediate records. The same contract the engines'
+// Transform hook carries applies: Map must be pure and identical on all
+// workers, because under coded execution every replica of an input split
+// must produce identical intermediate values for the XOR cancellation to
+// hold.
 type Mapper interface {
 	Map(record []byte, emit Emit)
 }

@@ -1,9 +1,9 @@
 // Package tenant is the multi-tenant admission-control subsystem of the
 // sort service: per-tenant token-bucket rate limits, queue and concurrency
 // caps, scheduling priorities, and the counters behind the service's
-// per-tenant metrics. It grew out of examples/ratelimited's traffic-shaped
-// token bucket: what that example applies to a single worker's egress,
-// this package applies to whole jobs competing for the shared worker pool
+// per-tenant metrics. It grew out of the -rate egress cap's token bucket:
+// what that cap applies to a single worker's egress, this package
+// applies to whole jobs competing for the shared worker pool
 // — the compute-versus-communication budget the Fundamental Tradeoff line
 // of work frames, arbitrated across tenants instead of within one job.
 package tenant

@@ -43,11 +43,11 @@ SUBMIT=("${CTL[@]}" submit -addr "$ADDR" -timeout 120s -wait)
 echo "== submit 4 concurrent jobs from 2 tenants"
 "${SUBMIT[@]}" -tenant acme -k 3 -rows 30000 >"$WORK/job1.json" 2>&1 &
 P1=$!
-"${SUBMIT[@]}" -tenant acme -coded -k 3 -r 2 -rows 30000 >"$WORK/job2.json" 2>&1 &
+"${SUBMIT[@]}" -tenant acme -k 3 -r 2 -rows 30000 >"$WORK/job2.json" 2>&1 &
 P2=$!
 "${SUBMIT[@]}" -tenant guest -k 3 -rows 20000 -membudget 65536 -spilldir "$WORK/spill" >"$WORK/job3.json" 2>&1 &
 P3=$!
-"${SUBMIT[@]}" -tenant guest -coded -k 3 -r 2 -rows 20000 \
+"${SUBMIT[@]}" -tenant guest -k 3 -r 2 -rows 20000 \
     -fault 1:Map:kill -deadline 500ms -max-attempts 2 >"$WORK/job4.json" 2>&1 &
 P4=$!
 
