@@ -32,16 +32,18 @@
 // packet relays down a chain of its group (transport.ChainBcast), so the
 // root's egress carries it once and members forward it on their own links
 // while the next root sends. The engine writes out, as a plain list per
-// execution mode, the fixed stage sequence the paper runs (CodeGen, Map,
-// Pack/Encode, Shuffle, Unpack/Decode, Reduce), and internal/engine, the
-// execution runtime, walks the monolithic, chunk-streaming or out-of-core
-// list, the mode read off the job spec. The scheduler
+// execution mode, the paper's fixed stage sequence (CodeGen, Map,
+// Pack/Encode, Shuffle, Reduce, with Unpack/Decode inside the Shuffle:
+// each packet is decoded as it arrives, and a reducer orders the
+// partition while the wire is busy), and internal/engine, the execution
+// runtime, walks the monolithic, chunk-streaming or out-of-core list, the
+// mode read off the job spec. The scheduler
 // is the one place a stage is measured: it charges the per-stage breakdown
 // and reports the same event to one stage hook, which feeds the cluster
 // stage log in process and over TCP alike — the engine contributes only
 // placement, codecs and shuffle topology (DESIGN.md sections 3 and 10).
 // Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, the sort kernel (Reduce and
-// spill runs alike) and per-group packet encode/decode on deterministic parallel
+// spill runs alike) and per-group packet encode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any
 // goroutine count.
 // Execution is straggler-resilient: the cluster runtime supervises every

@@ -27,6 +27,10 @@ var jobCorpus = []uint64{
 	// the directory its rank was removing (4 runs in 600 of this seed, on a
 	// loaded host).
 	401262,
+	// Kills at Map of monolithic jobs: a draw picks its fault column by
+	// index, and the monolithic schedule lost its Unpack/Decode column when
+	// decoding moved into the Shuffle.
+	32, 818,
 }
 
 // TestJobCorpusCells runs no job: it checks that the seed corpus draws

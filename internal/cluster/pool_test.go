@@ -200,8 +200,8 @@ func TestRunLocalOptsOnStage(t *testing.T) {
 		t.Fatal("the failed attempt left no records in the live feed")
 	}
 	// The clean re-execution records every stage of every rank:
-	// 3 ranks x 5 TeraSort stages.
-	if attempts2 != spec.K*5 {
+	// 3 ranks x 4 TeraSort stages (Map, Pack, Shuffle, Reduce).
+	if attempts2 != spec.K*4 {
 		t.Fatalf("attempt-2 records = %d, want %d", attempts2, spec.K*5)
 	}
 	var runs int64

@@ -26,11 +26,14 @@
 //     root sends it once and every member forwards it to the next. The
 //     member just above the root is the tail, so the next root only
 //     receives its predecessor's packets and takes the wire on a free link.
-//  6. Decode — cancel known segments from received packets to recover the
-//     needed intermediate values (Algorithm 2), in the received buffer.
-//  7. Reduce — locally sort partition k: order references to the records
+//     Each packet is decoded as it arrives — known segments cancelled to
+//     recover the needed intermediate value (Algorithm 2), in the received
+//     buffer — and handed to the node's reducer.
+//  6. Reduce — locally sort partition k: order references to the records
 //     where they lie, in the files and the decoded packets, and gather each
-//     one once into the output.
+//     one once into the output. The reducer starts with the Shuffle: it
+//     orders each batch of arrived shares as a sorted run while the wire is
+//     busy and merges the runs once the last share is in.
 //
 // What changes with the group size: a group of two members (clique r = 1,
 // resolvable r = 2) has nothing to code. Its "multicast" is one unicast, a
@@ -126,8 +129,8 @@ type Config struct {
 // are the report frame's.
 type Summary struct {
 	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Decode under Unpack, Reduce), as the engine scheduler
-	// charged it.
+	// Pack, Shuffle, Reduce), as the engine scheduler charged it. Decode
+	// runs inside the Shuffle, so Unpack/Decode stays zero.
 	Times stats.Breakdown `json:"times"`
 	// OutputRows counts the sorted partition's records in every mode,
 	// including sink-streamed budget runs where Output is empty.
@@ -228,14 +231,15 @@ type worker struct {
 	spools      []*extsort.Spool
 	spoolBlocks []int64
 	packets     [][]byte // E_{M,rank} per myGroups index
-	// received[gi][i] is the packet from member i of group myGroups[gi].
-	received [][][]byte
 	// decoded[gi][i] lists the non-empty pieces of this node's needed IV
 	// recovered from member i of group myGroups[gi] — one per packet, or
 	// one per chunk when streaming — each decoded where its packet arrived
 	// (see compact). Read in (group, member, piece) order they are the
 	// remote share of partition `rank`.
 	decoded [][][]kv.Records
+	// reducer orders partition `rank` in the in-memory modes, from the
+	// Shuffle on (see reduce.go).
+	reducer *reducer
 	result  Result
 }
 
@@ -341,7 +345,6 @@ func (w *worker) schedule(m engine.Mode) []engine.Stage {
 			engine.Stage{Column: stats.StageMap, Run: w.mapStage},
 			engine.Stage{Column: stats.StagePack, Run: w.encodeStage},
 			engine.Stage{Column: stats.StageShuffle, Run: w.multicastStage},
-			engine.Stage{Column: stats.StageUnpack, Run: w.decodeStage},
 			engine.Stage{Column: stats.StageReduce, Run: w.reduceStage})
 	case engine.ModeChunked:
 		return append(stages, place,
@@ -637,8 +640,35 @@ func memberSlots[T any](groups []placement.Group) [][]T {
 // the root moves on. This node is the tail of every chain rooted at rank-1,
 // so it relays none of its predecessor's packets and starts its own turn
 // with its egress free.
+//
+// Each packet is decoded where it arrived as soon as Bcast returns it
+// (Algorithm 2): the packet is this node's own by then, since a relay's
+// forward completes first, and once decoded only its segment holds it (see
+// compact). The segment goes to the reducer, which the stage starts with
+// the local share, so Reduce runs under the wire.
 func (w *worker) multicastStage(ctx *engine.Context) error {
-	w.received = memberSlots[[]byte](w.myGroups)
+	w.decoded = memberSlots[[]kv.Records](w.myGroups)
+	// The reducer's parts, in reduceStage's order: the stored files'
+	// shares, then one slot per member of each group.
+	parts := w.localShare()
+	local := 0
+	for _, p := range parts {
+		local += p.Len()
+	}
+	first := make([]int, len(w.myGroups))
+	for gi, g := range w.myGroups {
+		first[gi] = len(parts)
+		parts = append(parts, make([]kv.View, len(g.Members))...)
+	}
+	// The files are equal slices of one input, so the local share predicts
+	// the partition; a sixteenth more absorbs the sampling noise.
+	reserve := 0
+	if len(w.stored) > 0 {
+		reserve = local * len(w.plan.Files) / len(w.stored)
+		reserve += reserve / 16
+	}
+	red := w.startReducer(ctx, parts, reserve)
+
 	recvErr := make(chan error, 1)
 	go func() {
 		for u := 0; u < w.spec.K; u++ {
@@ -652,9 +682,19 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 					recvErr <- fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
 					return
 				}
-				w.received[gi][g.Index(u)] = p
+				seg, err := codec.DecodeGroupPacketInPlace(w.store, g.Group, w.rank, u, p)
+				if err != nil {
+					recvErr <- fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
+					return
+				}
+				if seg = compact(seg); seg.Len() > 0 {
+					i := g.Index(u)
+					w.decoded[gi][i] = []kv.Records{seg}
+					red.add(first[gi]+i, kv.ViewAll(seg))
+				}
 			}
 		}
+		red.finish()
 		recvErr <- nil
 	}()
 
@@ -860,35 +900,6 @@ func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error
 	}, nil
 }
 
-// decodeStage recovers, for every group M containing this node, the
-// segments of the intermediate value this node needs (its Need file) from
-// the received coded packets (Algorithm 2), cancelling in each packet where
-// it arrived: the packet is this node's own (a relay's forward completed
-// before Bcast returned it), and once decoded only its segment holds it
-// (see compact). Groups decode concurrently — each writes only its own
-// received packets, reads the read-only side-information store, and lands
-// in its own slots.
-func (w *worker) decodeStage(ctx *engine.Context) error {
-	w.decoded = memberSlots[[]kv.Records](w.myGroups)
-	return parallel.Do(ctx.Procs, len(w.myGroups), func(gi int) error {
-		g := w.myGroups[gi]
-		for i, u := range g.Members {
-			if u == w.rank {
-				continue
-			}
-			seg, err := codec.DecodeGroupPacketInPlace(w.store, g.Group, w.rank, u, w.received[gi][i])
-			if err != nil {
-				return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
-			}
-			w.received[gi][i] = nil
-			if seg = compact(seg); seg.Len() > 0 {
-				w.decoded[gi][i] = []kv.Records{seg}
-			}
-		}
-		return nil
-	})
-}
-
 // compact returns a decoded segment that pins no buffer much wider than
 // itself. A segment is decoded where its packet or chunk frame arrived, and
 // that buffer is padded to the group's widest segment, so under partition
@@ -906,36 +917,44 @@ func compact(seg kv.Records) kv.Records {
 	return seg
 }
 
-// reduceStage sorts partition `rank` (Section IV-F): the locally mapped
-// share ({I^rank_S : rank in S}, views of the stored files) followed by the
-// decoded remote share ({I^rank_S : rank not in S}: per group, the segments
-// in ascending sender order, where their packets arrived). The parts are
-// ordered by reference where they lie and each record is copied once, into
-// the output; equal keys keep that part order, rows ascending, at any
-// Parallelism setting. With an OutputSink the output is gathered and handed
-// over reduceBlockRows at a time, never whole. Then the node lets go of
-// the files and packets.
-func (w *worker) reduceStage(ctx *engine.Context) error {
-	var parts []kv.View
-	for _, fi := range w.stored {
-		parts = append(parts, w.store.View(w.rank, w.plan.Files[fi]))
+// localShare lists partition `rank`'s share of the stored files, views of
+// their rows, in stored order.
+func (w *worker) localShare() []kv.View {
+	parts := make([]kv.View, len(w.stored))
+	for i, fi := range w.stored {
+		parts[i] = w.store.View(w.rank, w.plan.Files[fi])
 	}
-	for _, segs := range w.decoded {
-		for _, pieces := range segs {
-			for _, p := range pieces {
-				parts = append(parts, kv.ViewAll(p))
+	return parts
+}
+
+// reduceStage joins the reducer, which has been sorting partition `rank`
+// (Section IV-F) since the Shuffle: the locally mapped share
+// ({I^rank_S : rank in S}, views of the stored files) followed by the
+// decoded remote share ({I^rank_S : rank not in S}: per group, the
+// segments in ascending sender order, where their packets arrived). The
+// parts are ordered by reference where they lie and each record is copied
+// once, into the output; equal keys keep that part order, rows ascending,
+// at any Parallelism setting and however the parts arrived. With an
+// OutputSink the output is gathered and handed over reduceBlockRows at a
+// time, never whole. Then the node lets go of the files and packets.
+//
+// The chunked Shuffle starts no reducer: its Reduce hands the reducer the
+// whole partition as one run, the stored files' shares and then the
+// decoded pieces in (group, member, piece) order, and waits for it.
+func (w *worker) reduceStage(ctx *engine.Context) error {
+	if w.reducer == nil {
+		parts := w.localShare()
+		for _, segs := range w.decoded {
+			for _, pieces := range segs {
+				for _, p := range pieces {
+					parts = append(parts, kv.ViewAll(p))
+				}
 			}
 		}
+		w.startReducer(ctx, parts, 0).finish()
 	}
-	var order kv.Order
-	order.SortViews(ctx.Procs, parts...)
-	w.result.OutputRows = int64(order.Len())
-	var err error
-	if sink := w.cfg.OutputSink; sink != nil {
-		err = order.GatherBlocks(reduceBlockRows, sink)
-	} else {
-		w.result.Output = order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
-	}
-	w.store, w.decoded = nil, nil
+	rows, output, err := w.reducer.join()
+	w.result.OutputRows, w.result.Output = int64(rows), output
+	w.store, w.decoded, w.reducer = nil, nil, nil
 	return err
 }

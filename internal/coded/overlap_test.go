@@ -1,0 +1,235 @@
+package coded
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"hash"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"codedterasort/internal/engine"
+	"codedterasort/internal/job"
+	"codedterasort/internal/kv"
+	"codedterasort/internal/stats"
+	"codedterasort/internal/transport"
+	"codedterasort/internal/transport/memnet"
+	"codedterasort/internal/transport/netem"
+)
+
+// stageLog records, in one order across every rank, each output block a
+// rank's sink took and each stage its hooks reported.
+type stageLog struct {
+	mu     sync.Mutex
+	events []stageLogEvent
+}
+
+type stageLogEvent struct {
+	rank  int
+	block bool        // an output block, else a stage
+	stage stats.Stage // the stage that ended
+}
+
+func (l *stageLog) add(e stageLogEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+// runDigested runs every rank of cfg over an in-memory mesh whose egress
+// is capped at rateMbps (uncapped at 0), streaming each rank's output to a
+// sink, and returns the SHA-256 of each rank's output blocks in order.
+func runDigested(t *testing.T, cfg Config, rateMbps float64, log *stageLog) [][]byte {
+	t.Helper()
+	mesh := memnet.NewMesh(cfg.K)
+	defer mesh.Close()
+	sums := make([]hash.Hash, cfg.K)
+	errs := make([]error, cfg.K)
+	var wg sync.WaitGroup
+	for rank := 0; rank < cfg.K; rank++ {
+		sums[rank] = sha256.New()
+		c := cfg
+		c.OutputSink = func(block kv.Records) error {
+			sums[rank].Write(block.Bytes())
+			log.add(stageLogEvent{rank: rank, block: true})
+			return nil
+		}
+		c.Hooks = func(ev engine.StageEvent) { log.add(stageLogEvent{rank: rank, stage: ev.Stage}) }
+		var conn transport.Conn = mesh.Endpoint(rank)
+		if rateMbps > 0 {
+			conn = netem.Limit(conn, netem.Options{RateMbps: rateMbps})
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[rank] = Run(transport.WithCollectives(conn), c)
+		}()
+	}
+	wg.Wait()
+	out := make([][]byte, cfg.K)
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+		out[rank] = sums[rank].Sum(nil)
+	}
+	return out
+}
+
+// TestReduceOverlapsCappedShuffle: under a bandwidth cap and the serial
+// schedule of Fig 9, rank K-1 holds its whole partition before its own
+// turn on the wire begins, so its reducer must hand the sink the last
+// output block while the rank is still sending — before its Shuffle stage
+// ends. The order of the sink's and the hooks' events shows it, not a
+// clock. The capped outputs are the uncapped run's, rank for rank.
+func TestReduceOverlapsCappedShuffle(t *testing.T) {
+	const k = 4
+	for _, r := range []int{1, 2} {
+		cfg := cfgOf(job.Spec{K: k, R: r, Rows: 8000, Seed: 12})
+		want := runDigested(t, cfg, 0, &stageLog{})
+		var log stageLog
+		got := runDigested(t, cfg, 4, &log)
+		for rank := range got {
+			if !bytes.Equal(got[rank], want[rank]) {
+				t.Fatalf("r=%d rank %d: capped output differs from the uncapped run's", r, rank)
+			}
+		}
+		lastBlock, shuffleEnd := -1, -1
+		for i, e := range log.events {
+			switch {
+			case e.rank != k-1:
+			case e.block:
+				lastBlock = i
+			case e.stage == stats.StageShuffle:
+				shuffleEnd = i
+			}
+		}
+		if lastBlock < 0 || shuffleEnd < 0 || lastBlock > shuffleEnd {
+			t.Fatalf("r=%d: rank %d handed over its last output block at event %d, its Shuffle ended at event %d",
+				r, k-1, lastBlock, shuffleEnd)
+		}
+	}
+}
+
+// truncatingConn cuts the last byte off the first packet its rank
+// receives from peer from, so that packet fails to decode.
+type truncatingConn struct {
+	transport.Conn
+	from int
+	done bool
+}
+
+func (c *truncatingConn) Recv(from int, tag transport.Tag) ([]byte, error) {
+	p, err := c.Conn.Recv(from, tag)
+	if err == nil && from == c.from && !c.done && len(p) > 1 {
+		c.done = true
+		return p[:len(p)-1], nil
+	}
+	return p, err
+}
+
+// TestReducerStopsWithItsRank: however a rank's run ends — a kill or a
+// stall at Shuffle or at Reduce, a receive that fails, a sink that fails —
+// its reducer has returned by the time the rank does, so no sink takes a
+// block from a rank that has returned; and a rank whose partition never
+// fully arrived hands its sink nothing, even while it is still sending.
+func TestReducerStopsWithItsRank(t *testing.T) {
+	const k = 4
+	sinkErr := errors.New("sink refused the block")
+	stall := 20 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		fault job.FaultSpec
+		// The ranks that never hold their whole partition.
+		incomplete []int
+		// Rank 0's first packet from rank 1 fails to decode, early in a
+		// capped parallel Shuffle, while rank 0 still has packets to send.
+		badPacket bool
+		failSink  int // the rank whose sink fails, or -1
+	}{
+		{name: "kill at Shuffle", fault: job.FaultSpec{Rank: k - 1, Stage: "Shuffle", Kind: job.FaultKill},
+			incomplete: []int{0, 1, 2}, failSink: -1},
+		{name: "kill at Reduce", fault: job.FaultSpec{Rank: k - 1, Stage: "Reduce", Kind: job.FaultKill}, failSink: -1},
+		{name: "stall at Shuffle", fault: job.FaultSpec{Rank: 1, Stage: "Shuffle", Kind: job.FaultSlow, Delay: stall}, failSink: -1},
+		{name: "stall at Reduce", fault: job.FaultSpec{Rank: 1, Stage: "Reduce", Kind: job.FaultSlow, Delay: stall}, failSink: -1},
+		{name: "receive error", badPacket: true, incomplete: []int{0}, failSink: -1},
+		{name: "sink error", failSink: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, r := range []int{1, 2} {
+				spec := job.Spec{K: k, R: r, Rows: 20000, Seed: 8, ParallelShuffle: tc.badPacket}
+				if tc.fault.Kind != "" {
+					spec.Faults = []job.FaultSpec{tc.fault}
+				}
+				cfg := cfgOf(spec)
+				mesh := memnet.NewMesh(k)
+				var closeMesh sync.Once
+				blocks := make([]atomic.Int64, k)
+				returned := make([]atomic.Bool, k)
+				errs := make([]error, k)
+				var wg sync.WaitGroup
+				for rank := 0; rank < k; rank++ {
+					c := cfg
+					c.OutputSink = func(kv.Records) error {
+						if returned[rank].Load() {
+							t.Errorf("r=%d rank %d: sink took a block after the rank returned", r, rank)
+						}
+						blocks[rank].Add(1)
+						if rank == tc.failSink {
+							return sinkErr
+						}
+						return nil
+					}
+					var conn transport.Conn = mesh.Endpoint(rank)
+					if tc.badPacket {
+						conn = netem.Limit(conn, netem.Options{RateMbps: 20})
+						if rank == 0 {
+							conn = &truncatingConn{Conn: conn, from: 1}
+						}
+					}
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						ep := transport.WithCollectives(conn)
+						w, err := newWorker(ep, c)
+						if err == nil {
+							err = w.run(ep, stats.NewWallClock())
+						}
+						returned[rank].Store(true)
+						if err != nil {
+							// Release the peers waiting on this rank.
+							closeMesh.Do(mesh.Close)
+						}
+						if w != nil && w.reducer != nil {
+							select {
+							case <-w.reducer.exited:
+							default:
+								t.Errorf("r=%d rank %d: returned (%v) with its reducer still running", r, rank, err)
+							}
+						}
+						errs[rank] = err
+					}()
+				}
+				wg.Wait()
+				closeMesh.Do(mesh.Close)
+				for rank, err := range errs {
+					switch {
+					case tc.fault.Kind == job.FaultSlow && err != nil:
+						t.Fatalf("r=%d rank %d: a stall failed the run: %v", r, rank, err)
+					case rank == tc.failSink && !errors.Is(err, sinkErr):
+						t.Fatalf("r=%d rank %d: err %v, want the sink's", r, rank, err)
+					case tc.badPacket && rank == 0 && (err == nil || !strings.Contains(err.Error(), "decode")):
+						t.Fatalf("r=%d rank 0: err %v, want the decode failure", r, err)
+					case slices.Contains(tc.incomplete, rank) && blocks[rank].Load() > 0:
+						t.Fatalf("r=%d rank %d: sink took %d blocks of a partition that never fully arrived",
+							r, rank, blocks[rank].Load())
+					}
+				}
+			}
+		})
+	}
+}

@@ -97,15 +97,10 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 func TestDecodedSegmentsPinNoPadding(t *testing.T) {
 	for _, chunkRows := range []int{0, 500} {
 		spec := job.Spec{K: 4, R: 2, Rows: 40000, Seed: 9, DistName: "zipf", ChunkRows: chunkRows}
-		// The last stage before Reduce: Decode, or the streaming Shuffle.
-		beforeReduce := stats.StageUnpack
-		if chunkRows > 0 {
-			beforeReduce = stats.StageShuffle
-		}
 		workers := make([]*worker, spec.K)
 		check := func(rank int, c *Config) {
 			c.Hooks = func(ev engine.StageEvent) {
-				if ev.Stage != beforeReduce {
+				if ev.Stage != stats.StageShuffle {
 					return
 				}
 				for _, segs := range workers[rank].decoded {

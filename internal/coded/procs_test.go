@@ -38,21 +38,17 @@ func TestParallelismMatchesSequential(t *testing.T) {
 // and sender), then row — which is what the standard library's stable sort
 // of those parts' concatenation produces, and which no Parallelism setting
 // can change. The parts are read through the view store and the decoded
-// pieces as Reduce is about to take them, after Decode.
+// pieces once the Shuffle, which decodes each packet or chunk as it
+// arrives, has ended.
 func TestReduceTieOrder(t *testing.T) {
 	for _, r := range []int{1, 2} {
 		for _, chunkRows := range []int{0, 80} {
 			spec := job.Spec{K: 4, R: r, Rows: 6000, Seed: 5, DistName: "dupheavy", Parallelism: 1, ChunkRows: chunkRows}
-			// The last stage before Reduce: Decode, or the streaming Shuffle.
-			beforeReduce := stats.StageUnpack
-			if chunkRows > 0 {
-				beforeReduce = stats.StageShuffle
-			}
 			parts := make([]kv.Records, spec.K)
 			workers := make([]*worker, spec.K)
 			collect := func(rank int, c *Config) {
 				c.Hooks = func(ev engine.StageEvent) {
-					if ev.Stage != beforeReduce {
+					if ev.Stage != stats.StageShuffle {
 						return
 					}
 					w := workers[rank]

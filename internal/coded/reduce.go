@@ -1,0 +1,130 @@
+package coded
+
+import (
+	"errors"
+	"sync"
+
+	"codedterasort/internal/engine"
+	"codedterasort/internal/kv"
+)
+
+// errHalted is what a reducer stopped before it finished returns.
+var errHalted = errors.New("coded: reducer halted")
+
+// reducer is the in-memory Reduce of one rank (Section IV-F), run beside
+// the Shuffle instead of after it: it orders partition `rank` as its parts
+// arrive. Each time it looks, it orders whatever has arrived since its last
+// look as one sorted run of references (kv.Order.AddRun), so that work
+// overlaps the wire. Once every part is in, it merges the runs and gathers
+// the output, reduceBlockRows at a time into the OutputSink, even while the
+// rank is still sending; the Reduce stage only joins it.
+//
+// The parts are indexed in the order their equal keys keep: the stored
+// files' shares, then the decoded segments by group and sender (see
+// reduceStage). A reducer gathers nothing until every part is in, and
+// feeds the sink no further block once halted, so a failed run never hands
+// its sink more than a prefix of the whole partition.
+type reducer struct {
+	procs int
+	sink  func(kv.Records) error
+
+	mu      sync.Mutex
+	arrived []kv.View // parts in since the last look, by part index
+	last    bool      // every part is in
+
+	wake   chan struct{} // a look is due; buffered, so add never blocks
+	stop   chan struct{} // closed by halt
+	exited chan struct{} // closed when the goroutine returns
+
+	// Set when exited is closed.
+	rows   int
+	output kv.Records
+	err    error
+}
+
+// startReducer starts the reducer of a partition of len(parts) parts.
+// parts holds those already in, the others are zero views that add fills
+// in as they arrive; rows is room to reserve for the whole partition's
+// references (an estimate: the order grows past it). The reducer is halted
+// and joined when the run ends, whichever way it ends.
+func (w *worker) startReducer(ctx *engine.Context, parts []kv.View, rows int) *reducer {
+	r := &reducer{procs: ctx.Procs, sink: w.cfg.OutputSink, arrived: parts,
+		wake: make(chan struct{}, 1), stop: make(chan struct{}), exited: make(chan struct{})}
+	w.reducer = r
+	ctx.Defer(r.halt)
+	go r.run(rows)
+	r.signal()
+	return r
+}
+
+// add hands over part i. Safe to call from any goroutine.
+func (r *reducer) add(i int, v kv.View) {
+	r.mu.Lock()
+	r.arrived[i] = v
+	r.mu.Unlock()
+	r.signal()
+}
+
+// finish says every part is in.
+func (r *reducer) finish() {
+	r.mu.Lock()
+	r.last = true
+	r.mu.Unlock()
+	r.signal()
+}
+
+func (r *reducer) signal() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// halt stops the reducer, if it still runs, and waits for it to return.
+func (r *reducer) halt() {
+	close(r.stop)
+	<-r.exited
+}
+
+// join waits for the reducer to return and reports its outcome.
+func (r *reducer) join() (rows int, output kv.Records, err error) {
+	<-r.exited
+	return r.rows, r.output, r.err
+}
+
+func (r *reducer) run(reserve int) {
+	defer close(r.exited)
+	var order kv.Order
+	order.Grow(reserve)
+	// The runs take turns with the receivers in two slot arrays: the
+	// receivers fill one while the reducer orders the other.
+	batch := make([]kv.View, len(r.arrived))
+	for last := false; !last; {
+		select {
+		case <-r.wake:
+		case <-r.stop:
+			r.err = errHalted
+			return
+		}
+		r.mu.Lock()
+		batch, r.arrived = r.arrived, batch
+		last = r.last
+		r.mu.Unlock()
+		order.AddRun(r.procs, batch...)
+		clear(batch)
+	}
+	order.Merge()
+	r.rows = order.Len()
+	if r.sink == nil {
+		r.output = order.Gather(kv.MakeRecords(order.Len()), 0, order.Len())
+		return
+	}
+	r.err = order.GatherBlocks(reduceBlockRows, func(block kv.Records) error {
+		select {
+		case <-r.stop:
+			return errHalted
+		default:
+		}
+		return r.sink(block)
+	})
+}

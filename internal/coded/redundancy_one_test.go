@@ -158,7 +158,7 @@ func (c filesPlacedClock) Now() time.Duration { return time.Duration(len(c.w.fil
 func TestStageAccountingIsRedundancyFree(t *testing.T) {
 	streaming := []stats.Stage{stats.StageMap, stats.StageShuffle, stats.StageReduce}
 	sequences := map[string][]stats.Stage{
-		"mono":    {stats.StageMap, stats.StagePack, stats.StageShuffle, stats.StageUnpack, stats.StageReduce},
+		"mono":    {stats.StageMap, stats.StagePack, stats.StageShuffle, stats.StageReduce},
 		"chunked": streaming,
 		"spill":   streaming,
 	}

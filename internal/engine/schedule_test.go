@@ -222,6 +222,7 @@ func TestRunScheduleRules(t *testing.T) {
 		mode string
 		spec job.Spec
 	}{
+		{"monolithic", job.Spec{K: 1}},
 		{"chunked", job.Spec{K: 1, ChunkRows: 64}},
 		{"spill", job.Spec{K: 1, MemBudget: 1 << 20}},
 	} {

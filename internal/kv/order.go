@@ -24,9 +24,15 @@ type ref struct {
 // That order is unique, so it does not depend on the goroutine budget. The
 // zero value is ready to use, and an Order reused across Sort calls keeps
 // its reference arrays.
+//
+// An Order can also be built a run at a time, for parts that arrive in
+// batches: AddRun orders the records of some parts as one sorted run, and
+// Merge merges the runs into the order one run over all parts gives.
 type Order struct {
 	parts         []View
 	refs, scratch []ref
+	runs          []int // the end of each sorted run in refs
+	fresh         []int // the parts of the run being added, ascending
 	procs         int
 }
 
@@ -40,39 +46,87 @@ const (
 	parallelMinRows = 1 << 12
 )
 
-// Sort orders the records of whole buffers: SortViews over a view of each.
+// Sort orders the records of whole buffers, forgetting any earlier input:
+// one run over a view of each.
 func (o *Order) Sort(procs int, parts ...Records) {
-	o.parts = o.parts[:0]
-	for _, p := range parts {
-		o.parts = append(o.parts, ViewAll(p))
-	}
-	o.sort(procs)
-}
-
-// SortViews orders the records of views on up to procs goroutines: row
-// ranges shard the reference extraction, top-digit buckets shard the radix.
-func (o *Order) SortViews(procs int, views ...View) {
-	o.parts = append(o.parts[:0], views...)
-	o.sort(procs)
-}
-
-func (o *Order) sort(procs int) {
+	o.reset()
 	n := 0
-	for _, p := range o.parts {
+	for _, p := range parts {
 		n += p.Len()
 	}
-	o.refs = slices.Grow(o.refs[:0], n)[:n]
-	o.scratch = slices.Grow(o.scratch[:0], n)[:n]
+	o.Grow(n)
+	for i, p := range parts {
+		o.place(i, ViewAll(p))
+	}
+	o.sortRun(procs, 0)
+}
+
+// AddRun orders the records of views as one more sorted run, on up to
+// procs goroutines: row ranges shard the reference extraction, top-digit
+// buckets shard the radix. views[i] is part i of the order: a part holds
+// records in one run only and is empty in the others, and across runs
+// equal keys keep part order, then rows ascending. A run of no records
+// adds nothing; on a zero Order, one run is the whole order.
+func (o *Order) AddRun(procs int, views ...View) {
+	n := 0
+	for _, v := range views {
+		n += v.Len()
+	}
+	if n == 0 {
+		return
+	}
+	start := len(o.refs)
+	o.Grow(n)
+	o.fresh = o.fresh[:0]
+	for i, v := range views {
+		if v.Len() > 0 {
+			o.place(i, v)
+		}
+	}
+	o.sortRun(procs, start)
+}
+
+// Grow makes room for n more references, so runs of up to that many
+// records in all add without reallocating.
+func (o *Order) Grow(n int) {
+	o.refs = slices.Grow(o.refs, n)
+	if cap(o.scratch) < cap(o.refs) {
+		o.scratch = make([]ref, len(o.scratch), cap(o.refs))
+	}
+}
+
+func (o *Order) reset() {
+	o.parts, o.refs, o.runs, o.fresh = o.parts[:0], o.refs[:0], o.runs[:0], o.fresh[:0]
+}
+
+// place makes v part i of the run being added, and takes a reference slot
+// for each of its records, for extract to fill. The slots must be there.
+func (o *Order) place(i int, v View) {
+	if i >= len(o.parts) {
+		o.parts = append(o.parts, make([]View, i+1-len(o.parts))...)
+	}
+	o.parts[i] = v
+	o.fresh = append(o.fresh, i)
+	o.refs = o.refs[:len(o.refs)+v.Len()]
+}
+
+// sortRun orders refs[start:], the references of the parts just placed, as
+// one run.
+func (o *Order) sortRun(procs, start int) {
+	n := len(o.refs) - start
+	o.scratch = o.scratch[:len(o.refs)]
+	refs, scratch := o.refs[start:], o.scratch[start:]
+	o.procs = procs
 	if n < parallelMinRows {
 		procs = 1
 	}
-	o.procs = procs
+	o.runs = append(o.runs, len(o.refs))
 
 	// Extraction; the bits on which any two prefixes differ fall out of it.
 	shards := parallel.Shards(procs, n)
 	masks := make([][2]uint64, shards)
 	parallel.ForShards(procs, n, func(s, lo, hi int) error {
-		masks[s] = o.extract(lo, hi)
+		masks[s] = o.extract(start, lo, hi)
 		return nil
 	})
 	and, or := ^uint64(0), uint64(0)
@@ -82,7 +136,7 @@ func (o *Order) sort(procs int) {
 	// The first digit that discriminates; -8 when all prefixes are equal.
 	shift := 56 - bits.LeadingZeros64(and^or)&^7
 	if shards == 1 || shift < 0 {
-		o.sortRun(o.refs, o.scratch, shift)
+		o.sortByKey(refs, scratch, shift)
 		return
 	}
 
@@ -92,44 +146,50 @@ func (o *Order) sort(procs int) {
 	counts := make([][256]int, shards)
 	parallel.ForShards(procs, n, func(s, lo, hi int) error {
 		c := &counts[s]
-		for _, r := range o.refs[lo:hi] {
+		for _, r := range refs[lo:hi] {
 			c[byte(r.prefix>>shift)]++
 		}
 		return nil
 	})
-	var start [257]int
+	var bounds [257]int
 	off := 0
 	for b := 0; b < 256; b++ {
-		start[b] = off
+		bounds[b] = off
 		for s := range counts {
 			off, counts[s][b] = off+counts[s][b], off
 		}
 	}
-	start[256] = n
+	bounds[256] = n
 	parallel.ForShards(procs, n, func(s, lo, hi int) error {
 		c := &counts[s]
-		for _, r := range o.refs[lo:hi] {
+		for _, r := range refs[lo:hi] {
 			b := byte(r.prefix >> shift)
-			o.scratch[c[b]] = r
+			scratch[c[b]] = r
 			c[b]++
 		}
 		return nil
 	})
-	o.refs, o.scratch = o.scratch, o.refs
 	parallel.Do(procs, 256, func(b int) error {
-		o.sortRun(o.refs[start[b]:start[b+1]], o.scratch[start[b]:start[b+1]], shift-8)
+		o.sortByKey(scratch[bounds[b]:bounds[b+1]], refs[bounds[b]:bounds[b+1]], shift-8)
 		return nil
 	})
+	if start == 0 {
+		o.refs, o.scratch = o.scratch, o.refs
+	} else {
+		copy(refs, scratch)
+	}
 }
 
-// extract builds the references of global rows [lo, hi) and returns the AND
-// and the OR of their prefixes.
-func (o *Order) extract(lo, hi int) [2]uint64 {
+// extract builds the references of the run's rows [lo, hi) — the rows of
+// its parts back to back, from refs[start] — and returns the AND and the OR
+// of their prefixes.
+func (o *Order) extract(start, lo, hi int) [2]uint64 {
 	and, or := ^uint64(0), uint64(0)
-	base := 0
-	for p, v := range o.parts {
+	base := start
+	for _, p := range o.fresh {
+		v := o.parts[p]
 		n := v.Len()
-		for i := max(lo-base, 0); i < min(hi-base, n); i++ {
+		for i := max(start+lo-base, 0); i < min(start+hi-base, n); i++ {
 			row := v.row(i)
 			prefix := binary.BigEndian.Uint64(v.recs.buf[row*RecordSize:])
 			and, or = and&prefix, or|prefix
@@ -140,12 +200,13 @@ func (o *Order) extract(lo, hi int) [2]uint64 {
 	return [2]uint64{and, or}
 }
 
-// sortRun orders a, whose references arrive in input order and agree above
-// prefix digit shift (negative: on the whole prefix), by full key: stably by
-// prefix, then every stretch of equal prefixes — rare unless keys repeat —
-// stably by key bytes 8-9, which are fetched into the prefix field (Gather
-// reads only the position). tmp is scratch of the same length.
-func (o *Order) sortRun(a, tmp []ref, shift int) {
+// sortByKey orders a, whose references arrive in input order and agree
+// above prefix digit shift (negative: on the whole prefix), by full key:
+// stably by prefix, then every stretch of equal prefixes — rare unless keys
+// repeat — stably by key bytes 8-9, which are fetched into the prefix field
+// for the sort and then put back, so a merge can still compare on the
+// prefix. tmp is scratch of the same length.
+func (o *Order) sortByKey(a, tmp []ref, shift int) {
 	if shift >= 0 {
 		sortRefs(a, tmp, uint(shift))
 	}
@@ -155,14 +216,76 @@ func (o *Order) sortRun(a, tmp []ref, shift int) {
 			j++
 		}
 		if j-i > 1 {
+			prefix := a[i].prefix
 			for k := i; k < j; k++ {
-				key := o.parts[a[k].part].recs.buf[int(a[k].row)*RecordSize:]
-				a[k].prefix = uint64(binary.BigEndian.Uint16(key[8:KeySize]))
+				a[k].prefix = uint64(o.suffix(a[k]))
 			}
 			sortRefs(a[i:j], tmp[i:j], 8)
+			for k := i; k < j; k++ {
+				a[k].prefix = prefix
+			}
 		}
 		i = j
 	}
+}
+
+// suffix returns key bytes 8-9 of r's record.
+func (o *Order) suffix(r ref) uint16 {
+	return binary.BigEndian.Uint16(o.parts[r.part].recs.buf[int(r.row)*RecordSize+8:])
+}
+
+// tieBefore reports whether a's record precedes b's when their prefixes
+// are equal: by key bytes 8-9, then part, then row.
+func (o *Order) tieBefore(a, b ref) bool {
+	if sa, sb := o.suffix(a), o.suffix(b); sa != sb {
+		return sa < sb
+	}
+	if a.part != b.part {
+		return a.part < b.part
+	}
+	return a.row < b.row
+}
+
+// Merge merges the runs AddRun ordered into the one order of all their
+// parts: adjacent runs merge pairwise, pass after pass, each comparison
+// decided by the prefix unless it ties. It must come between the last
+// AddRun of more than one run and a Gather.
+func (o *Order) Merge() {
+	for len(o.runs) > 1 {
+		src, dst := o.refs, o.scratch[:len(o.refs)]
+		lo, merged := 0, 0
+		for i := 0; i < len(o.runs); i += 2 {
+			end := o.runs[min(i+1, len(o.runs)-1)]
+			if i+1 < len(o.runs) {
+				o.merge2(dst[lo:end], src[lo:o.runs[i]], src[o.runs[i]:end])
+			} else {
+				copy(dst[lo:end], src[lo:end])
+			}
+			o.runs[merged] = end
+			merged++
+			lo = end
+		}
+		o.runs = o.runs[:merged]
+		o.refs, o.scratch = dst, src
+	}
+}
+
+// merge2 merges the sorted runs a and b into dst.
+func (o *Order) merge2(dst, a, b []ref) {
+	i, j, k := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		x, y := a[i], b[j]
+		if y.prefix < x.prefix || y.prefix == x.prefix && o.tieBefore(y, x) {
+			dst[k] = y
+			j++
+		} else {
+			dst[k] = x
+			i++
+		}
+		k++
+	}
+	k += copy(dst[k:], a[i:])
+	copy(dst[k:], b[j:])
 }
 
 // sortRefs stably sorts a by the prefix bits at and below digit shift,

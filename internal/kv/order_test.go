@@ -207,16 +207,48 @@ func TestPermuteMatchesGather(t *testing.T) {
 	}
 }
 
+// mergeRuns orders parts as the runs grouping assigns them to — part i goes
+// to run grouping/3^i % 3 — added in run order, then merges the runs.
+func mergeRuns(procs int, parts []Records, grouping int) Records {
+	runOf := make([]int, len(parts))
+	for i := range runOf {
+		runOf[i], grouping = grouping%3, grouping/3
+	}
+	var o Order
+	for run := 0; run < 3; run++ {
+		views := make([]View, len(parts))
+		for i, p := range parts {
+			if runOf[i] == run {
+				views[i] = ViewAll(p)
+			}
+		}
+		o.AddRun(procs, views...)
+	}
+	o.Merge()
+	return o.Gather(Records{}, 0, o.Len())
+}
+
 // FuzzSortOrder: generated keys ANDed with an arbitrary per-byte mask (so
 // digits, prefixes and whole keys collide in arbitrary patterns), cut at
 // arbitrary boundaries, order exactly as the stable reference does — below
-// and above the size where goroutines join in.
+// and above the size where goroutines join in — whether the parts are
+// ordered at once or as one to three runs, in any grouping, then merged.
+// The seeds from the fifth on force stretches of equal 8-byte prefixes in
+// every run, so a merge that compared on the key bytes 8-9 the run kernel
+// sorts such a stretch by, instead of the prefix, would misplace them.
 func FuzzSortOrder(f *testing.F) {
-	f.Add(uint64(1), uint16(10), []byte{}, uint16(0), uint16(0), uint8(1))
-	f.Add(uint64(2), uint16(700), []byte{0xff, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x80}, uint16(17), uint16(17), uint8(4))
-	f.Add(uint64(3), uint16(5000), []byte{0, 0, 0x03}, uint16(300), uint16(4999), uint8(2))
-	f.Add(uint64(4), uint16(8191), []byte{0, 0, 0, 0, 0, 0, 0, 0xc0, 0xff, 0xff}, uint16(1), uint16(2), uint8(7))
-	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, mask []byte, cutA, cutB uint16, procs uint8) {
+	f.Add(uint64(1), uint16(10), []byte{}, uint16(0), uint16(0), uint8(1), uint8(0))
+	f.Add(uint64(2), uint16(700), []byte{0xff, 0, 0, 0, 0, 0, 0, 0, 0x01, 0x80}, uint16(17), uint16(17), uint8(4), uint8(5))
+	f.Add(uint64(3), uint16(5000), []byte{0, 0, 0x03}, uint16(300), uint16(4999), uint8(2), uint8(21))
+	f.Add(uint64(4), uint16(8191), []byte{0, 0, 0, 0, 0, 0, 0, 0xc0, 0xff, 0xff}, uint16(1), uint16(2), uint8(7), uint8(11))
+	// Four 8-byte prefixes, bytes 8-9 free: every run holds long stretches
+	// of equal prefixes that differ in bytes 8-9.
+	f.Add(uint64(5), uint16(900), []byte{0x03, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint16(200), uint16(650), uint8(1), uint8(5))
+	f.Add(uint64(6), uint16(6000), []byte{0, 0, 0, 0, 0, 0, 0, 0x81, 0xff, 0xff}, uint16(1500), uint16(4500), uint8(3), uint8(19))
+	// Equal prefixes and equal bytes 8-9 as well: part, then row, decides.
+	f.Add(uint64(7), uint16(800), []byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x01}, uint16(100), uint16(500), uint8(1), uint8(7))
+	f.Add(uint64(8), uint16(300), []byte{0}, uint16(90), uint16(200), uint8(1), uint8(15))
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, mask []byte, cutA, cutB uint16, procs, grouping uint8) {
 		n := int(rows % 8192)
 		base := NewGenerator(seed, DistUniform).Generate(0, int64(n))
 		for i := 0; i < n && len(mask) > 0; i++ {
@@ -230,6 +262,10 @@ func FuzzSortOrder(f *testing.F) {
 		if got := gatherAll(int(procs%8), parts); !got.Equal(want) {
 			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d: differs from the stable reference at byte %d",
 				n, mask, a, b, procs%8, firstDiff(got, want))
+		}
+		if got := mergeRuns(int(procs%8), parts, int(grouping%27)); !got.Equal(want) {
+			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d grouping=%d: merged runs differ from the stable reference at byte %d",
+				n, mask, a, b, procs%8, grouping%27, firstDiff(got, want))
 		}
 	})
 }
@@ -253,5 +289,30 @@ func BenchmarkSortOrder(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkSortOrderRuns is BenchmarkSortOrder with the four buffers
+// ordered as four runs and merged, as a reducer that ordered each part as
+// it arrived would.
+func BenchmarkSortOrderRuns(b *testing.B) {
+	const rows = 250000
+	for _, dist := range []Distribution{DistUniform, DistZipf, DistDupHeavy} {
+		parts := splitAt(NewGenerator(1, dist).Generate(0, rows), rows/4, rows/2, 3*rows/4)
+		b.Run(dist.String(), func(b *testing.B) {
+			b.SetBytes(rows * RecordSize)
+			for b.Loop() {
+				var o Order
+				o.Grow(rows)
+				for i, p := range parts {
+					views := make([]View, len(parts))
+					views[i] = ViewAll(p)
+					o.AddRun(1, views...)
+				}
+				o.Merge()
+				out := o.Gather(MakeRecords(o.Len()), 0, o.Len())
+				benchSink += out.Checksum()
+			}
+		})
 	}
 }

@@ -83,7 +83,7 @@ func checkViewOrder(t *testing.T, name string, views []View) {
 	}
 	for _, procs := range []int{1, 4} {
 		var o Order
-		o.SortViews(procs, views...)
+		o.AddRun(procs, views...)
 		if got := o.Gather(Records{}, 0, o.Len()); !got.Equal(want) {
 			t.Fatalf("%s: %d views, procs=%d: differs from the order over the gathered copies at byte %d",
 				name, len(views), procs, firstDiff(got, want))
