@@ -9,7 +9,7 @@
 set -eux
 # Program size (mirrors `make loc-delta`): non-test Go lines outside bench/,
 # beside the figure of the last simplicity PR's parent.
-loc_parent=14736
+loc_parent=14359
 loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "loc: $loc non-test lines (parent $loc_parent, $((loc - loc_parent)))"
 go build ./...
@@ -34,7 +34,7 @@ done
 ./scripts/readme_smoke.sh
 go test -race -shuffle=on ./...
 # Large-K smoke (mirrors `make largek-smoke`): the K=64 resolvable sort
-# over multiplexed logical ranks, checksum-tied to the uncoded oracle. The
+# one goroutine per rank, checksum-tied to the uncoded oracle. The
 # race run above already includes it; this re-run pins the gate by name so
 # a test rename cannot silently drop the coverage.
 go test -run=TestLargeKResolvableMux -count=1 ./internal/cluster/

@@ -1,7 +1,7 @@
 // Command sortd is the multi-tenant sort service daemon: it serves the
 // internal/service HTTP JSON API (submit, status, metrics, drain) over
-// one shared worker pool, so many tenants' sort jobs run concurrently in
-// one process instead of one-shot CLI invocations. SIGTERM or SIGINT (or
+// one shared count of rank slots, so many tenants' sort jobs run
+// concurrently in one process instead of one-shot CLI invocations. SIGTERM or SIGINT (or
 // POST /v1/drain) starts a graceful drain: admission stops, running jobs
 // get -drain-timeout to finish, stragglers are checkpoint-canceled, and
 // the process exits.
@@ -109,7 +109,7 @@ func main() {
 	log.SetPrefix("sortd: ")
 	addr := flag.String("addr", "127.0.0.1:8371", "listen address (port 0 picks a free port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
-	slots := flag.Int("slots", 8, "worker pool size shared by all concurrent jobs")
+	slots := flag.Int("slots", 8, "rank slots shared by all concurrent jobs")
 	queue := flag.Int("queue", 64, "global cap on queued jobs across all tenants")
 	spill := flag.String("spill", "", "base directory for job-scoped spill namespaces (default system temp)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second,

@@ -22,9 +22,9 @@
 // default, and -strategy resolvable swaps in a resolvable-design
 // construction (internal/placement/resolvable) with q^(r-1) subfiles and
 // q^r - q^(r-1) groups for K = q*r, collapsing the CodeGen wall at large
-// K (992 groups instead of 41,664 at K=64, r=2); the executor Pool
-// multiplexes logical ranks over its slots so K=64-128 jobs run on one
-// machine, byte-identical to the uncoded oracle (DESIGN.md section 15).
+// K (992 groups instead of 41,664 at K=64, r=2), so K=64-128 jobs run on
+// one machine, one goroutine per rank, byte-identical to the uncoded
+// oracle (DESIGN.md section 15).
 // There is one sort engine, internal/coded: CodedTeraSort at any
 // redundancy r, with conventional TeraSort as its r = 1 endpoint (groups
 // of two members: unicast shuffle, identity coding, no CodeGen). Its
@@ -70,9 +70,9 @@
 // serving layer — a priority job queue with per-tenant admission control
 // (internal/service/tenant), job-scoped spill namespaces, an HTTP JSON
 // API with a Go client, Prometheus-style /metrics and graceful drain —
-// run as the long-lived cmd/sortd daemon over a shared executor Pool of
-// reusable rank lifecycles and driven by cmd/sortctl (DESIGN.md
-// section 13).
+// run as the long-lived cmd/sortd daemon, which admits jobs against one
+// count of rank slots and runs each through cluster.RunLocalOpts, and
+// driven by cmd/sortctl (DESIGN.md section 13).
 // Partitioning is skew-robust: beyond the paper's uniform key-domain
 // split, -partition sample selects K-1 quantile splitters from a
 // deterministic stride sample of the input keys, derived by one function

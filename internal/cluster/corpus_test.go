@@ -85,8 +85,8 @@ func TestJobCorpusCells(t *testing.T) {
 //   - the coded load at the six (K, r) cells of K ∈ {4, 6, 8}, even r < K;
 //   - coded r ∈ 1..4 under each shuffle schedule;
 //   - each deployment; a Parallelism twin and a schedule twin of each
-//     algorithm in each mode, and the deployment twins local→TCP,
-//     pool→local and TCP→pool;
+//     algorithm in each mode, and the deployment twins local→TCP and
+//     TCP→local;
 //   - the edges: fewer than 1 000 rows, one rank, and nothing to shuffle.
 //
 // Only the deployment, twin and edge cells count a job that moves no
@@ -163,7 +163,7 @@ func requiredCells() []string {
 			add("twin schedule %s %s", alg, modeName(mode))
 		}
 	}
-	for _, pair := range [][2]string{{"local", "tcp"}, {"pool", "local"}, {"tcp", "pool"}} {
+	for _, pair := range [][2]string{{"local", "tcp"}, {"tcp", "local"}} {
 		add("deploy %s", pair[0])
 		add("twin deploy %s to %s", pair[0], pair[1])
 	}
@@ -197,7 +197,7 @@ func (d jobDraw) cells() []string {
 	}
 	// A fault counts where the twin runs the job clean and both runs'
 	// outputs are seen, so recovery is held to a healthy run byte for byte.
-	if d.Twin == "faults" && (d.Deploy != "pool" || s.KeepOutput) {
+	if d.Twin == "faults" {
 		faults := slices.Concat(s.Faults, d.twin().Spec.Faults)
 		for _, f := range faults {
 			add("%s %s %s %s at %s", f.Kind, s.Algorithm, mode, net, f.Stage)

@@ -93,8 +93,8 @@ func broke(property, format string, args ...any) error {
 // jobDraw is one generated job: its spec, and the axes a spec cannot carry.
 type jobDraw struct {
 	Spec Spec
-	// Deploy runs the job: "local" (RunLocal's runtime), "pool" (Pool.Run)
-	// or "tcp" (a Coordinator with rejoining RunWorkers).
+	// Deploy runs the job: "local" (RunLocal's runtime) or "tcp" (a
+	// Coordinator with rejoining RunWorkers).
 	Deploy string
 	// WorkerProcs, when positive, is one TCP worker's Parallelism override.
 	WorkerProcs int
@@ -136,7 +136,7 @@ func drawJob(seed uint64) jobDraw {
 	one := func(xs ...int) int { return xs[rng.IntN(len(xs))] }
 	coin := func(p float64) bool { return rng.Float64() < p }
 	for {
-		d := jobDraw{Deploy: []string{"local", "local", "pool", "tcp"}[rng.IntN(4)],
+		d := jobDraw{Deploy: []string{"local", "local", "local", "tcp"}[rng.IntN(4)],
 			Twin: []string{"procs", "schedule", "deploy", "faults"}[rng.IntN(4)]}
 		s := &d.Spec
 		*s = Spec{Algorithm: AlgTeraSort, K: one(1, 2, 3, 4, 4, 5, 6, 8), Rows: 100 + rng.Int64N(2400),
@@ -267,9 +267,9 @@ func (d jobDraw) twin() jobDraw {
 	case "schedule":
 		s.ParallelShuffle = !s.ParallelShuffle
 	case "deploy":
-		tw.Deploy, tw.WorkerProcs = map[string]string{"local": "tcp", "pool": "local", "tcp": "pool"}[d.Deploy], 0
+		tw.Deploy, tw.WorkerProcs = map[string]string{"local": "tcp", "tcp": "local"}[d.Deploy], 0
 		if tw.Deploy == "tcp" && s.K > 6 {
-			tw.Deploy = "pool"
+			tw.Deploy = "local"
 		}
 	default:
 		if len(s.Faults) > 0 {
@@ -514,16 +514,6 @@ func runJob(t *testing.T, deploy string, spec Spec, workerProcs int) (jobRun, er
 			if !bytes.Equal(sum, out.before[i]) {
 				written = append(written, i)
 			}
-		}
-	case "pool":
-		p := NewPool(max(spec.K-1, 1)) // multiplexes two ranks on an executor
-		defer p.Close()
-		if rep, err = p.Run(context.Background(), spec, Options{}); err != nil || !spec.KeepOutput {
-			return jobRun{rep, nil, nil}, err
-		}
-		for r, w := range rep.Workers {
-			sum := sha256.Sum256(w.Output.Bytes())
-			out.sums[r] = sum[:]
 		}
 	default:
 		rep, err = rejoinTCP(t, spec, out.work, WorkerOptions{Parallelism: workerProcs})

@@ -266,17 +266,15 @@ func (c *cancelOnCheck) Err() error {
 }
 
 // TestCancelDuringPlacement: a cancel that arrives while the supervisor
-// generates an in-memory job's input — a sortd drain, on a pool lease —
-// returns the context's error, starts no rank, and leaves no goroutine,
-// descriptor or spill entry behind.
+// generates an in-memory job's input — a sortd drain — returns the
+// context's error, starts no rank, and leaves no goroutine, descriptor or
+// spill entry behind.
 func TestCancelDuringPlacement(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	lease, err := p.Reserve(context.Background(), 4)
-	if err != nil {
-		t.Fatal(err)
+	var ranks atomic.Int64
+	work := func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+		ranks.Add(1)
+		return runWorker(ep, spec, local, sink, hooks)
 	}
-	defer lease.Release()
 	leaks := snapshotLeaks()
 	parent, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -286,11 +284,11 @@ func TestCancelDuringPlacement(t *testing.T) {
 	ctx.left.Store(3)
 	spill := t.TempDir()
 	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 200_000, Seed: 8, SpillDir: spill}
-	if _, err := lease.Run(ctx, spec, Options{}); !errors.Is(err, context.Canceled) {
+	if _, err := runLocal(ctx, spec, Options{}, work); !errors.Is(err, context.Canceled) {
 		t.Fatalf("job canceled during placement returned %v, want context.Canceled", err)
 	}
-	if st := p.Stats(); st.Ranks != 0 {
-		t.Fatalf("%d rank lifecycles started after a cancel during placement", st.Ranks)
+	if n := ranks.Load(); n != 0 {
+		t.Fatalf("%d ranks started after a cancel during placement", n)
 	}
 	if err := leaks.check(spill); err != nil {
 		t.Fatal(err)

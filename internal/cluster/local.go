@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
 	"codedterasort/internal/coded"
 	"codedterasort/internal/engine"
@@ -98,52 +97,13 @@ func RunLocal(spec Spec) (*JobReport, error) {
 }
 
 // Options tunes a supervised in-process run beyond what the wire-portable
-// Spec carries: live observation and executor placement. The zero value
-// reproduces RunLocal exactly.
+// Spec carries. The zero value reproduces RunLocal exactly.
 type Options struct {
 	// OnStage, when non-nil, receives every completed stage record as it
 	// is logged, across all ranks and recovery attempts — the live feed a
 	// serving layer turns into job progress and metrics. It runs on worker
 	// goroutines, so it must be cheap and safe for concurrent use.
 	OnStage func(trace.StageRecord)
-	// spawn runs one rank lifecycle; nil spawns a fresh goroutine per
-	// rank per attempt. A Pool lease sets it so rank lifecycles execute on
-	// reusable pooled executors instead.
-	spawn func(task func())
-	// mux, when above 1, multiplexes that many logical ranks onto each
-	// spawned executor: rank lifecycles are batched and every batch runs
-	// its ranks as goroutines inside one executor task. This is what lets
-	// a K=64..128 job run on a pool of a few executors — ranks block on
-	// the in-memory transport, not on executor slots, so batching cannot
-	// deadlock. Ignored without spawn.
-	mux int
-}
-
-// startTasks launches every rank lifecycle of an attempt through the
-// configured spawner. Without a spawner each task gets its own goroutine;
-// with one, tasks are batched mux ranks per executor.
-func (o Options) startTasks(tasks []func()) {
-	if o.spawn == nil {
-		for _, task := range tasks {
-			go task()
-		}
-		return
-	}
-	batch := max(o.mux, 1)
-	for lo := 0; lo < len(tasks); lo += batch {
-		group := tasks[lo:min(lo+batch, len(tasks))]
-		o.spawn(func() {
-			var wg sync.WaitGroup
-			for _, task := range group {
-				wg.Add(1)
-				go func(task func()) {
-					defer wg.Done()
-					task()
-				}(task)
-			}
-			wg.Wait()
-		})
-	}
 }
 
 // RunLocalOpts is RunLocal with cancellation and run options; see

@@ -33,10 +33,10 @@ func TestParallelShuffleFasterUnderShaping(t *testing.T) {
 	}
 }
 
-// TestStragglerSlowsJob: a slow node (netem.SlowFactor via PerMessage on a
-// single worker is not spec-exposed; model it with a global PerMessage and
-// check the serial schedule's sensitivity to per-message cost — the
-// straggler discussion of the coded-computing literature the paper cites).
+// TestPerMessageOverheadDominatesSmallMessages: a per-message cost
+// (Spec.PerMessage) on every rank lengthens the Shuffle of a job whose
+// messages are small, so the serial schedule pays it once per message.
+// One slow rank is Spec.StragglerFactor's, tested in straggler_test.go.
 func TestPerMessageOverheadDominatesSmallMessages(t *testing.T) {
 	fast, err := RunLocal(Spec{Algorithm: AlgTeraSort, K: 4, Rows: 400, Seed: 14})
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 // rank's death; any other error is a failure.
 type RankFunc func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error)
 
-// launcher runs one supervised attempt — in process (Options.inProcess) or
+// launcher runs one supervised attempt — in process (inProcess) or
 // over TCP (Coordinator.launch): the K ranks of spec, the attempt's spec,
 // each reporting its stages to hooks and its exit to mon, until all have
 // returned. Once ctx is done (a detection, or the caller's cancel) it
@@ -49,7 +49,7 @@ type launcher func(ctx context.Context, spec Spec, mon *monitor, hooks engine.Ho
 // error instead of recovering; long-lived callers (the sortd service) use
 // it to drain without waiting out a slow job.
 func Supervise(ctx context.Context, spec Spec, opts Options, rank RankFunc) (*JobReport, error) {
-	return supervise(ctx, spec, opts.OnStage, opts.inProcess(rank))
+	return supervise(ctx, spec, opts.OnStage, inProcess(rank))
 }
 
 // supervise is the attempt loop of every job, whichever launcher runs its
@@ -179,9 +179,9 @@ func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, launch la
 	return reports, nil, nil
 }
 
-// inProcess is the in-process launcher: rank as every rank's body, on a
-// fresh in-memory mesh per attempt, each rank lifecycle spawned per o.
-func (o Options) inProcess(rank RankFunc) launcher {
+// inProcess is the in-process launcher: rank as every rank's body, each on
+// its own goroutine, on a fresh in-memory mesh per attempt.
+func inProcess(rank RankFunc) launcher {
 	return func(ctx context.Context, spec Spec, mon *monitor, hooks engine.Hooks) ([]WorkerReport, []error, error) {
 		mesh := memnet.NewMesh(spec.K)
 		defer mesh.Close()
@@ -192,10 +192,9 @@ func (o Options) inProcess(rank RankFunc) launcher {
 		reports := make([]WorkerReport, spec.K)
 		errs := make([]error, spec.K)
 		var wg sync.WaitGroup
-		tasks := make([]func(), spec.K)
-		for r := range tasks {
+		for r := range spec.K {
 			wg.Add(1)
-			tasks[r] = func() {
+			go func() {
 				defer wg.Done()
 				ep, meter := rankEndpoint(mesh.Endpoint(r), spec)
 				rep, err := rank(ep, spec, hooks)
@@ -219,9 +218,8 @@ func (o Options) inProcess(rank RankFunc) launcher {
 				rep.Rank = r
 				rep.WireBytes = meter.Counters().SentBytes
 				reports[r] = rep
-			}
+			}()
 		}
-		o.startTasks(tasks)
 		wg.Wait()
 		return reports, errs, nil
 	}

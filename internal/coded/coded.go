@@ -833,7 +833,7 @@ func (w *worker) sendStream(ctx *engine.Context, gi int) error {
 		return err
 	}
 	ackTag := groupTag(tagChunkAck, g.ID, w.rank)
-	gate := engine.CreditGate{Window: w.spec.Window, Await: func() error {
+	gate := transport.CreditGate{Window: w.spec.Window, Await: func() error {
 		for _, m := range g.Members {
 			if m == w.rank {
 				continue

@@ -16,9 +16,9 @@
 //   - Cross-cutting behaviors are runtime services on the Context: the
 //     budget-bounded spill sorter lifecycle, transfer accounting, the
 //     serial-vs-parallel sender schedule, and LIFO cleanups.
-//   - The chunk-stream protocol of the pipelined modes is provided once
-//     (ChunkRx for the receive side, CreditGate for the send-side credit
-//     window) so the engine contributes only its codec callbacks.
+//   - The receive side of the pipelined modes' chunk streams is provided
+//     once (ChunkRx) so the engine contributes only its codec callbacks;
+//     the send side's credit window is transport.CreditGate.
 package engine
 
 import (

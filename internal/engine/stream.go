@@ -60,46 +60,3 @@ func (rx ChunkRx) Run(counters *Counters) error {
 	}
 	return nil
 }
-
-// CreditGate bounds a stream's unacknowledged in-flight chunks. Await
-// collects one chunk's worth of credits — one per other member of the
-// stream's group, so a single credit when the stream is a unicast;
-// Window <= 0 disables flow control.
-type CreditGate struct {
-	// Window is the in-flight chunk bound.
-	Window int
-	// Await collects the credits of one in-flight chunk.
-	Await func() error
-
-	inflight int
-}
-
-// Reserve blocks until the window has room for one more chunk.
-func (g *CreditGate) Reserve() error {
-	if g.Window > 0 && g.inflight >= g.Window {
-		if err := g.Await(); err != nil {
-			return err
-		}
-		g.inflight--
-	}
-	return nil
-}
-
-// Sent marks one chunk in flight.
-func (g *CreditGate) Sent() {
-	if g.Window > 0 {
-		g.inflight++
-	}
-}
-
-// Drain collects the credits of all still-unacknowledged chunks, so no
-// credit messages are left in flight when the stream's tags are reused or
-// the job tears down.
-func (g *CreditGate) Drain() error {
-	for ; g.inflight > 0; g.inflight-- {
-		if err := g.Await(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

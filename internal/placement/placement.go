@@ -128,9 +128,6 @@ func (p Plan) FileRows(i int) (first, last int64) {
 // FileRowCount returns the number of rows in file i.
 func (p Plan) FileRowCount(i int) int64 { return p.Bounds[i+1] - p.Bounds[i] }
 
-// Stores reports whether node stores file i.
-func (p Plan) Stores(node, i int) bool { return p.Files[i].Contains(node) }
-
 // FilesOn returns the indices of the files stored on node, ascending.
 // A node stores len(Files)*R/K files (C(K-1, R-1) under the clique plan).
 func (p Plan) FilesOn(node int) []int {

@@ -12,7 +12,7 @@ type State string
 const (
 	// StateQueued is admitted but not yet dispatched.
 	StateQueued State = "queued"
-	// StateRunning is executing on the worker pool.
+	// StateRunning holds its rank slots and is executing.
 	StateRunning State = "running"
 	// StateDone completed and verified.
 	StateDone State = "done"

@@ -11,7 +11,7 @@ import (
 // MetricsText renders the service state in the Prometheus text exposition
 // format: per-tenant job counters and gauges, the cluster-wide per-stage
 // timing rollup from the engines' stage hooks, the transfer counters, the
-// recovery totals, and the pool occupancy. Rendered on demand — the
+// recovery totals, and the rank slots' occupancy. Rendered on demand — the
 // counters live in the tenant registry and the server, not in a metrics
 // library.
 func (s *Server) MetricsText() string {
@@ -19,7 +19,8 @@ func (s *Server) MetricsText() string {
 
 	s.mu.Lock()
 	draining := s.draining
-	queued := s.queue.Len()
+	queued := len(s.queue)
+	free, dispatched := s.free, s.dispatched
 	tot := s.totals
 	s.mu.Unlock()
 	uptime := s.cfg.Now().Sub(s.start).Seconds()
@@ -40,13 +41,10 @@ func (s *Server) MetricsText() string {
 	gauge("sortd_uptime_seconds", "Seconds since the service started.", uptime)
 	gauge("sortd_jobs_queued", "Jobs admitted but not yet dispatched.", float64(queued))
 
-	pool := s.pool.Stats()
-	gauge("sortd_pool_slots", "Executors in the shared worker pool.", float64(pool.Slots))
-	gauge("sortd_pool_free_slots", "Unreserved executors right now.", float64(pool.Free))
-	counterHead("sortd_pool_jobs_total", "Jobs started on the pool.")
-	fmt.Fprintf(&b, "sortd_pool_jobs_total %d\n", pool.Jobs)
-	counterHead("sortd_pool_rank_lifecycles_total", "Rank lifecycles served by pooled executors.")
-	fmt.Fprintf(&b, "sortd_pool_rank_lifecycles_total %d\n", pool.Ranks)
+	gauge("sortd_pool_slots", "Rank slots shared by all concurrent jobs.", float64(s.cfg.PoolSlots))
+	gauge("sortd_pool_free_slots", "Rank slots no running job holds right now.", float64(free))
+	counterHead("sortd_pool_jobs_total", "Jobs started on the rank slots.")
+	fmt.Fprintf(&b, "sortd_pool_jobs_total %d\n", dispatched)
 
 	// Per-tenant counters, stable order.
 	tenants := s.tenants.All()

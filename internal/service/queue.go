@@ -1,73 +1,26 @@
 package service
 
-import "container/heap"
+import "slices"
 
-// jobQueue orders admitted jobs by tenant priority (higher first), then
-// submission order (FIFO within a priority band). The dispatcher may skip
-// over jobs whose tenant is at its running cap, so removal by position is
-// supported too.
-type jobQueue struct {
-	items []*job
-}
+// jobQueue holds the admitted jobs in submission order.
+type jobQueue []*job
 
-// Len implements heap.Interface.
-func (q *jobQueue) Len() int { return len(q.items) }
-
-// Less implements heap.Interface.
-func (q *jobQueue) Less(i, j int) bool {
-	a, b := q.items[i], q.items[j]
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.seq < b.seq
-}
-
-// Swap implements heap.Interface.
-func (q *jobQueue) Swap(i, j int) { q.items[i], q.items[j] = q.items[j], q.items[i] }
-
-// Push implements heap.Interface.
-func (q *jobQueue) Push(x any) { q.items = append(q.items, x.(*job)) }
-
-// Pop implements heap.Interface.
-func (q *jobQueue) Pop() any {
-	old := q.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	q.items = old[:n-1]
-	return it
-}
-
-// add enqueues a job.
-func (q *jobQueue) add(j *job) { heap.Push(q, j) }
-
-// popEligible removes and returns the highest-priority job whose tenant
-// passes eligible, or nil when none qualifies. Ineligible jobs keep their
-// place.
-func (q *jobQueue) popEligible(eligible func(*job) bool) *job {
-	// The heap's slice is not fully sorted, so scan for the best
-	// qualifying entry; queues are service-scale (not engine-scale), so
-	// the linear pass is fine.
-	best := -1
-	for i, it := range q.items {
-		if !eligible(it) {
-			continue
-		}
-		if best == -1 || q.Less(i, best) {
-			best = i
+// best returns the job to dispatch next among those eligible passes — the
+// highest tenant priority, first submitted within a priority — or nil
+// when none qualifies. The dispatcher skips jobs whose tenant is at its
+// running cap; they keep their place.
+func (q jobQueue) best(eligible func(*job) bool) *job {
+	var best *job
+	for _, j := range q {
+		if eligible(j) && (best == nil || j.priority > best.priority) {
+			best = j
 		}
 	}
-	if best == -1 {
-		return nil
-	}
-	it := q.items[best]
-	heap.Remove(q, best)
-	return it
+	return best
 }
 
-// drain empties the queue, returning the jobs in no particular order.
-func (q *jobQueue) drain() []*job {
-	out := q.items
-	q.items = nil
-	return out
+// remove takes a dispatched job out of the queue.
+func (q *jobQueue) remove(j *job) {
+	i := slices.Index(*q, j)
+	*q = slices.Delete(*q, i, i+1)
 }

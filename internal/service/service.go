@@ -1,7 +1,7 @@
 // Package service is the long-lived serving layer over the cluster
 // runtime: a daemon (cmd/sortd) accepting many concurrent sort jobs from
-// many tenants over an HTTP JSON API against one shared, bounded worker
-// pool. It owns what the one-shot coordinator never needed: a priority
+// many tenants over an HTTP JSON API against one machine-wide count of rank
+// slots. It owns what the one-shot coordinator never needed: a priority
 // job queue with per-tenant admission control (internal/service/tenant),
 // job-scoped spill namespaces so concurrent out-of-core jobs never
 // collide on disk, a Prometheus-style /metrics exposition of the stage
@@ -38,8 +38,9 @@ var (
 // Config describes a Server. The zero value works: defaults are applied
 // by New.
 type Config struct {
-	// PoolSlots is the shared worker pool size — the total rank
-	// goroutines all concurrent jobs may hold at once. Default 8.
+	// PoolSlots is the count of rank slots all concurrent jobs share. A
+	// running job holds min(K, PoolSlots) of them: a job whose K exceeds
+	// PoolSlots takes every slot and still runs all K ranks. Default 8.
 	PoolSlots int
 	// MaxQueue caps jobs queued across all tenants (0 = 64).
 	MaxQueue int
@@ -85,12 +86,12 @@ type SubmitRequest struct {
 	Spec   cluster.Spec `json:"spec"`
 }
 
-// Server is the multi-tenant sort service: one shared executor pool, one
-// priority queue, one dispatcher.
+// Server is the multi-tenant sort service: one count of rank slots, one
+// priority queue, one dispatcher. Every job runs through
+// cluster.RunLocalOpts once the dispatcher has reserved its slots.
 type Server struct {
 	cfg     Config
 	tenants *tenant.Registry
-	pool    *cluster.Pool
 	start   time.Time
 
 	// jobsCtx checkpoint-cancels running jobs at drain timeout (or
@@ -98,14 +99,18 @@ type Server struct {
 	jobsCtx    context.Context
 	cancelJobs context.CancelFunc
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	jobs     map[string]*job
-	order    []*job
-	queue    jobQueue
-	seq      int64
-	draining bool
-	totals   totals
+	mu    sync.Mutex
+	cond  *sync.Cond
+	jobs  map[string]*job
+	order []*job
+	queue jobQueue
+	seq   int64
+	// free counts the rank slots no running job holds; dispatched counts
+	// the jobs started on them.
+	free       int
+	dispatched int64
+	draining   bool
+	totals     totals
 
 	stageMu     sync.Mutex
 	stageTotals trace.StageTotals
@@ -132,15 +137,15 @@ type totals struct {
 	recoveredFaults  int64
 }
 
-// New starts a server: the pool's executors and the dispatcher begin
-// immediately; jobs flow once Submit is called.
+// New starts a server: the dispatcher begins immediately; jobs flow once
+// Submit is called.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:            cfg,
 		tenants:        cfg.Tenants,
-		pool:           cluster.NewPool(cfg.PoolSlots),
 		start:          cfg.Now(),
+		free:           cfg.PoolSlots,
 		jobs:           map[string]*job{},
 		stageTotals:    trace.StageTotals{},
 		dispatcherDone: make(chan struct{}),
@@ -151,9 +156,6 @@ func New(cfg Config) *Server {
 	go s.dispatch()
 	return s
 }
-
-// Pool exposes the shared pool's occupancy for metrics and tests.
-func (s *Server) Pool() cluster.PoolStats { return s.pool.Stats() }
 
 // Submit admits one job: validation, tenant rate/queue admission, global
 // backlog cap, then the priority queue. It returns the queued job's
@@ -168,9 +170,9 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if req.Spec.KeepOutput {
 		return JobStatus{}, errors.New("service: KeepOutput jobs are not served (partitions are summarized, not shipped)")
 	}
-	// Jobs whose K exceeds the pool are admitted anyway: the lease
-	// multiplexes logical ranks over the whole pool (see cluster.Lease.Run),
-	// which is how K=64-128 jobs run on a machine-sized executor pool.
+	// Jobs whose K exceeds PoolSlots are admitted anyway: such a job takes
+	// every slot and runs its K ranks as goroutines, which is how K=64-128
+	// jobs run on a machine-sized slot count.
 	tn := s.tenants.Get(req.Tenant)
 
 	s.mu.Lock()
@@ -178,8 +180,8 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	if s.draining {
 		return JobStatus{}, ErrDraining
 	}
-	if s.queue.Len() >= s.cfg.MaxQueue {
-		return JobStatus{}, fmt.Errorf("%w (%d jobs queued)", ErrBacklogFull, s.queue.Len())
+	if len(s.queue) >= s.cfg.MaxQueue {
+		return JobStatus{}, fmt.Errorf("%w (%d jobs queued)", ErrBacklogFull, len(s.queue))
 	}
 	if err := tn.Admit(s.cfg.Now()); err != nil {
 		return JobStatus{}, err
@@ -197,57 +199,45 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
-	s.queue.add(j)
+	s.queue = append(s.queue, j)
 	s.cond.Signal()
 	return j.status(), nil
 }
 
 // dispatch is the scheduler loop: highest-priority eligible job first,
-// all-or-nothing pool reservation, strict head-of-line within the
+// all-or-nothing slot reservation, strict head-of-line within the
 // eligible set (a large job at the head waits for slots; smaller jobs
-// behind it wait for their turn). Reservation is non-blocking with a
-// re-queue on contention, so the head of the line is re-chosen every
-// time capacity frees — a high-priority job arriving while a
+// behind it wait for their turn). The head of the line is re-chosen every
+// time the dispatcher wakes, so a high-priority job arriving while a
 // lower-priority one waits for slots still goes first.
 func (s *Server) dispatch() {
 	defer close(s.dispatcherDone)
-	for {
-		s.mu.Lock()
-		var j *job
-		var lease *cluster.Lease
-		for {
-			if s.draining {
-				s.mu.Unlock()
-				return
-			}
-			if j = s.queue.popEligible(func(j *job) bool { return s.tenants.Get(j.tenant).CanRun() }); j != nil {
-				want := j.spec.K
-				if want > s.cfg.PoolSlots {
-					// Oversized jobs take the whole pool and multiplex
-					// logical ranks over it.
-					want = s.cfg.PoolSlots
-				}
-				var ok bool
-				if lease, ok = s.pool.TryReserve(want); ok {
-					break
-				}
-				// The best job does not fit yet: leave it queued and wait
-				// for a finishing job's broadcast rather than starting
-				// smaller work ahead of it.
-				s.queue.add(j)
-			}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for !s.draining {
+		j := s.queue.best(func(j *job) bool { return s.tenants.Get(j.tenant).CanRun() })
+		if j == nil || s.slots(j) > s.free {
+			// Nothing to run, or the best job does not fit yet: wait for a
+			// submission or a finishing job's broadcast rather than starting
+			// smaller work ahead of it.
 			s.cond.Wait()
+			continue
 		}
-		s.mu.Unlock()
+		s.queue.remove(j)
+		s.free -= s.slots(j)
+		s.dispatched++
 		s.startJob(j)
 		s.jobWG.Add(1)
-		go s.runJob(j, lease)
+		go s.runJob(j)
 	}
 }
 
-// startJob marks j running and assigns its spill namespace.
+// slots is the rank slots j holds while it runs: one per rank, or every
+// slot when K exceeds them.
+func (s *Server) slots(j *job) int { return min(j.spec.K, s.cfg.PoolSlots) }
+
+// startJob marks j running and assigns its spill namespace; s.mu is held.
 func (s *Server) startJob(j *job) {
-	s.mu.Lock()
 	j.state = StateRunning
 	j.started = s.cfg.Now()
 	if j.spec.MemBudget > 0 {
@@ -266,19 +256,17 @@ func (s *Server) startJob(j *job) {
 			j.spillDir = dir
 		}
 	}
-	s.mu.Unlock()
 	s.tenants.Get(j.tenant).JobStarted()
 }
 
-// runJob executes one dispatched job on its lease and retires it.
-func (s *Server) runJob(j *job, lease *cluster.Lease) {
+// runJob executes one dispatched job and retires it, returning its slots.
+func (s *Server) runJob(j *job) {
 	defer s.jobWG.Done()
 	opts := cluster.Options{OnStage: func(rec trace.StageRecord) { s.observeStage(j, rec) }}
 	s.mu.Lock()
 	spec := j.spec
 	s.mu.Unlock()
-	rep, err := lease.Run(s.jobsCtx, spec, opts)
-	lease.Release()
+	rep, err := cluster.RunLocalOpts(s.jobsCtx, spec, opts)
 	if j.spillDir != "" {
 		os.RemoveAll(j.spillDir)
 	}
@@ -317,8 +305,10 @@ func (s *Server) runJob(j *job, lease *cluster.Lease) {
 		s.totals.attempts += int64(rep.Attempts)
 		s.totals.recoveredFaults += int64(len(rep.Recovered))
 	}
+	s.free += s.slots(j)
 	close(j.done)
-	// A finished job may free a tenant's running cap: wake the dispatcher.
+	// A finished job frees its slots and may free a tenant's running cap:
+	// wake the dispatcher.
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
@@ -396,20 +386,21 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// Drained is closed when a drain has fully completed (pool shut down).
+// Drained is closed when a drain has fully completed (every job retired).
 func (s *Server) Drained() <-chan struct{} { return s.drained }
 
 // Drain gracefully stops the server: admission stops immediately, queued
 // jobs are canceled, running jobs get DrainTimeout to finish, then are
 // checkpoint-canceled through the supervisor (the attempt's mesh closes
-// and every rank unwinds promptly). Drain blocks until the pool is shut
-// down; it is idempotent and concurrent-safe, and reports whether any
+// and every rank unwinds promptly). Drain blocks until every job has
+// retired; it is idempotent and concurrent-safe, and reports whether any
 // running job had to be force-canceled.
 func (s *Server) Drain() (forced bool) {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
-		canceled := s.queue.drain()
+		canceled := s.queue
+		s.queue = nil
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		<-s.dispatcherDone
@@ -432,7 +423,6 @@ func (s *Server) Drain() (forced bool) {
 			<-running
 		}
 		s.cancelJobs()
-		s.pool.Close()
 		close(s.drained)
 	})
 	<-s.drained

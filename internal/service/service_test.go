@@ -77,8 +77,8 @@ func TestSubmitValidation(t *testing.T) {
 			t.Fatalf("case %d admitted: %+v", i, req)
 		}
 	}
-	// K above the pool size is admissible now: the lease multiplexes
-	// logical ranks over the pool's executors.
+	// K above PoolSlots is admissible: the job takes every slot and runs
+	// its K ranks.
 	big, err := s.Submit(SubmitRequest{Tenant: "a", Spec: cluster.Spec{Algorithm: cluster.AlgTeraSort, K: 8, Rows: 800, Seed: 1}})
 	if err != nil {
 		t.Fatalf("oversized job rejected: %v", err)
@@ -151,11 +151,11 @@ func TestPriorityOrdering(t *testing.T) {
 	if err := reg.Define("bronze", tenant.Limits{Priority: 1}); err != nil {
 		t.Fatal(err)
 	}
-	// Pool slots equal to one job's K, so jobs serialize and the queue
+	// Rank slots equal to one job's K, so jobs serialize and the queue
 	// orders the waiters by priority.
 	s := New(Config{PoolSlots: 3, Tenants: reg})
 	defer s.Close()
-	// Saturate the pool with a slow-ish job so subsequent submissions
+	// Saturate the slots with a slow-ish job so subsequent submissions
 	// queue up behind it.
 	first, err := s.Submit(SubmitRequest{Tenant: "bronze", Spec: terasortSpec(150_000, 1)})
 	if err != nil {
@@ -240,6 +240,46 @@ func TestDrainForceCancelsSlowJobs(t *testing.T) {
 	j, _ := s.Job(st.ID)
 	if j.State != StateCanceled {
 		t.Fatalf("slow job state %q after forced drain, want canceled", j.State)
+	}
+}
+
+// TestSlotsNeverOversubscribed: six K = 3 jobs from two tenants, submitted
+// at once on 4 rank slots, run one at a time (3 + 3 > 4), all validated,
+// and return every slot.
+func TestSlotsNeverOversubscribed(t *testing.T) {
+	s := New(Config{PoolSlots: 4})
+	defer s.Close()
+	var ids []string
+	for i := 0; i < 6; i++ {
+		st, err := s.Submit(SubmitRequest{Tenant: []string{"a", "b"}[i%2], Spec: terasortSpec(3000, uint64(i+1))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	var jobs []JobStatus
+	for _, id := range ids {
+		st, err := s.WaitJob(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != StateDone || !st.Validated {
+			t.Fatalf("job %s: %q validated=%v error=%q", id, st.State, st.Validated, st.Error)
+		}
+		jobs = append(jobs, st)
+	}
+	for i, a := range jobs {
+		for _, b := range jobs[i+1:] {
+			if a.StartedAt.Before(b.FinishedAt) && b.StartedAt.Before(a.FinishedAt) {
+				t.Fatalf("jobs %s [%v, %v) and %s [%v, %v) ran at once on 4 slots",
+					a.ID, a.StartedAt, a.FinishedAt, b.ID, b.StartedAt, b.FinishedAt)
+			}
+		}
+	}
+	if m := s.MetricsText(); !strings.Contains(m, "\nsortd_pool_free_slots 4\n") {
+		t.Fatalf("metrics do not read 4 free slots:\n%s", m)
 	}
 }
 
