@@ -128,14 +128,14 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 20
 
 # Coverage floor on the framework-critical packages: the job description
-# (the one validator every entry point calls), the stage
-# runtime, the sort engine built on it, the MapReduce layer riding it, the
+# (the one validator every entry point calls), the sort engine and its
+# stage runtime, the MapReduce layer riding it, the
 # multi-tenant serving layer, and the partitioner (the one component every
 # reducer's balance and every splitter agreement depends on), and the two
 # packages every sort in the system runs through (kv: the order-and-gather
 # kernel; extsort: run generation and the merge) must keep >= 80% statement
-# coverage.
-COVER_GATE_PKGS = ./internal/job ./internal/engine ./internal/coded ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/extsort
+# coverage. ci.sh keeps a copy of the list; ci_test.go holds the two equal.
+COVER_GATE_PKGS = ./internal/job ./internal/coded ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/extsort
 COVER_GATE_MIN  = 80
 cover-gate:
 	@fail=0; \
@@ -155,7 +155,7 @@ cover-gate:
 # number a simplicity PR diffs against its parent. LOC_PARENT is that
 # parent's figure (the last simplicity PR's base), so the gate's log shows
 # the delta the PR description quotes; bump it when the base moves.
-LOC_PARENT ?= 14359
+LOC_PARENT ?= 14037
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l
 

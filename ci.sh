@@ -9,7 +9,7 @@
 set -eux
 # Program size (mirrors `make loc-delta`): non-test Go lines outside bench/,
 # beside the figure of the last simplicity PR's parent.
-loc_parent=14359
+loc_parent=14037
 loc=$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | xargs cat | wc -l)
 echo "loc: $loc non-test lines (parent $loc_parent, $((loc - loc_parent)))"
 go build ./...
@@ -48,11 +48,11 @@ else
 	echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"
 fi
 # Coverage floor on the framework-critical packages (mirrors `make
-# cover-gate`): the job description, the stage runtime, the sort
-# engine, the MapReduce layer, the multi-tenant serving layer, the
-# partitioner, and the sort kernel and external sorter must keep >= 80%
-# statement coverage.
-for pkg in ./internal/job ./internal/engine ./internal/coded ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/extsort; do
+# cover-gate`, whose COVER_GATE_PKGS this list must equal): the job
+# description, the sort engine and its stage runtime, the MapReduce layer,
+# the multi-tenant serving layer, the partitioner, and the sort kernel and
+# external sorter must keep >= 80% statement coverage.
+for pkg in ./internal/job ./internal/coded ./internal/mapreduce ./internal/service ./internal/partition ./internal/kv ./internal/extsort; do
 	pct=$(go test -cover "$pkg" | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p')
 	if [ -z "$pct" ] || [ "$(awk "BEGIN{print ($pct >= 80) ? 1 : 0}")" -ne 1 ]; then
 		echo "cover gate: $pkg at ${pct:-?}% (< 80% floor)"

@@ -1,0 +1,41 @@
+package codedterasort_test
+
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestGateCopiesAgree: ci.sh mirrors `make ci` for machines without make,
+// so the two hold their own copies of the coverage-gate package list and
+// the LOC parent. They must agree, and every gated package must exist.
+func TestGateCopiesAgree(t *testing.T) {
+	grab := func(file, pattern string) string {
+		t.Helper()
+		text, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := regexp.MustCompile(`(?m)` + pattern).FindSubmatch(text)
+		if m == nil {
+			t.Fatalf("%s: no line matches %q", file, pattern)
+		}
+		return string(m[1])
+	}
+	makePkgs := strings.Fields(grab("Makefile", `^COVER_GATE_PKGS = (.+)$`))
+	shPkgs := strings.Fields(grab("ci.sh", `^for pkg in (.+); do$`))
+	if !slices.Equal(makePkgs, shPkgs) {
+		t.Errorf("cover-gate packages differ:\n  Makefile %v\n  ci.sh    %v", makePkgs, shPkgs)
+	}
+	if mk, sh := grab("Makefile", `^LOC_PARENT \?= (\d+)$`), grab("ci.sh", `^loc_parent=(\d+)$`); mk != sh {
+		t.Errorf("LOC parent differs: Makefile %s, ci.sh %s", mk, sh)
+	}
+	for _, pkg := range makePkgs {
+		if files, _ := filepath.Glob(filepath.Join(pkg, "*.go")); len(files) == 0 {
+			t.Errorf("cover gate lists %s, which holds no Go package", pkg)
+		}
+	}
+}

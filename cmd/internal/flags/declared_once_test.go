@@ -6,7 +6,6 @@ import (
 
 	"codedterasort/internal/cluster"
 	"codedterasort/internal/coded"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/mapreduce"
 	"codedterasort/internal/service"
@@ -34,7 +33,7 @@ func TestKnobsDeclaredOnce(t *testing.T) {
 	}
 	// The layers that carry a job must carry the spec itself; the option
 	// structs beside them must not grow a knob either.
-	carriers := []any{coded.Config{}, mapreduce.Job{}, Job{}, service.SubmitRequest{}, engine.Context{}}
+	carriers := []any{coded.Config{}, mapreduce.Job{}, Job{}, service.SubmitRequest{}}
 	for i, v := range append(carriers, job.Local{}, cluster.Options{}, cluster.WorkerOptions{}) {
 		typ := reflect.TypeOf(v)
 		holdsSpec := false

@@ -16,7 +16,7 @@
 // plus every runtime knob — is the engine's configuration, the cluster
 // spec, the JSON on the wire, the sortd job body and the struct the shared
 // flags (cmd/internal/flags) bind onto, with one Validate and one Resolve
-// (DESIGN.md section 17).
+// (DESIGN.md section 16).
 // Placement is a strategy seam (internal/placement.Strategy): the paper's
 // clique scheme — C(K, r) subfiles, C(K, r+1) multicast groups — is the
 // default, and -strategy resolvable swaps in a resolvable-design
@@ -24,24 +24,22 @@
 // q^r - q^(r-1) groups for K = q*r, collapsing the CodeGen wall at large
 // K (992 groups instead of 41,664 at K=64, r=2), so K=64-128 jobs run on
 // one machine, one goroutine per rank, byte-identical to the uncoded
-// oracle (DESIGN.md section 15).
+// oracle (DESIGN.md section 14).
 // There is one sort engine, internal/coded: CodedTeraSort at any
 // redundancy r, with conventional TeraSort as its r = 1 endpoint (groups
 // of two members: unicast shuffle, identity coding, no CodeGen). Its
 // multicast is application-layer, as the paper's MPI_Bcast is: each coded
 // packet relays down a chain of its group (transport.ChainBcast), so the
 // root's egress carries it once and members forward it on their own links
-// while the next root sends. The engine writes out, as a plain list per
-// execution mode, the paper's fixed stage sequence (CodeGen, Map,
-// Pack/Encode, Shuffle, Reduce, with Unpack/Decode inside the Shuffle:
-// each packet is decoded as it arrives, and a reducer orders the
-// partition while the wire is busy), and internal/engine, the execution
-// runtime, walks the monolithic, chunk-streaming or out-of-core list, the
-// mode read off the job spec. The scheduler
-// is the one place a stage is measured: it charges the per-stage breakdown
+// while the next root sends. The engine writes out, as a plain list, the
+// paper's fixed stage sequence (CodeGen, Map, Pack/Encode, Shuffle,
+// Reduce, with Unpack/Decode inside the Shuffle: each packet is decoded as
+// it arrives, and a reducer orders the partition while the wire is busy)
+// in the monolithic, chunk-streaming or out-of-core form, one switch on
+// the job spec picking which, and each worker walks its list. The walk is
+// the one place a stage is measured: it charges the per-stage breakdown
 // and reports the same event to one stage hook, which feeds the cluster
-// stage log in process and over TCP alike — the engine contributes only
-// placement, codecs and shuffle topology (DESIGN.md sections 3 and 10).
+// stage log in process and over TCP alike (DESIGN.md section 3).
 // Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, the sort kernel (Reduce and
 // spill runs alike) and per-group packet encode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any
@@ -54,7 +52,7 @@
 // and MapReduce jobs alike, in process or over TCP, re-executes with the
 // faulty worker respawned until the job completes byte-identical to a healthy run
 // (Spec.StageDeadline/MaxAttempts/Faults; -deadline and -stragglers on the
-// CLIs; DESIGN.md section 11). Coding's redundancy doubles as straggler
+// CLIs; DESIGN.md section 10). Coding's redundancy doubles as straggler
 // tolerance: a straggler's penalty scales with shuffle volume, which
 // coding cuts by ~r — the straggler-mitigation story of the coded-computing
 // literature the paper cites.
@@ -65,14 +63,14 @@
 // index, log aggregation) exposed by cmd/codedmr, and a kernel-generic
 // equivalence harness (internal/mapreduce/mrtest) gating every registered
 // kernel to byte-identical output across engines, execution modes,
-// parallelism and recovered runs (DESIGN.md section 12).
+// parallelism and recovered runs (DESIGN.md section 11).
 // The whole runtime also serves: internal/service is a multi-tenant
 // serving layer — a priority job queue with per-tenant admission control
 // (internal/service/tenant), job-scoped spill namespaces, an HTTP JSON
 // API with a Go client, Prometheus-style /metrics and graceful drain —
 // run as the long-lived cmd/sortd daemon, which admits jobs against one
 // count of rank slots and runs each through cluster.RunLocalOpts, and
-// driven by cmd/sortctl (DESIGN.md section 13).
+// driven by cmd/sortctl (DESIGN.md section 12).
 // Partitioning is skew-robust: beyond the paper's uniform key-domain
 // split, -partition sample selects K-1 quantile splitters from a
 // deterministic stride sample of the input keys, derived by one function
@@ -80,7 +78,7 @@
 // and recovery attempt partitions identically (internal/partition; -dist
 // selects the skewed-workload generators
 // zipf/sorted/nearsorted/dupheavy/varprefix that defeat the uniform split;
-// DESIGN.md section 16).
+// DESIGN.md section 15).
 // Input is generated, not read: kv.Generator is addressable by row —
 // record i is a pure function of (seed, distribution, i) — so any party
 // materialises any file with no data movement. In process, an in-memory

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"codedterasort/internal/engine"
+	"codedterasort/internal/coded"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/verify"
 )
@@ -93,7 +93,7 @@ func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
 // carries workerMsg frames (progress, heartbeats when the deadline is
 // armed, the final report) that feed mon; an abort is broadcast when ctx
 // is done.
-func (c *Coordinator) launch(ctx context.Context, spec Spec, mon *monitor, hooks engine.Hooks) ([]WorkerReport, []error, error) {
+func (c *Coordinator) launch(ctx context.Context, spec Spec, mon *monitor, hooks coded.Hooks) ([]WorkerReport, []error, error) {
 	var conns []net.Conn
 	defer func() {
 		for _, conn := range conns {
@@ -151,7 +151,7 @@ func (c *Coordinator) launch(ctx context.Context, spec Spec, mon *monitor, hooks
 // failure report is alive — often a casualty of someone else's death (its
 // mesh peer vanished) — so it is not blamed; the true suspect surfaces
 // through its own broken connection or the deadline.
-func collectWorker(rank int, conn net.Conn, mon *monitor, hooks engine.Hooks) (WorkerReport, error) {
+func collectWorker(rank int, conn net.Conn, mon *monitor, hooks coded.Hooks) (WorkerReport, error) {
 	for {
 		var frame workerMsg
 		if err := readFrame(conn, &frame); err != nil {
@@ -174,7 +174,7 @@ func collectWorker(rank int, conn net.Conn, mon *monitor, hooks engine.Hooks) (W
 		case frame.Progress != nil:
 			mon.Alive(rank)
 			if st, err := stats.ParseStage(frame.Progress.Stage); err == nil {
-				hooks(engine.StageEvent{Rank: rank, Stage: st, Elapsed: frame.Progress.Elapsed})
+				hooks(coded.StageEvent{Rank: rank, Stage: st, Elapsed: frame.Progress.Elapsed})
 			}
 		default:
 			mon.CrashedAtLast(rank)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"codedterasort/internal/coded"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
@@ -534,7 +533,7 @@ type outputDigests struct {
 	before [][]byte
 }
 
-func (o *outputDigests) work(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+func (o *outputDigests) work(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 	if local.Input != nil {
 		o.once.Do(func() { o.input, o.before = local.Input, fileDigests(local.Input) })
 	}

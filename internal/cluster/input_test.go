@@ -11,7 +11,7 @@ import (
 	"testing"
 	"weak"
 
-	"codedterasort/internal/engine"
+	"codedterasort/internal/coded"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/placement"
@@ -23,7 +23,7 @@ import (
 // stream reaches its checker as tamper's rewrite of a copy of it — a faulty
 // rank the verifier must catch. The tests' partitions fit in one block.
 func tamperOutput(rank int, tamper func(kv.Records) kv.Records) workerFunc {
-	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 		if check := sink; ep.Rank() == rank {
 			tampered := false
 			sink = func(block kv.Records) error {
@@ -45,8 +45,8 @@ func tamperOutput(rank int, tamper func(kv.Records) kv.Records) workerFunc {
 // described before any rank ran, so the corrupted record fails the
 // multiset check instead of being verified against itself.
 func TestVerifyCatchesFaultyRank(t *testing.T) {
-	coded := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 71}
-	outOfCore := coded
+	inMemory := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 71}
+	outOfCore := inMemory
 	outOfCore.MemBudget, outOfCore.SpillDir = 16<<10, t.TempDir()
 	flipValue := func(r kv.Records) kv.Records {
 		r.Value(r.Len() / 2)[5] ^= 0x40
@@ -62,21 +62,21 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 		work workerFunc
 		want string
 	}{
-		{"dropped record", coded, tamperOutput(1, func(r kv.Records) kv.Records {
+		{"dropped record", inMemory, tamperOutput(1, func(r kv.Records) kv.Records {
 			return r.Slice(1, r.Len())
 		}), "rows"},
-		{"duplicated record", coded, tamperOutput(1, func(r kv.Records) kv.Records {
+		{"duplicated record", inMemory, tamperOutput(1, func(r kv.Records) kv.Records {
 			return r.Slice(0, 1).AppendRecords(r)
 		}), "rows"},
-		{"flipped value byte", coded, tamperOutput(1, flipValue), "checksum"},
-		{"swapped adjacent pair", coded, tamperOutput(1, swap), "not sorted"},
+		{"flipped value byte", inMemory, tamperOutput(1, flipValue), "checksum"},
+		{"swapped adjacent pair", inMemory, tamperOutput(1, swap), "not sorted"},
 		// The check fails inside the rank's Reduce, which must still finish:
 		// the failure is the job's verification, not a rank fault.
 		{"swapped adjacent pair out of core", outOfCore, tamperOutput(1, swap), "not sorted"},
 		// r = 1, so rank 1 is its file's only reader and the write races
 		// with no other rank.
 		{"write into aliased input", Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 71},
-			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 				if ep.Rank() == 1 {
 					flipValue(local.Input[1])
 				}
@@ -109,7 +109,7 @@ type scanFunc = func(i, blockRows int, fn func(kv.Records) error) error
 // which is handed the supervisor's scan and the rank's call and decides
 // what reaches the rank.
 func tamperScan(rank int, tamper func(scan scanFunc, i, blockRows int, fn func(kv.Records) error) error) workerFunc {
-	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 		if scan := local.Scan; ep.Rank() == rank {
 			local.Scan = func(i, blockRows int, fn func(kv.Records) error) error {
 				return tamper(scan, i, blockRows, fn)
@@ -219,7 +219,7 @@ func TestSharedInputReleased(t *testing.T) {
 			}
 		}}
 		_, err := runLocal(context.Background(), spec, opts,
-			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 				files := local.Input
 				once.Do(func() {
 					for _, f := range files {
@@ -271,7 +271,7 @@ func (c *cancelOnCheck) Err() error {
 // spill entry behind.
 func TestCancelDuringPlacement(t *testing.T) {
 	var ranks atomic.Int64
-	work := func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+	work := func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 		ranks.Add(1)
 		return runWorker(ep, spec, local, sink, hooks)
 	}

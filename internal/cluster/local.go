@@ -8,7 +8,6 @@ import (
 	"runtime"
 
 	"codedterasort/internal/coded"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
@@ -126,7 +125,7 @@ func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, err
 
 // workerFunc runs the sort on one endpoint: runWorker, or in tests a
 // wrapper around it that tampers with what one rank reads or returns.
-type workerFunc func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error)
+type workerFunc func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error)
 
 // runLocal is RunLocalOpts with every rank's body run by work.
 func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*JobReport, error) {
@@ -148,7 +147,7 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		rankSpec = scanned.spec
 	}
 	checks := make([]*outputCheck, spec.K)
-	rep, err := Supervise(ctx, rankSpec, opts, func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error) {
+	rep, err := Supervise(ctx, rankSpec, opts, func(ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
 		var local job.Local
 		if input != nil {
 			local.Input = input.take(ep.Rank())
@@ -456,7 +455,7 @@ func describeInput(ctx context.Context, spec Spec) (verify.Input, error) {
 // non-nil sink receives the sorted partition as ascending blocks instead of
 // it being returned in the report's Output; hooks observe each completed
 // stage through the engine runtime.
-func runWorker(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks engine.Hooks) (WorkerReport, error) {
+func runWorker(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
 	res, err := coded.Run(ep, coded.Config{Spec: spec, Local: local, OutputSink: sink, Hooks: hooks})
 	if err != nil {
 		return WorkerReport{}, err

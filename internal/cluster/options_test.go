@@ -91,10 +91,10 @@ func TestRunLocalOptsOnStage(t *testing.T) {
 	if attempts1 == 0 {
 		t.Fatal("the failed attempt left no records in the live feed")
 	}
-	// The clean re-execution records every stage of every rank:
-	// 3 ranks x 4 TeraSort stages (Map, Pack, Shuffle, Reduce).
-	if attempts2 != spec.K*4 {
-		t.Fatalf("attempt-2 records = %d, want %d", attempts2, spec.K*5)
+	// The clean re-execution records every stage of every rank: K ranks
+	// times the timed stages of the job's schedule.
+	if want := spec.K * len(jobColumns(spec)); attempts2 != want {
+		t.Fatalf("attempt-2 records = %d, want %d", attempts2, want)
 	}
 	var runs int64
 	for _, tot := range totals {

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"codedterasort/internal/coded"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/trace"
@@ -20,9 +19,9 @@ import (
 // worker on ep under spec — the attempt's spec, the respawned ranks' faults
 // removed — with hooks observing every stage (they feed the stage log and
 // the deadline detector), and returns the rank's report. Supervise fills in
-// the report's Rank and WireBytes. An engine.KilledError return is the
+// the report's Rank and WireBytes. An coded.KilledError return is the
 // rank's death; any other error is a failure.
-type RankFunc func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (WorkerReport, error)
+type RankFunc func(ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error)
 
 // launcher runs one supervised attempt — in process (inProcess) or
 // over TCP (Coordinator.launch): the K ranks of spec, the attempt's spec,
@@ -30,7 +29,7 @@ type RankFunc func(ep transport.Endpoint, spec Spec, hooks engine.Hooks) (Worker
 // returned. Once ctx is done (a detection, or the caller's cancel) it
 // aborts them all, unblocking every rank stuck at a peer. It returns each
 // rank's report or error; its own error means the attempt never started.
-type launcher func(ctx context.Context, spec Spec, mon *monitor, hooks engine.Hooks) ([]WorkerReport, []error, error)
+type launcher func(ctx context.Context, spec Spec, mon *monitor, hooks coded.Hooks) ([]WorkerReport, []error, error)
 
 // Supervise runs a job's K ranks in this process over the in-memory
 // transport, traffic-shaped per the spec, with rank as every rank's body —
@@ -139,7 +138,7 @@ func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, launch la
 	mon := newMonitor(spec.K, columns, spec.StageDeadline, attempt, abort)
 	mon.Watch()
 	defer mon.Stop()
-	hooks := func(ev engine.StageEvent) {
+	hooks := func(ev coded.StageEvent) {
 		stageLog.Record(ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
 		if ev.Err == nil {
 			mon.StageEnd(ev.Rank, ev.Stage)
@@ -182,7 +181,7 @@ func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, launch la
 // inProcess is the in-process launcher: rank as every rank's body, each on
 // its own goroutine, on a fresh in-memory mesh per attempt.
 func inProcess(rank RankFunc) launcher {
-	return func(ctx context.Context, spec Spec, mon *monitor, hooks engine.Hooks) ([]WorkerReport, []error, error) {
+	return func(ctx context.Context, spec Spec, mon *monitor, hooks coded.Hooks) ([]WorkerReport, []error, error) {
 		mesh := memnet.NewMesh(spec.K)
 		defer mesh.Close()
 		// Closing the mesh unblocks every rank at its next transport
@@ -207,7 +206,7 @@ func inProcess(rank RankFunc) launcher {
 					// rank is recorded as a death; a genuine error as a
 					// failure — but first-detection freezing means casualties
 					// of the cancellation itself are never blamed.
-					var killed *engine.KilledError
+					var killed *coded.KilledError
 					if errors.As(err, &killed) {
 						mon.Crashed(killed.Rank, killed.Stage)
 					} else {

@@ -8,7 +8,7 @@ import (
 	"sync"
 	"time"
 
-	"codedterasort/internal/engine"
+	"codedterasort/internal/coded"
 	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport/tcpnet"
@@ -112,7 +112,7 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	// a vanished coordinator) cancels the run by closing the mesh — a
 	// worker never waits forever on a peer the coordinator has declared
 	// dead.
-	hooks := func(ev engine.StageEvent) {
+	hooks := func(ev coded.StageEvent) {
 		if ev.Err != nil {
 			return
 		}
@@ -138,7 +138,7 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 		err = check.failed
 	}
 	if err != nil {
-		var killed *engine.KilledError
+		var killed *coded.KilledError
 		if errors.As(err, &killed) {
 			// Simulate the process death the fault models: drop the
 			// coordinator connection and the mesh without reporting. The

@@ -76,27 +76,13 @@ func UnpackIVZeroCopy(payload []byte) (kv.Records, error) {
 // PackedSize returns the wire size of an IV with n records once packed.
 func PackedSize(n int) int { return packHeader + n*kv.RecordSize }
 
-// SplitSegments splits an intermediate value into r contiguous,
-// record-aligned segments whose sizes differ by at most one record:
-// segment j holds records [j*n/r, (j+1)*n/r). Every node of a file set F
-// computes the identical split locally, which is what lets the XOR coding
-// cancel (paper Eq. 7: "evenly and arbitrarily split into r segments" —
-// the split must nonetheless be agreed upon, so it is deterministic here).
-//
-// Segment j belongs to the j-th member of F in ascending node order.
-func SplitSegments(iv kv.Records, r int) []kv.Records {
-	if r <= 0 {
-		panic(fmt.Sprintf("codec: SplitSegments r=%d", r))
-	}
-	segs := make([]kv.Records, r)
-	for j := 0; j < r; j++ {
-		segs[j] = iv.Slice(segmentSpan(iv.Len(), r, j))
-	}
-	return segs
-}
-
-// Segment returns only the j-th of the r segments of iv, without
-// materializing the others.
+// Segment returns the j-th of r contiguous, record-aligned segments of an
+// intermediate value, whose sizes differ by at most one record: segment j
+// holds records [j*n/r, (j+1)*n/r). Every node of a file set F computes the
+// identical split locally, which is what lets the XOR coding cancel (paper
+// Eq. 7: "evenly and arbitrarily split into r segments" — the split must
+// nonetheless be agreed upon, so it is deterministic here). Segment j
+// belongs to the j-th member of F in ascending node order.
 func Segment(iv kv.Records, r, j int) kv.Records {
 	if r <= 0 || j < 0 || j >= r {
 		panic(fmt.Sprintf("codec: Segment r=%d j=%d", r, j))

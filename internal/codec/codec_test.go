@@ -51,14 +51,11 @@ func TestUnpackRejectsCorruption(t *testing.T) {
 func TestSplitSegmentsEvenAndComplete(t *testing.T) {
 	for _, tc := range []struct{ n, r int }{{10, 3}, {9, 3}, {1, 4}, {0, 2}, {100, 1}, {7, 7}} {
 		iv := gen(uint64(tc.n), int64(tc.n))
-		segs := SplitSegments(iv, tc.r)
-		if len(segs) != tc.r {
-			t.Fatalf("n=%d r=%d: %d segments", tc.n, tc.r, len(segs))
-		}
 		total := 0
 		min, max := tc.n, 0
 		var joined kv.Records
-		for _, s := range segs {
+		for j := 0; j < tc.r; j++ {
+			s := Segment(iv, tc.r, j)
 			total += s.Len()
 			joined = joined.AppendRecords(s)
 			if s.Len() < min {
@@ -80,11 +77,11 @@ func TestSplitSegmentsEvenAndComplete(t *testing.T) {
 	}
 }
 
+// TestSegmentMatchesSplit: segment j of r holds records [j*n/r, (j+1)*n/r).
 func TestSegmentMatchesSplit(t *testing.T) {
 	iv := gen(3, 23)
-	segs := SplitSegments(iv, 5)
 	for j := 0; j < 5; j++ {
-		if !Segment(iv, 5, j).Equal(segs[j]) {
+		if !Segment(iv, 5, j).Equal(iv.Slice(j*23/5, (j+1)*23/5)) {
 			t.Fatalf("Segment(%d) mismatch", j)
 		}
 	}
@@ -96,7 +93,7 @@ func TestSplitSegmentsPanics(t *testing.T) {
 			t.Fatalf("expected panic")
 		}
 	}()
-	SplitSegments(gen(1, 4), 0)
+	Segment(gen(1, 4), 0, 0)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -370,22 +367,6 @@ func TestDecodeDetectsCorruptPacket(t *testing.T) {
 	}
 }
 
-func TestCodedPacketWidthMatchesEncode(t *testing.T) {
-	stores, _ := buildScenario(t, 5, 5, 3, 911)
-	for _, m := range combin.Subsets(combin.Range(5), 4) {
-		g := CliqueGroup(m)
-		for _, u := range m.Members() {
-			p, err := EncodeGroupPacket(stores[u], g, u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := GroupPacketWidth(stores[u], g, u); got != len(p) {
-				t.Fatalf("width %d, packet %d", got, len(p))
-			}
-		}
-	}
-}
-
 func TestCodedPacketSavesBytes(t *testing.T) {
 	// Within one group, the r+1 coded packets replace (r+1)*r unicast
 	// segments; total coded bytes must be close to 1/r of the uncoded
@@ -395,7 +376,11 @@ func TestCodedPacketSavesBytes(t *testing.T) {
 	m := combin.NewSet(0, 1, 2, 3)
 	var codedBytes, uncodedBytes int
 	for _, u := range m.Members() {
-		codedBytes += GroupPacketWidth(stores[u], CliqueGroup(m), u)
+		p, err := EncodeGroupPacket(stores[u], CliqueGroup(m), u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codedBytes += len(p)
 		// Uncoded: u would unicast each needed segment separately.
 		for _, t2 := range m.Remove(u).Members() {
 			file := m.Remove(t2)

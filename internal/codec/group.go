@@ -214,12 +214,6 @@ func DecodeGroupPacket(store IVStore, g Group, k, u int, packet []byte) (kv.Reco
 	return DecodeGroupPacketInPlace(store, g, k, u, packet)
 }
 
-// GroupPacketWidth returns the wire size of the coded packet node k sends in
-// group g given the store, without building it.
-func GroupPacketWidth(store IVStore, g Group, k int) int {
-	return packetWidth(g.terms(store, g.Index(k), -1, 0, 0))
-}
-
 // GroupPacketChunkCount returns how many chunk packets node k multicasts in
 // group g when streaming with the given chunk size: enough to cover its
 // widest contributing segment, and at least one so every stream closes.

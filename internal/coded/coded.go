@@ -44,20 +44,22 @@
 // disk instead of holding them. The engine tests only that property — never
 // an algorithm name or r itself.
 //
-// The package writes out each execution mode's stage list (worker.schedule)
-// for the internal/engine runtime, which walks it: mode selection, stage
-// timing, barriers, fault injection, the spill-sorter lifecycle and
-// transfer accounting live there. The placement/coding scheme is
-// pluggable (job.Spec.Placement) through placement.Strategy.
+// A rank's schedule is a plain list of stages, each charged to a breakdown
+// column (stats.Stage); worker.schedule writes out one list per execution
+// mode — monolithic, chunked or spill, picked by one switch on the job's
+// knobs — and worker.run walks it: stage timing, the Hooks, barriers, fault
+// injection and the run's cleanups live there (run.go). The
+// placement/coding scheme is pluggable (job.Spec.Placement) through
+// placement.Strategy.
 package coded
 
 import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"codedterasort/internal/codec"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/extsort"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
@@ -120,7 +122,7 @@ type Config struct {
 	// Hooks observes each timed stage of the run — the instrumentation API
 	// the cluster runtime uses for its stage log. It sees exactly the
 	// elapsed times Summary.Times sums.
-	Hooks engine.Hooks
+	Hooks Hooks
 }
 
 // Summary is what a worker reports about its run, everything but the
@@ -129,7 +131,7 @@ type Config struct {
 // are the report frame's.
 type Summary struct {
 	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Reduce), as the engine scheduler charged it. Decode
+	// Pack, Shuffle, Reduce), as worker.run charged it. Decode
 	// runs inside the Shuffle, so Unpack/Decode stays zero.
 	Times stats.Breakdown `json:"times"`
 	// OutputRows counts the sorted partition's records in every mode,
@@ -194,17 +196,20 @@ func Run(ep transport.Endpoint, cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if err := w.run(ep, stats.NewWallClock()); err != nil {
+	name, stages := w.schedule()
+	if err := w.run(stats.NewWallClock(), name, stages); err != nil {
 		return Result{}, err
 	}
 	return w.result, nil
 }
 
 type worker struct {
-	cfg  Config        // the process-local hooks
-	spec *job.Resolved // cfg.Spec and cfg.Local, validated and defaulted
-	rank int
-	part partition.Partitioner // resolved by config or derived from the input
+	cfg   Config        // the process-local hooks
+	spec  *job.Resolved // cfg.Spec and cfg.Local, validated and defaulted
+	ep    transport.Endpoint
+	rank  int
+	procs int                   // the resolved Parallelism of the compute hot paths
+	part  partition.Partitioner // resolved by config or derived from the input
 
 	plan     placement.Plan
 	stored   []int // indices of the files placed on this node, ascending
@@ -240,7 +245,16 @@ type worker struct {
 	// reducer orders partition `rank` in the in-memory modes, from the
 	// Shuffle on (see reduce.go).
 	reducer *reducer
-	result  Result
+	// sorter is the out-of-core modes' spill sorter (see spillSorter);
+	// sorterMu serializes the receivers' appends and its removal.
+	sorter   *extsort.Sorter
+	sorterMu sync.Mutex
+	// cleanups release the run's resources when it ends, last first.
+	cleanups []func()
+	// chunksReceived counts consumed inbound chunks across the concurrent
+	// receivers; the run reads it once into the result.
+	chunksReceived atomic.Int64
+	result         Result
 }
 
 // newWorker resolves the job against the endpoint's world and derives
@@ -260,8 +274,8 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 		return nil, err
 	}
 	rank := ep.Rank()
-	w := &worker{cfg: cfg, spec: spec, rank: rank, part: spec.Part, plan: plan,
-		stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank), coding: coding(spec.Strat)}
+	w := &worker{cfg: cfg, spec: spec, ep: ep, rank: rank, procs: parallel.Resolve(spec.Parallelism),
+		part: spec.Part, plan: plan, stored: plan.FilesOn(rank), myGroups: spec.Strat.GroupsOf(rank), coding: coding(spec.Strat)}
 	w.groupIdx = make(map[int64]int, len(w.myGroups))
 	for i, g := range w.myGroups {
 		w.groupIdx[g.ID] = i
@@ -282,24 +296,6 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	return w, nil
 }
 
-// run walks this rank's schedule on the engine runtime, timing stages by
-// clock, and fills the result.
-func (w *worker) run(ep transport.Endpoint, clock stats.Clock) error {
-	ctx, err := engine.Run(ep, w.schedule(engine.ModeOf(w.spec)), tagBarrier, w.spec, clock, w.cfg.Hooks)
-	if err != nil {
-		return err
-	}
-	if sp, ok := w.part.(partition.Splitters); ok {
-		w.result.SplitterBounds = sp.Bounds()
-	}
-	w.result.SentBytes = ctx.Counters.SentBytes
-	w.result.SentOps = ctx.Counters.SentOps
-	w.result.ChunksSent = ctx.Counters.ChunksSent
-	w.result.ChunksReceived = ctx.Counters.ChunksReceived()
-	w.result.Times = ctx.Times
-	return nil
-}
-
 // coding reports whether strat's groups have more than two members. Group
 // size is uniform within a strategy, so every rank reads the same value and
 // lists the same schedule.
@@ -315,47 +311,48 @@ func coding(strat placement.Strategy) (coding bool) {
 // schedule order: the timed stages of worker.schedule. The supervisors name
 // the stage a silent or failed rank is stuck at by it.
 func Columns(spec *job.Resolved) []stats.Stage {
-	w := &worker{coding: coding(spec.Strat)}
+	_, stages := (&worker{spec: spec, coding: coding(spec.Strat)}).schedule()
 	var cols []stats.Stage
-	for _, s := range w.schedule(engine.ModeOf(spec)) {
-		if !s.Untimed {
-			cols = append(cols, s.Column)
+	for _, s := range stages {
+		if !s.untimed {
+			cols = append(cols, s.column)
 		}
 	}
 	return cols
 }
 
-// schedule lists this rank's stages in mode m: the paper's monolithic
-// sequence, the chunked one whose streaming Shuffle overlaps Encode,
-// Shuffle and Decode, and the out-of-core one that scans its files block by
-// block and spills through the runtime's sorter. Every rank lists the same
-// columns.
-func (w *worker) schedule(m engine.Mode) []engine.Stage {
-	var stages []engine.Stage
+// schedule names and lists this rank's stages. It is the one place the
+// execution mode is decided: MemBudget selects the out-of-core schedule,
+// which scans its files block by block and spills through the sorter;
+// ChunkRows alone the chunked one, whose streaming Shuffle overlaps Encode,
+// Shuffle and Decode; neither the paper's monolithic sequence. Every rank
+// lists the same columns.
+func (w *worker) schedule() (string, []stage) {
+	var stages []stage
 	if w.coding {
-		stages = append(stages, engine.Stage{Column: stats.StageCodeGen, Run: w.codeGenStage})
+		stages = append(stages, stage{column: stats.StageCodeGen, run: w.codeGenStage})
 	}
 	// Place comes last before Map, the first stage whose body talks to no
 	// peer: placement is unbarriered, so a communicating stage after it
 	// would be charged the wait for the slowest rank's placement.
-	place := engine.Stage{Untimed: true, Run: w.placeStage}
-	switch m {
-	case engine.ModeMono:
-		return append(stages, place,
-			engine.Stage{Column: stats.StageMap, Run: w.mapStage},
-			engine.Stage{Column: stats.StagePack, Run: w.encodeStage},
-			engine.Stage{Column: stats.StageShuffle, Run: w.multicastStage},
-			engine.Stage{Column: stats.StageReduce, Run: w.reduceStage})
-	case engine.ModeChunked:
-		return append(stages, place,
-			engine.Stage{Column: stats.StageMap, Run: w.mapStage},
-			engine.Stage{Column: stats.StageShuffle, Run: w.streamStage},
-			engine.Stage{Column: stats.StageReduce, Run: w.reduceStage})
-	default: // engine.ModeSpill
-		return append(stages,
-			engine.Stage{Column: stats.StageMap, Run: w.mapSpillStage},
-			engine.Stage{Column: stats.StageShuffle, Run: w.streamStage},
-			engine.Stage{Column: stats.StageReduce, Run: w.reduceSpillStage})
+	place := stage{untimed: true, run: w.placeStage}
+	switch {
+	case w.spec.MemBudget > 0:
+		return "spill", append(stages,
+			stage{column: stats.StageMap, run: w.mapSpillStage},
+			stage{column: stats.StageShuffle, run: func() error { return w.streamStage(w.spillAppend) }},
+			stage{column: stats.StageReduce, run: w.reduceSpillStage})
+	case w.spec.ChunkRows > 0:
+		return "chunked", append(stages, place,
+			stage{column: stats.StageMap, run: w.mapStage},
+			stage{column: stats.StageShuffle, run: func() error { return w.streamStage(nil) }},
+			stage{column: stats.StageReduce, run: w.reduceStage})
+	default:
+		return "monolithic", append(stages, place,
+			stage{column: stats.StageMap, run: w.mapStage},
+			stage{column: stats.StagePack, run: w.encodeStage},
+			stage{column: stats.StageShuffle, run: w.multicastStage},
+			stage{column: stats.StageReduce, run: w.reduceStage})
 	}
 }
 
@@ -366,7 +363,7 @@ func (w *worker) schedule(m engine.Mode) []engine.Stage {
 // references to the supplied set: from here only w.files, and then the
 // views Map keeps, hold a file, so it is garbage once its holders have
 // reduced.
-func (w *worker) placeStage(ctx *engine.Context) error {
+func (w *worker) placeStage() error {
 	input := w.spec.Input
 	w.spec.Input, w.cfg.Input = nil, nil
 	w.files = make(map[int]kv.Records, len(w.stored))
@@ -385,7 +382,7 @@ func (w *worker) placeStage(ctx *engine.Context) error {
 			}
 		default:
 			first, last := w.plan.FileRows(fi)
-			w.files[fi] = gen.GenerateParallel(first, last-first, ctx.Procs)
+			w.files[fi] = gen.GenerateParallel(first, last-first, w.procs)
 		}
 	}
 	return nil
@@ -413,20 +410,20 @@ func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
 // construction a real per-group communication cost, the role MPI_Comm_split
 // plays in the paper, whose measured CodeGen time scales with the group
 // count.
-func (w *worker) codeGenStage(ctx *engine.Context) error {
+func (w *worker) codeGenStage() error {
 	// Send to all successors first (sends are asynchronous), then collect
 	// from predecessors, so the ring cannot deadlock.
 	for _, g := range w.myGroups {
 		idx := g.Index(w.rank)
 		succ := g.Members[(idx+1)%len(g.Members)]
-		if err := ctx.Ep.Send(succ, groupTag(tagCodeGen, g.ID, 0), nil); err != nil {
+		if err := w.ep.Send(succ, groupTag(tagCodeGen, g.ID, 0), nil); err != nil {
 			return err
 		}
 	}
 	for _, g := range w.myGroups {
 		idx := g.Index(w.rank)
 		pred := g.Members[(idx+len(g.Members)-1)%len(g.Members)]
-		if _, err := ctx.Ep.Recv(pred, groupTag(tagCodeGen, g.ID, 0)); err != nil {
+		if _, err := w.ep.Recv(pred, groupTag(tagCodeGen, g.ID, 0)); err != nil {
 			return err
 		}
 	}
@@ -443,12 +440,12 @@ func (w *worker) mapRecords(r kv.Records) kv.Records {
 // intermediate values (Fig 5) as views of the file's rows, handing each
 // file over to its views after the scatter. The scatter runs on the
 // worker's Parallelism goroutines.
-func (w *worker) mapStage(ctx *engine.Context) error {
+func (w *worker) mapStage() error {
 	w.store = mapRelevant(w.plan, w.part, w.rank, func(fi int) kv.Records {
 		file := w.files[fi]
 		w.files[fi] = kv.Records{}
 		return w.mapRecords(file)
-	}, ctx.Procs)
+	}, w.procs)
 	return nil
 }
 
@@ -456,15 +453,15 @@ func (w *worker) mapStage(ctx *engine.Context) error {
 // block by block (never materialized whole), and each block's partitions
 // are listed by reference (partition.SplitRows, the in-memory Map's
 // scatter) and gathered once, straight to where they go. Records of this
-// node's own partition go into the runtime's budget-bounded sorter. The
+// node's own partition go into the budget-bounded spill sorter. The
 // remotely relevant intermediate values accumulate in the in-memory store
 // exactly as the monolithic Map builds them when they are the XOR side
 // information of Algorithms 1 and 2; without coding they are send-once, so
 // each appends to its group's disk spool, framed at ChunkRows (the
 // granularity the shuffle will stream it at), and peak memory is one input
 // block plus the partial spool blocks.
-func (w *worker) mapSpillStage(ctx *engine.Context) error {
-	sorter, err := ctx.Sorter()
+func (w *worker) mapSpillStage() error {
+	sorter, err := w.spillSorter()
 	if err != nil {
 		return err
 	}
@@ -476,7 +473,7 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 		w.spools = make([]*extsort.Spool, len(w.myGroups))
 		w.spoolBlocks = make([]int64, len(w.myGroups))
 		sends = make(map[codec.IVKey]int, len(w.myGroups))
-		ctx.Defer(func() {
+		w.cleanups = append(w.cleanups, func() {
 			for _, sp := range w.spools {
 				if sp != nil {
 					sp.Close()
@@ -498,7 +495,7 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 		fileSet := w.plan.Files[fi]
 		if err := w.scanFile(fi, func(block kv.Records) error {
 			recs := w.mapRecords(block)
-			rows := partition.SplitRows(w.part, recs, ctx.Procs)
+			rows := partition.SplitRows(w.part, recs, w.procs)
 			for q := 0; q < w.plan.K; q++ {
 				part := kv.ViewRows(recs, rows[q])
 				switch {
@@ -538,8 +535,8 @@ func (w *worker) mapSpillStage(ctx *engine.Context) error {
 // over the sorted runs (plus the sorter's in-memory tail), emitted in
 // ascending ChunkRows-record blocks. The sorted partition is never
 // materialized unless no OutputSink is set.
-func (w *worker) reduceSpillStage(ctx *engine.Context) error {
-	sorter, err := ctx.Sorter()
+func (w *worker) reduceSpillStage() error {
+	sorter, err := w.spillSorter()
 	if err != nil {
 		return err
 	}
@@ -596,9 +593,9 @@ func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file
 // paper assigns to the Pack/Encode stage. Groups are independent (the IV
 // store is read-only here) and packets are indexed by group position, so
 // the per-group encodes run on the worker's Parallelism goroutines.
-func (w *worker) encodeStage(ctx *engine.Context) error {
+func (w *worker) encodeStage() error {
 	w.packets = make([][]byte, len(w.myGroups))
-	return parallel.Do(ctx.Procs, len(w.myGroups), func(i int) error {
+	return parallel.Do(w.procs, len(w.myGroups), func(i int) error {
 		g := w.myGroups[i]
 		p, err := codec.EncodeGroupPacket(w.store, g.Group, w.rank)
 		if err != nil {
@@ -646,7 +643,7 @@ func memberSlots[T any](groups []placement.Group) [][]T {
 // forward completes first, and once decoded only its segment holds it (see
 // compact). The segment goes to the reducer, which the stage starts with
 // the local share, so Reduce runs under the wire.
-func (w *worker) multicastStage(ctx *engine.Context) error {
+func (w *worker) multicastStage() error {
 	w.decoded = memberSlots[[]kv.Records](w.myGroups)
 	// The reducer's parts, in reduceStage's order: the stored files'
 	// shares, then one slot per member of each group.
@@ -667,7 +664,7 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 		reserve = local * len(w.plan.Files) / len(w.stored)
 		reserve += reserve / 16
 	}
-	red := w.startReducer(ctx, parts, reserve)
+	red := w.startReducer(parts, reserve)
 
 	recvErr := make(chan error, 1)
 	go func() {
@@ -677,7 +674,7 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 			}
 			for _, gi := range w.inboundFrom(u) {
 				g := w.myGroups[gi]
-				p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+				p, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
 				if err != nil {
 					recvErr <- fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
 					return
@@ -700,18 +697,18 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 
 	send := func() error {
 		for i, g := range w.myGroups {
-			if _, err := ctx.Ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), w.packets[i]); err != nil {
+			if _, err := w.ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), w.packets[i]); err != nil {
 				return fmt.Errorf("bcast send in %v: %w", g.Members, err)
 			}
-			ctx.Counters.SentBytes += int64(len(w.packets[i]))
-			ctx.Counters.SentOps++
+			w.result.SentBytes += int64(len(w.packets[i]))
+			w.result.SentOps++
 			// Bcast does not alias the packet after it returns.
 			codec.Recycle(w.packets[i])
 			w.packets[i] = nil
 		}
 		return nil
 	}
-	if err := ctx.Schedule(transport.MakeTag(tagToken, 0, 0), send); err != nil {
+	if err := w.inTurn(send); err != nil {
 		return err
 	}
 	return <-recvErr
@@ -726,7 +723,8 @@ func (w *worker) multicastStage(ctx *engine.Context) error {
 // group members bound the root's run-ahead to Window chunks. The receive
 // side runs one goroutine per root, each walking that root's groups in the
 // root's send order, so concurrent senders never queue behind one another.
-func (w *worker) streamStage(ctx *engine.Context) error {
+// spill, when set, takes every decoded chunk (see receiveStream).
+func (w *worker) streamStage(spill func(kv.Records) error) error {
 	w.decoded = memberSlots[[]kv.Records](w.myGroups)
 	recvErrs := make([]error, w.spec.K)
 	var wg sync.WaitGroup
@@ -753,7 +751,7 @@ func (w *worker) streamStage(ctx *engine.Context) error {
 				<-prev
 			}
 			for _, gi := range w.inboundFrom(u) {
-				if recvErrs[u] = w.receiveStream(ctx, gi, u); recvErrs[u] != nil {
+				if recvErrs[u] = w.receiveStream(gi, u, spill); recvErrs[u] != nil {
 					return
 				}
 			}
@@ -762,13 +760,13 @@ func (w *worker) streamStage(ctx *engine.Context) error {
 
 	send := func() error {
 		for gi := range w.myGroups {
-			if err := w.sendStream(ctx, gi); err != nil {
+			if err := w.sendStream(gi); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := ctx.Schedule(transport.MakeTag(tagToken, 0, 0), send); err != nil {
+	if err := w.inTurn(send); err != nil {
 		// Don't wait for receivers whose roots may be gone; they unblock
 		// with ErrClosed at teardown.
 		return err
@@ -783,50 +781,47 @@ func (w *worker) streamStage(ctx *engine.Context) error {
 }
 
 // receiveStream consumes the chunk stream root u sends in group
-// myGroups[gi], decoding each chunk in place on arrival. Recovered chunks
-// join the group's decoded slot where they lie (see compact), or in the
-// spill mode are copied straight into the runtime's budget-bounded sorter.
-func (w *worker) receiveStream(ctx *engine.Context, gi, u int) error {
+// myGroups[gi] up to its last-flagged chunk: it receives each framed chunk,
+// returns one credit, validates the frame and decodes the chunk in place.
+// The recovered records go to spill when it is set (the out-of-core modes'
+// budget-bounded sorter), else join the group's decoded slot where they lie
+// (see compact). The credit goes back before validation, so a bad frame
+// here never wedges the sender behind a window that will not reopen.
+func (w *worker) receiveStream(gi, u int, spill func(kv.Records) error) error {
 	g := w.myGroups[gi]
 	pieces := &w.decoded[gi][g.Index(u)]
-	consume := func(recs kv.Records) error {
-		if recs = compact(recs); recs.Len() > 0 {
+	var stream codec.ChunkStream
+	for c := 0; !stream.Done(); c++ {
+		frame, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+		if err != nil {
+			return fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
+		}
+		if err := transport.StreamAck(w.ep, u, groupTag(tagChunkAck, g.ID, u)); err != nil {
+			return err
+		}
+		payload, _, err := stream.Accept(frame)
+		if err != nil {
+			return fmt.Errorf("chunk stream in %v from %d: %w", g.Members, u, err)
+		}
+		recs, err := codec.DecodeGroupPacketChunkInPlace(w.store, g.Group, w.rank, u, w.spec.ChunkRows, c, payload)
+		if err != nil {
+			return fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
+		}
+		if spill != nil {
+			if err := spill(recs); err != nil {
+				return err
+			}
+		} else if recs = compact(recs); recs.Len() > 0 {
 			*pieces = append(*pieces, recs)
 		}
-		return nil
+		w.chunksReceived.Add(1)
 	}
-	if ctx.Mode == engine.ModeSpill {
-		consume = ctx.SpillAppend
-	}
-	rx := engine.ChunkRx{
-		Recv: func() ([]byte, error) {
-			p, err := ctx.Ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
-			if err != nil {
-				return nil, fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
-			}
-			return p, nil
-		},
-		Ack: func() error {
-			return transport.StreamAck(ctx.Ep, u, groupTag(tagChunkAck, g.ID, u))
-		},
-		Decode: func(c int, payload []byte) (kv.Records, error) {
-			part, err := codec.DecodeGroupPacketChunkInPlace(w.store, g.Group, w.rank, u, w.spec.ChunkRows, c, payload)
-			if err != nil {
-				return kv.Records{}, fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
-			}
-			return part, nil
-		},
-		Consume: consume,
-		WrapStreamErr: func(err error) error {
-			return fmt.Errorf("chunk stream in %v from %d: %w", g.Members, u, err)
-		},
-	}
-	return rx.Run(&ctx.Counters)
+	return nil
 }
 
 // sendStream ships this node's chunk stream in group myGroups[gi] under
 // the credit window.
-func (w *worker) sendStream(ctx *engine.Context, gi int) error {
+func (w *worker) sendStream(gi int) error {
 	g := w.myGroups[gi]
 	count, frameOf, err := w.chunkSource(gi)
 	if err != nil {
@@ -838,7 +833,7 @@ func (w *worker) sendStream(ctx *engine.Context, gi int) error {
 			if m == w.rank {
 				continue
 			}
-			if _, err := ctx.Ep.Recv(m, ackTag); err != nil {
+			if _, err := w.ep.Recv(m, ackTag); err != nil {
 				return err
 			}
 		}
@@ -852,13 +847,13 @@ func (w *worker) sendStream(ctx *engine.Context, gi int) error {
 		if err := gate.Reserve(); err != nil {
 			return err
 		}
-		if _, err := ctx.Ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), frame); err != nil {
+		if _, err := w.ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), frame); err != nil {
 			return fmt.Errorf("bcast send in %v: %w", g.Members, err)
 		}
 		gate.Sent()
-		ctx.Counters.SentBytes += int64(len(frame))
-		ctx.Counters.SentOps++
-		ctx.Counters.ChunksSent++
+		w.result.SentBytes += int64(len(frame))
+		w.result.SentOps++
+		w.result.ChunksSent++
 		// Bcast does not alias the frame after it returns; back to the
 		// pool for the next chunk.
 		codec.Recycle(frame)
@@ -941,7 +936,7 @@ func (w *worker) localShare() []kv.View {
 // The chunked Shuffle starts no reducer: its Reduce hands the reducer the
 // whole partition as one run, the stored files' shares and then the
 // decoded pieces in (group, member, piece) order, and waits for it.
-func (w *worker) reduceStage(ctx *engine.Context) error {
+func (w *worker) reduceStage() error {
 	if w.reducer == nil {
 		parts := w.localShare()
 		for _, segs := range w.decoded {
@@ -951,7 +946,7 @@ func (w *worker) reduceStage(ctx *engine.Context) error {
 				}
 			}
 		}
-		w.startReducer(ctx, parts, 0).finish()
+		w.startReducer(parts, 0).finish()
 	}
 	rows, output, err := w.reducer.join()
 	w.result.OutputRows, w.result.Output = int64(rows), output

@@ -79,7 +79,8 @@ func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clo
 				if clock != nil {
 					clk = clock(w)
 				}
-				err = w.run(ep, clk)
+				name, stages := w.schedule()
+				err = w.run(clk, name, stages)
 			}
 			workers[rank], errs[rank] = w, err
 		}(r)

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
@@ -58,7 +57,7 @@ func runDigested(t *testing.T, cfg Config, rateMbps float64, log *stageLog) [][]
 			log.add(stageLogEvent{rank: rank, block: true})
 			return nil
 		}
-		c.Hooks = func(ev engine.StageEvent) { log.add(stageLogEvent{rank: rank, stage: ev.Stage}) }
+		c.Hooks = func(ev StageEvent) { log.add(stageLogEvent{rank: rank, stage: ev.Stage}) }
 		var conn transport.Conn = mesh.Endpoint(rank)
 		if rateMbps > 0 {
 			conn = netem.Limit(conn, netem.Options{RateMbps: rateMbps})
@@ -197,7 +196,8 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 						ep := transport.WithCollectives(conn)
 						w, err := newWorker(ep, c)
 						if err == nil {
-							err = w.run(ep, stats.NewWallClock())
+							name, stages := w.schedule()
+							err = w.run(stats.NewWallClock(), name, stages)
 						}
 						returned[rank].Store(true)
 						if err != nil {

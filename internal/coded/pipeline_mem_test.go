@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/stats"
 )
@@ -22,8 +21,8 @@ type liveHeapPeak struct {
 	beforeReduce uint64
 }
 
-func (p *liveHeapPeak) hooks() engine.Hooks {
-	return func(ev engine.StageEvent) {
+func (p *liveHeapPeak) hooks() Hooks {
+	return func(ev StageEvent) {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		runtime.GC()
@@ -99,7 +98,7 @@ func TestDecodedSegmentsPinNoPadding(t *testing.T) {
 		spec := job.Spec{K: 4, R: 2, Rows: 40000, Seed: 9, DistName: "zipf", ChunkRows: chunkRows}
 		workers := make([]*worker, spec.K)
 		check := func(rank int, c *Config) {
-			c.Hooks = func(ev engine.StageEvent) {
+			c.Hooks = func(ev StageEvent) {
 				if ev.Stage != stats.StageShuffle {
 					return
 				}

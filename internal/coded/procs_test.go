@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
@@ -47,7 +46,7 @@ func TestReduceTieOrder(t *testing.T) {
 			parts := make([]kv.Records, spec.K)
 			workers := make([]*worker, spec.K)
 			collect := func(rank int, c *Config) {
-				c.Hooks = func(ev engine.StageEvent) {
+				c.Hooks = func(ev StageEvent) {
 					if ev.Stage != stats.StageShuffle {
 						return
 					}

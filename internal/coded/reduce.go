@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 
-	"codedterasort/internal/engine"
 	"codedterasort/internal/kv"
 )
 
@@ -47,11 +46,11 @@ type reducer struct {
 // in as they arrive; rows is room to reserve for the whole partition's
 // references (an estimate: the order grows past it). The reducer is halted
 // and joined when the run ends, whichever way it ends.
-func (w *worker) startReducer(ctx *engine.Context, parts []kv.View, rows int) *reducer {
-	r := &reducer{procs: ctx.Procs, sink: w.cfg.OutputSink, arrived: parts,
+func (w *worker) startReducer(parts []kv.View, rows int) *reducer {
+	r := &reducer{procs: w.procs, sink: w.cfg.OutputSink, arrived: parts,
 		wake: make(chan struct{}, 1), stop: make(chan struct{}), exited: make(chan struct{})}
 	w.reducer = r
-	ctx.Defer(r.halt)
+	w.cleanups = append(w.cleanups, r.halt)
 	go r.run(rows)
 	r.signal()
 	return r

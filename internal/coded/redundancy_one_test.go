@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"codedterasort/internal/codec"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
@@ -172,10 +171,10 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 				want = append(want, sequences[mode]...)
 				spec := job.Spec{K: 4, R: r, Rows: 2000, Seed: 3, Partitioning: partitioning}
 				cfg := modeConfig(t, cfgOf(spec), mode)
-				var events []engine.StageEvent
+				var events []StageEvent
 				workers := runWorkers(t, cfg, func(rank int, c *Config) {
 					if rank == 0 {
-						c.Hooks = func(ev engine.StageEvent) { events = append(events, ev) }
+						c.Hooks = func(ev StageEvent) { events = append(events, ev) }
 					}
 				}, func(w *worker) stats.Clock { return filesPlacedClock{w} })
 				var got []stats.Stage

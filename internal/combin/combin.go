@@ -1,6 +1,6 @@
 // Package combin provides the combinatorial substrate of CodedTeraSort:
 // node sets represented as bitmasks, binomial coefficients, and ordered
-// enumeration, ranking and unranking of the fixed-size subsets that index
+// enumeration and ranking of the fixed-size subsets that index
 // input files (|S| = r) and multicast groups (|M| = r+1).
 //
 // Nodes are numbered 0..n-1 internally (the paper numbers them 1..K; the
@@ -74,18 +74,6 @@ func (s Set) Contains(v int) bool {
 // Size returns |s|.
 func (s Set) Size() int { return bits.OnesCount64(uint64(s)) }
 
-// Empty reports whether s has no members.
-func (s Set) Empty() bool { return s == 0 }
-
-// Union returns s ∪ t.
-func (s Set) Union(t Set) Set { return s | t }
-
-// Intersect returns s ∩ t.
-func (s Set) Intersect(t Set) Set { return s & t }
-
-// Minus returns s \ t.
-func (s Set) Minus(t Set) Set { return s &^ t }
-
 // SubsetOf reports whether s ⊆ t.
 func (s Set) SubsetOf(t Set) bool { return s&^t == 0 }
 
@@ -116,17 +104,6 @@ func (s Set) Members() []int {
 	return out
 }
 
-// AppendMembers appends the members of s in ascending order to dst and
-// returns the extended slice. It exists so hot loops can reuse a buffer.
-func (s Set) AppendMembers(dst []int) []int {
-	for t := s; t != 0; {
-		v := bits.TrailingZeros64(uint64(t))
-		dst = append(dst, v)
-		t &^= Set(1) << uint(v)
-	}
-	return dst
-}
-
 // Index returns the position (0-based) of node v within the ascending
 // member order of s, i.e. the number of members smaller than v.
 // It panics if v is not a member.
@@ -136,19 +113,6 @@ func (s Set) Index(v int) int {
 	}
 	below := Set(1)<<uint(v) - 1
 	return bits.OnesCount64(uint64(s & below))
-}
-
-// Nth returns the i-th member (0-based, ascending). It panics if
-// i is outside [0, |s|).
-func (s Set) Nth(i int) int {
-	if i < 0 || i >= s.Size() {
-		panic("combin: Nth index " + strconv.Itoa(i) + " out of range")
-	}
-	t := s
-	for ; i > 0; i-- {
-		t &^= Set(1) << uint(bits.TrailingZeros64(uint64(t)))
-	}
-	return bits.TrailingZeros64(uint64(t))
 }
 
 // String renders the set as {a,b,c} with ascending members, matching the
@@ -224,35 +188,6 @@ func Rank(s Set) int64 {
 		t &^= Set(1) << uint(v)
 	}
 	return r
-}
-
-// Unrank returns the subset of size k with colexicographic rank r.
-// It is the inverse of Rank for sets of the given size and panics if
-// r is out of range for the given k (r ≥ C(MaxNodes, k)) or k is invalid.
-func Unrank(r int64, k int) Set {
-	if k < 0 || k > MaxNodes {
-		panic("combin: Unrank size out of range")
-	}
-	if r < 0 {
-		panic("combin: negative rank")
-	}
-	var s Set
-	for i := k; i >= 1; i-- {
-		// Find the largest v with C(v, i) <= r.
-		v := i - 1
-		for Binomial(v+1, i) <= r {
-			v++
-		}
-		if v >= MaxNodes {
-			panic("combin: rank out of range")
-		}
-		s = s.Add(v)
-		r -= Binomial(v, i)
-	}
-	if r != 0 {
-		panic("combin: rank out of range")
-	}
-	return s
 }
 
 // Subsets returns all k-element subsets of universe in colexicographic

@@ -85,13 +85,6 @@ func (r Records) Keys() []byte {
 	return out
 }
 
-// KeyPrefix64 returns the first 8 key bytes of record i as a big-endian
-// uint64. Because keys compare lexicographically and are uniform in the
-// TeraGen distribution, this prefix is what range partitioners bucket on.
-func (r Records) KeyPrefix64(i int) uint64 {
-	return binary.BigEndian.Uint64(r.buf[i*RecordSize:])
-}
-
 // Append appends a copy of the record rec (which must be RecordSize bytes)
 // and returns the extended buffer.
 func (r Records) Append(rec []byte) Records {

@@ -57,15 +57,6 @@ func TestRecordAccessors(t *testing.T) {
 	}
 }
 
-func TestKeyPrefix64IsBigEndianPrefix(t *testing.T) {
-	buf := make([]byte, RecordSize)
-	copy(buf, []byte{0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
-	r := mustRecords(t, buf)
-	if got := r.KeyPrefix64(0); got != 1 {
-		t.Fatalf("KeyPrefix64 = %d, want 1", got)
-	}
-}
-
 func TestAppendAndSlice(t *testing.T) {
 	r := MakeRecords(4)
 	rec := make([]byte, RecordSize)

@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/engine"
+	"codedterasort/internal/coded"
 	"codedterasort/internal/job"
 	"codedterasort/internal/transport"
 )
@@ -23,7 +23,7 @@ func RunLocal(j Job) (*cluster.JobReport, error) {
 		return nil, err
 	}
 	return cluster.Supervise(context.Background(), j.Spec, cluster.Options{},
-		func(ep transport.Endpoint, spec job.Spec, hooks engine.Hooks) (cluster.WorkerReport, error) {
+		func(ep transport.Endpoint, spec job.Spec, hooks coded.Hooks) (cluster.WorkerReport, error) {
 			attempt := j
 			attempt.Spec = spec
 			res, err := run(ep, attempt, hooks)

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"codedterasort/internal/coded"
-	"codedterasort/internal/engine"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
@@ -201,7 +200,7 @@ func Run(ep transport.Endpoint, j Job) (Result, error) {
 }
 
 // run is Run with hooks observing each timed engine stage.
-func run(ep transport.Endpoint, j Job, hooks engine.Hooks) (Result, error) {
+func run(ep transport.Endpoint, j Job, hooks coded.Hooks) (Result, error) {
 	j, spec, err := j.normalize()
 	if err != nil {
 		return Result{}, err

@@ -107,7 +107,7 @@ func TestSweepKSpeedupDecreases(t *testing.T) {
 
 // TestCurvePlacements: at equal (K, r) the resolvable design needs fewer
 // groups and files than the clique scheme but shuffles more bytes, its
-// groups having r members instead of r + 1 (DESIGN.md §15).
+// groups having r members instead of r + 1 (DESIGN.md §14).
 func TestCurvePlacements(t *testing.T) {
 	for _, k := range []int{6, 12, 24} {
 		cl := curve(t, placement.KindClique, [2]int{k, 3})[0]

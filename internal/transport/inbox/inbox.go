@@ -71,10 +71,3 @@ func (b *Box) Close() {
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
-
-// Pending returns the number of queued messages (diagnostics only).
-func (b *Box) Pending() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue)
-}

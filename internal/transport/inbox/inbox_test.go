@@ -75,18 +75,6 @@ func TestCloseUnblocksAndRejects(t *testing.T) {
 	}
 }
 
-func TestPending(t *testing.T) {
-	b := New()
-	if b.Pending() != 0 {
-		t.Fatalf("fresh box pending %d", b.Pending())
-	}
-	_ = b.Put(1, nil)
-	_ = b.Put(2, nil)
-	if b.Pending() != 2 {
-		t.Fatalf("pending %d", b.Pending())
-	}
-}
-
 func TestConcurrentProducersConsumers(t *testing.T) {
 	b := New()
 	const producers, each = 4, 250
