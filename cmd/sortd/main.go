@@ -12,9 +12,10 @@
 //	sortd -addr 127.0.0.1:0 -addr-file /tmp/sortd.addr \
 //	      -tenant acme:10:5:10 -tenant guest:1:0.5:2:4:1
 //
-// Each -tenant defines admission limits as
-// name:priority[:rate[:burst[:maxqueued[:maxrunning]]]]; tenants not
-// defined get permissive defaults on first use.
+// Each -tenant defines admission limits (service.Limits) as
+// name:priority[:rate[:burst[:maxqueued[:maxrunning]]]]; a repeated name
+// takes its last definition, and a tenant not defined is admitted without
+// limits, at priority 0.
 package main
 
 import (
@@ -32,13 +33,12 @@ import (
 	"time"
 
 	"codedterasort/internal/service"
-	"codedterasort/internal/service/tenant"
 )
 
 // tenantFlag is one parsed -tenant definition.
 type tenantFlag struct {
 	name   string
-	limits tenant.Limits
+	limits service.Limits
 }
 
 // tenantFlags collects repeated -tenant values.
@@ -119,18 +119,19 @@ func main() {
 		"tenant admission limits as name:priority[:rate[:burst[:maxqueued[:maxrunning]]]] (repeatable)")
 	flag.Parse()
 
-	reg := tenant.NewRegistry(tenant.Limits{})
+	limits := map[string]service.Limits{}
 	for _, tf := range tenants {
-		if err := reg.Define(tf.name, tf.limits); err != nil {
+		if err := tf.limits.Validate(); err != nil {
 			log.Fatalf("-tenant %s: %v", tf.name, err)
 		}
+		limits[tf.name] = tf.limits
 	}
 
 	srv := service.New(service.Config{
 		PoolSlots:    *slots,
 		MaxQueue:     *queue,
 		SpillRoot:    *spill,
-		Tenants:      reg,
+		Tenants:      limits,
 		DrainTimeout: *drainTimeout,
 	})
 

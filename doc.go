@@ -66,7 +66,7 @@
 // parallelism and recovered runs (DESIGN.md section 11).
 // The whole runtime also serves: internal/service is a multi-tenant
 // serving layer — a priority job queue with per-tenant admission control
-// (internal/service/tenant), job-scoped spill namespaces, an HTTP JSON
+// over one job table, job-scoped spill namespaces, an HTTP JSON
 // API with a Go client, Prometheus-style /metrics and graceful drain —
 // run as the long-lived cmd/sortd daemon, which admits jobs against one
 // count of rank slots and runs each through cluster.RunLocalOpts, and

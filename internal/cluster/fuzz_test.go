@@ -203,11 +203,10 @@ func drawJob(seed uint64) jobDraw {
 
 // settle derives the recovery knobs: one attempt per fault and one more;
 // the 5 s deadline a Deadline draw arms, or the tighter one a slow fault
-// must miss, with heartbeats frequent enough that no healthy TCP worker
-// falls silent for as long.
+// must miss.
 func (d *jobDraw) settle() {
 	s := &d.Spec
-	s.MaxAttempts, s.StageDeadline, s.Heartbeat = 0, 0, 0
+	s.MaxAttempts, s.StageDeadline = 0, 0
 	if len(s.Faults) > 0 {
 		s.MaxAttempts = len(s.Faults) + 1
 	}
@@ -216,7 +215,7 @@ func (d *jobDraw) settle() {
 	}
 	for _, f := range s.Faults {
 		if f.Kind == job.FaultSlow {
-			s.StageDeadline, s.Heartbeat = slowDeadline, 20*time.Millisecond
+			s.StageDeadline = slowDeadline
 		}
 	}
 }
@@ -306,8 +305,7 @@ func checkJob(t *testing.T, d jobDraw) error {
 	for i, run := range []jobDraw{d, d.twin()} {
 		s := spec
 		s.Parallelism, s.ParallelShuffle = run.Spec.Parallelism, run.Spec.ParallelShuffle
-		s.Faults, s.MaxAttempts, s.StageDeadline, s.Heartbeat =
-			run.Spec.Faults, run.Spec.MaxAttempts, run.Spec.StageDeadline, run.Spec.Heartbeat
+		s.Faults, s.MaxAttempts, s.StageDeadline = run.Spec.Faults, run.Spec.MaxAttempts, run.Spec.StageDeadline
 		leaks := snapshotLeaks()
 		r, err := runJob(t, run.Deploy, s, run.WorkerProcs)
 		if err != nil {

@@ -104,7 +104,6 @@ func supervise(ctx context.Context, spec Spec, onStage func(trace.StageRecord), 
 		for _, s := range suspects {
 			consumed[s.Rank] = true
 		}
-		stageLog.NewAttempt()
 	}
 }
 
@@ -139,7 +138,7 @@ func runAttempt(ctx context.Context, spec Spec, columns []stats.Stage, launch la
 	mon.Watch()
 	defer mon.Stop()
 	hooks := func(ev coded.StageEvent) {
-		stageLog.Record(ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
+		stageLog.Record(attempt, ev.Rank, ev.Stage, ev.Elapsed, ev.Err)
 		if ev.Err == nil {
 			mon.StageEnd(ev.Rank, ev.Stage)
 		}

@@ -85,18 +85,17 @@ func rejoinTCP(t *testing.T, spec Spec, work workerFunc, first WorkerOptions) (*
 // rank's barrier.
 func TestTCPWorkerDeathFailsFast(t *testing.T) {
 	for _, c := range []struct {
-		name      string
-		deadline  time.Duration
-		heartbeat time.Duration
+		name     string
+		deadline time.Duration
 	}{
-		{"deadline", 5 * time.Second, 20 * time.Millisecond},
-		{"no-deadline", 0, 0},
+		{"deadline", 5 * time.Second},
+		{"no-deadline", 0},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			start := time.Now()
 			spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 32,
-				StageDeadline: c.deadline, Heartbeat: c.heartbeat,
-				Faults: []FaultSpec{{Rank: 1, Stage: "Map", Kind: "kill"}}}
+				StageDeadline: c.deadline,
+				Faults:        []FaultSpec{{Rank: 1, Stage: "Map", Kind: "kill"}}}
 			_, workerErrs, jobErr := runTCP(t, spec)
 			if jobErr == nil {
 				t.Fatal("job with a dead worker reported success")
@@ -183,8 +182,8 @@ func TestTCPVerifyCatchesFaultyRank(t *testing.T) {
 // the job aborts naming it.
 func TestTCPStragglerDetected(t *testing.T) {
 	spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 33,
-		StageDeadline: 300 * time.Millisecond, Heartbeat: 20 * time.Millisecond,
-		Faults: []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "slow", Factor: 1, Delay: 3 * time.Second}}}
+		StageDeadline: 300 * time.Millisecond,
+		Faults:        []FaultSpec{{Rank: 2, Stage: "Shuffle", Kind: "slow", Factor: 1, Delay: 3 * time.Second}}}
 	_, _, jobErr := runTCP(t, spec)
 	if jobErr == nil {
 		t.Fatal("job with a straggler past deadline reported success")

@@ -144,12 +144,6 @@ type Spec struct {
 	// The deadline must exceed the natural per-stage skew of the cluster,
 	// so it is opt-in.
 	StageDeadline time.Duration `json:"stage_deadline,omitempty"`
-	// Heartbeat is the interval at which TCP workers send liveness frames
-	// to the coordinator when StageDeadline is armed (0 derives
-	// StageDeadline/3; ignored without a deadline). A worker silent for a
-	// full StageDeadline is declared dead even if no stage completes
-	// anywhere.
-	Heartbeat time.Duration `json:"heartbeat,omitempty"`
 	// MaxAttempts caps the total job executions recovery may use (first
 	// run included), in process and over TCP. 0 derives the default: 3
 	// when StageDeadline is armed, 1 (no recovery) otherwise.
@@ -219,8 +213,8 @@ type Local struct {
 // one.
 type Resolved struct {
 	// Spec holds the effective values: R is Redundancy(), ChunkRows is the
-	// budget-derived chunk size when MemBudget is set without one, Window,
-	// MaxAttempts and Heartbeat carry their defaults.
+	// budget-derived chunk size when MemBudget is set without one, Window
+	// and MaxAttempts carry their defaults.
 	Spec
 	// Local is the job's attachment. Part is filled in from the policy —
 	// uniform, or the preset Splitters — and stays nil only when a sampled
@@ -231,6 +225,11 @@ type Resolved struct {
 	KeyDist kv.Distribution
 	// Strat is the placement strategy of (Placement, K, R).
 	Strat placement.Strategy
+	// Heartbeat is the interval at which TCP workers send liveness frames
+	// to the coordinator: StageDeadline/3, so a healthy worker pings well
+	// within the silent StageDeadline that condemns it, and 0 (none)
+	// without a deadline.
+	Heartbeat time.Duration
 }
 
 // Redundancy returns the engine's redundancy parameter: TeraSort is the
@@ -310,7 +309,7 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 	}{
 		{s.Rows < 0, "rows"}, {s.ChunkRows < 0, "chunk rows"}, {s.Window < 0, "window"},
 		{s.MemBudget < 0, "mem budget"}, {s.Parallelism < 0, "parallelism"},
-		{s.StageDeadline < 0, "stage deadline"}, {s.Heartbeat < 0, "heartbeat interval"},
+		{s.StageDeadline < 0, "stage deadline"},
 		{s.MaxAttempts < 0, "max attempts"}, {s.SampleSize < 0, "sample size"},
 	} {
 		if c.neg {
@@ -330,12 +329,6 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 	if local.Input != nil && len(local.Input) != r.Strat.NumFiles() {
 		return nil, fmt.Errorf("job: %d input files, want %d for the %s strategy (K=%d, r=%d)",
 			len(local.Input), r.Strat.NumFiles(), kind, s.K, r.R)
-	}
-	// The liveness rule declares a worker dead after a silent
-	// StageDeadline, so heartbeats must flow faster than that or every
-	// healthy worker is condemned before its first ping.
-	if s.StageDeadline > 0 && s.Heartbeat >= s.StageDeadline {
-		return nil, fmt.Errorf("job: heartbeat interval %v not below stage deadline %v", s.Heartbeat, s.StageDeadline)
 	}
 	if r.KeyDist, err = kv.ParseDistribution(s.DistName); err != nil {
 		return nil, fmt.Errorf("job: %w", err)
@@ -398,13 +391,7 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 			r.MaxAttempts = 3
 		}
 	}
-	switch {
-	case s.StageDeadline == 0:
-		// Heartbeats feed only the deadline's liveness rule.
-		r.Heartbeat = 0
-	case s.Heartbeat == 0:
-		r.Heartbeat = s.StageDeadline / 3
-	}
+	r.Heartbeat = s.StageDeadline / 3
 	return r, nil
 }
 

@@ -56,10 +56,6 @@ var invalidJobs = []invalid{
 	{"spool blocks over the mem budget", tera(job.Spec{K: 8, MemBudget: 25 << 10, ChunkRows: 1 << 12}), job.Local{}, "over the mem budget 25600"},
 	{"input dir coded", coded(job.Spec{K: 2, R: 1, InputDir: "/data"}), job.Local{}, "TeraSort-only"},
 	{"negative stage deadline", tera(job.Spec{K: 2, StageDeadline: -time.Second}), job.Local{}, "negative stage deadline"},
-	{"negative heartbeat", tera(job.Spec{K: 2, Heartbeat: -time.Second}), job.Local{}, "negative heartbeat"},
-	// Heartbeats must flow faster than the liveness deadline, or every
-	// healthy worker is condemned before its first ping.
-	{"heartbeat not below deadline", tera(job.Spec{K: 2, StageDeadline: time.Second, Heartbeat: time.Second}), job.Local{}, "not below stage deadline"},
 	{"negative max attempts", tera(job.Spec{K: 2, MaxAttempts: -1}), job.Local{}, "negative max attempts"},
 	{"unknown distribution", tera(job.Spec{K: 2, DistName: "pareto"}), job.Local{}, "unknown distribution"},
 	{"unknown partitioning", tera(job.Spec{K: 2, Partitioning: "quantile"}), job.Local{}, "unknown partitioning policy"},
@@ -150,14 +146,9 @@ func TestResolveDerives(t *testing.T) {
 	if r.MaxAttempts != 3 || r.Heartbeat != time.Second {
 		t.Fatalf("deadline: attempts %d heartbeat %v", r.MaxAttempts, r.Heartbeat)
 	}
-	r = resolve(tera(job.Spec{K: 2, StageDeadline: 3 * time.Second, MaxAttempts: 5, Heartbeat: time.Millisecond}), job.Local{})
-	if r.MaxAttempts != 5 || r.Heartbeat != time.Millisecond {
-		t.Fatalf("explicit recovery knobs perturbed: attempts %d heartbeat %v", r.MaxAttempts, r.Heartbeat)
-	}
-	// Heartbeats feed only the deadline's liveness rule: without a deadline
-	// an explicit interval arms nothing.
-	if r = resolve(tera(job.Spec{K: 2, Heartbeat: time.Millisecond}), job.Local{}); r.Heartbeat != 0 {
-		t.Fatalf("heartbeat %v armed without a deadline", r.Heartbeat)
+	r = resolve(tera(job.Spec{K: 2, StageDeadline: 3 * time.Second, MaxAttempts: 5}), job.Local{})
+	if r.MaxAttempts != 5 || r.Heartbeat != time.Second {
+		t.Fatalf("explicit recovery knob perturbed: attempts %d heartbeat %v", r.MaxAttempts, r.Heartbeat)
 	}
 	// Sampled partitioning: the round resolves the partitioner unless the
 	// bounds are preset.
@@ -210,13 +201,13 @@ var fullSpec = job.Spec{Algorithm: job.AlgCoded, K: 4, R: 2, Placement: "resolva
 	Parallelism: 2,
 	Faults: []job.FaultSpec{{Rank: 3, Stage: "Shuffle", Kind: "slow", Factor: 4, Delay: time.Second},
 		{Rank: 1, Stage: "Map", Kind: "kill"}},
-	StageDeadline: time.Second, Heartbeat: 100 * time.Millisecond, MaxAttempts: 2}
+	StageDeadline: time.Second, MaxAttempts: 2}
 
 // The JSON of fullSpec and of a minimal spec as cluster.Spec marshaled them
 // at commit 726ecd0, before the struct moved here: the coordinator's assign
 // frame and the sortd job body carry exactly these bytes.
 const (
-	fullSpecJSON = `{"algorithm":"codedterasort","k":4,"r":2,"placement":"resolvable","rows":1048576,"seed":9,"dist":"zipf","partitioning":"sample","sample_size":2048,"splitters":["QA==","gAE=","wP/u"],"rate_mbps":100,"per_message":50000000,"parallel_shuffle":true,"straggler_factor":4,"straggler_rank":1,"keep_output":true,"chunk_rows":4096,"window":8,"mem_budget":67108864,"spill_dir":"/tmp/spill","input_dir":"/data/in","parallelism":2,"faults":[{"rank":3,"stage":"Shuffle","kind":"slow","factor":4,"delay":1000000000},{"rank":1,"stage":"Map","kind":"kill"}],"stage_deadline":1000000000,"heartbeat":100000000,"max_attempts":2}`
+	fullSpecJSON = `{"algorithm":"codedterasort","k":4,"r":2,"placement":"resolvable","rows":1048576,"seed":9,"dist":"zipf","partitioning":"sample","sample_size":2048,"splitters":["QA==","gAE=","wP/u"],"rate_mbps":100,"per_message":50000000,"parallel_shuffle":true,"straggler_factor":4,"straggler_rank":1,"keep_output":true,"chunk_rows":4096,"window":8,"mem_budget":67108864,"spill_dir":"/tmp/spill","input_dir":"/data/in","parallelism":2,"faults":[{"rank":3,"stage":"Shuffle","kind":"slow","factor":4,"delay":1000000000},{"rank":1,"stage":"Map","kind":"kill"}],"stage_deadline":1000000000,"max_attempts":2}`
 	minSpecJSON  = `{"algorithm":"terasort","k":2,"rows":0,"seed":0}`
 )
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/service/tenant"
 )
 
 // TestConcurrentMultiTenantJobs is the serving layer's acceptance bar:
@@ -146,18 +145,12 @@ func TestConcurrentMultiTenantJobs(t *testing.T) {
 	if !strings.Contains(m, "sortd_spilled_runs_total") {
 		t.Fatal("metrics missing spill totals")
 	}
-
-	// The recovered fault is visible in the tenant counters directly.
-	if c := s.tenants.Get("acme").Counters(); c.Recovered != 1 || c.Completed != 4 {
-		t.Fatalf("acme counters %+v", c)
-	}
 }
 
 // TestConcurrentRoundRobinLoad pushes more jobs than the rank slots can
 // run at once so dispatch, reservation and release churn under -race.
 func TestConcurrentRoundRobinLoad(t *testing.T) {
-	reg := tenant.NewRegistry(tenant.Limits{})
-	s := New(Config{PoolSlots: 4, Tenants: reg})
+	s := New(Config{PoolSlots: 4})
 	defer s.Close()
 	var ids []string
 	for i := 0; i < 8; i++ {

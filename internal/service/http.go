@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/service/tenant"
 )
 
 // apiError is the JSON error envelope every non-2xx response carries.
@@ -50,7 +49,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // budget (429), shared backpressure and drain (503), bad input (400).
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, tenant.ErrRateLimited), errors.Is(err, tenant.ErrQueueFull):
+	case errors.Is(err, ErrRateLimited), errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining), errors.Is(err, ErrBacklogFull):
 		return http.StatusServiceUnavailable

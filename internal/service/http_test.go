@@ -10,7 +10,6 @@ import (
 
 	"codedterasort/internal/cluster"
 	"codedterasort/internal/extsort"
-	"codedterasort/internal/service/tenant"
 )
 
 // newTestAPI starts a Server behind httptest and returns a Client on it.
@@ -79,11 +78,7 @@ func TestHTTPSubmitWaitAndList(t *testing.T) {
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
-	reg := tenant.NewRegistry(tenant.Limits{})
-	if err := reg.Define("metered", tenant.Limits{RatePerSec: 0.001, Burst: 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, c := newTestAPI(t, Config{PoolSlots: 4, Tenants: reg})
+	_, c := newTestAPI(t, Config{PoolSlots: 4, Tenants: map[string]Limits{"metered": {RatePerSec: 0.001, Burst: 1}}})
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
@@ -160,7 +155,9 @@ func TestHTTPDrainFlow(t *testing.T) {
 // TestHTTPRefusesRetiredMulticastKnob: the multicast has no strategy left
 // to choose, and a body that still asks for the retired binomial tree gets
 // 400 (the decoder disallows unknown fields) instead of silently running
-// on the relay chain. The same body without the key is accepted.
+// on the relay chain; so does one that sets the retired heartbeat interval,
+// which the stage deadline now derives. The same body without the keys is
+// accepted.
 func TestHTTPRefusesRetiredMulticastKnob(t *testing.T) {
 	_, c := newTestAPI(t, Config{PoolSlots: 4})
 	post := func(extra string) int {
@@ -173,8 +170,10 @@ func TestHTTPRefusesRetiredMulticastKnob(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if got := post(`,"tree_multicast":true`); got != http.StatusBadRequest {
-		t.Fatalf("retired knob: HTTP %d, want 400", got)
+	for _, retired := range []string{`,"tree_multicast":true`, `,"stage_deadline":3000000000,"heartbeat":100000000`} {
+		if got := post(retired); got != http.StatusBadRequest {
+			t.Fatalf("retired knob %s: HTTP %d, want 400", retired, got)
+		}
 	}
 	if got := post(""); got != http.StatusAccepted {
 		t.Fatalf("same body without it: HTTP %d, want 202", got)

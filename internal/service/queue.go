@@ -2,7 +2,8 @@ package service
 
 import "slices"
 
-// jobQueue holds the admitted jobs in submission order.
+// jobQueue is a list of jobs in submission order: the queue of admitted
+// jobs, and the set of running ones.
 type jobQueue []*job
 
 // best returns the job to dispatch next among those eligible passes — the
@@ -19,7 +20,18 @@ func (q jobQueue) best(eligible func(*job) bool) *job {
 	return best
 }
 
-// remove takes a dispatched job out of the queue.
+// count returns how many of the jobs are the named tenant's.
+func (q jobQueue) count(tenant string) int {
+	n := 0
+	for _, j := range q {
+		if j.tenant == tenant {
+			n++
+		}
+	}
+	return n
+}
+
+// remove takes a job out of the list.
 func (q *jobQueue) remove(j *job) {
 	i := slices.Index(*q, j)
 	*q = slices.Delete(*q, i, i+1)

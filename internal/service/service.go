@@ -2,12 +2,14 @@
 // runtime: a daemon (cmd/sortd) accepting many concurrent sort jobs from
 // many tenants over an HTTP JSON API against one machine-wide count of rank
 // slots. It owns what the one-shot coordinator never needed: a priority
-// job queue with per-tenant admission control (internal/service/tenant),
-// job-scoped spill namespaces so concurrent out-of-core jobs never
-// collide on disk, a Prometheus-style /metrics exposition of the stage
-// timeline and transfer counters, and graceful drain (stop admission,
-// let running jobs finish, checkpoint-cancel the stragglers after a
-// timeout via the supervisor's attempt cancelation).
+// job queue with per-tenant admission control (token-bucket rate limits,
+// queue and running caps, priorities), job-scoped spill namespaces so
+// concurrent out-of-core jobs never collide on disk, a Prometheus-style
+// /metrics exposition of the stage timeline and transfer counters, and
+// graceful drain (stop admission, let running jobs finish,
+// checkpoint-cancel the stragglers after a timeout via the supervisor's
+// attempt cancelation). One job table under one lock is the service's
+// only record: every job count on /metrics is read off it.
 package service
 
 import (
@@ -20,12 +22,10 @@ import (
 	"time"
 
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/service/tenant"
 	"codedterasort/internal/trace"
 )
 
-// Service-level admission errors (tenant-level ones live in the tenant
-// package).
+// Service-level admission errors (a tenant's own are in admission.go).
 var (
 	// ErrDraining reports a submission to a draining or stopped server.
 	ErrDraining = errors.New("service: draining, not accepting jobs")
@@ -49,9 +49,10 @@ type Config struct {
 	// under its own SpillRoot/sortd-<jobID>/ and the directory is removed
 	// when the job finishes.
 	SpillRoot string
-	// Tenants is the admission-control registry (nil = a fresh registry
-	// with permissive defaults).
-	Tenants *tenant.Registry
+	// Tenants gives the named tenants their admission limits (each valid
+	// under Limits.Validate). A tenant not named here is admitted with the
+	// zero, permissive Limits on its first submission.
+	Tenants map[string]Limits
 	// DrainTimeout bounds how long Drain waits for running jobs before
 	// checkpoint-canceling them through the supervisor (0 = 60s).
 	DrainTimeout time.Duration
@@ -67,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 64
-	}
-	if c.Tenants == nil {
-		c.Tenants = tenant.NewRegistry(tenant.Limits{})
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 60 * time.Second
@@ -90,30 +88,26 @@ type SubmitRequest struct {
 // priority queue, one dispatcher. Every job runs through
 // cluster.RunLocalOpts once the dispatcher has reserved its slots.
 type Server struct {
-	cfg     Config
-	tenants *tenant.Registry
-	start   time.Time
+	cfg   Config
+	start time.Time
 
 	// jobsCtx checkpoint-cancels running jobs at drain timeout (or
 	// immediately on Close).
 	jobsCtx    context.Context
 	cancelJobs context.CancelFunc
 
-	mu    sync.Mutex
-	cond  *sync.Cond
-	jobs  map[string]*job
-	order []*job
-	queue jobQueue
-	seq   int64
-	// free counts the rank slots no running job holds; dispatched counts
-	// the jobs started on them.
-	free       int
-	dispatched int64
-	draining   bool
-	totals     totals
-
-	stageMu     sync.Mutex
-	stageTotals trace.StageTotals
+	// mu guards the job table — jobs, their order, the queue and the
+	// running set — and the tenants and stage rollup beside it.
+	mu       sync.Mutex
+	cond     *sync.Cond
+	tenants  map[string]*tenant
+	jobs     map[string]*job
+	order    []*job
+	queue    jobQueue
+	running  jobQueue
+	stages   trace.StageTotals
+	seq      int64
+	draining bool
 
 	jobWG          sync.WaitGroup
 	dispatcherDone chan struct{}
@@ -122,34 +116,21 @@ type Server struct {
 	forced         bool
 }
 
-// totals are the service-lifetime transfer and recovery counters fed by
-// finished jobs, exposed on /metrics.
-type totals struct {
-	shuffleLoadBytes int64
-	wireBytes        int64
-	spilledRuns      int64
-	spilledRawBytes  int64
-	spilledDiskBytes int64
-	mergeOVCDecided  int64
-	mergeFullCmps    int64
-	chunksShuffled   int64
-	attempts         int64
-	recoveredFaults  int64
-}
-
 // New starts a server: the dispatcher begins immediately; jobs flow once
 // Submit is called.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:            cfg,
-		tenants:        cfg.Tenants,
 		start:          cfg.Now(),
-		free:           cfg.PoolSlots,
+		tenants:        map[string]*tenant{},
 		jobs:           map[string]*job{},
-		stageTotals:    trace.StageTotals{},
+		stages:         trace.StageTotals{},
 		dispatcherDone: make(chan struct{}),
 		drained:        make(chan struct{}),
+	}
+	for name, l := range cfg.Tenants {
+		s.tenants[name] = newTenant(l)
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.jobsCtx, s.cancelJobs = context.WithCancel(context.Background())
@@ -173,28 +154,34 @@ func (s *Server) Submit(req SubmitRequest) (JobStatus, error) {
 	// Jobs whose K exceeds PoolSlots are admitted anyway: such a job takes
 	// every slot and runs its K ranks as goroutines, which is how K=64-128
 	// jobs run on a machine-sized slot count.
-	tn := s.tenants.Get(req.Tenant)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A tenant enters the books, and /metrics, with its first valid
+	// submission, admitted or not.
+	tn, ok := s.tenants[req.Tenant]
+	if !ok {
+		tn = newTenant(Limits{})
+		s.tenants[req.Tenant] = tn
+	}
 	if s.draining {
 		return JobStatus{}, ErrDraining
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
 		return JobStatus{}, fmt.Errorf("%w (%d jobs queued)", ErrBacklogFull, len(s.queue))
 	}
-	if err := tn.Admit(s.cfg.Now()); err != nil {
+	now := s.cfg.Now()
+	if err := s.admit(req.Tenant, tn, now); err != nil {
 		return JobStatus{}, err
 	}
 	s.seq++
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.seq),
 		tenant:    req.Tenant,
-		priority:  tn.Limits().Priority,
+		priority:  tn.limits.Priority,
 		seq:       s.seq,
 		spec:      req.Spec,
 		state:     StateQueued,
-		submitted: s.cfg.Now(),
+		submitted: now,
 		done:      make(chan struct{}),
 	}
 	s.jobs[j.id] = j
@@ -215,8 +202,8 @@ func (s *Server) dispatch() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for !s.draining {
-		j := s.queue.best(func(j *job) bool { return s.tenants.Get(j.tenant).CanRun() })
-		if j == nil || s.slots(j) > s.free {
+		j := s.queue.best(s.underRunningCap)
+		if j == nil || s.slots(j) > s.freeSlots() {
 			// Nothing to run, or the best job does not fit yet: wait for a
 			// submission or a finishing job's broadcast rather than starting
 			// smaller work ahead of it.
@@ -224,8 +211,7 @@ func (s *Server) dispatch() {
 			continue
 		}
 		s.queue.remove(j)
-		s.free -= s.slots(j)
-		s.dispatched++
+		s.running = append(s.running, j)
 		s.startJob(j)
 		s.jobWG.Add(1)
 		go s.runJob(j)
@@ -235,6 +221,22 @@ func (s *Server) dispatch() {
 // slots is the rank slots j holds while it runs: one per rank, or every
 // slot when K exceeds them.
 func (s *Server) slots(j *job) int { return min(j.spec.K, s.cfg.PoolSlots) }
+
+// freeSlots counts the rank slots no running job holds; s.mu is held.
+func (s *Server) freeSlots() int {
+	n := s.cfg.PoolSlots
+	for _, j := range s.running {
+		n -= s.slots(j)
+	}
+	return n
+}
+
+// underRunningCap reports whether j's tenant may start another job — the
+// dispatcher's eligibility check; s.mu is held.
+func (s *Server) underRunningCap(j *job) bool {
+	limit := s.tenants[j.tenant].limits.MaxRunning
+	return limit <= 0 || s.running.count(j.tenant) < limit
+}
 
 // startJob marks j running and assigns its spill namespace; s.mu is held.
 func (s *Server) startJob(j *job) {
@@ -256,7 +258,6 @@ func (s *Server) startJob(j *job) {
 			j.spillDir = dir
 		}
 	}
-	s.tenants.Get(j.tenant).JobStarted()
 }
 
 // runJob executes one dispatched job and retires it, returning its slots.
@@ -271,71 +272,43 @@ func (s *Server) runJob(j *job) {
 		os.RemoveAll(j.spillDir)
 	}
 
-	outcome := tenant.Completed
 	state := StateDone
 	switch {
-	case err == nil && rep.Attempts > 1:
-		outcome = tenant.CompletedRecovered
 	case err == nil:
 	case errors.Is(err, context.Canceled):
-		outcome, state = tenant.Canceled, StateCanceled
+		state = StateCanceled
 	default:
-		outcome, state = tenant.Failed, StateFailed
+		state = StateFailed
 	}
-
-	// Tenant accounting first: a waiter released by j.done below must find
-	// the job already counted.
-	s.tenants.Get(j.tenant).JobFinished(outcome)
 	s.mu.Lock()
-	j.state = state
-	j.finished = s.cfg.Now()
-	j.report = rep
-	if err != nil {
-		j.errText = err.Error()
-	}
-	if rep != nil {
-		s.totals.shuffleLoadBytes += rep.ShuffleLoadBytes
-		s.totals.wireBytes += rep.WireBytes
-		s.totals.spilledRuns += rep.SpilledRuns
-		s.totals.spilledRawBytes += rep.Spill.RawBytes
-		s.totals.spilledDiskBytes += rep.Spill.DiskBytes
-		s.totals.mergeOVCDecided += rep.MergeOVCDecided
-		s.totals.mergeFullCmps += rep.MergeFullCompares
-		s.totals.chunksShuffled += rep.ChunksShuffled
-		s.totals.attempts += int64(rep.Attempts)
-		s.totals.recoveredFaults += int64(len(rep.Recovered))
-	}
-	s.free += s.slots(j)
-	close(j.done)
+	s.running.remove(j)
+	s.finish(j, state, rep, err)
 	// A finished job frees its slots and may free a tenant's running cap:
 	// wake the dispatcher.
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finishUnstarted retires a queued job that will never run (drain).
-func (s *Server) finishUnstarted(j *job, err error) {
-	s.mu.Lock()
-	j.state = StateCanceled
+// finish retires j in a terminal state — the one place a job ends, run or
+// not — and releases its waiters; s.mu is held.
+func (s *Server) finish(j *job, state State, rep *cluster.JobReport, err error) {
+	j.state = state
 	j.finished = s.cfg.Now()
-	j.errText = fmt.Sprintf("canceled before start: %v", err)
+	j.report = rep
+	if err != nil {
+		j.errText = err.Error()
+	}
 	close(j.done)
-	s.mu.Unlock()
-	s.tenants.Get(j.tenant).JobDequeued()
 }
 
 // observeStage feeds the live per-stage rollup and the job's progress.
 func (s *Server) observeStage(j *job, rec trace.StageRecord) {
-	s.stageMu.Lock()
-	s.stageTotals.Add(rec)
-	s.stageMu.Unlock()
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stages.Add(rec)
 	j.stagesDone++
 	j.lastStage = rec.Stage.String()
-	if rec.Attempt > j.attempts {
-		j.attempts = rec.Attempt
-	}
-	s.mu.Unlock()
+	j.attempts = max(j.attempts, rec.Attempt)
 }
 
 // Job returns one job's status.
@@ -399,14 +372,13 @@ func (s *Server) Drain() (forced bool) {
 	s.drainOnce.Do(func() {
 		s.mu.Lock()
 		s.draining = true
-		canceled := s.queue
+		for _, j := range s.queue {
+			s.finish(j, StateCanceled, nil, fmt.Errorf("canceled before start: %w", ErrDraining))
+		}
 		s.queue = nil
 		s.cond.Broadcast()
 		s.mu.Unlock()
 		<-s.dispatcherDone
-		for _, j := range canceled {
-			s.finishUnstarted(j, ErrDraining)
-		}
 
 		running := make(chan struct{})
 		go func() {

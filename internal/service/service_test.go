@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"codedterasort/internal/cluster"
-	"codedterasort/internal/service/tenant"
 )
 
 // terasortSpec is the small standard job tests submit.
@@ -98,12 +97,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestTenantAdmissionControl(t *testing.T) {
-	reg := tenant.NewRegistry(tenant.Limits{})
-	if err := reg.Define("metered", tenant.Limits{RatePerSec: 0.001, Burst: 2}); err != nil {
-		t.Fatal(err)
-	}
 	now := time.Unix(1000, 0)
-	s := New(Config{PoolSlots: 4, Tenants: reg, Now: func() time.Time { return now }})
+	s := New(Config{PoolSlots: 4, Tenants: map[string]Limits{"metered": {RatePerSec: 0.001, Burst: 2}},
+		Now: func() time.Time { return now }})
 	defer s.Close()
 	for i := 0; i < 2; i++ {
 		if _, err := s.Submit(SubmitRequest{Tenant: "metered", Spec: terasortSpec(500, uint64(i+1))}); err != nil {
@@ -111,7 +107,7 @@ func TestTenantAdmissionControl(t *testing.T) {
 		}
 	}
 	_, err := s.Submit(SubmitRequest{Tenant: "metered", Spec: terasortSpec(500, 9)})
-	if !errors.Is(err, tenant.ErrRateLimited) {
+	if !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("third burst submission: %v, want ErrRateLimited", err)
 	}
 	// Another tenant is unaffected by the metered tenant's empty bucket.
@@ -124,11 +120,7 @@ func TestGlobalBacklogCap(t *testing.T) {
 	// MaxQueue=1 with a MaxRunning=1 tenant: the first job dispatches,
 	// the second stays queued (tenant at its running cap) and fills the
 	// backlog, so the third must bounce with ErrBacklogFull.
-	reg := tenant.NewRegistry(tenant.Limits{})
-	if err := reg.Define("t", tenant.Limits{MaxRunning: 1}); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{PoolSlots: 3, MaxQueue: 1, Tenants: reg})
+	s := New(Config{PoolSlots: 3, MaxQueue: 1, Tenants: map[string]Limits{"t": {MaxRunning: 1}}})
 	defer s.Close()
 	first, err := s.Submit(SubmitRequest{Tenant: "t", Spec: terasortSpec(200_000, 1)})
 	if err != nil {
@@ -144,16 +136,9 @@ func TestGlobalBacklogCap(t *testing.T) {
 }
 
 func TestPriorityOrdering(t *testing.T) {
-	reg := tenant.NewRegistry(tenant.Limits{})
-	if err := reg.Define("gold", tenant.Limits{Priority: 10}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Define("bronze", tenant.Limits{Priority: 1}); err != nil {
-		t.Fatal(err)
-	}
 	// Rank slots equal to one job's K, so jobs serialize and the queue
 	// orders the waiters by priority.
-	s := New(Config{PoolSlots: 3, Tenants: reg})
+	s := New(Config{PoolSlots: 3, Tenants: map[string]Limits{"gold": {Priority: 10}, "bronze": {Priority: 1}}})
 	defer s.Close()
 	// Saturate the slots with a slow-ish job so subsequent submissions
 	// queue up behind it.
@@ -185,11 +170,7 @@ func TestPriorityOrdering(t *testing.T) {
 }
 
 func TestDrainRejectsAndCancelsQueued(t *testing.T) {
-	reg := tenant.NewRegistry(tenant.Limits{})
-	if err := reg.Define("t", tenant.Limits{MaxRunning: 1}); err != nil {
-		t.Fatal(err)
-	}
-	s := New(Config{PoolSlots: 3, Tenants: reg, DrainTimeout: time.Minute})
+	s := New(Config{PoolSlots: 3, Tenants: map[string]Limits{"t": {MaxRunning: 1}}, DrainTimeout: time.Minute})
 	running, err := s.Submit(SubmitRequest{Tenant: "t", Spec: terasortSpec(50_000, 1)})
 	if err != nil {
 		t.Fatal(err)

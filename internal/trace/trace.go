@@ -50,26 +50,13 @@ type StageLog struct {
 	clock stats.Clock
 
 	mu       sync.Mutex
-	attempt  int
 	records  []StageRecord
 	observer func(StageRecord)
 }
 
-// NewStageLog returns an empty log stamping records with clock; records
-// carry attempt number 1 until NewAttempt is called.
+// NewStageLog returns an empty log stamping records with clock.
 func NewStageLog(clock stats.Clock) *StageLog {
-	return &StageLog{clock: clock, attempt: 1}
-}
-
-// NewAttempt advances the attempt number stamped on subsequent records and
-// returns it — called by the cluster supervisor when straggler/failure
-// recovery re-executes a job, so one log holds the whole recovery timeline
-// (the failed attempt's partial records included).
-func (l *StageLog) NewAttempt() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.attempt++
-	return l.attempt
+	return &StageLog{clock: clock}
 }
 
 // Observe registers fn to receive every record as it is appended, after
@@ -82,16 +69,19 @@ func (l *StageLog) Observe(fn func(StageRecord)) {
 	l.mu.Unlock()
 }
 
-// Record appends one completed stage. Safe for concurrent use by all
-// worker goroutines of an in-process cluster.
-func (l *StageLog) Record(node int, stage stats.Stage, elapsed time.Duration, err error) {
+// Record appends one completed stage, run under the given recovery
+// attempt: the cluster supervisor passes each attempt's number, so one log
+// holds the whole recovery timeline (the failed attempts' partial records
+// included). Safe for concurrent use by all worker goroutines of an
+// in-process cluster.
+func (l *StageLog) Record(attempt, node int, stage stats.Stage, elapsed time.Duration, err error) {
 	msg := ""
 	if err != nil {
 		msg = err.Error()
 	}
 	l.mu.Lock()
 	rec := StageRecord{
-		At: l.clock.Now(), Attempt: l.attempt, Node: node, Stage: stage, Elapsed: elapsed, Err: msg,
+		At: l.clock.Now(), Attempt: attempt, Node: node, Stage: stage, Elapsed: elapsed, Err: msg,
 	}
 	l.records = append(l.records, rec)
 	observer := l.observer

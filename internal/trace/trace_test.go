@@ -21,9 +21,9 @@ func TestStageLog(t *testing.T) {
 	clock := &stepClock{}
 	log := NewStageLog(clock)
 	clock.now = 10 * time.Millisecond
-	log.Record(1, stats.StageMap, 3*time.Millisecond, nil)
+	log.Record(1, 1, stats.StageMap, 3*time.Millisecond, nil)
 	clock.now = 20 * time.Millisecond
-	log.Record(0, stats.StageMap, 5*time.Millisecond, errors.New("boom"))
+	log.Record(1, 0, stats.StageMap, 5*time.Millisecond, errors.New("boom"))
 
 	recs := log.Records()
 	if len(recs) != 2 {
@@ -50,7 +50,7 @@ func TestStageLogConcurrent(t *testing.T) {
 		go func(n int) {
 			defer wg.Done()
 			for s := stats.StageCodeGen; s < stats.NumStages; s++ {
-				log.Record(n, s, time.Microsecond, nil)
+				log.Record(1, n, s, time.Microsecond, nil)
 			}
 		}(n)
 	}
@@ -60,15 +60,12 @@ func TestStageLogConcurrent(t *testing.T) {
 	}
 }
 
-// TestStageLogAttempts: records carry attempt 1 until NewAttempt advances
-// the number, and String tags only re-executed records with it.
+// TestStageLogAttempts: records carry the attempt they were recorded
+// under, and String tags only re-executed records with it.
 func TestStageLogAttempts(t *testing.T) {
 	log := NewStageLog(&stepClock{})
-	log.Record(0, stats.StageMap, time.Millisecond, nil)
-	if got := log.NewAttempt(); got != 2 {
-		t.Fatalf("NewAttempt = %d, want 2", got)
-	}
-	log.Record(0, stats.StageMap, time.Millisecond, nil)
+	log.Record(1, 0, stats.StageMap, time.Millisecond, nil)
+	log.Record(2, 0, stats.StageMap, time.Millisecond, nil)
 	recs := log.Records()
 	if recs[0].Attempt != 1 || recs[1].Attempt != 2 {
 		t.Fatalf("attempts %d, %d; want 1, 2", recs[0].Attempt, recs[1].Attempt)
@@ -93,8 +90,8 @@ func TestStageLogObserve(t *testing.T) {
 			t.Errorf("observer ran before the append: log holds %d, seen %d", n, len(seen))
 		}
 	})
-	log.Record(2, stats.StageShuffle, 4*time.Millisecond, nil)
-	log.Record(3, stats.StageReduce, time.Millisecond, errors.New("disk"))
+	log.Record(1, 2, stats.StageShuffle, 4*time.Millisecond, nil)
+	log.Record(1, 3, stats.StageReduce, time.Millisecond, errors.New("disk"))
 	recs := log.Records()
 	if len(seen) != 2 || seen[0] != recs[0] || seen[1] != recs[1] {
 		t.Fatalf("observer saw %+v, log holds %+v", seen, recs)

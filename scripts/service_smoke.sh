@@ -2,8 +2,9 @@
 # service_smoke.sh — end-to-end smoke of the sortd service: build the
 # daemon and its client, start the daemon, submit concurrent jobs from two
 # tenants (mixed engines, one with an injected mid-Map kill), verify every
-# job finishes validated, scrape /metrics for the per-tenant counters, and
-# drain with SIGTERM. Every wait is bounded so CI can never hang here.
+# job finishes validated, scrape /metrics for the per-tenant counters and
+# check that they balance, and drain with SIGTERM. Every wait is bounded so
+# CI can never hang here.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,6 +80,32 @@ do
     grep -qF "$want" "$WORK/metrics.txt" || {
         echo "metrics missing: $want"; cat "$WORK/metrics.txt"; exit 1; }
 done
+# The books balance per tenant: with every job finished and none queued,
+# admitted = running + done + failed + canceled, and submitted = admitted +
+# rejected.
+grep -qx 'sortd_jobs_queued 0' "$WORK/metrics.txt" || {
+    echo "jobs still queued"; cat "$WORK/metrics.txt"; exit 1; }
+awk '
+    match($0, /^sortd_tenant_jobs_[a-z_]+\{tenant="[^"]+"/) {
+        split($0, p, "\"")
+        t = p[2]
+        n = $NF
+        if ($0 ~ /^sortd_tenant_jobs_submitted_total/) sub_[t] += n
+        else if ($0 ~ /^sortd_tenant_jobs_admitted_total/) adm[t] += n
+        else if ($0 ~ /^sortd_tenant_jobs_rejected_total/) rej[t] += n
+        else if ($0 ~ /^sortd_tenant_jobs_(finished_total|running)/) held[t] += n
+    }
+    END {
+        bad = 0
+        for (t in adm) {
+            if (adm[t] != held[t] || sub_[t] != adm[t] + rej[t]) {
+                printf "tenant %s out of balance: submitted %d admitted %d rejected %d finished+running %d\n",
+                    t, sub_[t], adm[t], rej[t], held[t]
+                bad = 1
+            }
+        }
+        exit bad
+    }' "$WORK/metrics.txt" || { cat "$WORK/metrics.txt"; exit 1; }
 
 echo "== SIGTERM drain"
 kill -TERM "$SORTD_PID"
