@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fuzz largek-smoke bench bench-smoke bench-test profile cover cover-gate loc loc-delta service-smoke vuln ci
+.PHONY: all build vet fmt-check lint docs-check examples-smoke test race fake-clock fuzz largek-smoke bench bench-smoke bench-test profile cover cover-gate loc loc-delta service-smoke vuln ci
 
 all: ci
 
@@ -56,6 +56,19 @@ lint:
 # cannot hide; the seed is printed for replay on failure.
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# The fake-clock gate: the live runtime inside testing/synctest bubbles,
+# where the network costs exactly its modelled time (the capped Shuffle at
+# its wire bound, the parallel schedule's K-fold gain). The experiment is
+# Go 1.24's and the tests build only under it; a toolchain that no longer
+# knows it skips with a notice. ci.sh runs the same command (ci_test.go
+# holds the two equal).
+fake-clock:
+	@if GOEXPERIMENT=synctest $(GO) env GOEXPERIMENT >/dev/null 2>&1; then \
+		GOEXPERIMENT=synctest $(GO) test -run FakeClock ./internal/cluster/; \
+	else \
+		echo "GOEXPERIMENT=synctest unknown to this toolchain; skipping the fake-clock gate"; \
+	fi
 
 # Short fuzz smoke over the wire- and disk-facing surfaces (chunk framing,
 # packed IVs, coded packets, spill-file blocks) plus the resolvable-design
@@ -179,4 +192,4 @@ vuln:
 		echo "govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: loc-delta build vet fmt-check lint docs-check examples-smoke race largek-smoke bench-test cover-gate service-smoke vuln
+ci: loc-delta build vet fmt-check lint docs-check examples-smoke race fake-clock largek-smoke bench-test cover-gate service-smoke vuln

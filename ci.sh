@@ -33,6 +33,15 @@ done
 # validated=false fails. sortd/sortctl lines are the service smoke's.
 ./scripts/readme_smoke.sh
 go test -race -shuffle=on ./...
+# Fake-clock gate (mirrors `make fake-clock`): the live runtime inside
+# testing/synctest bubbles, where the network costs exactly its modelled
+# time; the tests build only under the experiment, and a toolchain that
+# no longer knows it skips with a notice.
+if GOEXPERIMENT=synctest go env GOEXPERIMENT >/dev/null 2>&1; then
+	GOEXPERIMENT=synctest go test -run FakeClock ./internal/cluster/
+else
+	echo "GOEXPERIMENT=synctest unknown to this toolchain; skipping the fake-clock gate"
+fi
 # Large-K smoke (mirrors `make largek-smoke`): the K=64 resolvable sort
 # one goroutine per rank, checksum-tied to the uncoded oracle. The
 # race run above already includes it; this re-run pins the gate by name so

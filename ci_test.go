@@ -10,8 +10,9 @@ import (
 )
 
 // TestGateCopiesAgree: ci.sh mirrors `make ci` for machines without make,
-// so the two hold their own copies of the coverage-gate package list and
-// the LOC parent. They must agree, and every gated package must exist.
+// so the two hold their own copies of the coverage-gate package list, the
+// LOC parent and the fake-clock step. They must agree, and every gated
+// package must exist.
 func TestGateCopiesAgree(t *testing.T) {
 	grab := func(file, pattern string) string {
 		t.Helper()
@@ -32,6 +33,9 @@ func TestGateCopiesAgree(t *testing.T) {
 	}
 	if mk, sh := grab("Makefile", `^LOC_PARENT \?= (\d+)$`), grab("ci.sh", `^loc_parent=(\d+)$`); mk != sh {
 		t.Errorf("LOC parent differs: Makefile %s, ci.sh %s", mk, sh)
+	}
+	if mk, sh := grab("Makefile", `^\t\tGOEXPERIMENT=synctest \$\(GO\) test (.+); \\$`), grab("ci.sh", `^\tGOEXPERIMENT=synctest go test (.+)$`); mk != sh {
+		t.Errorf("fake-clock step differs: Makefile %q, ci.sh %q", mk, sh)
 	}
 	for _, pkg := range makePkgs {
 		if files, _ := filepath.Glob(filepath.Join(pkg, "*.go")); len(files) == 0 {

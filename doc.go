@@ -31,11 +31,14 @@
 // multicast is application-layer, as the paper's MPI_Bcast is: each coded
 // packet relays down a chain of its group (transport.ChainBcast), so the
 // root's egress carries it once and members forward it on their own links
-// while the next root sends. The engine writes out, as a plain list, the
-// paper's fixed stage sequence (CodeGen, Map, Pack/Encode, Shuffle,
-// Reduce, with Unpack/Decode inside the Shuffle: each packet is decoded as
-// it arrives, and a reducer orders the partition while the wire is busy)
-// in the monolithic, chunk-streaming or out-of-core form, one switch on
+// while the next root sends; under a bandwidth cap a packet leaves in
+// segments, so a member forwards one while the root sends the next. The
+// engine writes out, as a plain list, the paper's fixed stage sequence
+// (CodeGen, Map, Shuffle, Reduce, with Pack/Encode and Unpack/Decode
+// inside the Shuffle: each rank encodes its packets while earlier roots
+// hold the wire, each packet is decoded as it arrives, and a reducer
+// orders the partition while the wire is busy) in the monolithic,
+// chunk-streaming or out-of-core form, one switch on
 // the job spec picking which, and each worker walks its list. The walk is
 // the one place a stage is measured: it charges the per-stage breakdown
 // and reports the same event to one stage hook, which feeds the cluster

@@ -31,6 +31,10 @@ var jobCorpus = []uint64{
 	// index, and the monolithic schedule lost its Unpack/Decode column when
 	// decoding moved into the Shuffle.
 	32, 818,
+	// Kills at CodeGen of monolithic coded jobs, in memory and over TCP:
+	// the monolithic schedule lost its Pack/Encode column when encoding
+	// moved into the Shuffle.
+	83, 5329,
 }
 
 // TestJobCorpusCells runs no job: it checks that the seed corpus draws

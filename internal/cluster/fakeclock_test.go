@@ -1,0 +1,99 @@
+//go:build goexperiment.synctest
+
+// The fake-clock tests run the live runtime — the engine over memnet and
+// netem — inside a testing/synctest bubble, where time.Sleep and timers
+// read a fake clock that advances only once every goroutine of the bubble
+// is blocked. The network then costs exactly its modelled time and compute
+// costs nothing, so a bound can be exact where a wall-clock test must leave
+// room for a loaded host. They need the experiment:
+//
+//	GOEXPERIMENT=synctest go test -run FakeClock ./internal/cluster/
+
+package cluster
+
+import (
+	"testing"
+	"testing/synctest"
+	"time"
+
+	"codedterasort/internal/stats"
+)
+
+// fakeClockTimeout bounds one bubble's wall time. A goroutine blocked on
+// what the fake clock does not count as blocked — a mutex held across a
+// sleep, a socket — stalls its bubble instead of failing it.
+const fakeClockTimeout = time.Minute
+
+// runFakeClock runs spec with RunLocal in a bubble and returns its report,
+// failing the test on an error or on a bubble still running after
+// fakeClockTimeout of wall time.
+func runFakeClock(t *testing.T, spec Spec) *JobReport {
+	t.Helper()
+	var rep *JobReport
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		synctest.Run(func() { rep, err = RunLocal(spec) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(fakeClockTimeout):
+		t.Fatalf("fake-clock run still going after %v of wall time: %+v", fakeClockTimeout, spec)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestFakeClockCappedShuffle: the capped monolithic Shuffle at K = 4 costs
+// its payload's line time, payload x 8 / rate, within 2 % at r = 1 and 2
+// and within 5 % at r = 3, where every packet crosses three links: a relay
+// forwards each segment as it lands, so the tail ends one segment after its
+// root. Each cell reads the same time in three runs.
+func TestFakeClockCappedShuffle(t *testing.T) {
+	const rate = 40 // Mbps: 1.5 s of fake line time at r = 1
+	for _, c := range []struct {
+		r   int
+		tol float64
+	}{{1, 0.02}, {2, 0.02}, {3, 0.05}} {
+		spec := Spec{Algorithm: AlgCoded, K: 4, R: c.r, Rows: 100_000, Seed: 31, RateMbps: rate}
+		var first time.Duration
+		for run := range 3 {
+			rep := runFakeClock(t, spec)
+			shuffle := rep.Times[stats.StageShuffle]
+			line := float64(rep.ShuffleLoadBytes) * 8 / (rate * 1e6)
+			ratio := shuffle.Seconds() / line
+			t.Logf("r=%d run %d: Shuffle %v, payload %d B, line time %.4f s, ratio %.4f",
+				c.r, run, shuffle, rep.ShuffleLoadBytes, line, ratio)
+			if ratio < 1-c.tol || ratio > 1+c.tol {
+				t.Fatalf("r=%d: Shuffle %v is %.4fx the payload's line time, want within %.0f%%",
+					c.r, shuffle, ratio, 100*c.tol)
+			}
+			if run == 0 {
+				first = shuffle
+			} else if shuffle != first {
+				t.Fatalf("r=%d: Shuffle %v in run %d, %v in run 0", c.r, shuffle, run, first)
+			}
+		}
+	}
+}
+
+// TestFakeClockParallelShuffleFasterUnderShaping is
+// TestParallelShuffleFasterUnderShaping on the fake clock: K concurrent
+// senders finish the same load K times faster than the one-at-a-time
+// schedule, within the imbalance of the ranks' loads.
+func TestFakeClockParallelShuffleFasterUnderShaping(t *testing.T) {
+	base := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 80000, Seed: 13, RateMbps: 200}
+	serial := runFakeClock(t, base)
+	par := base
+	par.ParallelShuffle = true
+	parallel := runFakeClock(t, par)
+	s := serial.Times[stats.StageShuffle].Seconds()
+	p := parallel.Times[stats.StageShuffle].Seconds()
+	t.Logf("serial %.4f s, parallel %.4f s, gain %.3fx", s, p, s/p)
+	if gain := s / p; gain < 3.9 || gain > 4.0 {
+		t.Fatalf("parallel gain %.3fx (serial %.4f s, parallel %.4f s), want 3.9-4.0", gain, s, p)
+	}
+}

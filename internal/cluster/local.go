@@ -147,8 +147,8 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 		rankSpec = scanned.spec
 	}
 	checks := make([]*outputCheck, spec.K)
-	rep, err := Supervise(ctx, rankSpec, opts, func(ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
-		var local job.Local
+	rep, err := Supervise(ctx, rankSpec, opts, func(actx context.Context, ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
+		local := job.Local{Done: actx.Done()}
 		if input != nil {
 			local.Input = input.take(ep.Rank())
 		} else {

@@ -2,13 +2,19 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"codedterasort/internal/extsort"
+	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/stats"
+	"codedterasort/internal/trace"
 )
 
 // recoverySpec is the base job of the recovery tests: small enough to keep
@@ -172,5 +178,36 @@ func TestWorkerErrorNoHang(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("worker error took %v to surface — the no-hang property is broken", elapsed)
+	}
+}
+
+// TestCanceledStallReturns: a job canceled while one rank sleeps out a
+// 2 s job.FaultSlow stall returns within 100 ms of the cancel, that rank
+// included, instead of once the stall's Delay has passed.
+func TestCanceledStallReturns(t *testing.T) {
+	spec := recoverySpec(AlgCoded, 4000)
+	spec.Faults = []FaultSpec{{Rank: 1, Stage: "Map", Kind: job.FaultSlow, Delay: 2 * time.Second}}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var canceledAt atomic.Int64
+	opts := Options{OnStage: func(rec trace.StageRecord) {
+		// Rank 0 is through Map; rank 1, whose Map is as short, stalls
+		// before it reports its own.
+		if rec.Node == 0 && rec.Stage == stats.StageMap {
+			time.AfterFunc(200*time.Millisecond, func() {
+				canceledAt.Store(time.Now().UnixNano())
+				cancel()
+			})
+		}
+	}}
+	_, err := RunLocalOpts(ctx, spec, opts)
+	returned := time.Now()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if at := canceledAt.Load(); at == 0 {
+		t.Fatal("the job returned before it was canceled")
+	} else if late := returned.Sub(time.Unix(0, at)); late > 100*time.Millisecond {
+		t.Fatalf("job returned %v after its cancel, during a 2 s stall", late)
 	}
 }

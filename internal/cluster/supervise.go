@@ -18,10 +18,12 @@ import (
 // RankFunc is one rank's body for one supervised attempt: it runs the job's
 // worker on ep under spec — the attempt's spec, the respawned ranks' faults
 // removed — with hooks observing every stage (they feed the stage log and
-// the deadline detector), and returns the rank's report. Supervise fills in
-// the report's Rank and WireBytes. An coded.KilledError return is the
-// rank's death; any other error is a failure.
-type RankFunc func(ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error)
+// the deadline detector), and returns the rank's report. ctx is the
+// attempt's, done once the attempt is canceled (job.Local.Done takes it
+// into the engine). Supervise fills in the report's Rank and WireBytes. An
+// coded.KilledError return is the rank's death; any other error is a
+// failure.
+type RankFunc func(ctx context.Context, ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error)
 
 // launcher runs one supervised attempt — in process (inProcess) or
 // over TCP (Coordinator.launch): the K ranks of spec, the attempt's spec,
@@ -195,7 +197,7 @@ func inProcess(rank RankFunc) launcher {
 			go func() {
 				defer wg.Done()
 				ep, meter := rankEndpoint(mesh.Endpoint(r), spec)
-				rep, err := rank(ep, spec, hooks)
+				rep, err := rank(ctx, ep, spec, hooks)
 				if err != nil {
 					errs[r] = err
 					// Any exited worker strands its peers at a barrier or a

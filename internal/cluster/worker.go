@@ -126,14 +126,15 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	stopBeat := make(chan struct{})
 	defer close(stopBeat)
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
-	go listenAbort(conn, mesh)
+	aborted := make(chan struct{})
+	go listenAbort(conn, mesh, aborted)
 
 	// The worker streams its sorted blocks through the checker as Reduce
 	// emits them, in every mode, so the partition is never materialized.
 	// A failed check lets the job finish and is then the worker's failure
 	// report; otherwise the report carries the checked digest, which the
 	// coordinator totals against the input.
-	rep, err := work(ep, spec, job.Local{}, check.feed, hooks)
+	rep, err := work(ep, spec, job.Local{Done: aborted}, check.feed, hooks)
 	if err == nil {
 		err = check.failed
 	}
@@ -161,10 +162,11 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 // coordinator (an abort) or on losing it, by closing the mesh. It returns
 // once the coordinator connection closes, which RunWorker's return does;
 // the mesh close is idempotent, so racing the normal teardown is harmless.
-func listenAbort(conn net.Conn, mesh io.Closer) {
+func listenAbort(conn net.Conn, mesh io.Closer, aborted chan<- struct{}) {
 	var ab abortMsg
 	_ = readFrame(conn, &ab)
 	mesh.Close()
+	close(aborted)
 }
 
 // ctrlSender serializes control-plane writes: heartbeats, stage progress

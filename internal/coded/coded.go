@@ -18,18 +18,22 @@
 //  3. Map — hash every stored file, keeping only the relevant intermediate
 //     values (I^k_S and {I^i_S : i not in S}, Fig 5) as references: the
 //     ascending rows of the file each one holds. No record is copied.
-//  4. Encode — build one coded packet E_{M,k} per group (Algorithm 1),
-//     gathering each record from the file into the packet.
-//  5. Multicast Shuffling — serial multicast, one root at a time, each
-//     packet broadcast to the other members of its group (Fig 9) by relay
-//     down the group's chain, from the root through descending ranks: the
-//     root sends it once and every member forwards it to the next. The
-//     member just above the root is the tail, so the next root only
-//     receives its predecessor's packets and takes the wire on a free link.
-//     Each packet is decoded as it arrives — known segments cancelled to
-//     recover the needed intermediate value (Algorithm 2), in the received
-//     buffer — and handed to the node's reducer.
-//  6. Reduce — locally sort partition k: order references to the records
+//  4. Multicast Shuffling — serial multicast, one root at a time, each
+//     coded packet E_{M,k} broadcast to the other members of its group
+//     (Fig 9) by relay down the group's chain, from the root through
+//     descending ranks: the root sends it once and every member forwards
+//     it to the next. The member just above the root is the tail, so the
+//     next root only receives its predecessor's packets and takes the wire
+//     on a free link. Each node encodes its packets (Algorithm 1, gathering
+//     each record from the file into the packet) while earlier roots hold
+//     the wire, and its next packet while it sends one. Under a bandwidth
+//     cap a packet leaves in record-aligned segments of about a millisecond
+//     of line time, each its own relay, so a member forwards one segment
+//     while the root sends the next. Each segment is decoded as it arrives
+//     — known segments cancelled to recover the needed intermediate value
+//     (Algorithm 2), in the received buffer — and handed to the node's
+//     reducer.
+//  5. Reduce — locally sort partition k: order references to the records
 //     where they lie, in the files and the decoded packets, and gather each
 //     one once into the output. The reducer starts with the Shuffle: it
 //     orders each batch of arrived shares as a sorted run while the wire is
@@ -58,6 +62,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"codedterasort/internal/codec"
 	"codedterasort/internal/extsort"
@@ -130,9 +135,9 @@ type Config struct {
 // frame share, so a report crosses each layer by assignment. The JSON keys
 // are the report frame's.
 type Summary struct {
-	// Times is the node's stage breakdown (CodeGen, Map, Encode under
-	// Pack, Shuffle, Reduce), as worker.run charged it. Decode
-	// runs inside the Shuffle, so Unpack/Decode stays zero.
+	// Times is the node's stage breakdown (CodeGen, Map, Shuffle,
+	// Reduce), as worker.run charged it. Encode and Decode run inside the
+	// Shuffle, so Pack/Encode and Unpack/Decode stay zero.
 	Times stats.Breakdown `json:"times"`
 	// OutputRows counts the sorted partition's records in every mode,
 	// including sink-streamed budget runs where Output is empty.
@@ -235,11 +240,11 @@ type worker struct {
 	// the finished spools' block counts.
 	spools      []*extsort.Spool
 	spoolBlocks []int64
-	packets     [][]byte // E_{M,rank} per myGroups index
-	// decoded[gi][i] lists the non-empty pieces of this node's needed IV
-	// recovered from member i of group myGroups[gi] — one per packet, or
-	// one per chunk when streaming — each decoded where its packet arrived
-	// (see compact). Read in (group, member, piece) order they are the
+	// decoded[u][j] lists the non-empty pieces of this node's needed IV
+	// recovered from root u in the j-th group u sends to this node in —
+	// one per packet segment, or one per chunk when streaming — each
+	// decoded where it arrived (see compact). Read in (root, group, piece)
+	// order, the order the serial schedule delivers them in, they are the
 	// remote share of partition `rank`.
 	decoded [][][]kv.Records
 	// reducer orders partition `rank` in the in-memory modes, from the
@@ -324,9 +329,10 @@ func Columns(spec *job.Resolved) []stats.Stage {
 // schedule names and lists this rank's stages. It is the one place the
 // execution mode is decided: MemBudget selects the out-of-core schedule,
 // which scans its files block by block and spills through the sorter;
-// ChunkRows alone the chunked one, whose streaming Shuffle overlaps Encode,
-// Shuffle and Decode; neither the paper's monolithic sequence. Every rank
-// lists the same columns.
+// ChunkRows alone the chunked one, whose Shuffle streams chunk packets under
+// a credit window; neither the monolithic one, whose Shuffle sends each
+// packet whole or, under a cap, in segments. Every mode encodes and decodes
+// inside its Shuffle, so every rank lists the same columns in every mode.
 func (w *worker) schedule() (string, []stage) {
 	var stages []stage
 	if w.coding {
@@ -350,7 +356,6 @@ func (w *worker) schedule() (string, []stage) {
 	default:
 		return "monolithic", append(stages, place,
 			stage{column: stats.StageMap, run: w.mapStage},
-			stage{column: stats.StagePack, run: w.encodeStage},
 			stage{column: stats.StageShuffle, run: w.multicastStage},
 			stage{column: stats.StageReduce, run: w.reduceStage})
 	}
@@ -588,22 +593,66 @@ func mapRelevant(plan placement.Plan, part partition.Partitioner, rank int, file
 	return store
 }
 
-// encodeStage builds this node's coded packet for every group it belongs
-// to (Algorithm 1). Packet construction includes the serialization work the
-// paper assigns to the Pack/Encode stage. Groups are independent (the IV
-// store is read-only here) and packets are indexed by group position, so
-// the per-group encodes run on the worker's Parallelism goroutines.
-func (w *worker) encodeStage() error {
-	w.packets = make([][]byte, len(w.myGroups))
-	return parallel.Do(w.procs, len(w.myGroups), func(i int) error {
-		g := w.myGroups[i]
-		p, err := codec.EncodeGroupPacket(w.store, g.Group, w.rank)
-		if err != nil {
-			return fmt.Errorf("group %v: %w", g.Members, err)
+// segmentLine is about the line time of one segment of a capped packet:
+// the lag of a relay behind its root, and so of the Shuffle's tail behind
+// the last root's send.
+const segmentLine = time.Millisecond
+
+// segmentMessages is the fewest per-message overheads a segment's line
+// time must span, so that cutting packets costs at most about
+// 1/segmentMessages of their line time in message overheads.
+const segmentMessages = 16
+
+// segmentRows returns the records of packet body per segment under the
+// job's cap — about segmentLine of line time, and at least segmentMessages
+// per-message overheads — or 0 without a cap, where a packet is one
+// message. It reads only the job, so every rank cuts the same segments.
+func segmentRows(spec *job.Resolved) int {
+	if spec.RateMbps <= 0 {
+		return 0
+	}
+	line := max(segmentLine, segmentMessages*spec.PerMessage)
+	return max(int(spec.RateMbps*1e6/8*line.Seconds())/kv.RecordSize, 1)
+}
+
+// encodePackets starts building this node's coded packet for every group
+// it belongs to (Algorithm 1), in group order on the worker's Parallelism
+// goroutines, and returns the wait for packet i, which the sender calls
+// once per packet in order. Encoding starts with the Shuffle, so it runs
+// while earlier roots hold the wire and, on a root, while the packets
+// before it are sent. The packets come from the codec pool; the run's
+// cleanup waits for the encoder and recycles what was never sent.
+func (w *worker) encodePackets() func(i int) ([]byte, error) {
+	n := len(w.myGroups)
+	packets, errs := make([][]byte, n), make([]error, n)
+	ready := make([]chan struct{}, n)
+	for i := range ready {
+		ready[i] = make(chan struct{})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		parallel.Do(w.procs, n, func(i int) error {
+			defer close(ready[i])
+			g := w.myGroups[i]
+			if packets[i], errs[i] = codec.EncodeGroupPacket(w.store, g.Group, w.rank); errs[i] != nil {
+				errs[i] = fmt.Errorf("group %v: %w", g.Members, errs[i])
+			}
+			return nil
+		})
+	}()
+	w.cleanups = append(w.cleanups, func() {
+		<-done
+		for _, p := range packets {
+			codec.Recycle(p)
 		}
-		w.packets[i] = p
-		return nil
 	})
+	return func(i int) ([]byte, error) {
+		<-ready[i]
+		p := packets[i]
+		packets[i] = nil
+		return p, errs[i]
+	}
 }
 
 // inboundFrom lists, in root u's send order, the positions in myGroups of
@@ -619,43 +668,49 @@ func (w *worker) inboundFrom(u int) []int {
 	return out
 }
 
-// memberSlots returns one slot per member of every group of this node, the
-// shape of received and decoded.
-func memberSlots[T any](groups []placement.Group) [][]T {
-	out := make([][]T, len(groups))
-	for i, g := range groups {
-		out[i] = make([]T, len(g.Members))
+// rootSlots returns the shape of decoded: for every other root, one slot
+// per group it sends to this node in.
+func (w *worker) rootSlots() [][][]kv.Records {
+	out := make([][][]kv.Records, w.spec.K)
+	for u := range out {
+		if u != w.rank {
+			out[u] = make([][]kv.Records, len(w.inboundFrom(u)))
+		}
 	}
 	return out
 }
 
+// keep joins a decoded piece to slot decoded[u][j] where it lies (see
+// compact) and returns what it kept, empty for nothing.
+func (w *worker) keep(u, j int, recs kv.Records) kv.Records {
+	if recs = compact(recs); recs.Len() > 0 {
+		w.decoded[u][j] = append(w.decoded[u][j], recs)
+	}
+	return recs
+}
+
 // multicastStage runs the serial schedule of Fig 9: one root at a time
 // (rank order), each broadcasting its packets to its groups one after
-// another. Receives run concurrently, roots in ascending rank order, so the
-// single active root streams without blocking; a receive that relays
-// forwards the packet before returning it, on this node's own egress, while
-// the root moves on. This node is the tail of every chain rooted at rank-1,
-// so it relays none of its predecessor's packets and starts its own turn
-// with its egress free.
+// another, each packet as the run of segments segmentRows cuts (one
+// segment without a cap). Receives run concurrently, roots in ascending
+// rank order, so the single active root streams without blocking; a
+// receive that relays forwards the segment before returning it, on this
+// node's own egress, while the root moves on to the next. This node is the
+// tail of every chain rooted at rank-1, so it relays none of its
+// predecessor's packets and starts its own turn with its egress free.
 //
-// Each packet is decoded where it arrived as soon as Bcast returns it
-// (Algorithm 2): the packet is this node's own by then, since a relay's
-// forward completes first, and once decoded only its segment holds it (see
-// compact). The segment goes to the reducer, which the stage starts with
-// the local share, so Reduce runs under the wire.
+// Each segment is decoded where it arrived as soon as Bcast returns it
+// (Algorithm 2): the segment is this node's own by then, since a relay's
+// forward completes first, and once decoded only the records it recovered
+// hold it (see compact). They go to the reducer, which the stage starts
+// with the local share, so Reduce runs under the wire.
 func (w *worker) multicastStage() error {
-	w.decoded = memberSlots[[]kv.Records](w.myGroups)
-	// The reducer's parts, in reduceStage's order: the stored files'
-	// shares, then one slot per member of each group.
+	packet := w.encodePackets()
+	w.decoded = w.rootSlots()
 	parts := w.localShare()
 	local := 0
 	for _, p := range parts {
 		local += p.Len()
-	}
-	first := make([]int, len(w.myGroups))
-	for gi, g := range w.myGroups {
-		first[gi] = len(parts)
-		parts = append(parts, make([]kv.View, len(g.Members))...)
 	}
 	// The files are equal slices of one input, so the local share predicts
 	// the partition; a sixteenth more absorbs the sampling noise.
@@ -665,46 +720,29 @@ func (w *worker) multicastStage() error {
 		reserve += reserve / 16
 	}
 	red := w.startReducer(parts, reserve)
+	segRows := segmentRows(w.spec)
 
 	recvErr := make(chan error, 1)
-	go func() {
-		for u := 0; u < w.spec.K; u++ {
-			if u == w.rank {
-				continue
-			}
-			for _, gi := range w.inboundFrom(u) {
-				g := w.myGroups[gi]
-				p, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
-				if err != nil {
-					recvErr <- fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
-					return
-				}
-				seg, err := codec.DecodeGroupPacketInPlace(w.store, g.Group, w.rank, u, p)
-				if err != nil {
-					recvErr <- fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
-					return
-				}
-				if seg = compact(seg); seg.Len() > 0 {
-					i := g.Index(u)
-					w.decoded[gi][i] = []kv.Records{seg}
-					red.add(first[gi]+i, kv.ViewAll(seg))
-				}
-			}
-		}
-		red.finish()
-		recvErr <- nil
-	}()
+	go func() { recvErr <- w.receivePackets(segRows, red) }()
 
 	send := func() error {
 		for i, g := range w.myGroups {
-			if _, err := w.ep.Bcast(g.Members, w.rank, groupTag(tagMulticast, g.ID, w.rank), w.packets[i]); err != nil {
-				return fmt.Errorf("bcast send in %v: %w", g.Members, err)
+			p, err := packet(i)
+			if err != nil {
+				return err
 			}
-			w.result.SentBytes += int64(len(w.packets[i]))
+			tag := groupTag(tagMulticast, g.ID, w.rank)
+			for s, last := 0, false; !last; s++ {
+				var seg []byte
+				seg, last = codec.PacketSegment(p, segRows, s)
+				if _, err := w.ep.Bcast(g.Members, w.rank, tag, seg); err != nil {
+					return fmt.Errorf("bcast send in %v: %w", g.Members, err)
+				}
+			}
+			w.result.SentBytes += int64(len(p))
 			w.result.SentOps++
 			// Bcast does not alias the packet after it returns.
-			codec.Recycle(w.packets[i])
-			w.packets[i] = nil
+			codec.Recycle(p)
 		}
 		return nil
 	}
@@ -712,6 +750,39 @@ func (w *worker) multicastStage() error {
 		return err
 	}
 	return <-recvErr
+}
+
+// receivePackets is the receive side of multicastStage: every packet sent
+// to this node, root by root in each root's send order, segment by segment
+// up to the one that closes it, each decoded and handed to red.
+func (w *worker) receivePackets(segRows int, red *reducer) error {
+	for u := 0; u < w.spec.K; u++ {
+		if u == w.rank {
+			continue
+		}
+		for j, gi := range w.inboundFrom(u) {
+			g := w.myGroups[gi]
+			dec, err := codec.NewSegmentDecoder(w.store, g.Group, w.rank, u, segRows)
+			if err != nil {
+				return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
+			}
+			for last := false; !last; {
+				seg, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+				if err != nil {
+					return fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
+				}
+				var recs kv.Records
+				if recs, last, err = dec.Decode(seg); err != nil {
+					return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
+				}
+				if recs = w.keep(u, j, recs); recs.Len() > 0 {
+					red.add(kv.ViewAll(recs))
+				}
+			}
+		}
+	}
+	red.finish()
+	return nil
 }
 
 // streamStage is the pipelined replacement for Encode+Multicast+Decode:
@@ -723,9 +794,10 @@ func (w *worker) multicastStage() error {
 // group members bound the root's run-ahead to Window chunks. The receive
 // side runs one goroutine per root, each walking that root's groups in the
 // root's send order, so concurrent senders never queue behind one another.
-// spill, when set, takes every decoded chunk (see receiveStream).
+// spill, when set, takes every decoded chunk, else each joins its decoded
+// slot.
 func (w *worker) streamStage(spill func(kv.Records) error) error {
-	w.decoded = memberSlots[[]kv.Records](w.myGroups)
+	w.decoded = w.rootSlots()
 	recvErrs := make([]error, w.spec.K)
 	var wg sync.WaitGroup
 	// Under the serial schedule the roots take the wire in rank order and
@@ -750,8 +822,12 @@ func (w *worker) streamStage(spill func(kv.Records) error) error {
 			if prev != nil {
 				<-prev
 			}
-			for _, gi := range w.inboundFrom(u) {
-				if recvErrs[u] = w.receiveStream(gi, u, spill); recvErrs[u] != nil {
+			for j, gi := range w.inboundFrom(u) {
+				take := spill
+				if take == nil {
+					take = func(recs kv.Records) error { w.keep(u, j, recs); return nil }
+				}
+				if recvErrs[u] = w.receiveStream(gi, u, take); recvErrs[u] != nil {
 					return
 				}
 			}
@@ -782,14 +858,12 @@ func (w *worker) streamStage(spill func(kv.Records) error) error {
 
 // receiveStream consumes the chunk stream root u sends in group
 // myGroups[gi] up to its last-flagged chunk: it receives each framed chunk,
-// returns one credit, validates the frame and decodes the chunk in place.
-// The recovered records go to spill when it is set (the out-of-core modes'
-// budget-bounded sorter), else join the group's decoded slot where they lie
-// (see compact). The credit goes back before validation, so a bad frame
-// here never wedges the sender behind a window that will not reopen.
-func (w *worker) receiveStream(gi, u int, spill func(kv.Records) error) error {
+// returns one credit, validates the frame, decodes the chunk in place and
+// hands the recovered records to take. The credit goes back before
+// validation, so a bad frame here never wedges the sender behind a window
+// that will not reopen.
+func (w *worker) receiveStream(gi, u int, take func(kv.Records) error) error {
 	g := w.myGroups[gi]
-	pieces := &w.decoded[gi][g.Index(u)]
 	var stream codec.ChunkStream
 	for c := 0; !stream.Done(); c++ {
 		frame, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
@@ -807,12 +881,8 @@ func (w *worker) receiveStream(gi, u int, spill func(kv.Records) error) error {
 		if err != nil {
 			return fmt.Errorf("decode chunk %d in %v from %d: %w", c, g.Members, u, err)
 		}
-		if spill != nil {
-			if err := spill(recs); err != nil {
-				return err
-			}
-		} else if recs = compact(recs); recs.Len() > 0 {
-			*pieces = append(*pieces, recs)
+		if err := take(recs); err != nil {
+			return err
 		}
 		w.chunksReceived.Add(1)
 	}
@@ -925,8 +995,8 @@ func (w *worker) localShare() []kv.View {
 // reduceStage joins the reducer, which has been sorting partition `rank`
 // (Section IV-F) since the Shuffle: the locally mapped share
 // ({I^rank_S : rank in S}, views of the stored files) followed by the
-// decoded remote share ({I^rank_S : rank not in S}: per group, the
-// segments in ascending sender order, where their packets arrived). The
+// decoded remote share ({I^rank_S : rank not in S}: the pieces by root,
+// group and piece, where they arrived). The
 // parts are ordered by reference where they lie and each record is copied
 // once, into the output; equal keys keep that part order, rows ascending,
 // at any Parallelism setting and however the parts arrived. With an
@@ -935,7 +1005,7 @@ func (w *worker) localShare() []kv.View {
 //
 // The chunked Shuffle starts no reducer: its Reduce hands the reducer the
 // whole partition as one run, the stored files' shares and then the
-// decoded pieces in (group, member, piece) order, and waits for it.
+// decoded pieces in (root, group, piece) order, and waits for it.
 func (w *worker) reduceStage() error {
 	if w.reducer == nil {
 		parts := w.localShare()

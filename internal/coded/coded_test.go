@@ -102,6 +102,21 @@ func outputs(results []Result) []kv.Records {
 	return out
 }
 
+// checkSorted checks materialized partitions as the runtime checks a
+// streamed output: each partition through its verify.PartitionChecker, as
+// one block, then verify.CheckSummaries over the summaries.
+func checkSorted(outs []kv.Records, p partition.Partitioner, in verify.Input) error {
+	sums := make([]verify.Summary, len(outs))
+	for k, out := range outs {
+		c := verify.NewPartitionChecker(p, k)
+		if err := c.Feed(out); err != nil {
+			return err
+		}
+		sums[k] = c.Summary()
+	}
+	return verify.CheckSummaries(sums, in)
+}
+
 // allOutput is every rank's output appended in rank order.
 func allOutput(results []Result) kv.Records {
 	var all kv.Records
@@ -116,7 +131,7 @@ func TestEndToEndSortsCorrectly(t *testing.T) {
 		cfg := cfgOf(job.Spec{K: 4, R: r, Rows: 4200, Seed: 1})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(1, kv.DistUniform), cfg.Rows)
-		if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
+		if err := checkSorted(outputs(results), partition.NewUniform(4), in); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 	}
@@ -195,7 +210,7 @@ func TestAllRedundancyLevels(t *testing.T) {
 		cfg := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: uint64(r)})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(uint64(r), kv.DistUniform), rows)
-		if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+		if err := checkSorted(outputs(results), partition.NewUniform(k), in); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 		if r == k {
@@ -215,7 +230,7 @@ func TestRelayedMulticastValidates(t *testing.T) {
 	cfg := cfgOf(job.Spec{K: 6, R: 3, Rows: 3000, Seed: 99})
 	results := runAll(t, cfg)
 	in := verify.DescribeGenerated(kv.NewGenerator(99, kv.DistUniform), cfg.Rows)
-	if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(6), in); err != nil {
+	if err := checkSorted(outputs(results), partition.NewUniform(6), in); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -225,7 +240,7 @@ func TestVariousClusterSizes(t *testing.T) {
 		cfg := cfgOf(job.Spec{K: k, R: 1, Rows: int64(200 * k), Seed: uint64(k)})
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(uint64(k), kv.DistUniform), cfg.Rows)
-		if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+		if err := checkSorted(outputs(results), partition.NewUniform(k), in); err != nil {
 			t.Fatalf("K=%d: %v", k, err)
 		}
 	}
@@ -241,7 +256,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 		cfg := cfgOf(spec)
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(3, kv.DistUniform), cfg.Rows)
-		if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(cfg.K), in); err != nil {
+		if err := checkSorted(outputs(results), partition.NewUniform(cfg.K), in); err != nil {
 			t.Fatalf("K=%d r=%d rows=%d: %v", cfg.K, cfg.R, cfg.Rows, err)
 		}
 	}
@@ -261,7 +276,7 @@ func TestSkewedInputWithSampledPartitioner(t *testing.T) {
 		cfg.Part = part
 		results := runAll(t, cfg)
 		in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistSkewed), rows)
-		if _, err := verify.SortedOutput(outputs(results), part, in); err != nil {
+		if err := checkSorted(outputs(results), part, in); err != nil {
 			t.Fatalf("r=%d: %v", r, err)
 		}
 	}
@@ -458,7 +473,7 @@ func TestLargerClusterSmoke(t *testing.T) {
 	cfg := cfgOf(job.Spec{K: 8, R: 3, Rows: 8000, Seed: 17})
 	results := runAll(t, cfg)
 	in := verify.DescribeGenerated(kv.NewGenerator(17, kv.DistUniform), cfg.Rows)
-	if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(8), in); err != nil {
+	if err := checkSorted(outputs(results), partition.NewUniform(8), in); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -54,7 +54,7 @@ func TestBudgetMatchesInMemory(t *testing.T) {
 					t.Fatalf("huge budget spilled %d runs", spilled)
 				}
 				in := verify.DescribeGenerated(kv.NewGenerator(seed, kv.DistUniform), rows)
-				if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(k), in); err != nil {
+				if err := checkSorted(outputs(results), partition.NewUniform(k), in); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -93,7 +93,7 @@ func TestBudgetStreamsToSink(t *testing.T) {
 			}
 		}
 		in := verify.DescribeGenerated(kv.NewGenerator(seed, kv.DistUniform), rows)
-		if _, err := verify.SortedOutput(streamed, partition.NewUniform(k), in); err != nil {
+		if err := checkSorted(streamed, partition.NewUniform(k), in); err != nil {
 			t.Fatal(err)
 		}
 	}

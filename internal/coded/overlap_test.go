@@ -39,42 +39,68 @@ func (l *stageLog) add(e stageLogEvent) {
 	l.mu.Unlock()
 }
 
+// countingConn counts the multicast messages its rank sends.
+type countingConn struct {
+	transport.Conn
+	msgs *atomic.Int64
+}
+
+func (c countingConn) Send(to int, tag transport.Tag, payload []byte) error {
+	if uint8(tag>>56) == tagMulticast {
+		c.msgs.Add(1)
+	}
+	return c.Conn.Send(to, tag, payload)
+}
+
+// digestedRun is what runDigested reads off a run: the SHA-256 of each
+// rank's output blocks in order, and the multicast messages, packets and
+// packet bytes all ranks sent.
+type digestedRun struct {
+	sums             [][]byte
+	msgs, ops, bytes int64
+}
+
 // runDigested runs every rank of cfg over an in-memory mesh whose egress
-// is capped at rateMbps (uncapped at 0), streaming each rank's output to a
-// sink, and returns the SHA-256 of each rank's output blocks in order.
-func runDigested(t *testing.T, cfg Config, rateMbps float64, log *stageLog) [][]byte {
+// is capped at rateMbps (uncapped at 0), the job's own cap too, streaming
+// each rank's output to a sink.
+func runDigested(t *testing.T, cfg Config, rateMbps float64, log *stageLog) digestedRun {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
 	sums := make([]hash.Hash, cfg.K)
+	results := make([]Result, cfg.K)
 	errs := make([]error, cfg.K)
+	var msgs atomic.Int64
 	var wg sync.WaitGroup
 	for rank := 0; rank < cfg.K; rank++ {
 		sums[rank] = sha256.New()
 		c := cfg
+		c.RateMbps = rateMbps
 		c.OutputSink = func(block kv.Records) error {
 			sums[rank].Write(block.Bytes())
 			log.add(stageLogEvent{rank: rank, block: true})
 			return nil
 		}
 		c.Hooks = func(ev StageEvent) { log.add(stageLogEvent{rank: rank, stage: ev.Stage}) }
-		var conn transport.Conn = mesh.Endpoint(rank)
+		var conn transport.Conn = countingConn{mesh.Endpoint(rank), &msgs}
 		if rateMbps > 0 {
 			conn = netem.Limit(conn, netem.Options{RateMbps: rateMbps})
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[rank] = Run(transport.WithCollectives(conn), c)
+			results[rank], errs[rank] = Run(transport.WithCollectives(conn), c)
 		}()
 	}
 	wg.Wait()
-	out := make([][]byte, cfg.K)
+	out := digestedRun{sums: make([][]byte, cfg.K), msgs: msgs.Load()}
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)
 		}
-		out[rank] = sums[rank].Sum(nil)
+		out.sums[rank] = sums[rank].Sum(nil)
+		out.ops += results[rank].SentOps
+		out.bytes += results[rank].SentBytes
 	}
 	return out
 }
@@ -89,9 +115,9 @@ func TestReduceOverlapsCappedShuffle(t *testing.T) {
 	const k = 4
 	for _, r := range []int{1, 2} {
 		cfg := cfgOf(job.Spec{K: k, R: r, Rows: 8000, Seed: 12})
-		want := runDigested(t, cfg, 0, &stageLog{})
+		want := runDigested(t, cfg, 0, &stageLog{}).sums
 		var log stageLog
-		got := runDigested(t, cfg, 4, &log)
+		got := runDigested(t, cfg, 4, &log).sums
 		for rank := range got {
 			if !bytes.Equal(got[rank], want[rank]) {
 				t.Fatalf("r=%d rank %d: capped output differs from the uncapped run's", r, rank)
@@ -110,6 +136,35 @@ func TestReduceOverlapsCappedShuffle(t *testing.T) {
 		if lastBlock < 0 || shuffleEnd < 0 || lastBlock > shuffleEnd {
 			t.Fatalf("r=%d: rank %d handed over its last output block at event %d, its Shuffle ended at event %d",
 				r, k-1, lastBlock, shuffleEnd)
+		}
+	}
+}
+
+// TestCappedShuffleSegmentsMatchUncapped: under a cap the monolithic
+// Shuffle sends every packet as a run of segments, each relayed on its own
+// (more messages than hops), yet each rank's output is the uncapped run's
+// byte for byte, and the packets and their bytes are the same; without a
+// cap every packet is one message per hop (r hops in a clique group).
+func TestCappedShuffleSegmentsMatchUncapped(t *testing.T) {
+	for r := 1; r <= 3; r++ {
+		cfg := cfgOf(job.Spec{K: 4, R: r, Rows: 8000, Seed: 21})
+		free := runDigested(t, cfg, 0, &stageLog{})
+		capped := runDigested(t, cfg, 40, &stageLog{})
+		if free.msgs != int64(r)*free.ops {
+			t.Fatalf("r=%d uncapped: %d multicast messages for %d packets, want %d", r, free.msgs, free.ops, int64(r)*free.ops)
+		}
+		if capped.ops != free.ops || capped.bytes != free.bytes {
+			t.Fatalf("r=%d: capped run sent %d packets of %d bytes, uncapped %d of %d",
+				r, capped.ops, capped.bytes, free.ops, free.bytes)
+		}
+		if capped.msgs <= 2*free.msgs || capped.msgs%int64(r) != 0 {
+			t.Fatalf("r=%d: %d capped multicast messages against %d uncapped: packets not cut into relayed segments",
+				r, capped.msgs, free.msgs)
+		}
+		for rank := range free.sums {
+			if !bytes.Equal(capped.sums[rank], free.sums[rank]) {
+				t.Fatalf("r=%d rank %d: segmented output differs from the uncapped run's", r, rank)
+			}
 		}
 	}
 }

@@ -40,7 +40,7 @@ func TestPipelinedValidatesAgainstReference(t *testing.T) {
 	cfg := cfgOf(job.Spec{K: 4, R: 2, Rows: 3000, Seed: 9, ChunkRows: 64})
 	results := runAll(t, cfg)
 	in := verify.DescribeGenerated(kv.NewGenerator(9, kv.DistUniform), cfg.Rows)
-	if _, err := verify.SortedOutput(outputs(results), partition.NewUniform(4), in); err != nil {
+	if err := checkSorted(outputs(results), partition.NewUniform(4), in); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,7 +19,7 @@ var errHalted = errors.New("coded: reducer halted")
 // rank is still sending; the Reduce stage only joins it.
 //
 // The parts are indexed in the order their equal keys keep: the stored
-// files' shares, then the decoded segments by group and sender (see
+// files' shares, then the decoded pieces in the order they arrived (see
 // reduceStage). A reducer gathers nothing until every part is in, and
 // feeds the sink no further block once halted, so a failed run never hands
 // its sink more than a prefix of the whole partition.
@@ -28,7 +28,7 @@ type reducer struct {
 	sink  func(kv.Records) error
 
 	mu      sync.Mutex
-	arrived []kv.View // parts in since the last look, by part index
+	arrived []kv.View // the parts by index: those in since the last look, the rest zero
 	last    bool      // every part is in
 
 	wake   chan struct{} // a look is due; buffered, so add never blocks
@@ -41,11 +41,11 @@ type reducer struct {
 	err    error
 }
 
-// startReducer starts the reducer of a partition of len(parts) parts.
-// parts holds those already in, the others are zero views that add fills
-// in as they arrive; rows is room to reserve for the whole partition's
-// references (an estimate: the order grows past it). The reducer is halted
-// and joined when the run ends, whichever way it ends.
+// startReducer starts the reducer of a partition whose first parts are
+// parts; add appends the others as they arrive. rows is room to reserve
+// for the whole partition's references (an estimate: the order grows past
+// it). The reducer is halted and joined when the run ends, whichever way it
+// ends.
 func (w *worker) startReducer(parts []kv.View, rows int) *reducer {
 	r := &reducer{procs: w.procs, sink: w.cfg.OutputSink, arrived: parts,
 		wake: make(chan struct{}, 1), stop: make(chan struct{}), exited: make(chan struct{})}
@@ -56,10 +56,10 @@ func (w *worker) startReducer(parts []kv.View, rows int) *reducer {
 	return r
 }
 
-// add hands over part i. Safe to call from any goroutine.
-func (r *reducer) add(i int, v kv.View) {
+// add hands over the next part. Safe to call from any goroutine.
+func (r *reducer) add(v kv.View) {
 	r.mu.Lock()
-	r.arrived[i] = v
+	r.arrived = append(r.arrived, v)
 	r.mu.Unlock()
 	r.signal()
 }
@@ -95,9 +95,9 @@ func (r *reducer) run(reserve int) {
 	defer close(r.exited)
 	var order kv.Order
 	order.Grow(reserve)
-	// The runs take turns with the receivers in two slot arrays: the
-	// receivers fill one while the reducer orders the other.
-	batch := make([]kv.View, len(r.arrived))
+	// Each look takes the parts in since the last one as a batch, so the
+	// receivers go on adding while the reducer orders it.
+	var batch []kv.View
 	for last := false; !last; {
 		select {
 		case <-r.wake:
@@ -106,11 +106,11 @@ func (r *reducer) run(reserve int) {
 			return
 		}
 		r.mu.Lock()
-		batch, r.arrived = r.arrived, batch
+		batch = append(batch[:0], r.arrived...)
+		clear(r.arrived)
 		last = r.last
 		r.mu.Unlock()
 		order.AddRun(r.procs, batch...)
-		clear(batch)
 	}
 	order.Merge()
 	r.rows = order.Len()

@@ -115,7 +115,7 @@ func (w *worker) run(clock stats.Clock, schedule string, stages []stage) error {
 		if struck && serr == nil {
 			// The straggler stalls before reporting the stage, so the
 			// inflated Elapsed is what peers and the detection layer see.
-			stall(fault, clock.Now()-t0)
+			stall(fault, clock.Now()-t0, w.spec.Done)
 		}
 		elapsed := clock.Now() - t0
 		w.result.Times[st] += elapsed
@@ -140,14 +140,21 @@ func (w *worker) run(clock stats.Clock, schedule string, stages []stage) error {
 // part models a node computing at 1/Factor speed (values at or below 1 add
 // nothing), the fixed part makes tests deterministic. It runs in wall time
 // — fault injection is a live-runtime feature; the virtual-time simulator
-// models stragglers analytically.
-func stall(f job.FaultSpec, elapsed time.Duration) {
+// models stragglers analytically — and ends early once abandoned closes
+// (job.Local.Done): a stalled rank of a canceled attempt returns with it.
+func stall(f job.FaultSpec, elapsed time.Duration, abandoned <-chan struct{}) {
 	d := f.Delay
 	if f.Factor > 1 {
 		d += time.Duration(float64(elapsed) * (f.Factor - 1))
 	}
-	if d > 0 {
-		time.Sleep(d)
+	if d <= 0 {
+		return
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-abandoned:
 	}
 }
 

@@ -284,7 +284,6 @@ func feedWorker(t *testing.T, feed *chunkFeed) *worker {
 	w := bareWorker(feed, resolved(t, job.Spec{K: 2, ChunkRows: 4}), nil)
 	w.store = codec.IVMap{}
 	w.myGroups = []placement.Group{{Group: codec.CliqueGroup(combin.NewSet(0, 1))}}
-	w.decoded = memberSlots[[]kv.Records](w.myGroups)
 	return w
 }
 

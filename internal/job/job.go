@@ -206,6 +206,10 @@ type Local struct {
 	// The in-process sort runtime (cluster.RunLocalOpts) supplies its
 	// ranks' input this way, describing each file as it hands it out.
 	Scan func(i, blockRows int, fn func(kv.Records) error) error
+	// Done, when non-nil, is closed once the run is abandoned — its attempt
+	// canceled by the supervisor or the caller — so that a job.FaultSlow
+	// stall ends there instead of sleeping out its Delay.
+	Done <-chan struct{}
 }
 
 // Resolved is a validated job: the Spec with every default filled in and

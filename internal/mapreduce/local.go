@@ -23,10 +23,10 @@ func RunLocal(j Job) (*cluster.JobReport, error) {
 		return nil, err
 	}
 	return cluster.Supervise(context.Background(), j.Spec, cluster.Options{},
-		func(ep transport.Endpoint, spec job.Spec, hooks coded.Hooks) (cluster.WorkerReport, error) {
+		func(ctx context.Context, ep transport.Endpoint, spec job.Spec, hooks coded.Hooks) (cluster.WorkerReport, error) {
 			attempt := j
 			attempt.Spec = spec
-			res, err := run(ep, attempt, hooks)
+			res, err := run(ep, attempt, hooks, ctx.Done())
 			return cluster.WorkerReport{Summary: res.Summary, Output: res.Output}, err
 		})
 }

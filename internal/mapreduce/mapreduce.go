@@ -196,11 +196,12 @@ type Result struct {
 // part completes. Every rank of the endpoint's world must call Run
 // concurrently with an identical job.
 func Run(ep transport.Endpoint, j Job) (Result, error) {
-	return run(ep, j, nil)
+	return run(ep, j, nil, nil)
 }
 
-// run is Run with hooks observing each timed engine stage.
-func run(ep transport.Endpoint, j Job, hooks coded.Hooks) (Result, error) {
+// run is Run with hooks observing each timed engine stage and done, when
+// non-nil, closed once the run is abandoned (job.Local.Done).
+func run(ep transport.Endpoint, j Job, hooks coded.Hooks, done <-chan struct{}) (Result, error) {
 	j, spec, err := j.normalize()
 	if err != nil {
 		return Result{}, err
@@ -211,7 +212,7 @@ func run(ep transport.Endpoint, j Job, hooks coded.Hooks) (Result, error) {
 	}
 	g := newGrouper(j.Reducer)
 	res, err := coded.Run(ep, coded.Config{
-		Spec: j.Spec, Local: job.Local{Part: j.Part, Input: input},
+		Spec: j.Spec, Local: job.Local{Part: j.Part, Input: input, Done: done},
 		Transform: j.transform(), OutputSink: g.Feed, Hooks: hooks,
 	})
 	if err != nil {

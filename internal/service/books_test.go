@@ -73,7 +73,9 @@ var maskTimes = regexp.MustCompile(`(?m)^(sortd_uptime_seconds|sortd_stage_secon
 // testdata/metrics.golden, with only the timing values masked. The golden
 // was rendered at commit 2690efe, when the service still kept per-tenant
 // counters beside its job table; it holds no job canceled before it
-// started, the one count that moved since.
+// started, the one count that moved since, and its stage rollup lost the
+// Pack/Encode rows when the monolithic schedule's encode moved into the
+// Shuffle.
 func TestMetricsGolden(t *testing.T) {
 	now := time.Unix(1000, 0)
 	s := New(Config{PoolSlots: 1, MaxQueue: 2, SpillRoot: t.TempDir(),

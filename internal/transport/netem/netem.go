@@ -49,7 +49,11 @@ type Limiter struct {
 	inner transport.Conn
 	opts  Options
 
-	mu       sync.Mutex    // the link: held from reservation to delivery
+	// link is the link lock, held from reservation to delivery: a one-slot
+	// channel rather than a mutex, so that a Send queued behind another
+	// blocks on a channel, which a fake clock (testing/synctest) counts as
+	// blocked while the holder sleeps out its line time.
+	link     chan struct{}
 	nextFree time.Time     // when the last reservation ends
 	late     time.Duration // how long after nextFree its message was delivered
 }
@@ -59,7 +63,7 @@ func Limit(c transport.Conn, opts Options) *Limiter {
 	if opts.SlowFactor == 0 {
 		opts.SlowFactor = 1
 	}
-	return &Limiter{inner: c, opts: opts}
+	return &Limiter{inner: c, opts: opts, link: make(chan struct{}, 1)}
 }
 
 // Rank implements transport.Conn.
@@ -88,8 +92,8 @@ const sleepGranularity = time.Millisecond
 // message's transmission time, sleeps until the reservation ends, and then
 // delivers through the inner transport.
 func (l *Limiter) Send(to int, tag transport.Tag, payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.link <- struct{}{}
+	defer func() { <-l.link }()
 	if start := time.Now().Add(-l.late); l.nextFree.Before(start) {
 		l.nextFree = start
 	}

@@ -7,9 +7,9 @@
 //
 // PartitionChecker consumes a partition as a stream of ascending blocks —
 // the one way the runtime verifies a sort's output, fed by each rank's
-// Reduce as it emits, so no sorted partition is ever resident whole.
-// SortedOutput is its special case for partitions already materialized,
-// each fed as one block. Feeding blocks costs O(block) memory; the
+// Reduce as it emits, so no sorted partition is ever resident whole. A
+// partition already materialized is fed as one block. Feeding blocks costs
+// O(block) memory; the
 // per-partition residue is a Summary (rows, multiset checksum, min and max
 // key), and CheckSummaries closes the cross-partition and whole-input
 // checks over those summaries alone.
@@ -247,25 +247,4 @@ func CheckSummaries(sums []Summary, in Input) error {
 		return fmt.Errorf("verify: output checksum %#x != input checksum %#x", sum, in.Checksum)
 	}
 	return nil
-}
-
-// SortedOutput validates per-node outputs of a K-way distributed sort and
-// returns each partition's summary. outputs[k] must be node k's reduced
-// partition; p is the partitioner all nodes hashed with. It is the
-// materialized special case of the streaming checker: each partition is
-// fed as one block, the K partitions concurrently.
-func SortedOutput(outputs []kv.Records, p partition.Partitioner, in Input) ([]Summary, error) {
-	if len(outputs) != p.NumPartitions() {
-		return nil, fmt.Errorf("verify: %d outputs for %d partitions", len(outputs), p.NumPartitions())
-	}
-	sums := make([]Summary, len(outputs))
-	if err := parallel.Do(runtime.GOMAXPROCS(0), len(outputs), func(k int) error {
-		c := NewPartitionChecker(p, k)
-		err := c.Feed(outputs[k])
-		sums[k] = c.Summary()
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return sums, CheckSummaries(sums, in)
 }

@@ -11,6 +11,21 @@ import (
 	"codedterasort/internal/partition"
 )
 
+// checkWhole checks materialized partitions as the runtime checks a
+// streamed output: each partition through its PartitionChecker, as one
+// block, then CheckSummaries over the summaries.
+func checkWhole(outs []kv.Records, p partition.Partitioner, in Input) error {
+	sums := make([]Summary, len(outs))
+	for k, out := range outs {
+		c := NewPartitionChecker(p, k)
+		if err := c.Feed(out); err != nil {
+			return err
+		}
+		sums[k] = c.Summary()
+	}
+	return CheckSummaries(sums, in)
+}
+
 // makeOutputs builds a correct K-way sorted output for generated input.
 func makeOutputs(t *testing.T, seed uint64, rows int64, k int) ([]kv.Records, partition.Partitioner, Input) {
 	t.Helper()
@@ -23,17 +38,10 @@ func makeOutputs(t *testing.T, seed uint64, rows int64, k int) ([]kv.Records, pa
 	return parts, p, Describe(data)
 }
 
-func TestSortedOutputAcceptsCorrect(t *testing.T) {
-	outs, p, in := makeOutputs(t, 1, 2000, 4)
-	if _, err := SortedOutput(outs, p, in); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDetectsUnsortedPartition(t *testing.T) {
 	outs, p, in := makeOutputs(t, 2, 2000, 4)
 	outs[1].Swap(0, outs[1].Len()-1)
-	_, err := SortedOutput(outs, p, in)
+	err := checkWhole(outs, p, in)
 	if err == nil || !strings.Contains(err.Error(), "not sorted") {
 		t.Fatalf("err = %v", err)
 	}
@@ -47,7 +55,7 @@ func TestDetectsMisplacedRecord(t *testing.T) {
 	stolen := outs[0].Slice(0, 1).Clone()
 	outs[3] = stolen.AppendRecords(outs[3])
 	outs[0] = outs[0].Slice(1, outs[0].Len())
-	_, err := SortedOutput(outs, p, in)
+	err := checkWhole(outs, p, in)
 	if err == nil || !strings.Contains(err.Error(), "belongs to partition") {
 		t.Fatalf("err = %v", err)
 	}
@@ -56,7 +64,7 @@ func TestDetectsMisplacedRecord(t *testing.T) {
 func TestDetectsLostRecords(t *testing.T) {
 	outs, p, in := makeOutputs(t, 4, 2000, 4)
 	outs[2] = outs[2].Slice(0, outs[2].Len()-1)
-	_, err := SortedOutput(outs, p, in)
+	err := checkWhole(outs, p, in)
 	if err == nil || !strings.Contains(err.Error(), "rows") {
 		t.Fatalf("err = %v", err)
 	}
@@ -67,16 +75,8 @@ func TestDetectsCorruptedValue(t *testing.T) {
 	// Flip one byte in a value: row count and order still hold; only the
 	// multiset checksum catches it.
 	outs[0].Value(0)[5] ^= 0xFF
-	_, err := SortedOutput(outs, p, in)
+	err := checkWhole(outs, p, in)
 	if err == nil || !strings.Contains(err.Error(), "checksum") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestDetectsWrongPartitionCount(t *testing.T) {
-	outs, p, in := makeOutputs(t, 6, 500, 4)
-	_, err := SortedOutput(outs[:3], p, in)
-	if err == nil || !strings.Contains(err.Error(), "outputs") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -85,14 +85,14 @@ func TestEmptyPartitionsAllowed(t *testing.T) {
 	// K larger than the record count leaves some partitions empty; that
 	// is legal.
 	outs, p, in := makeOutputs(t, 7, 3, 8)
-	if _, err := SortedOutput(outs, p, in); err != nil {
+	if err := checkWhole(outs, p, in); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestAllEmptyOutput(t *testing.T) {
 	outs, p, in := makeOutputs(t, 8, 0, 4)
-	if _, err := SortedOutput(outs, p, in); err != nil {
+	if err := checkWhole(outs, p, in); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -121,11 +121,13 @@ func TestDescribeGeneratedEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamingCheckerMatchesSortedOutput: feeding a partition in many
-// small blocks must accept exactly what the materialized checker accepts
-// and produce the same summary totals.
-func TestStreamingCheckerMatchesSortedOutput(t *testing.T) {
+// TestStreamingCheckerAcceptsCorrect: a correct output passes, each
+// partition fed whole or in many small blocks.
+func TestStreamingCheckerAcceptsCorrect(t *testing.T) {
 	outs, p, in := makeOutputs(t, 10, 3000, 4)
+	if err := checkWhole(outs, p, in); err != nil {
+		t.Fatal(err)
+	}
 	sums := make([]Summary, len(outs))
 	for k, out := range outs {
 		c := NewPartitionChecker(p, k)
@@ -135,9 +137,6 @@ func TestStreamingCheckerMatchesSortedOutput(t *testing.T) {
 		sums[k] = c.Summary()
 	}
 	if err := CheckSummaries(sums, in); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SortedOutput(outs, p, in); err != nil {
 		t.Fatal(err)
 	}
 }
