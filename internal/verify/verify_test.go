@@ -38,6 +38,15 @@ func makeOutputs(t *testing.T, seed uint64, rows int64, k int) ([]kv.Records, pa
 	return parts, p, Describe(data)
 }
 
+// TestSortedOutputAcceptsCorrect: a correct sorted output, each partition
+// fed whole, passes.
+func TestSortedOutputAcceptsCorrect(t *testing.T) {
+	outs, p, in := makeOutputs(t, 1, 2000, 4)
+	if err := checkWhole(outs, p, in); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDetectsUnsortedPartition(t *testing.T) {
 	outs, p, in := makeOutputs(t, 2, 2000, 4)
 	outs[1].Swap(0, outs[1].Len()-1)
@@ -121,9 +130,9 @@ func TestDescribeGeneratedEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamingCheckerAcceptsCorrect: a correct output passes, each
-// partition fed whole or in many small blocks.
-func TestStreamingCheckerAcceptsCorrect(t *testing.T) {
+// TestStreamingCheckerMatchesSortedOutput: feeding a partition in many
+// small blocks must accept exactly what the whole-partition check accepts.
+func TestStreamingCheckerMatchesSortedOutput(t *testing.T) {
 	outs, p, in := makeOutputs(t, 10, 3000, 4)
 	if err := checkWhole(outs, p, in); err != nil {
 		t.Fatal(err)
