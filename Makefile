@@ -108,7 +108,8 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=. -benchtime=1x ./...
 
 # Where a whole job's CPU goes: one job shape of the repository benchmark
-# (BenchmarkJob/<JOB>: uncoded_mem, coded_mem or uncoded_spill) under the
+# (BenchmarkJob/<JOB>: uncoded_mem, coded_mem, uncoded_cap, coded_cap or
+# uncoded_spill; each reports its Shuffle and Reduce seconds) under the
 # CPU profiler, then the top frames and, last, the copy share (the flat
 # shares of runtime.memmove and runtime.memclrNoHeapPointers among all
 # samples) and the syscall share (the largest flat share of a Syscall6

@@ -368,34 +368,44 @@ func benchLive(b *testing.B, spec cluster.Spec) {
 	}
 }
 
-// BenchmarkJob runs whole jobs in the three compute-bound shapes of the
-// repository benchmark (bench/workloads.go: K=4, 1M rows, one goroutine per
-// rank) through cluster.RunLocalOpts — placement, the sort and output
-// verification, the span its job_s times. `make profile JOB=<shape>`
+// BenchmarkJob runs whole jobs in the shapes of the repository benchmark
+// (bench/workloads.go: K=4, 1M rows, one goroutine per rank) through
+// cluster.RunLocalOpts — placement, the sort and output verification, the
+// span its job_s times — and reports the Shuffle and the Reduce, the
+// per-stage maxima over the ranks of the last job. The *_cap shapes cap
+// every rank's egress at 400 Mbps, the paper's regime, where the Reduce
+// left after the last packet is the tail. `make profile JOB=<shape>`
 // profiles one of them to show where a job's CPU goes.
 func BenchmarkJob(b *testing.B) {
-	const ranks, rows = 4, 1_000_000
+	const ranks, rows, capMbps = 4, 1_000_000, 400
 	mem := cluster.Spec{Algorithm: cluster.AlgTeraSort, K: ranks, Rows: rows, Seed: 11, Parallelism: 1}
 	coded := mem
 	coded.Algorithm, coded.R = cluster.AlgCoded, 2
+	memCap, codedCap := mem, coded
+	memCap.RateMbps, codedCap.RateMbps = capMbps, capMbps
 	spill := mem
 	spill.ParallelShuffle = true
 	spill.MemBudget = rows * kv.RecordSize / ranks / 8
 	for _, shape := range []struct {
 		name string
 		spec cluster.Spec
-	}{{"uncoded_mem", mem}, {"coded_mem", coded}, {"uncoded_spill", spill}} {
+	}{{"uncoded_mem", mem}, {"coded_mem", coded}, {"uncoded_cap", memCap}, {"coded_cap", codedCap}, {"uncoded_spill", spill}} {
 		b.Run(shape.name, func(b *testing.B) {
 			spec := shape.spec
 			if spec.MemBudget > 0 {
 				spec.SpillDir = b.TempDir()
 			}
 			b.SetBytes(rows * kv.RecordSize)
+			var times stats.Breakdown
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.RunLocalOpts(context.Background(), spec, cluster.Options{}); err != nil {
+				rep, err := cluster.RunLocalOpts(context.Background(), spec, cluster.Options{})
+				if err != nil {
 					b.Fatal(err)
 				}
+				times = rep.Times
 			}
+			b.ReportMetric(times[stats.StageShuffle].Seconds(), "shuffle_s")
+			b.ReportMetric(times[stats.StageReduce].Seconds(), "reduce_s")
 		})
 	}
 }

@@ -35,16 +35,17 @@
 // segments, so a member forwards one while the root sends the next. The
 // engine writes out, as a plain list, the paper's fixed stage sequence
 // (CodeGen, Map, Shuffle, Reduce, with Pack/Encode and Unpack/Decode
-// inside the Shuffle: each rank encodes its packets while earlier roots
-// hold the wire, each packet is decoded as it arrives, and a reducer
-// orders the partition while the wire is busy) in the monolithic,
+// inside the Shuffle: each rank encodes its packets segment by segment
+// while earlier roots hold the wire, each segment is decoded as it
+// arrives, and a reducer orders, merges and compacts the partition while
+// the wire is busy) in the monolithic,
 // chunk-streaming or out-of-core form, one switch on
 // the job spec picking which, and each worker walks its list. The walk is
 // the one place a stage is measured: it charges the per-stage breakdown
 // and reports the same event to one stage hook, which feeds the cluster
 // stage log in process and over TCP alike (DESIGN.md section 3).
 // Workers are multicore: the Parallelism knob (-procs on the CLIs) runs each worker's map scatter, the sort kernel (Reduce and
-// spill runs alike) and per-group packet encode on deterministic parallel
+// spill runs alike) and packet encode on deterministic parallel
 // kernels (internal/parallel) that produce byte-identical output at any
 // goroutine count.
 // Execution is straggler-resilient: the cluster runtime supervises every

@@ -97,3 +97,27 @@ func TestFakeClockParallelShuffleFasterUnderShaping(t *testing.T) {
 		t.Fatalf("parallel gain %.3fx (serial %.4f s, parallel %.4f s), want 3.9-4.0", gain, s, p)
 	}
 }
+
+// TestFakeClockStragglerSlowsShuffle is TestStragglerSlowsShuffle on the
+// fake clock, in process: rank 1's egress at a quarter of the rate. Under
+// the serial schedule the four roots take the wire one after another, so
+// the straggler's turn costs four times its line time and the Shuffle
+// (1 + 4 + 1 + 1) / 4 = 7/4 of the healthy one's, within the spread of the
+// ranks' loads. Each run reads the same time twice.
+func TestFakeClockStragglerSlowsShuffle(t *testing.T) {
+	healthy := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 20000, Seed: 15, RateMbps: 50}
+	slow := healthy
+	slow.StragglerFactor, slow.StragglerRank = 4, 1
+	shuffle := func(spec Spec) float64 {
+		first := runFakeClock(t, spec).Times[stats.StageShuffle]
+		if again := runFakeClock(t, spec).Times[stats.StageShuffle]; again != first {
+			t.Fatalf("Shuffle %v, then %v: %+v", first, again, spec)
+		}
+		return first.Seconds()
+	}
+	h, s := shuffle(healthy), shuffle(slow)
+	t.Logf("healthy %.4f s, straggling %.4f s (%.3fx)", h, s, s/h)
+	if ratio := s / h; ratio < 1.70 || ratio > 1.78 {
+		t.Fatalf("straggler slowed the Shuffle %.3fx (healthy %.4f s, straggling %.4f s), want 1.70-1.78", ratio, h, s)
+	}
+}

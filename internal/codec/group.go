@@ -114,16 +114,35 @@ func packetWidth(terms []kv.View) int {
 
 // encodeInto writes the packet of the given terms to packet, which is
 // packetWidth(terms) bytes: each term wrapped in a length-headed frame
-// padded to the widest one. The first term is gathered in and the rest
-// XORed onto it, so a packet with a single term — every packet of a
-// two-member group — is that segment's frame: one copy, no XOR pass.
+// padded to the widest one.
 func encodeInto(packet []byte, terms []kv.View) {
+	encodeRows(packet, terms, true, 0, (len(packet)-frameHeader)/kv.RecordSize)
+}
+
+// encodeRows writes body rows [lo, hi) of the packet of the given terms to
+// packet, and its frame header when header is set. The first term is
+// gathered in and the rest XORed onto it, so a packet with a single term —
+// every packet of a two-member group — is that segment's frame: one copy,
+// no XOR pass. Disjoint row ranges may be written concurrently.
+func encodeRows(packet []byte, terms []kv.View, header bool, lo, hi int) {
+	if header {
+		size := 0
+		for _, t := range terms {
+			size ^= t.Size()
+		}
+		binary.BigEndian.PutUint32(packet, uint32(size))
+	}
+	body := packet[frameHeader:]
 	first := terms[0]
-	binary.BigEndian.PutUint32(packet, uint32(first.Size()))
-	first.Gather(packet[frameHeader:])
-	clear(packet[frameHeader+first.Size():])
-	for _, seg := range terms[1:] {
-		xorFrameInto(packet, seg)
+	n := min(hi, first.Len())
+	if lo < n {
+		first.Slice(lo, n).Gather(body[lo*kv.RecordSize:])
+	}
+	clear(body[max(lo, n)*kv.RecordSize : hi*kv.RecordSize])
+	for _, t := range terms[1:] {
+		if a, b := min(lo, t.Len()), min(hi, t.Len()); a < b {
+			t.Slice(a, b).XORInto(body[a*kv.RecordSize:])
+		}
 	}
 }
 

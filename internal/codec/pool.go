@@ -23,8 +23,8 @@ func getBuf(n int) []byte {
 }
 
 // Recycle returns a buffer obtained from FrameSegmentChunk,
-// FrameGroupPacketChunk, the EncodeGroupPacket family or FrameChunk to the
-// pool. Callers recycle only
+// FrameGroupPacketChunk, the EncodeGroupPacket family, FrameChunk or
+// PacketEncoder.Buffer to the pool. Callers recycle only
 // once the buffer is dead (for sent frames: after Send/Bcast returns, per
 // the transport non-aliasing contract); retaining instead of recycling is
 // always safe, just slower.

@@ -29,6 +29,58 @@ func PacketSegment(packet []byte, segRows, s int) (seg []byte, last bool) {
 	return packet[min(lo, len(packet)):min(hi, len(packet))], hi > len(packet)
 }
 
+// PacketEncoder is Algorithm 1 a segment at a time: it builds the coded
+// packet node k multicasts in group g, cut every segRows records, into a
+// buffer of Size bytes one segment at a time, so a sender can put each
+// segment on the wire as soon as it is built. The segments together are
+// the bytes EncodeGroupPacket builds, and distinct segments may be built
+// concurrently.
+type PacketEncoder struct {
+	terms   []kv.View
+	size    int
+	segRows int
+}
+
+// NewPacketEncoder returns the encoder of the packet node k sends in group
+// g, cut every segRows records (segRows <= 0: whole).
+func NewPacketEncoder(store IVStore, g Group, k, segRows int) (*PacketEncoder, error) {
+	ik, err := g.check(k)
+	if err != nil {
+		return nil, err
+	}
+	terms := g.terms(store, ik, -1, 0, 0)
+	return &PacketEncoder{terms: terms, size: packetWidth(terms), segRows: max(segRows, 0)}, nil
+}
+
+// Size returns the packet's length in bytes.
+func (e *PacketEncoder) Size() int { return e.size }
+
+// Buffer returns a pooled buffer of Size bytes to build the packet in.
+// Recycle it once the packet is sent.
+func (e *PacketEncoder) Buffer() []byte { return getBuf(e.size) }
+
+// Segments returns the number of segments the packet travels as.
+func (e *PacketEncoder) Segments() int {
+	if e.segRows == 0 {
+		return 1
+	}
+	return e.bodyRows()/e.segRows + 1
+}
+
+func (e *PacketEncoder) bodyRows() int { return (e.size - frameHeader) / kv.RecordSize }
+
+// EncodeSegment builds segment s of the packet in packet, which is Size()
+// bytes, and returns it as PacketSegment does: aliasing packet, and whether
+// it is the last.
+func (e *PacketEncoder) EncodeSegment(packet []byte, s int) (seg []byte, last bool) {
+	lo, hi := 0, e.bodyRows()
+	if e.segRows > 0 {
+		lo, hi = min(s*e.segRows, hi), min((s+1)*e.segRows, hi)
+	}
+	encodeRows(packet, e.terms, s == 0, lo, hi)
+	return PacketSegment(packet, e.segRows, s)
+}
+
 // SegmentDecoder is Algorithm 2 on a packet that arrives in segments: it
 // recovers node k's segment of the packet node u sends in group g one
 // packet segment at a time, each cancelled where it landed, as

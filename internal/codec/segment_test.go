@@ -104,6 +104,55 @@ func TestSegmentedDecodeMatchesWhole(t *testing.T) {
 	}
 }
 
+// TestSegmentedEncodeMatchesWhole is the mirror of
+// TestSegmentedDecodeMatchesWhole: for every group and sender, a packet
+// built segment by segment, into a buffer of stale bytes and last segment
+// first, is the whole EncodeGroupPacket byte for byte, and each segment
+// EncodeSegment returns is that packet's PacketSegment.
+func TestSegmentedEncodeMatchesWhole(t *testing.T) {
+	for _, tc := range []struct {
+		k, r int
+		rows int64
+	}{
+		{4, 2, 600}, {5, 3, 777}, {6, 1, 300}, {3, 2, 90}, {4, 2, 0},
+	} {
+		stores, _ := buildScenario(t, uint64(tc.k*10+tc.r), tc.k, tc.r, tc.rows)
+		for _, m := range combin.Subsets(combin.Range(tc.k), tc.r+1) {
+			g := CliqueGroup(m)
+			for _, u := range m.Members() {
+				whole, err := EncodeGroupPacket(stores[u], g, u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bodyRows := (len(whole) - frameHeader) / kv.RecordSize
+				for _, segRows := range []int{0, 1, 3, 7, max(bodyRows, 1), 1000} {
+					enc, err := NewPacketEncoder(stores[u], g, u, segRows)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := segments(whole, segRows)
+					if enc.Size() != len(whole) || enc.Segments() != len(want) {
+						t.Fatalf("k=%d r=%d group %v u=%d segRows=%d: %d bytes in %d segments, want %d in %d",
+							tc.k, tc.r, m, u, segRows, enc.Size(), enc.Segments(), len(whole), len(want))
+					}
+					packet := slices.Repeat([]byte{0xa5}, enc.Size())
+					for s := enc.Segments() - 1; s >= 0; s-- {
+						seg, last := enc.EncodeSegment(packet, s)
+						if !slices.Equal(seg, want[s]) || last != (s == len(want)-1) {
+							t.Fatalf("k=%d r=%d group %v u=%d segRows=%d: segment %d (last %v) differs",
+								tc.k, tc.r, m, u, segRows, s, last)
+						}
+					}
+					if !slices.Equal(packet, whole) {
+						t.Fatalf("k=%d r=%d group %v u=%d segRows=%d: segment-wise packet differs from the whole one",
+							tc.k, tc.r, m, u, segRows)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSegmentEdges pins the segment rule at its edges on a group of two,
 // whose packet is the lone segment's frame: an empty packet is its header
 // alone, one segment; a one-record packet cut at one record is a full

@@ -24,20 +24,26 @@
 //     descending ranks: the root sends it once and every member forwards
 //     it to the next. The member just above the root is the tail, so the
 //     next root only receives its predecessor's packets and takes the wire
-//     on a free link. Each node encodes its packets (Algorithm 1, gathering
-//     each record from the file into the packet) while earlier roots hold
-//     the wire, and its next packet while it sends one. Under a bandwidth
-//     cap a packet leaves in record-aligned segments of about a millisecond
-//     of line time, each its own relay, so a member forwards one segment
-//     while the root sends the next. Each segment is decoded as it arrives
-//     — known segments cancelled to recover the needed intermediate value
+//     on a free link. Under a bandwidth cap a packet leaves in
+//     record-aligned segments of about a millisecond of line time, each
+//     its own relay, so a member forwards one segment while the root sends
+//     the next. Each node encodes its packets (Algorithm 1, gathering each
+//     record from the file into the packet) segment by segment in send
+//     order, while earlier roots hold the wire and, on the root, just ahead
+//     of the segment on the wire: a segment leaves as soon as it is built,
+//     and the sender builds one itself rather than wait for an encoder that
+//     has not reached it. Each segment is decoded as it arrives — known
+//     segments cancelled to recover the needed intermediate value
 //     (Algorithm 2), in the received buffer — and handed to the node's
 //     reducer.
 //  5. Reduce — locally sort partition k: order references to the records
 //     where they lie, in the files and the decoded packets, and gather each
-//     one once into the output. The reducer starts with the Shuffle: it
-//     orders each batch of arrived shares as a sorted run while the wire is
-//     busy and merges the runs once the last share is in.
+//     one once into the output. The reducer starts with the Shuffle and
+//     finishes its work under the wire: it orders each batch of arrived
+//     shares as a sorted run, merges its newest runs as they come and, now
+//     and then, gathers what it holds into one sorted buffer of its own,
+//     letting go of the pieces that buffer replaces; once the last share is
+//     in, only a merge of a few runs into the output is left.
 //
 // What changes with the group size: a group of two members (clique r = 1,
 // resolvable r = 2) has nothing to code. Its "multicast" is one unicast, a
@@ -245,8 +251,9 @@ type worker struct {
 	// one per packet segment, or one per chunk when streaming — each
 	// decoded where it arrived (see compact). Read in (root, group, piece)
 	// order, the order the serial schedule delivers them in, they are the
-	// remote share of partition `rank`.
-	decoded [][][]kv.Records
+	// remote share of partition `rank`, less what the reducer compacted.
+	decoded   [][][]kv.Records
+	decodedMu sync.Mutex // serializes the receivers' keep and the reducer's release
 	// reducer orders partition `rank` in the in-memory modes, from the
 	// Shuffle on (see reduce.go).
 	reducer *reducer
@@ -615,44 +622,124 @@ func segmentRows(spec *job.Resolved) int {
 	return max(int(spec.RateMbps*1e6/8*line.Seconds())/kv.RecordSize, 1)
 }
 
-// encodePackets starts building this node's coded packet for every group
-// it belongs to (Algorithm 1), in group order on the worker's Parallelism
-// goroutines, and returns the wait for packet i, which the sender calls
-// once per packet in order. Encoding starts with the Shuffle, so it runs
-// while earlier roots hold the wire and, on a root, while the packets
-// before it are sent. The packets come from the codec pool; the run's
-// cleanup waits for the encoder and recycles what was never sent.
-func (w *worker) encodePackets() func(i int) ([]byte, error) {
-	n := len(w.myGroups)
-	packets, errs := make([][]byte, n), make([]error, n)
-	ready := make([]chan struct{}, n)
-	for i := range ready {
-		ready[i] = make(chan struct{})
+// outbox holds this node's coded packets (Algorithm 1) while they are
+// built, segment by segment in send order, each into its pooled buffer.
+// Encoder goroutines and the sender both claim the next segment nobody has
+// claimed, so a sender that finds the segment it needs unclaimed builds it
+// itself instead of waiting for an encoder the scheduler has not run.
+type outbox struct {
+	segRows int
+	encs    []*codec.PacketEncoder
+	first   []int // the send position of each packet's first segment
+
+	mu    sync.Mutex
+	built sync.Cond // signalled as segments are built
+	bufs  [][]byte  // each packet's buffer, from the claim of its first segment until sent
+	of    []int     // the packet of each send position
+	next  int       // the first send position nobody has claimed
+	done  []bool    // by send position: the segment is built
+}
+
+// encodePackets starts building this node's packet for every group it
+// belongs to, on the worker's Parallelism goroutines, and returns the
+// outbox the sender takes the segments from. Encoding starts with the
+// Shuffle, so it runs while earlier roots hold the wire and, on a root,
+// just ahead of the segment on the wire. The run's cleanup stops the
+// encoders, waits for them and recycles what was never sent.
+func (w *worker) encodePackets(segRows int) (*outbox, error) {
+	o := &outbox{segRows: segRows, bufs: make([][]byte, len(w.myGroups))}
+	o.built.L = &o.mu
+	for i, g := range w.myGroups {
+		enc, err := codec.NewPacketEncoder(w.store, g.Group, w.rank, segRows)
+		if err != nil {
+			return nil, fmt.Errorf("group %v: %w", g.Members, err)
+		}
+		o.encs = append(o.encs, enc)
+		o.first = append(o.first, len(o.of))
+		for range enc.Segments() {
+			o.of = append(o.of, i)
+		}
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		parallel.Do(w.procs, n, func(i int) error {
-			defer close(ready[i])
-			g := w.myGroups[i]
-			if packets[i], errs[i] = codec.EncodeGroupPacket(w.store, g.Group, w.rank); errs[i] != nil {
-				errs[i] = fmt.Errorf("group %v: %w", g.Members, errs[i])
+	o.done = make([]bool, len(o.of))
+	var wg sync.WaitGroup
+	for range min(w.procs, len(o.of)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				o.mu.Lock()
+				if o.next == len(o.done) {
+					o.mu.Unlock()
+					return
+				}
+				o.build(o.claim())
 			}
-			return nil
-		})
-	}()
+		}()
+	}
 	w.cleanups = append(w.cleanups, func() {
-		<-done
-		for _, p := range packets {
-			codec.Recycle(p)
+		o.mu.Lock()
+		o.next = len(o.done)
+		o.mu.Unlock()
+		wg.Wait()
+		for _, b := range o.bufs {
+			codec.Recycle(b)
 		}
 	})
-	return func(i int) ([]byte, error) {
-		<-ready[i]
-		p := packets[i]
-		packets[i] = nil
-		return p, errs[i]
+	return o, nil
+}
+
+// claim takes the next send position, and its packet's buffer when it is
+// the packet's first segment. o.mu is held.
+func (o *outbox) claim() int {
+	pos := o.next
+	o.next++
+	if i := o.of[pos]; pos == o.first[i] {
+		o.bufs[i] = o.encs[i].Buffer()
 	}
+	return pos
+}
+
+// build builds the segment at send position pos, claimed with o.mu held,
+// which it releases while it builds.
+func (o *outbox) build(pos int) {
+	i := o.of[pos]
+	buf := o.bufs[i]
+	o.mu.Unlock()
+	o.encs[i].EncodeSegment(buf, pos-o.first[i])
+	o.mu.Lock()
+	o.done[pos] = true
+	o.built.Broadcast()
+	o.mu.Unlock()
+}
+
+// segment returns segment s of packet i, once built — by this goroutine
+// if nobody has claimed it — and whether it is the packet's last.
+func (o *outbox) segment(i, s int) (seg []byte, last bool) {
+	pos := o.first[i] + s
+	o.mu.Lock()
+	if o.next == pos {
+		o.build(o.claim())
+		o.mu.Lock()
+	}
+	for !o.done[pos] {
+		o.built.Wait()
+	}
+	buf := o.bufs[i]
+	o.mu.Unlock()
+	return codec.PacketSegment(buf, o.segRows, s)
+}
+
+// sent recycles packet i, every segment of which has been sent, and
+// drops its encoder, whose terms view the files; it returns the packet's
+// size.
+func (o *outbox) sent(i int) int {
+	o.mu.Lock()
+	buf := o.bufs[i]
+	o.bufs[i], o.encs[i] = nil, nil
+	o.mu.Unlock()
+	// Bcast does not alias the packet after it returns.
+	codec.Recycle(buf)
+	return len(buf)
 }
 
 // inboundFrom lists, in root u's send order, the positions in myGroups of
@@ -684,15 +771,33 @@ func (w *worker) rootSlots() [][][]kv.Records {
 // compact) and returns what it kept, empty for nothing.
 func (w *worker) keep(u, j int, recs kv.Records) kv.Records {
 	if recs = compact(recs); recs.Len() > 0 {
+		w.decodedMu.Lock()
 		w.decoded[u][j] = append(w.decoded[u][j], recs)
+		w.decodedMu.Unlock()
 	}
 	return recs
+}
+
+// dropDecoded lets go of the first n decoded pieces still held, in (root,
+// group, piece) order: the reducer holds their records in a buffer of its
+// own.
+func (w *worker) dropDecoded(n int) {
+	w.decodedMu.Lock()
+	defer w.decodedMu.Unlock()
+	for _, slots := range w.decoded {
+		for j, pieces := range slots {
+			k := min(n, len(pieces))
+			clear(pieces[:k])
+			slots[j], n = pieces[k:], n-k
+		}
+	}
 }
 
 // multicastStage runs the serial schedule of Fig 9: one root at a time
 // (rank order), each broadcasting its packets to its groups one after
 // another, each packet as the run of segments segmentRows cuts (one
-// segment without a cap). Receives run concurrently, roots in ascending
+// segment without a cap), each sent as soon as the outbox has built it.
+// Receives run concurrently, roots in ascending
 // rank order, so the single active root streams without blocking; a
 // receive that relays forwards the segment before returning it, on this
 // node's own egress, while the root moves on to the next. This node is the
@@ -703,9 +808,14 @@ func (w *worker) keep(u, j int, recs kv.Records) kv.Records {
 // (Algorithm 2): the segment is this node's own by then, since a relay's
 // forward completes first, and once decoded only the records it recovered
 // hold it (see compact). They go to the reducer, which the stage starts
-// with the local share, so Reduce runs under the wire.
+// with the local share, so Reduce runs under the wire; the pieces it
+// compacts into a buffer of its own leave decoded.
 func (w *worker) multicastStage() error {
-	packet := w.encodePackets()
+	segRows := segmentRows(w.spec)
+	out, err := w.encodePackets(segRows)
+	if err != nil {
+		return err
+	}
 	w.decoded = w.rootSlots()
 	parts := w.localShare()
 	local := 0
@@ -720,29 +830,22 @@ func (w *worker) multicastStage() error {
 		reserve += reserve / 16
 	}
 	red := w.startReducer(parts, reserve)
-	segRows := segmentRows(w.spec)
 
 	recvErr := make(chan error, 1)
 	go func() { recvErr <- w.receivePackets(segRows, red) }()
 
 	send := func() error {
 		for i, g := range w.myGroups {
-			p, err := packet(i)
-			if err != nil {
-				return err
-			}
 			tag := groupTag(tagMulticast, g.ID, w.rank)
 			for s, last := 0, false; !last; s++ {
 				var seg []byte
-				seg, last = codec.PacketSegment(p, segRows, s)
+				seg, last = out.segment(i, s)
 				if _, err := w.ep.Bcast(g.Members, w.rank, tag, seg); err != nil {
 					return fmt.Errorf("bcast send in %v: %w", g.Members, err)
 				}
 			}
-			w.result.SentBytes += int64(len(p))
+			w.result.SentBytes += int64(out.sent(i))
 			w.result.SentOps++
-			// Bcast does not alias the packet after it returns.
-			codec.Recycle(p)
 		}
 		return nil
 	}

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"slices"
 
@@ -12,14 +13,15 @@ import (
 // as one big-endian word — enough to decide every comparison between
 // distinct TeraGen keys, and exactly eight radix digits — plus where the
 // record lies: its view and its row in the view's buffer. Sorting moves
-// references; each 100-byte record is touched once, by Gather.
+// references; each 100-byte record is touched once, by Gather, and a few
+// times more in an order that compacts (see settle).
 type ref struct {
 	prefix    uint64
 	part, row uint32
 }
 
 // Order is the sorted order of the records of any number of views, which
-// are never concatenated: the total order by full key, equal keys in input
+// are not concatenated: the total order by full key, equal keys in input
 // position (views in argument order, then view order — rows ascending).
 // That order is unique, so it does not depend on the goroutine budget. The
 // zero value is ready to use, and an Order reused across Sort calls keeps
@@ -27,16 +29,27 @@ type ref struct {
 //
 // An Order can also be built a run at a time, for parts that arrive in
 // batches: AddRun orders the records of some parts as one sorted run, and
-// Merge merges the runs into the order one run over all parts gives.
+// Merge merges the runs into the order one run over all parts gives. An
+// order of many runs keeps itself cheap to finish (see settle): past
+// settleRuns runs it merges its newest runs as they come and, now and
+// then, gathers everything so far into one buffer of its own.
 type Order struct {
 	parts         []View
 	refs, scratch []ref
 	runs          []int // the end of each sorted run in refs
 	fresh         []int // the parts of the run being added, ascending
 	procs         int
+	added         int // the runs AddRun has added since the last Sort
+	// compacted is the number of leading parts the order gathered into
+	// parts[0], a buffer of its own, and compactedRows its length.
+	compacted, compactedRows int
 }
 
 const (
+	// settleRuns is the number of runs an order takes as they come, before
+	// settle begins: an uncapped Shuffle hands a reducer 2-4 runs, a capped
+	// one over a hundred.
+	settleRuns = 8
 	// insertionMaxRefs is the size up to which references are ordered by
 	// insertion: below it the radix's histogram bookkeeping costs more than
 	// the quadratic moves.
@@ -65,8 +78,9 @@ func (o *Order) Sort(procs int, parts ...Records) {
 // procs goroutines: row ranges shard the reference extraction, top-digit
 // buckets shard the radix. views[i] is part i of the order: a part holds
 // records in one run only and is empty in the others, and across runs
-// equal keys keep part order, then rows ascending. A run of no records
-// adds nothing; on a zero Order, one run is the whole order.
+// equal keys keep part order, then rows ascending. Past settleRuns runs,
+// a run's parts must follow every part of the runs before it. A run of no
+// records adds nothing; on a zero Order, one run is the whole order.
 func (o *Order) AddRun(procs int, views ...View) {
 	n := 0
 	for _, v := range views {
@@ -84,7 +98,60 @@ func (o *Order) AddRun(procs int, views ...View) {
 		}
 	}
 	o.sortRun(procs, start)
+	if o.added++; o.added > settleRuns {
+		o.settle()
+	}
 }
+
+// settle keeps an order of many runs cheap to finish. Once the rows added
+// since the last compaction reach half the compacted ones, it compacts;
+// otherwise it merges the two newest runs while the older is at most twice
+// the newer, so the run lengths at least double from newest to oldest and
+// a few runs are left to merge at the end.
+func (o *Order) settle() {
+	if 2*(len(o.refs)-o.compactedRows) >= o.compactedRows {
+		o.compact()
+		return
+	}
+	for n := len(o.runs); n > 1 && o.runLen(n-2) <= 2*o.runLen(n-1); n = len(o.runs) {
+		lo := 0
+		if n > 2 {
+			lo = o.runs[n-3]
+		}
+		mid, hi := o.runs[n-2], o.runs[n-1]
+		o.merge2(o.scratch[lo:hi], o.refs[lo:mid], o.refs[mid:hi])
+		copy(o.refs[lo:hi], o.scratch[lo:hi])
+		o.runs[n-2] = hi
+		o.runs = o.runs[:n-1]
+	}
+}
+
+// runLen returns the length of run i.
+func (o *Order) runLen(i int) int {
+	if i == 0 {
+		return o.runs[0]
+	}
+	return o.runs[i] - o.runs[i-1]
+}
+
+// compact merges every run and gathers the records into one buffer, which
+// becomes the order's only part: part 0, ahead of every part added later,
+// so equal keys keep their order. The views it replaces are dropped.
+func (o *Order) compact() {
+	o.Merge()
+	buf := o.Gather(Records{}, 0, len(o.refs))
+	for i := range o.refs {
+		o.refs[i].part, o.refs[i].row = 0, uint32(i)
+	}
+	clear(o.parts)
+	o.compacted = len(o.parts)
+	o.parts = append(o.parts[:0], ViewAll(buf))
+	o.compactedRows = len(o.refs)
+}
+
+// Compacted returns the number of leading parts the order has gathered
+// into a buffer of its own: it no longer reads their records.
+func (o *Order) Compacted() int { return o.compacted }
 
 // Grow makes room for n more references, so runs of up to that many
 // records in all add without reallocating.
@@ -96,12 +163,17 @@ func (o *Order) Grow(n int) {
 }
 
 func (o *Order) reset() {
+	clear(o.parts)
 	o.parts, o.refs, o.runs, o.fresh = o.parts[:0], o.refs[:0], o.runs[:0], o.fresh[:0]
+	o.added, o.compacted, o.compactedRows = 0, 0, 0
 }
 
 // place makes v part i of the run being added, and takes a reference slot
 // for each of its records, for extract to fill. The slots must be there.
 func (o *Order) place(i int, v View) {
+	if i < o.compacted {
+		panic(fmt.Sprintf("kv: part %d added after parts [0, %d) were compacted", i, o.compacted))
+	}
 	if i >= len(o.parts) {
 		o.parts = append(o.parts, make([]View, i+1-len(o.parts))...)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -226,6 +227,64 @@ func mergeRuns(procs int, parts []Records, grouping int) Records {
 	}
 	o.Merge()
 	return o.Gather(Records{}, 0, o.Len())
+}
+
+// addBatches feeds parts to o as batches runs, part i in run i*batches /
+// len(parts), the way a reducer adds what arrived since its last look.
+func addBatches(o *Order, procs int, parts []Records, batches int) {
+	views := make([]View, len(parts))
+	for run, i := 0, 0; run < batches; run++ {
+		clear(views)
+		for ; i < len(parts) && i*batches/len(parts) == run; i++ {
+			views[i] = ViewAll(parts[i])
+		}
+		o.AddRun(procs, views...)
+	}
+}
+
+// TestOrderSettlesManyRuns: an order fed a run per small batch, as a
+// reducer under a capped Shuffle is, merges its newest runs and compacts
+// what it holds into a buffer of its own as the runs come, yet gathers
+// exactly what one Sort over the same parts gathers — ties included, which
+// dupheavy keys make frequent — and is left with at most ceil(log2
+// batches) + 1 runs to merge at the end. An order of 2-4 runs, what an
+// uncapped Shuffle hands a reducer, never compacts or merges early.
+func TestOrderSettlesManyRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, dist := range []Distribution{DistUniform, DistDupHeavy} {
+		base := NewGenerator(3, dist).Generate(0, 9000)
+		for _, procs := range []int{1, 4} {
+			for _, batches := range []int{2, 3, 4, 100, 157} {
+				parts := splitInto(base, 2*batches, rng)
+				var want Order
+				want.Sort(procs, parts...)
+				var o Order
+				addBatches(&o, procs, parts, batches)
+				name := fmt.Sprintf("%v procs=%d batches=%d", dist, procs, batches)
+				if batches <= 4 {
+					if o.Compacted() != 0 || len(o.runs) != batches {
+						t.Fatalf("%s: %d runs, %d parts compacted", name, len(o.runs), o.Compacted())
+					}
+				} else if limit := bits.Len(uint(batches-1)) + 1; o.Compacted() == 0 || len(o.runs) > limit {
+					t.Fatalf("%s: %d runs left (at most %d), %d parts compacted", name, len(o.runs), limit, o.Compacted())
+				}
+				o.Merge()
+				got := o.Gather(Records{}, 0, o.Len())
+				if w := want.Gather(Records{}, 0, want.Len()); !got.Equal(w) {
+					t.Fatalf("%s: differs from one Sort at byte %d", name, firstDiff(got, w))
+				}
+			}
+		}
+	}
+	// A part below the compacted ones would break the tie order.
+	var o Order
+	addBatches(&o, 1, splitAt(NewGenerator(1, DistUniform).Generate(0, 40), 5, 10, 15, 20, 25, 30, 35, 36), 9)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a part below the compacted ones was added")
+		}
+	}()
+	o.AddRun(1, ViewAll(NewGenerator(2, DistUniform).Generate(0, 1)))
 }
 
 // FuzzSortOrder: generated keys ANDed with an arbitrary per-byte mask (so
