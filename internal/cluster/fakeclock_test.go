@@ -12,6 +12,7 @@
 package cluster
 
 import (
+	"runtime"
 	"testing"
 	"testing/synctest"
 	"time"
@@ -119,5 +120,79 @@ func TestFakeClockStragglerSlowsShuffle(t *testing.T) {
 	t.Logf("healthy %.4f s, straggling %.4f s (%.3fx)", h, s, s/h)
 	if ratio := s / h; ratio < 1.70 || ratio > 1.78 {
 		t.Fatalf("straggler slowed the Shuffle %.3fx (healthy %.4f s, straggling %.4f s), want 1.70-1.78", ratio, h, s)
+	}
+}
+
+// TestFakeClockParallelCappedShuffle: under ParallelShuffle every root
+// sends at once on its own capped link, and a rank runs one receiver per
+// root, each taking and relaying its root's segments as they land, so no
+// root's packets wait on another root's. The monolithic Shuffle then costs
+// its busiest link, that rank's wire bytes x 8 / rate: within 2 % at r = 1
+// and 3. At r = 2 it reads 1.155x, held to 1.20x. A single receive loop
+// that took the roots one after another read 1.334x at r = 2 and 1.336x at
+// r = 3. Each cell reads the same time in three runs: a rank's receivers
+// and its sender can reach for its link at one fake instant, and which
+// takes it first is the scheduler's choice, so the bubble runs on one P,
+// where that choice is the same every run.
+func TestFakeClockParallelCappedShuffle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rate = 40 // Mbps
+	for _, c := range []struct {
+		r        int
+		min, max float64
+	}{{1, 0.98, 1.02}, {2, 0.98, 1.20}, {3, 0.98, 1.02}} {
+		spec := Spec{Algorithm: AlgCoded, K: 4, R: c.r, Rows: 100_000, Seed: 31, RateMbps: rate, ParallelShuffle: true}
+		var first time.Duration
+		for run := range 3 {
+			rep := runFakeClock(t, spec)
+			shuffle := rep.Times[stats.StageShuffle]
+			var busiest int64
+			for _, w := range rep.Workers {
+				busiest = max(busiest, w.WireBytes)
+			}
+			link := float64(busiest) * 8 / (rate * 1e6)
+			ratio := shuffle.Seconds() / link
+			t.Logf("r=%d run %d: Shuffle %v, busiest link %d B, %.4f s, ratio %.4f", c.r, run, shuffle, busiest, link, ratio)
+			if ratio < c.min || ratio > c.max {
+				t.Fatalf("r=%d: parallel Shuffle %v is %.4fx its busiest link, want %.2f-%.2f", c.r, shuffle, ratio, c.min, c.max)
+			}
+			if run == 0 {
+				first = shuffle
+			} else if shuffle != first {
+				t.Fatalf("r=%d: Shuffle %v in run %d, %v in run 0", c.r, shuffle, run, first)
+			}
+		}
+	}
+}
+
+// TestFakeClockPerMessageOverhead is
+// TestPerMessageOverheadDominatesSmallMessages on the fake clock: 400 rows
+// make every message small, so the Shuffle costs PerMessage per message on
+// the critical path, exactly. Every message holds its sender's link 5 ms,
+// and under the serial schedule the messages follow one another:
+//   - rank 0 leaves the Map barrier by releasing ranks 1, 2 and 3 in turn,
+//     so rank 1 starts its Shuffle at message time 1, rank 2 at 2, ranks 0
+//     and 3 at 3;
+//   - then each root in turn sends its three packets, one per peer in
+//     group order, and passes the token to the next root: rank 0's packets
+//     land at 4, 5 and 6 and its token at 7, rank 1's at 8-10 and 11, rank
+//     2's at 12-14 and 15, and rank 3's, which passes no token, go to ranks
+//     0, 1 and 2 at 16, 17 and 18.
+//
+// So rank 1's Shuffle lasts 17 - 1 = 16 message times and rank 2's 18 - 2
+// = 16; rank 0's lasts 16 - 3 = 13 and rank 3's, which ends with its own
+// last send, 18 - 3 = 15. The job's Shuffle, the ranks' maximum, is 16 x
+// 5 ms = 80 ms; without PerMessage it is 0. Each reads the same in three
+// runs.
+func TestFakeClockPerMessageOverhead(t *testing.T) {
+	for _, c := range []struct {
+		perMessage, want time.Duration
+	}{{0, 0}, {5 * time.Millisecond, 80 * time.Millisecond}} {
+		spec := Spec{Algorithm: AlgTeraSort, K: 4, Rows: 400, Seed: 14, PerMessage: c.perMessage}
+		for run := range 3 {
+			if got := runFakeClock(t, spec).Times[stats.StageShuffle]; got != c.want {
+				t.Fatalf("PerMessage %v, run %d: Shuffle %v, want %v", c.perMessage, run, got, c.want)
+			}
+		}
 	}
 }

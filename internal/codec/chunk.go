@@ -7,11 +7,13 @@ import (
 	"codedterasort/internal/kv"
 )
 
-// Chunk framing for the streaming pipelined shuffle. A monolithic shuffle
-// payload (a packed intermediate value, or one coded packet) is split into
-// fixed-row chunks so the sender can overlap Pack/Encode of chunk n+1 with
-// the flight of chunk n, and the receiver can Unpack/Decode each chunk as it
-// arrives instead of buffering the whole stream. Each chunk travels as
+// Chunk framing for the chunked shuffle. Each packet — a coded packet, or
+// the frame of a two-member group's lone segment — travels as a stream of
+// chunk packets, each built from fixed-row chunks of its contributing
+// segments (FrameGroupPacketChunk, or FrameSegmentChunk over a spooled
+// block), so the sender encodes chunk n+1 while chunk n is in flight and
+// holds only a window of chunks, and the receiver decodes each chunk as it
+// arrives, never holding the whole packet. Each chunk travels as
 //
 //	[uint32 seq][uint8 flags][uint32 payload len][payload]
 //

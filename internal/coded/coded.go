@@ -32,18 +32,24 @@
 //     order, while earlier roots hold the wire and, on the root, just ahead
 //     of the segment on the wire: a segment leaves as soon as it is built,
 //     and the sender builds one itself rather than wait for an encoder that
-//     has not reached it. Each segment is decoded as it arrives — known
+//     has not reached it. A node takes each root's packets in that root's
+//     own receiver, and each segment is decoded as it arrives — known
 //     segments cancelled to recover the needed intermediate value
 //     (Algorithm 2), in the received buffer — and handed to the node's
-//     reducer.
+//     reducer. The receivers take turns as the roots do; when
+//     ParallelShuffle lets every root send at once they all run at once,
+//     each holding what it decodes until the previous root's receiver has
+//     handed over its own, so the reducer takes the pieces in the same
+//     order either way.
 //  5. Reduce — locally sort partition k: order references to the records
 //     where they lie, in the files and the decoded packets, and gather each
-//     one once into the output. The reducer starts with the Shuffle and
-//     finishes its work under the wire: it orders each batch of arrived
-//     shares as a sorted run, merges its newest runs as they come and, now
-//     and then, gathers what it holds into one sorted buffer of its own,
-//     letting go of the pieces that buffer replaces; once the last share is
-//     in, only a merge of a few runs into the output is left.
+//     one once into the output. The reducer starts with the Shuffle, owns
+//     the pieces it is handed, and finishes its work under the wire: it
+//     orders each batch of arrived shares as a sorted run, merges its
+//     newest runs as they come and, now and then, gathers what it holds
+//     into one sorted buffer of its own, letting go of the pieces that
+//     buffer replaces; once the last share is in, only a merge of a few
+//     runs into the output is left.
 //
 // What changes with the group size: a group of two members (clique r = 1,
 // resolvable r = 2) has nothing to code. Its "multicast" is one unicast, a
@@ -246,16 +252,14 @@ type worker struct {
 	// the finished spools' block counts.
 	spools      []*extsort.Spool
 	spoolBlocks []int64
-	// decoded[u][j] lists the non-empty pieces of this node's needed IV
-	// recovered from root u in the j-th group u sends to this node in —
-	// one per packet segment, or one per chunk when streaming — each
-	// decoded where it arrived (see compact). Read in (root, group, piece)
-	// order, the order the serial schedule delivers them in, they are the
-	// remote share of partition `rank`, less what the reducer compacted.
-	decoded   [][][]kv.Records
-	decodedMu sync.Mutex // serializes the receivers' keep and the reducer's release
+	// remote is the chunked Shuffle's remote share of partition `rank`:
+	// the non-empty pieces of this node's needed IVs, one per chunk, in
+	// (root, group, piece) order, each where it arrived (see keep). The
+	// monolithic Shuffle hands its pieces to the reducer instead.
+	remote []kv.View
 	// reducer orders partition `rank` in the in-memory modes, from the
-	// Shuffle on (see reduce.go).
+	// Shuffle on in monolithic mode, at Reduce in chunked mode (see
+	// reduce.go).
 	reducer *reducer
 	// sorter is the out-of-core modes' spill sorter (see spillSorter);
 	// sorterMu serializes the receivers' appends and its removal.
@@ -755,68 +759,24 @@ func (w *worker) inboundFrom(u int) []int {
 	return out
 }
 
-// rootSlots returns the shape of decoded: for every other root, one slot
-// per group it sends to this node in.
-func (w *worker) rootSlots() [][][]kv.Records {
-	out := make([][][]kv.Records, w.spec.K)
-	for u := range out {
-		if u != w.rank {
-			out[u] = make([][]kv.Records, len(w.inboundFrom(u)))
-		}
-	}
-	return out
-}
-
-// keep joins a decoded piece to slot decoded[u][j] where it lies (see
-// compact) and returns what it kept, empty for nothing.
-func (w *worker) keep(u, j int, recs kv.Records) kv.Records {
-	if recs = compact(recs); recs.Len() > 0 {
-		w.decodedMu.Lock()
-		w.decoded[u][j] = append(w.decoded[u][j], recs)
-		w.decodedMu.Unlock()
-	}
-	return recs
-}
-
-// dropDecoded lets go of the first n decoded pieces still held, in (root,
-// group, piece) order: the reducer holds their records in a buffer of its
-// own.
-func (w *worker) dropDecoded(n int) {
-	w.decodedMu.Lock()
-	defer w.decodedMu.Unlock()
-	for _, slots := range w.decoded {
-		for j, pieces := range slots {
-			k := min(n, len(pieces))
-			clear(pieces[:k])
-			slots[j], n = pieces[k:], n-k
-		}
-	}
-}
-
 // multicastStage runs the serial schedule of Fig 9: one root at a time
 // (rank order), each broadcasting its packets to its groups one after
 // another, each packet as the run of segments segmentRows cuts (one
 // segment without a cap), each sent as soon as the outbox has built it.
-// Receives run concurrently, roots in ascending
-// rank order, so the single active root streams without blocking; a
-// receive that relays forwards the segment before returning it, on this
+// A receive that relays forwards the segment before returning it, on this
 // node's own egress, while the root moves on to the next. This node is the
 // tail of every chain rooted at rank-1, so it relays none of its
 // predecessor's packets and starts its own turn with its egress free.
 //
 // Each segment is decoded where it arrived as soon as Bcast returns it
-// (Algorithm 2): the segment is this node's own by then, since a relay's
-// forward completes first, and once decoded only the records it recovered
-// hold it (see compact). They go to the reducer, which the stage starts
-// with the local share, so Reduce runs under the wire; the pieces it
-// compacts into a buffer of its own leave decoded.
+// (Algorithm 2; see receiveSegments) and handed to the reducer, which the
+// stage starts with the local share, so Reduce runs under the wire. The
+// reducer owns the pieces from then on.
 func (w *worker) multicastStage() error {
-	segRows := segmentRows(w.spec)
-	out, err := w.encodePackets(segRows)
+	out, err := w.encodePackets(segmentRows(w.spec))
 	if err != nil {
 		return err
 	}
-	w.decoded = w.rootSlots()
 	parts := w.localShare()
 	local := 0
 	for _, p := range parts {
@@ -830,10 +790,6 @@ func (w *worker) multicastStage() error {
 		reserve += reserve / 16
 	}
 	red := w.startReducer(parts, reserve)
-
-	recvErr := make(chan error, 1)
-	go func() { recvErr <- w.receivePackets(segRows, red) }()
-
 	send := func() error {
 		for i, g := range w.myGroups {
 			tag := groupTag(tagMulticast, g.ID, w.rank)
@@ -849,42 +805,32 @@ func (w *worker) multicastStage() error {
 		}
 		return nil
 	}
-	if err := w.inTurn(send); err != nil {
-		return err
-	}
-	return <-recvErr
+	return w.shuffle(send, w.receiveSegments, keep(red.add), true, red.finish)
 }
 
-// receivePackets is the receive side of multicastStage: every packet sent
-// to this node, root by root in each root's send order, segment by segment
-// up to the one that closes it, each decoded and handed to red.
-func (w *worker) receivePackets(segRows int, red *reducer) error {
-	for u := 0; u < w.spec.K; u++ {
-		if u == w.rank {
-			continue
+// receiveSegments takes the packet root u sends in group myGroups[gi],
+// segment by segment up to the one that closes it, and hands each decoded
+// segment to take: the segment is this node's own by then, since a relay's
+// forward completes first, and it is decoded in place.
+func (w *worker) receiveSegments(gi, u int, take func(kv.Records) error) error {
+	g := w.myGroups[gi]
+	dec, err := codec.NewSegmentDecoder(w.store, g.Group, w.rank, u, segmentRows(w.spec))
+	if err != nil {
+		return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
+	}
+	for last := false; !last; {
+		seg, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
+		if err != nil {
+			return fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
 		}
-		for j, gi := range w.inboundFrom(u) {
-			g := w.myGroups[gi]
-			dec, err := codec.NewSegmentDecoder(w.store, g.Group, w.rank, u, segRows)
-			if err != nil {
-				return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
-			}
-			for last := false; !last; {
-				seg, err := w.ep.Bcast(g.Members, u, groupTag(tagMulticast, g.ID, u), nil)
-				if err != nil {
-					return fmt.Errorf("bcast recv in %v from %d: %w", g.Members, u, err)
-				}
-				var recs kv.Records
-				if recs, last, err = dec.Decode(seg); err != nil {
-					return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
-				}
-				if recs = w.keep(u, j, recs); recs.Len() > 0 {
-					red.add(kv.ViewAll(recs))
-				}
-			}
+		var recs kv.Records
+		if recs, last, err = dec.Decode(seg); err != nil {
+			return fmt.Errorf("decode in %v from %d: %w", g.Members, u, err)
+		}
+		if err := take(recs); err != nil {
+			return err
 		}
 	}
-	red.finish()
 	return nil
 }
 
@@ -894,49 +840,14 @@ func (w *worker) receivePackets(segRows int, red *reducer) error {
 // (chunked Algorithms 1 and 2). The root encodes chunk n+1 while chunk n is
 // in flight, every member decodes each chunk on arrival — retaining only
 // recovered records, never whole packets — and per-chunk credits from all
-// group members bound the root's run-ahead to Window chunks. The receive
-// side runs one goroutine per root, each walking that root's groups in the
-// root's send order, so concurrent senders never queue behind one another.
-// spill, when set, takes every decoded chunk, else each joins its decoded
-// slot.
+// group members bound the root's run-ahead to Window chunks (see
+// receiveStream). spill, when set, takes every decoded chunk as it comes;
+// else each joins the remote share, in order, for Reduce.
 func (w *worker) streamStage(spill func(kv.Records) error) error {
-	w.decoded = w.rootSlots()
-	recvErrs := make([]error, w.spec.K)
-	var wg sync.WaitGroup
-	// Under the serial schedule the roots take the wire in rank order and
-	// the receivers take turns in the same order, at no cost: records then
-	// reach the spill sorter, whose equal keys keep arrival order, in an
-	// order independent of goroutine timing (a credit precedes the chunk's
-	// consumption, so the next root may start while the last chunk of the
-	// previous one is still being consumed).
-	var turn chan struct{}
-	for u := 0; u < w.spec.K; u++ {
-		if u == w.rank {
-			continue
-		}
-		prev, done := turn, make(chan struct{})
-		if !w.spec.ParallelShuffle {
-			turn = done
-		}
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			defer close(done)
-			if prev != nil {
-				<-prev
-			}
-			for j, gi := range w.inboundFrom(u) {
-				take := spill
-				if take == nil {
-					take = func(recs kv.Records) error { w.keep(u, j, recs); return nil }
-				}
-				if recvErrs[u] = w.receiveStream(gi, u, take); recvErrs[u] != nil {
-					return
-				}
-			}
-		}(u)
+	take := spill
+	if take == nil {
+		take = keep(func(v kv.View) { w.remote = append(w.remote, v) })
 	}
-
 	send := func() error {
 		for gi := range w.myGroups {
 			if err := w.sendStream(gi); err != nil {
@@ -945,18 +856,98 @@ func (w *worker) streamStage(spill func(kv.Records) error) error {
 		}
 		return nil
 	}
+	return w.shuffle(send, w.receiveStream, take, spill == nil, nil)
+}
+
+// shuffle runs this node's part of a Shuffle: send under the sender
+// schedule (inTurn), beside one receiver per other root. Each receiver walks
+// the groups this node shares with its root, in the root's send order,
+// through receive, which hands every decoded piece to take. Under the
+// serial schedule a root's receiver starts once the previous root's is
+// done, as the roots take the wire in rank order. That costs nothing, and
+// keeps the pieces in that order even when the next root starts before the
+// last chunk of the previous one is consumed (a credit precedes the
+// chunk's consumption): the spill sorter, whose equal keys keep arrival
+// order, then sees an order independent of goroutine timing. Under
+// ParallelShuffle every receiver runs at once. In order, a receiver then
+// holds what it decodes until the previous root's receiver has handed over
+// all of its pieces, so take sees them in (root, group, piece) order — the
+// serial schedule's, which equal keys keep — one receiver at a time;
+// otherwise take gets each piece as it comes and must be safe for
+// concurrent use. finish, when set, runs once every receiver has returned
+// without error, while this node may still be sending.
+func (w *worker) shuffle(send func() error, receive func(gi, u int, take func(kv.Records) error) error,
+	take func(kv.Records) error, inOrder bool, finish func()) error {
+	errs := make([]error, w.spec.K)
+	prev := make(chan struct{})
+	close(prev)
+	for u := range w.spec.K {
+		if u == w.rank {
+			continue
+		}
+		done := make(chan struct{})
+		go func(prev <-chan struct{}) {
+			defer close(done)
+			var held []kv.Records
+			handOver := func() error {
+				for len(held) > 0 {
+					if err := take(held[0]); err != nil {
+						return err
+					}
+					held[0], held = kv.Records{}, held[1:]
+				}
+				return nil
+			}
+			hand := take
+			switch {
+			case !w.spec.ParallelShuffle:
+				<-prev
+			case inOrder:
+				hand = func(recs kv.Records) error {
+					held = append(held, recs)
+					select {
+					case <-prev:
+						return handOver()
+					default:
+						return nil
+					}
+				}
+			}
+			for _, gi := range w.inboundFrom(u) {
+				if errs[u] = receive(gi, u, hand); errs[u] != nil {
+					break
+				}
+			}
+			// Even after an error, a receiver is done only after the one
+			// before it: receivers hand over one at a time, and the last
+			// one is done once all are.
+			<-prev
+			if errs[u] == nil {
+				errs[u] = handOver()
+			}
+		}(prev)
+		prev = done
+	}
+	recvErr := make(chan error, 1)
+	go func() {
+		<-prev
+		for _, err := range errs {
+			if err != nil {
+				recvErr <- err
+				return
+			}
+		}
+		if finish != nil {
+			finish()
+		}
+		recvErr <- nil
+	}()
 	if err := w.inTurn(send); err != nil {
 		// Don't wait for receivers whose roots may be gone; they unblock
 		// with ErrClosed at teardown.
 		return err
 	}
-	wg.Wait()
-	for _, err := range recvErrs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return <-recvErr
 }
 
 // receiveStream consumes the chunk stream root u sends in group
@@ -1068,21 +1059,23 @@ func (w *worker) chunkSource(gi int) (int, func(c int, last bool) ([]byte, error
 	}, nil
 }
 
-// compact returns a decoded segment that pins no buffer much wider than
-// itself. A segment is decoded where its packet or chunk frame arrived, and
-// that buffer is padded to the group's widest segment, so under partition
-// skew a member's share can be a sliver of it: an empty segment keeps
-// nothing, and one that fills under half its buffer is copied out so the
-// buffer can go.
-func compact(seg kv.Records) kv.Records {
-	b := seg.Bytes()
-	switch {
-	case len(b) == 0:
-		return kv.Records{}
-	case 2*len(b) < cap(b):
-		return seg.Clone()
+// keep returns the take of an in-memory Shuffle, which hands each decoded
+// piece on to hand as a view of the records where they lie. A piece is
+// decoded where its packet segment or chunk frame arrived, and that buffer
+// is padded to the group's widest piece, so under partition skew a member's
+// share can be a sliver of it: an empty piece is dropped, and one that
+// fills under half its buffer is copied out so the buffer can go.
+func keep(hand func(kv.View)) func(kv.Records) error {
+	return func(recs kv.Records) error {
+		switch b := recs.Bytes(); {
+		case len(b) == 0:
+			return nil
+		case 2*len(b) < cap(b):
+			recs = recs.Clone()
+		}
+		hand(kv.ViewAll(recs))
+		return nil
 	}
-	return seg
 }
 
 // localShare lists partition `rank`'s share of the stored files, views of
@@ -1098,31 +1091,22 @@ func (w *worker) localShare() []kv.View {
 // reduceStage joins the reducer, which has been sorting partition `rank`
 // (Section IV-F) since the Shuffle: the locally mapped share
 // ({I^rank_S : rank in S}, views of the stored files) followed by the
-// decoded remote share ({I^rank_S : rank not in S}: the pieces by root,
-// group and piece, where they arrived). The
-// parts are ordered by reference where they lie and each record is copied
-// once, into the output; equal keys keep that part order, rows ascending,
-// at any Parallelism setting and however the parts arrived. With an
-// OutputSink the output is gathered and handed over reduceBlockRows at a
-// time, never whole. Then the node lets go of the files and packets.
+// decoded remote share ({I^rank_S : rank not in S}: the pieces in (root,
+// group, piece) order, where they arrived). The parts are ordered by
+// reference where they lie and each record is copied once, into the output;
+// equal keys keep that part order, rows ascending, at any Parallelism
+// setting and however the parts arrived. With an OutputSink the output is
+// gathered and handed over reduceBlockRows at a time, never whole. Then the
+// node lets go of the files and packets.
 //
 // The chunked Shuffle starts no reducer: its Reduce hands the reducer the
-// whole partition as one run, the stored files' shares and then the
-// decoded pieces in (root, group, piece) order, and waits for it.
+// local share and the remote one as one run, and waits for it.
 func (w *worker) reduceStage() error {
 	if w.reducer == nil {
-		parts := w.localShare()
-		for _, segs := range w.decoded {
-			for _, pieces := range segs {
-				for _, p := range pieces {
-					parts = append(parts, kv.ViewAll(p))
-				}
-			}
-		}
-		w.startReducer(parts, 0).finish()
+		w.startReducer(append(w.localShare(), w.remote...), 0).finish()
 	}
 	rows, output, err := w.reducer.join()
 	w.result.OutputRows, w.result.Output = int64(rows), output
-	w.store, w.decoded, w.reducer = nil, nil, nil
+	w.store, w.remote, w.reducer = nil, nil, nil
 	return err
 }

@@ -170,17 +170,17 @@ func TestCappedShuffleSegmentsMatchUncapped(t *testing.T) {
 }
 
 // truncatingConn cuts the last byte off the first packet its rank
-// receives from peer from, so that packet fails to decode.
+// receives from peer from, so that packet fails to decode. The rank's
+// receivers call Recv concurrently.
 type truncatingConn struct {
 	transport.Conn
 	from int
-	done bool
+	done atomic.Bool
 }
 
 func (c *truncatingConn) Recv(from int, tag transport.Tag) ([]byte, error) {
 	p, err := c.Conn.Recv(from, tag)
-	if err == nil && from == c.from && !c.done && len(p) > 1 {
-		c.done = true
+	if err == nil && from == c.from && len(p) > 1 && c.done.CompareAndSwap(false, true) {
 		return p[:len(p)-1], nil
 	}
 	return p, err

@@ -3,10 +3,15 @@ package coded
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"weak"
 
 	"codedterasort/internal/job"
+	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
+	"codedterasort/internal/transport"
+	"codedterasort/internal/transport/memnet"
 )
 
 // liveHeapPeak measures a cluster run's peak live heap deterministically:
@@ -91,32 +96,108 @@ func TestPipelinedBoundsPeakMemory(t *testing.T) {
 // group's widest segment. On zipf keys under the uniform partitioner the
 // partitions, and so the segments of one group, differ widely: a member
 // that kept its buffers whole would hold the group's largest share, not
-// its own. Whatever the in-memory receivers keep for Reduce, in either
-// mode, must be non-empty and fill at least half the buffer it lies in.
+// its own. Whatever the in-memory receivers hand to Reduce, in either mode,
+// must be non-empty and fill at least half the buffer it lies in. The
+// chunked Shuffle lists its pieces for Reduce; the monolithic one hands
+// them to the reducer, so there every packet the rank received that is
+// still alive once the Shuffle has ended, while the reducer is held at its
+// first output block, is one Reduce kept, and the segment the rank needed
+// from it must fill at least half of it.
 func TestDecodedSegmentsPinNoPadding(t *testing.T) {
-	for _, chunkRows := range []int{0, 500} {
-		spec := job.Spec{K: 4, R: 2, Rows: 40000, Seed: 9, DistName: "zipf", ChunkRows: chunkRows}
-		workers := make([]*worker, spec.K)
-		check := func(rank int, c *Config) {
-			c.Hooks = func(ev StageEvent) {
-				if ev.Stage != stats.StageShuffle {
-					return
-				}
-				for _, segs := range workers[rank].decoded {
-					for _, pieces := range segs {
-						for _, p := range pieces {
-							if b := p.Bytes(); len(b) == 0 || 2*len(b) < cap(b) {
-								t.Errorf("chunkRows=%d rank %d keeps %d bytes in a %d-byte buffer",
-									chunkRows, rank, len(b), cap(b))
-							}
-						}
-					}
+	spec := job.Spec{K: 4, R: 2, Rows: 40000, Seed: 9, DistName: "zipf", ChunkRows: 500}
+	workers := make([]*worker, spec.K)
+	check := func(rank int, c *Config) {
+		c.Hooks = func(ev StageEvent) {
+			if ev.Stage != stats.StageShuffle {
+				return
+			}
+			for _, p := range workers[rank].remote {
+				if b := p.Collect().Bytes(); len(b) == 0 || 2*len(b) < cap(b) {
+					t.Errorf("chunked rank %d keeps %d bytes in a %d-byte buffer", rank, len(b), cap(b))
 				}
 			}
 		}
-		runWorkers(t, cfgOf(spec), check, func(w *worker) stats.Clock {
-			workers[w.rank] = w
-			return stats.NewWallClock()
-		})
 	}
+	runWorkers(t, cfgOf(spec), check, func(w *worker) stats.Clock {
+		workers[w.rank] = w
+		return stats.NewWallClock()
+	})
+
+	spec.ChunkRows = 0
+	cfg := cfgOf(spec)
+	mesh := memnet.NewMesh(spec.K)
+	defer mesh.Close()
+	var kept atomic.Int64
+	errs := make([]error, spec.K)
+	var wg sync.WaitGroup
+	for rank := range spec.K {
+		conn := &receiptConn{Conn: mesh.Endpoint(rank)}
+		checked := make(chan struct{})
+		c := cfg
+		c.OutputSink = func(kv.Records) error { <-checked; return nil }
+		c.Hooks = func(ev StageEvent) {
+			if ev.Stage != stats.StageShuffle {
+				return
+			}
+			defer close(checked)
+			w := workers[rank]
+			runtime.GC()
+			for _, got := range conn.got {
+				if got.buf.Value() == nil {
+					continue
+				}
+				kept.Add(1)
+				g := w.myGroups[w.groupIdx[int64(got.tag&(1<<48-1))]]
+				n := sentSegment(workers[got.root], rank, g).Len() * kv.RecordSize
+				if n == 0 || 2*n < got.size {
+					t.Errorf("monolithic rank %d keeps %d bytes in a %d-byte buffer from %d", rank, n, got.size, got.root)
+				}
+			}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := newWorker(transport.WithCollectives(conn), c)
+			if err == nil {
+				workers[rank] = w
+				name, stages := w.schedule()
+				err = w.run(stats.NewWallClock(), name, stages)
+			}
+			errs[rank] = err
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("monolithic rank %d: %v", rank, err)
+		}
+	}
+	if kept.Load() == 0 {
+		t.Fatalf("no monolithic rank kept a packet it received: nothing checked")
+	}
+}
+
+// receiptConn notes each multicast packet its rank receives: its root,
+// tag and size, and a weak pointer that reads nil once nothing holds the
+// packet.
+type receiptConn struct {
+	transport.Conn
+	got []receipt // written by the rank's receivers, read once they are done
+	mu  sync.Mutex
+}
+
+type receipt struct {
+	root, size int
+	tag        transport.Tag
+	buf        weak.Pointer[byte]
+}
+
+func (c *receiptConn) Recv(from int, tag transport.Tag) ([]byte, error) {
+	p, err := c.Conn.Recv(from, tag)
+	if err == nil && uint8(tag>>56) == tagMulticast && len(p) > 0 {
+		c.mu.Lock()
+		c.got = append(c.got, receipt{root: int(uint8(tag >> 48)), size: cap(p), tag: tag, buf: weak.Make(&p[0])})
+		c.mu.Unlock()
+	}
+	return p, err
 }

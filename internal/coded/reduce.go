@@ -12,20 +12,20 @@ var errHalted = errors.New("coded: reducer halted")
 
 // reducer is the in-memory Reduce of one rank (Section IV-F), run beside
 // the Shuffle instead of after it: it orders partition `rank` as its parts
-// arrive. Each time it looks, it orders whatever has arrived since its last
-// look as one sorted run of references (kv.Order.AddRun), so that work
-// overlaps the wire. A capped Shuffle hands it a part per packet segment,
-// and so over a hundred looks, where an uncapped one hands it 2-4: past a
-// few runs the order merges its newest runs as they come and, whenever
-// the rows added since it last compacted reach half the compacted ones,
-// gathers everything so far into one sorted buffer of its own, and the
-// worker lets go of the decoded pieces that buffer replaces. Once every part is in, it
-// merges the few runs left and gathers the output, reduceBlockRows at a
-// time into the OutputSink, even while the rank is still sending; the
-// Reduce stage only joins it.
+// arrive, and holds the only reference to them. Each time it looks, it
+// orders whatever has arrived since its last look as one sorted run of
+// references (kv.Order.AddRun), so that work overlaps the wire. A capped
+// Shuffle hands it a part per packet segment, and so over a hundred looks,
+// where an uncapped one hands it 2-4: past a few runs the order merges its
+// newest runs as they come and, whenever the rows added since it last
+// compacted reach half the compacted ones, gathers everything so far into
+// one sorted buffer of its own, letting go of the parts that buffer
+// replaces. Once every part is in, it merges the few runs left and gathers
+// the output, reduceBlockRows at a time into the OutputSink, even while the
+// rank is still sending; the Reduce stage only joins it.
 //
 // The parts are indexed in the order their equal keys keep: the stored
-// files' shares, then the decoded pieces in the order they arrived (see
+// files' shares, then the decoded pieces in (root, group, piece) order (see
 // reduceStage); a compacted buffer comes ahead of every part after it, so
 // compaction keeps that order. A reducer gathers nothing into the sink
 // until every part is in, and feeds the sink no further block once halted,
@@ -34,11 +34,6 @@ var errHalted = errors.New("coded: reducer halted")
 type reducer struct {
 	procs int
 	sink  func(kv.Records) error
-	// release lets go of the first n decoded pieces the worker still
-	// holds, once the order holds them in a buffer of its own. The
-	// receivers keep the pieces in the order they hand them over, so the
-	// parts compacted after the first ones are those pieces.
-	release func(n int)
 
 	mu      sync.Mutex
 	arrived []kv.View // the parts by index: those in since the last look, the rest zero
@@ -60,11 +55,11 @@ type reducer struct {
 // it). The reducer is halted and joined when the run ends, whichever way it
 // ends.
 func (w *worker) startReducer(parts []kv.View, rows int) *reducer {
-	r := &reducer{procs: w.procs, sink: w.cfg.OutputSink, release: w.dropDecoded, arrived: parts,
+	r := &reducer{procs: w.procs, sink: w.cfg.OutputSink, arrived: parts,
 		wake: make(chan struct{}, 1), stop: make(chan struct{}), exited: make(chan struct{})}
 	w.reducer = r
 	w.cleanups = append(w.cleanups, r.halt)
-	go r.run(rows, len(parts))
+	go r.run(rows)
 	r.signal()
 	return r
 }
@@ -104,16 +99,14 @@ func (r *reducer) join() (rows int, output kv.Records, err error) {
 	return r.rows, r.output, r.err
 }
 
-// run orders the parts as they come, the first `first` of them handed to
-// startReducer, the rest decoded pieces.
-func (r *reducer) run(reserve, first int) {
+// run orders the parts as they come.
+func (r *reducer) run(reserve int) {
 	defer close(r.exited)
 	var order kv.Order
 	order.Grow(reserve)
 	// Each look takes the parts in since the last one as a batch, so the
 	// receivers go on adding while the reducer orders it.
 	var batch []kv.View
-	released := first
 	for last := false; !last; {
 		select {
 		case <-r.wake:
@@ -127,10 +120,6 @@ func (r *reducer) run(reserve, first int) {
 		last = r.last
 		r.mu.Unlock()
 		order.AddRun(r.procs, batch...)
-		if n := order.Compacted(); n > released {
-			r.release(n - released)
-			released = n
-		}
 	}
 	order.Merge()
 	r.rows = order.Len()

@@ -96,12 +96,14 @@ type Spec struct {
 	// KeepOutput retains each worker's sorted partition in its report
 	// (memory-heavy; tests and examples only).
 	KeepOutput bool `json:"keep_output,omitempty"`
-	// ChunkRows, when positive, enables the streaming pipelined shuffle:
-	// every packet travels as a stream of chunk packets, each the XOR of
-	// ChunkRows-record chunk slices of its contributing segments, with
-	// Pack/Encode, Shuffle and Unpack/Decode overlapped, so peak worker
-	// memory stops scaling with Rows/K. Zero keeps the monolithic
-	// stage-by-stage schedule.
+	// ChunkRows, when positive, selects the chunked shuffle: every packet
+	// travels as a stream of chunk packets, each the XOR of ChunkRows-record
+	// chunk slices of its contributing segments, under a credit window
+	// per stream, so a sender holds Window chunks of a stream rather than
+	// whole packets and peak worker memory stops scaling with Rows/K. Zero
+	// keeps the monolithic shuffle, which sends each packet whole (in
+	// segments under a RateMbps cap). Both encode and decode inside the
+	// Shuffle.
 	ChunkRows int `json:"chunk_rows,omitempty"`
 	// Window bounds unacknowledged in-flight chunks per stream when
 	// pipelining (0 = DefaultWindow), so peak buffered memory is

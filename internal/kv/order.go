@@ -149,10 +149,6 @@ func (o *Order) compact() {
 	o.compactedRows = len(o.refs)
 }
 
-// Compacted returns the number of leading parts the order has gathered
-// into a buffer of its own: it no longer reads their records.
-func (o *Order) Compacted() int { return o.compacted }
-
 // Grow makes room for n more references, so runs of up to that many
 // records in all add without reallocating.
 func (o *Order) Grow(n int) {

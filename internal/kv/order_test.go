@@ -262,11 +262,11 @@ func TestOrderSettlesManyRuns(t *testing.T) {
 				addBatches(&o, procs, parts, batches)
 				name := fmt.Sprintf("%v procs=%d batches=%d", dist, procs, batches)
 				if batches <= 4 {
-					if o.Compacted() != 0 || len(o.runs) != batches {
-						t.Fatalf("%s: %d runs, %d parts compacted", name, len(o.runs), o.Compacted())
+					if o.compacted != 0 || len(o.runs) != batches {
+						t.Fatalf("%s: %d runs, %d parts compacted", name, len(o.runs), o.compacted)
 					}
-				} else if limit := bits.Len(uint(batches-1)) + 1; o.Compacted() == 0 || len(o.runs) > limit {
-					t.Fatalf("%s: %d runs left (at most %d), %d parts compacted", name, len(o.runs), limit, o.Compacted())
+				} else if limit := bits.Len(uint(batches-1)) + 1; o.compacted == 0 || len(o.runs) > limit {
+					t.Fatalf("%s: %d runs left (at most %d), %d parts compacted", name, len(o.runs), limit, o.compacted)
 				}
 				o.Merge()
 				got := o.Gather(Records{}, 0, o.Len())

@@ -5,6 +5,7 @@
 package inbox
 
 import (
+	"slices"
 	"sync"
 
 	"codedterasort/internal/transport"
@@ -53,7 +54,9 @@ func (b *Box) Take(tag transport.Tag) ([]byte, error) {
 	for {
 		for i, m := range b.queue {
 			if m.tag == tag {
-				b.queue = append(b.queue[:i], b.queue[i+1:]...)
+				// Delete zeroes the vacated slot, which would otherwise
+				// keep the payload alive once the caller lets it go.
+				b.queue = slices.Delete(b.queue, i, i+1)
 				return m.payload, nil
 			}
 		}

@@ -2,8 +2,10 @@ package inbox
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
+	"weak"
 
 	"codedterasort/internal/transport"
 )
@@ -107,4 +109,31 @@ func TestConcurrentProducersConsumers(t *testing.T) {
 	}
 	wg.Wait()
 	cg.Wait()
+}
+
+// TestTakeLetsGoOfPayload: once taken, a payload is the caller's alone —
+// the box keeps no reference to it in its queue's spare room, so it is
+// garbage as soon as the caller drops it.
+func TestTakeLetsGoOfPayload(t *testing.T) {
+	b := New()
+	var refs []weak.Pointer[byte]
+	for i := range 3 {
+		p := make([]byte, 1<<16)
+		refs = append(refs, weak.Make(&p[0]))
+		if err := b.Put(transport.Tag(i%2), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tag := range []transport.Tag{1, 0, 0} {
+		if _, err := b.Take(tag); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	for i, ref := range refs {
+		if ref.Value() != nil {
+			t.Errorf("payload %d still held after it was taken", i)
+		}
+	}
+	runtime.KeepAlive(b)
 }
