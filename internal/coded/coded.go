@@ -875,10 +875,29 @@ func (w *worker) streamStage(spill func(kv.Records) error) error {
 // serial schedule's, which equal keys keep — one receiver at a time;
 // otherwise take gets each piece as it comes and must be safe for
 // concurrent use. finish, when set, runs once every receiver has returned
-// without error, while this node may still be sending.
+// without error, while this node may still be sending. The first receive
+// error is the Shuffle's once this node has sent, whatever the other
+// receivers are waiting on.
 func (w *worker) shuffle(send func() error, receive func(gi, u int, take func(kv.Records) error) error,
 	take func(kv.Records) error, inOrder bool, finish func()) error {
-	errs := make([]error, w.spec.K)
+	// recvErr takes the first receive error as it happens, or nil once
+	// every receiver has handed over all of its pieces. A receiver that
+	// fails stops relaying its root's packets, so the peers behind it may
+	// never let later roots' packets through: the receivers still to take
+	// their turn then return without receiving.
+	recvErr, failed := make(chan error, 1), make(chan struct{})
+	var failOnce sync.Once
+	fail := func(err error) { failOnce.Do(func() { recvErr <- err; close(failed) }) }
+	// A receiver closes done only after failed, so one that finds the
+	// previous receiver done and nothing failed may hand over.
+	failing := func() bool {
+		select {
+		case <-failed:
+			return true
+		default:
+			return false
+		}
+	}
 	prev := make(chan struct{})
 	close(prev)
 	for u := range w.spec.K {
@@ -901,46 +920,46 @@ func (w *worker) shuffle(send func() error, receive func(gi, u int, take func(kv
 			hand := take
 			switch {
 			case !w.spec.ParallelShuffle:
-				<-prev
+				if <-prev; failing() {
+					return
+				}
 			case inOrder:
 				hand = func(recs kv.Records) error {
 					held = append(held, recs)
 					select {
 					case <-prev:
-						return handOver()
+						if !failing() {
+							return handOver()
+						}
 					default:
-						return nil
 					}
+					return nil
 				}
 			}
 			for _, gi := range w.inboundFrom(u) {
-				if errs[u] = receive(gi, u, hand); errs[u] != nil {
-					break
+				if err := receive(gi, u, hand); err != nil {
+					fail(err)
+					return
 				}
 			}
-			// Even after an error, a receiver is done only after the one
-			// before it: receivers hand over one at a time, and the last
-			// one is done once all are.
-			<-prev
-			if errs[u] == nil {
-				errs[u] = handOver()
+			// Receivers hand over one at a time, so the last one is done
+			// once all are.
+			if <-prev; failing() {
+				return
+			}
+			if err := handOver(); err != nil {
+				fail(err)
 			}
 		}(prev)
 		prev = done
 	}
-	recvErr := make(chan error, 1)
 	go func() {
-		<-prev
-		for _, err := range errs {
-			if err != nil {
-				recvErr <- err
-				return
+		if <-prev; !failing() {
+			if finish != nil {
+				finish()
 			}
+			recvErr <- nil
 		}
-		if finish != nil {
-			finish()
-		}
-		recvErr <- nil
 	}()
 	if err := w.inTurn(send); err != nil {
 		// Don't wait for receivers whose roots may be gone; they unblock

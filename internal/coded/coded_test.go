@@ -45,7 +45,7 @@ func runAll(t *testing.T, cfg Config) []Result {
 // install per-rank output sinks, which must not be shared).
 func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []Result {
 	t.Helper()
-	workers := runWorkers(t, cfg, perRank, nil)
+	workers := runWorkers(t, cfg, perRank, nil, nil)
 	results := make([]Result, len(workers))
 	for i, w := range workers {
 		results[i] = w.result
@@ -56,8 +56,10 @@ func runAllWith(t *testing.T, cfg Config, perRank func(rank int, c *Config)) []R
 // runWorkers runs every rank of a sort over an in-memory mesh and returns
 // the finished workers, whose retained state white-box tests inspect.
 // perRank (may be nil) adjusts each rank's config; clock (may be nil)
-// supplies the clock a worker's stages are timed by once the worker exists.
-func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clock func(*worker) stats.Clock) []*worker {
+// supplies the clock a worker's stages are timed by once the worker exists;
+// wrap (may be nil) wraps each rank's endpoint of the mesh.
+func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clock func(*worker) stats.Clock,
+	wrap func(rank int, c transport.Conn) transport.Conn) []*worker {
 	t.Helper()
 	mesh := memnet.NewMesh(cfg.K)
 	defer mesh.Close()
@@ -72,7 +74,11 @@ func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clo
 			if perRank != nil {
 				perRank(rank, &c)
 			}
-			ep := transport.WithCollectives(mesh.Endpoint(rank))
+			var conn transport.Conn = mesh.Endpoint(rank)
+			if wrap != nil {
+				conn = wrap(rank, conn)
+			}
+			ep := transport.WithCollectives(conn)
 			w, err := newWorker(ep, c)
 			if err == nil {
 				var clk stats.Clock = stats.NewWallClock()

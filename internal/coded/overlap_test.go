@@ -170,20 +170,41 @@ func TestCappedShuffleSegmentsMatchUncapped(t *testing.T) {
 }
 
 // truncatingConn cuts the last byte off the first packet its rank
-// receives from peer from, so that packet fails to decode. The rank's
-// receivers call Recv concurrently.
+// receives from peer from, so that packet fails to decode here. A relay
+// still forwards it whole, so the peers behind this rank do not fail with
+// it but wait on what this rank no longer relays. The rank's receivers
+// call Recv concurrently.
 type truncatingConn struct {
 	transport.Conn
 	from int
-	done atomic.Bool
+
+	mu    sync.Mutex
+	done  bool
+	whole []byte        // the packet cut, until it is forwarded
+	tag   transport.Tag // its tag
 }
 
 func (c *truncatingConn) Recv(from int, tag transport.Tag) ([]byte, error) {
 	p, err := c.Conn.Recv(from, tag)
-	if err == nil && from == c.from && len(p) > 1 && c.done.CompareAndSwap(false, true) {
-		return p[:len(p)-1], nil
+	if err != nil || from != c.from || len(p) <= 1 {
+		return p, err
 	}
-	return p, err
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done {
+		return p, nil
+	}
+	c.done, c.whole, c.tag = true, p, tag
+	return p[:len(p)-1], nil
+}
+
+func (c *truncatingConn) Send(to int, tag transport.Tag, payload []byte) error {
+	c.mu.Lock()
+	if c.whole != nil && tag == c.tag {
+		payload, c.whole = c.whole, nil
+	}
+	c.mu.Unlock()
+	return c.Conn.Send(to, tag, payload)
 }
 
 // TestReducerStopsWithItsRank: however a rank's run ends — a kill or a
@@ -200,9 +221,14 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 		fault job.FaultSpec
 		// The ranks that never hold their whole partition.
 		incomplete []int
-		// Rank 0's first packet from rank 1 fails to decode, early in a
-		// capped parallel Shuffle, while rank 0 still has packets to send.
+		// Rank 0's first segment from rank 1 fails to decode, early in a
+		// capped Shuffle. Under ParallelShuffle rank 0 still has packets to
+		// send then. Under the serial schedule at r = 2, rank 0 relays that
+		// segment in {0,1,2} but no later one, so rank 2 waits on root 1
+		// and never relays root 3's packet in {0,2,3}: rank 0 must report
+		// its error without waiting for that packet.
 		badPacket bool
+		parallel  bool
 		failSink  int // the rank whose sink fails, or -1
 	}{
 		{name: "kill at Shuffle", fault: job.FaultSpec{Rank: k - 1, Stage: "Shuffle", Kind: job.FaultKill},
@@ -210,14 +236,18 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 		{name: "kill at Reduce", fault: job.FaultSpec{Rank: k - 1, Stage: "Reduce", Kind: job.FaultKill}, failSink: -1},
 		{name: "stall at Shuffle", fault: job.FaultSpec{Rank: 1, Stage: "Shuffle", Kind: job.FaultSlow, Delay: stall}, failSink: -1},
 		{name: "stall at Reduce", fault: job.FaultSpec{Rank: 1, Stage: "Reduce", Kind: job.FaultSlow, Delay: stall}, failSink: -1},
-		{name: "receive error", badPacket: true, incomplete: []int{0}, failSink: -1},
+		{name: "receive error", badPacket: true, parallel: true, incomplete: []int{0}, failSink: -1},
+		{name: "receive error, serial", badPacket: true, incomplete: []int{0}, failSink: -1},
 		{name: "sink error", failSink: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, r := range []int{1, 2} {
-				spec := job.Spec{K: k, R: r, Rows: 20000, Seed: 8, ParallelShuffle: tc.badPacket}
+				spec := job.Spec{K: k, R: r, Rows: 20000, Seed: 8, ParallelShuffle: tc.parallel}
 				if tc.fault.Kind != "" {
 					spec.Faults = []job.FaultSpec{tc.fault}
+				}
+				if tc.badPacket {
+					spec.RateMbps = 20 // cut the packets into segments
 				}
 				cfg := cfgOf(spec)
 				mesh := memnet.NewMesh(k)
@@ -240,7 +270,7 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 					}
 					var conn transport.Conn = mesh.Endpoint(rank)
 					if tc.badPacket {
-						conn = netem.Limit(conn, netem.Options{RateMbps: 20})
+						conn = netem.Limit(conn, netem.Options{RateMbps: spec.RateMbps})
 						if rank == 0 {
 							conn = &truncatingConn{Conn: conn, from: 1}
 						}

@@ -11,7 +11,6 @@ import (
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport"
-	"codedterasort/internal/transport/memnet"
 )
 
 // liveHeapPeak measures a cluster run's peak live heap deterministically:
@@ -118,22 +117,17 @@ func TestDecodedSegmentsPinNoPadding(t *testing.T) {
 			}
 		}
 	}
-	runWorkers(t, cfgOf(spec), check, func(w *worker) stats.Clock {
+	capture := func(w *worker) stats.Clock {
 		workers[w.rank] = w
 		return stats.NewWallClock()
-	})
+	}
+	runWorkers(t, cfgOf(spec), check, capture, nil)
 
 	spec.ChunkRows = 0
-	cfg := cfgOf(spec)
-	mesh := memnet.NewMesh(spec.K)
-	defer mesh.Close()
+	conns := make([]*receiptConn, spec.K)
 	var kept atomic.Int64
-	errs := make([]error, spec.K)
-	var wg sync.WaitGroup
-	for rank := range spec.K {
-		conn := &receiptConn{Conn: mesh.Endpoint(rank)}
+	check = func(rank int, c *Config) {
 		checked := make(chan struct{})
-		c := cfg
 		c.OutputSink = func(kv.Records) error { <-checked; return nil }
 		c.Hooks = func(ev StageEvent) {
 			if ev.Stage != stats.StageShuffle {
@@ -142,7 +136,7 @@ func TestDecodedSegmentsPinNoPadding(t *testing.T) {
 			defer close(checked)
 			w := workers[rank]
 			runtime.GC()
-			for _, got := range conn.got {
+			for _, got := range conns[rank].got {
 				if got.buf.Value() == nil {
 					continue
 				}
@@ -154,24 +148,11 @@ func TestDecodedSegmentsPinNoPadding(t *testing.T) {
 				}
 			}
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := newWorker(transport.WithCollectives(conn), c)
-			if err == nil {
-				workers[rank] = w
-				name, stages := w.schedule()
-				err = w.run(stats.NewWallClock(), name, stages)
-			}
-			errs[rank] = err
-		}()
 	}
-	wg.Wait()
-	for rank, err := range errs {
-		if err != nil {
-			t.Fatalf("monolithic rank %d: %v", rank, err)
-		}
-	}
+	runWorkers(t, cfgOf(spec), check, capture, func(rank int, c transport.Conn) transport.Conn {
+		conns[rank] = &receiptConn{Conn: c}
+		return conns[rank]
+	})
 	if kept.Load() == 0 {
 		t.Fatalf("no monolithic rank kept a packet it received: nothing checked")
 	}

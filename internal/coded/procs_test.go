@@ -61,7 +61,7 @@ func TestReduceTieOrder(t *testing.T) {
 				runWorkers(t, cfgOf(spec), collect, func(w *worker) stats.Clock {
 					workers[w.rank] = w
 					return stats.NewWallClock()
-				})
+				}, nil)
 				spec.Parallelism = 4
 				parallel := runAll(t, cfgOf(spec))
 				for rank, w := range workers {

@@ -113,7 +113,7 @@ func TestRedundancyOneIsTeraSort(t *testing.T) {
 				}
 			}
 
-			for rank, w := range runWorkers(t, cfg, nil, nil) {
+			for rank, w := range runWorkers(t, cfg, nil, nil, nil) {
 				res, gold := w.result, cell.ranks[rank]
 				want[rank].Sort()
 				if !res.Output.Equal(want[rank]) {
@@ -172,7 +172,7 @@ func TestStageAccountingIsRedundancyFree(t *testing.T) {
 					if rank == 0 {
 						c.Hooks = func(ev StageEvent) { events = append(events, ev) }
 					}
-				}, func(w *worker) stats.Clock { return filesPlacedClock{w} })
+				}, func(w *worker) stats.Clock { return filesPlacedClock{w} }, nil)
 				var got []stats.Stage
 				for _, ev := range events {
 					if ev.Elapsed != 0 {
