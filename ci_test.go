@@ -1,6 +1,7 @@
 package codedterasort_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -41,5 +42,46 @@ func TestGateCopiesAgree(t *testing.T) {
 		if files, _ := filepath.Glob(filepath.Join(pkg, "*.go")); len(files) == 0 {
 			t.Errorf("cover gate lists %s, which holds no Go package", pkg)
 		}
+	}
+}
+
+// TestEveryFuzzTargetFuzzed: `make fuzz`, which CI runs, names every fuzz
+// target in the tree, so none is left to its seed corpus alone.
+func TestEveryFuzzTargetFuzzed(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recipe := regexp.MustCompile(`(?ms)^fuzz:\n(.*?)\n\n`).FindSubmatch(makefile)
+	if recipe == nil {
+		t.Fatal("Makefile: no fuzz recipe")
+	}
+	listed := regexp.MustCompile(`\bFuzz\w+`).FindAllString(string(recipe[1]), -1)
+	target := regexp.MustCompile(`(?m)^func (Fuzz\w+)\(`)
+	found := 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return err
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range target.FindAllSubmatch(src, -1) {
+			found++
+			if !slices.Contains(listed, string(m[1])) {
+				t.Errorf("%s: %s is missing from the Makefile's fuzz recipe", path, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if found == 0 {
+		t.Fatal("no fuzz target found in the tree")
 	}
 }

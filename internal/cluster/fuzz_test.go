@@ -32,11 +32,10 @@ import (
 //
 //   - oracle: the job validates, each rank holds exactly the rows (count
 //     and multiset checksum) of its share of the whole input, split and
-//     sorted without any engine (jobOracle) — byte for byte where no key
-//     repeats — and kept output is sorted;
+//     sorted without any engine (jobOracle) — byte for byte — and kept
+//     output is sorted;
 //   - twin: the two runs' outputs are byte-identical and they shuffle the
-//     same bytes, except that an out-of-core ParallelShuffle job orders
-//     equal keys by arrival;
+//     same bytes;
 //   - hygiene: no goroutine, descriptor or spill entry outlives a run, and
 //     no rank writes into the input files it aliases;
 //   - accounting (checkReport): chunks, spills, materialized output,
@@ -326,9 +325,6 @@ func checkJob(t *testing.T, d jobDraw) error {
 	if a.rep.ShuffleLoadBytes != b.rep.ShuffleLoadBytes {
 		return broke("twin", "shuffle load %d bytes, twin %d", a.rep.ShuffleLoadBytes, b.rep.ShuffleLoadBytes)
 	}
-	if spec.MemBudget > 0 && (spec.ParallelShuffle || d.Twin == "schedule") && want.digests == nil {
-		return nil // the spill merge orders equal keys by arrival
-	}
 	for r := range spec.K {
 		if a.digests != nil && b.digests != nil && !bytes.Equal(a.digests[r], b.digests[r]) {
 			return broke("twin", "rank %d output differs", r)
@@ -358,8 +354,7 @@ func (d jobDraw) materialize(t *testing.T) (Spec, kv.Records, error) {
 }
 
 // jobAnswer is what each rank of a job must output: its share of the input
-// (rows and multiset checksum) and, when no key repeats, the digest of that
-// share sorted — nil digests mean the engine orders equal keys.
+// (rows and multiset checksum) and the digest of that share sorted.
 type jobAnswer struct {
 	parts   []verify.Input
 	digests [][]byte
@@ -367,7 +362,8 @@ type jobAnswer struct {
 
 // jobOracle answers a job without running an engine: the whole input split
 // by the partitioner the spec names — uniform, or the splitters of its
-// deterministic sample — and each share sorted by the standard library.
+// deterministic sample — and each share sorted as whole records by the
+// standard library.
 func jobOracle(spec Spec, input kv.Records) (jobAnswer, error) {
 	var p partition.Partitioner = partition.NewUniform(spec.K)
 	if spec.Sampled() {
@@ -380,23 +376,18 @@ func jobOracle(spec Spec, input kv.Records) (jobAnswer, error) {
 		}
 	}
 	var want jobAnswer
-	ties := false
 	for _, part := range partition.Split(p, input) {
 		want.parts = append(want.parts, verify.Describe(part))
 		recs := make([][]byte, part.Len())
 		for i := range recs {
 			recs[i] = part.Record(i)
 		}
-		slices.SortFunc(recs, func(a, b []byte) int { return bytes.Compare(a[:kv.KeySize], b[:kv.KeySize]) })
+		slices.SortFunc(recs, bytes.Compare)
 		h := sha256.New()
-		for i, rec := range recs {
-			ties = ties || (i > 0 && bytes.Equal(recs[i-1][:kv.KeySize], rec[:kv.KeySize]))
+		for _, rec := range recs {
 			h.Write(rec)
 		}
 		want.digests = append(want.digests, h.Sum(nil))
-	}
-	if ties {
-		want.digests = nil
 	}
 	return want, nil
 }
@@ -414,7 +405,7 @@ func checkReport(spec Spec, inProcess bool, run jobRun, want jobAnswer) error {
 		if got := (verify.Input{Rows: w.OutputRows, Checksum: w.OutputChecksum}); got != want.parts[r] {
 			return broke("oracle", "rank %d holds %+v, want %+v", r, got, want.parts[r])
 		}
-		if want.digests != nil && run.digests != nil && !bytes.Equal(run.digests[r], want.digests[r]) {
+		if run.digests != nil && !bytes.Equal(run.digests[r], want.digests[r]) {
 			return broke("oracle", "rank %d output is not its share sorted", r)
 		}
 		if spec.KeepOutput && inProcess && (!w.Output.IsSorted() || verify.Describe(w.Output) != want.parts[r]) {

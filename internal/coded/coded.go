@@ -36,11 +36,8 @@
 //     own receiver, and each segment is decoded as it arrives — known
 //     segments cancelled to recover the needed intermediate value
 //     (Algorithm 2), in the received buffer — and handed to the node's
-//     reducer. The receivers take turns as the roots do; when
-//     ParallelShuffle lets every root send at once they all run at once,
-//     each holding what it decodes until the previous root's receiver has
-//     handed over its own, so the reducer takes the pieces in the same
-//     order either way.
+//     reducer as it comes. The receivers all run at once, whether the
+//     roots take turns or ParallelShuffle lets every root send at once.
 //  5. Reduce — locally sort partition k: order references to the records
 //     where they lie, in the files and the decoded packets, and gather each
 //     one once into the output. The reducer starts with the Shuffle, owns
@@ -70,6 +67,7 @@
 package coded
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -254,8 +252,8 @@ type worker struct {
 	spoolBlocks []int64
 	// remote is the chunked Shuffle's remote share of partition `rank`:
 	// the non-empty pieces of this node's needed IVs, one per chunk, in
-	// (root, group, piece) order, each where it arrived (see keep). The
-	// monolithic Shuffle hands its pieces to the reducer instead.
+	// arrival order, each where it arrived (see keep). The monolithic
+	// Shuffle hands its pieces to the reducer instead.
 	remote []kv.View
 	// reducer orders partition `rank` in the in-memory modes, from the
 	// Shuffle on in monolithic mode, at Reduce in chunked mode (see
@@ -805,7 +803,7 @@ func (w *worker) multicastStage() error {
 		}
 		return nil
 	}
-	return w.shuffle(send, w.receiveSegments, keep(red.add), true, red.finish)
+	return w.shuffle(send, w.receiveSegments, keep(red.add), red.finish)
 }
 
 // receiveSegments takes the packet root u sends in group myGroups[gi],
@@ -842,11 +840,16 @@ func (w *worker) receiveSegments(gi, u int, take func(kv.Records) error) error {
 // recovered records, never whole packets — and per-chunk credits from all
 // group members bound the root's run-ahead to Window chunks (see
 // receiveStream). spill, when set, takes every decoded chunk as it comes;
-// else each joins the remote share, in order, for Reduce.
+// else each joins the remote share for Reduce.
 func (w *worker) streamStage(spill func(kv.Records) error) error {
 	take := spill
 	if take == nil {
-		take = keep(func(v kv.View) { w.remote = append(w.remote, v) })
+		var mu sync.Mutex
+		take = keep(func(v kv.View) {
+			mu.Lock()
+			w.remote = append(w.remote, v)
+			mu.Unlock()
+		})
 	}
 	send := func() error {
 		for gi := range w.myGroups {
@@ -856,118 +859,94 @@ func (w *worker) streamStage(spill func(kv.Records) error) error {
 		}
 		return nil
 	}
-	return w.shuffle(send, w.receiveStream, take, spill == nil, nil)
+	return w.shuffle(send, w.receiveStream, take, nil)
 }
 
 // shuffle runs this node's part of a Shuffle: send under the sender
-// schedule (inTurn), beside one receiver per other root. Each receiver walks
-// the groups this node shares with its root, in the root's send order,
-// through receive, which hands every decoded piece to take. Under the
-// serial schedule a root's receiver starts once the previous root's is
-// done, as the roots take the wire in rank order. That costs nothing, and
-// keeps the pieces in that order even when the next root starts before the
-// last chunk of the previous one is consumed (a credit precedes the
-// chunk's consumption): the spill sorter, whose equal keys keep arrival
-// order, then sees an order independent of goroutine timing. Under
-// ParallelShuffle every receiver runs at once. In order, a receiver then
-// holds what it decodes until the previous root's receiver has handed over
-// all of its pieces, so take sees them in (root, group, piece) order — the
-// serial schedule's, which equal keys keep — one receiver at a time;
-// otherwise take gets each piece as it comes and must be safe for
-// concurrent use. finish, when set, runs once every receiver has returned
-// without error, while this node may still be sending. The first receive
-// error is the Shuffle's once this node has sent, whatever the other
-// receivers are waiting on.
+// schedule (inTurn), beside one receiver per other root, all started at
+// once whatever the schedule. Each receiver walks the groups this node
+// shares with its root, in the root's send order, through receive, which
+// hands every decoded piece to take as it comes: take must be safe for
+// concurrent use, and the order pieces arrive in changes nothing, since
+// every sort orders whole records. finish, when set, runs once every
+// receiver has returned without error, while this node may still be
+// sending.
+//
+// The first receive error is the Shuffle's as soon as this node is not
+// sending. A receiver that fails stops relaying and acknowledging its
+// root's traffic, so peers may wait on it forever, this node's turn to
+// send among them: a send whose turn has not come when a receiver fails
+// never starts, and one that runs is let finish, so no send outlives the
+// stage. Receivers still waiting on their roots unblock with ErrClosed at
+// teardown.
 func (w *worker) shuffle(send func() error, receive func(gi, u int, take func(kv.Records) error) error,
-	take func(kv.Records) error, inOrder bool, finish func()) error {
-	// recvErr takes the first receive error as it happens, or nil once
-	// every receiver has handed over all of its pieces. A receiver that
-	// fails stops relaying its root's packets, so the peers behind it may
-	// never let later roots' packets through: the receivers still to take
-	// their turn then return without receiving.
+	take func(kv.Records) error, finish func()) error {
 	recvErr, failed := make(chan error, 1), make(chan struct{})
 	var failOnce sync.Once
 	fail := func(err error) { failOnce.Do(func() { recvErr <- err; close(failed) }) }
-	// A receiver closes done only after failed, so one that finds the
-	// previous receiver done and nothing failed may hand over.
-	failing := func() bool {
-		select {
-		case <-failed:
-			return true
-		default:
-			return false
-		}
-	}
-	prev := make(chan struct{})
-	close(prev)
+	var receivers sync.WaitGroup
 	for u := range w.spec.K {
 		if u == w.rank {
 			continue
 		}
-		done := make(chan struct{})
-		go func(prev <-chan struct{}) {
-			defer close(done)
-			var held []kv.Records
-			handOver := func() error {
-				for len(held) > 0 {
-					if err := take(held[0]); err != nil {
-						return err
-					}
-					held[0], held = kv.Records{}, held[1:]
-				}
-				return nil
-			}
-			hand := take
-			switch {
-			case !w.spec.ParallelShuffle:
-				if <-prev; failing() {
-					return
-				}
-			case inOrder:
-				hand = func(recs kv.Records) error {
-					held = append(held, recs)
-					select {
-					case <-prev:
-						if !failing() {
-							return handOver()
-						}
-					default:
-					}
-					return nil
-				}
-			}
+		receivers.Add(1)
+		go func() {
+			defer receivers.Done()
 			for _, gi := range w.inboundFrom(u) {
-				if err := receive(gi, u, hand); err != nil {
+				if err := receive(gi, u, take); err != nil {
 					fail(err)
 					return
 				}
 			}
-			// Receivers hand over one at a time, so the last one is done
-			// once all are.
-			if <-prev; failing() {
-				return
-			}
-			if err := handOver(); err != nil {
-				fail(err)
-			}
-		}(prev)
-		prev = done
+		}()
 	}
 	go func() {
-		if <-prev; !failing() {
+		receivers.Wait()
+		select {
+		case <-failed:
+		default:
 			if finish != nil {
 				finish()
 			}
 			recvErr <- nil
 		}
 	}()
-	if err := w.inTurn(send); err != nil {
-		// Don't wait for receivers whose roots may be gone; they unblock
-		// with ErrClosed at teardown.
-		return err
+
+	// The send, once its turn comes, and a receive error race for one
+	// token: the send starts only if it takes the token first, and a
+	// receive error that finds it taken lets the running send finish.
+	token, sent := make(chan struct{}, 1), make(chan error, 1)
+	token <- struct{}{}
+	go func() {
+		sent <- w.inTurn(func() error {
+			select {
+			case <-token:
+				return send()
+			default:
+				return errGaveWay
+			}
+		})
+	}()
+	select {
+	case err := <-sent:
+		if err != nil {
+			// Don't wait for receivers whose roots may be gone; they unblock
+			// with ErrClosed at teardown.
+			return err
+		}
+	case <-failed:
+		select {
+		case <-token:
+		default:
+			<-sent
+		}
 	}
 	return <-recvErr
 }
+
+// errGaveWay is what a send returns that never started because a receive
+// error ended the Shuffle first.
+var errGaveWay = errors.New("coded: send gave way to a receive error")
 
 // receiveStream consumes the chunk stream root u sends in group
 // myGroups[gi] up to its last-flagged chunk: it receives each framed chunk,
@@ -1109,12 +1088,10 @@ func (w *worker) localShare() []kv.View {
 
 // reduceStage joins the reducer, which has been sorting partition `rank`
 // (Section IV-F) since the Shuffle: the locally mapped share
-// ({I^rank_S : rank in S}, views of the stored files) followed by the
-// decoded remote share ({I^rank_S : rank not in S}: the pieces in (root,
-// group, piece) order, where they arrived). The parts are ordered by
-// reference where they lie and each record is copied once, into the output;
-// equal keys keep that part order, rows ascending, at any Parallelism
-// setting and however the parts arrived. With an OutputSink the output is
+// ({I^rank_S : rank in S}, views of the stored files) and the decoded
+// remote share ({I^rank_S : rank not in S}: the pieces where they
+// arrived). The parts are ordered by reference where they lie and each
+// record is copied once, into the output. With an OutputSink the output is
 // gathered and handed over reduceBlockRows at a time, never whole. Then the
 // node lets go of the files and packets.
 //

@@ -318,3 +318,54 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 		})
 	}
 }
+
+// TestReceiveErrorEndsChunkedShuffle: a receive error ends the rank's
+// chunked Shuffle at once, also while the rank waits for its turn to send.
+// Rank 2's first chunk from root 1 fails to decode, so rank 2 stops
+// returning root 1's credits; under the serial schedule root 1 then waits
+// on its window while it holds the send token rank 2 waits for. Rank 2
+// must return its error, and the job must end, well inside the bound.
+func TestReceiveErrorEndsChunkedShuffle(t *testing.T) {
+	const k, bound = 4, 10 * time.Second
+	for _, parallel := range []bool{false, true} {
+		spec := job.Spec{K: k, R: 1, Rows: 20000, Seed: 8, ChunkRows: 50, Window: 2, ParallelShuffle: parallel}
+		cfg := cfgOf(spec)
+		mesh := memnet.NewMesh(k)
+		var closeMesh sync.Once
+		errs := make([]error, k)
+		var wg sync.WaitGroup
+		for rank := range k {
+			var conn transport.Conn = mesh.Endpoint(rank)
+			if rank == 2 {
+				conn = &truncatingConn{Conn: conn, from: 1}
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w, err := newWorker(transport.WithCollectives(conn), cfg)
+				if err == nil {
+					name, stages := w.schedule()
+					err = w.run(stats.NewWallClock(), name, stages)
+				}
+				if err != nil {
+					// Release the peers waiting on this rank.
+					closeMesh.Do(mesh.Close)
+				}
+				errs[rank] = err
+			}()
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(bound):
+			closeMesh.Do(mesh.Close)
+			<-done
+			t.Fatalf("parallel=%v: the job did not end within %v of rank 2's receive error", parallel, bound)
+		}
+		closeMesh.Do(mesh.Close)
+		if err := errs[2]; err == nil || !strings.Contains(err.Error(), "chunk") {
+			t.Fatalf("parallel=%v: rank 2 returned %v, want its failed chunk", parallel, err)
+		}
+	}
+}

@@ -9,8 +9,10 @@ import (
 	"codedterasort/internal/codec"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
+	"codedterasort/internal/partition"
 	"codedterasort/internal/placement"
-	"codedterasort/internal/stats"
+	"codedterasort/internal/transport"
+	"codedterasort/internal/transport/netem"
 )
 
 // TestParallelismMatchesSequential: the engine's Parallelism knob —
@@ -35,77 +37,68 @@ func TestParallelismMatchesSequential(t *testing.T) {
 }
 
 // TestReduceTieOrder: on keys that repeat (DistDupHeavy: 64 distinct keys)
-// the in-memory Reduce has a defined order — full key, then the order
-// Reduce takes its parts in (stored files, then decoded segments by sender
-// and group), then row — which is what the standard library's stable sort
-// of those parts' concatenation produces, and which neither the
-// Parallelism setting nor the sender schedule can change. The parts are
-// read from the stores every rank mapped: its own share of its files, then
-// the segment of its needed IV each other root codes into its packet.
+// every mode — monolithic, chunked and spill — at r = 1 and 2, under the
+// serial schedule and ParallelShuffle, and a capped monolithic run whose
+// reducer takes a run per packet segment, far past settleRuns, so that its
+// order compacts, gives each rank the same bytes: its share of the input
+// sorted as whole records by the standard library, whatever order its
+// pieces arrive in and at any Parallelism.
 func TestReduceTieOrder(t *testing.T) {
+	const k, rows, seed = 4, 6000, 5
+	input := kv.NewGenerator(seed, kv.DistDupHeavy).Generate(0, rows)
+	var want []kv.Records
+	for _, share := range partition.Split(partition.NewUniform(k), input) {
+		recs := make([][]byte, share.Len())
+		for i := range recs {
+			recs[i] = share.Record(i)
+		}
+		slices.SortFunc(recs, bytes.Compare)
+		sorted := kv.MakeRecords(len(recs))
+		for _, rec := range recs {
+			sorted = sorted.Append(rec)
+		}
+		want = append(want, sorted)
+	}
+	base := job.Spec{K: k, Rows: rows, Seed: seed, DistName: "dupheavy"}
+	type cell struct {
+		name string
+		spec job.Spec
+	}
+	var cells []cell
 	for _, r := range []int{1, 2} {
-		for _, chunkRows := range []int{0, 80} {
-			for _, par := range []bool{false, true} {
-				spec := job.Spec{K: 4, R: r, Rows: 6000, Seed: 5, DistName: "dupheavy", Parallelism: 1,
-					ChunkRows: chunkRows, ParallelShuffle: par}
-				name := fmt.Sprintf("r=%d chunkRows=%d parallel=%v", r, chunkRows, par)
-				parts := make([]kv.Records, spec.K)
-				workers := make([]*worker, spec.K)
-				collect := func(rank int, c *Config) {
-					c.Hooks = func(ev StageEvent) {
-						if ev.Stage == stats.StageShuffle {
-							parts[rank] = reduceInput(workers, rank)
-						}
-					}
+		for _, par := range []bool{false, true} {
+			for _, mode := range []string{"monolithic", "chunked", "spill"} {
+				spec := base
+				spec.R, spec.ParallelShuffle, spec.Parallelism = r, par, 1
+				if par {
+					spec.Parallelism = 4
 				}
-				runWorkers(t, cfgOf(spec), collect, func(w *worker) stats.Clock {
-					workers[w.rank] = w
-					return stats.NewWallClock()
-				}, nil)
-				spec.Parallelism = 4
-				parallel := runAll(t, cfgOf(spec))
-				for rank, w := range workers {
-					all := parts[rank]
-					idx := make([]int, all.Len())
-					for i := range idx {
-						idx[i] = i
-					}
-					slices.SortStableFunc(idx, func(a, b int) int { return bytes.Compare(all.Key(a), all.Key(b)) })
-					want := kv.MakeRecords(all.Len())
-					for _, i := range idx {
-						want = want.Append(all.Record(i))
-					}
-					if want.Len() == 0 || !w.result.Output.Equal(want) {
-						t.Fatalf("%s rank %d: equal keys are not in (part, row) order", name, rank)
-					}
-					if !parallel[rank].Output.Equal(want) {
-						t.Fatalf("%s rank %d: Parallelism 4 output differs from Parallelism 1", name, rank)
-					}
+				switch mode {
+				case "chunked":
+					spec.ChunkRows = 80
+				case "spill":
+					spec.MemBudget, spec.SpillDir = 16<<10, t.TempDir()
 				}
+				cells = append(cells, cell{fmt.Sprintf("%s r=%d parallel=%v", mode, r, par), spec})
 			}
 		}
 	}
-}
-
-// reduceInput returns the records rank's Reduce orders, in the order of its
-// parts, read from the stores the ranks mapped: rank's share of its stored
-// files, then the segment of its needed IV each other root sends it, root
-// by root in each root's send order. The stores must still be held: the
-// ranks are no further than the Shuffle.
-func reduceInput(workers []*worker, rank int) kv.Records {
-	w := workers[rank]
-	var all kv.Records
-	for _, fi := range w.stored {
-		all = all.AppendRecords(w.store.View(rank, w.plan.Files[fi]).Collect())
-	}
-	for u, sender := range workers {
-		if u != rank {
-			for _, gi := range w.inboundFrom(u) {
-				all = all.AppendRecords(sentSegment(sender, rank, w.myGroups[gi]))
+	capped := base
+	capped.R, capped.RateMbps = 2, 20
+	cells = append(cells, cell{"capped monolithic r=2", capped})
+	for _, c := range cells {
+		var wrap func(int, transport.Conn) transport.Conn
+		if c.spec.RateMbps > 0 {
+			wrap = func(_ int, conn transport.Conn) transport.Conn {
+				return netem.Limit(conn, netem.Options{RateMbps: c.spec.RateMbps})
+			}
+		}
+		for rank, w := range runWorkers(t, cfgOf(c.spec), nil, nil, wrap) {
+			if !w.result.Output.Equal(want[rank]) {
+				t.Fatalf("%s rank %d: output is not its share sorted as whole records", c.name, rank)
 			}
 		}
 	}
-	return all
 }
 
 // sentSegment returns the segment of rank's needed IV that sender codes

@@ -24,19 +24,17 @@ var errHalted = errors.New("coded: reducer halted")
 // the output, reduceBlockRows at a time into the OutputSink, even while the
 // rank is still sending; the Reduce stage only joins it.
 //
-// The parts are indexed in the order their equal keys keep: the stored
-// files' shares, then the decoded pieces in (root, group, piece) order (see
-// reduceStage); a compacted buffer comes ahead of every part after it, so
-// compaction keeps that order. A reducer gathers nothing into the sink
-// until every part is in, and feeds the sink no further block once halted,
-// so a failed run never hands its sink more than a prefix of the whole
+// The parts may come in any order: the output is the order of their
+// records (see kv.Order). A reducer gathers nothing into the sink until
+// every part is in, and feeds the sink no further block once halted, so a
+// failed run never hands its sink more than a prefix of the whole
 // partition.
 type reducer struct {
 	procs int
 	sink  func(kv.Records) error
 
 	mu      sync.Mutex
-	arrived []kv.View // the parts by index: those in since the last look, the rest zero
+	arrived []kv.View // the parts in since the last look
 	last    bool      // every part is in
 
 	wake   chan struct{} // a look is due; buffered, so add never blocks
@@ -115,11 +113,11 @@ func (r *reducer) run(reserve int) {
 			return
 		}
 		r.mu.Lock()
-		batch = append(batch[:0], r.arrived...)
-		clear(r.arrived)
+		batch, r.arrived = r.arrived, batch[:0]
 		last = r.last
 		r.mu.Unlock()
 		order.AddRun(r.procs, batch...)
+		clear(batch)
 	}
 	order.Merge()
 	r.rows = order.Len()

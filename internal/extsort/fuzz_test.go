@@ -3,7 +3,12 @@ package extsort
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"codedterasort/internal/kv"
@@ -80,4 +85,62 @@ func fuzzReadAll(t *testing.T, data []byte) {
 			t.Fatalf("reader delivered more records than any %d-byte input can frame", len(data))
 		}
 	}
+}
+
+// FuzzMergeRuns: duplicate-heavy records dealt at random to up to eight
+// sorted run files and an in-memory tail merge to the standard library's
+// sort of the whole records. The dealing puts equal keys in every source in
+// no particular order, so a merge that let anything but the values decide
+// between equal keys would misplace them.
+func FuzzMergeRuns(f *testing.F) {
+	f.Add(uint64(1), uint16(600), uint8(3), uint8(7))
+	f.Add(uint64(2), uint16(4000), uint8(7), uint8(64))
+	f.Add(uint64(3), uint16(50), uint8(0), uint8(1))
+	f.Add(uint64(4), uint16(0), uint8(2), uint8(13))
+	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, runs, blockRows uint8) {
+		n, k := int(rows%5000), int(runs%8)
+		input := kv.NewGenerator(seed, kv.DistDupHeavy).Generate(0, int64(n))
+		rng := rand.New(rand.NewPCG(seed, 49))
+		sources := make([]kv.Records, k+1) // the runs, then the tail
+		for i := range n {
+			s := rng.IntN(k + 1)
+			sources[s] = sources[s].Append(input.Record(i))
+		}
+		var paths []string
+		for i, src := range sources[:k] {
+			src.Sort()
+			path := filepath.Join(t.TempDir(), fmt.Sprintf("run%d", i))
+			f, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := NewBlockWriter(f, 1+int(blockRows))
+			if err := w.Append(src); err != nil {
+				t.Fatal(err)
+			}
+			if err := errors.Join(w.Finish(), f.Close()); err != nil {
+				t.Fatal(err)
+			}
+			paths = append(paths, path)
+		}
+		tail := sources[k]
+		tail.Sort()
+		m, err := newMerger(paths, tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		var got kv.Records
+		if err := m.Drain(1+int(blockRows), func(b kv.Records) error {
+			got = got.AppendRecords(b)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		want := input.Clone()
+		want.Sort()
+		if !got.Equal(want) {
+			t.Fatalf("seed %d: %d rows in %d runs and a tail merge out of order", seed, n, k)
+		}
+	})
 }

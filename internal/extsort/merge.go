@@ -1,6 +1,7 @@
 package extsort
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -159,8 +160,8 @@ func (m *Merger) build(i int) int {
 // comparing offset-value codes first and falling back to key bytes only on
 // code ties, where it recodes the loser against the winner so the tree
 // invariant (every loser coded against the key that defeated it) holds.
-// Exhausted sources sort last, and key ties break by source index so the
-// merge is deterministic (and stable in run-spill order).
+// Exhausted sources sort last, and equal keys by their values, so the
+// merge emits the output order (see kv.Order) whatever the runs.
 func (m *Merger) play(a, b int) bool {
 	sa, sb := m.srcs[a], m.srcs[b]
 	if sa.key == nil {
@@ -177,8 +178,8 @@ func (m *Merger) play(a, b int) bool {
 	// Equal codes: the keys agree with each other through the coded offset
 	// (same divergence point from the shared reference, same byte there);
 	// only the suffix beyond it can differ. A zero code means both keys
-	// equal the reference, so the loop body never runs and the index
-	// tie-break decides.
+	// equal the reference, so the loop body never runs and the values
+	// decide.
 	ka, kb := sa.key, sb.key
 	i := kv.KeySize - int(sa.ovc>>8) + 1
 	for ; i < kv.KeySize; i++ {
@@ -187,8 +188,9 @@ func (m *Merger) play(a, b int) bool {
 		}
 	}
 	if i >= kv.KeySize {
-		// Fully equal keys: the loser is coded equal-to-winner.
-		if a < b {
+		// Fully equal keys: the values decide, and the loser is coded
+		// equal-to-winner.
+		if bytes.Compare(sa.block.Value(sa.idx), sb.block.Value(sb.idx)) <= 0 {
 			sb.ovc = 0
 			return true
 		}

@@ -69,9 +69,9 @@ func TestOVCMergeMatchesReferenceSort(t *testing.T) {
 }
 
 // TestOVCMergeDuplicateHeavy: with keys from a tiny domain (every merge
-// step a potential code tie) the output must stay sorted, preserve the
-// input multiset, and be deterministic across identical passes; the tie
-// path must actually have run.
+// step a potential code tie) the output must preserve the input multiset
+// and be the reference sort of the whole records; the tie path must
+// actually have run.
 func TestOVCMergeDuplicateHeavy(t *testing.T) {
 	for _, domain := range []uint64{1, 16, 512} {
 		input := quantized(4000, domain)
@@ -80,14 +80,10 @@ func TestOVCMergeDuplicateHeavy(t *testing.T) {
 			t.Fatalf("domain %d: multiset changed: %d rows checksum %#x, want %d/%#x",
 				domain, out.Rows, out.Checksum, input.Len(), input.Checksum())
 		}
-		for i := 1; i < out.Records.Len(); i++ {
-			if bytes.Compare(out.Records.Key(i-1), out.Records.Key(i)) > 0 {
-				t.Fatalf("domain %d: output regresses at record %d", domain, i)
-			}
-		}
-		again := drainThrough(t, input, 1<<16)
-		if !bytes.Equal(out.Records.Bytes(), again.Records.Bytes()) {
-			t.Fatalf("domain %d: duplicate-key merge is not deterministic", domain)
+		want := input.Clone()
+		want.Sort()
+		if !out.Records.Equal(want) {
+			t.Fatalf("domain %d: duplicate-key merge differs from the reference sort", domain)
 		}
 		if out.FullCompares == 0 {
 			t.Fatalf("domain %d: no code ties on duplicate-heavy keys", domain)

@@ -13,8 +13,8 @@ import (
 
 // goldenRuns pins the run files a Sorter writes — seed 2017, a budget of
 // 6007 records, 30 000 rows appended in uneven slices — to their SHA-256,
-// one digest per run in spill order. Run generation is a stable sort by
-// full key followed by raw CTS3 framing, so any kernel that keeps that
+// one digest per run in spill order. Run generation is the output order
+// (kv.Order) followed by raw CTS3 framing, so any kernel that keeps that
 // order keeps these files, and with them extsort.spill_amp,
 // extsort.ovc_decided, SpilledDiskBytes and the terasortGolden spill
 // cells. The runs depend on neither procs setting.

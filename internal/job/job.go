@@ -113,9 +113,8 @@ type Spec struct {
 	// consumed block by block, partitions spill to sorted on-disk runs under
 	// the per-worker byte budget, Reduce becomes a streaming merge and
 	// verification streams in O(1) memory. Each rank outputs the in-memory
-	// engine's records, sorted, but equal keys may come in another order
-	// (coded) or in arrival order, varying run to run (ParallelShuffle).
-	// Implies the streaming shuffle (budget-derived ChunkRows if unset).
+	// engine's bytes. Implies the streaming shuffle (budget-derived
+	// ChunkRows if unset).
 	MemBudget int64 `json:"mem_budget,omitempty"`
 	// SpillDir is the parent directory for spill files when MemBudget is
 	// positive ("" = the system temp directory). Each worker owns a fresh

@@ -145,9 +145,10 @@ func TransformRecords(r Records, fn func(rec []byte, emit func([]byte))) Records
 	return out
 }
 
-// Less reports whether record i's key sorts strictly before record j's.
+// Less reports whether record i sorts strictly before record j in the
+// output order (see Order): by key, equal keys by value.
 func (r Records) Less(i, j int) bool {
-	return bytes.Compare(r.Key(i), r.Key(j)) < 0
+	return bytes.Compare(r.Record(i), r.Record(j)) < 0
 }
 
 // Swap exchanges records i and j in place.
@@ -161,12 +162,12 @@ func (r Records) Swap(i, j int) {
 
 var _ sort.Interface = Records{}
 
-// Sort sorts the records in place by key (ascending, lexicographic) with the
-// stdlib comparison sort, as the paper's implementation does (std::sort).
-// It is the oracle tests hold the engines to; the engines sort with Order.
+// Sort sorts the records in place in the output order with the stdlib
+// comparison sort, as the paper's implementation does (std::sort). It is
+// the oracle tests hold the engines to; the engines sort with Order.
 func (r Records) Sort() { sort.Sort(r) }
 
-// IsSorted reports whether the records are in non-decreasing key order.
+// IsSorted reports whether the records are in the output order.
 func (r Records) IsSorted() bool { return sort.IsSorted(r) }
 
 // Equal reports whether two buffers hold identical bytes.

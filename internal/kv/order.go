@@ -1,8 +1,8 @@
 package kv
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -21,11 +21,14 @@ type ref struct {
 }
 
 // Order is the sorted order of the records of any number of views, which
-// are not concatenated: the total order by full key, equal keys in input
-// position (views in argument order, then view order — rows ascending).
-// That order is unique, so it does not depend on the goroutine budget. The
-// zero value is ready to use, and an Order reused across Sort calls keeps
-// its reference arrays.
+// are not concatenated. It is the one output order of the system — of
+// Reduce in every mode, of run generation and the spill merge, and of
+// Records.Sort, the oracle: records ascend as 100-byte strings, by key and
+// equal keys by value. Records that tie are identical, so the order is a
+// function of the records alone, whatever views hold them, in whatever
+// order they are added and on however many goroutines. The zero value is
+// ready to use, and an Order reused across Sort calls keeps its reference
+// arrays.
 //
 // An Order can also be built a run at a time, for parts that arrive in
 // batches: AddRun orders the records of some parts as one sorted run, and
@@ -37,12 +40,12 @@ type Order struct {
 	parts         []View
 	refs, scratch []ref
 	runs          []int // the end of each sorted run in refs
-	fresh         []int // the parts of the run being added, ascending
+	fresh         int   // the first part of the run being added
 	procs         int
 	added         int // the runs AddRun has added since the last Sort
-	// compacted is the number of leading parts the order gathered into
-	// parts[0], a buffer of its own, and compactedRows its length.
-	compacted, compactedRows int
+	// compactedRows is the length of parts[0] once the order has compacted
+	// (see compact), else 0.
+	compactedRows int
 }
 
 const (
@@ -68,19 +71,16 @@ func (o *Order) Sort(procs int, parts ...Records) {
 		n += p.Len()
 	}
 	o.Grow(n)
-	for i, p := range parts {
-		o.place(i, ViewAll(p))
+	for _, p := range parts {
+		o.place(ViewAll(p))
 	}
 	o.sortRun(procs, 0)
 }
 
-// AddRun orders the records of views as one more sorted run, on up to
-// procs goroutines: row ranges shard the reference extraction, top-digit
-// buckets shard the radix. views[i] is part i of the order: a part holds
-// records in one run only and is empty in the others, and across runs
-// equal keys keep part order, then rows ascending. Past settleRuns runs,
-// a run's parts must follow every part of the runs before it. A run of no
-// records adds nothing; on a zero Order, one run is the whole order.
+// AddRun orders the records of views, parts new to the order, as one more
+// sorted run, on up to procs goroutines: row ranges shard the reference
+// extraction, top-digit buckets shard the radix. A run of no records adds
+// nothing; on a zero Order, one run is the whole order.
 func (o *Order) AddRun(procs int, views ...View) {
 	n := 0
 	for _, v := range views {
@@ -91,11 +91,9 @@ func (o *Order) AddRun(procs int, views ...View) {
 	}
 	start := len(o.refs)
 	o.Grow(n)
-	o.fresh = o.fresh[:0]
-	for i, v := range views {
-		if v.Len() > 0 {
-			o.place(i, v)
-		}
+	o.fresh = len(o.parts)
+	for _, v := range views {
+		o.place(v)
 	}
 	o.sortRun(procs, start)
 	if o.added++; o.added > settleRuns {
@@ -135,8 +133,7 @@ func (o *Order) runLen(i int) int {
 }
 
 // compact merges every run and gathers the records into one buffer, which
-// becomes the order's only part: part 0, ahead of every part added later,
-// so equal keys keep their order. The views it replaces are dropped.
+// becomes the order's only part. The views it replaces are dropped.
 func (o *Order) compact() {
 	o.Merge()
 	buf := o.Gather(Records{}, 0, len(o.refs))
@@ -144,7 +141,6 @@ func (o *Order) compact() {
 		o.refs[i].part, o.refs[i].row = 0, uint32(i)
 	}
 	clear(o.parts)
-	o.compacted = len(o.parts)
 	o.parts = append(o.parts[:0], ViewAll(buf))
 	o.compactedRows = len(o.refs)
 }
@@ -160,21 +156,15 @@ func (o *Order) Grow(n int) {
 
 func (o *Order) reset() {
 	clear(o.parts)
-	o.parts, o.refs, o.runs, o.fresh = o.parts[:0], o.refs[:0], o.runs[:0], o.fresh[:0]
-	o.added, o.compacted, o.compactedRows = 0, 0, 0
+	o.parts, o.refs, o.runs = o.parts[:0], o.refs[:0], o.runs[:0]
+	o.fresh, o.added, o.compactedRows = 0, 0, 0
 }
 
-// place makes v part i of the run being added, and takes a reference slot
-// for each of its records, for extract to fill. The slots must be there.
-func (o *Order) place(i int, v View) {
-	if i < o.compacted {
-		panic(fmt.Sprintf("kv: part %d added after parts [0, %d) were compacted", i, o.compacted))
-	}
-	if i >= len(o.parts) {
-		o.parts = append(o.parts, make([]View, i+1-len(o.parts))...)
-	}
-	o.parts[i] = v
-	o.fresh = append(o.fresh, i)
+// place makes v the next part of the run being added, and takes a
+// reference slot for each of its records, for extract to fill. The slots
+// must be there.
+func (o *Order) place(v View) {
+	o.parts = append(o.parts, v)
 	o.refs = o.refs[:len(o.refs)+v.Len()]
 }
 
@@ -204,12 +194,11 @@ func (o *Order) sortRun(procs, start int) {
 	// The first digit that discriminates; -8 when all prefixes are equal.
 	shift := 56 - bits.LeadingZeros64(and^or)&^7
 	if shards == 1 || shift < 0 {
-		o.sortByKey(refs, scratch, shift)
+		o.sortRecords(refs, scratch, shift)
 		return
 	}
 
-	// Stable scatter on that digit — bucket-major, shard-minor, so a bucket
-	// keeps input order — then every bucket is an independent ordering
+	// Scatter on that digit, then every bucket is an independent ordering
 	// problem.
 	counts := make([][256]int, shards)
 	parallel.ForShards(procs, n, func(s, lo, hi int) error {
@@ -238,7 +227,7 @@ func (o *Order) sortRun(procs, start int) {
 		return nil
 	})
 	parallel.Do(procs, 256, func(b int) error {
-		o.sortByKey(scratch[bounds[b]:bounds[b+1]], refs[bounds[b]:bounds[b+1]], shift-8)
+		o.sortRecords(scratch[bounds[b]:bounds[b+1]], refs[bounds[b]:bounds[b+1]], shift-8)
 		return nil
 	})
 	if start == 0 {
@@ -254,7 +243,7 @@ func (o *Order) sortRun(procs, start int) {
 func (o *Order) extract(start, lo, hi int) [2]uint64 {
 	and, or := ^uint64(0), uint64(0)
 	base := start
-	for _, p := range o.fresh {
+	for p := o.fresh; p < len(o.parts); p++ {
 		v := o.parts[p]
 		n := v.Len()
 		for i := max(start+lo-base, 0); i < min(start+hi-base, n); i++ {
@@ -268,27 +257,36 @@ func (o *Order) extract(start, lo, hi int) [2]uint64 {
 	return [2]uint64{and, or}
 }
 
-// sortByKey orders a, whose references arrive in input order and agree
-// above prefix digit shift (negative: on the whole prefix), by full key:
-// stably by prefix, then every stretch of equal prefixes — rare unless keys
-// repeat — stably by key bytes 8-9, which are fetched into the prefix field
-// for the sort and then put back, so a merge can still compare on the
-// prefix. tmp is scratch of the same length.
-func (o *Order) sortByKey(a, tmp []ref, shift int) {
+// sortRecords orders a, whose references agree above prefix digit shift
+// (negative: on the whole prefix), by whole record: by prefix, then every
+// stretch of equal prefixes — rare unless keys repeat — by the bytes after
+// it (see sortTies). tmp is scratch of the same length.
+func (o *Order) sortRecords(a, tmp []ref, shift int) {
 	if shift >= 0 {
 		sortRefs(a, tmp, uint(shift))
 	}
+	o.sortTies(a, tmp, 8)
+}
+
+// sortTies orders every stretch of a that ties on the prefix field —
+// records that agree on their first off bytes — by the rest: the next
+// eight bytes, fetched into the prefix field, then, within a stretch that
+// ties on those, the eight after. Each stretch gets its prefix field back,
+// so a merge can still compare on it. Past key bytes 8-9, only records
+// with equal keys get this far.
+func (o *Order) sortTies(a, tmp []ref, off int) {
 	for i := 0; i < len(a); {
 		j := i + 1
 		for j < len(a) && a[j].prefix == a[i].prefix {
 			j++
 		}
-		if j-i > 1 {
+		if j-i > 1 && off < RecordSize {
 			prefix := a[i].prefix
 			for k := i; k < j; k++ {
-				a[k].prefix = uint64(o.suffix(a[k]))
+				a[k].prefix = o.word(a[k], off)
 			}
-			sortRefs(a[i:j], tmp[i:j], 8)
+			sortRefs(a[i:j], tmp[i:j], 56)
+			o.sortTies(a[i:j], tmp[i:j], off+8)
 			for k := i; k < j; k++ {
 				a[k].prefix = prefix
 			}
@@ -297,21 +295,28 @@ func (o *Order) sortByKey(a, tmp []ref, shift int) {
 	}
 }
 
-// suffix returns key bytes 8-9 of r's record.
-func (o *Order) suffix(r ref) uint16 {
-	return binary.BigEndian.Uint16(o.parts[r.part].recs.buf[int(r.row)*RecordSize+8:])
+// record returns r's record.
+func (o *Order) record(r ref) []byte {
+	at := int(r.row) * RecordSize
+	return o.parts[r.part].recs.buf[at : at+RecordSize]
+}
+
+// word returns bytes [off, off+8) of r's record as one big-endian word,
+// zero past the record's end.
+func (o *Order) word(r ref, off int) uint64 {
+	rec := o.record(r)
+	if off+8 <= RecordSize {
+		return binary.BigEndian.Uint64(rec[off:])
+	}
+	var w [8]byte
+	copy(w[:], rec[off:])
+	return binary.BigEndian.Uint64(w[:])
 }
 
 // tieBefore reports whether a's record precedes b's when their prefixes
-// are equal: by key bytes 8-9, then part, then row.
+// are equal.
 func (o *Order) tieBefore(a, b ref) bool {
-	if sa, sb := o.suffix(a), o.suffix(b); sa != sb {
-		return sa < sb
-	}
-	if a.part != b.part {
-		return a.part < b.part
-	}
-	return a.row < b.row
+	return bytes.Compare(o.record(a)[8:], o.record(b)[8:]) < 0
 }
 
 // Merge merges the runs AddRun ordered into the one order of all their

@@ -11,21 +11,19 @@ import (
 	"testing"
 )
 
-// stableReference is the kernel's contract spelled with the standard
-// library: the concatenation of parts, stably sorted by full key.
-func stableReference(parts []Records) Records {
-	var all Records
+// reference is the kernel's contract spelled with the standard library:
+// the records of all parts sorted as whole 100-byte records.
+func reference(parts []Records) Records {
+	var recs [][]byte
 	for _, p := range parts {
-		all = all.AppendRecords(p)
+		for i := range p.Len() {
+			recs = append(recs, p.Record(i))
+		}
 	}
-	idx := make([]int, all.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortStableFunc(idx, func(a, b int) int { return bytes.Compare(all.Key(a), all.Key(b)) })
-	out := MakeRecords(all.Len())
-	for _, i := range idx {
-		out = out.Append(all.Record(i))
+	slices.SortFunc(recs, bytes.Compare)
+	out := MakeRecords(len(recs))
+	for _, rec := range recs {
+		out = out.Append(rec)
 	}
 	return out
 }
@@ -67,20 +65,20 @@ func gatherAll(procs int, parts []Records) Records {
 // byte, at every goroutine budget.
 func checkOrder(t *testing.T, name string, parts []Records) {
 	t.Helper()
-	want := stableReference(parts)
+	want := reference(parts)
 	for _, procs := range []int{1, 2, 4, 7} {
 		if got := gatherAll(procs, parts); !got.Equal(want) {
-			t.Fatalf("%s: %d parts, procs=%d: differs from the stable reference at byte %d",
+			t.Fatalf("%s: %d parts, procs=%d: differs from the reference at byte %d",
 				name, len(parts), procs, firstDiff(got, want))
 		}
 	}
 }
 
-// TestSortOrderMatchesStableReference: every distribution, above and below
+// TestSortOrderMatchesReference: every distribution, above and below
 // the size where goroutines join in, split into 1, 3 and 12 buffers.
-// DistDupHeavy (64 distinct keys, distinct values) makes the tie rule —
-// buffers in argument order, rows ascending — carry most of the order.
-func TestSortOrderMatchesStableReference(t *testing.T) {
+// DistDupHeavy (64 distinct keys, distinct values) makes the value bytes
+// carry most of the order.
+func TestSortOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	for _, dist := range allDistributions {
 		for _, n := range []int64{700, 9000} {
@@ -126,7 +124,7 @@ func TestSortOrderEdgeCases(t *testing.T) {
 func TestGatherWindowsTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	parts := splitInto(NewGenerator(11, DistZipf).Generate(0, 10000), 3, rng)
-	want := stableReference(parts)
+	want := reference(parts)
 	for _, procs := range []int{1, 4} {
 		var o Order
 		o.Sort(procs, parts...)
@@ -149,7 +147,7 @@ func TestGatherWindowsTile(t *testing.T) {
 // full blocks but the last, all in one buffer, and stops at fn's error.
 func TestGatherBlocksTile(t *testing.T) {
 	parts := splitInto(NewGenerator(13, DistZipf).Generate(0, 10000), 3, rand.New(rand.NewSource(9)))
-	want := stableReference(parts)
+	want := reference(parts)
 	var o Order
 	o.Sort(4, parts...)
 	for _, blockRows := range []int{1, 999, 4096, 10000, 20000} {
@@ -184,7 +182,7 @@ func TestOrderReuse(t *testing.T) {
 	for _, n := range []int64{5000, 10, 0, 8000} {
 		parts := []Records{NewGenerator(uint64(n), DistDupHeavy).Generate(0, n)}
 		o.Sort(2, parts...)
-		if got := o.Gather(Records{}, 0, o.Len()); !got.Equal(stableReference(parts)) {
+		if got := o.Gather(Records{}, 0, o.Len()); !got.Equal(reference(parts)) {
 			t.Fatalf("n=%d: reused order differs from the reference", n)
 		}
 	}
@@ -196,7 +194,7 @@ func TestPermuteMatchesGather(t *testing.T) {
 	for _, dist := range []Distribution{DistUniform, DistSorted, DistDupHeavy} {
 		for _, n := range []int64{0, 1, 2, 100, 6000} {
 			base := NewGenerator(21, dist).Generate(0, n)
-			want := stableReference([]Records{base})
+			want := reference([]Records{base})
 			for _, procs := range []int{1, 4} {
 				got := base.Clone()
 				got.SortRadixMSD(procs)
@@ -217,10 +215,10 @@ func mergeRuns(procs int, parts []Records, grouping int) Records {
 	}
 	var o Order
 	for run := 0; run < 3; run++ {
-		views := make([]View, len(parts))
+		var views []View
 		for i, p := range parts {
 			if runOf[i] == run {
-				views[i] = ViewAll(p)
+				views = append(views, ViewAll(p))
 			}
 		}
 		o.AddRun(procs, views...)
@@ -232,11 +230,11 @@ func mergeRuns(procs int, parts []Records, grouping int) Records {
 // addBatches feeds parts to o as batches runs, part i in run i*batches /
 // len(parts), the way a reducer adds what arrived since its last look.
 func addBatches(o *Order, procs int, parts []Records, batches int) {
-	views := make([]View, len(parts))
+	var views []View
 	for run, i := 0, 0; run < batches; run++ {
-		clear(views)
+		views = views[:0]
 		for ; i < len(parts) && i*batches/len(parts) == run; i++ {
-			views[i] = ViewAll(parts[i])
+			views = append(views, ViewAll(parts[i]))
 		}
 		o.AddRun(procs, views...)
 	}
@@ -262,11 +260,11 @@ func TestOrderSettlesManyRuns(t *testing.T) {
 				addBatches(&o, procs, parts, batches)
 				name := fmt.Sprintf("%v procs=%d batches=%d", dist, procs, batches)
 				if batches <= 4 {
-					if o.compacted != 0 || len(o.runs) != batches {
-						t.Fatalf("%s: %d runs, %d parts compacted", name, len(o.runs), o.compacted)
+					if o.compactedRows != 0 || len(o.runs) != batches {
+						t.Fatalf("%s: %d runs, %d rows compacted", name, len(o.runs), o.compactedRows)
 					}
-				} else if limit := bits.Len(uint(batches-1)) + 1; o.compacted == 0 || len(o.runs) > limit {
-					t.Fatalf("%s: %d runs left (at most %d), %d parts compacted", name, len(o.runs), limit, o.compacted)
+				} else if limit := bits.Len(uint(batches-1)) + 1; o.compactedRows == 0 || len(o.runs) > limit {
+					t.Fatalf("%s: %d runs left (at most %d), %d rows compacted", name, len(o.runs), limit, o.compactedRows)
 				}
 				o.Merge()
 				got := o.Gather(Records{}, 0, o.Len())
@@ -276,20 +274,11 @@ func TestOrderSettlesManyRuns(t *testing.T) {
 			}
 		}
 	}
-	// A part below the compacted ones would break the tie order.
-	var o Order
-	addBatches(&o, 1, splitAt(NewGenerator(1, DistUniform).Generate(0, 40), 5, 10, 15, 20, 25, 30, 35, 36), 9)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a part below the compacted ones was added")
-		}
-	}()
-	o.AddRun(1, ViewAll(NewGenerator(2, DistUniform).Generate(0, 1)))
 }
 
 // FuzzSortOrder: generated keys ANDed with an arbitrary per-byte mask (so
 // digits, prefixes and whole keys collide in arbitrary patterns), cut at
-// arbitrary boundaries, order exactly as the stable reference does — below
+// arbitrary boundaries, order exactly as the reference does — below
 // and above the size where goroutines join in — whether the parts are
 // ordered at once or as one to three runs, in any grouping, then merged.
 // The seeds from the fifth on force stretches of equal 8-byte prefixes in
@@ -304,7 +293,7 @@ func FuzzSortOrder(f *testing.F) {
 	// of equal prefixes that differ in bytes 8-9.
 	f.Add(uint64(5), uint16(900), []byte{0x03, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}, uint16(200), uint16(650), uint8(1), uint8(5))
 	f.Add(uint64(6), uint16(6000), []byte{0, 0, 0, 0, 0, 0, 0, 0x81, 0xff, 0xff}, uint16(1500), uint16(4500), uint8(3), uint8(19))
-	// Equal prefixes and equal bytes 8-9 as well: part, then row, decides.
+	// Equal prefixes and equal bytes 8-9 as well: the value decides.
 	f.Add(uint64(7), uint16(800), []byte{0x01, 0, 0, 0, 0, 0, 0, 0, 0, 0x01}, uint16(100), uint16(500), uint8(1), uint8(7))
 	f.Add(uint64(8), uint16(300), []byte{0}, uint16(90), uint16(200), uint8(1), uint8(15))
 	f.Fuzz(func(t *testing.T, seed uint64, rows uint16, mask []byte, cutA, cutB uint16, procs, grouping uint8) {
@@ -317,13 +306,13 @@ func FuzzSortOrder(f *testing.F) {
 		}
 		a, b := int(cutA)%(n+1), int(cutB)%(n+1)
 		parts := splitAt(base, min(a, b), max(a, b))
-		want := stableReference(parts)
+		want := reference(parts)
 		if got := gatherAll(int(procs%8), parts); !got.Equal(want) {
-			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d: differs from the stable reference at byte %d",
+			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d: differs from the reference at byte %d",
 				n, mask, a, b, procs%8, firstDiff(got, want))
 		}
 		if got := mergeRuns(int(procs%8), parts, int(grouping%27)); !got.Equal(want) {
-			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d grouping=%d: merged runs differ from the stable reference at byte %d",
+			t.Fatalf("n=%d mask=%x cuts=%d,%d procs=%d grouping=%d: merged runs differ from the reference at byte %d",
 				n, mask, a, b, procs%8, grouping%27, firstDiff(got, want))
 		}
 	})
@@ -363,10 +352,8 @@ func BenchmarkSortOrderRuns(b *testing.B) {
 			for b.Loop() {
 				var o Order
 				o.Grow(rows)
-				for i, p := range parts {
-					views := make([]View, len(parts))
-					views[i] = ViewAll(p)
-					o.AddRun(1, views...)
+				for _, p := range parts {
+					o.AddRun(1, ViewAll(p))
 				}
 				o.Merge()
 				out := o.Gather(MakeRecords(o.Len()), 0, o.Len())

@@ -78,8 +78,8 @@ func checkViewOrder(t *testing.T, name string, views []View) {
 		copies[i] = Records{buf: gatherBytewise(v)}
 	}
 	want := gatherAll(1, copies)
-	if !want.Equal(stableReference(copies)) {
-		t.Fatalf("%s: the order over copies differs from the stable reference", name)
+	if !want.Equal(reference(copies)) {
+		t.Fatalf("%s: the order over copies differs from the reference", name)
 	}
 	for _, procs := range []int{1, 4} {
 		var o Order
@@ -94,8 +94,8 @@ func checkViewOrder(t *testing.T, name string, views []View) {
 // TestOrderOverViewsMatchesCopies: ordering references through views —
 // several interleaved views of one file beside a whole second file and
 // empty views — is ordering the gathered copies: every distribution, above
-// and below the size where goroutines join in. DistDupHeavy makes the tie
-// rule across views carry most of the order.
+// and below the size where goroutines join in. DistDupHeavy makes the value
+// bytes of records spread across views carry most of the order.
 func TestOrderOverViewsMatchesCopies(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, dist := range allDistributions {

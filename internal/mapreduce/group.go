@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"bytes"
-	"sort"
 
 	"codedterasort/internal/kv"
 )
@@ -11,7 +10,7 @@ import (
 // sorted reduce stream (ascending blocks, gathered in memory or merged out
 // of core) through the OutputSink hook, detects key-group
 // boundaries — groups may span block boundaries — and invokes the Reducer
-// once per group with the group's values in canonical ascending order.
+// once per group with the group's values, which the sort leaves ascending.
 // Blocks are copied as they arrive (the engines reuse the sink buffer), but
 // only the current group is ever held, so the driver adds O(group) memory,
 // not O(partition).
@@ -44,15 +43,11 @@ func (g *grouper) Feed(block kv.Records) error {
 	return nil
 }
 
-// closeGroup canonicalizes and reduces the open group, if any.
+// closeGroup reduces the open group, if any.
 func (g *grouper) closeGroup() {
 	if !g.open {
 		return
 	}
-	// Canonical within-group order: ascending full records. Keys are equal
-	// here, so this orders the values — the determinism contract that makes
-	// reduced output byte-identical across engines, modes and recoveries.
-	sort.Sort(fullRecordOrder{g.cur})
 	values := make([][]byte, g.cur.Len())
 	for i := range values {
 		values[i] = g.cur.Value(i)

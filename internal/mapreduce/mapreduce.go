@@ -27,9 +27,10 @@
 // is byte-identical across the uncoded and coded engines, every execution
 // mode (monolithic, chunked, out-of-core), any Parallelism setting, and
 // recovered re-executions — the property the mrtest harness gates for
-// every registered kernel. The framework guarantees it by canonicalizing
-// each key group (values presented in ascending byte order) before the
-// Reducer runs, so kernels need not be order-insensitive.
+// every registered kernel. It follows from the engines' output order
+// (kv.Order: by key, equal keys by value), so each key group reaches the
+// Reducer with its values in ascending byte order and kernels need not be
+// order-insensitive.
 package mapreduce
 
 import (
@@ -67,9 +68,9 @@ func (f MapperFunc) Map(record []byte, emit Emit) { f(record, emit) }
 
 // Reducer is the user reduce function: it consumes one key group and emits
 // zero or more output records. values hold the group's kv.ValueSize-byte
-// values in ascending byte order (the framework canonicalizes arrival
-// order, so output is deterministic for any reducer); they alias a buffer
-// that dies with the call and must not be retained.
+// values in ascending byte order, the order the engines sort equal keys in,
+// so output is deterministic for any reducer; they alias a buffer that
+// dies with the call and must not be retained.
 type Reducer interface {
 	Reduce(key []byte, values [][]byte, emit Emit)
 }

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"hash/fnv"
 
 	"codedterasort/internal/kv"
@@ -62,16 +61,3 @@ func (h HashPartitioner) Partition(key []byte) int {
 }
 
 var _ partition.Partitioner = HashPartitioner{}
-
-// fullRecordOrder sorts records by their full bytes (key then value) — the
-// canonical within-group order the framework presents to reducers. The
-// engines sort by key only, leaving equal-key value order dependent on
-// shuffle arrival, which differs across engines and modes.
-type fullRecordOrder struct {
-	kv.Records
-}
-
-// Less compares full records.
-func (o fullRecordOrder) Less(i, j int) bool {
-	return bytes.Compare(o.Record(i), o.Record(j)) < 0
-}

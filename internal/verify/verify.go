@@ -161,17 +161,19 @@ type Summary struct {
 }
 
 // PartitionChecker verifies one partition's sorted output incrementally.
-// Feed it ascending blocks; it checks key order (within and across blocks)
-// and partition membership as they pass through, and accumulates the
-// Summary. A zero block count is a legal empty partition.
+// Feed it ascending blocks; it checks the output order (kv.Order: by key,
+// equal keys by value, within and across blocks) and partition membership
+// as they pass through, and accumulates the Summary. A zero block count is
+// a legal empty partition.
 //
 // The partitioner must be a monotone range partitioner (see
 // partition.Partitioner): membership is checked on the first and last key
 // of each block only, and the ascending order in between implies the rest.
 type PartitionChecker struct {
-	p   partition.Partitioner
-	k   int
-	sum Summary
+	p    partition.Partitioner
+	k    int
+	sum  Summary
+	last [kv.RecordSize]byte // the last record fed; sum.Max is its key
 }
 
 // NewPartitionChecker returns a checker for partition k of p.
@@ -185,21 +187,22 @@ const _ = uint(kv.KeySize-10) + uint(10-kv.KeySize)
 
 // Feed verifies the next block of the partition's output stream. Per record
 // it costs one compare with the preceding key, in place — two integer
-// compares, the 8-byte prefix and then the last two bytes — plus the
-// digest.
+// compares, the 8-byte prefix and then the last two bytes — plus, only
+// where the keys are equal, one of the values, and the digest.
 func (c *PartitionChecker) Feed(out kv.Records) error {
 	n := out.Len()
 	if n == 0 {
 		return nil
 	}
-	if c.sum.Max != nil && bytes.Compare(out.Key(0), c.sum.Max) < 0 {
+	if c.sum.Max != nil && bytes.Compare(out.Record(0), c.last[:]) < 0 {
 		return fmt.Errorf("verify: partition %d output not sorted", c.k)
 	}
 	b := out.Bytes()
 	prevHi, prevLo := binary.BigEndian.Uint64(b), binary.BigEndian.Uint16(b[8:])
 	for off := kv.RecordSize; off < len(b); off += kv.RecordSize {
 		hi, lo := binary.BigEndian.Uint64(b[off:]), binary.BigEndian.Uint16(b[off+8:])
-		if hi < prevHi || hi == prevHi && lo < prevLo {
+		if hi < prevHi || hi == prevHi && (lo < prevLo || lo == prevLo &&
+			bytes.Compare(b[off+kv.KeySize:off+kv.RecordSize], b[off-kv.RecordSize+kv.KeySize:off]) < 0) {
 			return fmt.Errorf("verify: partition %d output not sorted", c.k)
 		}
 		prevHi, prevLo = hi, lo
@@ -213,7 +216,8 @@ func (c *PartitionChecker) Feed(out kv.Records) error {
 	if c.sum.Min == nil {
 		c.sum.Min = append([]byte(nil), out.Key(0)...)
 	}
-	c.sum.Max = append(c.sum.Max[:0], out.Key(n-1)...)
+	copy(c.last[:], out.Record(n-1))
+	c.sum.Max = c.last[:kv.KeySize]
 	c.sum.Rows += int64(n)
 	c.sum.Checksum += out.Checksum()
 	return nil

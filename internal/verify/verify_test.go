@@ -284,6 +284,34 @@ func TestCheckerOrdersWholeKeys(t *testing.T) {
 	}
 }
 
+// TestCheckerOrdersEqualKeysByValue: records with equal keys must come in
+// ascending value order. A partition whose equal keys carry descending
+// values is refused, within a block and across Feeds; ascending ones pass.
+func TestCheckerOrdersEqualKeysByValue(t *testing.T) {
+	p := partition.NewUniform(1)
+	recs := kv.NewGenerator(19, kv.DistUniform).Generate(0, 6)
+	for i := range recs.Len() {
+		copy(recs.Key(i), "equal key!")
+	}
+	recs.Sort()
+	descending := kv.MakeRecords(recs.Len())
+	for i := recs.Len() - 1; i >= 0; i-- {
+		descending = descending.Append(recs.Record(i))
+	}
+	for _, tc := range []struct {
+		name   string
+		recs   kv.Records
+		sorted bool
+	}{{"ascending", recs, true}, {"descending", descending, false}} {
+		if err := NewPartitionChecker(p, 0).Feed(tc.recs); (err == nil) != tc.sorted {
+			t.Errorf("%s values in one block: err = %v", tc.name, err)
+		}
+		if err := tc.recs.ForEachBlock(1, NewPartitionChecker(p, 0).Feed); (err == nil) != tc.sorted {
+			t.Errorf("%s values across feeds: err = %v", tc.name, err)
+		}
+	}
+}
+
 // TestCheckerSummaryIndependentOfBlocking: one block or a thousand, the
 // Summary is the same.
 func TestCheckerSummaryIndependentOfBlocking(t *testing.T) {
