@@ -9,6 +9,7 @@ import (
 	"codedterasort/internal/coded"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
+	"codedterasort/internal/verify"
 )
 
 func TestCodedLoadBelowTeraSort(t *testing.T) {
@@ -74,7 +75,9 @@ func TestJobReportTotal(t *testing.T) {
 // TestReportWireForm pins the TCP report frame: WorkerReport's JSON is the
 // frame, and it carries the keys (and values) the hand-written reportMsg
 // marshaled at commit 726ecd0 — compared as documents, since a peer reads
-// keys, not their order. The kept output never rides the frame.
+// keys, not their order. The kept output never rides the frame. A report
+// that describes input files carries them under one more key, which a
+// report describing none omits, so the first two frames are unchanged.
 func TestReportWireForm(t *testing.T) {
 	var times stats.Breakdown
 	for i := range times {
@@ -90,6 +93,9 @@ func TestReportWireForm(t *testing.T) {
 	}{
 		{reportMsg{WorkerReport: rep}, `{"rank":3,"times":[1000000,2000000,3000000,4000000,5000000,6000000],"output_rows":11,"output_checksum":12,"sent_payload_bytes":13,"multicast_ops":14,"wire_bytes":15,"chunks_sent":16,"chunks_received":17,"spilled_runs":18,"spill":{"raw_bytes":19,"disk_bytes":20},"merge_ovc_decided":21,"merge_full_compares":22,"splitter_bounds":["AQI=","Aw=="]}`},
 		{reportMsg{WorkerReport: WorkerReport{Rank: 2}, Err: "boom"}, `{"rank":2,"err":"boom","times":[0,0,0,0,0,0],"output_rows":0,"output_checksum":0,"sent_payload_bytes":0,"multicast_ops":0,"wire_bytes":0}`},
+		{reportMsg{WorkerReport: WorkerReport{Rank: 1, InputFiles: []FileInput{
+			{File: 1, Input: verify.Input{Rows: 23, Checksum: 24}}, {File: 4, Input: verify.Input{Rows: 0, Checksum: 0}}}}},
+			`{"rank":1,"times":[0,0,0,0,0,0],"output_rows":0,"output_checksum":0,"sent_payload_bytes":0,"multicast_ops":0,"wire_bytes":0,"input_files":[{"file":1,"rows":23,"checksum":24},{"file":4,"rows":0,"checksum":0}]}`},
 	} {
 		p, err := json.Marshal(c.msg)
 		if err != nil {

@@ -16,7 +16,9 @@ import (
 // assigns ranks, distributes the job spec and mesh addresses, and collects
 // result reports. It never touches record data — the row-addressable
 // generator replaces its role of copying input files onto worker disks,
-// and workers report partition checksums instead of shipping output back.
+// each file's lowest-ranked holder reports the file's description as it
+// placed it, and workers report partition checksums instead of shipping
+// output back.
 type Coordinator struct {
 	ln *net.TCPListener
 }
@@ -47,40 +49,29 @@ func (c *Coordinator) Close() error { return c.ln.Close() }
 // are one-shot), up to Spec.MaxAttempts, or fails naming the suspects.
 // Output never rides the wire: each worker checks its partition's order
 // and membership as it reduces and reports its digest, and the digests
-// must total the input's. The coordinator describes the input meanwhile,
-// regenerating it from the spec while the attempts run; a failed job
-// cancels the description and waits for it, so none outlives RunJob.
+// must total the input's. Nor does the input: the coordinator takes the
+// input's description from the successful attempt's reports, one per file
+// from the file's lowest-ranked holder, which digested it as it placed it,
+// and refuses an input with a file that no report or two describe.
 func (c *Coordinator) RunJob(spec Spec) (*JobReport, error) {
-	rankSpec, p, err := prepare(spec)
+	jp, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var in verify.Input
-	var inErr error
-	described := make(chan struct{})
-	go func() {
-		defer close(described)
-		in, inErr = describeInput(ctx, spec)
-	}()
-	defer func() {
-		cancel()
-		<-described
-	}()
-	rep, err := supervise(context.Background(), rankSpec, nil, c.launch)
+	rep, err := supervise(context.Background(), jp.spec, nil, c.launch)
 	if err != nil {
 		return nil, err
-	}
-	<-described
-	if inErr != nil {
-		return nil, fmt.Errorf("cluster: describing input: %w", inErr)
 	}
 	rep.Spec = spec
+	in, err := describedInput(jp.plan, spec.InputDir == "", rep.Workers)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
+	}
 	sums := make([]verify.Summary, len(rep.Workers))
 	for r, w := range rep.Workers {
 		sums[r] = verify.Summary{Rows: w.OutputRows, Checksum: w.OutputChecksum}
 	}
-	if err := verifyOutput(rep, p, in, sums, nil); err != nil {
+	if err := verifyOutput(rep, jp.part, in, sums, nil); err != nil {
 		return nil, err
 	}
 	return rep, nil

@@ -31,10 +31,22 @@ type WorkerReport struct {
 	// including the per-receiver copies of application-layer multicast
 	// and control traffic (tokens, barriers, handshakes).
 	WireBytes int64 `json:"wire_bytes"`
+	// InputFiles describes the input files this rank placed and is the
+	// lowest-ranked holder of, as it placed them: the job's input
+	// description, one per file, when the runtime hands files over one by
+	// one (over TCP; in process out of core).
+	InputFiles []FileInput `json:"input_files,omitempty"`
 	// Output is the rank's output, which never rides the wire: a sort
 	// job's sorted partition when Spec.KeepOutput is set, a MapReduce job's
 	// reduced output always (mapreduce.RunLocal).
 	Output kv.Records `json:"-"`
+}
+
+// FileInput is input file File's description (rows and multiset
+// checksum), taken by its lowest-ranked holder as it placed the file.
+type FileInput struct {
+	File int `json:"file"`
+	verify.Input
 }
 
 // JobReport aggregates a completed job.
@@ -117,8 +129,9 @@ type Options struct {
 // (job.Local.Input) instead of generating its replicas. An out-of-core job
 // must never hold its input: each rank scans its files through the
 // supervisor (job.Local.Scan), which generates or reads them block by
-// block into the rank and digests each file during its lowest-ranked
-// holder's scan, so the input is read once and described on the way.
+// block into the rank, and each file's lowest-ranked holder digests it
+// during its scan and reports the description, so the input is read once
+// and described on the way.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
 	return runLocal(ctx, spec, opts, runWorker)
 }
@@ -129,37 +142,40 @@ type workerFunc func(ep transport.Endpoint, spec Spec, local job.Local, sink fun
 
 // runLocal is RunLocalOpts with every rank's body run by work.
 func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*JobReport, error) {
-	rankSpec, p, err := prepare(spec)
+	jp, err := prepare(spec)
 	if err != nil {
 		return nil, err
 	}
 	var input *placedInput
-	var scanned *scannedInput
+	var source *fileSource
+	var rankSpec Spec
 	if spec.MemBudget == 0 {
-		if input, err = placeInput(ctx, rankSpec); err != nil {
+		if input, err = placeInput(ctx, jp); err != nil {
 			return nil, err
 		}
 		rankSpec = input.spec
 	} else {
-		if scanned, err = scanInput(rankSpec); err != nil {
-			return nil, err
-		}
-		rankSpec = scanned.spec
+		source = newFileSource(jp.spec, jp.resolved, jp.plan)
+		rankSpec = source.spec
 	}
 	checks := make([]*outputCheck, spec.K)
 	rep, err := Supervise(ctx, rankSpec, opts, func(actx context.Context, ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
 		local := job.Local{Done: actx.Done()}
+		var h *holder
 		if input != nil {
 			local.Input = input.take(ep.Rank())
 		} else {
-			local.Scan = scanned.scan(ep.Rank())
+			local, h = source.hold(actx, ep.Rank())
 		}
 		// Every rank of the attempt that succeeds overwrites its own slot,
 		// so only that attempt's checks survive.
-		c := &outputCheck{PartitionChecker: verify.NewPartitionChecker(p, ep.Rank()), keep: spec.KeepOutput}
+		c := &outputCheck{PartitionChecker: verify.NewPartitionChecker(jp.part, ep.Rank()), keep: spec.KeepOutput}
 		w, err := work(ep, spec, local, c.feed, hooks)
 		checks[ep.Rank()] = c
 		w.Output = c.kept
+		if h != nil {
+			w.InputFiles = h.described
+		}
 		return w, err
 	})
 	if err != nil {
@@ -169,7 +185,7 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 	var in verify.Input
 	if input != nil {
 		in = input.desc
-	} else if in, err = scanned.describe(); err != nil {
+	} else if in, err = describedInput(jp.plan, spec.InputDir == "", rep.Workers); err != nil {
 		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
 	}
 	sums := make([]verify.Summary, spec.K)
@@ -180,7 +196,7 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 			failed = c.failed
 		}
 	}
-	if err := verifyOutput(rep, p, in, sums, failed); err != nil {
+	if err := verifyOutput(rep, jp.part, in, sums, failed); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -223,22 +239,16 @@ type placedInput struct {
 	keep bool
 }
 
-// placeInput generates the input files of spec's placement plan (or reads
+// placeInput generates the input files of jp's placement plan (or reads
 // an InputDir job's part files) and describes them in the same pass. A
 // cancel that arrives meanwhile returns ctx's error before any rank starts.
-func placeInput(ctx context.Context, spec Spec) (*placedInput, error) {
-	resolved, err := spec.Resolve(job.Local{})
-	if err != nil {
-		return nil, err
-	}
-	in := &placedInput{spec: spec, keep: resolved.MaxAttempts > 1}
+func placeInput(ctx context.Context, jp *prepared) (*placedInput, error) {
+	spec := jp.spec
+	in := &placedInput{spec: spec, keep: jp.resolved.MaxAttempts > 1}
 	var files []kv.Records
+	var err error
 	if spec.InputDir == "" {
-		plan, err := resolved.Strat.Plan(spec.Rows)
-		if err != nil {
-			return nil, err
-		}
-		files, in.desc, err = verify.Materialize(ctx, kv.NewGenerator(spec.Seed, resolved.KeyDist), plan.Bounds)
+		files, in.desc, err = verify.Materialize(ctx, kv.NewGenerator(spec.Seed, jp.resolved.KeyDist), jp.plan.Bounds)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: placing input: %w", err)
 		}
@@ -264,86 +274,135 @@ func (in *placedInput) take(rank int) []kv.Records {
 	return files
 }
 
-// scannedInput is an out-of-core job's input as the supervisor hands it to
-// the ranks: each file generated, or read from its part file, block by
-// block into the rank that scans it. Its lowest-ranked holder digests each
-// block before handing it over and stores the file's description when the
-// scan completes, replacing an earlier attempt's, so each file counts once
-// and one no attempt scanned whole shows as missing rows.
-type scannedInput struct {
+// fileSource is an input the runtime hands its ranks file by file rather
+// than placing it up front: each file generated, or read from its part
+// file, straight into the rank that stores it — whole, as the rank's Place
+// loads it (job.Local.Load, in memory), or block by block, as its Map
+// scans it (job.Local.Scan, out of core). The in-process runtime shares
+// one among an out-of-core job's ranks; a TCP worker makes its own.
+type fileSource struct {
 	// spec is the ranks' spec; an InputDir job's files arrive through the
-	// scan, so it names no directory.
-	spec Spec
-	gen  *kv.Generator
-	dir  string
-	plan placement.Plan
-	// files[i] is file i's description. Only its lowest-ranked holder
-	// writes it, once per attempt, and attempts end before verification.
-	files []verify.Input
+	// source, so it names no directory.
+	spec  Spec
+	gen   *kv.Generator
+	dir   string
+	plan  placement.Plan
+	procs int
 }
 
-// scanInput prepares spec's input for scanning.
-func scanInput(spec Spec) (*scannedInput, error) {
-	resolved, err := spec.Resolve(job.Local{})
-	if err != nil {
-		return nil, err
-	}
-	in := &scannedInput{spec: spec, gen: kv.NewGenerator(spec.Seed, resolved.KeyDist), dir: spec.InputDir}
-	if in.plan, err = resolved.Strat.Plan(spec.Rows); err != nil {
-		return nil, err
-	}
-	in.files = make([]verify.Input, in.plan.NumFiles())
-	in.spec.InputDir = ""
-	return in, nil
+// newFileSource prepares the input of spec, resolved and laid out by plan,
+// for handing over.
+func newFileSource(spec Spec, resolved *job.Resolved, plan placement.Plan) *fileSource {
+	src := &fileSource{spec: spec, gen: kv.NewGenerator(spec.Seed, resolved.KeyDist), dir: spec.InputDir,
+		plan: plan, procs: parallel.Resolve(spec.Parallelism)}
+	src.spec.InputDir = ""
+	return src
 }
 
-// scan returns rank's scan of the input (job.Local.Scan).
-func (in *scannedInput) scan(rank int) func(i, blockRows int, fn func(kv.Records) error) error {
-	return func(i, blockRows int, fn func(kv.Records) error) error {
-		if in.plan.Files[i].Min() != rank {
-			return in.blocks(i, blockRows, fn)
-		}
-		var d verify.Input
-		err := in.blocks(i, blockRows, func(b kv.Records) error {
-			d.Rows += int64(b.Len())
-			d.Checksum += b.Checksum()
-			return fn(b)
-		})
-		if err == nil {
-			in.files[i] = d
-		}
-		return err
+// holder is one rank's draw on a fileSource in one attempt. Of every file
+// the rank is the lowest-ranked holder of, it digests what it hands over —
+// a block before the rank sees it, a loaded file as it is generated or
+// once it is read — and keeps the file's description once the file was handed over
+// whole. The rank reports the descriptions (WorkerReport.InputFiles), so
+// each file is described once, by the successful attempt, and one that no
+// holder took whole is missing.
+type holder struct {
+	src       *fileSource
+	rank      int
+	ctx       context.Context
+	described []FileInput
+}
+
+// hold returns rank's attachment for an attempt that ctx cancels — the
+// source's Load in memory, its Scan out of core — and the holder that
+// collects the rank's descriptions.
+func (src *fileSource) hold(ctx context.Context, rank int) (job.Local, *holder) {
+	h := &holder{src: src, rank: rank, ctx: ctx}
+	local := job.Local{Done: ctx.Done()}
+	if src.spec.MemBudget == 0 {
+		local.Load = h.load
+	} else {
+		local.Scan = h.scan
 	}
+	return local, h
+}
+
+// describes reports whether the rank is file i's lowest-ranked holder.
+func (h *holder) describes(i int) bool { return h.src.plan.Files[i].Min() == h.rank }
+
+// load generates or reads file i whole (job.Local.Load).
+func (h *holder) load(i int) (kv.Records, error) {
+	describe := h.describes(i)
+	var f kv.Records
+	var d verify.Input
+	var err error
+	if h.src.dir != "" {
+		f, d, err = readPart(h.src.dir, i)
+	} else {
+		first, last := h.src.plan.FileRows(i)
+		f, d, err = verify.MaterializeFile(h.ctx, h.src.gen, first, last, h.src.procs, describe)
+	}
+	if err == nil && describe {
+		h.described = append(h.described, FileInput{File: i, Input: d})
+	}
+	return f, err
+}
+
+// scan feeds file i to fn in blocks of at most blockRows records
+// (job.Local.Scan).
+func (h *holder) scan(i, blockRows int, fn func(kv.Records) error) error {
+	if !h.describes(i) {
+		return h.src.blocks(i, blockRows, fn)
+	}
+	var d verify.Input
+	err := h.src.blocks(i, blockRows, func(b kv.Records) error {
+		d.Rows += int64(b.Len())
+		d.Checksum += b.Checksum()
+		return fn(b)
+	})
+	if err == nil {
+		h.described = append(h.described, FileInput{File: i, Input: d})
+	}
+	return err
 }
 
 // blocks feeds file i to fn in blocks of at most blockRows records.
-func (in *scannedInput) blocks(i, blockRows int, fn func(kv.Records) error) error {
-	if in.dir != "" {
-		return extsort.ScanFile(extsort.PartFile(in.dir, i), blockRows, fn)
+func (src *fileSource) blocks(i, blockRows int, fn func(kv.Records) error) error {
+	if src.dir != "" {
+		return extsort.ScanFile(extsort.PartFile(src.dir, i), blockRows, fn)
 	}
-	first, last := in.plan.FileRows(i)
-	return in.gen.GenerateBlocks(first, last-first, blockRows, fn)
+	first, last := src.plan.FileRows(i)
+	return src.gen.GenerateBlocks(first, last-first, blockRows, fn)
 }
 
-// describe totals the files' descriptions once every rank has returned,
-// refusing an input some file of which was not described whole: each must
-// hold the plan's rows, or its part file's.
-func (in *scannedInput) describe() (verify.Input, error) {
+// describedInput totals the input descriptions the ranks of a job laid
+// out by plan reported, refusing an input of which some file was described
+// twice or by no rank, or, when the input is generated, as other than the
+// plan's rows. An InputDir job's part file is whatever its holder read: no
+// plan counts its rows.
+func describedInput(plan placement.Plan, generated bool, reports []WorkerReport) (verify.Input, error) {
+	seen := make([]bool, plan.NumFiles())
 	var total verify.Input
-	for i, d := range in.files {
-		rows := in.plan.FileRowCount(i)
-		if in.dir != "" {
-			st, err := os.Stat(extsort.PartFile(in.dir, i))
-			if err != nil {
-				return verify.Input{}, err
+	for _, w := range reports {
+		for _, f := range w.InputFiles {
+			switch {
+			case f.File < 0 || f.File >= len(seen):
+				return verify.Input{}, fmt.Errorf("rank %d described input file %d, the plan has %d", w.Rank, f.File, len(seen))
+			case seen[f.File]:
+				return verify.Input{}, fmt.Errorf("input file %d was described twice", f.File)
+			case generated && f.Rows != plan.FileRowCount(f.File):
+				return verify.Input{}, fmt.Errorf("input file %d was described as %d rows, it has %d",
+					f.File, f.Rows, plan.FileRowCount(f.File))
 			}
-			rows = st.Size() / kv.RecordSize
+			seen[f.File] = true
+			total.Rows += f.Rows
+			total.Checksum += f.Checksum
 		}
-		if d.Rows != rows {
-			return verify.Input{}, fmt.Errorf("input file %d was scanned as %d rows, it has %d", i, d.Rows, rows)
+	}
+	for i, ok := range seen {
+		if !ok {
+			return verify.Input{}, fmt.Errorf("no rank described the rows of input file %d", i)
 		}
-		total.Rows += d.Rows
-		total.Checksum += d.Checksum
 	}
 	return total, nil
 }
@@ -352,23 +411,33 @@ func (in *scannedInput) describe() (verify.Input, error) {
 // and on every core, and describes them from the bytes read.
 func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
 	files := make([]kv.Records, k)
+	descs := make([]verify.Input, k)
 	if err := parallel.Do(runtime.GOMAXPROCS(0), k, func(i int) error {
-		buf, err := os.ReadFile(extsort.PartFile(dir, i))
-		if err != nil {
-			return fmt.Errorf("cluster: read input file: %w", err)
-		}
-		files[i], err = kv.NewRecords(buf)
+		var err error
+		files[i], descs[i], err = readPart(dir, i)
 		return err
 	}); err != nil {
 		return nil, verify.Input{}, err
 	}
 	var in verify.Input
-	for _, f := range files {
-		d := verify.Describe(f)
+	for _, d := range descs {
 		in.Rows += d.Rows
 		in.Checksum += d.Checksum
 	}
 	return files, in, nil
+}
+
+// readPart reads dir's part file i and describes it from the bytes read.
+func readPart(dir string, i int) (kv.Records, verify.Input, error) {
+	buf, err := os.ReadFile(extsort.PartFile(dir, i))
+	if err != nil {
+		return kv.Records{}, verify.Input{}, fmt.Errorf("cluster: read input file: %w", err)
+	}
+	f, err := kv.NewRecords(buf)
+	if err != nil {
+		return kv.Records{}, verify.Input{}, err
+	}
+	return f, verify.Describe(f), nil
 }
 
 // verifyOutput closes the verification of a sort job's output against p
@@ -422,33 +491,6 @@ func checkSplitterAgreement(p partition.Partitioner, reports []WorkerReport) err
 		}
 	}
 	return nil
-}
-
-// describeInput summarizes the input of a TCP job, which this process
-// neither holds nor hands out, for multiset verification: generated data is
-// described by regeneration, file-backed data by a streaming scan of the
-// part files — both on every core, in O(block) memory per core. A canceled
-// ctx stops it between blocks with ctx's error.
-func describeInput(ctx context.Context, spec Spec) (verify.Input, error) {
-	if spec.InputDir == "" {
-		return verify.DescribeGeneratedContext(ctx, kv.NewGenerator(spec.Seed, spec.Dist()), spec.Rows)
-	}
-	parts := make([]verify.Input, spec.K)
-	if err := parallel.Do(runtime.GOMAXPROCS(0), spec.K, func(i int) error {
-		return extsort.ScanFile(extsort.PartFile(spec.InputDir, i), 1<<12, func(b kv.Records) error {
-			parts[i].Rows += int64(b.Len())
-			parts[i].Checksum += b.Checksum()
-			return ctx.Err()
-		})
-	}); err != nil {
-		return verify.Input{}, err
-	}
-	var in verify.Input
-	for _, part := range parts {
-		in.Rows += part.Rows
-		in.Checksum += part.Checksum
-	}
-	return in, nil
 }
 
 // runWorker executes the sort on one endpoint, with local attached. A

@@ -14,7 +14,9 @@
 // Both verify each output, digested once by its checker, against the
 // input's description. In process the supervisor supplies the input and
 // describes it as it goes, an out-of-core job's block by block as the ranks
-// scan it (RunLocalOpts); over TCP the coordinator regenerates it.
+// scan it (RunLocalOpts); over TCP each worker places its own files and
+// describes those it is the lowest-ranked holder of, and the coordinator
+// totals what the workers report.
 package cluster
 
 import (
@@ -22,6 +24,7 @@ import (
 
 	"codedterasort/internal/job"
 	"codedterasort/internal/partition"
+	"codedterasort/internal/placement"
 )
 
 // The job description is job.Spec — one struct shared by the engine, this
@@ -43,22 +46,36 @@ const (
 	AlgCoded    = job.AlgCoded
 )
 
-// prepare validates a job's spec and resolves, once per job, the
-// partitioner its output is verified against. Under sampled partitioning
-// the splitters are the ranks' too: they come preset in the returned spec
-// the ranks run, so no rank samples.
-func prepare(spec Spec) (Spec, partition.Partitioner, error) {
-	if err := spec.Validate(); err != nil {
-		return spec, nil, err
+// prepared is a job as its supervisor or coordinator resolved it, once:
+// the spec its ranks run, its resolution and placement plan, and the
+// partitioner its output is verified against.
+type prepared struct {
+	spec     Spec
+	resolved *job.Resolved
+	plan     placement.Plan
+	part     partition.Partitioner
+}
+
+// prepare validates a job's spec and resolves it once per job. Under
+// sampled partitioning the splitters are the ranks' too: they come preset
+// in the spec the ranks run, so no rank samples.
+func prepare(spec Spec) (*prepared, error) {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
+		return nil, err
+	}
+	plan, err := resolved.Strat.Plan(spec.Rows)
+	if err != nil {
+		return nil, err
 	}
 	p, err := verifyPartitioner(spec)
 	if err != nil {
-		return spec, nil, err
+		return nil, err
 	}
 	if sp, ok := p.(partition.Splitters); ok {
 		spec.Splitters = sp.Bounds()
 	}
-	return spec, p, nil
+	return &prepared{spec: spec, resolved: resolved, plan: plan, part: p}, nil
 }
 
 // verifyPartitioner returns the partitioner output verification checks

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -98,6 +99,11 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 		return reportFailure(tx, assign.Rank, err)
 	}
 	check := &outputCheck{PartitionChecker: verify.NewPartitionChecker(p, assign.Rank)}
+	plan, err := resolved.Strat.Plan(spec.Rows)
+	if err != nil {
+		return reportFailure(tx, assign.Rank, err)
+	}
+	source := newFileSource(spec, resolved, plan)
 
 	mesh, err := tcpnet.NewWithListener(assign.Rank, assign.Addrs, meshLn)
 	if err != nil {
@@ -126,15 +132,19 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	stopBeat := make(chan struct{})
 	defer close(stopBeat)
 	go heartbeat(tx, assign.Rank, resolved.Heartbeat, stopBeat)
-	aborted := make(chan struct{})
-	go listenAbort(conn, mesh, aborted)
+	ctx, abort := context.WithCancel(context.Background())
+	defer abort()
+	go listenAbort(conn, mesh, abort)
 
-	// The worker streams its sorted blocks through the checker as Reduce
-	// emits them, in every mode, so the partition is never materialized.
-	// A failed check lets the job finish and is then the worker's failure
-	// report; otherwise the report carries the checked digest, which the
-	// coordinator totals against the input.
-	rep, err := work(ep, spec, job.Local{Done: aborted}, check.feed, hooks)
+	// The worker places its files itself, each as its rank's Place or Map
+	// reaches it, and describes those it is the lowest-ranked holder of.
+	// It streams its sorted blocks through the checker as Reduce emits
+	// them, in every mode, so the partition is never materialized. A failed
+	// check lets the job finish and is then the worker's failure report;
+	// otherwise the report carries the checked digest and the input
+	// descriptions, which the coordinator totals against each other.
+	local, h := source.hold(ctx, assign.Rank)
+	rep, err := work(ep, source.spec, local, check.feed, hooks)
 	if err == nil {
 		err = check.failed
 	}
@@ -154,19 +164,21 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	sum := check.Summary()
 	rep.Rank = assign.Rank
 	rep.OutputRows, rep.OutputChecksum = sum.Rows, sum.Checksum
+	rep.InputFiles = h.described
 	rep.WireBytes = meter.Counters().SentBytes
 	return tx.send(workerMsg{Report: &reportMsg{WorkerReport: rep}})
 }
 
 // listenAbort ends the worker's attempt on any inbound frame from the
-// coordinator (an abort) or on losing it, by closing the mesh. It returns
-// once the coordinator connection closes, which RunWorker's return does;
-// the mesh close is idempotent, so racing the normal teardown is harmless.
-func listenAbort(conn net.Conn, mesh io.Closer, aborted chan<- struct{}) {
+// coordinator (an abort) or on losing it, by closing the mesh and
+// canceling the attempt. It returns once the coordinator connection
+// closes, which RunWorker's return does; both are idempotent, so racing
+// the normal teardown is harmless.
+func listenAbort(conn net.Conn, mesh io.Closer, abort context.CancelFunc) {
 	var ab abortMsg
 	_ = readFrame(conn, &ab)
 	mesh.Close()
-	close(aborted)
+	abort()
 }
 
 // ctrlSender serializes control-plane writes: heartbeats, stage progress

@@ -12,9 +12,11 @@
 //     coordinator's disk placement it stands in for). Files supplied as
 //     job.Local.Input are aliased in place: the in-process runtime
 //     generates the input once and every holder reads the same bytes. A
-//     node without them (a TCP worker, a direct Run) generates its own.
-//     In the in-memory modes a file lives until Reduce has gathered from
-//     it; no stage writes it.
+//     TCP worker's runtime hands each file over as it is placed
+//     (job.Local.Load); a node given neither (a direct Run) generates its
+//     own. The engine reads no part files: the runtime supplies an
+//     InputDir job's. In the in-memory modes a file lives until Reduce has gathered
+//     from it; no stage writes it.
 //  3. Map — hash every stored file, keeping only the relevant intermediate
 //     values (I^k_S and {I^i_S : i not in S}, Fig 5) as references: the
 //     ascending rows of the file each one holds. No record is copied.
@@ -69,7 +71,6 @@ package coded
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -280,6 +281,11 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
+	if spec.InputDir != "" {
+		// The engine reads no directory: the runtime reads the part files
+		// and supplies them (Local.Input, Load or Scan).
+		return nil, fmt.Errorf("coded: input dir %q: the runtime must supply its part files", spec.InputDir)
+	}
 	if ep.Size() != spec.K {
 		return nil, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), spec.K)
 	}
@@ -371,12 +377,12 @@ func (w *worker) schedule() (string, []stage) {
 }
 
 // placeStage materializes the files stored on this node — supplied,
-// read from disk, or generated (the row-addressable generator stands in for
-// the coordinator's disk placement) — outside the timed pipeline. Supplied
-// files are aliased, never copied or written, and the node drops its
-// references to the supplied set: from here only w.files, and then the
-// views Map keeps, hold a file, so it is garbage once its holders have
-// reduced.
+// loaded from the runtime, or generated (the row-addressable generator
+// stands in for the coordinator's disk placement) — outside the timed
+// pipeline. Supplied files are aliased,
+// never copied or written, and the node drops its references to the
+// supplied set: from here only w.files, and then the views Map keeps, hold
+// a file, so it is garbage once its holders have reduced.
 func (w *worker) placeStage() error {
 	input := w.spec.Input
 	w.spec.Input, w.cfg.Input = nil, nil
@@ -386,14 +392,12 @@ func (w *worker) placeStage() error {
 		switch {
 		case input != nil:
 			w.files[fi] = input[fi]
-		case w.spec.InputDir != "":
-			buf, err := os.ReadFile(extsort.PartFile(w.spec.InputDir, fi))
+		case w.spec.Load != nil:
+			f, err := w.spec.Load(fi)
 			if err != nil {
-				return fmt.Errorf("coded: read input file: %w", err)
-			}
-			if w.files[fi], err = kv.NewRecords(buf); err != nil {
 				return err
 			}
+			w.files[fi] = f
 		default:
 			first, last := w.plan.FileRows(fi)
 			w.files[fi] = gen.GenerateParallel(first, last-first, w.procs)
@@ -410,8 +414,6 @@ func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
 		return w.spec.Input[fi].ForEachBlock(w.spec.ChunkRows, fn)
 	case w.spec.Scan != nil:
 		return w.spec.Scan(fi, w.spec.ChunkRows, fn)
-	case w.spec.InputDir != "":
-		return extsort.ScanFile(extsort.PartFile(w.spec.InputDir, fi), w.spec.ChunkRows, fn)
 	default:
 		first, last := w.plan.FileRows(fi)
 		return kv.NewGenerator(w.spec.Seed, w.spec.KeyDist).GenerateBlocks(first, last-first, w.spec.ChunkRows, fn)

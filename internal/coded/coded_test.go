@@ -415,8 +415,9 @@ func TestStageTimesPopulated(t *testing.T) {
 }
 
 // TestRunResolvesTheJob: Run refuses a spec job.Resolve refuses (the table
-// of those is internal/job's), an attachment that contradicts the spec, and
-// an endpoint of the wrong world size — before any traffic flows.
+// of those is internal/job's), an attachment that contradicts the spec, an
+// input dir (the runtime reads part files, never the engine), and an
+// endpoint of the wrong world size — before any traffic flows.
 func TestRunResolvesTheJob(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
@@ -427,6 +428,7 @@ func TestRunResolvesTheJob(t *testing.T) {
 		{Spec: job.Spec{K: 2, R: 1}}, // no algorithm
 		cfgOf(job.Spec{K: 2, R: 3}),
 		cfgOf(job.Spec{K: 3, R: 1, Rows: 10}), // world-size mismatch
+		{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: 2, InputDir: "parts"}},
 		wrongPart,
 	} {
 		if _, err := Run(ep, cfg); err == nil {

@@ -55,9 +55,27 @@ func TestBudgetWithSuppliedInput(t *testing.T) {
 	}
 }
 
-// TestInputDirMatchesGenerated: reading the input from raw on-disk record
-// files (the teragen -disk layout) produces the same result as generating
-// the same rows, in both the in-memory and the budget engine.
+// partFiles supplies the part files in dir as the runtime does: whole to
+// an in-memory rank's Place (Load), in blocks to an out-of-core rank's Map
+// (Scan).
+func partFiles(dir string) job.Local {
+	return job.Local{
+		Load: func(i int) (kv.Records, error) {
+			buf, err := os.ReadFile(extsort.PartFile(dir, i))
+			if err != nil {
+				return kv.Records{}, err
+			}
+			return kv.NewRecords(buf)
+		},
+		Scan: func(i, blockRows int, fn func(kv.Records) error) error {
+			return extsort.ScanFile(extsort.PartFile(dir, i), blockRows, fn)
+		},
+	}
+}
+
+// TestInputDirMatchesGenerated: raw on-disk record files (the teragen
+// -disk layout) supplied by the runtime produce the same result as
+// generating the same rows, in both the in-memory and the budget engine.
 func TestInputDirMatchesGenerated(t *testing.T) {
 	const k, rows, seed = 4, 4000, 47
 	ref := runAll(t, cfgOf(job.Spec{K: k, R: 1, Rows: rows, Seed: seed}))
@@ -72,7 +90,7 @@ func TestInputDirMatchesGenerated(t *testing.T) {
 		}
 	}
 	for _, budget := range []int64{0, 24 * 1024} {
-		cfg := Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: k, InputDir: dir, MemBudget: budget}}
+		cfg := Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: k, MemBudget: budget}, Local: partFiles(dir)}
 		if budget > 0 {
 			cfg.SpillDir = t.TempDir()
 		}

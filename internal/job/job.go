@@ -201,11 +201,18 @@ type Local struct {
 	// (cluster.RunLocalOpts) supplies an in-memory job's input this way,
 	// generated once for all ranks; MapReduce jobs supply Job.Input's splits.
 	Input []kv.Records
+	// Load, when non-nil and Input nil, supplies an in-memory job's input
+	// file by file: it returns input file i whole, in a buffer the rank
+	// keeps. Place calls it once for each file the rank stores, so the
+	// files arrive where the rank's schedule places them. The TCP worker
+	// runtime (cluster.RunWorker) supplies its rank's input this way,
+	// describing each file as it places it.
+	Load func(i int) (kv.Records, error)
 	// Scan, when non-nil and Input nil, supplies an out-of-core job's
 	// input: it calls fn with input file i in blocks of at most blockRows
 	// records, each valid until fn returns, and returns fn's first error.
-	// The in-process sort runtime (cluster.RunLocalOpts) supplies its
-	// ranks' input this way, describing each file as it hands it out.
+	// Both sort runtimes supply their out-of-core ranks' input this way,
+	// describing each file as they hand it out.
 	Scan func(i, blockRows int, fn func(kv.Records) error) error
 	// Done, when non-nil, is closed once the run is abandoned — its attempt
 	// canceled by the supervisor or the caller — so that a job.FaultSlow

@@ -11,14 +11,15 @@ import (
 	"codedterasort/internal/placement"
 )
 
-// TestMaterializeMatchesGenerate: the two forms of the one
+// TestMaterializeMatchesGenerate: the three forms of the one
 // generate-and-describe loop agree. Materialize's files, concatenated, are
-// Generate(0, rows) byte for byte, and their description is
-// DescribeGenerated's, for every distribution, across row counts that leave
-// files empty, shorter than a piece and spanning many pieces, under the
-// clique r = 1, clique K = 4 r = 2 and resolvable K = 6 r = 3 plans. The
-// largest row count takes one plan per distribution, in rotation, to keep
-// the race build affordable.
+// Generate(0, rows) byte for byte, each is MaterializeFile's on any core
+// count (described as Describe describes it, or not at all), and their
+// description is DescribeGenerated's, for every distribution, across row
+// counts that leave files empty, shorter than a piece and spanning many
+// pieces, under the clique r = 1, clique K = 4 r = 2 and resolvable K = 6
+// r = 3 plans. The largest row count takes one plan per distribution, in
+// rotation, to keep the race build affordable.
 func TestMaterializeMatchesGenerate(t *testing.T) {
 	plans := []struct {
 		kind placement.Kind
@@ -63,6 +64,25 @@ func TestMaterializeMatchesGenerate(t *testing.T) {
 						t.Fatalf("%s: file %d has %d rows, plan says %d", name, i, f.Len(), plan.FileRowCount(i))
 					}
 					got = got.AppendRecords(f)
+					// One holder's placement of the file, described or not;
+					// of the largest row count, the first file's only.
+					if rows == 100003 && i > 0 {
+						continue
+					}
+					first, last := plan.FileRows(i)
+					for _, describe := range []bool{false, true} {
+						one, oneIn, err := MaterializeFile(context.Background(), g, first, last, 1+i%3, describe)
+						if err != nil {
+							t.Fatalf("%s: file %d: %v", name, i, err)
+						}
+						wantOne := Input{}
+						if describe {
+							wantOne = Describe(f)
+						}
+						if !one.Equal(f) || oneIn != wantOne {
+							t.Fatalf("%s: MaterializeFile(%d, describe=%v) differs from Materialize's file", name, i, describe)
+						}
+					}
 				}
 				if !got.Equal(want) {
 					t.Fatalf("%s: materialized files differ from Generate(0, rows)", name)
@@ -95,7 +115,7 @@ func TestMaterializeRefusesBadBounds(t *testing.T) {
 }
 
 // TestMaterializeCanceled: a canceled context stops the loop with the
-// context's error and no files, in both forms.
+// context's error and no files, in both forms that keep them.
 func TestMaterializeCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -103,7 +123,8 @@ func TestMaterializeCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || files != nil {
 		t.Fatalf("canceled materialize: %d files, err %v", len(files), err)
 	}
-	if _, err := DescribeGeneratedContext(ctx, kv.NewGenerator(1, kv.DistUniform), 10000); !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled describe: err %v", err)
+	file, _, err := MaterializeFile(ctx, kv.NewGenerator(1, kv.DistUniform), 5000, 10000, 2, true)
+	if !errors.Is(err, context.Canceled) || file.Len() != 0 {
+		t.Fatalf("canceled file: %d rows, err %v", file.Len(), err)
 	}
 }

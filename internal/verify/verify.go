@@ -14,15 +14,18 @@
 // key), and CheckSummaries closes the cross-partition and whole-input
 // checks over those summaries alone.
 //
-// The input side is an Input (rows and multiset checksum). Generated input
-// is described by one generate-and-describe loop in two forms: Materialize
-// keeps the generated files, which is how the in-process runtime creates an
-// in-memory job's input and its description in one pass before any rank
-// runs; DescribeGenerated keeps nothing, and the TCP coordinator runs its
-// cancelable form, DescribeGeneratedContext, while the job's workers run.
-// An in-process out-of-core job's input is described by the runtime as it
-// hands each block to a rank, and each output by the checker it passes
-// through: the engine reports no digest of its own.
+// The input side is an Input (rows and multiset checksum), taken by
+// whoever places the input, in the pass that places it, so no party
+// reads the input a second time to describe it. Generated input is
+// described by one generate-and-describe loop in three forms: Materialize
+// keeps every file of a plan, which is how the in-process runtime creates
+// an in-memory job's input and its description before any rank runs;
+// MaterializeFile keeps one file, which is how a TCP worker places each
+// file it stores, describing only the files it is the lowest-ranked holder
+// of; DescribeGenerated keeps nothing. A file a rank scans block by block
+// (out of core, in process or over TCP) is described by the runtime as it
+// hands each block to the file's lowest-ranked holder, and each output by
+// the checker it passes through: the engine reports no digest of its own.
 package verify
 
 import (
@@ -38,10 +41,11 @@ import (
 	"codedterasort/internal/partition"
 )
 
-// Input summarizes the input against which an output is checked.
+// Input summarizes the input against which an output is checked. Its
+// JSON form rides a TCP worker's report, one per file it described.
 type Input struct {
-	Rows     int64
-	Checksum uint64
+	Rows     int64  `json:"rows"`
+	Checksum uint64 `json:"checksum"`
 }
 
 // Describe computes the Input summary of a record buffer.
@@ -59,16 +63,8 @@ const describeBlockRows = 1 << 12
 // digests every piece in one reused buffer per core.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
 	// Background never cancels.
-	in, _ := DescribeGeneratedContext(context.Background(), g, rows)
+	_, in, _ := generate(context.Background(), g, []int64{0, max(rows, 0)}, false, true, runtime.GOMAXPROCS(0))
 	return in
-}
-
-// DescribeGeneratedContext is DescribeGenerated stopped by a canceled ctx
-// between pieces, returning ctx's error.
-func DescribeGeneratedContext(ctx context.Context, g *kv.Generator, rows int64) (Input, error) {
-	// One file from row 0 is valid bounds.
-	_, in, err := generate(ctx, g, []int64{0, max(rows, 0)}, false)
-	return in, err
 }
 
 // Materialize generates the files of generator rows cut at bounds — file i
@@ -79,7 +75,22 @@ func DescribeGeneratedContext(ctx context.Context, g *kv.Generator, rows int64) 
 // placement plan's Bounds). A canceled ctx stops the loop between pieces
 // and returns ctx's error.
 func Materialize(ctx context.Context, g *kv.Generator, bounds []int64) ([]kv.Records, Input, error) {
-	return generate(ctx, g, bounds, true)
+	if len(bounds) == 0 || bounds[0] != 0 {
+		return nil, Input{}, fmt.Errorf("verify: bounds %v do not start at row 0", bounds)
+	}
+	return generate(ctx, g, bounds, true, true, runtime.GOMAXPROCS(0))
+}
+
+// MaterializeFile generates generator rows [first, last) — one file — into
+// one new buffer on procs goroutines and, when describe is set, describes
+// them in the same pass (a zero Input otherwise). A canceled ctx stops the
+// loop between pieces and returns ctx's error.
+func MaterializeFile(ctx context.Context, g *kv.Generator, first, last int64, procs int, describe bool) (kv.Records, Input, error) {
+	files, in, err := generate(ctx, g, []int64{first, last}, true, describe, procs)
+	if err != nil {
+		return kv.Records{}, Input{}, err
+	}
+	return files[0], in, nil
 }
 
 // piece is a run of at most describeBlockRows rows of one file.
@@ -88,14 +99,12 @@ type piece struct {
 	off, rows int64 // the run's first row within the file, and its length
 }
 
-// generate is the one generate-and-describe loop behind Materialize (keep
-// set: each piece is filled in place in its file) and DescribeGenerated
-// (each core fills its pieces into one reused buffer). The pieces are cut
-// per file and dealt to the cores in contiguous shards.
-func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep bool) ([]kv.Records, Input, error) {
-	if len(bounds) == 0 || bounds[0] != 0 {
-		return nil, Input{}, fmt.Errorf("verify: bounds %v do not start at row 0", bounds)
-	}
+// generate is the one generate-and-describe loop behind Materialize,
+// MaterializeFile (keep set: each piece is filled in place in its file) and
+// DescribeGenerated (each core fills its pieces into one reused buffer).
+// The pieces are cut per file and dealt to procs cores in contiguous
+// shards; with describe unset none is digested and the Input is zero.
+func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep, describe bool, procs int) ([]kv.Records, Input, error) {
 	var pieces []piece
 	for i := 0; i+1 < len(bounds); i++ {
 		n := bounds[i+1] - bounds[i]
@@ -114,7 +123,6 @@ func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep bool) (
 	// the clearing Go does on allocation is spread over the cores rather
 	// than run up front on one.
 	made := make([]sync.Once, len(files))
-	procs := runtime.GOMAXPROCS(0)
 	sums := make([]uint64, parallel.Shards(procs, len(pieces)))
 	if err := parallel.ForShards(procs, len(pieces), func(s, lo, hi int) error {
 		var scratch kv.Records
@@ -136,13 +144,18 @@ func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep bool) (
 				blk = scratch.Slice(0, int(p.rows))
 			}
 			g.Fill(blk, bounds[p.file]+p.off)
-			sums[s] += blk.Checksum()
+			if describe {
+				sums[s] += blk.Checksum()
+			}
 		}
 		return nil
 	}); err != nil {
 		return nil, Input{}, err
 	}
-	in := Input{Rows: bounds[len(bounds)-1]}
+	if !describe {
+		return files, Input{}, nil
+	}
+	in := Input{Rows: bounds[len(bounds)-1] - bounds[0]}
 	for _, sum := range sums {
 		in.Checksum += sum
 	}
