@@ -410,9 +410,25 @@ func BenchmarkJob(b *testing.B) {
 	}
 }
 
+// generated attaches spec's generated input as a runtime does: each file
+// whole to the rank's Place (job.Local.Load).
+func generated(b *testing.B, spec job.Spec) job.Local {
+	r, err := spec.Resolve(job.Local{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := r.Strat.Plan(spec.Rows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := kv.NewGenerator(spec.Seed, r.KeyDist)
+	return job.Local{Load: func(i int) (kv.Records, error) { return plan.Materialize(gen, i), nil }}
+}
+
 // Raw stage-driver benchmark over memnet without the cluster harness.
 func BenchmarkRawTeraSortDriver(b *testing.B) {
-	cfg := codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: 4, Rows: 20000, Seed: 1}}
+	spec := job.Spec{Algorithm: job.AlgTeraSort, K: 4, Rows: 20000, Seed: 1}
+	cfg := codedpkg.Config{Spec: spec, Local: generated(b, spec)}
 	b.SetBytes(cfg.Rows * kv.RecordSize)
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(cfg.K)
@@ -590,7 +606,8 @@ func BenchmarkBeyondSortingCodedGrep(b *testing.B) {
 				go func(rank int) {
 					defer wg.Done()
 					ep := transport.WithCollectives(mesh.Endpoint(rank))
-					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}, Transform: match})
+					spec := job.Spec{Algorithm: job.AlgCoded, K: 4, R: r, Rows: 20000, Seed: 5}
+					res, err := codedpkg.Run(ep, codedpkg.Config{Spec: spec, Local: generated(b, spec), Transform: match})
 					if err != nil {
 						b.Error(err)
 						return

@@ -9,7 +9,8 @@
 //	(then start 4 `worker -coord host:7077` processes)
 //
 // -r picks the algorithm: the default job is CodedTeraSort at r = 2, and
-// -r 1 runs TeraSort.
+// -r 1 runs TeraSort. With -indir (r = 1) each worker reads its own part
+// file of a teragen -disk directory instead of generating its input.
 //
 // The job runs under the same supervisor as an in-process run. Workers
 // stream per-stage progress, and a worker that dies aborts the attempt
@@ -39,6 +40,7 @@ func main() {
 	j.RegisterCommon(flag.CommandLine, 4)
 	j.RegisterCoded(flag.CommandLine, 2)
 	j.RegisterFaults(flag.CommandLine)
+	j.RegisterInDir(flag.CommandLine)
 	flag.Parse()
 
 	spec := j.ToSpec()

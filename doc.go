@@ -85,12 +85,12 @@
 // DESIGN.md section 15).
 // Input is generated, not read: kv.Generator is addressable by row —
 // record i is a pure function of (seed, distribution, i) — so any party
-// materialises any file with no data movement. In process, an in-memory
-// job's input is generated once by the supervisor and described in the same
-// pass, and the r holders of a file read it in place; TCP workers and
-// out-of-core jobs generate their own files, and each file's lowest-ranked
-// holder describes it in the pass that places it, so nothing regenerates
-// the input to verify a job. One block kernel produces every row:
+// materialises any file with no data movement. Every runtime hands a rank
+// its files one by one: in process an in-memory file is made once, by the
+// first of its r holders to load it, and the others read it in place; TCP
+// workers make their own. Each file's lowest-ranked holder describes it in
+// the pass that places it, so nothing regenerates the input to verify a
+// job. One block kernel produces every row:
 // the 82-letter value filler, a serial 64-bit LCG by definition, runs as
 // eight jump-ahead lanes (v_(n+j) = a^j v_n + c(a^j-1)/(a-1) mod 2^64)
 // with a letter table and word stores, byte-identical to the serial chain.

@@ -281,8 +281,9 @@ func (d jobDraw) twin() jobDraw {
 
 // jobRun is one run's evidence: the report; each rank's output digest —
 // the SHA-256 of its sorted partition in order — or nil where the
-// deployment does not see the output; and the input files a rank wrote
-// into, where the ranks alias them (an in-memory job run locally).
+// deployment does not see the output; and the input buffers a rank wrote
+// into, in load order, where the ranks alias them (an in-memory job run
+// locally).
 type jobRun struct {
 	rep     *JobReport
 	digests [][]byte
@@ -312,7 +313,7 @@ func checkJob(t *testing.T, d jobDraw) error {
 		} else if err = leaks.check(s.SpillDir); err != nil {
 			err = broke("hygiene", "%w", err)
 		} else if len(r.written) > 0 {
-			err = broke("hygiene", "ranks wrote into input files %v", r.written)
+			err = broke("hygiene", "ranks wrote into loaded input buffers %v", r.written)
 		} else {
 			err = checkReport(s, run.Deploy != "tcp", r, want)
 		}
@@ -498,8 +499,8 @@ func runJob(t *testing.T, deploy string, spec Spec, workerProcs int) (jobRun, er
 	switch deploy {
 	case "local":
 		rep, err = runLocal(context.Background(), spec, Options{}, out.work)
-		for i, sum := range fileDigests(out.input) {
-			if !bytes.Equal(sum, out.before[i]) {
+		for i, f := range out.input {
+			if sum := sha256.Sum256(f.Bytes()); !bytes.Equal(sum[:], out.before[i]) {
 				written = append(written, i)
 			}
 		}
@@ -510,21 +511,28 @@ func runJob(t *testing.T, deploy string, spec Spec, workerProcs int) (jobRun, er
 }
 
 // outputDigests records each rank's output digest, whether the rank returns
-// its partition or streams it into a sink, and the digests of the input
-// files the ranks alias before any of them runs.
+// its partition or streams it into a sink, and the digest of each input
+// buffer a rank loads, taken as the first of its holders loads it — before
+// any holder maps it.
 type outputDigests struct {
-	mu    sync.Mutex
-	sums  [][]byte
-	once  sync.Once
-	input []kv.Records
-	// before holds the input's digests: the first rank in takes them while
-	// the others wait in once.Do, so no rank has run yet.
+	mu   sync.Mutex
+	sums [][]byte
+	// input holds every distinct buffer the ranks loaded, by its first
+	// byte; before holds their digests in the same order.
+	seen   map[*byte]bool
+	input  []kv.Records
 	before [][]byte
 }
 
 func (o *outputDigests) work(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
-	if local.Input != nil {
-		o.once.Do(func() { o.input, o.before = local.Input, fileDigests(local.Input) })
+	if load := local.Load; load != nil {
+		local.Load = func(i int) (kv.Records, error) {
+			f, err := load(i)
+			if err == nil && f.Len() > 0 {
+				o.loaded(f)
+			}
+			return f, err
+		}
 	}
 	h := sha256.New()
 	if feed := sink; sink != nil {
@@ -543,14 +551,19 @@ func (o *outputDigests) work(ep transport.Endpoint, spec Spec, local job.Local, 
 	return w, err
 }
 
-// fileDigests returns the SHA-256 of every file.
-func fileDigests(files []kv.Records) [][]byte {
-	var out [][]byte
-	for _, f := range files {
+// loaded digests f unless a holder loaded the same buffer before. The
+// other holders wait on the lock, so no holder maps f before its digest.
+func (o *outputDigests) loaded(f kv.Records) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if key := &f.Bytes()[0]; !o.seen[key] {
+		if o.seen == nil {
+			o.seen = map[*byte]bool{}
+		}
+		o.seen[key] = true
 		sum := sha256.Sum256(f.Bytes())
-		out = append(out, sum[:])
+		o.input, o.before = append(o.input, f), append(o.before, sum[:])
 	}
-	return out
 }
 
 // shrinkAxes each reset one axis of a draw to its base value: no fault, a

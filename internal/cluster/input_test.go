@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,7 @@ import (
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/placement"
+	"codedterasort/internal/stats"
 	"codedterasort/internal/trace"
 	"codedterasort/internal/transport"
 )
@@ -41,9 +43,10 @@ func tamperOutput(rank int, tamper func(kv.Records) kv.Records) workerFunc {
 // TestVerifyCatchesFaultyRank: the in-process runtime's own verification,
 // fed one rank's output with a single fault, fails the job and names the
 // mismatch, in memory and out of core, without blaming a rank. The last
-// case is a rank that writes into an input file it aliases: the input was
-// described before any rank ran, so the corrupted record fails the
-// multiset check instead of being verified against itself.
+// case is a rank that writes into an input file it loaded: the file was
+// described as it was made, before the rank saw it, so the corrupted
+// record fails the multiset check instead of being verified against
+// itself.
 func TestVerifyCatchesFaultyRank(t *testing.T) {
 	inMemory := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 4000, Seed: 71}
 	outOfCore := inMemory
@@ -77,8 +80,14 @@ func TestVerifyCatchesFaultyRank(t *testing.T) {
 		// with no other rank.
 		{"write into aliased input", Spec{Algorithm: AlgTeraSort, K: 4, Rows: 4000, Seed: 71},
 			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
-				if ep.Rank() == 1 {
-					flipValue(local.Input[1])
+				if load := local.Load; ep.Rank() == 1 {
+					local.Load = func(i int) (kv.Records, error) {
+						f, err := load(i)
+						if err == nil {
+							flipValue(f)
+						}
+						return f, err
+					}
 				}
 				return runWorker(ep, spec, local, sink, hooks)
 			}, "checksum"},
@@ -192,16 +201,17 @@ func TestScannedFileCountedOnce(t *testing.T) {
 	}
 }
 
-// TestSharedInputReleased: with one attempt allowed, the supervisor hands
-// the files over and keeps none, and every rank lets go of them — and of
-// the views its Map kept into them — once it has reduced, so after the
-// last Reduce no input file is reachable. With a second attempt allowed
-// the supervisor keeps them for it.
+// TestSharedInputReleased: the source lets go of each file once all its
+// holders have taken it, and every rank lets go of its files — and of the
+// views its Map kept into them — once it has reduced, so after the last
+// Reduce no input file is reachable. That holds with a second attempt
+// allowed too: a retry makes the files again, so nothing keeps them for
+// it.
 func TestSharedInputReleased(t *testing.T) {
 	for _, attempts := range []int{1, 2} {
 		spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 8000, Seed: 52, MaxAttempts: attempts}
-		var once sync.Once
-		var refs []weak.Pointer[byte]
+		var mu sync.Mutex
+		refs := map[int]weak.Pointer[byte]{}
 		var reduces atomic.Int32
 		live := -1
 		opts := Options{OnStage: func(rec trace.StageRecord) {
@@ -209,8 +219,10 @@ func TestSharedInputReleased(t *testing.T) {
 				return
 			}
 			// The last rank has reduced: every file is unreachable unless
-			// the supervisor still holds it.
+			// something still holds it.
 			runtime.GC()
+			mu.Lock()
+			defer mu.Unlock()
 			live = 0
 			for _, ref := range refs {
 				if ref.Value() != nil {
@@ -220,12 +232,18 @@ func TestSharedInputReleased(t *testing.T) {
 		}}
 		_, err := runLocal(context.Background(), spec, opts,
 			func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
-				files := local.Input
-				once.Do(func() {
-					for _, f := range files {
-						refs = append(refs, weak.Make(&f.Bytes()[0]))
+				load := local.Load
+				local.Load = func(i int) (kv.Records, error) {
+					f, err := load(i)
+					if err == nil {
+						mu.Lock()
+						if _, ok := refs[i]; !ok {
+							refs[i] = weak.Make(&f.Bytes()[0])
+						}
+						mu.Unlock()
 					}
-				})
+					return f, err
+				}
 				return runWorker(ep, spec, local, sink, hooks)
 			})
 		if err != nil {
@@ -238,66 +256,143 @@ func TestSharedInputReleased(t *testing.T) {
 		if len(refs) != plan.NumFiles() {
 			t.Fatalf("MaxAttempts %d: %d files handed over, plan has %d", attempts, len(refs), plan.NumFiles())
 		}
-		want := 0
-		if attempts > 1 {
-			want = len(refs)
-		}
-		if live != want {
-			t.Fatalf("MaxAttempts %d: %d of %d input files alive after the last Reduce, want %d",
-				attempts, live, len(refs), want)
+		if live != 0 {
+			t.Fatalf("MaxAttempts %d: %d of %d input files alive after the last Reduce, want 0",
+				attempts, live, len(refs))
 		}
 	}
 }
 
-// cancelOnCheck is a context that cancels itself at the nth look at its
-// Err — a cancel that lands, deterministically, in the middle of whatever
-// loop polls it.
-type cancelOnCheck struct {
-	context.Context
-	cancel context.CancelFunc
-	left   atomic.Int64
-}
-
-func (c *cancelOnCheck) Err() error {
-	if c.left.Add(-1) == 0 {
-		c.cancel()
+// TestFileSourceShares: the in-process source makes each in-memory file
+// once for all its holders, loading concurrently. At K = 4 and r = 2 and 3,
+// every holder of a file is handed the same buffer; the file is described
+// once, by its lowest-ranked holder, as the file it was handed; and once
+// every holder has loaded, no file is reachable from the source.
+func TestFileSourceShares(t *testing.T) {
+	for _, r := range []int{2, 3} {
+		jp, err := prepare(Spec{Algorithm: AlgCoded, K: 4, R: r, Rows: 30000, Seed: 61})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := newFileSource(jp.spec, jp.resolved, jp.plan, kv.Records{}, -1)
+		ctx := context.Background()
+		holders := make([]*holder, jp.spec.K)
+		// refs[rank][i] is the buffer rank was handed as file i; sums the
+		// digests of the files each rank was handed.
+		refs := make([]map[int]weak.Pointer[byte], jp.spec.K)
+		sums := make([]map[int]uint64, jp.spec.K)
+		var wg sync.WaitGroup
+		for rank := range jp.spec.K {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				local, h := src.hold(ctx, rank)
+				holders[rank] = h
+				refs[rank], sums[rank] = map[int]weak.Pointer[byte]{}, map[int]uint64{}
+				files := jp.plan.FilesOn(rank)
+				// Alternate ranks load in opposite orders, so holders race
+				// for the same file from both ends.
+				if rank%2 == 1 {
+					slices.Reverse(files)
+				}
+				for _, i := range files {
+					f, err := local.Load(i)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					refs[rank][i], sums[rank][i] = weak.Make(&f.Bytes()[0]), f.Checksum()
+				}
+			}()
+		}
+		wg.Wait()
+		described := map[int]int{}
+		for rank, h := range holders {
+			for _, d := range h.described {
+				described[d.File]++
+				if min := jp.plan.Files[d.File].Min(); min != rank {
+					t.Fatalf("r=%d: file %d described by rank %d, its lowest-ranked holder is %d", r, d.File, rank, min)
+				}
+				if d.Rows != jp.plan.FileRowCount(d.File) || d.Checksum != sums[rank][d.File] {
+					t.Fatalf("r=%d: file %d described as %+v, not as the file handed over", r, d.File, d.Input)
+				}
+			}
+		}
+		for i, set := range jp.plan.Files {
+			if described[i] != 1 {
+				t.Fatalf("r=%d: file %d described %d times", r, i, described[i])
+			}
+			for _, rank := range set.Members() {
+				if refs[rank][i] != refs[set.Min()][i] {
+					t.Fatalf("r=%d: ranks %d and %d were handed different buffers as file %d", r, set.Min(), rank, i)
+				}
+			}
+		}
+		runtime.GC()
+		for i := range jp.plan.Files {
+			if refs[jp.plan.Files[i].Min()][i].Value() != nil {
+				t.Fatalf("r=%d: file %d still reachable once all its holders loaded it", r, i)
+			}
+		}
+		runtime.KeepAlive(src)
+		runtime.KeepAlive(holders)
 	}
-	return c.Context.Err()
 }
 
-// TestCancelDuringPlacement: a cancel that arrives while the supervisor
-// generates an in-memory job's input — a sortd drain — returns the
-// context's error, starts no rank, and leaves no goroutine, descriptor or
-// spill entry behind.
-func TestCancelDuringPlacement(t *testing.T) {
-	var ranks atomic.Int64
-	work := func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
-		ranks.Add(1)
+// cancelOnLoad wraps runWorker so that every rank cancels the job before
+// it loads a file, and counts the files handed over whole and the ranks
+// that begin a Map.
+func cancelOnLoad(cancel context.CancelFunc, made, maps *atomic.Int64) workerFunc {
+	return func(ep transport.Endpoint, spec Spec, local job.Local, sink func(kv.Records) error, hooks coded.Hooks) (WorkerReport, error) {
+		load := local.Load
+		local.Load = func(i int) (kv.Records, error) {
+			cancel()
+			f, err := load(i)
+			if err == nil {
+				made.Add(1)
+			}
+			return f, err
+		}
+		observe := hooks
+		hooks = func(ev coded.StageEvent) {
+			if ev.Stage == stats.StageMap {
+				maps.Add(1)
+			}
+			observe(ev)
+		}
 		return runWorker(ep, spec, local, sink, hooks)
 	}
+}
+
+// TestCancelDuringPlacement: a cancel that arrives while the ranks place an
+// in-memory job's input — a sortd drain — stops the generation loop of
+// every file at its first piece, returns the context's error, lets no rank
+// begin its Map, and leaves no goroutine, descriptor or spill entry
+// behind.
+func TestCancelDuringPlacement(t *testing.T) {
+	var made, maps atomic.Int64
 	leaks := snapshotLeaks()
-	parent, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// 200 000 rows are 49 pieces of generation; the cancel lands at the
-	// third piece any core starts.
-	ctx := &cancelOnCheck{Context: parent, cancel: cancel}
-	ctx.left.Store(3)
 	spill := t.TempDir()
 	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 200_000, Seed: 8, SpillDir: spill}
-	if _, err := runLocal(ctx, spec, Options{}, work); !errors.Is(err, context.Canceled) {
+	if _, err := runLocal(ctx, spec, Options{}, cancelOnLoad(cancel, &made, &maps)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("job canceled during placement returned %v, want context.Canceled", err)
 	}
-	if n := ranks.Load(); n != 0 {
-		t.Fatalf("%d ranks started after a cancel during placement", n)
+	if n := made.Load(); n != 0 {
+		t.Fatalf("%d files made whole after a cancel during placement", n)
+	}
+	if n := maps.Load(); n != 0 {
+		t.Fatalf("%d ranks began Map after a cancel during placement", n)
 	}
 	if err := leaks.check(spill); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestInputDirSampledInMemory: an in-memory InputDir job reads its part
-// files in the supervisor, so its ranks run on the verifier's splitters
-// instead of sampling the files themselves. They are the splitters the
+// TestInputDirSampledInMemory: an in-memory InputDir job's ranks load their
+// part files through the supervisor's source and run on the verifier's
+// splitters instead of sampling the files themselves. They are the splitters the
 // out-of-core job's ranks sample, and both runs agree rank for rank. The
 // report still names the directory. At 3001 rows and a sample of 70 the
 // file boundaries fall off the global sample stride, so sampling the

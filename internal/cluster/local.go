@@ -5,7 +5,8 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"codedterasort/internal/coded"
 	"codedterasort/internal/extsort"
@@ -32,9 +33,8 @@ type WorkerReport struct {
 	// and control traffic (tokens, barriers, handshakes).
 	WireBytes int64 `json:"wire_bytes"`
 	// InputFiles describes the input files this rank placed and is the
-	// lowest-ranked holder of, as it placed them: the job's input
-	// description, one per file, when the runtime hands files over one by
-	// one (over TCP; in process out of core).
+	// lowest-ranked holder of, as they were made: the job's input
+	// description, one per file, in every runtime.
 	InputFiles []FileInput `json:"input_files,omitempty"`
 	// Output is the rank's output, which never rides the wire: a sort
 	// job's sorted partition when Spec.KeepOutput is set, a MapReduce job's
@@ -120,17 +120,16 @@ type Options struct {
 // RunLocalOpts is RunLocal with cancellation and run options; see
 // Supervise for both.
 //
-// Every job gets its input from the supervisor, and the output is verified
-// against the supervisor's description of it. An in-memory job (MemBudget
-// unset): every file of the placement plan is generated once, on every
-// core, and described in the same pass (verify.Materialize), or an
-// InputDir job's part files are read once and described from the bytes
-// read, before any rank runs; every rank aliases its files
-// (job.Local.Input) instead of generating its replicas. An out-of-core job
-// must never hold its input: each rank scans its files through the
-// supervisor (job.Local.Scan), which generates or reads them block by
-// block into the rank, and each file's lowest-ranked holder digests it
-// during its scan and reports the description, so the input is read once
+// Every rank gets its input from one source the supervisor shares among
+// them (fileSource), file by file, and the output is verified against the
+// descriptions the ranks report of what they were handed. An in-memory
+// rank's Place loads each file it stores (job.Local.Load): the file is
+// generated, or read from its part file, once, by the first of its holders
+// to load it, described in the same pass, and aliased by the others. An
+// out-of-core job must never hold its input: each rank scans its files
+// through the source (job.Local.Scan), which generates or reads them block
+// by block into the rank. Either way each file's lowest-ranked holder
+// reports the file's description, so the input is made once per attempt
 // and described on the way.
 func RunLocalOpts(ctx context.Context, spec Spec, opts Options) (*JobReport, error) {
 	return runLocal(ctx, spec, opts, runWorker)
@@ -146,46 +145,25 @@ func runLocal(ctx context.Context, spec Spec, opts Options, work workerFunc) (*J
 	if err != nil {
 		return nil, err
 	}
-	var input *placedInput
-	var source *fileSource
-	var rankSpec Spec
-	if spec.MemBudget == 0 {
-		if input, err = placeInput(ctx, jp); err != nil {
-			return nil, err
-		}
-		rankSpec = input.spec
-	} else {
-		source = newFileSource(jp.spec, jp.resolved, jp.plan)
-		rankSpec = source.spec
-	}
+	source := newFileSource(jp.spec, jp.resolved, jp.plan, kv.Records{}, -1)
 	checks := make([]*outputCheck, spec.K)
-	rep, err := Supervise(ctx, rankSpec, opts, func(actx context.Context, ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
-		local := job.Local{Done: actx.Done()}
-		var h *holder
-		if input != nil {
-			local.Input = input.take(ep.Rank())
-		} else {
-			local, h = source.hold(actx, ep.Rank())
-		}
+	rep, err := Supervise(ctx, source.spec, opts, func(actx context.Context, ep transport.Endpoint, spec Spec, hooks coded.Hooks) (WorkerReport, error) {
+		local, h := source.hold(actx, ep.Rank())
 		// Every rank of the attempt that succeeds overwrites its own slot,
 		// so only that attempt's checks survive.
 		c := &outputCheck{PartitionChecker: verify.NewPartitionChecker(jp.part, ep.Rank()), keep: spec.KeepOutput}
 		w, err := work(ep, spec, local, c.feed, hooks)
 		checks[ep.Rank()] = c
 		w.Output = c.kept
-		if h != nil {
-			w.InputFiles = h.described
-		}
+		w.InputFiles = h.described
 		return w, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	rep.Spec = spec
-	var in verify.Input
-	if input != nil {
-		in = input.desc
-	} else if in, err = describedInput(jp.plan, spec.InputDir == "", rep.Workers); err != nil {
+	in, err := describedInput(jp.plan, spec.InputDir == "", rep.Workers)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: output verification failed: %w", err)
 	}
 	sums := make([]verify.Summary, spec.K)
@@ -224,128 +202,160 @@ func (c *outputCheck) feed(block kv.Records) error {
 	return nil
 }
 
-// placedInput is an in-memory job's input as the supervisor placed it: the
-// files every rank aliases, their description, and the spec the ranks run.
-type placedInput struct {
-	// spec is the ranks' spec, except that an InputDir job's files arrive
-	// as Local.Input, so it names no directory.
-	spec Spec
-	desc verify.Input
-	// held[r] is rank r's reference to the files until the rank takes it.
-	// Unless another attempt may need the files, taking clears the slot, so
-	// once every rank has placed, each file lives only until its holders
-	// have mapped it.
-	held [][]kv.Records
-	keep bool
-}
-
-// placeInput generates the input files of jp's placement plan (or reads
-// an InputDir job's part files) and describes them in the same pass. A
-// cancel that arrives meanwhile returns ctx's error before any rank starts.
-func placeInput(ctx context.Context, jp *prepared) (*placedInput, error) {
-	spec := jp.spec
-	in := &placedInput{spec: spec, keep: jp.resolved.MaxAttempts > 1}
-	var files []kv.Records
-	var err error
-	if spec.InputDir == "" {
-		files, in.desc, err = verify.Materialize(ctx, kv.NewGenerator(spec.Seed, jp.resolved.KeyDist), jp.plan.Bounds)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: placing input: %w", err)
-		}
-	} else {
-		if files, in.desc, err = readInput(spec.InputDir, spec.K); err != nil {
-			return nil, err
-		}
-		in.spec.InputDir = ""
-	}
-	in.held = make([][]kv.Records, spec.K)
-	for r := range in.held {
-		in.held[r] = files
-	}
-	return in, nil
-}
-
-// take hands rank its reference to the files.
-func (in *placedInput) take(rank int) []kv.Records {
-	files := in.held[rank]
-	if !in.keep {
-		in.held[rank] = nil
-	}
-	return files
-}
-
-// fileSource is an input the runtime hands its ranks file by file rather
-// than placing it up front: each file generated, or read from its part
-// file, straight into the rank that stores it — whole, as the rank's Place
-// loads it (job.Local.Load, in memory), or block by block, as its Map
-// scans it (job.Local.Scan, out of core). The in-process runtime shares
-// one among an out-of-core job's ranks; a TCP worker makes its own.
+// fileSource is a job's input as the runtime hands it to its ranks, file
+// by file: each file generated, read from its part file, or sliced from the
+// rows a MapReduce job supplies, straight into the rank that stores it —
+// whole, as the rank's Place loads it (job.Local.Load, in memory), or block
+// by block, as its Map scans it (job.Local.Scan, out of core). The
+// in-process runtimes share one among all ranks; a TCP worker makes its own.
 type fileSource struct {
 	// spec is the ranks' spec; an InputDir job's files arrive through the
 	// source, so it names no directory.
-	spec  Spec
-	gen   *kv.Generator
-	dir   string
-	plan  placement.Plan
-	procs int
+	spec    Spec
+	gen     *kv.Generator
+	dir     string
+	records kv.Records
+	plan    placement.Plan
+	procs   int
+	// rank is the one rank a TCP worker's source serves; -1 when the
+	// source serves every rank of the job.
+	rank int
+
+	mu sync.Mutex
+	// attempt is the context of the attempt whose ranks hold the source, and
+	// shares its files as they are loaded: a retry makes them again.
+	attempt context.Context
+	shares  []*share
+}
+
+// share is one file of an in-memory attempt: made once, by the first of
+// its holders to load it, and aliased by the others. The source lets go of
+// it once every holder it serves has taken it.
+type share struct {
+	once sync.Once
+	file kv.Records
+	desc verify.Input
+	err  error
+	left atomic.Int32 // holders yet to take the file
 }
 
 // newFileSource prepares the input of spec, resolved and laid out by plan,
-// for handing over.
-func newFileSource(spec Spec, resolved *job.Resolved, plan placement.Plan) *fileSource {
+// for handing over to rank, or to every rank when rank is -1: the rows of
+// records, split along the plan, when there are any, else spec's part files
+// or generated rows.
+func newFileSource(spec Spec, resolved *job.Resolved, plan placement.Plan, records kv.Records, rank int) *fileSource {
 	src := &fileSource{spec: spec, gen: kv.NewGenerator(spec.Seed, resolved.KeyDist), dir: spec.InputDir,
-		plan: plan, procs: parallel.Resolve(spec.Parallelism)}
+		records: records, plan: plan, procs: parallel.Resolve(spec.Parallelism), rank: rank}
 	src.spec.InputDir = ""
 	return src
 }
 
+// InputSource returns how the ranks of spec's job in this process get
+// their input — rows, when non-empty, split along the job's placement plan
+// (a MapReduce job's Input), else generated or part files: attach(ctx,
+// rank) is rank's Load or Scan for the attempt ctx cancels. rank -1 shares
+// the source among every rank of the job, a rank of its own serves only it.
+func InputSource(spec Spec, rows kv.Records, rank int) (attach func(ctx context.Context, rank int) job.Local, err error) {
+	resolved, err := spec.Resolve(job.Local{})
+	if err != nil {
+		return nil, err
+	}
+	plan, err := resolved.Strat.Plan(spec.Rows)
+	if err != nil {
+		return nil, err
+	}
+	src := newFileSource(spec, resolved, plan, rows, rank)
+	return func(ctx context.Context, rank int) job.Local {
+		local, _ := src.hold(ctx, rank)
+		return local
+	}, nil
+}
+
 // holder is one rank's draw on a fileSource in one attempt. Of every file
-// the rank is the lowest-ranked holder of, it digests what it hands over —
-// a block before the rank sees it, a loaded file as it is generated or
-// once it is read — and keeps the file's description once the file was handed over
-// whole. The rank reports the descriptions (WorkerReport.InputFiles), so
-// each file is described once, by the successful attempt, and one that no
-// holder took whole is missing.
+// the rank is the lowest-ranked holder of, it keeps the description the
+// source took as it made the file — a block before the rank sees it, a
+// loaded file as it is generated or once it is read — once the file was
+// handed over whole. The rank reports the descriptions
+// (WorkerReport.InputFiles), so each file is described once, by the
+// successful attempt, and one that no holder took whole is missing.
 type holder struct {
 	src       *fileSource
 	rank      int
 	ctx       context.Context
+	shares    []*share
 	described []FileInput
 }
 
 // hold returns rank's attachment for an attempt that ctx cancels — the
 // source's Load in memory, its Scan out of core — and the holder that
-// collects the rank's descriptions.
+// collects the rank's descriptions. The ranks of one attempt hold the
+// source with the attempt's context; the first to hold it with another
+// starts a new share table.
 func (src *fileSource) hold(ctx context.Context, rank int) (job.Local, *holder) {
 	h := &holder{src: src, rank: rank, ctx: ctx}
 	local := job.Local{Done: ctx.Done()}
-	if src.spec.MemBudget == 0 {
-		local.Load = h.load
-	} else {
+	if src.spec.MemBudget > 0 {
 		local.Scan = h.scan
+		return local, h
 	}
+	src.mu.Lock()
+	if src.attempt != ctx {
+		src.attempt, src.shares = ctx, make([]*share, src.plan.NumFiles())
+		for i := range src.shares {
+			src.shares[i] = &share{}
+			src.shares[i].left.Store(int32(src.holders(i)))
+		}
+	}
+	h.shares = src.shares
+	src.mu.Unlock()
+	local.Load = h.load
 	return local, h
+}
+
+// holders counts the holders of file i the source serves.
+func (src *fileSource) holders(i int) int {
+	if src.rank >= 0 {
+		return 1
+	}
+	return src.plan.Files[i].Size()
 }
 
 // describes reports whether the rank is file i's lowest-ranked holder.
 func (h *holder) describes(i int) bool { return h.src.plan.Files[i].Min() == h.rank }
 
-// load generates or reads file i whole (job.Local.Load).
+// load hands over file i whole (job.Local.Load): made by the first of its
+// holders to load it and described in the same pass when the source serves
+// its lowest-ranked holder.
 func (h *holder) load(i int) (kv.Records, error) {
-	describe := h.describes(i)
-	var f kv.Records
-	var d verify.Input
-	var err error
-	if h.src.dir != "" {
-		f, d, err = readPart(h.src.dir, i)
-	} else {
-		first, last := h.src.plan.FileRows(i)
-		f, d, err = verify.MaterializeFile(h.ctx, h.src.gen, first, last, h.src.procs, describe)
+	s := h.shares[i]
+	s.once.Do(func() {
+		s.file, s.desc, s.err = h.src.file(h.ctx, i, h.src.rank < 0 || h.describes(i))
+	})
+	f, d, err := s.file, s.desc, s.err
+	if s.left.Add(-1) == 0 {
+		s.file = kv.Records{}
 	}
-	if err == nil && describe {
+	if err == nil && h.describes(i) {
 		h.described = append(h.described, FileInput{File: i, Input: d})
 	}
 	return f, err
+}
+
+// file makes file i whole and, when describe is set, describes it.
+func (src *fileSource) file(ctx context.Context, i int, describe bool) (kv.Records, verify.Input, error) {
+	first, last := src.plan.FileRows(i)
+	switch {
+	case src.records.Len() > 0:
+		f := src.records.Slice(int(first), int(last))
+		if !describe {
+			return f, verify.Input{}, nil
+		}
+		return f, verify.Describe(f), nil
+	case src.dir != "":
+		return readPart(src.dir, i)
+	default:
+		return verify.MaterializeFile(ctx, src.gen, first, last, src.procs, describe)
+	}
 }
 
 // scan feeds file i to fn in blocks of at most blockRows records
@@ -368,11 +378,15 @@ func (h *holder) scan(i, blockRows int, fn func(kv.Records) error) error {
 
 // blocks feeds file i to fn in blocks of at most blockRows records.
 func (src *fileSource) blocks(i, blockRows int, fn func(kv.Records) error) error {
-	if src.dir != "" {
-		return extsort.ScanFile(extsort.PartFile(src.dir, i), blockRows, fn)
-	}
 	first, last := src.plan.FileRows(i)
-	return src.gen.GenerateBlocks(first, last-first, blockRows, fn)
+	switch {
+	case src.records.Len() > 0:
+		return src.records.Slice(int(first), int(last)).ForEachBlock(blockRows, fn)
+	case src.dir != "":
+		return extsort.ScanFile(extsort.PartFile(src.dir, i), blockRows, fn)
+	default:
+		return src.gen.GenerateBlocks(first, last-first, blockRows, fn)
+	}
 }
 
 // describedInput totals the input descriptions the ranks of a job laid
@@ -405,26 +419,6 @@ func describedInput(plan placement.Plan, generated bool, reports []WorkerReport)
 		}
 	}
 	return total, nil
-}
-
-// readInput reads the K part files of a teragen -disk directory, each once
-// and on every core, and describes them from the bytes read.
-func readInput(dir string, k int) ([]kv.Records, verify.Input, error) {
-	files := make([]kv.Records, k)
-	descs := make([]verify.Input, k)
-	if err := parallel.Do(runtime.GOMAXPROCS(0), k, func(i int) error {
-		var err error
-		files[i], descs[i], err = readPart(dir, i)
-		return err
-	}); err != nil {
-		return nil, verify.Input{}, err
-	}
-	var in verify.Input
-	for _, d := range descs {
-		in.Rows += d.Rows
-		in.Checksum += d.Checksum
-	}
-	return files, in, nil
 }
 
 // readPart reads dir's part file i and describes it from the bytes read.

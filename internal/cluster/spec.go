@@ -11,12 +11,11 @@
 //     coordinator over TCP, receive rank assignments and the spec, form a
 //     full TCP mesh among themselves, run, and report results back.
 //
-// Both verify each output, digested once by its checker, against the
-// input's description. In process the supervisor supplies the input and
-// describes it as it goes, an out-of-core job's block by block as the ranks
-// scan it (RunLocalOpts); over TCP each worker places its own files and
-// describes those it is the lowest-ranked holder of, and the coordinator
-// totals what the workers report.
+// Both hand every rank its input files one by one through one source
+// (fileSource: shared by all ranks in process, a worker's own over TCP)
+// and verify each output, digested once by its checker, against the
+// descriptions the files' lowest-ranked holders report, taken as the
+// files were made (RunLocalOpts).
 package cluster
 
 import (

@@ -115,12 +115,12 @@ func TestTCPWorkerDeathFailsFast(t *testing.T) {
 	}
 }
 
-// TestTCPDeathStopsDescribing: the coordinator describes the input while
-// the job runs, so a job that fails fast must stop describing too. Rank 1
-// dies entering CodeGen, before any worker places its input, while the
-// coordinator has 200 GB of rows to regenerate: the verdict still
-// comes at once, and neither it nor a worker leaves a goroutine behind.
-func TestTCPDeathStopsDescribing(t *testing.T) {
+// TestTCPDeathBeforePlacementFailsFast: rank 1 of a 200 GB job dies
+// entering CodeGen, before any worker places its input. Only a rank's own
+// Place makes its files, so nothing works on the input past the death: the
+// verdict comes at once, and neither the coordinator nor a worker leaves a
+// goroutine behind.
+func TestTCPDeathBeforePlacementFailsFast(t *testing.T) {
 	leaks := snapshotLeaks()
 	start := time.Now()
 	spec := Spec{Algorithm: AlgCoded, K: 4, R: 2, Rows: 2_000_000_000, Seed: 34,

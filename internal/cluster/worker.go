@@ -11,6 +11,7 @@ import (
 
 	"codedterasort/internal/coded"
 	"codedterasort/internal/job"
+	"codedterasort/internal/kv"
 	"codedterasort/internal/stats"
 	"codedterasort/internal/transport/tcpnet"
 	"codedterasort/internal/verify"
@@ -103,7 +104,7 @@ func joinJob(coordAddr string, opts WorkerOptions, work workerFunc) error {
 	if err != nil {
 		return reportFailure(tx, assign.Rank, err)
 	}
-	source := newFileSource(spec, resolved, plan)
+	source := newFileSource(spec, resolved, plan, kv.Records{}, assign.Rank)
 
 	mesh, err := tcpnet.NewWithListener(assign.Rank, assign.Addrs, meshLn)
 	if err != nil {

@@ -8,15 +8,14 @@
 //     equivalent; its cost grows with the group count — the scaling
 //     bottleneck Section V-C identifies, C(K,r+1) under the clique scheme
 //     and q^r - q^(r-1) under resolvable designs).
-//  2. Place — materialize the files stored on this node (untimed, like the
-//     coordinator's disk placement it stands in for). Files supplied as
-//     job.Local.Input are aliased in place: the in-process runtime
-//     generates the input once and every holder reads the same bytes. A
-//     TCP worker's runtime hands each file over as it is placed
-//     (job.Local.Load); a node given neither (a direct Run) generates its
-//     own. The engine reads no part files: the runtime supplies an
-//     InputDir job's. In the in-memory modes a file lives until Reduce has gathered
-//     from it; no stage writes it.
+//  2. Place — load the files stored on this node from the runtime
+//     (job.Local.Load; untimed, like the coordinator's disk placement it
+//     stands in for). Every runtime hands a rank its files one by one: in
+//     process a file is made once and its holders alias it, a TCP worker
+//     makes its own. The engine generates and reads nothing itself: Run
+//     refuses a job with no source, or one naming an InputDir. In the
+//     in-memory modes a file lives until Reduce has gathered from it; no
+//     stage writes it.
 //  3. Map — hash every stored file, keeping only the relevant intermediate
 //     values (I^k_S and {I^i_S : i not in S}, Fig 5) as references: the
 //     ascending rows of the file each one holds. No record is copied.
@@ -116,7 +115,7 @@ type Config struct {
 	// resolves it (job.Spec.Resolve), so an invalid one fails before any
 	// traffic flows.
 	job.Spec
-	// Local attaches an explicit partitioner or in-memory input files.
+	// Local attaches the input (Load or Scan) and an explicit partitioner.
 	job.Local
 	// Transform, when non-nil, rewrites each input record into zero or
 	// more intermediate records during the Map stage — the "Beyond
@@ -281,10 +280,13 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.InputDir != "" {
+	switch {
+	case spec.InputDir != "":
 		// The engine reads no directory: the runtime reads the part files
-		// and supplies them (Local.Input, Load or Scan).
+		// and supplies them.
 		return nil, fmt.Errorf("coded: input dir %q: the runtime must supply its part files", spec.InputDir)
+	case spec.MemBudget == 0 && spec.Load == nil, spec.MemBudget > 0 && spec.Scan == nil:
+		return nil, fmt.Errorf("coded: no input: the runtime must supply Load in memory, Scan out of core")
 	}
 	if ep.Size() != spec.K {
 		return nil, fmt.Errorf("coded: endpoint world %d != K %d", ep.Size(), spec.K)
@@ -303,9 +305,9 @@ func newWorker(ep transport.Endpoint, cfg Config) (*worker, error) {
 	w.result.Groups = len(w.myGroups)
 	if w.part == nil {
 		// Sampled partitioning without preset splitters: every rank derives
-		// the same splitters from the whole input, through its own Map
-		// hooks, with no traffic.
-		bounds, err := spec.DeriveSplitters(spec.Input, w.mapRecords)
+		// the same splitters from the spec's generated rows, through its own
+		// Map hooks, with no traffic. The runtimes preset them.
+		bounds, err := spec.DeriveSplitters(nil, w.mapRecords)
 		if err != nil {
 			return nil, err
 		}
@@ -353,9 +355,8 @@ func (w *worker) schedule() (string, []stage) {
 	if w.coding {
 		stages = append(stages, stage{column: stats.StageCodeGen, run: w.codeGenStage})
 	}
-	// Place comes last before Map, the first stage whose body talks to no
-	// peer: placement is unbarriered, so a communicating stage after it
-	// would be charged the wait for the slowest rank's placement.
+	// Place comes last before Map, after the communicator is built, and
+	// ends in a barrier, so Map starts once every rank has its files.
 	place := stage{untimed: true, run: w.placeStage}
 	switch {
 	case w.spec.MemBudget > 0:
@@ -376,48 +377,25 @@ func (w *worker) schedule() (string, []stage) {
 	}
 }
 
-// placeStage materializes the files stored on this node — supplied,
-// loaded from the runtime, or generated (the row-addressable generator
-// stands in for the coordinator's disk placement) — outside the timed
-// pipeline. Supplied files are aliased,
-// never copied or written, and the node drops its references to the
-// supplied set: from here only w.files, and then the views Map keeps, hold
-// a file, so it is garbage once its holders have reduced.
+// placeStage loads the files stored on this node from the runtime
+// (job.Local.Load), outside the timed pipeline, and waits for every peer
+// to have its files: no rank maps while a peer still places, so no
+// placement shares the cores with a timed stage. A loaded file is aliased,
+// never copied or written: from here only w.files, and then the views Map
+// keeps, hold it, so it is garbage once its holders have reduced.
 func (w *worker) placeStage() error {
-	input := w.spec.Input
-	w.spec.Input, w.cfg.Input = nil, nil
 	w.files = make(map[int]kv.Records, len(w.stored))
-	gen := kv.NewGenerator(w.spec.Seed, w.spec.KeyDist)
 	for _, fi := range w.stored {
-		switch {
-		case input != nil:
-			w.files[fi] = input[fi]
-		case w.spec.Load != nil:
-			f, err := w.spec.Load(fi)
-			if err != nil {
-				return err
-			}
-			w.files[fi] = f
-		default:
-			first, last := w.plan.FileRows(fi)
-			w.files[fi] = gen.GenerateParallel(first, last-first, w.procs)
+		f, err := w.spec.Load(fi)
+		if err != nil {
+			return err
 		}
+		w.files[fi] = f
+	}
+	if err := w.ep.Barrier(transport.MakeTag(tagBarrier, 0xFFFF, 0xFFFF)); err != nil {
+		return fmt.Errorf("coded: rank %d barrier after placement: %w", w.rank, err)
 	}
 	return nil
-}
-
-// scanFile feeds stored file fi to fn in ChunkRows-record blocks without
-// ever holding the file — the out-of-core counterpart of placeStage.
-func (w *worker) scanFile(fi int, fn func(kv.Records) error) error {
-	switch {
-	case w.spec.Input != nil:
-		return w.spec.Input[fi].ForEachBlock(w.spec.ChunkRows, fn)
-	case w.spec.Scan != nil:
-		return w.spec.Scan(fi, w.spec.ChunkRows, fn)
-	default:
-		first, last := w.plan.FileRows(fi)
-		return kv.NewGenerator(w.spec.Seed, w.spec.KeyDist).GenerateBlocks(first, last-first, w.spec.ChunkRows, fn)
-	}
 }
 
 // codeGenStage performs a lightweight per-group handshake: within every
@@ -509,7 +487,7 @@ func (w *worker) mapSpillStage() error {
 	}
 	for _, fi := range w.stored {
 		fileSet := w.plan.Files[fi]
-		if err := w.scanFile(fi, func(block kv.Records) error {
+		if err := w.spec.Scan(fi, w.spec.ChunkRows, func(block kv.Records) error {
 			recs := w.mapRecords(block)
 			rows := partition.SplitRows(w.part, recs, w.procs)
 			for q := 0; q < w.plan.K; q++ {

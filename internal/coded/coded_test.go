@@ -24,6 +24,41 @@ func cfgOf(s job.Spec) Config {
 	return Config{Spec: s}
 }
 
+// withInput attaches c's input as a runtime does, generated from its spec —
+// whole to Place (Load), in blocks to the out-of-core Map (Scan) — unless
+// c attaches its own.
+func withInput(c Config) Config {
+	if c.Load != nil || c.Scan != nil {
+		return c
+	}
+	spec, err := c.Resolve(c.Local)
+	if err != nil {
+		return c // Run refuses it
+	}
+	plan, err := spec.Strat.Plan(c.Rows)
+	if err != nil {
+		return c
+	}
+	gen := kv.NewGenerator(c.Seed, spec.KeyDist)
+	c.Load = func(i int) (kv.Records, error) { return plan.Materialize(gen, i), nil }
+	c.Scan = func(i, blockRows int, fn func(kv.Records) error) error {
+		first, last := plan.FileRows(i)
+		return gen.GenerateBlocks(first, last-first, blockRows, fn)
+	}
+	return c
+}
+
+// supplied attaches the given input files as a runtime does: file i whole
+// to Place (Load), in blocks to the out-of-core Map (Scan).
+func supplied(files []kv.Records) job.Local {
+	return job.Local{
+		Load: func(i int) (kv.Records, error) { return files[i], nil },
+		Scan: func(i, blockRows int, fn func(kv.Records) error) error {
+			return files[i].ForEachBlock(blockRows, fn)
+		},
+	}
+}
+
 // selecting is the Transform that keeps the records keep accepts: a
 // selecting Map, such as Grep's.
 func selecting(keep func(rec []byte) bool) func(rec []byte, emit func([]byte)) {
@@ -74,6 +109,7 @@ func runWorkers(t *testing.T, cfg Config, perRank func(rank int, c *Config), clo
 			if perRank != nil {
 				perRank(rank, &c)
 			}
+			c = withInput(c)
 			var conn transport.Conn = mesh.Endpoint(rank)
 			if wrap != nil {
 				conn = wrap(rank, conn)
@@ -416,8 +452,9 @@ func TestStageTimesPopulated(t *testing.T) {
 
 // TestRunResolvesTheJob: Run refuses a spec job.Resolve refuses (the table
 // of those is internal/job's), an attachment that contradicts the spec, an
-// input dir (the runtime reads part files, never the engine), and an
-// endpoint of the wrong world size — before any traffic flows.
+// input dir (the runtime reads part files, never the engine), a job with
+// neither Load nor Scan (the runtime supplies every input), and an endpoint
+// of the wrong world size — before any traffic flows.
 func TestRunResolvesTheJob(t *testing.T) {
 	mesh := memnet.NewMesh(2)
 	defer mesh.Close()
@@ -425,14 +462,21 @@ func TestRunResolvesTheJob(t *testing.T) {
 	wrongPart := cfgOf(job.Spec{K: 2, R: 1})
 	wrongPart.Part = partition.NewUniform(7)
 	for i, cfg := range []Config{
-		{Spec: job.Spec{K: 2, R: 1}}, // no algorithm
-		cfgOf(job.Spec{K: 2, R: 3}),
-		cfgOf(job.Spec{K: 3, R: 1, Rows: 10}), // world-size mismatch
+		withInput(Config{Spec: job.Spec{K: 2, R: 1}}), // no algorithm
+		withInput(cfgOf(job.Spec{K: 2, R: 3})),
+		withInput(cfgOf(job.Spec{K: 3, R: 1, Rows: 10})), // world-size mismatch
 		{Spec: job.Spec{Algorithm: job.AlgTeraSort, K: 2, InputDir: "parts"}},
 		wrongPart,
 	} {
 		if _, err := Run(ep, cfg); err == nil {
 			t.Fatalf("case %d accepted: %+v", i, cfg)
+		}
+	}
+	// Neither Load nor Scan, in memory and out of core.
+	for _, budget := range []int64{0, 1 << 20} {
+		cfg := cfgOf(job.Spec{K: 2, R: 1, Rows: 10, MemBudget: budget})
+		if _, err := Run(ep, cfg); err == nil || !strings.Contains(err.Error(), "no input") {
+			t.Fatalf("mem budget %d: a job with neither Load nor Scan: %v", budget, err)
 		}
 	}
 }
@@ -442,7 +486,7 @@ func TestTransportFailureSurfaces(t *testing.T) {
 	// stage, not a hang or silent corruption.
 	for _, tc := range []struct{ k, r, failAfter int }{{3, 1, 3}, {4, 2, 2}} {
 		mesh := memnet.NewMesh(tc.k)
-		cfg := cfgOf(job.Spec{K: tc.k, R: tc.r, Rows: 400, Seed: 3})
+		cfg := withInput(cfgOf(job.Spec{K: tc.k, R: tc.r, Rows: 400, Seed: 3}))
 		rank0Err := make(chan error, 1)
 		var wg sync.WaitGroup
 		go func() {
@@ -487,6 +531,7 @@ func TestLargerClusterSmoke(t *testing.T) {
 }
 
 func benchmarkSort(b *testing.B, cfg Config) {
+	cfg = withInput(cfg)
 	for i := 0; i < b.N; i++ {
 		mesh := memnet.NewMesh(cfg.K)
 		var wg sync.WaitGroup

@@ -12,8 +12,8 @@ import (
 )
 
 func TestInjectedInputMatchesGenerated(t *testing.T) {
-	// Supplying the generator's own files via Input must give outputs
-	// identical to generated mode.
+	// Supplying the generator's own files, made up front, must give outputs
+	// identical to generating each as Place loads it.
 	const k, rows, seed = 4, 1200, 31
 	for _, r := range []int{1, 2} {
 		plan, err := placement.Redundant(k, r, rows)
@@ -27,7 +27,7 @@ func TestInjectedInputMatchesGenerated(t *testing.T) {
 		}
 		genResults := runAll(t, cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed}))
 		injected := cfgOf(job.Spec{K: k, R: r, Rows: rows, Seed: seed})
-		injected.Input = input
+		injected.Local = supplied(input)
 		injResults := runAll(t, injected)
 		for rank := range genResults {
 			if !genResults[rank].Output.Equal(injResults[rank].Output) {

@@ -56,7 +56,8 @@ func TestFig3Walkthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cfgOf(job.Spec{K: 4, R: 1})
-	cfg.Part, cfg.Input = part, input
+	cfg.Local = supplied(input)
+	cfg.Part = part
 
 	mesh := memnet.NewMesh(4)
 	defer mesh.Close()

@@ -72,7 +72,7 @@ func tracedShuffle(t *testing.T, spec job.Spec) []wireEvent {
 		go func(rank int) {
 			defer wg.Done()
 			ep := transport.WithCollectives(recordingConn{mesh.Endpoint(rank), log})
-			if _, err := Run(ep, Config{Spec: spec}); err != nil {
+			if _, err := Run(ep, withInput(Config{Spec: spec})); err != nil {
 				t.Error(err)
 			}
 		}(rank)

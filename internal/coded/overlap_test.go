@@ -89,7 +89,7 @@ func runDigested(t *testing.T, cfg Config, rateMbps float64, log *stageLog) dige
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[rank], errs[rank] = Run(transport.WithCollectives(conn), c)
+			results[rank], errs[rank] = Run(transport.WithCollectives(conn), withInput(c))
 		}()
 	}
 	wg.Wait()
@@ -279,7 +279,7 @@ func TestReducerStopsWithItsRank(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						ep := transport.WithCollectives(conn)
-						w, err := newWorker(ep, c)
+						w, err := newWorker(ep, withInput(c))
 						if err == nil {
 							name, stages := w.schedule()
 							err = w.run(stats.NewWallClock(), name, stages)
@@ -342,7 +342,7 @@ func TestReceiveErrorEndsChunkedShuffle(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w, err := newWorker(transport.WithCollectives(conn), cfg)
+				w, err := newWorker(transport.WithCollectives(conn), withInput(cfg))
 				if err == nil {
 					name, stages := w.schedule()
 					err = w.run(stats.NewWallClock(), name, stages)

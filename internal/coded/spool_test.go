@@ -34,8 +34,8 @@ func TestBudgetWithFilterAndSkew(t *testing.T) {
 	}
 }
 
-// TestBudgetWithSuppliedInput: the Input-slice source feeds the
-// block-by-block Map identically to the materialized engine.
+// TestBudgetWithSuppliedInput: supplied input files feed the block-by-block
+// Map identically to the in-memory engine.
 func TestBudgetWithSuppliedInput(t *testing.T) {
 	const k = 4
 	gen := kv.NewGenerator(43, kv.DistUniform)
@@ -44,7 +44,7 @@ func TestBudgetWithSuppliedInput(t *testing.T) {
 		input[i] = gen.Generate(int64(i*1000), 1000)
 	}
 	cfg := cfgOf(job.Spec{K: k, R: 1})
-	cfg.Input = input
+	cfg.Local = supplied(input)
 	ref := runAll(t, cfg)
 	cfg.MemBudget, cfg.SpillDir = 16*1024, t.TempDir()
 	results := runAll(t, cfg)

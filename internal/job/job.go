@@ -180,39 +180,28 @@ type FaultSpec struct {
 }
 
 // Local is the part of a job that cannot cross a wire: values only the
-// processes of one address space can share. The zero value — the only one a
-// TCP worker or a sortd job ever sees — attaches nothing.
+// processes of one address space can share. A Spec never carries one:
+// every runtime attaches its own ranks' input (Load or Scan).
 type Local struct {
 	// Part maps keys to the K reducers. Nil selects the Partitioning
 	// policy's partitioner (uniform by default). Mutually exclusive with
 	// Partitioning "sample".
 	Part partition.Partitioner
-	// Input, when non-nil, supplies the placement strategy's input files
-	// directly instead of generating them: file i (the strategy's file
-	// order; colex order of its node set under the clique scheme, so file k
-	// of node k at R = 1) is Input[i]. All workers must hold the same
-	// slice. Rows and Seed are ignored for data placement when Input is
-	// set. Mutually exclusive with InputDir.
-	//
-	// The files are read-only: every holder aliases them, and no stage
-	// writes an input file — Map keeps views of their rows until Reduce,
-	// Encode gathers from them, and Decode cancels in the packets it
-	// received, never in a file. The in-process sort runtime
-	// (cluster.RunLocalOpts) supplies an in-memory job's input this way,
-	// generated once for all ranks; MapReduce jobs supply Job.Input's splits.
-	Input []kv.Records
-	// Load, when non-nil and Input nil, supplies an in-memory job's input
-	// file by file: it returns input file i whole, in a buffer the rank
-	// keeps. Place calls it once for each file the rank stores, so the
-	// files arrive where the rank's schedule places them. The TCP worker
-	// runtime (cluster.RunWorker) supplies its rank's input this way,
-	// describing each file as it places it.
+	// Load supplies an in-memory job's input file by file: it returns
+	// input file i (the strategy's file order; colex order of its node set
+	// under the clique scheme, so file k of node k at R = 1) whole. Place
+	// calls it once for each file the rank stores. The file is read-only:
+	// the other holders may alias it, and no stage writes an input file —
+	// Map keeps views of its rows until Reduce, Encode gathers from it, and
+	// Decode cancels in the packets it received, never in a file.
 	Load func(i int) (kv.Records, error)
-	// Scan, when non-nil and Input nil, supplies an out-of-core job's
-	// input: it calls fn with input file i in blocks of at most blockRows
-	// records, each valid until fn returns, and returns fn's first error.
-	// Both sort runtimes supply their out-of-core ranks' input this way,
-	// describing each file as they hand it out.
+	// Scan supplies an out-of-core job's input: it calls fn with input file
+	// i in blocks of at most blockRows records, each valid until fn
+	// returns, and returns fn's first error.
+	//
+	// Every runtime hands its ranks their input through one of the two,
+	// describing each file as it hands it over (cluster's fileSource); the
+	// engine refuses a job without the one its mode reads.
 	Scan func(i, blockRows int, fn func(kv.Records) error) error
 	// Done, when non-nil, is closed once the run is abandoned — its attempt
 	// canceled by the supervisor or the caller — so that a job.FaultSlow
@@ -334,13 +323,6 @@ func (s Spec) Resolve(local Local) (*Resolved, error) {
 		if s.Algorithm != AlgTeraSort {
 			return nil, fmt.Errorf("job: input dir is TeraSort-only")
 		}
-		if local.Input != nil {
-			return nil, fmt.Errorf("job: both in-memory input and input dir set")
-		}
-	}
-	if local.Input != nil && len(local.Input) != r.Strat.NumFiles() {
-		return nil, fmt.Errorf("job: %d input files, want %d for the %s strategy (K=%d, r=%d)",
-			len(local.Input), r.Strat.NumFiles(), kind, s.K, r.R)
 	}
 	if r.KeyDist, err = kv.ParseDistribution(s.DistName); err != nil {
 		return nil, fmt.Errorf("job: %w", err)

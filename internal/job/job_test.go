@@ -25,7 +25,7 @@ type invalid struct {
 
 // wire reports whether the case is invalid as a bare spec — the form the
 // entry points that take no attachment (the cluster runtime, sortd) see.
-func (c invalid) wire() bool { return c.local.Part == nil && c.local.Input == nil }
+func (c invalid) wire() bool { return c.local.Part == nil }
 
 func tera(s job.Spec) job.Spec  { s.Algorithm = job.AlgTeraSort; return s }
 func coded(s job.Spec) job.Spec { s.Algorithm = job.AlgCoded; return s }
@@ -76,12 +76,6 @@ var invalidJobs = []invalid{
 		job.Local{Part: partition.NewUniform(2)}, "explicit partitioner with sample"},
 	{"partitioner for another K", tera(job.Spec{K: 2}),
 		job.Local{Part: partition.NewUniform(7)}, "7 partitions for K=2"},
-	{"in-memory input with input dir", tera(job.Spec{K: 2, InputDir: "/data"}),
-		job.Local{Input: []kv.Records{{}, {}}}, "both in-memory input and input dir"},
-	{"too few input files", tera(job.Spec{K: 2}),
-		job.Local{Input: []kv.Records{{}}}, "1 input files, want 2"},
-	{"too many input files", coded(job.Spec{K: 2, R: 2}),
-		job.Local{Input: []kv.Records{{}, {}}}, "2 input files, want 1"},
 }
 
 func TestSpecValidation(t *testing.T) {
@@ -159,10 +153,10 @@ func TestResolveDerives(t *testing.T) {
 	if sp, ok := r.Part.(partition.Splitters); !ok || sp.NumPartitions() != 4 {
 		t.Fatalf("preset splitters: partitioner %v", r.Part)
 	}
-	// An explicit partitioner and input files ride through.
+	// An explicit partitioner and the input ride through.
 	part := partition.NewUniform(2)
-	in := []kv.Records{{}, {}}
-	if r = resolve(tera(job.Spec{K: 2}), job.Local{Part: part, Input: in}); r.Part != part || len(r.Input) != 2 {
+	load := func(int) (kv.Records, error) { return kv.Records{}, nil }
+	if r = resolve(tera(job.Spec{K: 2}), job.Local{Part: part, Load: load}); r.Part != part || r.Load == nil {
 		t.Fatalf("attachment dropped: %+v", r.Local)
 	}
 	// The submitted spec is not modified.

@@ -27,8 +27,8 @@ func referenceSplitters(all kv.Records, k, size int, hook func(kv.Records) kv.Re
 }
 
 // TestDeriveSplittersMatchesReference: for every form a job's input takes —
-// generated rows, supplied Local.Input files of a placement plan, InputDir
-// part files — with and without a Map hook, and at the edges (no rows, a
+// generated rows, supplied files that tile the rows along a placement plan
+// (a MapReduce job's Input), InputDir part files — with and without a Map hook, and at the edges (no rows, a
 // sample as large as the input), the sampler returns exactly the bounds
 // of the engine-free reference over the whole input. The part files are
 // equal, with the stride dividing their size, which is when positional

@@ -15,10 +15,11 @@ import (
 // crash and stage-deadline detection, attempt-scoped recovery up to
 // Spec.MaxAttempts, the attempt-tagged stage log and the byte counters are
 // the sorters' own. Workers[r].Output holds rank r's reduced output;
-// recovered jobs reproduce a clean run's byte for byte. The output is not
+// recovered jobs reproduce a clean run's byte for byte. The ranks share one
+// input source: each file is made once per attempt. The output is not
 // self-verified (Validated stays false): Sequential is the oracle.
 func RunLocal(j Job) (*cluster.JobReport, error) {
-	j, _, err := j.normalize()
+	j, attach, err := j.prepare(-1)
 	if err != nil {
 		return nil, err
 	}
@@ -26,7 +27,7 @@ func RunLocal(j Job) (*cluster.JobReport, error) {
 		func(ctx context.Context, ep transport.Endpoint, spec job.Spec, hooks coded.Hooks) (cluster.WorkerReport, error) {
 			attempt := j
 			attempt.Spec = spec
-			res, err := run(ep, attempt, hooks, ctx.Done())
+			res, err := run(ep, attempt, attach(ctx, ep.Rank()), hooks)
 			return cluster.WorkerReport{Summary: res.Summary, Output: res.Output}, err
 		})
 }

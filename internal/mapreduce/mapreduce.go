@@ -34,13 +34,14 @@
 package mapreduce
 
 import (
+	"context"
 	"fmt"
 
+	"codedterasort/internal/cluster"
 	"codedterasort/internal/coded"
 	"codedterasort/internal/job"
 	"codedterasort/internal/kv"
 	"codedterasort/internal/partition"
-	"codedterasort/internal/placement"
 	"codedterasort/internal/transport"
 )
 
@@ -111,10 +112,11 @@ type Job struct {
 	// Reducer is the reduce function. Nil selects Identity.
 	Reducer Reducer
 	// Input, when non-empty, is the job's input dataset. The framework
-	// splits it by rows into the engine's input files — K contiguous splits
-	// uncoded, one per placement subfile coded; the same global row range
-	// either way, so both forms map the same multiset. Rows, Seed and
-	// DistName are ignored when Input is set.
+	// hands each rank its splits along the placement plan as the runtime
+	// hands any input file over (job.Local.Load or Scan), as views of the
+	// dataset — K contiguous splits uncoded, one per placement subfile
+	// coded; the same global row range either way, so both forms map the
+	// same multiset. Rows, Seed and DistName are ignored when Input is set.
 	Input kv.Records
 	// Part maps intermediate keys to the K reducers. Nil selects the
 	// framework's hash partitioner, which spreads arbitrary (e.g. text)
@@ -160,23 +162,29 @@ func (j Job) transform() func(rec []byte, emit func([]byte)) {
 	}
 }
 
-// engineInput splits Job.Input into the engine's input files along the row
-// bounds of the placement strategy's plan (nil Input stays nil: the engine
-// generates).
-func (j Job) engineInput(strat placement.Strategy) ([]kv.Records, error) {
-	if j.Input.Len() == 0 {
-		return nil, nil
-	}
-	plan, err := strat.Plan(j.Rows)
+// prepare normalizes the job for its ranks: a sampled job's splitters,
+// unless preset, are derived once — the global stride sample of Job.Input,
+// or of the generated rows, through the Mapper: the sample the engine would
+// draw — and preset in the spec, so that no rank samples. It returns the
+// job's input source for rank, or for every rank in this process when rank
+// is -1 (cluster.InputSource).
+func (j Job) prepare(rank int) (Job, func(context.Context, int) job.Local, error) {
+	j, _, err := j.normalize()
 	if err != nil {
-		return nil, err
+		return j, nil, err
 	}
-	files := make([]kv.Records, plan.NumFiles())
-	for i := range files {
-		first, last := plan.FileRows(i)
-		files[i] = j.Input.Slice(int(first), int(last))
+	if j.Sampled() && len(j.Splitters) == 0 {
+		var input []kv.Records
+		if j.Input.Len() > 0 {
+			input = []kv.Records{j.Input}
+		}
+		t := j.transform()
+		if j.Splitters, err = j.DeriveSplitters(input, func(r kv.Records) kv.Records { return kv.TransformRecords(r, t) }); err != nil {
+			return j, nil, err
+		}
 	}
-	return files, nil
+	attach, err := cluster.InputSource(j.Spec, j.Input, rank)
+	return j, attach, err
 }
 
 // Result is one worker's output.
@@ -195,26 +203,23 @@ type Result struct {
 
 // Run executes the job's worker for ep.Rank() and blocks until this rank's
 // part completes. Every rank of the endpoint's world must call Run
-// concurrently with an identical job.
+// concurrently with an identical job. The rank makes its own input files:
+// it shares them with no other rank.
 func Run(ep transport.Endpoint, j Job) (Result, error) {
-	return run(ep, j, nil, nil)
+	j, attach, err := j.prepare(ep.Rank())
+	if err != nil {
+		return Result{}, err
+	}
+	return run(ep, j, attach(context.Background(), ep.Rank()), nil)
 }
 
-// run is Run with hooks observing each timed engine stage and done, when
-// non-nil, closed once the run is abandoned (job.Local.Done).
-func run(ep transport.Endpoint, j Job, hooks coded.Hooks, done <-chan struct{}) (Result, error) {
-	j, spec, err := j.normalize()
-	if err != nil {
-		return Result{}, err
-	}
-	input, err := j.engineInput(spec.Strat)
-	if err != nil {
-		return Result{}, err
-	}
+// run is one rank's run of a normalized job with its input attached by
+// local; hooks, when non-nil, observe each timed engine stage.
+func run(ep transport.Endpoint, j Job, local job.Local, hooks coded.Hooks) (Result, error) {
+	local.Part = j.Part
 	g := newGrouper(j.Reducer)
 	res, err := coded.Run(ep, coded.Config{
-		Spec: j.Spec, Local: job.Local{Part: j.Part, Input: input, Done: done},
-		Transform: j.transform(), OutputSink: g.Feed, Hooks: hooks,
+		Spec: j.Spec, Local: local, Transform: j.transform(), OutputSink: g.Feed, Hooks: hooks,
 	})
 	if err != nil {
 		return Result{}, err

@@ -17,13 +17,11 @@
 // The input side is an Input (rows and multiset checksum), taken by
 // whoever places the input, in the pass that places it, so no party
 // reads the input a second time to describe it. Generated input is
-// described by one generate-and-describe loop in three forms: Materialize
-// keeps every file of a plan, which is how the in-process runtime creates
-// an in-memory job's input and its description before any rank runs;
-// MaterializeFile keeps one file, which is how a TCP worker places each
-// file it stores, describing only the files it is the lowest-ranked holder
-// of; DescribeGenerated keeps nothing. A file a rank scans block by block
-// (out of core, in process or over TCP) is described by the runtime as it
+// described by one generate-and-describe loop in two forms:
+// MaterializeFile keeps one file, which is how a runtime makes each file
+// it hands a rank, describing it when it hands the file to its
+// lowest-ranked holder; DescribeGenerated keeps nothing. A file a rank
+// scans block by block (out of core) is described by the runtime as it
 // hands each block to the file's lowest-ranked holder, and each output by
 // the checker it passes through: the engine reports no digest of its own.
 package verify
@@ -34,7 +32,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"codedterasort/internal/kv"
 	"codedterasort/internal/parallel"
@@ -59,107 +56,75 @@ func Describe(r kv.Records) Input {
 const describeBlockRows = 1 << 12
 
 // DescribeGenerated computes the Input summary of generator rows [0, rows)
-// without holding them: the streaming form of Materialize, which fills and
-// digests every piece in one reused buffer per core.
+// without holding them: the streaming form of MaterializeFile, which fills
+// and digests every piece in one reused buffer per core.
 func DescribeGenerated(g *kv.Generator, rows int64) Input {
 	// Background never cancels.
-	_, in, _ := generate(context.Background(), g, []int64{0, max(rows, 0)}, false, true, runtime.GOMAXPROCS(0))
+	_, in, _ := generate(context.Background(), g, 0, max(rows, 0), false, true, runtime.GOMAXPROCS(0))
 	return in
-}
-
-// Materialize generates the files of generator rows cut at bounds — file i
-// is rows [bounds[i], bounds[i+1]), one allocation each, so each file can
-// be freed on its own — and describes rows [0, bounds[len(bounds)-1]) in
-// the same pass: every piece is digested right after it is filled, on
-// GOMAXPROCS goroutines. bounds must start at 0 and must not decrease (a
-// placement plan's Bounds). A canceled ctx stops the loop between pieces
-// and returns ctx's error.
-func Materialize(ctx context.Context, g *kv.Generator, bounds []int64) ([]kv.Records, Input, error) {
-	if len(bounds) == 0 || bounds[0] != 0 {
-		return nil, Input{}, fmt.Errorf("verify: bounds %v do not start at row 0", bounds)
-	}
-	return generate(ctx, g, bounds, true, true, runtime.GOMAXPROCS(0))
 }
 
 // MaterializeFile generates generator rows [first, last) — one file — into
 // one new buffer on procs goroutines and, when describe is set, describes
-// them in the same pass (a zero Input otherwise). A canceled ctx stops the
-// loop between pieces and returns ctx's error.
+// them in the same pass (a zero Input otherwise): every piece is digested
+// right after it is filled. A canceled ctx stops the loop between pieces
+// and returns ctx's error.
 func MaterializeFile(ctx context.Context, g *kv.Generator, first, last int64, procs int, describe bool) (kv.Records, Input, error) {
-	files, in, err := generate(ctx, g, []int64{first, last}, true, describe, procs)
-	if err != nil {
-		return kv.Records{}, Input{}, err
-	}
-	return files[0], in, nil
+	return generate(ctx, g, first, last, true, describe, procs)
 }
 
-// piece is a run of at most describeBlockRows rows of one file.
-type piece struct {
-	file      int
-	off, rows int64 // the run's first row within the file, and its length
-}
-
-// generate is the one generate-and-describe loop behind Materialize,
-// MaterializeFile (keep set: each piece is filled in place in its file) and
+// generate is the one generate-and-describe loop behind MaterializeFile
+// (keep set: each piece is filled in place in the file) and
 // DescribeGenerated (each core fills its pieces into one reused buffer).
-// The pieces are cut per file and dealt to procs cores in contiguous
-// shards; with describe unset none is digested and the Input is zero.
-func generate(ctx context.Context, g *kv.Generator, bounds []int64, keep, describe bool, procs int) ([]kv.Records, Input, error) {
-	var pieces []piece
-	for i := 0; i+1 < len(bounds); i++ {
-		n := bounds[i+1] - bounds[i]
-		if n < 0 {
-			return nil, Input{}, fmt.Errorf("verify: bounds decrease at file %d", i)
-		}
-		for off := int64(0); off < n; off += describeBlockRows {
-			pieces = append(pieces, piece{file: i, off: off, rows: min(describeBlockRows, n-off)})
-		}
+// The rows are cut into pieces of describeBlockRows and dealt to procs
+// cores in contiguous shards; with describe unset none is digested and the
+// Input is zero.
+func generate(ctx context.Context, g *kv.Generator, first, last int64, keep, describe bool, procs int) (kv.Records, Input, error) {
+	n := last - first
+	if first < 0 || n < 0 {
+		return kv.Records{}, Input{}, fmt.Errorf("verify: rows [%d, %d) are not a range", first, last)
 	}
-	var files []kv.Records
+	var file kv.Records
 	if keep {
-		files = make([]kv.Records, len(bounds)-1)
+		// A whole number of records cannot be refused.
+		file, _ = kv.NewRecords(make([]byte, n*kv.RecordSize))
 	}
-	// A file is allocated by the first core to reach one of its pieces, so
-	// the clearing Go does on allocation is spread over the cores rather
-	// than run up front on one.
-	made := make([]sync.Once, len(files))
-	sums := make([]uint64, parallel.Shards(procs, len(pieces)))
-	if err := parallel.ForShards(procs, len(pieces), func(s, lo, hi int) error {
+	pieces := int((n + describeBlockRows - 1) / describeBlockRows)
+	sums := make([]uint64, parallel.Shards(procs, pieces))
+	if err := parallel.ForShards(procs, pieces, func(s, lo, hi int) error {
 		var scratch kv.Records
 		if !keep && hi > lo {
 			scratch, _ = kv.NewRecords(make([]byte, describeBlockRows*kv.RecordSize))
 		}
-		for _, p := range pieces[lo:hi] {
+		for p := lo; p < hi; p++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
+			off := int64(p) * describeBlockRows
+			rows := min(describeBlockRows, n-off)
 			var blk kv.Records
 			if keep {
-				made[p.file].Do(func() {
-					// A whole number of records cannot be refused.
-					files[p.file], _ = kv.NewRecords(make([]byte, (bounds[p.file+1]-bounds[p.file])*kv.RecordSize))
-				})
-				blk = files[p.file].Slice(int(p.off), int(p.off+p.rows))
+				blk = file.Slice(int(off), int(off+rows))
 			} else {
-				blk = scratch.Slice(0, int(p.rows))
+				blk = scratch.Slice(0, int(rows))
 			}
-			g.Fill(blk, bounds[p.file]+p.off)
+			g.Fill(blk, first+off)
 			if describe {
 				sums[s] += blk.Checksum()
 			}
 		}
 		return nil
 	}); err != nil {
-		return nil, Input{}, err
+		return kv.Records{}, Input{}, err
 	}
 	if !describe {
-		return files, Input{}, nil
+		return file, Input{}, nil
 	}
-	in := Input{Rows: bounds[len(bounds)-1] - bounds[0]}
+	in := Input{Rows: n}
 	for _, sum := range sums {
 		in.Checksum += sum
 	}
-	return files, in, nil
+	return file, in, nil
 }
 
 // Summary is the O(1)-size residue of checking one partition's stream.

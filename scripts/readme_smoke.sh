@@ -4,8 +4,9 @@
 # dir (README paths under /tmp/ moved into it), with a small -rows appended
 # where the command takes one (the flag package keeps the last value). A
 # non-zero exit or a validated=false line fails the smoke, so a misspelled
-# flag in the README fails it too. The coordinator line and the worker line
-# after it run as one bounded pair; the sortd/sortctl lines are
+# flag in the README fails it too. Each coordinator line and the worker
+# line after it run as one bounded pair, which must end validated=true;
+# the sortd/sortctl lines are
 # service_smoke.sh's. Every wait is bounded so CI can never hang here.
 #
 #   scripts/readme_smoke.sh
@@ -78,7 +79,7 @@ for line in "${LINES[@]}"; do
         [[ "$FAIL" == 0 ]] || kill -TERM "$COORD_PID" 2>/dev/null || true
         wait "$COORD_PID" || FAIL=1
         cat "$WORK/coord.log"
-        if [[ "$FAIL" != 0 ]] || grep -q 'validated=false' "$WORK/coord.log"; then
+        if [[ "$FAIL" != 0 ]] || ! grep -q 'validated=true' "$WORK/coord.log"; then
             cat "$WORK"/worker*.log; echo "FAILED: coordinator + $n workers"; exit 1
         fi
         COORD_PID=""
